@@ -12,6 +12,10 @@ The default seed comes from the RF_LAB_SEED environment variable when
 neither a flag nor the config provides one.  CSV floats are written with 17
 significant digits, so reruns with equal seeds produce byte-identical
 files.
+
+The ``--jobs`` worker processes are the only parallelism: BLAS runs one
+thread per process unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is already set, so outputs do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# One BLAS thread per process (the pool is the parallelism); OpenBLAS reads this once, as NumPy loads it.
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -41,6 +50,7 @@ from .hardness import (
 )
 from .legendre import build_monomial_table, legendre_eval, legendre_norm_sq
 from .numerics import RandomSource, gauss_legendre_rule, uniform_ball, uniform_sphere
+from .parallel import usable_cpus
 from .poly_repr import (
     SparsePolynomial,
     construct_g,
@@ -54,6 +64,7 @@ from .trainer import (
     drift_check,
     finite_difference_check,
     forward,
+    kernel_backend,
     margin_filtered_sampler,
     sgd_train,
     guarantee_params,
@@ -258,9 +269,14 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
     if args.jobs is not None:
         jobs = args.jobs
     elif "jobs" in file_values:
-        jobs = int(file_values["jobs"])
+        try:
+            jobs = int(file_values["jobs"])
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config key 'jobs': {exc}") from exc
     else:
-        jobs = os.cpu_count() or 1
+        jobs = usable_cpus()
+    if jobs < 1:
+        raise UsageError(f"jobs must be >= 1, got {jobs}")
     return ExperimentConfig(name, params, seed, out_dir, jobs)
 
 
@@ -606,7 +622,8 @@ def _build_parser() -> _Parser:
         sub.add_argument("--config", default=None, help="JSON config file (flags override)")
         sub.add_argument("--seed", type=int, default=None, help="root seed (default: $RF_LAB_SEED or 0)")
         sub.add_argument("--out", default=None, help="output directory (default: rf_lab_out)")
-        sub.add_argument("--jobs", type=int, default=None, help="worker pool size (default: CPU count)")
+        sub.add_argument("--jobs", type=int, default=None,
+                         help="worker processes, >= 1 (default: the CPUs this process may use)")
     return parser
 
 
@@ -659,6 +676,14 @@ def run(argv) -> int:
         "finished": datetime.now(timezone.utc).isoformat(),
         "outputs": checksums,
         "validation_failures": failures,
+        "environment": {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "kernel_backend": kernel_backend(),
+            "cpu_count": usable_cpus(),
+            "jobs": cfg.jobs,
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        },
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"

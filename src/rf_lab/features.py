@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import Measure, RandomSource, sample_measure, uniform_ball
+from .parallel import map_cells
 from .poly_repr import (
     AnalyticActivation,
     LegendreExpansion,
@@ -277,50 +278,28 @@ def concentration_experiment(
     f_vals = integral_feature_expectation(g, act.evaluate, probe_pts, P.degree + 6)
     grid_c = max_abs_g(g, 10_000, rng.derive(2))
     family = ridge_family(act.evaluate, Measure("uniform_cube"))
-
-    rows = []
-    sup_c = grid_c
+    state = (P.dimension, act, g, family, probe_pts, f_vals, rng)
     cells = [(ri, r, t) for ri, r in enumerate(r_values) for t in range(trials)]
-
-    def run_cell(cell):
-        ri, r, t = cell
-        sample = sample_features(family, P.dimension, r, rng.derive(1, ri, t))
-        combo = approximant_from_g(g, act, sample)
-        pred = combo.predict(sample, probe_pts)
-        sup_err = float(np.max(np.abs(pred - f_vals)))
-        return (r, t, sup_err, combo.max_abs_weight, rng.seed), float(np.max(np.abs(eval_g(g, sample.weights))))
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        packed = [
-            (P.to_json(), act.name, rng.seed, rng.stream_id, probes, cell) for cell in cells
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_runner, packed))
-    else:
-        results = [run_cell(cell) for cell in cells]
-    for row, sample_sup in results:
-        rows.append(row)
-        sup_c = max(sup_c, sample_sup)
-    return ConcentrationResult(r_values, tuple(rows), act.lipschitz_L, sup_c)
+    results = map_cells(_concentration_cell, cells, jobs, _set_concentration_state, (state,))
+    rows = tuple(row for row, _ in results)
+    sup_c = max([grid_c] + [sample_sup for _, sample_sup in results])
+    return ConcentrationResult(r_values, rows, act.lipschitz_L, sup_c)
 
 
-def _cell_runner(packed):
-    """Process-pool worker; rebuilds the experiment state from picklable parts."""
-    P_json, act_name, seed, stream, probes, cell = packed
-    from .poly_repr import activation_by_name
+# State shared by every concentration cell, installed once per process.
+_concentration_state = None
 
-    P = SparsePolynomial.from_json(P_json)
-    act = activation_by_name(act_name)
-    rng = RandomSource(seed, stream)
-    table = build_monomial_table(max(P.degree, 1))
-    g = construct_g(P, act, table)
-    probe_pts = uniform_ball(P.dimension, probes, rng.generator(0))
-    f_vals = integral_feature_expectation(g, act.evaluate, probe_pts, P.degree + 6)
-    family = ridge_family(act.evaluate, Measure("uniform_cube"))
+
+def _set_concentration_state(state) -> None:
+    global _concentration_state
+    _concentration_state = state
+
+
+def _concentration_cell(cell):
+    """One (r, trial) draw: the CSV row and the largest |g(w_i)| it sampled."""
+    d, act, g, family, probe_pts, f_vals, rng = _concentration_state
     ri, r, t = cell
-    sample = sample_features(family, P.dimension, r, rng.derive(1, ri, t))
+    sample = sample_features(family, d, r, rng.derive(1, ri, t))
     combo = approximant_from_g(g, act, sample)
     pred = combo.predict(sample, probe_pts)
     sup_err = float(np.max(np.abs(pred - f_vals)))

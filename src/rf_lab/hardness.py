@@ -27,6 +27,7 @@ import numpy as np
 
 from .features import FeatureFamily, feature_matrix, least_squares_fit, sample_features
 from .numerics import RandomSource, gauss_legendre_rule, gaussian_expectation_1d
+from .parallel import map_cells
 
 
 @dataclass(frozen=True)
@@ -212,14 +213,7 @@ def linear_residual(d: int, r: int, rng: RandomSource, trials: int, jobs: int = 
     if not (0 <= r <= d):
         raise ValueError("need 0 <= r <= d")
     cells = [(d, r, rng.seed, rng.stream_id, t) for t in range(trials)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            vals = list(pool.map(_linear_residual_cell, cells))
-    else:
-        vals = [_linear_residual_cell(c) for c in cells]
-    return np.asarray(vals)
+    return np.asarray(map_cells(_linear_residual_cell, cells, jobs))
 
 
 def _linear_residual_cell(cell) -> float:
@@ -268,14 +262,7 @@ def correlation_decay(
     Var(f psi_w)/mc_samples, so decay trends flatten there.
     """
     cells = [(int(d), f_factory, trials, mc_samples, rng.seed, rng.stream_id, chunk) for d in d_values]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_correlation_cell, cells))
-    else:
-        rows = [_correlation_cell(c) for c in cells]
-    return rows
+    return map_cells(_correlation_cell, cells, jobs)
 
 
 def _correlation_cell(cell) -> CorrelationDecayRow:
@@ -420,14 +407,7 @@ def neuron_inapprox_sweep(
         (family, r, int(d), n_train, rng.seed, rng.stream_id, include_baseline)
         for d in d_values
     ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(_sweep_cell, cells))
-    else:
-        groups = [_sweep_cell(c) for c in cells]
-    return [row for group in groups for row in group]
+    return [row for group in map_cells(_sweep_cell, cells, jobs) for row in group]
 
 
 def _normalized_fit(sample, target_fn, n_train, rng):

@@ -164,14 +164,6 @@ def identity_activation() -> AnalyticActivation:
     )
 
 
-def activation_by_name(name: str) -> AnalyticActivation:
-    """Look up a built-in activation (used to rebuild state in worker processes)."""
-    factories = {"exp": exp_activation, "identity": identity_activation}
-    if name not in factories:
-        raise ValueError(f"unknown activation {name!r}; expected one of {sorted(factories)}")
-    return factories[name]()
-
-
 @dataclass(frozen=True)
 class LegendreExpansion:
     """g(w) = sum_{|J| <= k} c_J p_J(sqrt(d) w) on the cube [-1/sqrt(d), 1/sqrt(d)]^d."""

@@ -2,8 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from rf_lab.cli import ExperimentConfig, run
+import pytest
+
+import rf_lab
+from rf_lab.cli import BLAS_THREAD_VARS, ExperimentConfig, run
+from rf_lab.parallel import usable_cpus
 
 
 def read(path):
@@ -86,6 +94,21 @@ class TestConfigFiles:
         manifest = json.loads((tmp_path / "psi-check" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 1234
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        assert run(["psi-check", "--jobs", jobs, "--out", str(tmp_path)]) == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"jobs": {jobs}}}')
+        assert run(["psi-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "psi-check").exists()
+
+    def test_jobs_defaults_to_usable_cpus(self, tmp_path, capsys):
+        assert run(["psi-check", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "psi-check" / "manifest.json").read_text())
+        assert manifest["config"]["jobs"] == usable_cpus()
+
     def test_experiment_config_round_trip(self):
         cfg = ExperimentConfig("psi-check", {"d": 4}, 7, "out", 2)
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
@@ -150,6 +173,29 @@ class TestManifest:
             assert actual == digest, name
         assert manifest["version"]
         assert manifest["started"] <= manifest["finished"]
+
+    @pytest.mark.parametrize("openblas", [None, "2"])
+    def test_environment_records_blas_threads(self, tmp_path, openblas):
+        # a fresh process: the CLI sets its BLAS defaults before NumPy loads
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(rf_lab.__file__).resolve().parent.parent)
+        if openblas is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas
+        proc = subprocess.run(
+            [sys.executable, "-m", "rf_lab.cli", "psi-check", "--d", "2", "--jobs", "1",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        environment = json.loads((tmp_path / "psi-check" / "manifest.json").read_text())["environment"]
+        assert environment["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": openblas or "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+        }
+        assert environment["jobs"] == 1
+        assert environment["cpu_count"] == usable_cpus()
+        assert environment["kernel_backend"] in ("compiled", "numpy")
+        assert environment["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert environment["numpy"]
 
     def test_every_csv_is_in_manifest(self, tmp_path, capsys):
         assert run(["linear-residual", "--trials", "20", "--d", "10", "--r", "4",

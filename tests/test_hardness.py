@@ -167,6 +167,10 @@ class TestNeuronSweep:
             if row.target == "neuron_gd_baseline":
                 assert row.normalized_error < 0.01
 
+    def test_parallel_matches_serial(self, rows):
+        family = ridge_family(relu, uniform_sphere(1.0))
+        assert neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8), jobs=2) == rows
+
     def test_direct_neuron_training(self):
         err = train_single_neuron(default_neuron_target(6), 6, RandomSource(10))
         assert err < 1e-6

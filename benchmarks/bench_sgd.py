@@ -1,47 +1,51 @@
-"""Benchmark the SGD inner loop: compiled kernel vs NumPy fallback.
+"""Benchmark the SGD kernel, ``rf_lab._sgd_numpy.run_steps``.
 
-The training loop is strictly sequential (step t+1 depends on step t) and
-its per-step work is a handful of O(r*d) operations on small arrays, so
-interpreter dispatch overhead matters; the compiled kernel removes it.
-Everything else in the package is BLAS-bound batch work and gains nothing
-from compilation, so the raw loop is what gets measured here, plus one
-end-to-end training row for context (which also pays for checkpoint
-validation, identical in both backends).
+The kernel's cost scales with the number of updates, not of steps: steps
+whose margin is provably negative are scored in blocks and skipped.  So it
+is measured in two regimes:
 
-Usage: python benchmarks/bench_sgd.py [--steps N]
+* sparse: labels y = sign(x_1) and eta = 0.01, a separable stream that the
+  net soon fits, after which few steps update (as in ``learn-poly``);
+* dense: random labels and eta = 1e-6, so every margin stays near 1 and
+  every step updates, the worst case for the kernel.
+
+Each row is the median of ``--repeats`` runs.  One end-to-end ``sgd_train``
+row at ``learn-poly``'s shape adds checkpoint validation.
+
+Usage: python benchmarks/bench_sgd.py [--steps N] [--repeats K]
 """
 
 import argparse
 import math
+import statistics
 import time
 
 import numpy as np
 
-import rf_lab.trainer as trainer_mod
 from rf_lab import _sgd_numpy
 from rf_lab.legendre import MultiIndex
 from rf_lab.numerics import RandomSource
 from rf_lab.poly_repr import SparsePolynomial, exp_activation
-from rf_lab.trainer import TrainConfig, kernel_backend, margin_filtered_sampler, sgd_train
+from rf_lab.trainer import TrainConfig, margin_filtered_sampler, sgd_train
 
-try:
-    from rf_lab import _sgd_cy
-except ImportError:
-    _sgd_cy = None
+REGIMES = {"sparse": 0.01, "dense": 1e-6}  # regime -> eta
 
 
-def make_problem(steps, r, d, seed=1):
+def make_problem(steps, r, d, regime, seed=1):
     gen = RandomSource(seed).generator()
     W = gen.uniform(-1 / math.sqrt(d), 1 / math.sqrt(d), size=(r, d))
     X = gen.standard_normal((steps + 1, d))
     X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
-    Y = np.where(X[:, 0] >= 0, 1.0, -1.0)
+    if regime == "sparse":
+        Y = np.where(X[:, 0] >= 0, 1.0, -1.0)
+    else:
+        Y = gen.choice((-1.0, 1.0), size=steps + 1)
     return W, X, Y
 
 
-def run_kernel(kernel, steps, r, d, act_arg):
-    W, X, Y = make_problem(steps, r, d)
-    W = W.copy()
+def run_kernel(steps, r, d, regime):
+    """Seconds for one run, and the number of steps with positive loss (all updated)."""
+    W, X, Y = make_problem(steps, r, d, regime)
     U = np.zeros(r)
     W0 = W.copy()
     loss = np.zeros(steps + 1)
@@ -49,57 +53,45 @@ def run_kernel(kernel, steps, r, d, act_arg):
     unorm = np.zeros(steps + 1)
     wnorm = np.zeros(steps + 1)
     t0 = time.perf_counter()
-    kernel(W, U, W0, X, Y, 0.01, *act_arg, loss, drift, unorm, wnorm, 0, steps)
+    _sgd_numpy.run_steps(W, U, W0, X, Y, REGIMES[regime], np.exp, np.exp,
+                         loss, drift, unorm, wnorm, 0, steps)
     elapsed = time.perf_counter() - t0
-    return elapsed, float(loss[:steps].mean())
+    return elapsed, int(np.count_nonzero(loss[:steps]))
 
 
-def bench_raw(steps):
-    print(f"raw kernel, {steps} steps (exp activation):")
-    print(f"{'config':<16}{'backend':<10}{'seconds':>9}{'steps/s':>12}{'speedup':>9}")
-    for r, d in ((100, 3), (1000, 3), (1000, 10)):
-        base_time, base_loss = run_kernel(
-            _sgd_numpy.run_steps, steps, r, d, (np.exp, np.exp)
-        )
-        print(f"r={r:<5} d={d:<5} {'numpy':<10}{base_time:>9.2f}{steps / base_time:>12.0f}{'':>9}")
-        if _sgd_cy is not None:
-            cy_time, cy_loss = run_kernel(_sgd_cy.run_steps, steps, r, d, (0,))
-            assert abs(cy_loss - base_loss) < 1e-9, "backends disagree"
-            print(
-                f"{'':<16}{'compiled':<10}{cy_time:>9.2f}{steps / cy_time:>12.0f}"
-                f"{base_time / cy_time:>8.1f}x"
-            )
+def bench_raw(steps, repeats):
+    print(f"raw kernel, {steps} steps (exp activation), median of {repeats}:")
+    print(f"{'regime':<8}{'config':<16}{'seconds':>9}{'steps/s':>12}{'updates':>9}")
+    for regime in REGIMES:
+        for r, d in ((100, 3), (1000, 3), (1000, 10)):
+            runs = [run_kernel(steps, r, d, regime) for _ in range(repeats)]
+            seconds = statistics.median(s for s, _ in runs)
+            print(f"{regime:<8}r={r:<5} d={d:<5} {seconds:>9.3f}{steps / seconds:>12.0f}"
+                  f"{runs[0][1]:>9}")
 
 
-def bench_end_to_end(steps):
+def bench_end_to_end(steps, repeats):
     act = exp_activation()
     P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
     sampler = margin_filtered_sampler(P, 0.3)
     cfg = TrainConfig(epsilon=0.1, delta=0.1, degree=2, coeff_bound=1.0,
                       r=1000, eta=0.01, steps=steps, seed=1)
-    print(f"\nend-to-end sgd_train (r=1000, d=3, T={steps}, incl. validation):")
-    saved = trainer_mod._sgd_cy
-    for name, force in (("numpy", True), ("compiled", False)):
-        if name == "compiled" and kernel_backend("exp") != "compiled":
-            continue
-        trainer_mod._sgd_cy = None if force else saved
-        try:
-            t0 = time.perf_counter()
-            result = sgd_train(3, sampler, cfg, RandomSource(1), act)
-            elapsed = time.perf_counter() - t0
-        finally:
-            trainer_mod._sgd_cy = saved
-        print(f"  {name:<10}{elapsed:>8.2f} s   best val loss {result.best_val_loss:.6f}")
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = sgd_train(3, sampler, cfg, RandomSource(1), act)
+        times.append(time.perf_counter() - t0)
+    print(f"\nend-to-end sgd_train (r=1000, d=3, T={steps}, incl. validation): "
+          f"{statistics.median(times):.3f} s, best val loss {result.best_val_loss:.6f}")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=50_000)
+    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
-    if _sgd_cy is None:
-        print("compiled kernel not built; showing the NumPy fallback only\n")
-    bench_raw(args.steps)
-    bench_end_to_end(args.steps)
+    bench_raw(args.steps, args.repeats)
+    bench_end_to_end(args.steps, args.repeats)
 
 
 if __name__ == "__main__":

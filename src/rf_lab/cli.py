@@ -208,17 +208,32 @@ COMMANDS: dict[str, dict] = {
 }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+# One %-conversion per kind of value: bools as 1/0, floats with 17 significant
+# digits (enough to round-trip), ints and strings as str() writes them.
+_CONVERSIONS = (
+    ((bool, np.bool_), "%d"),
+    ((float, np.floating), "%.17g"),
+    ((int, np.integer), "%d"),
+    (str, "%s"),
+)
+
+
+def _conversion(column) -> str:
+    """The one conversion that fits every value of a column."""
+    kinds = set(map(type, column))
+    for types, conversion in _CONVERSIONS:
+        if all(issubclass(kind, types) for kind in kinds):
+            return conversion
+    raise TypeError(f"CSV column mixes or holds unsupported types: {sorted(k.__name__ for k in kinds)}")
 
 
 def write_csv(path: Path, header, rows) -> None:
+    """Write rows of equal length; each column must hold one kind of value."""
+    rows = list(map(tuple, rows))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    if rows:
+        template = ",".join(map(_conversion, zip(*rows)))
+        lines.extend(map(template.__mod__, rows))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -239,6 +254,18 @@ def load_config(path: str) -> dict:
     return raw
 
 
+def _from_config(key: str, kind: str, value):
+    """Parse a config-file value; a float or bool where integers belong is refused, not truncated."""
+    try:
+        if kind in ("int", "int_list"):
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, (bool, float)):
+                    raise ValueError(f"expected an integer, got {item!r}")
+        return _PARSERS[kind](value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from exc
+
+
 def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
     spec = COMMANDS[name]["params"]
     file_values = load_config(args.config) if args.config else {}
@@ -253,26 +280,23 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
         if flag_val is not None:
             params[key] = flag_val
         elif key in file_values:
-            try:
-                params[key] = _PARSERS[kind](file_values[key])
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
+            params[key] = _from_config(key, kind, file_values[key])
         else:
             params[key] = default
     if args.seed is not None:
         seed = args.seed
     elif "seed" in file_values:
-        seed = int(file_values["seed"])
+        seed = _from_config("seed", "int", file_values["seed"])
     else:
-        seed = int(os.environ.get("RF_LAB_SEED", "0"))
+        try:
+            seed = int(os.environ.get("RF_LAB_SEED", "0"))
+        except ValueError as exc:
+            raise UsageError(f"RF_LAB_SEED: {exc}") from exc
     out_dir = args.out if args.out is not None else str(file_values.get("out", "rf_lab_out"))
     if args.jobs is not None:
         jobs = args.jobs
     elif "jobs" in file_values:
-        try:
-            jobs = int(file_values["jobs"])
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"config key 'jobs': {exc}") from exc
+        jobs = _from_config("jobs", "int", file_values["jobs"])
     else:
         jobs = usable_cpus()
     if jobs < 1:
@@ -425,10 +449,9 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
 
     report = drift_check(result.trace, config, act)
     t = result.trace
-    trace_rows = [
-        (s, float(t.loss[s]), float(t.run_avg_loss[s]), float(t.w_drift[s]), float(t.u_norm[s]))
-        for s in range(len(t.loss))
-    ]
+    trace_rows = zip(
+        range(len(t.loss)), t.loss.tolist(), t.run_avg_loss.tolist(), t.w_drift.tolist(), t.u_norm.tolist()
+    )
     best = result.net
     checkpoint = {
         "d": best.d, "r": best.r, "activation": act.name, "seed": cfg.seed,

@@ -8,10 +8,9 @@ a hinge-loss subgradient step on both layers simultaneously:
     dU_i = -y * 1[1 - y N(x) >= 0] * sigma(<w_i, x>)
     dW_i = -y * 1[1 - y N(x) >= 0] * u_i * sigma'(<w_i, x>) * x
 
-(the indicator takes the nonzero branch at the kink).  The loop runs on a
-compiled kernel when the extension module is importable and the activation
-is one it knows (exp, identity); otherwise a NumPy fallback with identical
-semantics is used.  ``kernel_backend()`` reports the choice.
+(the indicator takes the nonzero branch at the kink).  The loop runs in
+``_sgd_numpy.run_steps``, whose cost scales with the number of updates
+rather than of steps; ``kernel_backend()`` names it.
 
 Per-step diagnostics (loss, running average, ||W_t - W_0||_F, ||U_t||,
 ||W_t||_F; Frobenius norms throughout) are recorded for every step so drift
@@ -32,19 +31,10 @@ from .poly_repr import AnalyticActivation
 
 from . import _sgd_numpy
 
-try:  # compiled kernel is optional
-    from . import _sgd_cy
-except ImportError:  # pragma: no cover - depends on build environment
-    _sgd_cy = None
-
-_COMPILED_ACT_CODES = {"exp": 0, "identity": 1}
-
 
 def kernel_backend(act_name: str | None = None) -> str:
-    """Name of the kernel that would run ('compiled' or 'numpy')."""
-    if _sgd_cy is not None and (act_name is None or act_name in _COMPILED_ACT_CODES):
-        return "compiled"
-    return "numpy"
+    """Name of the SGD kernel, for any activation: always 'numpy'."""
+    return _sgd_numpy.BACKEND
 
 
 @dataclass
@@ -192,19 +182,7 @@ def sgd_train(
     wnorm = np.zeros(T + 1)
     wnorm[0] = np.linalg.norm(net.W)
 
-    backend = kernel_backend(act.name)
-    if backend == "compiled":
-        kernel = lambda start, count: _sgd_cy.run_steps(  # noqa: E731
-            net.W, net.U, W0, X, y, eta, _COMPILED_ACT_CODES[act.name],
-            loss, drift, unorm, wnorm, start, count,
-        )
-    else:
-        kernel = lambda start, count: _sgd_numpy.run_steps(  # noqa: E731
-            net.W, net.U, W0, X, y, eta, act.evaluate, act.derivative,
-            loss, drift, unorm, wnorm, start, count,
-        )
-
-    best_loss = _validation_loss(net, X_val, y_val)
+    best_loss = val = _validation_loss(net, X_val, y_val)
     best_step = 0
     best_net = net.copy()
     val_history = [(0, best_loss)]
@@ -212,9 +190,15 @@ def sgd_train(
     done = 0
     while done < T:
         count = min(chunk, T - done)
-        kernel(done, count)
+        before = net.copy()
+        _sgd_numpy.run_steps(
+            net.W, net.U, W0, X, y, eta, act.evaluate, act.derivative,
+            loss, drift, unorm, wnorm, done, count,
+        )
         done += count
-        val = _validation_loss(net, X_val, y_val)
+        # a chunk without an update leaves the net, hence its validation loss, unchanged
+        if not (np.array_equal(net.W, before.W) and np.array_equal(net.U, before.U)):
+            val = _validation_loss(net, X_val, y_val)
         finite = (
             np.all(np.isfinite(loss[done - count : done]))
             and np.isfinite(wnorm[done])
@@ -235,7 +219,7 @@ def sgd_train(
     loss[T] = hinge_loss(forward(net, X[T]), float(y[T]))
     run_avg = np.cumsum(loss) / np.arange(1, T + 2)
     trace = TrainTrace(loss, run_avg, drift, unorm, wnorm)
-    return SGDResult(best_net, best_step, best_loss, net, val_history, trace, backend)
+    return SGDResult(best_net, best_step, best_loss, net, val_history, trace, kernel_backend())
 
 
 def guarantee_params(

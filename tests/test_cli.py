@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rf_lab
-from rf_lab.cli import BLAS_THREAD_VARS, ExperimentConfig, run
+from rf_lab.cli import BLAS_THREAD_VARS, ExperimentConfig, run, write_csv
 from rf_lab.parallel import usable_cpus
 
 
@@ -104,6 +105,28 @@ class TestConfigFiles:
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "psi-check").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", '"x"'), ("seed", "1.5"), ("seed", "true"), ("seed", "null"),
+        ("jobs", "1.7"), ("jobs", '"two"'), ("d", "2.5"),
+    ])
+    def test_non_integer_config_value_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": {value}}}')
+        assert run(["psi-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "psi-check").exists()
+
+    def test_non_integer_in_config_list_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"d_values": [2, 4.5]}')
+        assert run(["correlation-decay", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "config key 'd_values'" in capsys.readouterr().err
+
+    def test_non_integer_seed_variable_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RF_LAB_SEED", "x")
+        assert run(["psi-check", "--out", str(tmp_path)]) == 1
+        assert "RF_LAB_SEED" in capsys.readouterr().err
+
     def test_jobs_defaults_to_usable_cpus(self, tmp_path, capsys):
         assert run(["psi-check", "--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "psi-check" / "manifest.json").read_text())
@@ -193,7 +216,7 @@ class TestManifest:
         }
         assert environment["jobs"] == 1
         assert environment["cpu_count"] == usable_cpus()
-        assert environment["kernel_backend"] in ("compiled", "numpy")
+        assert environment["kernel_backend"] == "numpy"
         assert environment["python"] == ".".join(map(str, sys.version_info[:3]))
         assert environment["numpy"]
 
@@ -233,3 +256,51 @@ class TestReproducibility:
         value = rows[0].split(",")[1]
         # 17 significant digits survive a float round trip
         assert f"{float(value):.17g}" == value
+
+
+def reference_fmt(value) -> str:
+    """The per-value CSV formatting that ``write_csv`` must reproduce byte for byte."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+class TestWriteCsv:
+    COLUMNS = {
+        "py_int": [0, -7, 2**70, 5],
+        "np_int": [np.int64(-3), np.int32(12), np.uint8(255), np.int64(2**62)],
+        "py_float": [0.1, -0.0, float("inf"), float("nan")],
+        "np_float": [np.float64(1 / 3), np.float32(1.1), np.float64(-np.inf), np.float16(-0.0)],
+        "tiny_huge": [5e-324, 1.7976931348623157e308, -2.5e-308, 1e16],
+        "whole_floats": [1.0, -2.0, 1e17, 123456789012345678.0],
+        "py_bool": [True, False, True, False],
+        "np_bool": [np.True_, np.False_, np.bool_(True), np.bool_(False)],
+        "bool_and_int": [True, 3, False, -1],
+        "py_str": ["a", "b c", "", "compiled"],
+        "np_str": [np.str_("x"), np.str_("y"), np.str_("z"), np.str_("w")],
+    }
+
+    def test_matches_reference_formatting(self, tmp_path):
+        header = tuple(self.COLUMNS)
+        rows = list(zip(*self.COLUMNS.values()))
+        path = tmp_path / "t.csv"
+        write_csv(path, header, rows)
+        expected = "\n".join([",".join(header)] + [",".join(map(reference_fmt, row)) for row in rows]) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    def test_accepts_an_iterator_of_rows(self, tmp_path):
+        column = np.array([0.5, -0.0, np.nan])
+        write_csv(tmp_path / "a.csv", ("i", "v"), zip(range(3), column.tolist()))
+        write_csv(tmp_path / "b.csv", ("i", "v"), [(i, float(v)) for i, v in enumerate(column)])
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes() == b"i,v\n0,0.5\n1,-0\n2,nan\n"
+
+    def test_header_only(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ("a", "b"), [])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("column", [[1, 2.5], [0.5, "x"], [None, None]])
+    def test_column_without_one_kind_is_refused(self, tmp_path, column):
+        with pytest.raises(TypeError, match="CSV column"):
+            write_csv(tmp_path / "t.csv", ("a",), [(v,) for v in column])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rf_lab.trainer as trainer_mod
+from rf_lab import _sgd_numpy
 from rf_lab.legendre import MultiIndex
 from rf_lab.numerics import RandomSource
 from rf_lab.poly_repr import SparsePolynomial, exp_activation, identity_activation
@@ -157,21 +158,6 @@ class TestSGD:
             with pytest.raises(RuntimeError, match="non-finite"):
                 sgd_train(2, ball_sign_sampler(), cfg, RandomSource(12), exp_activation())
 
-    def test_backends_agree(self):
-        if kernel_backend("exp") != "compiled":
-            pytest.skip("compiled kernel not built")
-        cfg = make_config(r=15, eta=0.01, steps=300)
-        fast = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(13), exp_activation())
-        saved = trainer_mod._sgd_cy
-        trainer_mod._sgd_cy = None
-        try:
-            slow = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(13), exp_activation())
-        finally:
-            trainer_mod._sgd_cy = saved
-        assert fast.backend == "compiled" and slow.backend == "numpy"
-        assert np.allclose(fast.trace.loss, slow.trace.loss, atol=1e-10)
-        assert np.allclose(fast.final_net.W, slow.final_net.W, atol=1e-12)
-
     def test_sampler_contract_enforced(self):
         cfg = make_config(r=5, eta=0.01, steps=10)
 
@@ -270,3 +256,195 @@ class TestMarginSampler:
         assert np.all(np.isin(y, (-1.0, 1.0)))
         assert np.all(np.abs(P.evaluate(X)) >= 0.3)
         assert np.all(np.sign(P.evaluate(X)) == y)
+
+
+def reference_run_steps(W, U, W0, X, Y, eta, sigma, dsigma, loss, drift, unorm, wnorm, start, count):
+    """The textbook per-step loop: the exact oracle for ``_sgd_numpy.run_steps``."""
+    for t in range(start, start + count):
+        x = X[t]
+        y = Y[t]
+        z = W @ x
+        s = sigma(z)
+        n_val = float(U @ s)
+        margin = 1.0 - y * n_val
+        loss[t] = margin if margin > 0.0 else 0.0
+        if margin >= 0.0:
+            coef = (eta * y) * (U * dsigma(z))
+            W += coef[:, None] * x[None, :]
+            U += (eta * y) * s
+        drift[t + 1] = np.linalg.norm(W - W0)
+        unorm[t + 1] = np.linalg.norm(U)
+        wnorm[t + 1] = np.linalg.norm(W)
+
+
+def run_both(W, U, X, Y, eta, act, chunks=None):
+    """Run the kernel (over ``chunks``, default one call) and the oracle from the
+    same start; return both outcomes as (W, U, loss, drift, unorm, wnorm)."""
+    steps = len(X) - 1
+    chunks = chunks or [steps]
+    assert sum(chunks) == steps
+    outcomes = []
+    for kernel in (_sgd_numpy.run_steps, reference_run_steps):
+        Wk, Uk, W0 = W.copy(), U.copy(), W.copy()
+        traces = [np.zeros(steps + 1) for _ in range(4)]
+        traces[1][0] = np.linalg.norm(Wk - W0)
+        traces[2][0] = np.linalg.norm(Uk)
+        traces[3][0] = np.linalg.norm(Wk)
+        start = 0
+        for count in chunks:
+            kernel(Wk, Uk, W0, X, Y, eta, act.evaluate, act.derivative, *traces, start, count)
+            start += count
+        outcomes.append((Wk, Uk, *traces))
+    return outcomes
+
+
+def assert_identical(fast, slow):
+    for name, a, b in zip(("W", "U", "loss", "drift", "unorm", "wnorm"), fast, slow):
+        assert np.array_equal(a, b), f"{name} differs from the per-step oracle"
+
+
+@pytest.fixture
+def scan_spy(monkeypatch):
+    """Records (rows scanned, rows cleared, stop in the band) for every scan.
+
+    A scan stops in the band when the row it could not clear has a negative
+    exact margin: only tol kept the scan from clearing it."""
+    calls = []
+    original = _sgd_numpy._clear_steps
+
+    def spy(W, U, X, Y, sigma, *rest):
+        cleared = original(W, U, X, Y, sigma, *rest)
+        band = cleared < len(Y) and 1.0 - Y[cleared] * float(U @ sigma(W @ X[cleared])) < 0.0
+        calls.append((len(Y), cleared, band))
+        return cleared
+
+    monkeypatch.setattr(_sgd_numpy, "_clear_steps", spy)
+    return calls
+
+
+def stream(n, d, gen, labels="sign"):
+    X = gen.standard_normal((n, d))
+    X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
+    if labels == "sign":
+        return X, np.where(X[:, 0] >= 0, 1.0, -1.0)
+    return X, gen.choice((-1.0, 1.0), size=n)
+
+
+class TestKernelOracle:
+    """The block-scanning kernel is bit-identical to the per-step loop."""
+
+    def test_backend_name(self):
+        assert kernel_backend() == kernel_backend("identity") == "numpy"
+
+    def test_converging_stream(self, scan_spy):
+        gen = RandomSource(30).generator()
+        X, Y = stream(6001, 3, gen)
+        W = gen.uniform(-0.5, 0.5, (40, 3))
+        fast, slow = run_both(W, np.zeros(40), X, Y, 0.05, exp_activation())
+        assert_identical(fast, slow)
+        updates = np.count_nonzero(slow[2][:6000])
+        cleared = sum(c for _, c, _ in scan_spy)
+        assert updates < 600 and cleared > 4000  # sparse in updates, mostly scanned
+
+    def test_every_step_updates(self, scan_spy):
+        gen = RandomSource(31).generator()
+        X, Y = stream(1501, 3, gen, labels="random")
+        W = gen.uniform(-0.5, 0.5, (30, 3))
+        fast, slow = run_both(W, np.zeros(30), X, Y, 1e-6, exp_activation())
+        assert_identical(fast, slow)
+        assert np.all(slow[2][:1500] > 0.0)
+        assert scan_spy == []
+
+    def test_identity_activation(self, scan_spy):
+        gen = RandomSource(32).generator()
+        X, Y = stream(4001, 2, gen)
+        W = gen.uniform(-0.7, 0.7, (5, 2))
+        fast, slow = run_both(W, np.zeros(5), X, Y, 0.05, identity_activation())
+        assert_identical(fast, slow)
+        assert sum(c for _, c, _ in scan_spy) > 2000
+
+    def test_ragged_chunks(self, scan_spy):
+        gen = RandomSource(33).generator()
+        X, Y = stream(3001, 3, gen)
+        W = gen.uniform(-0.5, 0.5, (25, 3))
+        chunks = [1, 1, 7, 33, 1, 250, 17, 1000, 1, 1689]
+        fast, slow = run_both(W, np.zeros(25), X, Y, 0.05, exp_activation(), chunks)
+        assert_identical(fast, slow)
+        assert any(c < n for n, c, _ in scan_spy) and any(c == n for n, c, _ in scan_spy)
+
+    def test_margins_within_1e12_of_zero(self, scan_spy):
+        """x on N(x) = 1 +- delta with |delta| <= 1e-12, so scanned margins fall
+        on both sides of 0 and inside the rounding band tol guards."""
+        gen = RandomSource(34).generator()
+        r, d, n = 8, 2, 1500
+        act = exp_activation()
+        W = gen.uniform(0.8, 1.2, (r, d))
+        U = np.full(r, 0.5 / r)  # N(0) = 0.5 and N grows along positive directions
+        v = np.abs(gen.standard_normal((n, d)))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        delta = np.sign(gen.standard_normal(n)) * 10.0 ** gen.uniform(-16, -12, n)
+        lo, hi = np.zeros(n), np.ones(n)
+        for _ in range(80):  # bisect rho with N(rho v) = 1 + delta
+            mid = 0.5 * (lo + hi)
+            above = np.exp((mid[:, None] * v) @ W.T) @ U > 1.0 + delta
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+        X = np.vstack([hi[:, None] * v, np.zeros((1, d))])
+        Y = np.ones(n + 1)
+        margins = 1.0 - np.exp(X[:n] @ W.T) @ U
+        assert np.max(np.abs(margins)) < 1e-12
+        assert np.any(margins >= 0.0) and np.any(margins < 0.0)
+        fast, slow = run_both(W, U, X, Y, 1e-16, act)
+        assert_identical(fast, slow)
+        assert sum(c for _, c, _ in scan_spy) > 0
+        assert any(band for _, _, band in scan_spy)
+
+    def test_count_one_calls(self):
+        gen = RandomSource(35).generator()
+        X, Y = stream(201, 3, gen)
+        W = gen.uniform(-0.5, 0.5, (10, 3))
+        fast, slow = run_both(W, np.zeros(10), X, Y, 0.05, exp_activation(), [1] * 200)
+        assert_identical(fast, slow)
+
+
+class TestValidationReuse:
+    def test_matches_recomputing_every_checkpoint(self, monkeypatch):
+        d, T, n_checkpoints = 2, 6000, 60
+        cfg = make_config(r=20, eta=0.05, steps=T)
+        sampler = ball_sign_sampler()
+        act = exp_activation()
+
+        # recompute at every checkpoint, with the per-step oracle
+        rng = RandomSource(40)
+        net = xavier_init(d, cfg.r, rng.derive(0), act)
+        W0 = net.W.copy()
+        X, y = sampler(T + 1, rng.generator(1))
+        X_val, y_val = sampler(2000, rng.generator(2))
+        traces = [np.zeros(T + 1) for _ in range(4)]
+        history = [(0, trainer_mod._validation_loss(net, X_val, y_val))]
+        changed = 0
+        chunk = T // n_checkpoints
+        for start in range(0, T, chunk):
+            before = net.copy()
+            reference_run_steps(net.W, net.U, W0, X, y, cfg.eta, act.evaluate, act.derivative,
+                                *traces, start, chunk)
+            changed += not (np.array_equal(net.W, before.W) and np.array_equal(net.U, before.U))
+            history.append((start + chunk, trainer_mod._validation_loss(net, X_val, y_val)))
+        best = min(range(len(history)), key=lambda i: (history[i][1], i))
+
+        validation_calls = []
+        original = trainer_mod.forward
+
+        def counting_forward(net, x):
+            validation_calls.append(np.ndim(x) == 2)
+            return original(net, x)
+
+        monkeypatch.setattr(trainer_mod, "forward", counting_forward)
+        res = sgd_train(d, sampler, cfg, RandomSource(40), act, n_checkpoints=n_checkpoints)
+        assert res.val_history == history
+        assert res.best_step == history[best][0]
+        assert 0 < changed < n_checkpoints
+        # one validation pass at the start and one per chunk that changed the net,
+        # plus the single-point loss of the last example
+        assert sum(validation_calls) == 1 + changed
+        assert len(validation_calls) == 2 + changed

@@ -9,10 +9,10 @@ is measured in two regimes:
 * dense: random labels and eta = 1e-6, so every margin stays near 1 and
   every step updates, the worst case for the kernel.
 
-Each row is the median of ``--repeats`` runs.  One end-to-end ``sgd_train``
+Each row is the median of ``REPEATS`` runs.  One end-to-end ``sgd_train``
 row at ``learn-poly``'s shape adds checkpoint validation.
 
-Usage: python benchmarks/bench_sgd.py [--steps N] [--repeats K]
+Usage: python benchmarks/bench_sgd.py [--steps N]
 """
 
 import argparse
@@ -29,6 +29,7 @@ from rf_lab.poly_repr import SparsePolynomial, exp_activation
 from rf_lab.trainer import TrainConfig, margin_filtered_sampler, sgd_train
 
 REGIMES = {"sparse": 0.01, "dense": 1e-6}  # regime -> eta
+REPEATS = 5
 
 
 def make_problem(steps, r, d, regime, seed=1):
@@ -59,25 +60,25 @@ def run_kernel(steps, r, d, regime):
     return elapsed, int(np.count_nonzero(loss[:steps]))
 
 
-def bench_raw(steps, repeats):
-    print(f"raw kernel, {steps} steps (exp activation), median of {repeats}:")
+def bench_raw(steps):
+    print(f"raw kernel, {steps} steps (exp activation), median of {REPEATS}:")
     print(f"{'regime':<8}{'config':<16}{'seconds':>9}{'steps/s':>12}{'updates':>9}")
     for regime in REGIMES:
         for r, d in ((100, 3), (1000, 3), (1000, 10)):
-            runs = [run_kernel(steps, r, d, regime) for _ in range(repeats)]
+            runs = [run_kernel(steps, r, d, regime) for _ in range(REPEATS)]
             seconds = statistics.median(s for s, _ in runs)
             print(f"{regime:<8}r={r:<5} d={d:<5} {seconds:>9.3f}{steps / seconds:>12.0f}"
                   f"{runs[0][1]:>9}")
 
 
-def bench_end_to_end(steps, repeats):
+def bench_end_to_end(steps):
     act = exp_activation()
     P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
     sampler = margin_filtered_sampler(P, 0.3)
     cfg = TrainConfig(epsilon=0.1, delta=0.1, degree=2, coeff_bound=1.0,
                       r=1000, eta=0.01, steps=steps, seed=1)
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         result = sgd_train(3, sampler, cfg, RandomSource(1), act)
         times.append(time.perf_counter() - t0)
@@ -88,10 +89,9 @@ def bench_end_to_end(steps, repeats):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=50_000)
-    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
-    bench_raw(args.steps, args.repeats)
-    bench_end_to_end(args.steps, args.repeats)
+    bench_raw(args.steps)
+    bench_end_to_end(args.steps)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,9 @@ loss 0 and the same norms.  The loop therefore alternates two modes:
   A step whose scanned margin is below -tol provably does not update (see
   ``_clear_steps`` for the bound), so it gets loss 0 and the carried norms.
   The first step that might update runs as an exact step.  The window
-  doubles after every clean scan and resets after an update.
+  starts at ``FIRST_WINDOW`` rows, doubles after every clean scan and resets
+  after an update; it never exceeds ``SCAN_CELLS // r`` rows (at least 1),
+  the rows of the scan buffer.
 
 Every trace entry and the final W, U are bit-identical to the per-step loop;
 the Python-level work scales with the number of updates, not of steps.
@@ -72,13 +74,13 @@ def _clear_steps(W, U, X, Y, sigma, dsigma, buf) -> int:
     abs_u = np.abs(U)
     with np.errstate(over="ignore", invalid="ignore"):  # rows past an update are speculative
         Z = np.matmul(X, W.T, out=buf[: len(X)])
+        # sigma'(z) before sigma and |S|, either of which may overwrite Z
+        lip = None if dsigma is sigma else np.abs(dsigma(Z)) @ abs_u
         S = sigma(Z, out=Z) if isinstance(sigma, np.ufunc) else sigma(Z)
         n = S @ U
-        if dsigma is sigma:
-            mag = lip = np.abs(S, out=S) @ abs_u
-        else:
-            lip = np.abs(dsigma(Z)) @ abs_u  # before |S|, which may overwrite Z
-            mag = np.abs(S, out=S) @ abs_u
+        mag = np.abs(S, out=S) @ abs_u
+        if lip is None:
+            lip = mag
         e = _gamma(d) * np.abs(X).max(axis=1) * np.abs(W).sum(axis=1).max()
         tol = 2.0 * ((2.0 * _gamma(r) + 16.0 * _UNIT_ROUNDOFF) * mag + 4.0 * e * lip)
         could = np.flatnonzero(~(1.0 - Y * n < -tol))
@@ -94,7 +96,8 @@ def run_steps(W, U, W0, X, Y, eta, sigma, dsigma, loss, drift, unorm, wnorm, sta
     cur_wnorm = np.linalg.norm(W)
     max_window = max(1, SCAN_CELLS // r)
     buf = np.empty((min(max_window, count), r))  # pages are touched only by a scan
-    window = FIRST_WINDOW
+    first_window = min(FIRST_WINDOW, max_window)
+    window = first_window
     quiet = 0
     t = start
     while t < end:
@@ -127,7 +130,7 @@ def run_steps(W, U, W0, X, Y, eta, sigma, dsigma, loss, drift, unorm, wnorm, sta
             cur_unorm = np.linalg.norm(U)
             cur_wnorm = np.linalg.norm(W)
             quiet = 0
-            window = FIRST_WINDOW
+            window = first_window
         else:
             quiet += 1
         drift[t + 1] = cur_drift

@@ -10,7 +10,12 @@ import rf_lab.trainer as trainer_mod
 from rf_lab import _sgd_numpy
 from rf_lab.legendre import MultiIndex
 from rf_lab.numerics import RandomSource
-from rf_lab.poly_repr import SparsePolynomial, exp_activation, identity_activation
+from rf_lab.poly_repr import (
+    AnalyticActivation,
+    SparsePolynomial,
+    exp_activation,
+    identity_activation,
+)
 from rf_lab.trainer import (
     TrainConfig,
     TwoLayerNet,
@@ -398,6 +403,43 @@ class TestKernelOracle:
         assert_identical(fast, slow)
         assert sum(c for _, c, _ in scan_spy) > 0
         assert any(band for _, _, band in scan_spy)
+
+    def test_net_too_wide_for_first_window(self, scan_spy):
+        """r > SCAN_CELLS / FIRST_WINDOW: every scan fits the smaller buffer."""
+        gen = RandomSource(36).generator()
+        r = _sgd_numpy.SCAN_CELLS // _sgd_numpy.FIRST_WINDOW + 3616
+        X, Y = stream(401, 1, gen)
+        W = gen.uniform(-1.0, 1.0, (r, 1))
+        fast, slow = run_both(W, np.zeros(r), X, Y, 1e-4, exp_activation())
+        assert_identical(fast, slow)
+        rows = _sgd_numpy.SCAN_CELLS // r
+        assert scan_spy and max(n for n, _, _ in scan_spy) == rows < _sgd_numpy.FIRST_WINDOW
+
+    def test_ufunc_activation_with_other_derivative(self, scan_spy):
+        act = AnalyticActivation(name="sinh", evaluate=np.sinh, derivative=np.cosh,
+                                 taylor_coeff=lambda i: 1.0 / math.factorial(i) if i % 2 else 0.0,
+                                 lipschitz_L=float(np.cosh(1.0)))
+        gen = RandomSource(37).generator()
+        X, Y = stream(3001, 3, gen)
+        W = gen.uniform(-0.5, 0.5, (20, 3))
+        fast, slow = run_both(W, np.zeros(20), X, Y, 0.05, act)
+        assert_identical(fast, slow)
+        assert sum(c for _, c, _ in scan_spy) > 1000
+
+    def test_scan_takes_derivative_at_preactivations(self):
+        """sigma runs in place in the scan buffer; sigma' must see z, not sigma(z)."""
+        gen = RandomSource(38).generator()
+        W = gen.uniform(-0.5, 0.5, (6, 2))
+        X = gen.standard_normal((10, 2))
+        seen = []
+
+        def dsinh(z):
+            seen.append(z.copy())
+            return np.cosh(z)
+
+        _sgd_numpy._clear_steps(W, gen.standard_normal(6), X, np.ones(10), np.sinh, dsinh,
+                                np.empty((10, 6)))
+        np.testing.assert_allclose(seen[0], X @ W.T, rtol=1e-12)
 
     def test_count_one_calls(self):
         gen = RandomSource(35).generator()

@@ -176,18 +176,23 @@ def least_squares_fit(
 ):
     """Fit the linear coefficients by regularized normal equations.
 
-    Training and held-out points are standard Gaussian draws; the returned
-    population error is the held-out (10x n_train) estimate of
-    E[(sum_i u_i f_i(x) - target(x))^2].
+    ``target(X, F)`` gives the target values at the points X, whose feature
+    matrix is F (a target may read realizable columns from F instead of
+    evaluating features again): shape (n,) for one target, or (n, k) for k
+    targets fitted at once on the same draws.  Training and held-out points
+    are standard Gaussian draws; the returned population error is the
+    held-out (10x n_train) estimate of E[(sum_i u_i f_i(x) - target(x))^2].
 
-    Returns (LinearCombination, population_error, max_abs_u).
+    Returns (LinearCombination, population_error, max_abs_u, target_norm_sq),
+    the last the held-out estimate of E[target(x)^2].  For k targets the
+    weights are (p, k) and the other three are length-k lists.
     """
     p = sample.n_features
     gen_train = rng.generator(0)
     gen_test = rng.generator(1)
     X = gen_train.standard_normal((n_train, sample.d))
     F = feature_matrix(sample, X)
-    y = np.asarray(target(X), dtype=float)
+    y = np.asarray(target(X, F), dtype=float)
     gram = F.T @ F
     if ridge_lambda is None:
         ridge_lambda = 1e-10 * float(np.trace(gram)) / p
@@ -204,11 +209,13 @@ def least_squares_fit(
             ) from exc
     else:
         u = np.linalg.solve(gram + ridge_lambda * np.eye(p), F.T @ y)
-    combo = LinearCombination(u)
     Xh = gen_test.standard_normal((10 * n_train, sample.d))
-    resid = combo.predict(sample, Xh) - np.asarray(target(Xh), dtype=float)
-    pop_error = float(np.mean(resid**2))
-    return combo, pop_error, combo.max_abs_weight
+    F_h = feature_matrix(sample, Xh)
+    yh = np.asarray(target(Xh, F_h), dtype=float)
+    pop_error = np.mean((F_h @ u - yh) ** 2, axis=0).tolist()
+    target_norm_sq = np.mean(yh**2, axis=0).tolist()
+    max_u = np.max(np.abs(u), axis=0).tolist()
+    return LinearCombination(u), pop_error, max_u, target_norm_sq
 
 
 # ---------------------------------------------------------------------------

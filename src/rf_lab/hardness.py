@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureFamily, feature_matrix, least_squares_fit, sample_features
+from .features import FeatureFamily, least_squares_fit, sample_features
 from .numerics import RandomSource, gauss_legendre_rule, gaussian_expectation_1d
 from .parallel import map_cells
 
@@ -51,15 +51,24 @@ class PsiFunction:
 
 
 def psi_eval(psi: PsiFunction, x):
-    """Exact piecewise-linear evaluation of psi (scalar or array input)."""
+    """Exact piecewise-linear evaluation of psi (scalar or array input).
+
+    Inside the window psi is the triangle wave 1 - |((x + a) mod 4) - 2|,
+    computed in one buffer; the two tails are patched over it.  Since a is
+    an integer >= 7, x + a and its remainder mod 4 are multiples of 2^-51 on
+    the window, so every step after the first rounding is exact.
+    """
     x = np.asarray(x, dtype=float)
     a = float(psi.a)
-    h = x + a
-    m = np.floor(h / 2.0)
-    t = h - 2.0 * m  # offset in [0, 2) from the kink below
-    sign = 1.0 - 2.0 * (np.asarray(m, dtype=np.int64) % 2)  # +1 for even m
-    core = sign * (t - 1.0)
-    out = np.where(x < -a, -1.0, np.where(x >= a, 1.0 - (x - a), core))
+    out = np.add(x, a, out=np.empty_like(x))
+    np.mod(out, 4.0, out=out)
+    out -= 2.0
+    np.abs(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.copyto(out, -1.0, where=x < -a)
+    right = x >= a
+    if right.any():
+        np.copyto(out, 1.0 - (x - a), where=right)
     return out if out.ndim else float(out)
 
 
@@ -234,6 +243,11 @@ def _linear_residual_cell(cell) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Gaussian points per block in correlation_decay.  The per-block sums are
+# accumulated in order, so another size changes results in their last digits.
+CORRELATION_CHUNK = 100_000
+
+
 @dataclass(frozen=True)
 class CorrelationDecayRow:
     d: int
@@ -249,7 +263,6 @@ def correlation_decay(
     trials: int,
     mc_samples: int,
     rng: RandomSource,
-    chunk: int = 100_000,
     jobs: int = 1,
 ):
     """Monte-Carlo estimate of E_w <f, psi_w>^2 / ||f||^2 per dimension.
@@ -261,12 +274,12 @@ def correlation_decay(
     averaged.  The squared sample mean carries an upward noise-floor bias of
     Var(f psi_w)/mc_samples, so decay trends flatten there.
     """
-    cells = [(int(d), f_factory, trials, mc_samples, rng.seed, rng.stream_id, chunk) for d in d_values]
+    cells = [(int(d), f_factory, trials, mc_samples, rng.seed, rng.stream_id) for d in d_values]
     return map_cells(_correlation_cell, cells, jobs)
 
 
 def _correlation_cell(cell) -> CorrelationDecayRow:
-    d, f_factory, trials, mc_samples, seed, stream, chunk = cell
+    d, f_factory, trials, mc_samples, seed, stream = cell
     rng = RandomSource(seed, stream)
     psi = PsiFunction(d)
     f = f_factory(d, rng.generator(d, 0))
@@ -278,7 +291,7 @@ def _correlation_cell(cell) -> CorrelationDecayRow:
     f_sq_sum = 0.0
     done = 0
     while done < mc_samples:
-        m = min(chunk, mc_samples - done)
+        m = min(CORRELATION_CHUNK, mc_samples - done)
         X = gen_x.standard_normal((m, d))
         fx = np.asarray(f(X), dtype=float)
         f_sq_sum += float(fx @ fx)
@@ -398,10 +411,12 @@ def neuron_inapprox_sweep(
     Per dimension d: sample r features first (obliviously), then fit them to
     (a) a realizable control (one of the sampled features), (b) the psi
     target psi(<d e_1, x>), and (c) the scaled neuron target, reporting the
-    max normalized error over a small set of candidate biases b*.  Errors
-    are normalized by the target's squared norm on the same held-out
-    sample.  Optionally adds the directly-trained single-neuron baseline on
-    target (c).
+    max normalized error over a small set of candidate biases b*.  All
+    targets share one training draw and one held-out draw per d and are
+    solved together as the columns of one least-squares problem; each error
+    is normalized by its target's squared norm on that held-out sample, and
+    candidates that are zero on the whole sample are skipped.  Optionally
+    adds the directly-trained single-neuron baseline on target (c).
     """
     cells = [
         (family, r, int(d), n_train, rng.seed, rng.stream_id, include_baseline)
@@ -410,44 +425,36 @@ def neuron_inapprox_sweep(
     return [row for group in map_cells(_sweep_cell, cells, jobs) for row in group]
 
 
-def _normalized_fit(sample, target_fn, n_train, rng):
-    """(normalized error, r * max|u|, target norm^2) on the fit's held-out set."""
-    combo, pop_err, max_u = least_squares_fit(sample, target_fn, n_train, rng)
-    gen = rng.generator(1)  # the same held-out stream used inside the fit
-    Xh = gen.standard_normal((10 * n_train, sample.d))
-    t_norm = float(np.mean(np.asarray(target_fn(Xh), dtype=float) ** 2))
-    normalized = pop_err / t_norm if t_norm > 0.0 else math.inf
-    return normalized, sample.r * max_u, t_norm
-
-
 def _sweep_cell(cell):
     family, r, d, n_train, seed, stream, include_baseline = cell
     rng = RandomSource(seed, stream)
     sample = sample_features(family, d, r, rng.derive(d, 0))
     psi = PsiFunction(d)
-    rows = []
-
-    control_col = feature_matrix(sample, np.zeros((1, d))).shape[1] // 2
-    control = lambda X: feature_matrix(sample, X)[:, control_col]  # noqa: E731
-    err, rmu, _ = _normalized_fit(sample, control, n_train, rng.derive(d, 1))
-    rows.append(SweepRow(d, "control", err, rmu))
-
+    control_col = sample.n_features // 2
     w_dir = np.zeros(d)
     w_dir[0] = float(d)
-    psi_target = lambda X: psi_eval(psi, np.asarray(X) @ w_dir)  # noqa: E731
-    err, rmu, _ = _normalized_fit(sample, psi_target, n_train, rng.derive(d, 2))
-    rows.append(SweepRow(d, "psi", err, rmu))
-
-    worst = (-1.0, 0.0)
     w_star = np.zeros(d)
     w_star[0] = float(d) ** 3
-    for b_idx, b_star in enumerate(_candidate_biases(psi)):
-        neuron = ReluNeuron(w_star, b_star)
-        err, rmu, t_norm = _normalized_fit(sample, neuron.evaluate, n_train, rng.derive(d, 3, b_idx))
+    neurons = [ReluNeuron(w_star, b_star) for b_star in _candidate_biases(psi)]
+
+    def targets(X, F):
+        """Columns: the control feature, psi(<d e_1, x>), one per candidate neuron."""
+        cols = [F[:, control_col], psi_eval(psi, X @ w_dir)] + [n.evaluate(X) for n in neurons]
+        return np.column_stack(cols)
+
+    _, errors, max_u, norms = least_squares_fit(sample, targets, n_train, rng.derive(d, 1))
+    rmu = [sample.r * mu for mu in max_u]
+    rows = [
+        SweepRow(d, name, errors[j] / norms[j] if norms[j] > 0.0 else math.inf, rmu[j])
+        for j, name in enumerate(("control", "psi"))
+    ]
+
+    worst = (-1.0, 0.0)
+    for err, t_norm, neuron_rmu in zip(errors[2:], norms[2:], rmu[2:]):
         if t_norm == 0.0:  # neuron dead on the whole sample; nothing to fit
             continue
-        if err > worst[0]:
-            worst = (err, rmu)
+        if err / t_norm > worst[0]:
+            worst = (err / t_norm, neuron_rmu)
     rows.append(SweepRow(d, "neuron", worst[0], worst[1]))
 
     if include_baseline:

@@ -1,6 +1,7 @@
 """Feature families, the averaged approximant, and the least-squares fitter."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,8 +197,8 @@ class TestSupError:
 class TestLeastSquares:
     def test_realizable_target_recovered(self):
         sample = sample_features(ridge_family(relu, uniform_sphere(1.0)), 10, 20, RandomSource(21))
-        target = lambda X: 2.0 * feature_matrix(sample, X)[:, 0]  # noqa: E731
-        combo, err, max_u = least_squares_fit(sample, target, 400, RandomSource(22))
+        target = lambda X, F: 2.0 * F[:, 0]  # noqa: E731
+        combo, err, max_u, _ = least_squares_fit(sample, target, 400, RandomSource(22))
         assert err < 1e-6
         expected = np.zeros(20)
         expected[0] = 2.0
@@ -207,8 +208,8 @@ class TestLeastSquares:
     def test_orthogonal_target_error_is_target_norm(self):
         # constant target vs odd (linear) features: best fit is u = 0
         sample = sample_features(ridge_family(identity, uniform_sphere(1.0)), 6, 10, RandomSource(23))
-        target = lambda X: np.ones(len(X))  # noqa: E731
-        _, err, _ = least_squares_fit(sample, target, 2000, RandomSource(24))
+        target = lambda X, F: np.ones(len(X))  # noqa: E731
+        _, err, _, _ = least_squares_fit(sample, target, 2000, RandomSource(24))
         assert err == pytest.approx(1.0, abs=0.1)
 
     def test_relu_features_beat_zero_predictor_on_neuron(self):
@@ -216,19 +217,19 @@ class TestLeastSquares:
         sample = sample_features(ridge_family(relu, uniform_sphere(1.0)), d, 20, RandomSource(25))
         w_star = np.zeros(d)
         w_star[0] = 1.0
-        target = lambda X: np.maximum(X @ w_star, 0.0)  # noqa: E731
-        _, err, _ = least_squares_fit(sample, target, 2000, RandomSource(26))
+        target = lambda X, F: np.maximum(X @ w_star, 0.0)  # noqa: E731
+        _, err, _, _ = least_squares_fit(sample, target, 2000, RandomSource(26))
         assert err < 0.5  # zero predictor has error ||target||^2 = 1/2
 
     def test_fit_is_a_local_minimum_of_training_objective(self):
         sample = sample_features(ridge_family(relu, uniform_sphere(1.0)), 5, 12, RandomSource(27))
-        target = lambda X: np.sin(X[:, 0])  # noqa: E731
+        target = lambda X, F: np.sin(X[:, 0])  # noqa: E731
         n_train = 300
         lam = 1e-6
-        combo, _, _ = least_squares_fit(sample, target, n_train, RandomSource(28), ridge_lambda=lam)
+        combo, _, _, _ = least_squares_fit(sample, target, n_train, RandomSource(28), ridge_lambda=lam)
         X = RandomSource(28).generator(0).standard_normal((n_train, 5))
         F = feature_matrix(sample, X)
-        y = target(X)
+        y = target(X, F)
 
         def objective(u):
             resid = F @ u - y
@@ -244,16 +245,40 @@ class TestLeastSquares:
 
     def test_training_error_monotone_in_nested_r(self):
         fam = ridge_family(relu, uniform_sphere(1.0))
-        target = lambda X: np.tanh(X @ np.arange(1.0, 6.0))  # noqa: E731
+        target = lambda X, F: np.tanh(X @ np.arange(1.0, 6.0))  # noqa: E731
         X = RandomSource(31).generator(0).standard_normal((500, 5))
-        y = target(X)
+        y = target(X, None)
         prev = np.inf
         for r in (5, 10, 20, 40):
             sample = sample_features(fam, 5, r, RandomSource(30, 2))
-            combo, _, _ = least_squares_fit(sample, target, 500, RandomSource(31))
+            combo, _, _, _ = least_squares_fit(sample, target, 500, RandomSource(31))
             train_err = float(np.mean((combo.predict(sample, X) - y) ** 2))
             assert train_err <= prev + 1e-12
             prev = train_err
+
+    def test_columns_fitted_together_match_fits_alone(self):
+        sample = sample_features(ridge_family(relu, uniform_sphere(1.0)), 4, 30, RandomSource(34))
+        w = np.array([1.0, -2.0, 0.5, 0.0])
+
+        def targets(X, F):
+            # realizable, smooth, a neuron, and a neuron dead on every draw
+            return np.column_stack([F[:, 3], np.sin(X @ w), np.maximum(X[:, 0] - 0.5, 0.0),
+                                    np.maximum(X[:, 0] - 100.0, 0.0)])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            combo, errs, max_u, norms = least_squares_fit(sample, targets, 800, RandomSource(35))
+        assert combo.weights.shape == (30, 4)
+        assert norms[3] == 0.0 and errs[3] == 0.0 and max_u[3] == 0.0
+        for j in range(4):
+            alone, err, mu, norm = least_squares_fit(
+                sample, lambda X, F: targets(X, F)[:, j], 800, RandomSource(35))
+            scale = np.linalg.norm(alone.weights)
+            assert np.linalg.norm(combo.weights[:, j] - alone.weights) <= 1e-10 * scale
+            assert max_u[j] == pytest.approx(mu, rel=1e-10)
+            assert norms[j] == pytest.approx(norm, rel=1e-12)
+            if norm > 0.0:
+                assert abs(errs[j] / norms[j] - err / norm) <= 1e-10
 
     def test_singular_system_without_ridge_raises(self):
         # duplicate features make the Gram exactly singular
@@ -262,7 +287,7 @@ class TestLeastSquares:
         dup = sample.weights.copy()
         dup[1] = dup[0]
         sample = type(sample)(fam, 2, 4, dup, None, 0, 0)
-        target = lambda X: X[:, 0]  # noqa: E731
+        target = lambda X, F: X[:, 0]  # noqa: E731
         with pytest.raises(IllConditionedSystemError):
             least_squares_fit(sample, target, 100, RandomSource(33), ridge_lambda=0.0)
 

@@ -1,8 +1,11 @@
 """The psi hard instance, subspace residuals, decay sweeps, and the exp identity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from rf_lab import features
 from rf_lab.features import relu, ridge_family
 from rf_lab.hardness import (
     PsiFunction,
@@ -20,6 +23,19 @@ from rf_lab.hardness import (
     train_single_neuron,
 )
 from rf_lab.numerics import RandomSource, uniform_sphere
+
+
+def psi_floor_parity(psi, x):
+    """Reference psi: locate the kink below x + a by floor, sign by its parity."""
+    x = np.asarray(x, dtype=float)
+    a = float(psi.a)
+    h = x + a
+    m = np.floor(h / 2.0)
+    t = h - 2.0 * m  # offset in [0, 2) from the kink below
+    sign = 1.0 - 2.0 * (np.asarray(m, dtype=np.int64) % 2)  # +1 for even m
+    core = sign * (t - 1.0)
+    out = np.where(x < -a, -1.0, np.where(x >= a, 1.0 - (x - a), core))
+    return out if out.ndim else float(out)
 
 
 class TestPsiShape:
@@ -60,6 +76,20 @@ class TestPsiShape:
         assert np.all(np.abs(deco.offsets) <= psi.a)
         x = np.linspace(-psi.a, psi.a, 10_000)
         assert np.max(np.abs(deco.evaluate(x) - psi_eval(psi, x))) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 6, 12, 20])
+    def test_matches_floor_parity_form_exactly(self, d):
+        psi = PsiFunction(d)
+        a = psi.a
+        grid = np.arange(2 * (-a - 3), 2 * (a + 3) + 1) / 2.0  # integers and half-integers
+        edges = np.array([-a, a], dtype=float)
+        gauss = d * np.random.default_rng(d).standard_normal(1_000_000)
+        for x in (grid, edges, gauss):
+            assert np.array_equal(psi_eval(psi, x), psi_floor_parity(psi, x))
+        for x in (0.5, float(a), -float(a) - 2.5):
+            value = psi_eval(psi, x)
+            assert type(value) is float
+            assert value == psi_floor_parity(psi, x)
 
     def test_properties_report(self):
         report = psi_properties_check(PsiFunction(3))
@@ -147,7 +177,11 @@ class TestCorrelationDecay:
 @pytest.fixture(scope="module")
 def rows():
     family = ridge_family(relu, uniform_sphere(1.0))
-    return neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8))
+    # the most negative candidate bias puts the neuron's kink at x_1 > 6d, so
+    # dead candidates occur at every d and must be skipped before any division
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8))
 
 
 class TestNeuronSweep:
@@ -170,6 +204,19 @@ class TestNeuronSweep:
     def test_parallel_matches_serial(self, rows):
         family = ridge_family(relu, uniform_sphere(1.0))
         assert neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8), jobs=2) == rows
+
+    def test_one_feature_matrix_per_draw(self, monkeypatch):
+        calls = []
+        feature_matrix = features.feature_matrix
+
+        def counting(sample, X):
+            calls.append((sample.d, len(X)))
+            return feature_matrix(sample, X)
+
+        monkeypatch.setattr(features, "feature_matrix", counting)
+        family = ridge_family(relu, uniform_sphere(1.0))
+        neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8), include_baseline=False)
+        assert sorted(calls) == [(3, 600), (3, 6000), (6, 600), (6, 6000)]
 
     def test_direct_neuron_training(self):
         err = train_single_neuron(default_neuron_target(6), 6, RandomSource(10))

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import rf_lab
+from rf_lab import cli
 from rf_lab.cli import BLAS_THREAD_VARS, ExperimentConfig, run, write_csv
+from rf_lab.hardness import SweepRow
 from rf_lab.parallel import usable_cpus
 
 
@@ -31,6 +33,20 @@ class TestExitCodes:
         code = run(["exp-identity", "--order", "2", "--out", str(tmp_path)])
         assert code == 2
         assert "VALIDATION FAILURE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("baseline_error", [0.01, float("nan")])
+    def test_neuron_baseline_bound_exits_two(self, tmp_path, capsys, monkeypatch, baseline_error):
+        def sweep(*args, **kwargs):
+            return [SweepRow(4, "control", 0.0, 1.0), SweepRow(4, "neuron_gd_baseline", 1e-10, 0.0),
+                    SweepRow(10, "neuron_gd_baseline", baseline_error, 0.0)]
+
+        monkeypatch.setattr(cli, "neuron_inapprox_sweep", sweep)
+        assert run(["neuron-inapprox", "--out", str(tmp_path)]) == 2
+        manifest = json.loads((tmp_path / "neuron-inapprox" / "manifest.json").read_text())
+        assert manifest["validation_failures"] == [
+            f"neuron GD baseline at d=10 has error {baseline_error:.3e} >= 0.01"
+        ]
+        assert "VALIDATION FAILURE: neuron GD baseline at d=10" in capsys.readouterr().err
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(["no-such-command"]) == 1
@@ -240,11 +256,11 @@ class TestReproducibility:
             ), name
 
     def test_jobs_flag_does_not_change_results(self, tmp_path, capsys):
-        base = ["linear-residual", "--trials", "12", "--d", "12", "--r", "6", "--seed", "3"]
+        base = ["neuron-inapprox", "--d-values", "3,4", "--r", "20", "--n-train", "200", "--seed", "3"]
         assert run(base + ["--out", str(tmp_path / "serial"), "--jobs", "1"]) == 0
         assert run(base + ["--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
-        assert read(tmp_path / "serial" / "linear-residual" / "linear_residual.csv") == read(
-            tmp_path / "par" / "linear-residual" / "linear_residual.csv"
+        assert read(tmp_path / "serial" / "neuron-inapprox" / "neuron_inapprox.csv") == read(
+            tmp_path / "par" / "neuron-inapprox" / "neuron_inapprox.csv"
         )
 
     def test_csv_floats_are_full_precision(self, tmp_path, capsys):

@@ -11,8 +11,9 @@ from rf_lab.hardness import (
     PsiFunction,
     ReluNeuron,
     RidgeReluNetFactory,
+    _candidate_biases,
+    baseline_neuron_target,
     correlation_decay,
-    default_neuron_target,
     linear_residual,
     neuron_inapprox_sweep,
     psi_eval,
@@ -133,11 +134,6 @@ class TestLinearResidual:
         res = linear_residual(d, r, RandomSource(100 + d + r), 500)
         assert abs(float(res.mean()) - (1.0 - r / d)) < 0.02
 
-    def test_parallel_matches_serial(self):
-        a = linear_residual(20, 5, RandomSource(4), 16)
-        b = linear_residual(20, 5, RandomSource(4), 16, jobs=2)
-        assert np.array_equal(a, b)
-
 
 def constant_one_factory(d, gen):
     return lambda X: np.ones(len(X))
@@ -219,19 +215,61 @@ class TestNeuronSweep:
         assert sorted(calls) == [(3, 600), (3, 6000), (6, 600), (6, 6000)]
 
     def test_direct_neuron_training(self):
-        err = train_single_neuron(default_neuron_target(6), 6, RandomSource(10))
+        err, _ = train_single_neuron(baseline_neuron_target(6), 6, RandomSource(10))
         assert err < 1e-6
-
-    def test_default_target_scales(self):
-        for d in (4, 10):
-            t = default_neuron_target(d)
-            assert np.linalg.norm(t.w_star) == pytest.approx(float(d) ** 3)
-            assert abs(t.b_star) <= (6 * d * d + 1) * d * d
 
     def test_neuron_evaluate(self):
         t = ReluNeuron(np.array([1.0, -1.0]), -0.5)
         out = t.evaluate(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert np.allclose(out, [0.5, 0.0])
+
+
+def fixed_step_neuron_gd(target, d, rng, steps, lr=0.4, batch=4096, n_eval=50_000):
+    """Reference: train_single_neuron's SGD for exactly ``steps`` updates, no stopping rule."""
+    gen = rng.generator(0)
+    w = 0.01 * gen.standard_normal(d)
+    b = 1.0
+    for _ in range(steps):
+        X = gen.standard_normal((batch, d))
+        y = target.evaluate(X)
+        z = X @ w + b
+        active = z >= 0.0
+        err = np.where(active, z, 0.0) - y
+        grad_common = 2.0 * err * active
+        w -= lr * ((grad_common @ X) / batch)
+        b -= lr * grad_common.mean()
+    Xh = rng.generator(1).standard_normal((n_eval, d))
+    yh = target.evaluate(Xh)
+    mh = np.maximum(Xh @ w + b, 0.0)
+    return float(np.mean((mh - yh) ** 2) / np.mean(yh**2))
+
+
+class TestNeuronBaseline:
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_zero_tolerance_matches_fixed_steps(self, d):
+        target = baseline_neuron_target(d)
+        expected = fixed_step_neuron_gd(target, d, RandomSource(12), steps=40)
+        assert train_single_neuron(target, d, RandomSource(12), steps=40, tol=0.0) == (expected, 40)
+
+    @pytest.mark.parametrize("d", [4, 10, 20])
+    def test_stops_before_the_cap(self, d):
+        err, updates = train_single_neuron(baseline_neuron_target(d), d, RandomSource(13))
+        assert 0 < updates < 400
+        assert err < 1e-8
+
+    @pytest.mark.parametrize("d", [4, 10, 20])
+    def test_target_is_not_affine_on_the_data(self, d):
+        # a kink outside the Gaussian bulk would make the baseline vacuous
+        X = np.random.default_rng(d).standard_normal((10_000, d))
+        active = float(np.mean(baseline_neuron_target(d).evaluate(X) > 0.0))
+        assert 0.05 <= active <= 0.95
+
+    @pytest.mark.parametrize("d", [4, 10])
+    def test_is_the_middle_sweep_candidate(self, d):
+        biases = _candidate_biases(PsiFunction(d))
+        target = baseline_neuron_target(d)
+        assert target.b_star == biases[len(biases) // 2] == float(d * d)
+        assert np.array_equal(target.w_star, float(d) ** 3 * np.eye(d)[0])
 
 
 class TestExpIdentity:

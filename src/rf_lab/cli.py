@@ -216,20 +216,32 @@ _CONVERSIONS = (
 
 def _conversion(column) -> str:
     """The one conversion that fits every value of a column."""
-    kinds = set(map(type, column))
+    if isinstance(column, np.ndarray) and column.dtype != object:
+        kinds = {column.dtype.type}
+    else:
+        kinds = set(map(type, column))
     for types, conversion in _CONVERSIONS:
         if all(issubclass(kind, types) for kind in kinds):
             return conversion
     raise TypeError(f"CSV column mixes or holds unsupported types: {sorted(k.__name__ for k in kinds)}")
 
 
-def write_csv(path: Path, header, rows) -> None:
-    """Write rows of equal length; each column must hold one kind of value."""
-    rows = list(map(tuple, rows))
+def _format_column(column) -> list:
+    """The column's values as CSV text; a float column formats each distinct bit pattern once."""
+    conversion = _conversion(column)
+    if conversion != "%.17g":
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        return list(map(conversion.__mod__, values))
+    # Keyed on bits: np.unique on the floats themselves would merge -0.0 into 0.0.
+    bits, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
+    texts = np.array([conversion % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def write_csv(path: Path, header, columns) -> None:
+    """Write columns of equal length; each column must hold one kind of value."""
     lines = [",".join(header)]
-    if rows:
-        template = ",".join(map(_conversion, zip(*rows)))
-        lines.extend(map(template.__mod__, rows))
+    lines.extend(map(",".join, zip(*map(_format_column, columns))))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -302,7 +314,7 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # command implementations: each returns (outputs, summary_lines, failures)
-# outputs: {filename: (header, rows)} or {filename: ("json", text)}
+# outputs: {filename: (header, columns)} or {filename: ("json", text)}
 # ---------------------------------------------------------------------------
 
 
@@ -345,7 +357,7 @@ def _cmd_legendre_check(cfg: ExperimentConfig):
         f"reconstruction residual: {worst_recon:.3e} (< 1e-10)",
     ]
     header = ("check", "m", "n", "observed", "expected", "abs_error")
-    return {"legendre_check.csv": (header, rows)}, summary, failures
+    return {"legendre_check.csv": (header, list(zip(*rows)))}, summary, failures
 
 
 def _cmd_represent_poly(cfg: ExperimentConfig):
@@ -372,17 +384,25 @@ def _cmd_represent_poly(cfg: ExperimentConfig):
         f"max |g| on grid: {g_max:.6g} vs bound {bound:.6g}",
     ]
     header = ("point", "truncated_residual", "full_residual")
-    return {"represent_poly.csv": (header, rows)}, summary, failures
+    return {"represent_poly.csv": (header, list(zip(*rows)))}, summary, failures
 
 
 def _cmd_concentration(cfg: ExperimentConfig):
-    P = SparsePolynomial.from_json(cfg.params["poly"])
+    p = cfg.params
+    if not 0.0 < p["delta"] < 1.0:
+        raise UsageError(f"--delta must lie in (0, 1), got {p['delta']}")
+    if p["trials"] < 1:
+        raise UsageError(f"--trials must be >= 1, got {p['trials']}")
+    if p["probes"] < 1:
+        raise UsageError(f"--probes must be >= 1, got {p['probes']}")
+    if not p["r"] or min(p["r"]) < 1:
+        raise UsageError(f"--r needs feature counts >= 1, got {p['r']}")
+    P = SparsePolynomial.from_json(p["poly"])
     act = exp_activation()
     result = concentration_experiment(
-        P, act, cfg.params["r"], cfg.params["trials"], cfg.params["probes"],
-        RandomSource(cfg.seed), jobs=cfg.jobs,
+        P, act, p["r"], p["trials"], p["probes"], RandomSource(cfg.seed), jobs=cfg.jobs,
     )
-    delta = cfg.params["delta"]
+    delta = p["delta"]
     rows = list(result.rows)
     header = ("r", "trial", "sup_error", "max_abs_u", "seed")
     means = result.mean_errors()
@@ -403,8 +423,8 @@ def _cmd_concentration(cfg: ExperimentConfig):
             failures.append(f"log-log slope {slope:.4f} outside [-0.65, -0.35]")
     return (
         {
-            "concentration.csv": (header, rows),
-            "concentration_summary.csv": (("r", "mean_sup_error", "std", "envelope"), sum_rows),
+            "concentration.csv": (header, list(zip(*rows))),
+            "concentration_summary.csv": (("r", "mean_sup_error", "std", "envelope"), list(zip(*sum_rows))),
         },
         summary,
         failures,
@@ -445,9 +465,7 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
 
     report = drift_check(result.trace, config, act)
     t = result.trace
-    trace_rows = zip(
-        range(len(t.loss)), t.loss.tolist(), t.run_avg_loss.tolist(), t.w_drift.tolist(), t.u_norm.tolist()
-    )
+    trace_columns = (range(len(t.loss)), t.loss, t.run_avg_loss, t.w_drift, t.u_norm)
     best = result.net
     checkpoint = {
         "d": best.d, "r": best.r, "activation": act.name, "seed": cfg.seed,
@@ -483,8 +501,8 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
     )]
     return (
         {
-            "learn_poly_trace.csv": (("step", "loss", "run_avg_loss", "w_drift", "u_norm"), trace_rows),
-            "learn_poly_summary.csv": (sum_header, sum_row),
+            "learn_poly_trace.csv": (("step", "loss", "run_avg_loss", "w_drift", "u_norm"), trace_columns),
+            "learn_poly_summary.csv": (sum_header, list(zip(*sum_row))),
             "learn_poly_checkpoint.json": ("json", json.dumps(checkpoint)),
         },
         summary,
@@ -534,7 +552,7 @@ def _cmd_psi_check(cfg: ExperimentConfig):
     failures = [f"{name} = {val:.6e} fails requirement {req}" for name, val, req, ok in checks if not ok]
     summary = [f"a = {psi.a}; all checks passed: {report.passed}"]
     header = ("property", "observed", "requirement", "passed")
-    return {"psi_properties.csv": (header, rows)}, summary, failures
+    return {"psi_properties.csv": (header, list(zip(*rows)))}, summary, failures
 
 
 def _cmd_linear_residual(cfg: ExperimentConfig):
@@ -552,7 +570,7 @@ def _cmd_linear_residual(cfg: ExperimentConfig):
         f"mean residual: {mean:.4f} (population value {1 - p['r'] / p['d']:.4f})",
         f"fraction >= 1/4: {frac:.4f}",
     ]
-    return {"linear_residual.csv": (("trial", "residual", "seed"), rows)}, summary, failures
+    return {"linear_residual.csv": (("trial", "residual", "seed"), list(zip(*rows)))}, summary, failures
 
 
 def _cmd_correlation_decay(cfg: ExperimentConfig):
@@ -569,7 +587,7 @@ def _cmd_correlation_decay(cfg: ExperimentConfig):
         f"d={r.d}: {r.mean_sq:.4e} +- {r.std_err:.1e}" for r in rows_out
     ]
     header = ("d", "mean_sq_normalized", "std_err", "n_w", "mc_samples")
-    return {"correlation_decay.csv": (header, rows)}, summary, failures
+    return {"correlation_decay.csv": (header, list(zip(*rows)))}, summary, failures
 
 
 def _cmd_neuron_inapprox(cfg: ExperimentConfig):
@@ -588,7 +606,7 @@ def _cmd_neuron_inapprox(cfg: ExperimentConfig):
             failures.append(f"neuron GD baseline at d={r.d} has error {r.normalized_error:.3e} >= 0.01")
     summary = [f"d={r.d} {r.target}: err={r.normalized_error:.4f}" for r in rows_out]
     header = ("d", "target", "normalized_error", "r_max_abs_u")
-    return {"neuron_inapprox.csv": (header, rows)}, summary, failures
+    return {"neuron_inapprox.csv": (header, list(zip(*rows)))}, summary, failures
 
 
 def _cmd_exp_identity(cfg: ExperimentConfig):
@@ -604,7 +622,7 @@ def _cmd_exp_identity(cfg: ExperimentConfig):
     if worst >= 1e-8:
         failures.append(f"identity error {worst:.3e} >= 1e-8")
     summary = [f"max |LHS - e^z| over {p['grid']} points: {worst:.3e}"]
-    return {"exp_identity.csv": (("z", "abs_error"), rows)}, summary, failures
+    return {"exp_identity.csv": (("z", "abs_error"), list(zip(*rows)))}, summary, failures
 
 
 _RUNNERS = {
@@ -685,8 +703,8 @@ def run(argv) -> int:
         if payload[0] == "json":
             path.write_text(payload[1] + "\n", encoding="utf-8", newline="\n")
         else:
-            header, rows = payload
-            write_csv(path, header, rows)
+            header, columns = payload
+            write_csv(path, header, columns)
         checksums[filename] = _sha256(path)
     manifest = {
         "command": cfg.name,

@@ -64,6 +64,24 @@ class TestExitCodes:
         assert run(["psi-check", "--d", "0", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--delta", "0"], "--delta"),
+        (["--delta", "1.5"], "--delta"),
+        (["--trials", "0"], "--trials"),
+        (["--probes", "0"], "--probes"),
+        (["--r", "64,0"], "--r"),
+    ])
+    def test_concentration_bad_input_is_usage_error(self, tmp_path, capsys, flags, named):
+        assert run(["concentration", *flags, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} ")
+        assert "Traceback" not in err
+
+    def test_unreachable_margin_is_usage_error(self, tmp_path, capsys):
+        # the default polynomial has sup |P| = 1 on the ball, so margin 1.5 rejects every draw
+        assert run(["learn-poly", "--margin", "1.5", "--steps", "10", "--out", str(tmp_path)]) == 1
+        assert "error: margin 1.5 accepted 0 of" in capsys.readouterr().err
+
 
 class TestConfigFiles:
     def test_empty_config_gets_defaults(self, tmp_path, capsys):
@@ -298,25 +316,70 @@ class TestWriteCsv:
         "np_str": [np.str_("x"), np.str_("y"), np.str_("z"), np.str_("w")],
     }
 
+    @staticmethod
+    def expected(header, columns) -> bytes:
+        rows = zip(*columns)
+        return ("\n".join([",".join(header)] + [",".join(map(reference_fmt, row)) for row in rows]) + "\n").encode()
+
+    def written(self, tmp_path, header, columns) -> bytes:
+        path = tmp_path / "t.csv"
+        write_csv(path, header, columns)
+        return path.read_bytes()
+
     def test_matches_reference_formatting(self, tmp_path):
         header = tuple(self.COLUMNS)
-        rows = list(zip(*self.COLUMNS.values()))
-        path = tmp_path / "t.csv"
-        write_csv(path, header, rows)
-        expected = "\n".join([",".join(header)] + [",".join(map(reference_fmt, row)) for row in rows]) + "\n"
-        assert path.read_bytes() == expected.encode()
+        columns = list(self.COLUMNS.values())
+        assert self.written(tmp_path, header, columns) == self.expected(header, columns)
 
-    def test_accepts_an_iterator_of_rows(self, tmp_path):
+    def test_accepts_iterables_of_columns(self, tmp_path):
         column = np.array([0.5, -0.0, np.nan])
-        write_csv(tmp_path / "a.csv", ("i", "v"), zip(range(3), column.tolist()))
-        write_csv(tmp_path / "b.csv", ("i", "v"), [(i, float(v)) for i, v in enumerate(column)])
+        write_csv(tmp_path / "a.csv", ("i", "v"), (range(3), column))
+        write_csv(tmp_path / "b.csv", ("i", "v"), list(zip(*[(i, float(v)) for i, v in enumerate(column)])))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes() == b"i,v\n0,0.5\n1,-0\n2,nan\n"
 
     def test_header_only(self, tmp_path):
         write_csv(tmp_path / "t.csv", ("a", "b"), [])
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
+        write_csv(tmp_path / "u.csv", ("a", "b"), list(zip(*[])))
+        assert (tmp_path / "u.csv").read_bytes() == b"a,b\n"
 
     @pytest.mark.parametrize("column", [[1, 2.5], [0.5, "x"], [None, None]])
     def test_column_without_one_kind_is_refused(self, tmp_path, column):
         with pytest.raises(TypeError, match="CSV column"):
-            write_csv(tmp_path / "t.csv", ("a",), [(v,) for v in column])
+            write_csv(tmp_path / "t.csv", ("a",), [column])
+
+    def test_signed_zeros_stay_apart(self, tmp_path):
+        column = [0.0, -0.0, -0.0, 0.0, 1.0]
+        assert self.written(tmp_path, ("v",), [column]) == b"v\n0\n-0\n-0\n0\n1\n"
+        assert self.written(tmp_path, ("v",), [np.array(column)]) == b"v\n0\n-0\n-0\n0\n1\n"
+
+    def test_nan_payloads_all_write_nan(self, tmp_path):
+        bits = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                         0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        column = bits.view(np.float64)
+        assert np.all(np.isnan(column)) and len(np.unique(bits)) == 5
+        assert self.written(tmp_path, ("v",), [column]) == b"v\n" + b"nan\n" * 5
+
+    def test_infinities_and_subnormals(self, tmp_path):
+        column = [np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+                  2.2250738585072014e-308, np.inf, 5e-324]
+        expected = self.expected(("v",), [column])
+        assert self.written(tmp_path, ("v",), [column]) == expected
+        assert self.written(tmp_path, ("v",), [np.array(column)]) == expected
+
+    def test_long_column_of_few_values(self, tmp_path):
+        gen = np.random.default_rng(0)
+        column = gen.choice(np.array([1 / 3, -0.0, 2.5e-300]), size=100_000)
+        header = ("step", "v")
+        columns = (range(len(column)), column)
+        assert self.written(tmp_path, header, columns) == self.expected(header, (range(len(column)), column.tolist()))
+
+    def test_arrays_and_lists_give_the_same_bytes(self, tmp_path):
+        lists = [[0.1, -0.0, np.inf, np.nan, 5e-324], [0, -7, 3, 2**40, 5],
+                 [True, False, True, True, False], ["a", "b c", "", "x", "y"]]
+        arrays = [np.array(column) for column in lists]
+        arrays.append(np.array([1.1, 2.5, -0.0, 3e38, 7.0], dtype=np.float32))
+        lists.append(arrays[-1].tolist())
+        header = tuple("abcde")
+        assert self.written(tmp_path, header, arrays) == self.written(tmp_path, header, lists)
+        assert self.written(tmp_path, header, lists) == self.expected(header, lists)

@@ -6,14 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
+from rf_lab import features
 from rf_lab.features import (
+    PREDICT_CELLS,
+    PREDICT_ROW_GROUP,
     IllConditionedSystemError,
     LinearCombination,
+    affine_ridge_family,
     approximant_from_g,
     concentration_experiment,
     coupling_family,
     feature_matrix,
     least_squares_fit,
+    predict_block_rows,
     relu,
     ridge_family,
     sample_features,
@@ -166,32 +171,105 @@ class TestApproximant:
         assert np.all(np.abs(mean - f_vals) < 4 * se + 1e-12)
 
 
+def predict_reference(combo, sample, X):
+    """Unblocked prediction: the whole feature matrix at once."""
+    return feature_matrix(sample, X) @ combo.weights + combo.intercept
+
+
+BLOCK_FAMILIES = {
+    "ridge_exp": lambda: ridge_family(np.exp, uniform_cube()),
+    "ridge_relu": lambda: ridge_family(relu, uniform_cube()),
+    "affine_ridge": lambda: affine_ridge_family(relu, uniform_cube(), bias_interval=(-0.5, 0.5)),
+    "coupling": lambda: coupling_family(uniform_cube()),
+}
+
+
+class TestBlockedPredict:
+    @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+    @pytest.mark.parametrize("r, d", [(64, 2), (96, 3), (1000, 2)])
+    def test_equals_unblocked_product(self, family, r, d):
+        sample = sample_features(BLOCK_FAMILIES[family](), d, r, RandomSource(50))
+        block = predict_block_rows(sample.n_features)
+        assert block % PREDICT_ROW_GROUP == 0 and block * sample.n_features <= PREDICT_CELLS
+        combo = LinearCombination(RandomSource(51).generator().standard_normal(sample.n_features), 0.375)
+        for m in (1, block - 1, block, block + 1, 2 * block + 1, 2000):
+            X = uniform_ball(d, m, RandomSource(52, m).generator())
+            assert np.array_equal(combo.predict(sample, X), predict_reference(combo, sample, X)), m
+
+    def test_more_features_than_block_cells(self):
+        # one row group per block; a one-product reference over more rows would
+        # itself depend on how a threaded BLAS splits such wide rows
+        sample = sample_features(ridge_family(np.exp, uniform_cube()), 2, PREDICT_CELLS + 3, RandomSource(53))
+        assert predict_block_rows(sample.n_features) == PREDICT_ROW_GROUP
+        combo = LinearCombination(RandomSource(54).generator().standard_normal(sample.r) / sample.r, -1.5)
+        for m in (1, 3, 5, 8):
+            X = uniform_ball(2, m, RandomSource(55, m).generator())
+            assert np.array_equal(combo.predict(sample, X), predict_reference(combo, sample, X)), m
+
+    def test_column_weights(self):
+        # (p, k) weights go through GEMM, whose summation order depends on the
+        # block's shape: blocks agree with one product to within the dot-product
+        # rounding bound 2 p eps sum_i |f_i u_i|, not bit for bit
+        p = 256
+        sample = sample_features(ridge_family(relu, uniform_cube()), 4, p, RandomSource(56))
+        combo = LinearCombination(RandomSource(57).generator().standard_normal((p, 3)), 2.0)
+        X = uniform_ball(4, 2000, RandomSource(58).generator())
+        pred = combo.predict(sample, X)
+        assert pred.shape == (2000, 3)
+        bound = 2 * p * np.finfo(float).eps * (np.abs(feature_matrix(sample, X)) @ np.abs(combo.weights) + 2.0)
+        assert np.all(np.abs(pred - predict_reference(combo, sample, X)) <= bound)
+        first = combo.predict(sample, X[:1])
+        assert first.shape == (1, 3) and np.all(np.abs(first - pred[:1]) <= bound[:1])
+
+    def test_single_point_and_weight_mismatch(self):
+        sample = sample_features(ridge_family(relu, uniform_cube()), 2, 3, RandomSource(59))
+        combo = LinearCombination(np.array([0.5, -1.0, 2.0]))
+        x = np.array([0.25, -0.5])
+        assert np.array_equal(combo.predict(sample, x), predict_reference(combo, sample, x))
+        with pytest.raises(ValueError):
+            LinearCombination(np.ones(4)).predict(sample, x)
+
+    def test_concentration_never_builds_a_larger_block(self, monkeypatch):
+        sizes = []
+        unblocked = features.feature_matrix
+
+        def recording(sample, X):
+            F = unblocked(sample, X)
+            sizes.append(F.size)
+            return F
+
+        monkeypatch.setattr(features, "feature_matrix", recording)
+        P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
+        concentration_experiment(P, exp_activation(), [64, 1024, 4096], trials=2, probes=300, rng=RandomSource(60))
+        assert len(sizes) == 2 * (1 + 5 + 19)
+        assert max(sizes) <= PREDICT_CELLS
+
+
 class TestSupError:
     def test_zero_against_self(self):
         sample = sample_features(ridge_family(relu, uniform_cube()), 2, 3, RandomSource(15))
         combo = LinearCombination(np.array([0.5, -1.0, 2.0]))
         probes = uniform_ball(2, 50, RandomSource(16).generator())
-        target = lambda X: combo.predict(sample, X)  # noqa: E731
-        assert sup_error_estimate(combo, sample, target, probes) == 0.0
+        assert sup_error_estimate(combo, sample, combo.predict(sample, probes), probes) == 0.0
 
     def test_constant_shift(self):
         sample = sample_features(ridge_family(relu, uniform_cube()), 2, 3, RandomSource(17))
         combo = LinearCombination(np.array([0.5, -1.0, 2.0]))
         probes = uniform_ball(2, 50, RandomSource(18).generator())
-        target = lambda X: combo.predict(sample, X) + 0.25  # noqa: E731
-        assert sup_error_estimate(combo, sample, target, probes) == pytest.approx(0.25)
+        shifted = combo.predict(sample, probes) + 0.25
+        assert sup_error_estimate(combo, sample, shifted, probes) == pytest.approx(0.25)
 
     def test_empty_probe_set_rejected(self):
         sample = sample_features(ridge_family(relu, uniform_cube()), 2, 1, RandomSource(19))
         combo = LinearCombination(np.ones(1))
         with pytest.raises(ValueError):
-            sup_error_estimate(combo, sample, lambda X: np.zeros(len(X)), np.zeros((0, 2)))
+            sup_error_estimate(combo, sample, np.zeros(0), np.zeros((0, 2)))
 
     def test_probes_outside_ball_rejected(self):
         sample = sample_features(ridge_family(relu, uniform_cube()), 2, 1, RandomSource(20))
         combo = LinearCombination(np.ones(1))
         with pytest.raises(ValueError):
-            sup_error_estimate(combo, sample, lambda X: np.zeros(len(X)), np.array([[2.0, 0.0]]))
+            sup_error_estimate(combo, sample, np.zeros(1), np.array([[2.0, 0.0]]))
 
 
 class TestLeastSquares:

@@ -262,6 +262,36 @@ class TestMarginSampler:
         assert np.all(np.abs(P.evaluate(X)) >= 0.3)
         assert np.all(np.sign(P.evaluate(X)) == y)
 
+    @pytest.mark.parametrize("margin", [1.0 + 1e-9, 2.0])
+    def test_unreachable_margin_raises(self, margin):
+        # sup |P| over the ball is 1: no draw can pass, so the sampler stops at its draw cap
+        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        with pytest.raises(ValueError, match=f"margin {margin} accepted 0 of"):
+            margin_filtered_sampler(P, margin)(10, RandomSource(18).generator())
+
+    @pytest.mark.parametrize("margin, n", [(0.3, 1), (0.3, 500), (0.9, 2000)])
+    def test_cap_leaves_reachable_draws_unchanged(self, margin, n):
+        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        X, y = margin_filtered_sampler(P, margin)(n, RandomSource(18).generator())
+        X_ref, y_ref = uncapped_margin_sampler(P, margin, n, RandomSource(18).generator())
+        assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
+
+
+def uncapped_margin_sampler(P, margin, n, gen):
+    """The margin filter without a draw cap: the same batches, drawn until n points pass."""
+    xs = []
+    got = 0
+    while got < n:
+        batch = max(2 * n, 64)
+        g = gen.standard_normal((batch, P.dimension))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g *= gen.random((batch, 1)) ** (1.0 / P.dimension)
+        keep = np.abs(P.evaluate(g)) >= margin
+        xs.append(g[keep])
+        got += int(keep.sum())
+    X = np.vstack(xs)[:n]
+    return X, np.sign(P.evaluate(X))
+
 
 def reference_run_steps(W, U, W0, X, Y, eta, sigma, dsigma, loss, drift, unorm, wnorm, start, count):
     """The textbook per-step loop: the exact oracle for ``_sgd_numpy.run_steps``."""

@@ -132,6 +132,21 @@ def predict_block_rows(n_features: int) -> int:
     return groups * PREDICT_ROW_GROUP
 
 
+def row_blocks(n_rows: int, row_values: int):
+    """(start, stop) blocks of ``predict_block_rows(row_values)`` rows covering n_rows rows.
+
+    A product over each block equals the same rows of one product over all
+    rows.  NumPy sends a lone row through a dot product, not GEMV, so a lone
+    last row is computed with the group before it, which is computed twice.
+    """
+    rows = predict_block_rows(row_values)
+    for start in range(0, n_rows, rows):
+        stop = min(start + rows, n_rows)
+        if start == n_rows - 1 > 0:
+            start -= PREDICT_ROW_GROUP
+        yield start, stop
+
+
 @dataclass(frozen=True)
 class LinearCombination:
     """Prediction sum_i u_i f_i(x) + intercept over a feature sample."""
@@ -143,17 +158,12 @@ class LinearCombination:
         self.weights.setflags(write=False)
 
     def predict(self, sample: FeatureSample, X) -> np.ndarray:
-        """Predictions at the points X, streamed in blocks of ``predict_block_rows`` rows."""
+        """Predictions at the points X, streamed in ``row_blocks``."""
         if sample.n_features != len(self.weights):
             raise ValueError("weight length does not match feature count")
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        rows = predict_block_rows(sample.n_features)
         out = np.empty((len(X),) + self.weights.shape[1:])
-        for start in range(0, len(X), rows):
-            stop = start + rows
-            if start == len(X) - 1 > 0:
-                # NumPy sends a lone row through a dot product, not GEMV: take the group before it along
-                start -= PREDICT_ROW_GROUP
+        for start, stop in row_blocks(len(X), sample.n_features):
             out[start:stop] = feature_matrix(sample, X[start:stop]) @ self.weights
         out += self.intercept
         return out

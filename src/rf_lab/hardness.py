@@ -9,13 +9,16 @@ with a = 6 d^2 + 1 (odd).  On [-a, a] it is an odd triangle wave of period
 4 and unit amplitude: kinks with alternating slopes +-1 sit at the odd
 integers, zeros at the even integers.  Outside the window it follows the
 definition as written: constant -1 to the left, decreasing affinely to the
-right.  Evaluation locates the surrounding kink pair in closed form rather
-than summing the ~6d^2 ReLU terms; the term-by-term sum is kept as a test
-oracle (``ReluDecomposition.evaluate``).
+right.  Evaluation takes the position within the period in closed form,
+with one floor and no division, rather than summing the ~6d^2 ReLU terms;
+the term-by-term sum is kept as a test oracle (``ReluDecomposition.evaluate``).
 
 Composed with a random direction, x -> psi(<w, x>) with ||w|| = d
 oscillates too fast for any fixed low-norm feature family to track, which
-is what the correlation-decay and inapproximability sweeps measure.
+is what the correlation-decay and inapproximability sweeps measure.  The
+correlation sweep projects its Gaussian points and evaluates psi in row
+tiles of at most ``features.PREDICT_CELLS`` values, so each projection and
+its temporaries stay in cache; the tiles change no sum.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureFamily, least_squares_fit, sample_features
+from .features import FeatureFamily, least_squares_fit, row_blocks, sample_features
 from .numerics import RandomSource, gauss_legendre_rule, gaussian_expectation_1d
 from .parallel import map_cells
 
@@ -53,15 +56,21 @@ class PsiFunction:
 def psi_eval(psi: PsiFunction, x):
     """Exact piecewise-linear evaluation of psi (scalar or array input).
 
-    Inside the window psi is the triangle wave 1 - |((x + a) mod 4) - 2|,
-    computed in one buffer; the two tails are patched over it.  Since a is
-    an integer >= 7, x + a and its remainder mod 4 are multiples of 2^-51 on
-    the window, so every step after the first rounding is exact.
+    Inside the window psi is the triangle wave 1 - |4 q - 2| of the
+    fractional part q = h/4 - floor(h/4), h = x + a, computed in one buffer
+    without a division; the two tails are patched over it.  Every step after
+    the rounding of h is exact: since a is an integer >= 7, h is a multiple
+    of 2^-51 on the window, so h/4 is never subnormal and scaling by 1/4 and
+    by 4 is exact; floor is exact; and for k = floor(h/4) >= 1, h/4 - k is
+    exact by Sterbenz's lemma (k <= h/4 < k + 1 <= 2k), while k = 0 leaves
+    h/4 as it is.  So 4 q is h - 4k, bit for bit the remainder of h mod 4.
     """
     x = np.asarray(x, dtype=float)
     a = float(psi.a)
     out = np.add(x, a, out=np.empty_like(x))
-    np.mod(out, 4.0, out=out)
+    out *= 0.25
+    out -= np.floor(out)
+    out *= 4.0
     out -= 2.0
     np.abs(out, out=out)
     np.subtract(1.0, out, out=out)
@@ -242,8 +251,10 @@ def _linear_residual_trial(d: int, r: int, gen: np.random.Generator) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Gaussian points per block in correlation_decay.  The per-block sums are
-# accumulated in order, so another size changes results in their last digits.
+# Gaussian points per chunk in correlation_decay.  Each chunk adds one
+# fx @ psi(projection) product to the running sums, so another size changes
+# results in their last digits.  The projection is evaluated in row tiles
+# (``features.row_blocks``), which change no sum.
 CORRELATION_CHUNK = 100_000
 
 
@@ -288,14 +299,17 @@ def _correlation_cell(cell) -> CorrelationDecayRow:
     gen_x = rng.generator(d, 2)
     inner_sums = np.zeros(trials)
     f_sq_sum = 0.0
+    P = np.empty((min(CORRELATION_CHUNK, mc_samples), trials))  # psi_w(x) per chunk row
     done = 0
     while done < mc_samples:
         m = min(CORRELATION_CHUNK, mc_samples - done)
         X = gen_x.standard_normal((m, d))
         fx = np.asarray(f(X), dtype=float)
         f_sq_sum += float(fx @ fx)
-        proj = X @ ws.T  # (m, trials)
-        inner_sums += fx @ psi_eval(psi, proj)
+        # tiles small enough that each projection and its psi temporaries stay in cache
+        for start, stop in row_blocks(m, trials):
+            P[start:stop] = psi_eval(psi, X[start:stop] @ ws.T)
+        inner_sums += fx @ P[:m]
         done += m
     inners = inner_sums / mc_samples
     f_norm_sq = f_sq_sum / mc_samples

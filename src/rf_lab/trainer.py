@@ -339,15 +339,16 @@ def margin_filtered_sampler(P, margin: float):
     Draws x uniformly from the unit ball, labels y = sign(P(x)), and rejects
     points with |P(x)| < margin so the comparator polynomial attains near-zero
     hinge loss.  ``P`` should already be scaled so sup_ball |P| = 1.  A margin
-    that accepts fewer than n of the first 1000 n + 10^5 draws raises
-    ValueError; at or above sup |P| it would accept none.
+    that accepts none of the first 10^5 draws, or fewer than n of the first
+    1000 n + 10^5, raises ValueError; at or above sup |P| it would accept
+    none.
     """
 
     def sampler(n: int, gen: np.random.Generator):
         xs = []
         got = drawn = 0
         while got < n:
-            if drawn >= 1000 * n + 100_000:
+            if drawn >= (100_000 if got == 0 else 1000 * n + 100_000):
                 raise ValueError(
                     f"margin {margin} accepted {got} of {drawn} draws from the unit ball; need {n}"
                 )

@@ -1,13 +1,17 @@
 """The psi hard instance, subspace residuals, decay sweeps, and the exp identity."""
 
+import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from rf_lab import features
-from rf_lab.features import relu, ridge_family
+from rf_lab import features, hardness
+from rf_lab.features import PREDICT_CELLS, relu, ridge_family
 from rf_lab.hardness import (
+    CORRELATION_CHUNK,
+    CorrelationDecayRow,
     PsiFunction,
     ReluNeuron,
     RidgeReluNetFactory,
@@ -37,6 +41,35 @@ def psi_floor_parity(psi, x):
     core = sign * (t - 1.0)
     out = np.where(x < -a, -1.0, np.where(x >= a, 1.0 - (x - a), core))
     return out if out.ndim else float(out)
+
+
+def psi_mod_form(psi, x):
+    """psi by the remainder mod 4, as evaluated before the division-free form."""
+    x = np.asarray(x, dtype=float)
+    a = float(psi.a)
+    out = np.add(x, a, out=np.empty_like(x))
+    np.mod(out, 4.0, out=out)
+    out -= 2.0
+    np.abs(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.copyto(out, -1.0, where=x < -a)
+    right = x >= a
+    if right.any():
+        np.copyto(out, 1.0 - (x - a), where=right)
+    return out if out.ndim else float(out)
+
+
+def assert_same_floats(value, ref):
+    """Equal values, NaN exactly where the reference has NaN, zeros of the same sign.
+
+    (The floor-parity form returns -0.0 at some zeros, so it is compared by
+    value only.)
+    """
+    value, ref = np.asarray(value), np.asarray(ref)
+    assert value.shape == ref.shape
+    assert np.array_equal(value, ref, equal_nan=True)
+    numbers = ~np.isnan(ref)
+    assert np.array_equal(np.signbit(value[numbers]), np.signbit(ref[numbers]))
 
 
 class TestPsiShape:
@@ -84,13 +117,22 @@ class TestPsiShape:
         a = psi.a
         grid = np.arange(2 * (-a - 3), 2 * (a + 3) + 1) / 2.0  # integers and half-integers
         edges = np.array([-a, a], dtype=float)
+        # one ulp either side of every kink, the window edges -a and a among them
+        near_kinks = np.concatenate([np.nextafter(psi.kinks, -np.inf), np.nextafter(psi.kinks, np.inf)])
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
         gauss = d * np.random.default_rng(d).standard_normal(1_000_000)
-        for x in (grid, edges, gauss):
-            assert np.array_equal(psi_eval(psi, x), psi_floor_parity(psi, x))
-        for x in (0.5, float(a), -float(a) - 2.5):
-            value = psi_eval(psi, x)
-            assert type(value) is float
-            assert value == psi_floor_parity(psi, x)
+        scalars = [0.5, float(a), -float(a) - 2.5, np.nextafter(float(a), 0.0), np.nextafter(-float(a), 0.0),
+                   0.0, -0.0, np.inf, -np.inf, np.nan, np.array(1.5)]
+        with np.errstate(invalid="ignore"):  # the references warn on inf and nan
+            for x in (grid, edges, near_kinks, specials, gauss):
+                value = psi_eval(psi, x)
+                assert np.array_equal(value, psi_floor_parity(psi, x), equal_nan=True)
+                assert_same_floats(value, psi_mod_form(psi, x))
+            for x in scalars:
+                value = psi_eval(psi, x)
+                assert type(value) is float
+                assert np.array_equal(value, psi_floor_parity(psi, x), equal_nan=True)
+                assert_same_floats(value, psi_mod_form(psi, x))
 
     def test_properties_report(self):
         report = psi_properties_check(PsiFunction(3))
@@ -168,6 +210,68 @@ class TestCorrelationDecay:
         a = correlation_decay(RidgeReluNetFactory(10), [2, 3], **kwargs)
         b = correlation_decay(RidgeReluNetFactory(10), [2, 3], jobs=2, **kwargs)
         assert a == b
+
+
+def untiled_correlation_cell(cell) -> CorrelationDecayRow:
+    """The correlation cell before tiling: one whole-chunk projection and psi pass per chunk."""
+    d, f_factory, trials, mc_samples, seed, stream = cell
+    rng = RandomSource(seed, stream)
+    psi = PsiFunction(d)
+    f = f_factory(d, rng.generator(d, 0))
+    ws = rng.generator(d, 1).standard_normal((trials, d))
+    ws *= d / np.linalg.norm(ws, axis=1, keepdims=True)
+    gen_x = rng.generator(d, 2)
+    inner_sums = np.zeros(trials)
+    f_sq_sum = 0.0
+    done = 0
+    while done < mc_samples:
+        m = min(CORRELATION_CHUNK, mc_samples - done)
+        X = gen_x.standard_normal((m, d))
+        fx = np.asarray(f(X), dtype=float)
+        f_sq_sum += float(fx @ fx)
+        inner_sums += fx @ psi_mod_form(psi, X @ ws.T)
+        done += m
+    sq = (inner_sums / mc_samples) ** 2 / (f_sq_sum / mc_samples)
+    # NumPy's std of one draw is nan (with a warning)
+    std_err = float(np.std(sq, ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
+    return CorrelationDecayRow(d, float(np.mean(sq)), std_err, trials, mc_samples)
+
+
+class TestTiledCorrelationCell:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "trials, mc_samples",
+        [
+            (1, 65_537),  # one-column products; a lone last tile row
+            (2, 70_001),
+            (64, 2_049),  # a lone last tile row
+            (PREDICT_CELLS // 4 + 1, 13),  # one row group per tile, then a lone row
+            (3, CORRELATION_CHUNK + 1),  # the last chunk is a single row
+        ],
+    )
+    def test_equals_untiled_cell(self, trials, mc_samples, jobs):
+        rng = RandomSource(61)
+        factory = RidgeReluNetFactory(7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # std_err of one draw
+            rows = correlation_decay(factory, [2, 5], trials, mc_samples, rng, jobs=jobs)
+        for row in rows:
+            ref = untiled_correlation_cell((row.d, factory, trials, mc_samples, rng.seed, rng.stream_id))
+            assert np.array_equal(astuple(row), astuple(ref), equal_nan=True), row.d
+
+    def test_psi_eval_never_sees_more_than_a_tile(self, monkeypatch):
+        sizes = []
+        whole = hardness.psi_eval
+
+        def recording(psi, x):
+            sizes.append(np.size(x))
+            return whole(psi, x)
+
+        monkeypatch.setattr(hardness, "psi_eval", recording)
+        correlation_decay(RidgeReluNetFactory(7), [2, 3], trials=64, mc_samples=5_000, rng=RandomSource(62))
+        assert len(sizes) == 2 * 5  # 1024-row tiles
+        assert sum(sizes) == 2 * 5_000 * 64
+        assert max(sizes) <= PREDICT_CELLS
 
 
 @pytest.fixture(scope="module")

@@ -269,12 +269,36 @@ class TestMarginSampler:
         with pytest.raises(ValueError, match=f"margin {margin} accepted 0 of"):
             margin_filtered_sampler(P, margin)(10, RandomSource(18).generator())
 
+    def test_unreachable_margin_stops_after_the_first_empty_draws(self):
+        # learn-poly's default steps; the first batch of 2 n draws accepts none
+        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        n = 200_001
+        gen = CountingGenerator(RandomSource(18).generator())
+        with pytest.raises(ValueError, match=f"accepted 0 of {2 * n} draws"):
+            margin_filtered_sampler(P, 2.0)(n, gen)
+        assert gen.points == 2 * n
+
     @pytest.mark.parametrize("margin, n", [(0.3, 1), (0.3, 500), (0.9, 2000)])
     def test_cap_leaves_reachable_draws_unchanged(self, margin, n):
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
         X, y = margin_filtered_sampler(P, margin)(n, RandomSource(18).generator())
         X_ref, y_ref = uncapped_margin_sampler(P, margin, n, RandomSource(18).generator())
         assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
+
+
+class CountingGenerator:
+    """A generator that counts the points drawn from it (rows of its uniform draws)."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.points = 0
+
+    def standard_normal(self, size):
+        return self.gen.standard_normal(size)
+
+    def random(self, size):
+        self.points += size[0]
+        return self.gen.random(size)
 
 
 def uncapped_margin_sampler(P, margin, n, gen):

@@ -38,7 +38,7 @@ for _var in BLAS_THREAD_VARS:
 import numpy as np
 
 from . import __version__
-from .features import concentration_experiment, relu, ridge_family
+from .features import FeatureFamily, concentration_experiment, relu
 from .hardness import (
     PsiFunction,
     RidgeReluNetFactory,
@@ -312,6 +312,18 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(name, params, seed, out_dir, jobs)
 
 
+def _require_at_least(p: dict, **bounds) -> None:
+    """Refuse a value below its bound, naming the flag; a list must be nonempty and every entry in bounds."""
+    for key, low in bounds.items():
+        value = p[key]
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            if not value or min(value) < low:
+                raise UsageError(f"{flag} needs values >= {low}, got {value}")
+        elif value < low:
+            raise UsageError(f"{flag} must be >= {low}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # command implementations: each returns (outputs, summary_lines, failures)
 # outputs: {filename: (header, columns)} or {filename: ("json", text)}
@@ -391,12 +403,7 @@ def _cmd_concentration(cfg: ExperimentConfig):
     p = cfg.params
     if not 0.0 < p["delta"] < 1.0:
         raise UsageError(f"--delta must lie in (0, 1), got {p['delta']}")
-    if p["trials"] < 1:
-        raise UsageError(f"--trials must be >= 1, got {p['trials']}")
-    if p["probes"] < 1:
-        raise UsageError(f"--probes must be >= 1, got {p['probes']}")
-    if not p["r"] or min(p["r"]) < 1:
-        raise UsageError(f"--r needs feature counts >= 1, got {p['r']}")
+    _require_at_least(p, trials=1, probes=1, r=1)
     P = SparsePolynomial.from_json(p["poly"])
     act = exp_activation()
     result = concentration_experiment(
@@ -557,6 +564,9 @@ def _cmd_psi_check(cfg: ExperimentConfig):
 
 def _cmd_linear_residual(cfg: ExperimentConfig):
     p = cfg.params
+    _require_at_least(p, d=1, r=0, trials=1)
+    if p["r"] > p["d"]:
+        raise UsageError(f"--r must be <= --d ({p['d']}), got {p['r']}")
     res = linear_residual(p["d"], p["r"], RandomSource(cfg.seed), p["trials"])
     rows = [(t, float(v), cfg.seed) for t, v in enumerate(res)]
     mean = float(np.mean(res))
@@ -575,6 +585,8 @@ def _cmd_linear_residual(cfg: ExperimentConfig):
 
 def _cmd_correlation_decay(cfg: ExperimentConfig):
     p = cfg.params
+    # std_err takes the sample deviation over the w draws (ddof=1), so it needs two
+    _require_at_least(p, d_values=1, trials=2, mc_samples=1, f_r=1)
     rows_out = correlation_decay(
         RidgeReluNetFactory(p["f_r"]), p["d_values"], p["trials"], p["mc_samples"],
         RandomSource(cfg.seed), jobs=cfg.jobs,
@@ -592,7 +604,10 @@ def _cmd_correlation_decay(cfg: ExperimentConfig):
 
 def _cmd_neuron_inapprox(cfg: ExperimentConfig):
     p = cfg.params
-    family = ridge_family(relu, uniform_sphere(1.0))
+    _require_at_least(p, d_values=1, r=1, n_train=1)
+    if p["baseline"] not in (0, 1):
+        raise UsageError(f"--baseline must be 0 or 1, got {p['baseline']}")
+    family = FeatureFamily(relu, uniform_sphere(1.0))
     rows_out = neuron_inapprox_sweep(
         family, p["r"], p["d_values"], p["n_train"], RandomSource(cfg.seed),
         include_baseline=bool(p["baseline"]), jobs=cfg.jobs,

@@ -1,13 +1,10 @@
-"""Random feature families, the concentration experiment, and least squares.
+"""Random ridge features, the concentration experiment, and least squares.
 
-A feature family fixes how the random parameters are drawn and how a
-feature evaluates a point:
-
-* ``ridge``: f_i(x) = sigma(<w_i, x>)
-* ``affine_ridge``: f_i(x) = sigma(<w_i, x> + b_i)
-* ``coupling``: one feature per (neuron i, coordinate j) pair,
-  f_{i,j}(x) = x_j * 1[<w_i, x> >= 0], exposed as a flat list of r*d
-  features.
+A feature family is an activation sigma and a measure for the directions
+w_i; feature i evaluates a point as f_i(x) = sigma(<w_i, x>).  The paper
+uses two: exp features with cube-sampled directions (the positive
+representation result) and bias-free ReLU features with unit-sphere
+directions (the negative inapproximability results).
 
 Only the linear coefficients on top of the features are ever learned;
 the feature parameters are sampled once, obliviously of the target.
@@ -21,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import Measure, RandomSource, sample_measure, uniform_ball
+from .numerics import Measure, RandomSource, sample_measure, uniform_ball, uniform_cube
 from .parallel import map_cells
 from .poly_repr import (
     AnalyticActivation,
@@ -39,28 +36,12 @@ def relu(z):
     return np.maximum(z, 0.0)
 
 
-class IllConditionedSystemError(np.linalg.LinAlgError):
-    """Unregularized normal equations are numerically singular; use ridge_lambda > 0."""
-
-
 @dataclass(frozen=True)
 class FeatureFamily:
-    kind: str  # ridge | affine_ridge | coupling
+    """Ridge features f_i(x) = activation(<w_i, x>) with w_i drawn from weight_dist."""
+
+    activation: Callable[[np.ndarray], np.ndarray]
     weight_dist: Measure
-    activation: Callable[[np.ndarray], np.ndarray] | None = None
-    bias_interval: tuple | None = None  # uniform (lo, hi) bias for affine_ridge
-
-
-def ridge_family(activation, weight_dist: Measure) -> FeatureFamily:
-    return FeatureFamily("ridge", weight_dist, activation)
-
-
-def affine_ridge_family(activation, weight_dist: Measure, bias_interval=(0.0, 1.0)) -> FeatureFamily:
-    return FeatureFamily("affine_ridge", weight_dist, activation, bias_interval)
-
-
-def coupling_family(weight_dist: Measure) -> FeatureFamily:
-    return FeatureFamily("coupling", weight_dist)
 
 
 @dataclass(frozen=True)
@@ -71,49 +52,27 @@ class FeatureSample:
     d: int
     r: int
     weights: np.ndarray  # (r, d)
-    biases: np.ndarray | None
     seed: int
     stream_id: int
 
     def __post_init__(self):
         self.weights.setflags(write=False)
-        if self.biases is not None:
-            self.biases.setflags(write=False)
-
-    @property
-    def n_features(self) -> int:
-        return self.r * self.d if self.family.kind == "coupling" else self.r
 
 
 def sample_features(family: FeatureFamily, d: int, r: int, rng: RandomSource) -> FeatureSample:
     """Draw the feature parameters; deterministic given rng."""
     if r < 1 or d < 1:
         raise ValueError("need r >= 1 and d >= 1")
-    gen = rng.generator()
-    weights = sample_measure(family.weight_dist, d, r, gen)
-    biases = None
-    if family.kind == "affine_ridge":
-        lo, hi = family.bias_interval
-        biases = gen.uniform(lo, hi, size=r)
-    return FeatureSample(family, d, r, weights, biases, rng.seed, rng.stream_id)
+    weights = sample_measure(family.weight_dist, d, r, rng.generator())
+    return FeatureSample(family, d, r, weights, rng.seed, rng.stream_id)
 
 
 def feature_matrix(sample: FeatureSample, X) -> np.ndarray:
-    """Feature values, shape (len(X), n_features); entry (t, i) = f_i(x_t)."""
+    """Feature values, shape (len(X), r); entry (t, i) = f_i(x_t)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != sample.d:
         raise ValueError(f"points have dimension {X.shape[1]}, features expect {sample.d}")
-    kind = sample.family.kind
-    if kind == "ridge":
-        return np.asarray(sample.family.activation(X @ sample.weights.T))
-    if kind == "affine_ridge":
-        return np.asarray(sample.family.activation(X @ sample.weights.T + sample.biases))
-    if kind == "coupling":
-        gates = (X @ sample.weights.T >= 0.0).astype(float)  # (m, r)
-        # feature (i, j) = x_j * gate_i, flattened with neuron-major order
-        out = gates[:, :, None] * X[:, None, :]  # (m, r, d)
-        return out.reshape(X.shape[0], sample.r * sample.d)
-    raise ValueError(f"unknown family kind: {kind!r}")
+    return np.asarray(sample.family.activation(X @ sample.weights.T))
 
 
 # Largest feature block predict builds at once (512 KiB of float64): small
@@ -126,9 +85,9 @@ PREDICT_CELLS = 1 << 16
 PREDICT_ROW_GROUP = 4
 
 
-def predict_block_rows(n_features: int) -> int:
+def predict_block_rows(row_values: int) -> int:
     """Rows per predict block: whole row groups, at most PREDICT_CELLS values where a group fits."""
-    groups = max(1, PREDICT_CELLS // (PREDICT_ROW_GROUP * n_features))
+    groups = max(1, PREDICT_CELLS // (PREDICT_ROW_GROUP * row_values))
     return groups * PREDICT_ROW_GROUP
 
 
@@ -159,11 +118,11 @@ class LinearCombination:
 
     def predict(self, sample: FeatureSample, X) -> np.ndarray:
         """Predictions at the points X, streamed in ``row_blocks``."""
-        if sample.n_features != len(self.weights):
+        if sample.r != len(self.weights):
             raise ValueError("weight length does not match feature count")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.empty((len(X),) + self.weights.shape[1:])
-        for start, stop in row_blocks(len(X), sample.n_features):
+        for start, stop in row_blocks(len(X), sample.r):
             out[start:stop] = feature_matrix(sample, X[start:stop]) @ self.weights
         out += self.intercept
         return out
@@ -178,12 +137,12 @@ def approximant_from_g(
 ) -> LinearCombination:
     """The averaged-feature approximant with u_i = g(w_i) / r.
 
-    Requires cube-sampled ridge features; the expectation of the resulting
+    Requires cube-sampled features; the expectation of the resulting
     predictor over resampling is the integral the weight function g
     represents.
     """
-    if sample.family.kind != "ridge" or sample.family.weight_dist.kind != "uniform_cube":
-        raise ValueError("approximant_from_g needs ridge features with cube-sampled weights")
+    if sample.family.weight_dist.kind != "uniform_cube":
+        raise ValueError("approximant_from_g needs features with cube-sampled weights")
     u = eval_g(g, sample.weights) / sample.r
     return LinearCombination(np.asarray(u, dtype=float))
 
@@ -207,7 +166,6 @@ def least_squares_fit(
     target,
     n_train: int,
     rng: RandomSource,
-    ridge_lambda: float | None = None,
 ):
     """Fit the linear coefficients by regularized normal equations.
 
@@ -218,32 +176,22 @@ def least_squares_fit(
     are standard Gaussian draws; the returned population error is the
     held-out (10x n_train) estimate of E[(sum_i u_i f_i(x) - target(x))^2].
 
+    The ridge term is lambda = 1e-10 tr(G) / p for the p x p Gram matrix G,
+    so the solve stays defined when features repeat or n_train < p.
+
     Returns (LinearCombination, population_error, max_abs_u, target_norm_sq),
     the last the held-out estimate of E[target(x)^2].  For k targets the
     weights are (p, k) and the other three are length-k lists.
     """
-    p = sample.n_features
+    p = sample.r
     gen_train = rng.generator(0)
     gen_test = rng.generator(1)
     X = gen_train.standard_normal((n_train, sample.d))
     F = feature_matrix(sample, X)
     y = np.asarray(target(X, F), dtype=float)
     gram = F.T @ F
-    if ridge_lambda is None:
-        ridge_lambda = 1e-10 * float(np.trace(gram)) / p
-    if ridge_lambda < 0:
-        raise ValueError("ridge_lambda must be >= 0")
-    if ridge_lambda == 0.0:
-        try:
-            chol = np.linalg.cholesky(gram)
-            u = np.linalg.solve(gram, F.T @ y)
-            del chol
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedSystemError(
-                "normal equations are singular with ridge_lambda = 0; pass ridge_lambda > 0"
-            ) from exc
-    else:
-        u = np.linalg.solve(gram + ridge_lambda * np.eye(p), F.T @ y)
+    ridge = 1e-10 * float(np.trace(gram)) / p
+    u = np.linalg.solve(gram + ridge * np.eye(p), F.T @ y)
     Xh = gen_test.standard_normal((10 * n_train, sample.d))
     F_h = feature_matrix(sample, Xh)
     yh = np.asarray(target(Xh, F_h), dtype=float)
@@ -319,7 +267,7 @@ def concentration_experiment(
     probe_pts = uniform_ball(P.dimension, probes, rng.generator(0))
     f_vals = integral_feature_expectation(g, act.evaluate, probe_pts, P.degree + 6)
     grid_c = max_abs_g(g, 10_000, rng.derive(2))
-    family = ridge_family(act.evaluate, Measure("uniform_cube"))
+    family = FeatureFamily(act.evaluate, uniform_cube())
     state = (P.dimension, act, g, family, probe_pts, f_vals, rng)
     cells = [(ri, r, t) for ri, r in enumerate(r_values) for t in range(trials)]
     results = map_cells(_concentration_cell, cells, jobs, _set_concentration_state, (state,))

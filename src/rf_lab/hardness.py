@@ -454,7 +454,7 @@ def _sweep_cell(cell):
     rng = RandomSource(seed, stream)
     sample = sample_features(family, d, r, rng.derive(d, 0))
     psi = PsiFunction(d)
-    control_col = sample.n_features // 2
+    control_col = sample.r // 2
     w_dir = np.zeros(d)
     w_dir[0] = float(d)
     w_star = np.zeros(d)

@@ -1,4 +1,4 @@
-"""Deterministic quadrature and seeded Monte-Carlo estimation.
+"""Deterministic quadrature, seeded random streams, and sampling measures.
 
 Two Gauss rules back every exactness check in the package:
 
@@ -23,7 +23,9 @@ Randomness is carried by :class:`RandomSource`, a (seed, stream_id) pair
 mapped onto ``numpy.random.SeedSequence``.  Equal pairs reproduce bit-equal
 draw sequences, distinct stream ids are statistically independent, and
 derived sub-streams extend the spawn key, so trial cells can run
-concurrently without coordination.
+concurrently without coordination.  Feature directions are drawn from a
+:class:`Measure`: uniform on the cube [-1/sqrt(d), 1/sqrt(d)]^d or on a
+sphere of given radius.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-measure inner products for ridge functions
+# Gaussian expectations of kinked 1-D functions
 # ---------------------------------------------------------------------------
 
 
@@ -170,49 +172,8 @@ def gaussian_expectation_1d(func, sigma: float, order: int, kinks=()) -> float:
     return float(np.sum(w * dens * np.asarray(func(z), dtype=float)))
 
 
-def gaussian_ridge_norm_sq(phi, w_norm: float, order: int, kinks=()) -> float:
-    """Squared Gaussian norm E_x[phi(<w, x>)^2] of a ridge function.
-
-    Since <w, x> ~ N(0, ||w||^2) for standard Gaussian x, this is the 1-D
-    expectation E[phi(z)^2] with z ~ N(0, w_norm^2).
-    """
-    if w_norm < 0:
-        raise ValueError("w_norm must be >= 0")
-    return gaussian_expectation_1d(lambda z: np.asarray(phi(z)) ** 2, w_norm, order, kinks)
-
-
-def gaussian_ridge_inner(phi, w: np.ndarray, rho, v: np.ndarray, order: int) -> float:
-    """E_x[phi(<w, x>) rho(<v, x>)] for standard Gaussian x.
-
-    (<w, x>, <v, x>) is a centered bivariate Gaussian pair, so the
-    expectation reduces to a 2-D integral evaluated by tensorized
-    Gauss-Hermite after a Cholesky whitening.  Perfectly (anti)correlated
-    directions collapse to the 1-D case.
-    """
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nw = float(np.linalg.norm(w))
-    nv = float(np.linalg.norm(v))
-    if nw == 0.0 or nv == 0.0:
-        raise ValueError("ridge directions must have positive norm")
-    corr = float(np.dot(w, v) / (nw * nv))
-    corr = max(-1.0, min(1.0, corr))
-    rule = gauss_hermite_rule(order)
-    if 1.0 - abs(corr) < 1e-12:
-        sgn = 1.0 if corr > 0 else -1.0
-        vals = np.asarray(phi(nw * rule.nodes)) * np.asarray(rho(sgn * nv * rule.nodes))
-        return float(rule.weights @ vals)
-    # z1 = nw * t1, z2 = nv * (corr * t1 + sqrt(1 - corr^2) * t2)
-    t1 = rule.nodes[:, None]
-    t2 = rule.nodes[None, :]
-    z1 = nw * t1
-    z2 = nv * (corr * t1 + math.sqrt(1.0 - corr * corr) * t2)
-    vals = np.asarray(phi(z1)) * np.asarray(rho(z2))  # (n, 1) * (n, n) broadcast
-    return float(rule.weights @ vals @ rule.weights)
-
-
 # ---------------------------------------------------------------------------
-# seeded randomness and Monte-Carlo estimation
+# seeded randomness and sampling measures
 # ---------------------------------------------------------------------------
 
 
@@ -240,25 +201,11 @@ class RandomSource:
 
 
 @dataclass(frozen=True)
-class EstimateWithError:
-    """Sample mean with its standard error (sample std / sqrt(n))."""
-
-    value: float
-    std_error: float
-    n_samples: int
-
-
-@dataclass(frozen=True)
 class Measure:
-    """Sampling measure on R^d used by Monte-Carlo and feature draws."""
+    """Sampling measure on R^d for feature directions."""
 
     kind: str
     radius: float | None = None
-    scale: float | None = None
-
-
-def standard_gaussian() -> Measure:
-    return Measure("standard_gaussian")
 
 
 def uniform_cube() -> Measure:
@@ -272,18 +219,10 @@ def uniform_sphere(radius: float) -> Measure:
     return Measure("uniform_sphere", radius=radius)
 
 
-def gaussian_scaled(scale: float) -> Measure:
-    if scale <= 0:
-        raise ValueError("gaussian scale must be positive")
-    return Measure("gaussian", scale=scale)
-
-
 def sample_measure(measure: Measure, d: int, n: int, gen: np.random.Generator) -> np.ndarray:
     """Draw n points of dimension d from the measure, shape (n, d)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if measure.kind == "standard_gaussian":
-        return gen.standard_normal((n, d))
     if measure.kind == "uniform_cube":
         half = 1.0 / math.sqrt(d)
         return gen.uniform(-half, half, size=(n, d))
@@ -294,8 +233,6 @@ def sample_measure(measure: Measure, d: int, n: int, gen: np.random.Generator) -
         # one more normalization pass pins the norm to the radius at machine precision
         g *= measure.radius / np.linalg.norm(g, axis=1, keepdims=True)
         return g
-    if measure.kind == "gaussian":
-        return measure.scale * gen.standard_normal((n, d))
     raise ValueError(f"unknown measure kind: {measure.kind!r}")
 
 
@@ -306,19 +243,3 @@ def uniform_ball(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
     radii = gen.random((n, 1)) ** (1.0 / d)
     return g * radii
 
-
-def mc_expectation(f, d: int, measure: Measure, n: int, rng: RandomSource) -> EstimateWithError:
-    """Unbiased Monte-Carlo estimate of E[f(x)] under the measure.
-
-    ``f`` receives the full (n, d) sample array and must return n values.
-    The result is bit-reproducible for equal ``rng``.
-    """
-    if n < 2:
-        raise ValueError("mc_expectation needs n >= 2 samples")
-    x = sample_measure(measure, d, n, rng.generator())
-    vals = np.asarray(f(x), dtype=float)
-    if vals.shape != (n,):
-        vals = vals.reshape(n)
-    value = float(np.mean(vals))
-    std_error = float(np.std(vals, ddof=1) / math.sqrt(n))
-    return EstimateWithError(value=value, std_error=std_error, n_samples=n)

@@ -154,16 +154,6 @@ def exp_activation() -> AnalyticActivation:
     )
 
 
-def identity_activation() -> AnalyticActivation:
-    return AnalyticActivation(
-        name="identity",
-        evaluate=lambda z: np.asarray(z, dtype=float),
-        derivative=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-        taylor_coeff=lambda i: 1.0 if i == 1 else 0.0,
-        lipschitz_L=1.0,
-    )
-
-
 @dataclass(frozen=True)
 class LegendreExpansion:
     """g(w) = sum_{|J| <= k} c_J p_J(sqrt(d) w) on the cube [-1/sqrt(d), 1/sqrt(d)]^d."""
@@ -319,29 +309,3 @@ def verify_representation(
     values = integral_feature_expectation(g, sigma, x_points, quad_order)
     return values - P.evaluate(x_points)
 
-
-def forward_coefficients(
-    g: LegendreExpansion, act: AnalyticActivation, table: MonomialExpansionTable, k: int
-) -> dict:
-    """Recompute the monomial coefficients produced by g through the forward sum.
-
-    Inverse check for :func:`construct_g`: the result should equal P's
-    coefficient map.
-    """
-    d = g.dimension
-    out: dict[MultiIndex, float] = {}
-    indices = list(iter_multi_indices(d, k))
-    for J in indices:
-        a_deg = float(act.taylor_coeff(J.degree))
-        if a_deg == 0.0:
-            out[J] = 0.0
-            continue
-        scale = (0.5**d) * a_deg * _multinomial(J) / (math.sqrt(d) ** J.degree)
-        acc = 0.0
-        for Jp in indices:
-            if Jp.degree <= J.degree and Jp <= J:
-                c = float(g.coefficients.get(Jp, 0.0))
-                if c != 0.0:
-                    acc += c * multi_expansion_coeff(J, Jp, table) * multi_norm_sq(Jp)
-        out[J] = scale * acc
-    return out

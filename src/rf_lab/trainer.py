@@ -278,25 +278,6 @@ class DriftReport:
         return self.norms_ok and self.drift_ok
 
 
-def finite_dataset_sampler(X, y):
-    """Sampler over a fixed dataset: examples drawn uniformly with replacement.
-
-    Training against this stream optimizes the empirical average loss on
-    (X, y) instead of a population; the fresh-sample stream stays the
-    default.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(X) != len(y) or len(X) == 0:
-        raise ValueError("dataset must be nonempty with matching lengths")
-
-    def sampler(n: int, gen: np.random.Generator):
-        idx = gen.integers(0, len(X), size=n)
-        return X[idx], y[idx]
-
-    return sampler
-
-
 def finite_difference_check(net: TwoLayerNet, x, y, h: float = 1e-5) -> float:
     """Error of the analytic gradients against central finite differences,
     relative to the gradient's largest component.

@@ -21,6 +21,24 @@ def read(path):
     return path.read_bytes()
 
 
+# (command line, the flag its error must name)
+SWEEP_BAD_INPUTS = [
+    ("correlation-decay --trials 1", "--trials"),  # std_err needs two w draws
+    ("correlation-decay --trials 0", "--trials"),
+    ("correlation-decay --mc-samples 0", "--mc-samples"),
+    ("correlation-decay --f-r 0", "--f-r"),
+    ("correlation-decay --d-values=", "--d-values"),
+    ("correlation-decay --d-values 2,0", "--d-values"),
+    ("linear-residual --trials 0", "--trials"),
+    ("linear-residual --d 0 --r 0", "--d"),
+    ("linear-residual --d 5 --r 6", "--r"),
+    ("neuron-inapprox --n-train 0", "--n-train"),
+    ("neuron-inapprox --d-values=", "--d-values"),
+    ("neuron-inapprox --baseline 5", "--baseline"),
+    ("neuron-inapprox --r 0", "--r"),
+]
+
+
 class TestExitCodes:
     def test_psi_check_happy_path(self, tmp_path, capsys):
         code = run(["psi-check", "--d", "3", "--out", str(tmp_path)])
@@ -76,6 +94,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named} ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, named", [pytest.param(*case, id=case[0]) for case in SWEEP_BAD_INPUTS])
+    def test_sweep_bad_input_is_usage_error(self, tmp_path, capsys, argv, named):
+        command, *flags = argv.split()
+        assert run([command, *flags, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} ")
+        assert "Traceback" not in err
+        assert not list((tmp_path / command).glob("*.csv"))
 
     def test_unreachable_margin_is_usage_error(self, tmp_path, capsys):
         # the default polynomial has sup |P| = 1 on the ball, so margin 1.5 rejects every draw

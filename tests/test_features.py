@@ -10,23 +10,19 @@ from rf_lab import features
 from rf_lab.features import (
     PREDICT_CELLS,
     PREDICT_ROW_GROUP,
-    IllConditionedSystemError,
+    FeatureFamily,
     LinearCombination,
-    affine_ridge_family,
     approximant_from_g,
     concentration_experiment,
-    coupling_family,
     feature_matrix,
     least_squares_fit,
     predict_block_rows,
     relu,
-    ridge_family,
     sample_features,
     sup_error_estimate,
 )
 from rf_lab.legendre import MultiIndex, build_monomial_table
 from rf_lab.numerics import (
-    Measure,
     RandomSource,
     uniform_ball,
     uniform_cube,
@@ -48,22 +44,22 @@ def identity(z):
 class TestSampling:
     def test_cube_support(self):
         d = 9
-        sample = sample_features(ridge_family(relu, uniform_cube()), d, 100, RandomSource(1))
+        sample = sample_features(FeatureFamily(relu, uniform_cube()), d, 100, RandomSource(1))
         assert np.all(np.abs(sample.weights) <= 1.0 / 3.0)
 
     def test_sphere_support(self):
-        sample = sample_features(ridge_family(relu, uniform_sphere(5.0)), 5, 50, RandomSource(2))
+        sample = sample_features(FeatureFamily(relu, uniform_sphere(5.0)), 5, 50, RandomSource(2))
         norms = np.linalg.norm(sample.weights, axis=1)
         assert np.max(np.abs(norms - 5.0)) < 1e-12
 
     def test_fixed_seed_reproducible(self):
-        fam = ridge_family(relu, uniform_cube())
+        fam = FeatureFamily(relu, uniform_cube())
         a = sample_features(fam, 4, 10, RandomSource(3, 1))
         b = sample_features(fam, 4, 10, RandomSource(3, 1))
         assert np.array_equal(a.weights, b.weights)
 
     def test_nested_prefix_property(self):
-        fam = ridge_family(relu, uniform_cube())
+        fam = FeatureFamily(relu, uniform_cube())
         small = sample_features(fam, 4, 10, RandomSource(3, 1))
         big = sample_features(fam, 4, 30, RandomSource(3, 1))
         assert np.array_equal(big.weights[:10], small.weights)
@@ -71,48 +67,18 @@ class TestSampling:
 
 class TestFeatureMatrix:
     def test_identity_ridge_is_linear_form(self):
-        sample = sample_features(ridge_family(identity, uniform_cube()), 3, 5, RandomSource(4))
+        sample = sample_features(FeatureFamily(identity, uniform_cube()), 3, 5, RandomSource(4))
         X = uniform_ball(3, 7, RandomSource(5).generator())
         assert np.allclose(feature_matrix(sample, X), X @ sample.weights.T)
 
     def test_relu_at_origin_is_zero(self):
-        sample = sample_features(ridge_family(relu, uniform_cube()), 3, 1, RandomSource(6))
+        sample = sample_features(FeatureFamily(relu, uniform_cube()), 3, 1, RandomSource(6))
         assert feature_matrix(sample, np.zeros((1, 3))) == pytest.approx(0.0)
 
-    def test_coupling_gates(self):
-        d, r = 3, 4
-        sample = sample_features(coupling_family(uniform_cube()), d, r, RandomSource(7))
-        assert sample.n_features == r * d
-        X = uniform_ball(d, 20, RandomSource(8).generator())
-        F = feature_matrix(sample, X)
-        gates = X @ sample.weights.T >= 0
-        for i in range(r):
-            block = F[:, i * d : (i + 1) * d]
-            # gate off -> whole block zero; gate on -> block equals x
-            assert np.allclose(block[~gates[:, i]], 0.0)
-            assert np.allclose(block[gates[:, i]], X[gates[:, i]])
-
     def test_dimension_mismatch(self):
-        sample = sample_features(ridge_family(relu, uniform_cube()), 3, 2, RandomSource(9))
+        sample = sample_features(FeatureFamily(relu, uniform_cube()), 3, 2, RandomSource(9))
         with pytest.raises(ValueError):
             feature_matrix(sample, np.zeros((1, 4)))
-
-    def test_affine_ridge_applies_bias(self):
-        from rf_lab.features import affine_ridge_family
-
-        fam = affine_ridge_family(identity, uniform_cube(), bias_interval=(0.0, 1.0))
-        sample = sample_features(fam, 3, 6, RandomSource(40))
-        assert sample.biases is not None
-        assert np.all((sample.biases >= 0.0) & (sample.biases <= 1.0))
-        X = uniform_ball(3, 5, RandomSource(41).generator())
-        assert np.allclose(feature_matrix(sample, X), X @ sample.weights.T + sample.biases)
-
-    def test_gaussian_weight_distribution(self):
-        from rf_lab.numerics import gaussian_scaled
-
-        fam = ridge_family(relu, gaussian_scaled(0.5))
-        sample = sample_features(fam, 4, 4000, RandomSource(42))
-        assert np.std(sample.weights) == pytest.approx(0.5, rel=0.05)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +92,7 @@ def g_and_act():
 class TestApproximant:
     def test_constant_g_gives_uniform_weights(self):
         g = LegendreExpansion(2, {MultiIndex((0, 0)): 4.5})
-        sample = sample_features(ridge_family(np.exp, uniform_cube()), 2, 8, RandomSource(10))
+        sample = sample_features(FeatureFamily(np.exp, uniform_cube()), 2, 8, RandomSource(10))
         combo = approximant_from_g(g, exp_activation(), sample)
         assert np.allclose(combo.weights, 4.5 / 8)
 
@@ -134,13 +100,13 @@ class TestApproximant:
         from rf_lab.poly_repr import eval_g
 
         _, g, act = g_and_act
-        sample = sample_features(ridge_family(np.exp, uniform_cube()), 2, 1, RandomSource(11))
+        sample = sample_features(FeatureFamily(np.exp, uniform_cube()), 2, 1, RandomSource(11))
         combo = approximant_from_g(g, act, sample)
         assert combo.weights[0] == pytest.approx(float(eval_g(g, sample.weights[0])))
 
     def test_requires_cube_ridge_features(self, g_and_act):
         _, g, act = g_and_act
-        sample = sample_features(ridge_family(np.exp, uniform_sphere(1.0)), 2, 4, RandomSource(12))
+        sample = sample_features(FeatureFamily(np.exp, uniform_sphere(1.0)), 2, 4, RandomSource(12))
         with pytest.raises(ValueError):
             approximant_from_g(g, act, sample)
 
@@ -151,7 +117,7 @@ class TestApproximant:
         rng = RandomSource(13)
         c = max_abs_g(g, 10_000, rng.derive(0))
         for trial in range(5):
-            sample = sample_features(ridge_family(np.exp, uniform_cube()), 2, 64, rng.derive(trial))
+            sample = sample_features(FeatureFamily(np.exp, uniform_cube()), 2, 64, rng.derive(trial))
             combo = approximant_from_g(g, act, sample)
             c = max(c, float(np.max(np.abs(eval_g(g, sample.weights)))))
             assert np.all(np.abs(combo.weights) <= c / 64 + 0.0)
@@ -164,7 +130,7 @@ class TestApproximant:
         f_vals = integral_feature_expectation(g, act.evaluate, probes, 8)
         preds = np.zeros((200, 5))
         for t in range(200):
-            sample = sample_features(ridge_family(act.evaluate, uniform_cube()), 2, 64, rng.derive(t))
+            sample = sample_features(FeatureFamily(act.evaluate, uniform_cube()), 2, 64, rng.derive(t))
             preds[t] = approximant_from_g(g, act, sample).predict(sample, probes)
         mean = preds.mean(axis=0)
         se = preds.std(axis=0, ddof=1) / math.sqrt(200)
@@ -176,11 +142,10 @@ def predict_reference(combo, sample, X):
     return feature_matrix(sample, X) @ combo.weights + combo.intercept
 
 
+# the paper's two families: cube-sampled exp and unit-sphere ReLU features
 BLOCK_FAMILIES = {
-    "ridge_exp": lambda: ridge_family(np.exp, uniform_cube()),
-    "ridge_relu": lambda: ridge_family(relu, uniform_cube()),
-    "affine_ridge": lambda: affine_ridge_family(relu, uniform_cube(), bias_interval=(-0.5, 0.5)),
-    "coupling": lambda: coupling_family(uniform_cube()),
+    "ridge_exp": lambda: FeatureFamily(np.exp, uniform_cube()),
+    "ridge_relu": lambda: FeatureFamily(relu, uniform_sphere(1.0)),
 }
 
 
@@ -189,9 +154,9 @@ class TestBlockedPredict:
     @pytest.mark.parametrize("r, d", [(64, 2), (96, 3), (1000, 2)])
     def test_equals_unblocked_product(self, family, r, d):
         sample = sample_features(BLOCK_FAMILIES[family](), d, r, RandomSource(50))
-        block = predict_block_rows(sample.n_features)
-        assert block % PREDICT_ROW_GROUP == 0 and block * sample.n_features <= PREDICT_CELLS
-        combo = LinearCombination(RandomSource(51).generator().standard_normal(sample.n_features), 0.375)
+        block = predict_block_rows(sample.r)
+        assert block % PREDICT_ROW_GROUP == 0 and block * sample.r <= PREDICT_CELLS
+        combo = LinearCombination(RandomSource(51).generator().standard_normal(sample.r), 0.375)
         for m in (1, block - 1, block, block + 1, 2 * block + 1, 2000):
             X = uniform_ball(d, m, RandomSource(52, m).generator())
             assert np.array_equal(combo.predict(sample, X), predict_reference(combo, sample, X)), m
@@ -199,8 +164,8 @@ class TestBlockedPredict:
     def test_more_features_than_block_cells(self):
         # one row group per block; a one-product reference over more rows would
         # itself depend on how a threaded BLAS splits such wide rows
-        sample = sample_features(ridge_family(np.exp, uniform_cube()), 2, PREDICT_CELLS + 3, RandomSource(53))
-        assert predict_block_rows(sample.n_features) == PREDICT_ROW_GROUP
+        sample = sample_features(FeatureFamily(np.exp, uniform_cube()), 2, PREDICT_CELLS + 3, RandomSource(53))
+        assert predict_block_rows(sample.r) == PREDICT_ROW_GROUP
         combo = LinearCombination(RandomSource(54).generator().standard_normal(sample.r) / sample.r, -1.5)
         for m in (1, 3, 5, 8):
             X = uniform_ball(2, m, RandomSource(55, m).generator())
@@ -211,7 +176,7 @@ class TestBlockedPredict:
         # block's shape: blocks agree with one product to within the dot-product
         # rounding bound 2 p eps sum_i |f_i u_i|, not bit for bit
         p = 256
-        sample = sample_features(ridge_family(relu, uniform_cube()), 4, p, RandomSource(56))
+        sample = sample_features(FeatureFamily(relu, uniform_cube()), 4, p, RandomSource(56))
         combo = LinearCombination(RandomSource(57).generator().standard_normal((p, 3)), 2.0)
         X = uniform_ball(4, 2000, RandomSource(58).generator())
         pred = combo.predict(sample, X)
@@ -222,7 +187,7 @@ class TestBlockedPredict:
         assert first.shape == (1, 3) and np.all(np.abs(first - pred[:1]) <= bound[:1])
 
     def test_single_point_and_weight_mismatch(self):
-        sample = sample_features(ridge_family(relu, uniform_cube()), 2, 3, RandomSource(59))
+        sample = sample_features(FeatureFamily(relu, uniform_cube()), 2, 3, RandomSource(59))
         combo = LinearCombination(np.array([0.5, -1.0, 2.0]))
         x = np.array([0.25, -0.5])
         assert np.array_equal(combo.predict(sample, x), predict_reference(combo, sample, x))
@@ -247,26 +212,26 @@ class TestBlockedPredict:
 
 class TestSupError:
     def test_zero_against_self(self):
-        sample = sample_features(ridge_family(relu, uniform_cube()), 2, 3, RandomSource(15))
+        sample = sample_features(FeatureFamily(relu, uniform_cube()), 2, 3, RandomSource(15))
         combo = LinearCombination(np.array([0.5, -1.0, 2.0]))
         probes = uniform_ball(2, 50, RandomSource(16).generator())
         assert sup_error_estimate(combo, sample, combo.predict(sample, probes), probes) == 0.0
 
     def test_constant_shift(self):
-        sample = sample_features(ridge_family(relu, uniform_cube()), 2, 3, RandomSource(17))
+        sample = sample_features(FeatureFamily(relu, uniform_cube()), 2, 3, RandomSource(17))
         combo = LinearCombination(np.array([0.5, -1.0, 2.0]))
         probes = uniform_ball(2, 50, RandomSource(18).generator())
         shifted = combo.predict(sample, probes) + 0.25
         assert sup_error_estimate(combo, sample, shifted, probes) == pytest.approx(0.25)
 
     def test_empty_probe_set_rejected(self):
-        sample = sample_features(ridge_family(relu, uniform_cube()), 2, 1, RandomSource(19))
+        sample = sample_features(FeatureFamily(relu, uniform_cube()), 2, 1, RandomSource(19))
         combo = LinearCombination(np.ones(1))
         with pytest.raises(ValueError):
             sup_error_estimate(combo, sample, np.zeros(0), np.zeros((0, 2)))
 
     def test_probes_outside_ball_rejected(self):
-        sample = sample_features(ridge_family(relu, uniform_cube()), 2, 1, RandomSource(20))
+        sample = sample_features(FeatureFamily(relu, uniform_cube()), 2, 1, RandomSource(20))
         combo = LinearCombination(np.ones(1))
         with pytest.raises(ValueError):
             sup_error_estimate(combo, sample, np.zeros(1), np.array([[2.0, 0.0]]))
@@ -274,7 +239,7 @@ class TestSupError:
 
 class TestLeastSquares:
     def test_realizable_target_recovered(self):
-        sample = sample_features(ridge_family(relu, uniform_sphere(1.0)), 10, 20, RandomSource(21))
+        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 10, 20, RandomSource(21))
         target = lambda X, F: 2.0 * F[:, 0]  # noqa: E731
         combo, err, max_u, _ = least_squares_fit(sample, target, 400, RandomSource(22))
         assert err < 1e-6
@@ -285,14 +250,14 @@ class TestLeastSquares:
 
     def test_orthogonal_target_error_is_target_norm(self):
         # constant target vs odd (linear) features: best fit is u = 0
-        sample = sample_features(ridge_family(identity, uniform_sphere(1.0)), 6, 10, RandomSource(23))
+        sample = sample_features(FeatureFamily(identity, uniform_sphere(1.0)), 6, 10, RandomSource(23))
         target = lambda X, F: np.ones(len(X))  # noqa: E731
         _, err, _, _ = least_squares_fit(sample, target, 2000, RandomSource(24))
         assert err == pytest.approx(1.0, abs=0.1)
 
     def test_relu_features_beat_zero_predictor_on_neuron(self):
         d = 10
-        sample = sample_features(ridge_family(relu, uniform_sphere(1.0)), d, 20, RandomSource(25))
+        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), d, 20, RandomSource(25))
         w_star = np.zeros(d)
         w_star[0] = 1.0
         target = lambda X, F: np.maximum(X @ w_star, 0.0)  # noqa: E731
@@ -300,14 +265,14 @@ class TestLeastSquares:
         assert err < 0.5  # zero predictor has error ||target||^2 = 1/2
 
     def test_fit_is_a_local_minimum_of_training_objective(self):
-        sample = sample_features(ridge_family(relu, uniform_sphere(1.0)), 5, 12, RandomSource(27))
+        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 5, 12, RandomSource(27))
         target = lambda X, F: np.sin(X[:, 0])  # noqa: E731
         n_train = 300
-        lam = 1e-6
-        combo, _, _, _ = least_squares_fit(sample, target, n_train, RandomSource(28), ridge_lambda=lam)
+        combo, _, _, _ = least_squares_fit(sample, target, n_train, RandomSource(28))
         X = RandomSource(28).generator(0).standard_normal((n_train, 5))
         F = feature_matrix(sample, X)
         y = target(X, F)
+        lam = 1e-10 * float(np.trace(F.T @ F)) / sample.r  # the fit's own ridge term
 
         def objective(u):
             resid = F @ u - y
@@ -322,7 +287,7 @@ class TestLeastSquares:
                 assert objective(combo.weights + s * direction) >= base
 
     def test_training_error_monotone_in_nested_r(self):
-        fam = ridge_family(relu, uniform_sphere(1.0))
+        fam = FeatureFamily(relu, uniform_sphere(1.0))
         target = lambda X, F: np.tanh(X @ np.arange(1.0, 6.0))  # noqa: E731
         X = RandomSource(31).generator(0).standard_normal((500, 5))
         y = target(X, None)
@@ -335,7 +300,7 @@ class TestLeastSquares:
             prev = train_err
 
     def test_columns_fitted_together_match_fits_alone(self):
-        sample = sample_features(ridge_family(relu, uniform_sphere(1.0)), 4, 30, RandomSource(34))
+        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 4, 30, RandomSource(34))
         w = np.array([1.0, -2.0, 0.5, 0.0])
 
         def targets(X, F):
@@ -357,17 +322,6 @@ class TestLeastSquares:
             assert norms[j] == pytest.approx(norm, rel=1e-12)
             if norm > 0.0:
                 assert abs(errs[j] / norms[j] - err / norm) <= 1e-10
-
-    def test_singular_system_without_ridge_raises(self):
-        # duplicate features make the Gram exactly singular
-        fam = ridge_family(identity, uniform_cube())
-        sample = sample_features(fam, 2, 4, RandomSource(32))
-        dup = sample.weights.copy()
-        dup[1] = dup[0]
-        sample = type(sample)(fam, 2, 4, dup, None, 0, 0)
-        target = lambda X, F: X[:, 0]  # noqa: E731
-        with pytest.raises(IllConditionedSystemError):
-            least_squares_fit(sample, target, 100, RandomSource(33), ridge_lambda=0.0)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rf_lab import features, hardness
-from rf_lab.features import PREDICT_CELLS, relu, ridge_family
+from rf_lab.features import PREDICT_CELLS, FeatureFamily, relu
 from rf_lab.hardness import (
     CORRELATION_CHUNK,
     CorrelationDecayRow,
@@ -276,7 +276,7 @@ class TestTiledCorrelationCell:
 
 @pytest.fixture(scope="module")
 def rows():
-    family = ridge_family(relu, uniform_sphere(1.0))
+    family = FeatureFamily(relu, uniform_sphere(1.0))
     # the most negative candidate bias puts the neuron's kink at x_1 > 6d, so
     # dead candidates occur at every d and must be skipped before any division
     with warnings.catch_warnings():
@@ -302,7 +302,7 @@ class TestNeuronSweep:
                 assert row.normalized_error < 0.01
 
     def test_parallel_matches_serial(self, rows):
-        family = ridge_family(relu, uniform_sphere(1.0))
+        family = FeatureFamily(relu, uniform_sphere(1.0))
         assert neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8), jobs=2) == rows
 
     def test_one_feature_matrix_per_draw(self, monkeypatch):
@@ -314,7 +314,7 @@ class TestNeuronSweep:
             return feature_matrix(sample, X)
 
         monkeypatch.setattr(features, "feature_matrix", counting)
-        family = ridge_family(relu, uniform_sphere(1.0))
+        family = FeatureFamily(relu, uniform_sphere(1.0))
         neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8), include_baseline=False)
         assert sorted(calls) == [(3, 600), (3, 6000), (6, 600), (6, 6000)]
 

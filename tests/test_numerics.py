@@ -1,4 +1,4 @@
-"""Quadrature exactness, RNG determinism, and Monte-Carlo sanity checks."""
+"""Quadrature exactness, Gaussian expectations, RNG determinism, and sampling measures."""
 
 import math
 
@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from rf_lab.numerics import (
-    EstimateWithError,
     RandomSource,
     gauss_hermite_rule,
     gauss_legendre_rule,
     gaussian_expectation_1d,
-    gaussian_ridge_inner,
-    gaussian_ridge_norm_sq,
-    mc_expectation,
     sample_measure,
-    standard_gaussian,
     uniform_cube,
     uniform_sphere,
 )
@@ -101,34 +96,22 @@ class TestGaussHermite:
             gauss_hermite_rule(0)
 
 
+def mean_and_std_error(values):
+    """Sample mean and its standard error (sample std / sqrt(n))."""
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
 class TestRidgeIntegrals:
+    """E_x[phi(<w, x>)^2] for standard Gaussian x is the 1-D E[phi(z)^2], z ~ N(0, ||w||^2)."""
+
     def test_identity_norm_is_variance(self):
-        assert gaussian_ridge_norm_sq(lambda z: z, 1.0, 8) == pytest.approx(1.0, abs=1e-14)
+        assert gaussian_expectation_1d(lambda z: z**2, 1.0, 8) == pytest.approx(1.0, abs=1e-14)
 
     def test_relu_norm_is_half(self):
-        assert gaussian_ridge_norm_sq(relu, 1.0, 16) == pytest.approx(0.5, abs=1e-13)
+        assert gaussian_expectation_1d(lambda z: relu(z) ** 2, 1.0, 16) == pytest.approx(0.5, abs=1e-13)
 
     def test_constant_is_one_for_any_scale(self):
-        assert gaussian_ridge_norm_sq(lambda z: np.ones_like(z), 7.0, 4) == pytest.approx(1.0)
-
-    def test_inner_identity_recovers_dot_product(self):
-        w = np.array([1.0, 2.0, -0.5])
-        v = np.array([0.3, -1.0, 2.0])
-        got = gaussian_ridge_inner(lambda z: z, w, lambda z: z, v, 12)
-        assert got == pytest.approx(float(w @ v), abs=1e-12)
-
-    def test_inner_orthogonal_identity_is_zero(self):
-        got = gaussian_ridge_inner(lambda z: z, [1.0, 0.0], lambda z: z, [0.0, 2.0], 12)
-        assert got == pytest.approx(0.0, abs=1e-13)
-
-    def test_inner_relu_aligned_reduces_to_norm(self):
-        w = np.array([0.6, 0.8])
-        got = gaussian_ridge_inner(relu, w, relu, w, 30)
-        assert got == pytest.approx(0.5, abs=1e-12)
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_ridge_inner(relu, [0.0, 0.0], relu, [1.0, 0.0], 8)
+        assert gaussian_expectation_1d(np.ones_like, 7.0, 4) == pytest.approx(1.0)
 
     def test_kink_split_matches_closed_forms(self):
         v = gaussian_expectation_1d(lambda z: relu(z) ** 2, 1.0, 16, kinks=[0.0])
@@ -145,43 +128,30 @@ class TestRidgeIntegrals:
         for trial in range(20):
             w = gen.standard_normal(d)
             w_norm = float(np.linalg.norm(w))
-            quad = gaussian_ridge_norm_sq(relu, w_norm, 40)
-            est = mc_expectation(
-                lambda X: relu(X @ w) ** 2, d, standard_gaussian(), 20000, rng.derive(trial)
-            )
-            assert abs(est.value - quad) < 4 * est.std_error, trial
+            quad = gaussian_expectation_1d(lambda z: relu(z) ** 2, w_norm, 40)
+            X = rng.derive(trial).generator().standard_normal((20000, d))
+            mean, std_error = mean_and_std_error(relu(X @ w) ** 2)
+            assert abs(mean - quad) < 4 * std_error, trial
 
 
 class TestRandomSourceAndMC:
     def test_equal_sources_bitwise_identical(self):
-        rng = RandomSource(seed=42, stream_id=3)
-        a = mc_expectation(lambda X: X[:, 0] ** 2, 4, standard_gaussian(), 500, rng)
-        b = mc_expectation(lambda X: X[:, 0] ** 2, 4, standard_gaussian(), 500, RandomSource(42, 3))
-        assert a == b  # exact dataclass equality, bit-identical floats
+        a = RandomSource(seed=42, stream_id=3).generator().standard_normal((500, 4))
+        b = RandomSource(42, 3).generator().standard_normal((500, 4))
+        assert np.array_equal(a, b)
+        # a derived source extends the spawn key: derive(1).generator(2) is generator(1, 2)
+        c = RandomSource(42, 3).derive(1).generator(2).random(50)
+        assert np.array_equal(c, RandomSource(42, 3).generator(1, 2).random(50))
 
     def test_distinct_streams_differ(self):
-        a = mc_expectation(lambda X: X[:, 0], 2, standard_gaussian(), 100, RandomSource(1, 0))
-        b = mc_expectation(lambda X: X[:, 0], 2, standard_gaussian(), 100, RandomSource(1, 1))
-        assert a.value != b.value
-
-    def test_gaussian_norm_sq_mean(self):
-        d = 10
-        est = mc_expectation(
-            lambda X: np.sum(X * X, axis=1), d, standard_gaussian(), 40000, RandomSource(7)
-        )
-        assert abs(est.value - d) < 4 * est.std_error
-
-    def test_constant_has_zero_std_error(self):
-        est = mc_expectation(lambda X: np.ones(len(X)), 3, standard_gaussian(), 50, RandomSource(0))
-        assert est == EstimateWithError(1.0, 0.0, 50)
+        a = RandomSource(1, 0).generator().standard_normal(100)
+        assert not np.array_equal(a, RandomSource(1, 1).generator().standard_normal(100))
+        assert not np.array_equal(a, RandomSource(1, 0).derive(0).generator().standard_normal(100))
 
     def test_cube_coordinate_is_centered(self):
-        est = mc_expectation(lambda X: X[:, 0], 4, uniform_cube(), 20000, RandomSource(11))
-        assert abs(est.value) < 4 * est.std_error
-
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            mc_expectation(lambda X: X[:, 0], 2, standard_gaussian(), 1, RandomSource(0))
+        X = sample_measure(uniform_cube(), 4, 20000, RandomSource(11).generator())
+        mean, std_error = mean_and_std_error(X[:, 0])
+        assert abs(mean) < 4 * std_error
 
     def test_sphere_sampler_norm_exact(self):
         for radius in (1.0, 5.0, 12.5):

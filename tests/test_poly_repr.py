@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from rf_lab.legendre import MultiIndex, build_monomial_table
+from rf_lab.legendre import (
+    MultiIndex,
+    build_monomial_table,
+    iter_multi_indices,
+    multi_expansion_coeff,
+    multi_norm_sq,
+)
 from rf_lab.numerics import RandomSource, uniform_ball
 from rf_lab.poly_repr import (
     AnalyticActivation,
@@ -15,11 +21,36 @@ from rf_lab.poly_repr import (
     construct_g,
     eval_g,
     exp_activation,
-    forward_coefficients,
     g_magnitude_bound,
     max_abs_g,
     verify_representation,
 )
+
+
+def forward_coefficients(g, act, table, k):
+    """Monomial coefficients that g produces, by the forward sum; the oracle for construct_g.
+
+    Runs the triangular system of the module docstring forwards: alpha_J is
+    (1/2)^d a_{|J|} (|J|! / J!) d^{-|J|/2} sum_{J' <= J} c_{J'} e_{J,J'} ||p_{J'}||^2.
+    """
+    d = g.dimension
+    out = {}
+    indices = list(iter_multi_indices(d, k))
+    for J in indices:
+        a_deg = float(act.taylor_coeff(J.degree))
+        if a_deg == 0.0:
+            out[J] = 0.0
+            continue
+        multinomial = math.factorial(J.degree) // math.prod(math.factorial(j) for j in J.entries)
+        scale = (0.5**d) * a_deg * multinomial / (math.sqrt(d) ** J.degree)
+        acc = 0.0
+        for Jp in indices:
+            if Jp.degree <= J.degree and Jp <= J:
+                c = float(g.coefficients.get(Jp, 0.0))
+                if c != 0.0:
+                    acc += c * multi_expansion_coeff(J, Jp, table) * multi_norm_sq(Jp)
+        out[J] = scale * acc
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,6 @@ from rf_lab.poly_repr import (
     AnalyticActivation,
     SparsePolynomial,
     exp_activation,
-    identity_activation,
 )
 from rf_lab.trainer import (
     TrainConfig,
@@ -35,6 +34,17 @@ from rf_lab.trainer import (
 def make_config(r, eta, steps, seed=0):
     return TrainConfig(
         epsilon=0.1, delta=0.1, degree=2, coeff_bound=1.0, r=r, eta=eta, steps=steps, seed=seed
+    )
+
+
+def identity_activation():
+    """sigma(z) = z through Python callables (not ufuncs), so the scan's generic path runs."""
+    return AnalyticActivation(
+        name="identity",
+        evaluate=lambda z: np.asarray(z, dtype=float),
+        derivative=lambda z: np.ones_like(np.asarray(z, dtype=float)),
+        taylor_coeff=lambda i: 1.0 if i == 1 else 0.0,
+        lipschitz_L=1.0,
     )
 
 
@@ -232,23 +242,6 @@ class TestDrift:
         res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17), act)
         report = drift_check(res.trace, cfg, act)
         assert report.drift_ok
-
-
-class TestFiniteDataset:
-    def test_resampling_mode_trains(self):
-        X, y = ball_sign_sampler()(200, RandomSource(20).generator())
-        from rf_lab.trainer import finite_dataset_sampler
-
-        sampler = finite_dataset_sampler(X, y)
-        cfg = make_config(r=1, eta=0.05, steps=5000)
-        res = sgd_train(2, sampler, cfg, RandomSource(21), identity_activation())
-        assert res.trace.run_avg_loss[-1] < 0.15
-
-    def test_rejects_empty_dataset(self):
-        from rf_lab.trainer import finite_dataset_sampler
-
-        with pytest.raises(ValueError):
-            finite_dataset_sampler(np.zeros((0, 2)), np.zeros(0))
 
 
 class TestMarginSampler:

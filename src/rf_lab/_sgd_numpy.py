@@ -33,8 +33,8 @@ BACKEND = "numpy"
 
 QUIET = 4  # exact steps without an update before the first scan
 FIRST_WINDOW = 16  # scan rows right after an update
-# window * r cap: one reused 2 MiB buffer, which stays in cache and is far
-# smaller than the validation pass (2000 x 1000 at CLI defaults)
+# window * r cap: one reused 2 MiB buffer, which stays in cache; checkpoint
+# validation streams its points through ``features.row_blocks`` (512 KiB)
 SCAN_CELLS = 1 << 18
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2

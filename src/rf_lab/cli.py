@@ -38,7 +38,7 @@ for _var in BLAS_THREAD_VARS:
 import numpy as np
 
 from . import __version__
-from .features import FeatureFamily, concentration_experiment, relu
+from .features import PREDICT_CELLS, FeatureFamily, concentration_experiment, relu
 from .hardness import (
     PsiFunction,
     RidgeReluNetFactory,
@@ -60,6 +60,7 @@ from .poly_repr import (
     verify_representation,
 )
 from .trainer import (
+    DivergenceError,
     TrainConfig,
     drift_check,
     finite_difference_check,
@@ -226,9 +227,8 @@ def _conversion(column) -> str:
     raise TypeError(f"CSV column mixes or holds unsupported types: {sorted(k.__name__ for k in kinds)}")
 
 
-def _format_column(column) -> list:
+def _format_column(column, conversion) -> list:
     """The column's values as CSV text; a float column formats each distinct bit pattern once."""
-    conversion = _conversion(column)
     if conversion != "%.17g":
         values = column.tolist() if isinstance(column, np.ndarray) else column
         return list(map(conversion.__mod__, values))
@@ -239,10 +239,21 @@ def _format_column(column) -> list:
 
 
 def write_csv(path: Path, header, columns) -> None:
-    """Write columns of equal length; each column must hold one kind of value."""
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_format_column, columns))))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write columns of equal length; each column must hold one kind of value.
+
+    Rows are formatted and written in blocks of at most ``PREDICT_CELLS``
+    values, so memory follows the block, not the table.  A float bit
+    pattern is formatted once per block it occurs in.
+    """
+    columns = list(columns)
+    conversions = list(map(_conversion, columns))  # refuse a bad column before writing a row
+    n_rows = min(map(len, columns), default=0)
+    block = max(1, PREDICT_CELLS // max(1, len(columns)))
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, n_rows, block):
+            texts = [_format_column(c[start : start + block], conv) for c, conv in zip(columns, conversions)]
+            out.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def load_config(path: str) -> dict:
@@ -373,6 +384,7 @@ def _cmd_legendre_check(cfg: ExperimentConfig):
 
 
 def _cmd_represent_poly(cfg: ExperimentConfig):
+    _require_at_least(cfg.params, probes=1)
     P = SparsePolynomial.from_json(cfg.params["poly"])
     act = exp_activation()
     table = build_monomial_table(max(P.degree, 1))
@@ -440,6 +452,9 @@ def _cmd_concentration(cfg: ExperimentConfig):
 
 def _cmd_learn_poly(cfg: ExperimentConfig):
     p = cfg.params
+    _require_at_least(p, d=1, r=1, steps=1, n_val=1)
+    if not p["eta"] > 0.0:
+        raise UsageError(f"--eta must be > 0, got {p['eta']}")
     P = SparsePolynomial.from_json(p["poly"])
     if P.dimension != p["d"]:
         raise UsageError(f"polynomial dimension {P.dimension} != --d {p['d']}")
@@ -510,6 +525,7 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
         {
             "learn_poly_trace.csv": (("step", "loss", "run_avg_loss", "w_drift", "u_norm"), trace_columns),
             "learn_poly_summary.csv": (sum_header, list(zip(*sum_row))),
+            "learn_poly_validation.csv": (("step", "val_loss"), list(zip(*result.val_history))),
             "learn_poly_checkpoint.json": ("json", json.dumps(checkpoint)),
         },
         summary,
@@ -545,6 +561,7 @@ def _cmd_params(cfg: ExperimentConfig):
 
 
 def _cmd_psi_check(cfg: ExperimentConfig):
+    _require_at_least(cfg.params, grid=2)  # the oddness and periodicity residuals need two points
     psi = PsiFunction(cfg.params["d"])
     report = psi_properties_check(psi, cfg.params["grid"], cfg.params["order"])
     checks = [
@@ -626,6 +643,7 @@ def _cmd_neuron_inapprox(cfg: ExperimentConfig):
 
 def _cmd_exp_identity(cfg: ExperimentConfig):
     p = cfg.params
+    _require_at_least(p, grid=1)
     zs = np.linspace(-1.0, 1.0, p["grid"])
     rows = []
     worst = 0.0
@@ -711,6 +729,9 @@ def run(argv) -> int:
     except (UsageError, ValueError) as exc:  # bad parameter values
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except DivergenceError as exc:  # a run that broke an invariant before it had outputs
+        print(f"VALIDATION FAILURE: {exc}", file=sys.stderr)
+        return 2
 
     checksums = {}
     for filename, payload in outputs.items():

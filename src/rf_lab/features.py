@@ -46,14 +46,12 @@ class FeatureFamily:
 
 @dataclass(frozen=True)
 class FeatureSample:
-    """Sampled feature parameters: r neurons in dimension d plus provenance."""
+    """Sampled feature parameters: r neurons in dimension d."""
 
     family: FeatureFamily
     d: int
     r: int
     weights: np.ndarray  # (r, d)
-    seed: int
-    stream_id: int
 
     def __post_init__(self):
         self.weights.setflags(write=False)
@@ -64,7 +62,7 @@ def sample_features(family: FeatureFamily, d: int, r: int, rng: RandomSource) ->
     if r < 1 or d < 1:
         raise ValueError("need r >= 1 and d >= 1")
     weights = sample_measure(family.weight_dist, d, r, rng.generator())
-    return FeatureSample(family, d, r, weights, rng.seed, rng.stream_id)
+    return FeatureSample(family, d, r, weights)
 
 
 def feature_matrix(sample: FeatureSample, X) -> np.ndarray:
@@ -176,6 +174,16 @@ def least_squares_fit(
     are standard Gaussian draws; the returned population error is the
     held-out (10x n_train) estimate of E[(sum_i u_i f_i(x) - target(x))^2].
 
+    The training features are one n_train x p matrix.  The held-out points
+    are featurized in ``row_blocks``, so the pass never holds more than one
+    block of features: ``target`` is called once per block, and only the
+    (10 n_train, k) predictions and target values are kept whole.  With one
+    target the prediction is a matrix-vector product and every value keeps
+    the bits of one product over all rows.  With k targets it is a
+    matrix-matrix product, whose summation order OpenBLAS picks by the
+    block's shape: blocked errors agree with one product to within its
+    rounding, and bit for bit at the CLI's p = 200, k = 7.
+
     The ridge term is lambda = 1e-10 tr(G) / p for the p x p Gram matrix G,
     so the solve stays defined when features repeat or n_train < p.
 
@@ -193,9 +201,13 @@ def least_squares_fit(
     ridge = 1e-10 * float(np.trace(gram)) / p
     u = np.linalg.solve(gram + ridge * np.eye(p), F.T @ y)
     Xh = gen_test.standard_normal((10 * n_train, sample.d))
-    F_h = feature_matrix(sample, Xh)
-    yh = np.asarray(target(Xh, F_h), dtype=float)
-    pop_error = np.mean((F_h @ u - yh) ** 2, axis=0).tolist()
+    pred = np.empty((len(Xh),) + u.shape[1:])
+    yh = np.empty_like(pred)
+    for start, stop in row_blocks(len(Xh), p):
+        F_h = feature_matrix(sample, Xh[start:stop])
+        pred[start:stop] = F_h @ u
+        yh[start:stop] = target(Xh[start:stop], F_h)
+    pop_error = np.mean((pred - yh) ** 2, axis=0).tolist()
     target_norm_sq = np.mean(yh**2, axis=0).tolist()
     max_u = np.max(np.abs(u), axis=0).tolist()
     return LinearCombination(u), pop_error, max_u, target_norm_sq

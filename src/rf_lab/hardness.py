@@ -18,18 +18,31 @@ oscillates too fast for any fixed low-norm feature family to track, which
 is what the correlation-decay and inapproximability sweeps measure.  The
 correlation sweep projects its Gaussian points and evaluates psi in row
 tiles of at most ``features.PREDICT_CELLS`` values, so each projection and
-its temporaries stay in cache; the tiles change no sum.
+its temporaries stay in cache; the tiles change no sum.  Its test net is a
+``features.LinearCombination``, which evaluates in the same row blocks, and
+the inapproximability sweep's least-squares fit featurizes its held-out
+points in them too.  What stays whole is one (chunk x trials) psi buffer
+per correlation chunk, whose single product fixes the order of the sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .features import FeatureFamily, least_squares_fit, row_blocks, sample_features
-from .numerics import RandomSource, gauss_legendre_rule, gaussian_expectation_1d
+from .features import (
+    FeatureFamily,
+    FeatureSample,
+    LinearCombination,
+    least_squares_fit,
+    relu,
+    row_blocks,
+    sample_features,
+)
+from .numerics import RandomSource, gauss_legendre_rule, gaussian_expectation_1d, uniform_sphere
 from .parallel import map_cells
 
 
@@ -329,7 +342,9 @@ class RidgeReluNetFactory:
     with unit-sphere directions and N(0, 1/r) output weights.
 
     A picklable callable, so correlation sweeps can fan out across worker
-    processes.
+    processes.  The net it returns is a ``LinearCombination`` over a
+    ``FeatureSample``, so it evaluates a chunk of points in ``predict``'s
+    row blocks rather than as one chunk x r feature matrix.
     """
 
     r: int = 50
@@ -338,11 +353,8 @@ class RidgeReluNetFactory:
         W = gen.standard_normal((self.r, d))
         W /= np.linalg.norm(W, axis=1, keepdims=True)
         u = gen.standard_normal(self.r) / self.r
-
-        def f(X):
-            return np.maximum(X @ W.T, 0.0) @ u
-
-        return f
+        sample = FeatureSample(FeatureFamily(relu, uniform_sphere(1.0)), d, self.r, W)
+        return partial(LinearCombination(u).predict, sample)
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +448,12 @@ def neuron_inapprox_sweep(
     target psi(<d e_1, x>), and (c) the scaled neuron target, reporting the
     max normalized error over a small set of candidate biases b*.  All
     targets share one training draw and one held-out draw per d and are
-    solved together as the columns of one least-squares problem; each error
-    is normalized by its target's squared norm on that held-out sample, and
-    candidates that are zero on the whole sample are skipped.  Optionally
-    adds the directly-trained single-neuron baseline on the middle candidate
-    (``baseline_neuron_target``).
+    solved together as the columns of one least-squares problem, whose
+    held-out pass evaluates features and targets one row block at a time
+    (``least_squares_fit``); each error is normalized by its target's
+    squared norm on that held-out sample, and candidates that are zero on
+    the whole sample are skipped.  Optionally adds the directly-trained
+    single-neuron baseline on the middle candidate (``baseline_neuron_target``).
     """
     cells = [
         (family, r, int(d), n_train, rng.seed, rng.stream_id, include_baseline)

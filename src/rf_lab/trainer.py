@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .features import row_blocks
 from .numerics import RandomSource
 from .poly_repr import AnalyticActivation
 
@@ -68,13 +69,20 @@ def xavier_init(d: int, r: int, rng: RandomSource, act: AnalyticActivation) -> T
 
 
 def forward(net: TwoLayerNet, x) -> float | np.ndarray:
-    """N(x) = sum_i u_i sigma(<w_i, x>); x is one point (d,) or a batch (m, d)."""
+    """N(x) = sum_i u_i sigma(<w_i, x>); x is one point (d,) or a batch (m, d).
+
+    A batch is evaluated in ``features.row_blocks``, so no more than one
+    block of hidden activations exists at a time; the blocks change no sum.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != net.d:
         raise ValueError(f"input dimension {x.shape[-1]} != network dimension {net.d}")
     if x.ndim == 1:
         return float(net.U @ net.activation.evaluate(net.W @ x))
-    return np.asarray(net.activation.evaluate(x @ net.W.T)) @ net.U
+    out = np.empty(len(x))
+    for start, stop in row_blocks(len(x), net.r):
+        out[start:stop] = np.asarray(net.activation.evaluate(x[start:stop] @ net.W.T)) @ net.U
+    return out
 
 
 def hinge_loss(y_hat: float, y: float) -> float:
@@ -138,6 +146,10 @@ class SGDResult:
     backend: str
 
 
+class DivergenceError(RuntimeError):
+    """SGD reached a non-finite loss, weight norm or validation loss."""
+
+
 def _validation_loss(net: TwoLayerNet, X_val, y_val) -> float:
     preds = forward(net, X_val)
     return float(np.mean(np.maximum(0.0, 1.0 - y_val * preds)))
@@ -191,14 +203,16 @@ def sgd_train(
     while done < T:
         count = min(chunk, T - done)
         before = net.copy()
-        _sgd_numpy.run_steps(
-            net.W, net.U, W0, X, y, eta, act.evaluate, act.derivative,
-            loss, drift, unorm, wnorm, done, count,
-        )
+        # overflow shows up as the non-finite values checked below, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            _sgd_numpy.run_steps(
+                net.W, net.U, W0, X, y, eta, act.evaluate, act.derivative,
+                loss, drift, unorm, wnorm, done, count,
+            )
+            # a chunk without an update leaves the net, hence its validation loss, unchanged
+            if not (np.array_equal(net.W, before.W) and np.array_equal(net.U, before.U)):
+                val = _validation_loss(net, X_val, y_val)
         done += count
-        # a chunk without an update leaves the net, hence its validation loss, unchanged
-        if not (np.array_equal(net.W, before.W) and np.array_equal(net.U, before.U)):
-            val = _validation_loss(net, X_val, y_val)
         finite = (
             np.all(np.isfinite(loss[done - count : done]))
             and np.isfinite(wnorm[done])
@@ -206,9 +220,9 @@ def sgd_train(
             and math.isfinite(val)
         )
         if not finite:
-            raise RuntimeError(
-                f"non-finite loss or weights at step {done}; "
-                f"eta={eta} is likely too large for this activation"
+            raise DivergenceError(
+                f"SGD finiteness check failed at step {done}: non-finite loss or weights "
+                f"with eta={eta:g}, likely too large for this activation"
             )
         val_history.append((done, val))
         if val < best_loss:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import rf_lab
 from rf_lab import cli
 from rf_lab.cli import BLAS_THREAD_VARS, ExperimentConfig, run, write_csv
+from rf_lab.features import PREDICT_CELLS
 from rf_lab.hardness import SweepRow
 from rf_lab.parallel import usable_cpus
 
@@ -22,7 +24,7 @@ def read(path):
 
 
 # (command line, the flag its error must name)
-SWEEP_BAD_INPUTS = [
+BAD_INPUTS = [
     ("correlation-decay --trials 1", "--trials"),  # std_err needs two w draws
     ("correlation-decay --trials 0", "--trials"),
     ("correlation-decay --mc-samples 0", "--mc-samples"),
@@ -36,6 +38,16 @@ SWEEP_BAD_INPUTS = [
     ("neuron-inapprox --d-values=", "--d-values"),
     ("neuron-inapprox --baseline 5", "--baseline"),
     ("neuron-inapprox --r 0", "--r"),
+    ("learn-poly --d 0", "--d"),
+    ("learn-poly --r 0", "--r"),
+    ("learn-poly --steps -5", "--steps"),
+    ("learn-poly --n-val 0", "--n-val"),
+    ("learn-poly --eta -1", "--eta"),
+    ("learn-poly --eta 0", "--eta"),
+    ("learn-poly --eta nan", "--eta"),
+    ("represent-poly --probes 0", "--probes"),
+    ("exp-identity --grid 0", "--grid"),
+    ("psi-check --grid 1", "--grid"),  # oddness and periodicity need two points
 ]
 
 
@@ -95,7 +107,7 @@ class TestExitCodes:
         assert err.startswith(f"error: {named} ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv, named", [pytest.param(*case, id=case[0]) for case in SWEEP_BAD_INPUTS])
+    @pytest.mark.parametrize("argv, named", [pytest.param(*case, id=case[0]) for case in BAD_INPUTS])
     def test_sweep_bad_input_is_usage_error(self, tmp_path, capsys, argv, named):
         command, *flags = argv.split()
         assert run([command, *flags, "--out", str(tmp_path)]) == 1
@@ -103,6 +115,14 @@ class TestExitCodes:
         assert err.startswith(f"error: {named} ")
         assert "Traceback" not in err
         assert not list((tmp_path / command).glob("*.csv"))
+
+    def test_diverged_training_exits_two(self, tmp_path, capsys):
+        assert run(["learn-poly", "--eta", "50", "--steps", "2000", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "VALIDATION FAILURE: SGD finiteness check failed at step 20: non-finite loss or "
+            "weights with eta=50, likely too large for this activation"
+        ]
 
     def test_unreachable_margin_is_usage_error(self, tmp_path, capsys):
         # the default polynomial has sup |P| = 1 on the ball, so margin 1.5 rejects every draw
@@ -221,6 +241,18 @@ class TestCommandOutputs:
         trace = (tmp_path / "learn-poly" / "learn_poly_trace.csv").read_text().splitlines()
         assert trace[0] == "step,loss,run_avg_loss,w_drift,u_norm"
         assert len(trace) == 1 + 400 + 1  # header + steps + step 0
+
+    def test_learn_poly_writes_validation_history(self, tmp_path, capsys):
+        assert run(["learn-poly", "--steps", "2000", "--r", "30", "--seed", "4", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "learn-poly"
+        lines = (out / "learn_poly_validation.csv").read_text().splitlines()
+        assert lines[0] == "step,val_loss"
+        steps, losses = zip(*(line.split(",") for line in lines[1:]))
+        assert [int(s) for s in steps] == list(range(0, 2001, 20))  # step 0 and 100 checkpoints
+        summary = (out / "learn_poly_summary.csv").read_text().splitlines()
+        best = dict(zip(summary[0].split(","), summary[1].split(",")))
+        assert float(best["best_val_loss"]) == min(map(float, losses))
+        assert losses[[int(s) for s in steps].index(int(best["best_step"]))] == best["best_val_loss"]
 
     def test_config_accepts_json_lists(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -400,6 +432,56 @@ class TestWriteCsv:
         header = ("step", "v")
         columns = (range(len(column)), column)
         assert self.written(tmp_path, header, columns) == self.expected(header, (range(len(column)), column.tolist()))
+
+    BLOCK = PREDICT_CELLS // 2  # rows per written block of a two-column table
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_rows_across_block_boundaries(self, tmp_path, n):
+        gen = np.random.default_rng(n)
+        values = gen.choice(np.array([0.1, -2.5, 1 / 3, 7.0]), size=n)
+        header = ("step", "v")
+        expected = self.expected(header, (range(n), values.tolist()))
+        assert self.written(tmp_path, header, (range(n), values)) == expected
+        assert self.written(tmp_path, header, (list(range(n)), values.tolist())) == expected
+
+    def test_signed_zeros_across_a_block_boundary(self, tmp_path):
+        column = np.zeros(self.BLOCK + 2)
+        column[self.BLOCK - 1] = column[self.BLOCK + 1] = -0.0
+        header, columns = ("i", "v"), (range(len(column)), column)
+        written = self.written(tmp_path, header, columns)
+        assert written == self.expected(header, columns)
+        assert written.decode().splitlines()[self.BLOCK - 1 :] == [
+            f"{self.BLOCK - 2},0", f"{self.BLOCK - 1},-0", f"{self.BLOCK},0", f"{self.BLOCK + 1},-0"]
+
+    def test_empty_columns(self, tmp_path):
+        assert self.written(tmp_path, ("a", "b"), [[], np.zeros(0)]) == b"a,b\n"
+        assert self.written(tmp_path, ("a",), [range(0)]) == b"a\n"
+
+    def test_bad_column_is_refused_before_any_row(self, tmp_path):
+        # the float sits in a later block than the ints: the column is still checked whole
+        path = tmp_path / "t.csv"
+        with pytest.raises(TypeError, match="CSV column"):
+            write_csv(path, ("a",), [[1] * self.BLOCK * 2 + [2.5]])
+        assert not path.exists()
+
+    def test_memory_follows_the_block_not_the_table(self, tmp_path):
+        # a 200k-row learn-poly trace: zeros with sparse updates, a running average
+        # of all-distinct values, and norms that change only on updates
+        T = 200_001
+        gen = np.random.default_rng(3)
+        loss = np.where(gen.random(T) < 0.02, gen.random(T), 0.0)
+        run_avg = np.cumsum(loss) / np.arange(1, T + 1)
+        drift = np.repeat(np.cumsum(gen.random(T // 50 + 1)), 50)[:T]
+        unorm = np.repeat(np.cumsum(gen.random(T // 50 + 1)), 50)[:T]
+        columns = (range(T), loss, run_avg, drift, unorm)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "trace.csv", ("step", "loss", "run_avg_loss", "w_drift", "u_norm"), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below the float data it writes (6.4 MB), let alone the table's 13 MB of text
+        assert peak < 4 * T * 8
 
     def test_arrays_and_lists_give_the_same_bytes(self, tmp_path):
         lists = [[0.1, -0.0, np.inf, np.nan, 5e-324], [0, -7, 3, 2**40, 5],

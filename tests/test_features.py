@@ -1,6 +1,7 @@
 """Feature families, the averaged approximant, and the least-squares fitter."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -322,6 +323,85 @@ class TestLeastSquares:
             assert norms[j] == pytest.approx(norm, rel=1e-12)
             if norm > 0.0:
                 assert abs(errs[j] / norms[j] - err / norm) <= 1e-10
+
+
+def unblocked_least_squares_fit(sample, target, n_train, rng):
+    """least_squares_fit with the whole held-out feature matrix at once.
+
+    Returns the weights, the held-out predictions and target values, and the
+    held-out feature matrix: the oracle for the blocked held-out pass.
+    """
+    X = rng.generator(0).standard_normal((n_train, sample.d))
+    F = feature_matrix(sample, X)
+    y = np.asarray(target(X, F), dtype=float)
+    gram = F.T @ F
+    ridge = 1e-10 * float(np.trace(gram)) / sample.r
+    u = np.linalg.solve(gram + ridge * np.eye(sample.r), F.T @ y)
+    Xh = rng.generator(1).standard_normal((10 * n_train, sample.d))
+    F_h = feature_matrix(sample, Xh)
+    return u, F_h @ u, np.asarray(target(Xh, F_h), dtype=float), F_h
+
+
+def sweep_like_targets(d, k):
+    """k columns in the shape of the neuron sweep's: a realizable feature, then kinked ridges."""
+    w = np.zeros(d)
+    w[0] = float(d) ** 3
+    biases = np.linspace(-2.0, 2.0, k - 1) * d**3
+
+    def targets(X, F):
+        return np.column_stack([F[:, 1]] + [np.maximum(X @ w + b, 0.0) for b in biases])
+
+    return targets
+
+
+class TestBlockedLeastSquares:
+    @pytest.mark.parametrize("r", [50, 200, 1000])
+    def test_single_target_equals_unblocked_fit(self, r):
+        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 6, r, RandomSource(36))
+        target = lambda X, F: np.sin(X @ np.arange(1.0, 7.0))  # noqa: E731
+        combo, err, max_u, norm = least_squares_fit(sample, target, 333, RandomSource(37))
+        u, pred, yh, _ = unblocked_least_squares_fit(sample, target, 333, RandomSource(37))
+        assert np.array_equal(combo.weights, u)
+        assert err == np.mean((pred - yh) ** 2)
+        assert norm == np.mean(yh**2) and max_u == np.max(np.abs(u))
+
+    def test_sweep_shape_equals_unblocked_fit(self):
+        # p = 200 features, k = 7 targets, 40,000 held-out rows: the CLI's neuron sweep
+        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 4, 200, RandomSource(38))
+        targets = sweep_like_targets(4, 7)
+        _, errs, _, norms = least_squares_fit(sample, targets, 4000, RandomSource(39))
+        _, pred, yh, _ = unblocked_least_squares_fit(sample, targets, 4000, RandomSource(39))
+        assert errs == np.mean((pred - yh) ** 2, axis=0).tolist()
+        assert norms == np.mean(yh**2, axis=0).tolist()
+
+    @pytest.mark.parametrize("r, k", [(256, 3), (1000, 7)])
+    def test_columns_within_the_product_rounding(self, r, k):
+        # a matrix-matrix product may sum a block in another order than the whole
+        # matrix: each prediction moves by at most 2 p eps sum_i |f_i u_i| (as in
+        # TestBlockedPredict.test_column_weights), so each error by at most
+        # mean(2 |residual| delta + delta^2), plus the rounding of the two means
+        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 5, r, RandomSource(40))
+        targets = sweep_like_targets(5, k)
+        _, errs, _, norms = least_squares_fit(sample, targets, 1000, RandomSource(41))
+        u, pred, yh, F_h = unblocked_least_squares_fit(sample, targets, 1000, RandomSource(41))
+        eps = np.finfo(float).eps
+        delta = 2 * r * eps * (np.abs(F_h) @ np.abs(u))
+        ref = np.mean((pred - yh) ** 2, axis=0)
+        bound = np.mean(2 * np.abs(pred - yh) * delta + delta**2, axis=0) + 64 * eps * ref
+        assert np.all(np.abs(np.array(errs) - ref) <= bound)
+        assert norms == np.mean(yh**2, axis=0).tolist()
+
+    def test_memory_follows_the_block_not_the_held_out_set(self):
+        d, r, n_train = 20, 200, 4000
+        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), d, r, RandomSource(42))
+        tracemalloc.start()
+        try:
+            least_squares_fit(sample, sweep_like_targets(d, 7), n_train, RandomSource(43))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the training matrix is 6.4 MB; held-out features for all 40,000 rows would be 64 MB
+        assert peak < 4 * n_train * r * 8
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rf_lab import features, hardness
-from rf_lab.features import PREDICT_CELLS, FeatureFamily, relu
+from rf_lab.features import PREDICT_CELLS, FeatureFamily, predict_block_rows, relu
 from rf_lab.hardness import (
     CORRELATION_CHUNK,
     CorrelationDecayRow,
@@ -212,6 +212,39 @@ class TestCorrelationDecay:
         assert a == b
 
 
+def unblocked_relu_net(r, d, gen):
+    """RidgeReluNetFactory's net as one product over all points."""
+    W = gen.standard_normal((r, d))
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    u = gen.standard_normal(r) / r
+    return lambda X: np.maximum(X @ W.T, 0.0) @ u
+
+
+class TestRidgeReluNet:
+    @pytest.mark.parametrize("r, d", [(50, 2), (50, 12), (7, 5)])
+    def test_equals_unblocked_net(self, r, d):
+        f = RidgeReluNetFactory(r)(d, RandomSource(63).generator(d))
+        reference = unblocked_relu_net(r, d, RandomSource(63).generator(d))
+        block = predict_block_rows(r)
+        for m in (1, block - 1, block, block + 1, CORRELATION_CHUNK):
+            X = RandomSource(64, m).generator().standard_normal((m, d))
+            assert np.array_equal(f(X), reference(X)), m
+
+    def test_never_builds_more_than_a_block(self, monkeypatch):
+        sizes = []
+        feature_matrix = features.feature_matrix
+
+        def recording(sample, X):
+            F = feature_matrix(sample, X)
+            sizes.append(F.size)
+            return F
+
+        monkeypatch.setattr(features, "feature_matrix", recording)
+        f = RidgeReluNetFactory(50)(4, RandomSource(65).generator())
+        f(RandomSource(66).generator().standard_normal((CORRELATION_CHUNK, 4)))
+        assert sum(sizes) == CORRELATION_CHUNK * 50 and max(sizes) <= PREDICT_CELLS
+
+
 def untiled_correlation_cell(cell) -> CorrelationDecayRow:
     """The correlation cell before tiling: one whole-chunk projection and psi pass per chunk."""
     d, f_factory, trials, mc_samples, seed, stream = cell
@@ -305,18 +338,23 @@ class TestNeuronSweep:
         family = FeatureFamily(relu, uniform_sphere(1.0))
         assert neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8), jobs=2) == rows
 
-    def test_one_feature_matrix_per_draw(self, monkeypatch):
-        calls = []
+    def test_held_out_rows_featurized_once_in_blocks(self, monkeypatch):
+        calls = {3: [], 6: []}
         feature_matrix = features.feature_matrix
 
-        def counting(sample, X):
-            calls.append((sample.d, len(X)))
+        def recording(sample, X):
+            calls[sample.d].append(np.array(X))
             return feature_matrix(sample, X)
 
-        monkeypatch.setattr(features, "feature_matrix", counting)
+        monkeypatch.setattr(features, "feature_matrix", recording)
         family = FeatureFamily(relu, uniform_sphere(1.0))
         neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8), include_baseline=False)
-        assert sorted(calls) == [(3, 600), (3, 6000), (6, 600), (6, 6000)]
+        for d, blocks in calls.items():
+            # one call for the training draw, then the held-out draw in order, each row once
+            assert len(blocks[0]) == 600
+            held_out = RandomSource(8).derive(d, 1).generator(1).standard_normal((6000, d))
+            assert np.array_equal(np.concatenate(blocks[1:]), held_out)
+            assert max(len(X) * 50 for X in blocks[1:]) <= PREDICT_CELLS
 
     def test_direct_neuron_training(self):
         err, _ = train_single_neuron(baseline_neuron_target(6), 6, RandomSource(10))

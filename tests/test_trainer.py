@@ -9,7 +9,8 @@ import pytest
 import rf_lab.trainer as trainer_mod
 from rf_lab import _sgd_numpy
 from rf_lab.legendre import MultiIndex
-from rf_lab.numerics import RandomSource
+from rf_lab.features import PREDICT_CELLS, predict_block_rows
+from rf_lab.numerics import RandomSource, uniform_ball
 from rf_lab.poly_repr import (
     AnalyticActivation,
     SparsePolynomial,
@@ -90,6 +91,25 @@ class TestBasics:
         x = np.array([0.1, -0.2, 0.3, 0.05])
         doubled = TwoLayerNet(net.W, 2.0 * net.U, net.activation)
         assert forward(doubled, x) == pytest.approx(2.0 * forward(net, x))
+
+    @pytest.mark.parametrize("r", [7, 1000])
+    def test_batch_forward_equals_unblocked_product(self, r):
+        recorded = []
+        exp = exp_activation()
+
+        def recording(z):
+            recorded.append(np.size(z))
+            return exp.evaluate(z)
+
+        act = AnalyticActivation("exp", recording, exp.derivative, exp.taylor_coeff, exp.lipschitz_L)
+        net = xavier_init(3, r, RandomSource(5), act)
+        net.U = RandomSource(6).generator().standard_normal(r) / r
+        block = predict_block_rows(r)
+        for m in (1, block - 1, block, block + 1, 2000):
+            x = uniform_ball(3, m, RandomSource(7, m).generator())
+            reference = exp.evaluate(x @ net.W.T) @ net.U  # the whole batch as one product
+            assert np.array_equal(forward(net, x), reference), m
+        assert max(recorded) <= PREDICT_CELLS  # validation never holds n_val x r activations
 
     def test_hinge_values(self):
         assert hinge_loss(0.0, 1) == 1.0

@@ -10,22 +10,27 @@ Scan invariant: step t changes W and U only if its margin 1 - y N(x) is
 >= 0, so between two updates the net is fixed and every step in between has
 loss 0 and the same norms.  The loop therefore alternates two modes:
 
-* exact steps, one at a time, the textbook per-step code; a step that does
-  not update copies the norms forward instead of recomputing them;
+* exact steps, one at a time, the textbook per-step code in float64; a step
+  that does not update copies the norms forward instead of recomputing them;
 * after ``QUIET`` exact steps in a row without an update, a scan scores the
-  margins of a window of upcoming steps with one GEMM against the fixed net.
-  A step whose scanned margin is below -tol provably does not update (see
-  ``_clear_steps`` for the bound), so it gets loss 0 and the carried norms.
-  The first step that might update runs as an exact step.  The window
-  starts at ``FIRST_WINDOW`` rows, doubles after every clean scan and resets
-  after an update; it never exceeds ``SCAN_CELLS // r`` rows (at least 1),
-  the rows of the scan buffer.
+  margins of a window of upcoming steps with one float32 GEMM against the
+  fixed net.  A step whose scanned margin is below -tol provably does not
+  update (see ``_clear_steps`` for the bound), so it gets loss 0 and the
+  carried norms.  The first step that might update runs as an exact step.
+  The window starts at ``FIRST_WINDOW`` rows, doubles after every clean scan
+  and resets after an update; it never exceeds ``SCAN_CELLS // r`` rows (at
+  least 1), the rows of the scan buffer.
 
-Every trace entry and the final W, U are bit-identical to the per-step loop;
-the Python-level work scales with the number of updates, not of steps.
+The scan only decides which steps to skip and writes no number, so it runs
+in float32: the steps of a call are cast once per call, the net once at the
+first scan after each update.  Every trace entry and the final W, U are
+bit-identical to the per-step loop; the Python-level work scales with the
+number of updates, not of steps.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,57 +38,95 @@ BACKEND = "numpy"
 
 QUIET = 4  # exact steps without an update before the first scan
 FIRST_WINDOW = 16  # scan rows right after an update
-# window * r cap: one reused 2 MiB buffer, which stays in cache; checkpoint
-# validation streams its points through ``features.row_blocks`` (512 KiB)
+# window * r cap: one reused 1 MiB float32 buffer, which stays in cache;
+# checkpoint validation streams its points through ``features.row_blocks``
 SCAN_CELLS = 1 << 18
 
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_UNIT_ROUNDOFF = 2.0**-24  # float32
+_TINY = 2.0**-149  # smallest float32 subnormal
+_NORMAL_MIN = np.float32(2.0**-126)  # smallest normal float32
+_MAX_E = 0.25  # largest pre-activation error bound the scan trusts
 
 
 def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u): the relative error bound of an n-term sum."""
+    """Higham's gamma_n = n u / (1 - n u), float32 u: the relative error bound of an n-term sum."""
     return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
-def _clear_steps(W, U, X, Y, sigma, dsigma, buf) -> int:
+class _ScanNet(NamedTuple):
+    """The fixed net in float32 as a scan reads it, and its terms of the scan's bound."""
+
+    wt: np.ndarray  # W.T
+    u: np.ndarray  # U
+    abs_u: np.ndarray  # max(|U|, 2^-126), which bounds U's rounding relatively
+    w_l1: float  # max_i ||w_i||_1
+    floor: float  # the bound's absolute term, (r + 4 sum abs_u) 2^-149
+
+
+def _scan_net(W, U) -> _ScanNet:
+    u = U.astype(np.float32)
+    abs_u = np.maximum(np.abs(u), _NORMAL_MIN)
+    floor = (len(U) + 4.0 * float(abs_u.sum(dtype=float))) * _TINY
+    return _ScanNet(W.T.astype(np.float32), u, abs_u, float(np.abs(W).sum(axis=1).max()), floor)
+
+
+def _clear_steps(net: _ScanNet, X, x_inf, Y, sigma, dsigma, buf) -> int:
     """Number of leading rows of (X, Y) at which the fixed net provably does not update.
 
-    ``buf`` is a work array of shape (>= len(X), r); a ufunc activation runs in it.
+    ``X`` holds the rows in float32 and ``x_inf`` their float64 ||x||_inf;
+    ``buf`` is a float32 work array of shape (>= len(X), r) in which a ufunc
+    activation runs.
 
-    Bound.  Per step the exact code computes z^ = fl(W x), s^ = fl(sigma(z^))
-    and n^ = fl(U . s^); the scan computes z~, s~, n~ from the same inputs
-    with other summation orders.  Assume (a) every m-term inner product, in
-    any order and with or without FMA, errs by at most gamma_m times the sum
-    of its absolute terms; (b) sigma is evaluated with relative error <= 8u
-    (4 ulp); (c) |sigma'| varies by at most a factor 2 within 2e of z~ (exp
-    and the identity satisfy it, as e < 1e-12 here).  Then with
-    e = gamma_d ||x||_inf max_i ||w_i||_1, which bounds |z^_i - z_i| and
-    |z~_i - z_i|,
+    Bound.  Per step the exact code computes z^ = fl64(W x), s^ = fl64(sigma(z^))
+    and n^ = fl64(U . s^).  The scan rounds x, W and U to float32 and computes
+    z~, s~, n~ in float32 with other summation orders.  Let u = 2^-24 and
+    gamma_m = m u / (1 - m u), the float32 units, and tiny = 2^-149.  Assume
+    (a) every m-term float32 or float64 inner product, in any order and with
+    or without FMA, errs by at most gamma_m times the sum of its absolute
+    terms, plus tiny/2 per product that falls below float32's normal range;
+    (b) sigma and sigma' are evaluated in float32 with relative error <= 8u
+    (4 ulp) plus an absolute 2 tiny when the result is subnormal, and at
+    least as well in float64 (tests check this for NumPy's exp); (c) |sigma'|
+    varies by at most a factor 2 within 2e of z~.  Rounding x and W to
+    float32 adds two relative errors of u (or tiny/2 each below the normal
+    range) to each of the d products, so with a = ||x||_inf, b = max_i ||w_i||_1
+    and e = gamma_{d+2} a b + tiny (b + d a + d), e bounds |z~_i - z_i| and,
+    with room to spare, the float64 |z^_i - z_i|.  Rounding U to float32 errs
+    by at most u max(|u_i|, 2^-126) = u |u|_i, with |u| = ``abs_u``.  Then
 
-        |n^ - n~| <= (2 gamma_r + 16u) M + 4 e L  (to first order),
-        M = sum_i |u_i sigma(z~_i)|,  L = sum_i |u_i sigma'(z~_i)|.
+        |n^ - n~| <= (2 gamma_r + 16u) M + 4 e L + A  (to first order),
+        M = sum_i |u|_i |s~_i|,  L = sum_i |u|_i |sigma'(z~_i)|,
+        A = (r + 4 sum_i |u|_i) tiny,
 
-    tol doubles the right side, which covers the higher-order terms and the
-    rounding of M, L and tol themselves.  For exp, L = M, so tol is a
-    multiple of sum_i |u_i sigma(z_i)|.  A scanned margin fl(1 - y n~) below
-    -tol gives y n~ > 1 + tol, hence y n^ > 1: the exact step's margin is
-    negative and it does not update.  NaN or inf anywhere counts as a
-    possible update.
+    where A covers the sums' and sigma's values below the normal range (the
+    GEMV's r products, and 2 tiny per subnormal sigma or sigma' weighted by
+    |u|_i, using 4 e <= 1).  tol doubles the right side, which covers the
+    higher-order terms and the rounding of M, L, tol and the margin, all but
+    M and L taken in float64.  For exp, L = M.  A scanned margin
+    fl(1 - y n~) below -tol gives y n~ > 1 + tol, hence y n^ > 1: the exact
+    step's margin is negative and it does not update.
+
+    (c) holds for exp, cosh and constant sigma' whenever 2e <= ln 2, so rows
+    with e > 1/4 count as possible updates.  So does a float32 overflow: an
+    inf z~ needs a b > 2^127, hence e > 1/4; an inf s~ makes M, hence tol,
+    inf (every |u|_i > 0); and inf - inf or 0 * inf makes the margin NaN,
+    which is never below -tol.  Such a step runs exactly, and only speed is
+    lost.
     """
-    r, d = W.shape
-    abs_u = np.abs(U)
+    d, r = net.wt.shape
     with np.errstate(over="ignore", invalid="ignore"):  # rows past an update are speculative
-        Z = np.matmul(X, W.T, out=buf[: len(X)])
+        Z = np.matmul(X, net.wt, out=buf[: len(X)])
         # sigma'(z) before sigma and |S|, either of which may overwrite Z
-        lip = None if dsigma is sigma else np.abs(dsigma(Z)) @ abs_u
+        lip = None if dsigma is sigma else np.abs(dsigma(Z)) @ net.abs_u
         S = sigma(Z, out=Z) if isinstance(sigma, np.ufunc) else sigma(Z)
-        n = S @ U
-        mag = np.abs(S, out=S) @ abs_u
+        n = S @ net.u
+        mag = np.abs(S, out=S) @ net.abs_u
         if lip is None:
             lip = mag
-        e = _gamma(d) * np.abs(X).max(axis=1) * np.abs(W).sum(axis=1).max()
-        tol = 2.0 * ((2.0 * _gamma(r) + 16.0 * _UNIT_ROUNDOFF) * mag + 4.0 * e * lip)
-        could = np.flatnonzero(~(1.0 - Y * n < -tol))
+        e = _gamma(d + 2) * net.w_l1 * x_inf + _TINY * (net.w_l1 + d * x_inf + d)
+        tol = 2.0 * ((2.0 * _gamma(r) + 16.0 * _UNIT_ROUNDOFF) * mag.astype(float)
+                     + 4.0 * e * lip + net.floor)
+        could = np.flatnonzero(~((1.0 - Y * n < -tol) & (e <= _MAX_E)))
     return int(could[0]) if could.size else len(Y)
 
 
@@ -94,16 +137,22 @@ def run_steps(W, U, W0, X, Y, eta, sigma, dsigma, loss, drift, unorm, wnorm, sta
     cur_drift = np.linalg.norm(W - W0)
     cur_unorm = np.linalg.norm(U)
     cur_wnorm = np.linalg.norm(W)
+    X32 = X[start:end].astype(np.float32)
+    x_inf = np.abs(X[start:end]).max(axis=1)
+    net = None  # the float32 net, cast at the first scan after an update
     max_window = max(1, SCAN_CELLS // r)
-    buf = np.empty((min(max_window, count), r))  # pages are touched only by a scan
+    buf = np.empty((min(max_window, count), r), np.float32)  # pages are touched only by a scan
     first_window = min(FIRST_WINDOW, max_window)
     window = first_window
     quiet = 0
     t = start
     while t < end:
         if quiet >= QUIET:
+            if net is None:
+                net = _scan_net(W, U)
             hi = min(end, t + window)
-            clear = _clear_steps(W, U, X[t:hi], Y[t:hi], sigma, dsigma, buf)
+            rows = slice(t - start, hi - start)
+            clear = _clear_steps(net, X32[rows], x_inf[rows], Y[t:hi], sigma, dsigma, buf)
             loss[t : t + clear] = 0.0
             drift[t + 1 : t + clear + 1] = cur_drift
             unorm[t + 1 : t + clear + 1] = cur_unorm
@@ -129,6 +178,7 @@ def run_steps(W, U, W0, X, Y, eta, sigma, dsigma, loss, drift, unorm, wnorm, sta
             cur_drift = np.linalg.norm(W - W0)
             cur_unorm = np.linalg.norm(U)
             cur_wnorm = np.linalg.norm(W)
+            net = None
             quiet = 0
             window = first_window
         else:

@@ -699,9 +699,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_HASH_CHUNK = 1 << 20  # bytes read at a time, so hashing never holds a whole output
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as f:
+        while chunk := f.read(_HASH_CHUNK):
+            h.update(chunk)
     return h.hexdigest()
 
 

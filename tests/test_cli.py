@@ -313,6 +313,13 @@ class TestManifest:
         assert environment["python"] == ".".join(map(str, sys.version_info[:3]))
         assert environment["numpy"]
 
+    @pytest.mark.parametrize("size", [0, cli._HASH_CHUNK, 3 * cli._HASH_CHUNK + 12345],
+                             ids=["empty", "one-chunk", "chunks-and-tail"])
+    def test_sha256_reads_in_chunks(self, tmp_path, size):
+        path = tmp_path / "blob"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_every_csv_is_in_manifest(self, tmp_path, capsys):
         assert run(["linear-residual", "--trials", "20", "--d", "10", "--r", "4",
                     "--out", str(tmp_path)]) == 0

@@ -49,6 +49,13 @@ def identity_activation():
     )
 
 
+def sinh_activation():
+    """A ufunc activation whose derivative is another function."""
+    return AnalyticActivation(name="sinh", evaluate=np.sinh, derivative=np.cosh,
+                              taylor_coeff=lambda i: 1.0 / math.factorial(i) if i % 2 else 0.0,
+                              lipschitz_L=float(np.cosh(1.0)))
+
+
 def ball_sign_sampler(d=2, margin=0.3):
     """Linearly separable stream: y = sign(x_1), filtered to |x_1| >= margin."""
 
@@ -377,17 +384,23 @@ def assert_identical(fast, slow):
 
 @pytest.fixture
 def scan_spy(monkeypatch):
-    """Records (rows scanned, rows cleared, stop in the band) for every scan.
+    """Records [rows scanned, rows cleared, stop in the band] for every scan.
 
     A scan stops in the band when the row it could not clear has a negative
-    exact margin: only tol kept the scan from clearing it."""
+    exact margin: only tol kept the scan from clearing it.  That row runs as
+    an exact step that does not update, and the float32 net is cast again
+    only after an update, so the next scan of the same call reads the same
+    net object (a stop on the last step of a call is not counted)."""
     calls = []
+    nets = []
     original = _sgd_numpy._clear_steps
 
-    def spy(W, U, X, Y, sigma, *rest):
-        cleared = original(W, U, X, Y, sigma, *rest)
-        band = cleared < len(Y) and 1.0 - Y[cleared] * float(U @ sigma(W @ X[cleared])) < 0.0
-        calls.append((len(Y), cleared, band))
+    def spy(net, X, *rest):
+        if calls and calls[-1][1] < calls[-1][0] and nets[-1] is net:
+            calls[-1][2] = True
+        cleared = original(net, X, *rest)
+        calls.append([len(X), cleared, False])
+        nets.append(net)
         return cleared
 
     monkeypatch.setattr(_sgd_numpy, "_clear_steps", spy)
@@ -444,9 +457,10 @@ class TestKernelOracle:
         assert_identical(fast, slow)
         assert any(c < n for n, c, _ in scan_spy) and any(c == n for n, c, _ in scan_spy)
 
-    def test_margins_within_1e12_of_zero(self, scan_spy):
-        """x on N(x) = 1 +- delta with |delta| <= 1e-12, so scanned margins fall
-        on both sides of 0 and inside the rounding band tol guards."""
+    def test_margins_in_float32_tol_band(self, scan_spy):
+        """x on N(x) = 1 +- delta with |delta| in [1e-8, 1e-4], so scanned margins
+        fall on both sides of 0, inside the float32 rounding band tol guards
+        (about 1e-5 here) and outside it."""
         gen = RandomSource(34).generator()
         r, d, n = 8, 2, 1500
         act = exp_activation()
@@ -454,7 +468,7 @@ class TestKernelOracle:
         U = np.full(r, 0.5 / r)  # N(0) = 0.5 and N grows along positive directions
         v = np.abs(gen.standard_normal((n, d)))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        delta = np.sign(gen.standard_normal(n)) * 10.0 ** gen.uniform(-16, -12, n)
+        delta = np.sign(gen.standard_normal(n)) * 10.0 ** gen.uniform(-8, -4, n)
         lo, hi = np.zeros(n), np.ones(n)
         for _ in range(80):  # bisect rho with N(rho v) = 1 + delta
             mid = 0.5 * (lo + hi)
@@ -464,7 +478,7 @@ class TestKernelOracle:
         X = np.vstack([hi[:, None] * v, np.zeros((1, d))])
         Y = np.ones(n + 1)
         margins = 1.0 - np.exp(X[:n] @ W.T) @ U
-        assert np.max(np.abs(margins)) < 1e-12
+        assert 1e-9 < np.min(np.abs(margins)) and np.max(np.abs(margins)) < 2e-4
         assert np.any(margins >= 0.0) and np.any(margins < 0.0)
         fast, slow = run_both(W, U, X, Y, 1e-16, act)
         assert_identical(fast, slow)
@@ -483,13 +497,10 @@ class TestKernelOracle:
         assert scan_spy and max(n for n, _, _ in scan_spy) == rows < _sgd_numpy.FIRST_WINDOW
 
     def test_ufunc_activation_with_other_derivative(self, scan_spy):
-        act = AnalyticActivation(name="sinh", evaluate=np.sinh, derivative=np.cosh,
-                                 taylor_coeff=lambda i: 1.0 / math.factorial(i) if i % 2 else 0.0,
-                                 lipschitz_L=float(np.cosh(1.0)))
         gen = RandomSource(37).generator()
         X, Y = stream(3001, 3, gen)
         W = gen.uniform(-0.5, 0.5, (20, 3))
-        fast, slow = run_both(W, np.zeros(20), X, Y, 0.05, act)
+        fast, slow = run_both(W, np.zeros(20), X, Y, 0.05, sinh_activation())
         assert_identical(fast, slow)
         assert sum(c for _, c, _ in scan_spy) > 1000
 
@@ -504,9 +515,15 @@ class TestKernelOracle:
             seen.append(z.copy())
             return np.cosh(z)
 
-        _sgd_numpy._clear_steps(W, gen.standard_normal(6), X, np.ones(10), np.sinh, dsinh,
-                                np.empty((10, 6)))
-        np.testing.assert_allclose(seen[0], X @ W.T, rtol=1e-12)
+        net = _sgd_numpy._scan_net(W, gen.standard_normal(6))
+        _sgd_numpy._clear_steps(net, X.astype(np.float32), np.abs(X).max(axis=1), np.ones(10),
+                                np.sinh, dsinh, np.empty((10, 6), np.float32))
+        z = X @ W.T
+        # z rounded through float32: within e = gamma_{d+2} ||x||_inf max ||w_i||_1 of z
+        e = _sgd_numpy._gamma(4) * np.abs(X).max(axis=1, keepdims=True) * np.abs(W).sum(axis=1).max()
+        assert seen[0].dtype == np.float32
+        assert np.all(np.abs(seen[0] - z) <= e)
+        assert np.any(np.abs(np.sinh(z) - z) > 1e3 * e)  # so sigma(z) would fail the check above
 
     def test_count_one_calls(self):
         gen = RandomSource(35).generator()
@@ -514,6 +531,85 @@ class TestKernelOracle:
         W = gen.uniform(-0.5, 0.5, (10, 3))
         fast, slow = run_both(W, np.zeros(10), X, Y, 0.05, exp_activation(), [1] * 200)
         assert_identical(fast, slow)
+
+    def test_float32_overflow_clears_nothing(self, scan_spy):
+        """Pre-activations in (89, 700): finite in float64, exp overflows in float32."""
+        gen = RandomSource(39).generator()
+        r, n = 12, 300
+        W = np.column_stack([gen.uniform(90.0, 690.0, r), gen.uniform(-1e-3, 1e-3, r)])
+        X = np.column_stack([gen.uniform(0.995, 1.0, n + 1), gen.uniform(-0.1, 0.1, n + 1)])
+        U = gen.uniform(1e-3, 1.0, r)
+        U[0] = 0.0  # 0 * inf is NaN in the scan's GEMV
+        Z = X @ W.T
+        assert 89.0 < Z.min() and Z.max() < 700.0
+        assert np.all(np.isfinite(np.exp(Z) @ U))
+        fast, slow = run_both(W, U, X, np.ones(n + 1), 0.05, exp_activation())
+        assert_identical(fast, slow)
+        assert np.all(slow[2] == 0.0)  # every margin is far below 0: nothing updates
+        assert len(scan_spy) > n // 2 and all(c == 0 for _, c, _ in scan_spy)
+
+    def test_large_preactivation_error_clears_nothing(self, scan_spy):
+        """max ||w_i||_1 ~ 2e7 makes the float32 pre-activation bound e exceed
+        1/4, beyond which the bound does not hold for exp: no scan clears a row,
+        even though every margin is far below 0."""
+        gen = RandomSource(43).generator()
+        r, n = 4, 200
+        W = gen.uniform(0.9e7, 1.1e7, (r, 2))
+        X = np.abs(stream(n + 1, 2, gen)[0]) + 0.1
+        fast, slow = run_both(W, np.full(r, 1.0), X, np.ones(n + 1), 0.05, identity_activation())
+        assert_identical(fast, slow)
+        assert np.all(slow[2] == 0.0)
+        assert len(scan_spy) > n // 2 and all(c == 0 for _, c, _ in scan_spy)
+
+    @pytest.mark.parametrize("act", [exp_activation(), sinh_activation()], ids=["exp", "sinh"])
+    def test_entries_below_float32_normal_range(self, scan_spy, act):
+        """Zeros and values below 2^-126 (float32 subnormals, and smaller ones that
+        round to 0) in X, W and U.  Under sinh, hidden units with tiny w_i keep
+        tiny u_i through every update."""
+        gen = RandomSource(40).generator()
+        tiny = np.array([0.0, 1e-39, -1e-40, 1e-42, 2.0**-149, 1e-46, -1e-300])
+        r, d, n = 24, 3, 3001
+        X, Y = stream(n, d, gen)
+        X[:, 2] = gen.choice(tiny, n)
+        X[::5, 1] = gen.choice(tiny, len(X[::5]))
+        W = gen.uniform(-0.5, 0.5, (r, d))
+        W[:, 2] = gen.choice(tiny, r)
+        W[:4] = gen.choice(tiny, (4, d))
+        U = np.zeros(r)
+        U[:4] = gen.choice(tiny, 4)
+        fast, slow = run_both(W, U, X, Y, 0.05, act)
+        assert_identical(fast, slow)
+        assert np.count_nonzero(slow[2][:-1]) > 50 and sum(c for _, c, _ in scan_spy) > 1500
+        assert np.all(np.abs(fast[0][:, 2]) < 2.0**-126)
+        if act.name == "sinh":
+            assert np.all(np.abs(fast[0][:4]) < 2.0**-126) and np.all(np.abs(fast[1][:4]) < 2.0**-126)
+
+    def test_float32_exp_within_scan_bound(self):
+        """The scan's bound assumes NumPy's float32 exp errs by at most 8u relatively
+        (u = 2^-24), plus 2 * 2^-149 where it returns a subnormal."""
+        gen = RandomSource(41).generator()
+        u, tiny = 2.0**-24, 2.0**-149
+        z = np.concatenate([np.linspace(-87.0, 88.0, 1_000_001), gen.uniform(-87.0, 88.0, 10**6)])
+        z = z.astype(np.float32)
+        exact = np.exp(z.astype(float))
+        assert np.all(np.abs(np.exp(z) - exact) <= 8 * u * exact)
+        z = np.linspace(-104.0, -87.0, 100_001).astype(np.float32)  # subnormal results and 0
+        exact = np.exp(z.astype(float))
+        assert np.all(np.abs(np.exp(z) - exact) <= 8 * u * exact + 2 * tiny)
+
+    def test_tol_clears_a_learn_poly_stream(self, scan_spy):
+        """Guard against a tol too loose to clear steps: on a stream shaped like
+        learn-poly's (exp, r = 1000, d = 3, sign labels, eta = 0.01) only a few
+        scans stop in the band; a tol ten times looser stops about 25."""
+        gen = RandomSource(42).generator()
+        r, n = 1000, 10_000
+        X, Y = stream(n + 1, 3, gen)
+        W = gen.uniform(-3**-0.5, 3**-0.5, (r, 3))
+        fast, slow = run_both(W, np.zeros(r), X, Y, 0.01, exp_activation())
+        assert_identical(fast, slow)
+        cleared = sum(c for _, c, _ in scan_spy)
+        band = sum(b for _, _, b in scan_spy)
+        assert cleared > 0.7 * n and band <= 10
 
 
 class TestValidationReuse:

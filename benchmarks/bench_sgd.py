@@ -9,16 +9,23 @@ is measured in two regimes:
 * dense: random labels and eta = 1e-6, so every margin stays near 1 and
   every step updates, the worst case for the kernel.
 
-Each row is the median of ``REPEATS`` runs.  One end-to-end ``sgd_train``
-row at ``learn-poly``'s shape adds checkpoint validation.
+Each row reports the median and the interquartile range of ``REPEATS``
+runs.  One end-to-end ``sgd_train`` row at ``learn-poly``'s shape adds
+checkpoint validation.  BLAS runs one thread, as in every ``rf-lab``
+command, unless the environment sets another count.
 
 Usage: python benchmarks/bench_sgd.py [--steps N]
 """
 
 import argparse
 import math
+import os
 import statistics
 import time
+
+# before NumPy loads: OpenBLAS reads its thread count once, at import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -60,14 +67,20 @@ def run_kernel(steps, r, d, regime):
     return elapsed, int(np.count_nonzero(loss[:steps]))
 
 
+def median_iqr(times):
+    """Median and interquartile range of the run times."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return median, q3 - q1
+
+
 def bench_raw(steps):
-    print(f"raw kernel, {steps} steps (exp activation), median of {REPEATS}:")
-    print(f"{'regime':<8}{'config':<16}{'seconds':>9}{'steps/s':>12}{'updates':>9}")
+    print(f"raw kernel, {steps} steps (exp activation), {REPEATS} runs:")
+    print(f"{'regime':<8}{'config':<16}{'median s':>9}{'IQR s':>8}{'steps/s':>12}{'updates':>9}")
     for regime in REGIMES:
         for r, d in ((100, 3), (1000, 3), (1000, 10)):
             runs = [run_kernel(steps, r, d, regime) for _ in range(REPEATS)]
-            seconds = statistics.median(s for s, _ in runs)
-            print(f"{regime:<8}r={r:<5} d={d:<5} {seconds:>9.3f}{steps / seconds:>12.0f}"
+            seconds, iqr = median_iqr([s for s, _ in runs])
+            print(f"{regime:<8}r={r:<5} d={d:<5} {seconds:>9.3f}{iqr:>8.3f}{steps / seconds:>12.0f}"
                   f"{runs[0][1]:>9}")
 
 
@@ -82,8 +95,9 @@ def bench_end_to_end(steps):
         t0 = time.perf_counter()
         result = sgd_train(3, sampler, cfg, RandomSource(1), act)
         times.append(time.perf_counter() - t0)
+    seconds, iqr = median_iqr(times)
     print(f"\nend-to-end sgd_train (r=1000, d=3, T={steps}, incl. validation): "
-          f"{statistics.median(times):.3f} s, best val loss {result.best_val_loss:.6f}")
+          f"median {seconds:.3f} s, IQR {iqr:.3f} s, best val loss {result.best_val_loss:.6f}")
 
 
 def main():

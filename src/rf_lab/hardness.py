@@ -16,13 +16,13 @@ the term-by-term sum is kept as a test oracle (``ReluDecomposition.evaluate``).
 Composed with a random direction, x -> psi(<w, x>) with ||w|| = d
 oscillates too fast for any fixed low-norm feature family to track, which
 is what the correlation-decay and inapproximability sweeps measure.  The
-correlation sweep projects its Gaussian points and evaluates psi in row
-tiles of at most ``features.PREDICT_CELLS`` values, so each projection and
-its temporaries stay in cache; the tiles change no sum.  Its test net is a
-``features.LinearCombination``, which evaluates in the same row blocks, and
-the inapproximability sweep's least-squares fit featurizes its held-out
-points in them too.  What stays whole is one (chunk x trials) psi buffer
-per correlation chunk, whose single product fixes the order of the sums.
+correlation sweep streams its Gaussian sample in tiles of whole row groups,
+at most ``features.PREDICT_CELLS`` psi values each: every tile is drawn,
+projected and passed through psi in place in two reused buffers and added
+to the running sums, so a cell holds no array that grows with the sample.
+Its test net is a ``features.LinearCombination``, which evaluates in the
+same row blocks, and the inapproximability sweep's least-squares fit
+featurizes its held-out points in them too.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .features import (
     FeatureSample,
     LinearCombination,
     least_squares_fit,
+    predict_block_rows,
     relu,
-    row_blocks,
     sample_features,
 )
 from .numerics import RandomSource, gauss_legendre_rule, gaussian_expectation_1d, uniform_sphere
@@ -66,7 +66,7 @@ class PsiFunction:
         return np.arange(-self.a, self.a + 1, 2, dtype=float)
 
 
-def psi_eval(psi: PsiFunction, x):
+def psi_eval(psi: PsiFunction, x, out=None):
     """Exact piecewise-linear evaluation of psi (scalar or array input).
 
     Inside the window psi is the triangle wave 1 - |4 q - 2| of the
@@ -77,20 +77,26 @@ def psi_eval(psi: PsiFunction, x):
     by 4 is exact; floor is exact; and for k = floor(h/4) >= 1, h/4 - k is
     exact by Sterbenz's lemma (k <= h/4 < k + 1 <= 2k), while k = 0 leaves
     h/4 as it is.  So 4 q is h - 4k, bit for bit the remainder of h mod 4.
+
+    As in NumPy, ``out`` is an array of x's shape that receives the result
+    and is returned; it may be ``x`` itself.  The tail masks and the right
+    tail's values are taken from x before anything is written.
     """
     x = np.asarray(x, dtype=float)
     a = float(psi.a)
-    out = np.add(x, a, out=np.empty_like(x))
+    left = x < -a
+    right = x >= a
+    right_values = 1.0 - (x[right] - a) if right.any() else None
+    out = np.add(x, a, out=np.empty_like(x) if out is None else out)
     out *= 0.25
     out -= np.floor(out)
     out *= 4.0
     out -= 2.0
     np.abs(out, out=out)
     np.subtract(1.0, out, out=out)
-    np.copyto(out, -1.0, where=x < -a)
-    right = x >= a
-    if right.any():
-        np.copyto(out, 1.0 - (x - a), where=right)
+    np.copyto(out, -1.0, where=left)
+    if right_values is not None:
+        out[right] = right_values
     return out if out.ndim else float(out)
 
 
@@ -264,13 +270,6 @@ def _linear_residual_trial(d: int, r: int, gen: np.random.Generator) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Gaussian points per chunk in correlation_decay.  Each chunk adds one
-# fx @ psi(projection) product to the running sums, so another size changes
-# results in their last digits.  The projection is evaluated in row tiles
-# (``features.row_blocks``), which change no sum.
-CORRELATION_CHUNK = 100_000
-
-
 @dataclass(frozen=True)
 class CorrelationDecayRow:
     d: int
@@ -296,6 +295,12 @@ def correlation_decay(
     ``mc_samples`` Gaussian points shared across draws, then squared and
     averaged.  The squared sample mean carries an upward noise-floor bias of
     Var(f psi_w)/mc_samples, so decay trends flatten there.
+
+    The points are drawn, evaluated and summed one tile of
+    ``features.predict_block_rows(trials)`` rows at a time (1,024 at 64
+    draws), so a cell's memory does not grow with ``mc_samples``.  The tile
+    size fixes the order of the sums: another size changes the results in
+    their last digits.
     """
     cells = [(int(d), f_factory, trials, mc_samples, rng.seed, rng.stream_id) for d in d_values]
     return map_cells(_correlation_cell, cells, jobs)
@@ -310,20 +315,21 @@ def _correlation_cell(cell) -> CorrelationDecayRow:
     ws = gen_w.standard_normal((trials, d))
     ws *= d / np.linalg.norm(ws, axis=1, keepdims=True)
     gen_x = rng.generator(d, 2)
+    rows = predict_block_rows(trials)
+    X = np.empty((min(rows, mc_samples), d))  # the tile's Gaussian points
+    Z = np.empty((len(X), trials))  # psi_w(x) at the tile's points
     inner_sums = np.zeros(trials)
     f_sq_sum = 0.0
-    P = np.empty((min(CORRELATION_CHUNK, mc_samples), trials))  # psi_w(x) per chunk row
-    done = 0
-    while done < mc_samples:
-        m = min(CORRELATION_CHUNK, mc_samples - done)
-        X = gen_x.standard_normal((m, d))
-        fx = np.asarray(f(X), dtype=float)
+    # non-overlapping tiles: row_blocks' recomputed lone row would be summed twice
+    for start in range(0, mc_samples, rows):
+        m = min(rows, mc_samples - start)
+        x, z = X[:m], Z[:m]
+        gen_x.standard_normal(out=x)
+        fx = np.asarray(f(x), dtype=float)
         f_sq_sum += float(fx @ fx)
-        # tiles small enough that each projection and its psi temporaries stay in cache
-        for start, stop in row_blocks(m, trials):
-            P[start:stop] = psi_eval(psi, X[start:stop] @ ws.T)
-        inner_sums += fx @ P[:m]
-        done += m
+        np.matmul(x, ws.T, out=z)
+        psi_eval(psi, z, out=z)
+        inner_sums += fx @ z
     inners = inner_sums / mc_samples
     f_norm_sq = f_sq_sum / mc_samples
     sq = inners**2 / f_norm_sq
@@ -343,8 +349,8 @@ class RidgeReluNetFactory:
 
     A picklable callable, so correlation sweeps can fan out across worker
     processes.  The net it returns is a ``LinearCombination`` over a
-    ``FeatureSample``, so it evaluates a chunk of points in ``predict``'s
-    row blocks rather than as one chunk x r feature matrix.
+    ``FeatureSample``, so it evaluates any batch of points in ``predict``'s
+    row blocks rather than as one n x r feature matrix.
     """
 
     r: int = 50

@@ -1,6 +1,7 @@
 """The psi hard instance, subspace residuals, decay sweeps, and the exp identity."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import astuple
 
@@ -10,7 +11,6 @@ import pytest
 from rf_lab import features, hardness
 from rf_lab.features import PREDICT_CELLS, FeatureFamily, predict_block_rows, relu
 from rf_lab.hardness import (
-    CORRELATION_CHUNK,
     CorrelationDecayRow,
     PsiFunction,
     ReluNeuron,
@@ -134,6 +134,35 @@ class TestPsiShape:
                 assert np.array_equal(value, psi_floor_parity(psi, x), equal_nan=True)
                 assert_same_floats(value, psi_mod_form(psi, x))
 
+    @pytest.mark.parametrize("d", [1, 3, 12])
+    def test_out_argument_gives_the_same_bits(self, d):
+        psi = PsiFunction(d)
+        a = float(psi.a)
+        x = np.concatenate([
+            np.linspace(-a, a, 1001),  # the window, with its edges -a and a
+            [np.nextafter(-a, -np.inf), -a - 2.5, -2 * a, -np.inf],  # left tail
+            [np.nextafter(a, np.inf), a + 3.0, 2 * a, 1e300, np.inf],  # right tail
+            [0.0, -0.0, np.nan],
+            d * np.random.default_rng(d).standard_normal(999),
+        ]).reshape(-1, 4)  # 503 rows of a (rows, trials) tile
+        with np.errstate(invalid="ignore"):  # the window form of +-inf is nan before its tail patch
+            expected = psi_eval(psi, x)
+            assert_same_floats(expected, psi_mod_form(psi, x))
+            fresh = np.empty_like(x)
+            assert psi_eval(psi, x, out=fresh) is fresh
+            assert_same_floats(fresh, expected)
+            tile = np.full((len(x) + 3, 4), 7.0)  # a leading slice of a larger buffer
+            psi_eval(psi, x, out=tile[: len(x)])
+            assert_same_floats(tile[: len(x)], expected)
+            assert np.all(tile[len(x):] == 7.0)
+            in_place = x.copy()
+            assert psi_eval(psi, in_place, out=in_place) is in_place
+            assert_same_floats(in_place, expected)
+        for scalar in (a, -a, a + 3.0, -a - 2.5, 0.5):
+            value = psi_eval(psi, scalar)
+            assert type(value) is float
+            assert_same_floats(value, psi_mod_form(psi, scalar))
+
     def test_properties_report(self):
         report = psi_properties_check(PsiFunction(3))
         assert report.passed
@@ -226,7 +255,7 @@ class TestRidgeReluNet:
         f = RidgeReluNetFactory(r)(d, RandomSource(63).generator(d))
         reference = unblocked_relu_net(r, d, RandomSource(63).generator(d))
         block = predict_block_rows(r)
-        for m in (1, block - 1, block, block + 1, CORRELATION_CHUNK):
+        for m in (1, block - 1, block, block + 1, 100_000):
             X = RandomSource(64, m).generator().standard_normal((m, d))
             assert np.array_equal(f(X), reference(X)), m
 
@@ -241,12 +270,15 @@ class TestRidgeReluNet:
 
         monkeypatch.setattr(features, "feature_matrix", recording)
         f = RidgeReluNetFactory(50)(4, RandomSource(65).generator())
-        f(RandomSource(66).generator().standard_normal((CORRELATION_CHUNK, 4)))
-        assert sum(sizes) == CORRELATION_CHUNK * 50 and max(sizes) <= PREDICT_CELLS
+        f(RandomSource(66).generator().standard_normal((100_000, 4)))
+        assert sum(sizes) == 100_000 * 50 and max(sizes) <= PREDICT_CELLS
 
 
-def untiled_correlation_cell(cell) -> CorrelationDecayRow:
-    """The correlation cell before tiling: one whole-chunk projection and psi pass per chunk."""
+def chunked_correlation_cell(cell, chunk) -> CorrelationDecayRow:
+    """The correlation cell from fresh arrays: each chunk of ``chunk`` points
+    is drawn, projected, passed through psi by its remainder form and summed
+    anew.  With the cell's tile size it sums as the cell does; with 100,000
+    points it is the cell before tiling, which agrees to rounding only."""
     d, f_factory, trials, mc_samples, seed, stream = cell
     rng = RandomSource(seed, stream)
     psi = PsiFunction(d)
@@ -256,14 +288,11 @@ def untiled_correlation_cell(cell) -> CorrelationDecayRow:
     gen_x = rng.generator(d, 2)
     inner_sums = np.zeros(trials)
     f_sq_sum = 0.0
-    done = 0
-    while done < mc_samples:
-        m = min(CORRELATION_CHUNK, mc_samples - done)
-        X = gen_x.standard_normal((m, d))
-        fx = np.asarray(f(X), dtype=float)
+    for start in range(0, mc_samples, chunk):
+        X = gen_x.standard_normal((min(chunk, mc_samples - start), d))
+        fx = f(X)
         f_sq_sum += float(fx @ fx)
         inner_sums += fx @ psi_mod_form(psi, X @ ws.T)
-        done += m
     sq = (inner_sums / mc_samples) ** 2 / (f_sq_sum / mc_samples)
     # NumPy's std of one draw is nan (with a warning)
     std_err = float(np.std(sq, ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
@@ -271,40 +300,67 @@ def untiled_correlation_cell(cell) -> CorrelationDecayRow:
 
 
 class TestTiledCorrelationCell:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize(
-        "trials, mc_samples",
-        [
-            (1, 65_537),  # one-column products; a lone last tile row
-            (2, 70_001),
-            (64, 2_049),  # a lone last tile row
-            (PREDICT_CELLS // 4 + 1, 13),  # one row group per tile, then a lone row
-            (3, CORRELATION_CHUNK + 1),  # the last chunk is a single row
-        ],
-    )
-    def test_equals_untiled_cell(self, trials, mc_samples, jobs):
+    CASES = [
+        (1, 65_537),  # one-column products; a lone last tile row
+        (2, 70_001),
+        (64, 2_049),  # a lone last tile row
+        (PREDICT_CELLS // 4 + 1, 13),  # one row group per tile, then a lone row
+        (3, 100_001),  # more points than one untiled chunk
+    ]
+
+    @staticmethod
+    def sweep(trials, mc_samples, jobs):
         rng = RandomSource(61)
         factory = RidgeReluNetFactory(7)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # std_err of one draw
             rows = correlation_decay(factory, [2, 5], trials, mc_samples, rng, jobs=jobs)
-        for row in rows:
-            ref = untiled_correlation_cell((row.d, factory, trials, mc_samples, rng.seed, rng.stream_id))
+        return [(row, (row.d, factory, trials, mc_samples, rng.seed, rng.stream_id)) for row in rows]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("trials, mc_samples", CASES)
+    def test_equals_streamed_oracle(self, trials, mc_samples, jobs):
+        for row, cell in self.sweep(trials, mc_samples, jobs):
+            ref = chunked_correlation_cell(cell, predict_block_rows(trials))
             assert np.array_equal(astuple(row), astuple(ref), equal_nan=True), row.d
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("trials, mc_samples", CASES)
+    def test_equals_untiled_cell(self, trials, mc_samples, jobs):
+        """Equal to rounding: the tiles sum in another order than whole chunks."""
+        for row, cell in self.sweep(trials, mc_samples, jobs):
+            ref = chunked_correlation_cell(cell, 100_000)
+            assert (row.d, row.n_w, row.mc_samples) == (ref.d, ref.n_w, ref.mc_samples)
+            np.testing.assert_allclose([row.mean_sq, row.std_err], [ref.mean_sq, ref.std_err],
+                                       rtol=1e-12, atol=0.0, equal_nan=True)
+
     def test_psi_eval_never_sees_more_than_a_tile(self, monkeypatch):
-        sizes = []
+        sizes, in_place = [], []
         whole = hardness.psi_eval
 
-        def recording(psi, x):
+        def recording(psi, x, out=None):
             sizes.append(np.size(x))
-            return whole(psi, x)
+            in_place.append(out is x)
+            return whole(psi, x, out=out)
 
         monkeypatch.setattr(hardness, "psi_eval", recording)
         correlation_decay(RidgeReluNetFactory(7), [2, 3], trials=64, mc_samples=5_000, rng=RandomSource(62))
         assert len(sizes) == 2 * 5  # 1024-row tiles
         assert sum(sizes) == 2 * 5_000 * 64
         assert max(sizes) <= PREDICT_CELLS
+        assert all(in_place)
+
+    def test_default_sweep_memory_follows_the_tile(self):
+        tracemalloc.start()
+        try:
+            # correlation-decay's CLI defaults at --jobs 1
+            correlation_decay(RidgeReluNetFactory(50), [2, 4, 6, 8, 10, 12], trials=64,
+                              mc_samples=100_000, rng=RandomSource(0), jobs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one whole-sample psi buffer would be 51 MB
+        assert peak <= 4 * 2**20
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,7 @@ from .features import (
     least_squares_fit,
     predict_block_rows,
     relu,
+    row_blocks,
     sample_features,
 )
 from .numerics import RandomSource, gauss_legendre_rule, gaussian_expectation_1d, uniform_sphere
@@ -211,7 +212,11 @@ def psi_properties_check(psi: PsiFunction, grid_points: int = 10_000, norm_order
     integrals = tuple((n, _interval_integral_psi_sq(psi, float(n), float(n + 2))) for n in starts)
     dev = max(abs(v - 2.0 / 3.0) for _, v in integrals)
     deco = psi_relu_decomposition(psi)
-    deco_res = float(np.max(np.abs(deco.evaluate(x) - vals)))
+    # in blocks: the term-by-term sum holds grid x n_terms long doubles, several times over
+    deco_res = max(
+        float(np.max(np.abs(deco.evaluate(x[start:stop]) - vals[start:stop])))
+        for start, stop in row_blocks(len(x), deco.n_terms)
+    )
     norm = psi_gaussian_norm(psi, float(psi.d), norm_order)
     return PsiReport(
         d=psi.d,

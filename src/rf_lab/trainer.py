@@ -19,6 +19,7 @@ bounds can be checked after the fact with ``drift_check``.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .features import row_blocks
+from .features import PREDICT_CELLS, row_blocks
 from .numerics import RandomSource
 from .poly_repr import AnalyticActivation
 
@@ -169,7 +170,14 @@ def sgd_train(
     ``sampler(n, gen)`` must return (X, y) with ||x|| <= 1 and y in {-1, +1};
     it is called once for the training stream and once for the held-out
     validation set, on independent sub-generators of ``rng``, so identical
-    (rng, config) reproduce identical traces.
+    (rng, config) reproduce identical traces.  Each generator is fresh and
+    dropped after its call, as ``margin_filtered_sampler`` requires.
+
+    The (T+1)-row stream and the five trace arrays are the only buffers held
+    whole.  The stream's unit-ball check runs in ``features.row_blocks``, and
+    the stream is freed before the running average, which is the cumulative
+    loss divided in place by the step counts, the same bits as a division
+    into a new array.
     """
     T = int(config.steps)
     eta = float(config.eta)
@@ -180,8 +188,9 @@ def sgd_train(
     y = np.ascontiguousarray(np.asarray(y, dtype=float))
     if X.shape != (T + 1, d):
         raise ValueError(f"sampler returned X of shape {X.shape}, expected {(T + 1, d)}")
-    if np.any(np.linalg.norm(X, axis=1) > 1.0 + 1e-9):
-        raise ValueError("sampler produced points outside the unit ball")
+    for start, stop in row_blocks(T + 1, d):
+        if np.any(np.linalg.norm(X[start:stop], axis=1) > 1.0 + 1e-9):
+            raise ValueError("sampler produced points outside the unit ball")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("sampler produced labels outside {-1, +1}")
     X_val, y_val = sampler(n_val, rng.generator(2))
@@ -231,7 +240,9 @@ def sgd_train(
             best_net = net.copy()
     # final entry: loss of the last drawn example at the final parameters
     loss[T] = hinge_loss(forward(net, X[T]), float(y[T]))
-    run_avg = np.cumsum(loss) / np.arange(1, T + 2)
+    del X, y  # the stream is used up; the running average needs its room
+    run_avg = np.cumsum(loss)
+    run_avg /= np.arange(1, T + 2)
     trace = TrainTrace(loss, run_avg, drift, unorm, wnorm)
     return SGDResult(best_net, best_step, best_loss, net, val_history, trace, kernel_backend())
 
@@ -337,26 +348,54 @@ def margin_filtered_sampler(P, margin: float):
     that accepts none of the first 10^5 draws, or fewer than n of the first
     1000 n + 10^5, raises ValueError; at or above sup |P| it would accept
     none.
+
+    Points come in batches of max(2 n, 64) draws: a batch's normals (one
+    row per draw), then its uniforms (the radii).  The batch is never held
+    whole.  Its kept rows and their labels are written straight into the
+    (n, d) and (n,) outputs, and the batch goes through non-overlapping
+    blocks of about ``PREDICT_CELLS`` values, in two passes over the stream:
+    a copy of ``gen`` is taken, the batch's normals are drawn from ``gen``
+    block by block into one scratch buffer and dropped, and then each block
+    of normals is drawn again from the copy next to that block's uniforms
+    from ``gen``.  Drawing a stream block by block with ``out=`` gives the
+    values of one whole draw, and every step is row by row, so the points
+    and labels are those of drawing the whole batch at once.  The second
+    pass stops once n rows are kept, leaving the rest of the batch's
+    uniforms undrawn: ``gen`` must not be drawn from after the sampler
+    returns.
     """
+    d = P.dimension
+    block = max(1, PREDICT_CELLS // d)
 
     def sampler(n: int, gen: np.random.Generator):
-        xs = []
+        X = np.empty((n, d))
+        y = np.empty(n)
+        batch = max(2 * n, 64)
+        normals = np.empty((min(block, batch), d))
+        radii = np.empty((len(normals), 1))
         got = drawn = 0
         while got < n:
             if drawn >= (100_000 if got == 0 else 1000 * n + 100_000):
                 raise ValueError(
                     f"margin {margin} accepted {got} of {drawn} draws from the unit ball; need {n}"
                 )
-            batch = max(2 * n, 64)
             drawn += batch
-            g = gen.standard_normal((batch, P.dimension))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            g *= gen.random((batch, 1)) ** (1.0 / P.dimension)
-            keep = np.abs(P.evaluate(g)) >= margin
-            xs.append(g[keep])
-            got += int(keep.sum())
-        X = np.vstack(xs)[:n]
-        y = np.sign(P.evaluate(X))
+            replay = copy.deepcopy(gen)
+            for start in range(0, batch, block):
+                gen.standard_normal(out=normals[: min(block, batch - start)])
+            for start in range(0, batch, block):
+                g = normals[: min(block, batch - start)]
+                replay.standard_normal(out=g)
+                u = gen.random(out=radii[: len(g)])
+                g /= np.linalg.norm(g, axis=1, keepdims=True)
+                g *= u ** (1.0 / d)
+                p = P.evaluate(g)
+                keep = np.flatnonzero(np.abs(p) >= margin)[: n - got]
+                X[got : got + len(keep)] = g[keep]
+                y[got : got + len(keep)] = np.sign(p[keep])
+                got += len(keep)
+                if got == n:
+                    break
         return X, y
 
     return sampler

@@ -13,6 +13,7 @@ from rf_lab.features import PREDICT_CELLS, FeatureFamily, predict_block_rows, re
 from rf_lab.hardness import (
     CorrelationDecayRow,
     PsiFunction,
+    ReluDecomposition,
     ReluNeuron,
     RidgeReluNetFactory,
     _candidate_biases,
@@ -169,6 +170,45 @@ class TestPsiShape:
         assert report.max_interval_deviation < 1e-10
         for _, integral in report.interval_integrals:
             assert integral == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_blocked_decomposition_residual(self, d, monkeypatch):
+        # exact terms leave a residual of 0.0; skewed ones make it vary over the grid
+        psi = PsiFunction(d)
+        exact = psi_relu_decomposition(psi)
+        skewed = ReluDecomposition(
+            exact.coefficients * (1.0 + 1e-9 * np.arange(exact.n_terms)), exact.offsets, exact.constant
+        )
+        monkeypatch.setattr(hardness, "psi_relu_decomposition", lambda _: skewed)
+        x = np.linspace(-psi.a, psi.a, 10_000)
+        whole = np.abs(skewed.evaluate(x) - psi_eval(psi, x))
+        assert len(np.unique(whole)) > 1000
+        assert psi_properties_check(psi).decomposition_residual == float(np.max(whole))
+
+    def test_decomposition_evaluated_in_blocks(self, monkeypatch):
+        psi = PsiFunction(8)
+        blocks = []
+        whole = ReluDecomposition.evaluate
+
+        def recording(deco, x):
+            blocks.append(np.array(x))
+            return whole(deco, x)
+
+        monkeypatch.setattr(ReluDecomposition, "evaluate", recording)
+        psi_properties_check(psi)
+        assert max(len(x) for x in blocks) * (psi.a + 1) <= PREDICT_CELLS
+        assert np.array_equal(np.unique(np.concatenate(blocks)), np.linspace(-psi.a, psi.a, 10_000))
+
+    def test_properties_memory_follows_the_block(self):
+        psi = PsiFunction(8)
+        tracemalloc.start()
+        try:
+            psi_properties_check(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-grid ReLU sum held 10,000 x 386 long doubles several times over (118 MiB)
+        assert peak <= 4 * 2**20
 
 
 class TestPsiGaussianNorm:

@@ -1,6 +1,7 @@
 """Network forward/gradients, the SGD loop, hyperparameters, drift bounds."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,7 @@ class TestSGD:
         for arr in (res.trace.loss, res.trace.run_avg_loss, res.trace.w_drift,
                     res.trace.u_norm, res.trace.w_norm):
             assert len(arr) == 78
+        assert np.array_equal(res.trace.run_avg_loss, np.cumsum(res.trace.loss) / np.arange(1, 79))
 
     def test_deterministic_traces(self):
         cfg = make_config(r=20, eta=0.02, steps=500)
@@ -209,6 +211,34 @@ class TestSGD:
 
         with pytest.raises(ValueError, match="unit ball"):
             sgd_train(2, bad_sampler, cfg, RandomSource(14), exp_activation())
+
+    @pytest.mark.parametrize("row", [0, 20_000, 32_768])
+    def test_unit_ball_checked_on_every_row(self, row):
+        # 32,769 rows of d = 2: one whole block of the check, then a lone last row
+        assert predict_block_rows(2) == 32_768
+        cfg = make_config(r=5, eta=0.01, steps=32_768)
+
+        def one_bad_row(n, gen):
+            X, y = ball_sign_sampler()(n, gen)
+            if n == 32_769:
+                X[row] /= np.linalg.norm(X[row]) * (1.0 - 1e-6)
+            return X, y
+
+        with pytest.raises(ValueError, match="unit ball"):
+            sgd_train(2, one_bad_row, cfg, RandomSource(14), exp_activation())
+
+    def test_default_run_memory(self):
+        # learn-poly at its CLI defaults
+        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        cfg = make_config(r=1000, eta=0.01, steps=200_000)
+        tracemalloc.start()
+        try:
+            sgd_train(3, margin_filtered_sampler(P, 0.3), cfg, RandomSource(0), exp_activation())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the stream and four trace arrays are 12.8 MB; a whole sampler batch was 9.2 MiB more
+        assert peak <= 18 * 2**20
 
 
 class TestTheoremParams:
@@ -298,27 +328,60 @@ class TestMarginSampler:
             margin_filtered_sampler(P, 2.0)(n, gen)
         assert gen.points == 2 * n
 
-    @pytest.mark.parametrize("margin, n", [(0.3, 1), (0.3, 500), (0.9, 2000)])
+    # the streamed draw against the whole-batch oracle: two batches at learn-poly's
+    # default steps, a low acceptance rate, and the 64-row batch floor
+    @pytest.mark.parametrize("margin, n", [(0.3, 1), (0.3, 500), (0.9, 2000), (0.3, 200_001)])
     def test_cap_leaves_reachable_draws_unchanged(self, margin, n):
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
         X, y = margin_filtered_sampler(P, margin)(n, RandomSource(18).generator())
         X_ref, y_ref = uncapped_margin_sampler(P, margin, n, RandomSource(18).generator())
         assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
+    def test_last_kept_row_inside_a_block(self):
+        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        margin, n = 0.05, 30_000
+        X_ref, y_ref = uncapped_margin_sampler(P, margin, n, RandomSource(18).generator())
+        # the oracle's first batch fills the stream at a draw inside the sampler's second block
+        gen = RandomSource(18).generator()
+        g = gen.standard_normal((2 * n, 3))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g *= gen.random((2 * n, 1)) ** (1.0 / 3)
+        last = np.flatnonzero(np.abs(P.evaluate(g)) >= margin)[n - 1]
+        block = PREDICT_CELLS // 3
+        assert block < last < 2 * block - 1
+        X, y = margin_filtered_sampler(P, margin)(n, RandomSource(18).generator())
+        assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
+
+    def test_memory_follows_the_block(self):
+        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        sampler = margin_filtered_sampler(P, 0.3)
+        gen = RandomSource(18).generator()  # its first call imports modules
+        tracemalloc.start()
+        try:
+            sampler(200_001, gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the outputs are 6.1 MiB; one whole 400,002-row batch of normals is another 9.2
+        assert peak <= 8 * 2**20
+
 
 class CountingGenerator:
-    """A generator that counts the points drawn from it (rows of its uniform draws)."""
+    """A generator that counts the points drawn from it (rows of its uniform draws).
+
+    ``copy.deepcopy`` copies it with its count; the sampler's copy draws only normals.
+    """
 
     def __init__(self, gen):
         self.gen = gen
         self.points = 0
 
-    def standard_normal(self, size):
-        return self.gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        return self.gen.standard_normal(size, out=out)
 
-    def random(self, size):
-        self.points += size[0]
-        return self.gen.random(size)
+    def random(self, size=None, out=None):
+        self.points += (size if out is None else out.shape)[0]
+        return self.gen.random(size, out=out)
 
 
 def uncapped_margin_sampler(P, margin, n, gen):

@@ -43,7 +43,14 @@ from .features import (
     row_blocks,
     sample_features,
 )
-from .numerics import RandomSource, gauss_legendre_rule, gaussian_expectation_1d, uniform_sphere
+from .numerics import (
+    QuadratureRule,
+    RandomSource,
+    gauss_legendre_rule,
+    gaussian_expectation_1d,
+    kink_split_rule,
+    uniform_sphere,
+)
 from .parallel import map_cells
 
 
@@ -158,19 +165,9 @@ def psi_relu_decomposition(psi: PsiFunction) -> ReluDecomposition:
     return ReluDecomposition(coeffs, offsets, -1.0)
 
 
-def _interval_integral_psi_sq(psi: PsiFunction, lo: float, hi: float) -> float:
-    """Exact integral of psi^2 over [lo, hi] inside [-a, a].
-
-    psi^2 is piecewise quadratic between kinks, so panelwise Simpson is
-    exact.
-    """
-    cuts = [lo] + [float(c) for c in psi.kinks if lo < c < hi] + [hi]
-    total = 0.0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (left + right)
-        f = psi_eval(psi, np.array([left, mid, right])) ** 2
-        total += (right - left) / 6.0 * (f[0] + 4.0 * f[1] + f[2])
-    return total
+# Simpson on [-1, 1], exact for psi^2 between kinks.  Its nodes are panel ends and
+# midpoints, binary-exact at psi's integer kinks, so each energy is exactly 2/3.
+_SIMPSON = QuadratureRule(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 4.0, 1.0]) / 3.0)
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,8 @@ def psi_properties_check(psi: PsiFunction, grid_points: int = 10_000, norm_order
     per = float(np.max(np.abs(psi_eval(psi, xp + 4.0) - psi_eval(psi, xp))))
     # integer-aligned length-2 intervals; sample up to 40 across the window
     starts = list(range(-a, a - 1, max(2, (2 * a - 2) // 40)))
-    integrals = tuple((n, _interval_integral_psi_sq(psi, float(n), float(n + 2))) for n in starts)
+    rules = ((n, kink_split_rule(_SIMPSON, float(n), float(n + 2), psi.kinks)) for n in starts)
+    integrals = tuple((n, float(w @ psi_eval(psi, z) ** 2)) for n, (z, w) in rules)
     dev = max(abs(v - 2.0 / 3.0) for _, v in integrals)
     deco = psi_relu_decomposition(psi)
     # in blocks: the term-by-term sum holds grid x n_terms long doubles, several times over
@@ -516,15 +514,15 @@ def _sweep_cell(cell):
 # ---------------------------------------------------------------------------
 
 
-def relu_exp_identity_check(z_values, order: int = 40) -> float:
-    """Max error of the ReLU integral identity against e^z on |z| <= 1.
+def relu_exp_identity_check(z_values, order: int = 40) -> np.ndarray:
+    """Per-z error of the ReLU integral identity against e^z on |z| <= 1.
 
     For each z, evaluates
 
         int_0^1 ( [z-b]_+ e^b + [-z-b]_+ e^{-b} + c z e^b + c e^b ) db,
         c = 1/(e - 1),
 
-    by Gauss-Legendre split at the kink b = |z|, and compares to e^z.  Only
+    by Gauss-Legendre split at the kink b = |z|, and returns |LHS - e^z|.  Only
     one of the two ReLU terms is active for a given sign of z: the first
     integrates to e^z - z - 1 for z >= 0, the mirrored one (which must enter
     with a plus sign, or the z < 0 branch comes out as 2z + 2 - e^z) to
@@ -532,24 +530,16 @@ def relu_exp_identity_check(z_values, order: int = 40) -> float:
     """
     c = 1.0 / (math.e - 1.0)
     rule = gauss_legendre_rule(order)
-    worst = 0.0
+    errors = []
     for z in np.atleast_1d(np.asarray(z_values, dtype=float)):
         if abs(z) > 1.0:
             raise ValueError(f"identity only holds for |z| <= 1, got {z}")
-
-        def integrand(b):
-            return (
-                np.maximum(z - b, 0.0) * np.exp(b)
-                + np.maximum(-z - b, 0.0) * np.exp(-b)
-                + c * z * np.exp(b)
-                + c * np.exp(b)
-            )
-
-        total = 0.0
-        for lo, hi in ((0.0, abs(z)), (abs(z), 1.0)):
-            if hi - lo <= 0:
-                continue
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            total += half * float(rule.weights @ integrand(mid + half * rule.nodes))
-        worst = max(worst, abs(total - math.exp(z)))
-    return worst
+        b, w = kink_split_rule(rule, 0.0, 1.0, [abs(z)])
+        lhs = w @ (
+            np.maximum(z - b, 0.0) * np.exp(b)
+            + np.maximum(-z - b, 0.0) * np.exp(-b)
+            + c * z * np.exp(b)
+            + c * np.exp(b)
+        )
+        errors.append(abs(lhs - math.exp(z)))
+    return np.array(errors)

@@ -17,7 +17,9 @@ stable up to order ~200.
 
 Gauss rules lose their exactness across kinks, so piecewise integrands
 (ReLU-like functions) must be integrated with the kink positions supplied
-by the caller; see :func:`gaussian_expectation_1d`.
+by the caller.  :func:`kink_split_rule` is the one place that splits a 1-D
+interval at kinks (and into panels no wider than a given width) and maps a
+base rule onto each panel; :func:`gaussian_expectation_1d` builds on it.
 
 Randomness is carried by :class:`RandomSource`, a (seed, stream_id) pair
 mapped onto ``numpy.random.SeedSequence``.  Equal pairs reproduce bit-equal
@@ -35,6 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .legendre import legendre_eval
+
 _NEWTON_TOL = 1e-15
 _GAUSS_SUPPORT_SIGMAS = 40.0  # exp(-40^2/2) underflows double precision
 
@@ -46,14 +50,12 @@ _GAUSS_SUPPORT_SIGMAS = 40.0  # exp(-40^2/2) underflows double precision
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for a fixed-order Gauss rule.
+    """Nodes and weights of a quadrature rule.
 
     ``weights`` sum to the total mass of the underlying measure (2 for
     Gauss-Legendre on [-1, 1], 1 for probabilists' Gauss-Hermite).
     """
 
-    kind: str
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -66,16 +68,10 @@ class QuadratureRule:
         return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
 
 
-def _legendre_pair(n: int, x: np.ndarray):
-    """Value and derivative of the classical Legendre polynomial P_n."""
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
+def _legendre_with_derivative(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1), for n >= 1 and |x| < 1."""
+    p = legendre_eval(n, x)
+    return p, n * (x * p - legendre_eval(n - 1, x)) / (x * x - 1.0)
 
 
 def gauss_legendre_rule(order: int) -> QuadratureRule:
@@ -85,16 +81,16 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
     k = np.arange(order, dtype=float)
     x = np.cos(np.pi * (k + 0.75) / (order + 0.5))
     for _ in range(100):
-        p, dp = _legendre_pair(order, x)
+        p, dp = _legendre_with_derivative(order, x)
         step = p / dp
         x -= step
         if np.max(np.abs(step)) < _NEWTON_TOL:
             break
     x = np.sort(x)
     x = 0.5 * (x - x[::-1])  # enforce the exact +/- symmetry of the roots
-    _, dp = _legendre_pair(order, x)
+    _, dp = _legendre_with_derivative(order, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return QuadratureRule("gauss_legendre", order, x, w)
+    return QuadratureRule(x, w)
 
 
 def _hermite_orthonormal(n: int, x: np.ndarray):
@@ -117,7 +113,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     if order == 1:
-        return QuadratureRule("gauss_hermite", 1, np.zeros(1), np.ones(1))
+        return QuadratureRule(np.zeros(1), np.ones(1))
     off = np.sqrt(np.arange(1, order, dtype=float))
     jacobi = np.diag(off, 1) + np.diag(off, -1)
     x = np.linalg.eigvalsh(jacobi)
@@ -131,12 +127,34 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     x = 0.5 * (x - x[::-1])
     _, _, christoffel = _hermite_orthonormal(order, x)
     w = 1.0 / christoffel
-    return QuadratureRule("gauss_hermite", order, x, w)
+    return QuadratureRule(x, w)
 
 
 # ---------------------------------------------------------------------------
-# Gaussian expectations of kinked 1-D functions
+# kink-split rules and Gaussian expectations of kinked 1-D functions
 # ---------------------------------------------------------------------------
+
+
+def kink_split_rule(base: QuadratureRule, lo: float, hi: float, kinks=(), max_width: float = math.inf):
+    """Composite rule for the flat measure dx on [lo, hi], as flat (nodes, weights).
+
+    Splits [lo, hi] at every kink strictly inside it, cuts each piece into
+    equal panels no wider than ``max_width``, and maps ``base`` (a rule on
+    [-1, 1]) onto every panel.  A base rule exact for degree k on [-1, 1]
+    then integrates any piecewise polynomial of degree k with breaks at the
+    kinks exactly.
+    """
+    cuts = sorted({lo, hi, *(float(c) for c in kinks if lo < c < hi)})
+    edges = [cuts[0]]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        panels = max(1, math.ceil((b - a) / max_width))
+        edges.extend(a + (b - a) * (i + 1) / panels for i in range(panels))
+    edges = np.asarray(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * base.nodes[None, :]).ravel()
+    weights = (half[:, None] * base.weights[None, :]).ravel()
+    return nodes, weights
 
 
 def gaussian_expectation_1d(func, sigma: float, order: int, kinks=()) -> float:
@@ -145,7 +163,8 @@ def gaussian_expectation_1d(func, sigma: float, order: int, kinks=()) -> float:
     With no kinks this is plain scaled Gauss-Hermite.  With kinks the
     integral is taken segment by segment (Gauss-Legendre against the normal
     density) over [-40 sigma, 40 sigma]; the tail mass beyond that is below
-    double-precision resolution.
+    double-precision resolution.  Panels span at most 2 sigma: a fixed-order
+    Gauss rule only resolves the normal density on that scale.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
@@ -155,19 +174,7 @@ def gaussian_expectation_1d(func, sigma: float, order: int, kinks=()) -> float:
         rule = gauss_hermite_rule(order)
         return float(rule.weights @ np.asarray(func(sigma * rule.nodes), dtype=float))
     lim = _GAUSS_SUPPORT_SIGMAS * sigma
-    cuts = sorted({-lim, lim, *(float(c) for c in kinks if -lim < c < lim)})
-    # refine long segments so each panel spans at most ~2 sigma; a fixed-order
-    # Gauss rule only resolves the normal density on that scale
-    edges = [cuts[0]]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        panels = max(1, math.ceil((b - a) / (2.0 * sigma)))
-        edges.extend(a + (b - a) * (i + 1) / panels for i in range(panels))
-    cuts = np.asarray(edges)
-    base = gauss_legendre_rule(order)
-    mid = 0.5 * (cuts[1:] + cuts[:-1])
-    half = 0.5 * (cuts[1:] - cuts[:-1])
-    z = (mid[:, None] + half[:, None] * base.nodes[None, :]).ravel()
-    w = (half[:, None] * base.weights[None, :]).ravel()
+    z, w = kink_split_rule(gauss_legendre_rule(order), -lim, lim, kinks, max_width=2.0 * sigma)
     dens = np.exp(-0.5 * (z / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     return float(np.sum(w * dens * np.asarray(func(z), dtype=float)))
 

@@ -414,9 +414,12 @@ def drift_check(trace: TrainTrace, config: TrainConfig, act: AnalyticActivation)
     cap_eps = eta * L * B * B
     cap_steps = int(B / (2.0 * cap_eps)) if cap_eps > 0 else len(trace.w_drift) - 1
     cap_steps = min(cap_steps, len(trace.w_drift) - 1)
-    t = np.arange(len(trace.w_drift), dtype=float)
-    bound = t * eta * L * (B + 1.0)
-    margins = bound - trace.w_drift
+    # margins = t * eta * L * (B + 1) - w_drift, built in place in the same order
+    margins = np.arange(len(trace.w_drift), dtype=float)
+    margins *= eta
+    margins *= L
+    margins *= B + 1.0
+    margins -= trace.w_drift
     drift_ok = bool(np.all(margins >= -1e-9))
     window = slice(0, cap_steps + 1)
     max_norm = float(max(np.max(trace.w_norm[window]), np.max(trace.u_norm[window])))

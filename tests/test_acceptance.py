@@ -337,7 +337,7 @@ def test_criterion_08_inapproximability_trend(sweep_dir):
 
 
 def test_criterion_09_exp_identity():
-    worst = relu_exp_identity_check(np.linspace(-1.0, 1.0, 41))
+    worst = relu_exp_identity_check(np.linspace(-1.0, 1.0, 41)).max()
     ok = worst < 1e-8
     _report(9, ok, f"max |LHS - e^z| over 41-point grid: {worst:.2e} (<1e-8)")
     assert worst < 1e-8

@@ -512,15 +512,21 @@ class TestNeuronBaseline:
 
 class TestExpIdentity:
     def test_grid_error_small(self):
-        assert relu_exp_identity_check(np.linspace(-1, 1, 41)) < 1e-10
+        assert relu_exp_identity_check(np.linspace(-1, 1, 41)).max() < 1e-10
 
     def test_zero_is_exact_normalization(self):
         # z = 0: only c * e^b survives, and c int_0^1 e^b db = 1 = e^0
-        assert relu_exp_identity_check([0.0]) < 1e-14
+        assert relu_exp_identity_check([0.0]).max() < 1e-14
 
     def test_selected_points(self):
-        assert relu_exp_identity_check([1.0]) < 1e-10
-        assert relu_exp_identity_check([-0.5]) < 1e-10
+        assert relu_exp_identity_check([1.0]).max() < 1e-10
+        assert relu_exp_identity_check([-0.5]).max() < 1e-10
+
+    def test_one_error_per_z_in_order(self):
+        zs = np.array([0.3, -1.0, 0.0, 0.7])
+        errors = relu_exp_identity_check(zs, order=4)
+        assert errors.shape == zs.shape
+        assert np.array_equal(errors, [relu_exp_identity_check([z], order=4)[0] for z in zs])
 
     def test_domain_validated(self):
         with pytest.raises(ValueError):
@@ -528,4 +534,4 @@ class TestExpIdentity:
 
     def test_low_order_degrades(self):
         # order 2 per segment cannot resolve e^b: the check must report it
-        assert relu_exp_identity_check(np.linspace(-1, 1, 41), order=2) > 1e-8
+        assert relu_exp_identity_check(np.linspace(-1, 1, 41), order=2).max() > 1e-8

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from rf_lab.hardness import PsiFunction, psi_eval, psi_gaussian_norm, psi_properties_check
 from rf_lab.numerics import (
     RandomSource,
     gauss_hermite_rule,
     gauss_legendre_rule,
     gaussian_expectation_1d,
+    kink_split_rule,
     sample_measure,
     uniform_cube,
     uniform_sphere,
@@ -94,6 +96,85 @@ class TestGaussHermite:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             gauss_hermite_rule(0)
+
+
+def old_simpson_psi_sq(psi, lo, hi):
+    """The per-panel Simpson loop psi_properties_check used before kink_split_rule."""
+    cuts = [lo] + [float(c) for c in psi.kinks if lo < c < hi] + [hi]
+    total = 0.0
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (left + right)
+        f = psi_eval(psi, np.array([left, mid, right])) ** 2
+        total += (right - left) / 6.0 * (f[0] + 4.0 * f[1] + f[2])
+    return total
+
+
+def old_gaussian_panels(func, sigma, order, kinks):
+    """The panel loop gaussian_expectation_1d's kinked branch used before kink_split_rule."""
+    lim = 40.0 * sigma
+    cuts = sorted({-lim, lim, *(float(c) for c in kinks if -lim < c < lim)})
+    edges = [cuts[0]]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        panels = max(1, math.ceil((b - a) / (2.0 * sigma)))
+        edges.extend(a + (b - a) * (i + 1) / panels for i in range(panels))
+    cuts = np.asarray(edges)
+    base = gauss_legendre_rule(order)
+    mid = 0.5 * (cuts[1:] + cuts[:-1])
+    half = 0.5 * (cuts[1:] - cuts[:-1])
+    z = (mid[:, None] + half[:, None] * base.nodes[None, :]).ravel()
+    w = (half[:, None] * base.weights[None, :]).ravel()
+    dens = np.exp(-0.5 * (z / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    return float(np.sum(w * dens * np.asarray(func(z), dtype=float)))
+
+
+class TestKinkSplitRule:
+    @pytest.mark.parametrize(
+        "lo, hi, kinks, max_width",
+        [(0.0, 1.0, (), math.inf), (-3.0, 5.5, (0.25, -1.0), 0.7), (-40.0, 40.0, np.arange(-39.0, 40.0, 2.0), 2.0)],
+    )
+    def test_weights_sum_to_length(self, lo, hi, kinks, max_width):
+        _, weights = kink_split_rule(gauss_legendre_rule(5), lo, hi, kinks, max_width)
+        assert weights.sum() == pytest.approx(hi - lo, rel=1e-14)
+
+    def test_interior_kinks_are_panel_edges(self):
+        lo, hi = -2.0, 3.0
+        _, weights = kink_split_rule(gauss_legendre_rule(1), lo, hi, [1.5, -0.5, 1.5])
+        edges = lo + np.concatenate(([0.0], np.cumsum(weights)))  # order-1 weights are panel widths
+        assert edges == pytest.approx([-2.0, -0.5, 1.5, 3.0], abs=1e-15)
+
+    def test_kinks_on_or_outside_the_interval_are_ignored(self):
+        base = gauss_legendre_rule(4)
+        plain = kink_split_rule(base, -1.0, 2.0)
+        for kinks in ([-1.0], [2.0], [-7.0, 2.5], [-1.0, 2.0, 9.0]):
+            nodes, weights = kink_split_rule(base, -1.0, 2.0, kinks)
+            assert np.array_equal(nodes, plain[0]) and np.array_equal(weights, plain[1]), kinks
+
+    @pytest.mark.parametrize("max_width", [0.3, 1.0, 2.5])
+    def test_no_panel_wider_than_max_width(self, max_width):
+        _, weights = kink_split_rule(gauss_legendre_rule(1), -4.0, 3.0, [0.1, 2.9], max_width)
+        assert np.max(weights) <= max_width * (1 + 1e-14)
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 7])
+    def test_exact_for_piecewise_polynomial_of_degree_2n_minus_1(self, order):
+        m, kink, lo, hi = 2 * order - 1, 0.3, -1.0, 2.0
+        nodes, weights = kink_split_rule(gauss_legendre_rule(order), lo, hi, [kink], max_width=1.25)
+        got = weights @ (relu(nodes - kink) ** m + 0.5 * nodes**m)
+        exact = (hi - kink) ** (m + 1) / (m + 1) + 0.5 * (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
+        assert got == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_psi_energy_bit_matches_old_simpson_loop(self, d):
+        psi = PsiFunction(d)
+        report = psi_properties_check(psi, grid_points=100)
+        for n, value in report.interval_integrals:
+            assert value == old_simpson_psi_sq(psi, float(n), float(n + 2)), n
+        assert report.max_interval_deviation == 0.0
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_psi_gaussian_norm_bit_matches_old_panel_loop(self, d):
+        psi = PsiFunction(d)
+        old = old_gaussian_panels(lambda z: psi_eval(psi, z) ** 2, float(d), 16, psi.kinks)
+        assert psi_gaussian_norm(psi, float(d), 16) == old
 
 
 def mean_and_std_error(values):

@@ -1,5 +1,6 @@
 """Network forward/gradients, the SGD loop, hyperparameters, drift bounds."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -300,6 +301,20 @@ class TestDrift:
         report = drift_check(res.trace, cfg, act)
         assert report.drift_ok
 
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_margin_bit_matches_out_of_place_expression(self, scale):
+        # a real trace's drift, scaled so the smallest margin sits at an
+        # interior step rather than at t = 0, where every margin is exactly 0
+        cfg = make_config(r=120, eta=0.01, steps=3000)
+        act = exp_activation()
+        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17), act)
+        trace = dataclasses.replace(res.trace, w_drift=res.trace.w_drift * scale)
+        report = drift_check(trace, cfg, act)
+        t = np.arange(len(trace.w_drift), dtype=float)
+        margins = t * cfg.eta * act.lipschitz_L * (report.b_value + 1.0) - trace.w_drift
+        assert np.argmin(margins) > 0
+        assert report.min_drift_margin == float(np.min(margins))
+        assert not report.drift_ok
 
 class TestMarginSampler:
     def test_contract(self):

@@ -32,15 +32,20 @@ from .poly_repr import (
 from .legendre import build_monomial_table
 
 
-def relu(z):
-    return np.maximum(z, 0.0)
+def relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
 @dataclass(frozen=True)
 class FeatureFamily:
-    """Ridge features f_i(x) = activation(<w_i, x>) with w_i drawn from weight_dist."""
+    """Ridge features f_i(x) = activation(<w_i, x>) with w_i drawn from weight_dist.
 
-    activation: Callable[[np.ndarray], np.ndarray]
+    The activation is ufunc-like: ``activation(z, out=None)`` applies sigma
+    elementwise, writes into ``out`` when it is given and returns it.  ``out``
+    may be ``z`` itself, so features are computed in the projection's buffer.
+    """
+
+    activation: Callable[..., np.ndarray]
     weight_dist: Measure
 
 
@@ -65,12 +70,17 @@ def sample_features(family: FeatureFamily, d: int, r: int, rng: RandomSource) ->
     return FeatureSample(family, d, r, weights)
 
 
-def feature_matrix(sample: FeatureSample, X) -> np.ndarray:
-    """Feature values, shape (len(X), r); entry (t, i) = f_i(x_t)."""
+def feature_matrix(sample: FeatureSample, X, out=None) -> np.ndarray:
+    """Feature values, shape (len(X), r); entry (t, i) = f_i(x_t).
+
+    The activation is applied in place to the projections, which are
+    written into ``out`` (an array of that shape) when it is given.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != sample.d:
         raise ValueError(f"points have dimension {X.shape[1]}, features expect {sample.d}")
-    return np.asarray(sample.family.activation(X @ sample.weights.T))
+    Z = np.matmul(X, sample.weights.T, out=out)
+    return sample.family.activation(Z, out=Z)
 
 
 # Largest feature block predict builds at once (512 KiB of float64): small
@@ -104,6 +114,32 @@ def row_blocks(n_rows: int, row_values: int):
         yield start, stop
 
 
+def longest_block(blocks) -> int:
+    """Rows in the longest of the (start, stop) blocks; 0 for none."""
+    return max((stop - start for start, stop in blocks), default=0)
+
+
+def gaussian_row_blocks(gen: np.random.Generator, n_rows: int, d: int, row_values: int):
+    """(start, stop, points) over ``row_blocks(n_rows, row_values)``: points are
+    rows start:stop of ``gen.standard_normal((n_rows, d))``.
+
+    The rows are drawn in order into one reused buffer, so they take the
+    values of one whole draw without it being held; each block's points are
+    overwritten by the next block's.  The group a lone last row repeats is
+    carried over from the block before, not drawn again.
+    """
+    blocks = list(row_blocks(n_rows, row_values))
+    buf = np.empty((longest_block(blocks), d))
+    drawn = prev_rows = 0  # rows drawn so far, where the previous block ends
+    for start, stop in blocks:
+        kept = drawn - start
+        if kept:
+            buf[:kept] = buf[prev_rows - kept : prev_rows]
+        gen.standard_normal(out=buf[kept : stop - start])
+        drawn, prev_rows = stop, stop - start
+        yield start, stop, buf[:prev_rows]
+
+
 @dataclass(frozen=True)
 class LinearCombination:
     """Prediction sum_i u_i f_i(x) + intercept over a feature sample."""
@@ -115,13 +151,16 @@ class LinearCombination:
         self.weights.setflags(write=False)
 
     def predict(self, sample: FeatureSample, X) -> np.ndarray:
-        """Predictions at the points X, streamed in ``row_blocks``."""
+        """Predictions at the points X, streamed in ``row_blocks`` through one feature buffer."""
         if sample.r != len(self.weights):
             raise ValueError("weight length does not match feature count")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.empty((len(X),) + self.weights.shape[1:])
-        for start, stop in row_blocks(len(X), sample.r):
-            out[start:stop] = feature_matrix(sample, X[start:stop]) @ self.weights
+        blocks = list(row_blocks(len(X), sample.r))
+        F = np.empty((longest_block(blocks), sample.r))
+        for start, stop in blocks:
+            F_block = feature_matrix(sample, X[start:stop], out=F[: stop - start])
+            np.matmul(F_block, self.weights, out=out[start:stop])
         out += self.intercept
         return out
 
@@ -174,10 +213,12 @@ def least_squares_fit(
     are standard Gaussian draws; the returned population error is the
     held-out (10x n_train) estimate of E[(sum_i u_i f_i(x) - target(x))^2].
 
-    The training features are one n_train x p matrix.  The held-out points
-    are featurized in ``row_blocks``, so the pass never holds more than one
-    block of features: ``target`` is called once per block, and only the
-    (10 n_train, k) predictions and target values are kept whole.  With one
+    The training features are one n_train x p matrix, activated in place
+    and freed with the training points once the weights are solved.  The
+    held-out points are drawn and featurized in ``row_blocks``
+    (``gaussian_row_blocks``), so the pass never holds more than one block
+    of points and features: ``target`` is called once per block, and only
+    the (10 n_train, k) predictions and target values are kept whole.  With one
     target the prediction is a matrix-vector product and every value keeps
     the bits of one product over all rows.  With k targets it is a
     matrix-matrix product, whose summation order OpenBLAS picks by the
@@ -200,15 +241,17 @@ def least_squares_fit(
     gram = F.T @ F
     ridge = 1e-10 * float(np.trace(gram)) / p
     u = np.linalg.solve(gram + ridge * np.eye(p), F.T @ y)
-    Xh = gen_test.standard_normal((10 * n_train, sample.d))
-    pred = np.empty((len(Xh),) + u.shape[1:])
+    del X, F, y, gram
+    n_test = 10 * n_train
+    pred = np.empty((n_test,) + u.shape[1:])
     yh = np.empty_like(pred)
-    for start, stop in row_blocks(len(Xh), p):
-        F_h = feature_matrix(sample, Xh[start:stop])
-        pred[start:stop] = F_h @ u
-        yh[start:stop] = target(Xh[start:stop], F_h)
-    pop_error = np.mean((pred - yh) ** 2, axis=0).tolist()
-    target_norm_sq = np.mean(yh**2, axis=0).tolist()
+    for start, stop, Xh in gaussian_row_blocks(gen_test, n_test, sample.d, p):
+        F_h = feature_matrix(sample, Xh)
+        np.matmul(F_h, u, out=pred[start:stop])
+        yh[start:stop] = target(Xh, F_h)
+    pred -= yh
+    pop_error = np.mean(np.square(pred, out=pred), axis=0).tolist()
+    target_norm_sq = np.mean(np.square(yh, out=yh), axis=0).tolist()
     max_u = np.max(np.abs(u), axis=0).tolist()
     return LinearCombination(u), pop_error, max_u, target_norm_sq
 

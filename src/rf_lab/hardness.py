@@ -21,8 +21,9 @@ at most ``features.PREDICT_CELLS`` psi values each: every tile is drawn,
 projected and passed through psi in place in two reused buffers and added
 to the running sums, so a cell holds no array that grows with the sample.
 Its test net is a ``features.LinearCombination``, which evaluates in the
-same row blocks, and the inapproximability sweep's least-squares fit
-featurizes its held-out points in them too.
+same row blocks.  The inapproximability sweep's least-squares fit and its
+directly-trained baseline draw their held-out points in them too, into one
+reused buffer each (``features.gaussian_row_blocks``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .features import (
     FeatureFamily,
     FeatureSample,
     LinearCombination,
+    gaussian_row_blocks,
     least_squares_fit,
     predict_block_rows,
     relu,
@@ -417,13 +419,19 @@ def train_single_neuron(
     d = 4..20 with held-out errors of ~1e-10.  Returns ``(error, updates)``:
     the held-out normalized error E[(model - target)^2] / E[target^2] and
     the number of updates made.
+
+    Each batch is drawn into one reused buffer, and the held-out points in
+    ``row_blocks`` of at most ``features.PREDICT_CELLS`` coordinates
+    (``gaussian_row_blocks``): both take the values of whole draws, and
+    only the (n_eval,) model and target values are kept whole.
     """
     gen = rng.generator(0)
     w = 0.01 * gen.standard_normal(d)
     b = 1.0  # start active; a dead neuron has zero gradient
     updates = 0
+    X = np.empty((batch, d))
     while updates < steps:
-        X = gen.standard_normal((batch, d))
+        gen.standard_normal(out=X)
         y = target.evaluate(X)
         z = X @ w + b
         active = z >= 0.0
@@ -434,11 +442,13 @@ def train_single_neuron(
         w -= lr * ((grad_common @ X) / batch)
         b -= lr * grad_common.mean()
         updates += 1
-    gen_eval = rng.generator(1)
-    Xh = gen_eval.standard_normal((n_eval, d))
-    yh = target.evaluate(Xh)
-    mh = np.maximum(Xh @ w + b, 0.0)
-    return float(np.mean((mh - yh) ** 2) / np.mean(yh**2)), updates
+    yh = np.empty(n_eval)
+    mh = np.empty(n_eval)
+    for start, stop, Xh in gaussian_row_blocks(rng.generator(1), n_eval, d, d):
+        yh[start:stop] = target.evaluate(Xh)
+        mh[start:stop] = np.maximum(Xh @ w + b, 0.0)
+    mh -= yh
+    return float(np.mean(np.square(mh, out=mh)) / np.mean(np.square(yh, out=yh))), updates
 
 
 def neuron_inapprox_sweep(

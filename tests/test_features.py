@@ -16,9 +16,11 @@ from rf_lab.features import (
     approximant_from_g,
     concentration_experiment,
     feature_matrix,
+    gaussian_row_blocks,
     least_squares_fit,
     predict_block_rows,
     relu,
+    row_blocks,
     sample_features,
     sup_error_estimate,
 )
@@ -38,8 +40,8 @@ from rf_lab.poly_repr import (
 )
 
 
-def identity(z):
-    return np.asarray(z, dtype=float)
+def identity(z, out=None):
+    return np.positive(z, out=out)
 
 
 class TestSampling:
@@ -80,6 +82,18 @@ class TestFeatureMatrix:
         sample = sample_features(FeatureFamily(relu, uniform_cube()), 3, 2, RandomSource(9))
         with pytest.raises(ValueError):
             feature_matrix(sample, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("activation", [relu, np.exp], ids=["relu", "exp"])
+    def test_in_place_activation_gives_the_same_bits(self, activation):
+        sample = sample_features(FeatureFamily(activation, uniform_cube()), 3, 37, RandomSource(7))
+        X = 2.0 * uniform_ball(3, 101, RandomSource(8).generator())
+        expected = activation(X @ sample.weights.T)
+        assert np.array_equal(feature_matrix(sample, X), expected)
+        buf = np.full((120, 37), np.nan)
+        F = feature_matrix(sample, X, out=buf[7:108])
+        assert F.shape == (101, 37) and np.shares_memory(F, buf)
+        assert np.array_equal(F, expected)
+        assert np.isnan(buf[:7]).all() and np.isnan(buf[108:]).all()
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +157,14 @@ def predict_reference(combo, sample, X):
     return feature_matrix(sample, X) @ combo.weights + combo.intercept
 
 
+def per_block_predict(combo, sample, X):
+    """predict with a fresh feature matrix and product per ``row_blocks`` block."""
+    out = np.empty((len(X),) + combo.weights.shape[1:])
+    for start, stop in row_blocks(len(X), sample.r):
+        out[start:stop] = sample.family.activation(X[start:stop] @ sample.weights.T) @ combo.weights
+    return out + combo.intercept
+
+
 # the paper's two families: cube-sampled exp and unit-sphere ReLU features
 BLOCK_FAMILIES = {
     "ridge_exp": lambda: FeatureFamily(np.exp, uniform_cube()),
@@ -187,6 +209,18 @@ class TestBlockedPredict:
         first = combo.predict(sample, X[:1])
         assert first.shape == (1, 3) and np.all(np.abs(first - pred[:1]) <= bound[:1])
 
+    @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+    @pytest.mark.parametrize("r, k", [(64, None), (1000, None), (PREDICT_CELLS // 4 + 1, None), (96, 3)])
+    def test_equals_fresh_matrices_per_block(self, family, r, k):
+        # n = rows + 1 and 3 rows + 1 step a lone last row back one group, into a
+        # block of 5 rows: rows + 1 when a block is one group of four
+        sample = sample_features(BLOCK_FAMILIES[family](), 2, r, RandomSource(60))
+        combo = LinearCombination(RandomSource(61).generator().standard_normal((r, k) if k else r), 0.375)
+        rows = predict_block_rows(r)
+        for m in (1, 2, 3, rows + 1, 3 * rows + 1):
+            X = uniform_ball(2, m, RandomSource(62, m).generator())
+            assert np.array_equal(combo.predict(sample, X), per_block_predict(combo, sample, X)), m
+
     def test_single_point_and_weight_mismatch(self):
         sample = sample_features(FeatureFamily(relu, uniform_cube()), 2, 3, RandomSource(59))
         combo = LinearCombination(np.array([0.5, -1.0, 2.0]))
@@ -199,8 +233,8 @@ class TestBlockedPredict:
         sizes = []
         unblocked = features.feature_matrix
 
-        def recording(sample, X):
-            F = unblocked(sample, X)
+        def recording(sample, X, out=None):
+            F = unblocked(sample, X, out=out)
             sizes.append(F.size)
             return F
 
@@ -374,6 +408,17 @@ class TestBlockedLeastSquares:
         assert errs == np.mean((pred - yh) ** 2, axis=0).tolist()
         assert norms == np.mean(yh**2, axis=0).tolist()
 
+    def test_sweep_shape_at_the_largest_d(self):
+        # the training data is freed and the held-out points streamed: same bits
+        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 20, 200, RandomSource(44))
+        targets = sweep_like_targets(20, 7)
+        combo, errs, max_u, norms = least_squares_fit(sample, targets, 1000, RandomSource(45))
+        u, pred, yh, _ = unblocked_least_squares_fit(sample, targets, 1000, RandomSource(45))
+        assert np.array_equal(combo.weights, u)
+        assert errs == np.mean((pred - yh) ** 2, axis=0).tolist()
+        assert norms == np.mean(yh**2, axis=0).tolist()
+        assert max_u == np.max(np.abs(u), axis=0).tolist()
+
     @pytest.mark.parametrize("r, k", [(256, 3), (1000, 7)])
     def test_columns_within_the_product_rounding(self, r, k):
         # a matrix-matrix product may sum a block in another order than the whole
@@ -400,8 +445,27 @@ class TestBlockedLeastSquares:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the training matrix is 6.4 MB; held-out features for all 40,000 rows would be 64 MB
-        assert peak < 4 * n_train * r * 8
+        # the training matrix is 6.4 MB, held once and freed before the held-out
+        # pass; held-out features for all 40,000 rows would be 64 MB
+        assert peak < 1.5 * n_train * r * 8
+
+
+class TestGaussianRowBlocks:
+    @pytest.mark.parametrize("row_values, n_rows", [
+        (50, 1), (50, 3), (50, 2 * 1308), (50, 2 * 1308 + 1), (50, 2 * 1308 + 5),
+        (PREDICT_CELLS // 4 + 1, 4), (PREDICT_CELLS // 4 + 1, 9),  # one group per block
+    ])
+    def test_blocks_are_rows_of_one_whole_draw(self, row_values, n_rows):
+        assert predict_block_rows(50) == 1308
+        whole_gen, gen = np.random.default_rng(9), np.random.default_rng(9)
+        whole = whole_gen.standard_normal((n_rows, 3))
+        blocks = []
+        for start, stop, points in gaussian_row_blocks(gen, n_rows, 3, row_values):
+            assert np.array_equal(points, whole[start:stop]), (start, stop)
+            blocks.append((start, stop))
+        assert blocks == list(row_blocks(n_rows, row_values))
+        # the lone row's repeated group is not drawn again: the streams end level
+        assert gen.standard_normal() == whole_gen.standard_normal()
 
 
 @pytest.fixture(scope="module")

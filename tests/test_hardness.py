@@ -303,8 +303,8 @@ class TestRidgeReluNet:
         sizes = []
         feature_matrix = features.feature_matrix
 
-        def recording(sample, X):
-            F = feature_matrix(sample, X)
+        def recording(sample, X, out=None):
+            F = feature_matrix(sample, X, out=out)
             sizes.append(F.size)
             return F
 
@@ -452,6 +452,18 @@ class TestNeuronSweep:
             assert np.array_equal(np.concatenate(blocks[1:]), held_out)
             assert max(len(X) * 50 for X in blocks[1:]) <= PREDICT_CELLS
 
+    def test_largest_d_cell_memory(self):
+        # neuron-inapprox's defaults at d = 20: a 6.4 MB training matrix, held once
+        rng = RandomSource(0)
+        cell = (FeatureFamily(relu, uniform_sphere(1.0)), 200, 20, 4000, rng.seed, rng.stream_id, True)
+        tracemalloc.start()
+        try:
+            hardness._sweep_cell(cell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+
     def test_direct_neuron_training(self):
         err, _ = train_single_neuron(baseline_neuron_target(6), 6, RandomSource(10))
         assert err < 1e-6
@@ -462,32 +474,55 @@ class TestNeuronSweep:
         assert np.allclose(out, [0.5, 0.0])
 
 
-def fixed_step_neuron_gd(target, d, rng, steps, lr=0.4, batch=4096, n_eval=50_000):
-    """Reference: train_single_neuron's SGD for exactly ``steps`` updates, no stopping rule."""
+def whole_draw_neuron_gd(target, d, rng, n_eval, steps=400, lr=0.4, batch=4096, tol=1e-10):
+    """Reference: train_single_neuron with every batch and the held-out sample drawn whole."""
     gen = rng.generator(0)
     w = 0.01 * gen.standard_normal(d)
     b = 1.0
-    for _ in range(steps):
+    updates = 0
+    while updates < steps:
         X = gen.standard_normal((batch, d))
         y = target.evaluate(X)
         z = X @ w + b
         active = z >= 0.0
         err = np.where(active, z, 0.0) - y
+        if err @ err <= tol * (y @ y):
+            break
         grad_common = 2.0 * err * active
         w -= lr * ((grad_common @ X) / batch)
         b -= lr * grad_common.mean()
+        updates += 1
     Xh = rng.generator(1).standard_normal((n_eval, d))
     yh = target.evaluate(Xh)
     mh = np.maximum(Xh @ w + b, 0.0)
-    return float(np.mean((mh - yh) ** 2) / np.mean(yh**2))
+    return float(np.mean((mh - yh) ** 2) / np.mean(yh**2)), updates
 
 
 class TestNeuronBaseline:
+    @pytest.mark.parametrize("d", [4, 20])
+    @pytest.mark.parametrize("lone_last_row", [False, True])
+    def test_streamed_draws_equal_whole_draws(self, d, lone_last_row):
+        n_eval = 3 * predict_block_rows(d) + 1 if lone_last_row else 50_000
+        target = baseline_neuron_target(d)
+        expected = whole_draw_neuron_gd(target, d, RandomSource(14), n_eval)
+        assert train_single_neuron(target, d, RandomSource(14), n_eval=n_eval) == expected
+
+    def test_memory_follows_the_block(self):
+        tracemalloc.start()
+        try:
+            train_single_neuron(baseline_neuron_target(20), 20, RandomSource(13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole 50,000 x 20 held-out sample alone would be 8 MB
+        assert peak <= 4 * 2**20
+
     @pytest.mark.parametrize("d", [3, 10])
     def test_zero_tolerance_matches_fixed_steps(self, d):
         target = baseline_neuron_target(d)
-        expected = fixed_step_neuron_gd(target, d, RandomSource(12), steps=40)
-        assert train_single_neuron(target, d, RandomSource(12), steps=40, tol=0.0) == (expected, 40)
+        expected = whole_draw_neuron_gd(target, d, RandomSource(12), 50_000, steps=40, tol=0.0)
+        assert train_single_neuron(target, d, RandomSource(12), steps=40, tol=0.0) == expected
+        assert expected[1] == 40
 
     @pytest.mark.parametrize("d", [4, 10, 20])
     def test_stops_before_the_cap(self, d):

@@ -107,102 +107,7 @@ def _parse_int_list(value) -> list:
     return [int(p) for p in str(value).split(",") if p != ""]
 
 
-# parameter spec: name -> (parser, default, help)
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "int_list": _parse_int_list,
-}
-
-COMMANDS: dict[str, dict] = {
-    "legendre-check": {
-        "help": "orthogonality, vanishing pattern, and reconstruction of the Legendre machinery",
-        "params": {"max_degree": ("int", 12, "largest degree checked")},
-    },
-    "represent-poly": {
-        "help": "construct the weight function for a polynomial and verify by quadrature",
-        "params": {
-            "poly": ("str", '{"1,1": 1.0}', "polynomial as JSON multi-index map"),
-            "probes": ("int", 20, "number of unit-ball probe points"),
-            "quad_order": ("int", 0, "per-axis quadrature order (0 = degree + 4)"),
-        },
-    },
-    "concentration": {
-        "help": "sup-error of averaged random features vs their expectation across r",
-        "params": {
-            "poly": ("str", '{"1,1": 1.0}', "polynomial as JSON multi-index map"),
-            "r": ("int_list", [64, 128, 256, 512, 1024, 2048, 4096], "feature counts"),
-            "trials": ("int", 20, "independent feature draws per r"),
-            "probes": ("int", 2000, "unit-ball probe points"),
-            "delta": ("float", 0.01, "failure probability in the envelope"),
-        },
-    },
-    "learn-poly": {
-        "help": "SGD on a two-layer net against margin-filtered polynomial-sign data",
-        "params": {
-            "d": ("int", 3, "input dimension"),
-            "poly": ("str", '{"1,1,0": 2.0}', "scaled polynomial (sup over ball = 1)"),
-            "margin": ("float", 0.3, "margin filter on |P(x)|"),
-            "r": ("int", 1000, "hidden width"),
-            "eta": ("float", 0.01, "learning rate"),
-            "steps": ("int", 200_000, "SGD steps"),
-            "comparator_scale": ("float", 3.0, "scale of the explicit polynomial predictor"),
-            "n_val": ("int", 2000, "validation set size"),
-        },
-    },
-    "params": {
-        "help": "exact guarantee-scale hyperparameters (reported, never used to train)",
-        "params": {
-            "epsilon": ("float", 0.1, "target excess loss"),
-            "delta": ("float", 0.1, "failure probability"),
-            "d": ("int", 3, "input dimension"),
-            "k": ("int", 2, "polynomial degree"),
-            "alpha": ("float", 1.0, "coefficient bound"),
-        },
-    },
-    "psi-check": {
-        "help": "certify the periodic hard-instance function",
-        "params": {
-            "d": ("int", 3, "dimension parameter (a = 6 d^2 + 1)"),
-            "grid": ("int", 10_000, "grid points for residuals"),
-            "order": ("int", 16, "quadrature order per segment"),
-        },
-    },
-    "linear-residual": {
-        "help": "squared distance of a random unit target from a random feature span",
-        "params": {
-            "d": ("int", 100, "ambient dimension"),
-            "r": ("int", 50, "number of random directions"),
-            "trials": ("int", 500, "independent trials"),
-        },
-    },
-    "correlation-decay": {
-        "help": "decay of the squared correlation between a fixed net and psi ridges",
-        "params": {
-            "d_values": ("int_list", [2, 4, 6, 8, 10, 12], "dimensions"),
-            "trials": ("int", 64, "w draws per dimension"),
-            "mc_samples": ("int", 100_000, "Monte-Carlo x samples"),
-            "f_r": ("int", 50, "feature count of the fixed test network"),
-        },
-    },
-    "neuron-inapprox": {
-        "help": "least-squares error of oblivious ReLU features on the hard targets",
-        "params": {
-            "d_values": ("int_list", [4, 10, 15, 20], "dimensions"),
-            "r": ("int", 200, "feature count"),
-            "n_train": ("int", 4000, "training sample size"),
-            "baseline": ("int", 1, "1 = include the directly-trained neuron baseline"),
-        },
-    },
-    "exp-identity": {
-        "help": "check the exp-through-ReLU integral identity on a z grid",
-        "params": {
-            "grid": ("int", 41, "number of z points in [-1, 1]"),
-            "order": ("int", 40, "quadrature order per segment"),
-        },
-    },
-}
+_PARSERS = {"int": int, "float": float, "str": str, "int_list": _parse_int_list}
 
 
 # One %-conversion per kind of value: bools as 1/0, floats with 17 significant
@@ -285,6 +190,35 @@ def _from_config(key: str, kind: str, value):
         raise UsageError(f"config key {key!r}: {exc}") from exc
 
 
+def _bound_text(kind: str, bounds) -> str:
+    """'>= 1' or 'in [0, 1]' for ints and int lists (inclusive); '> 0' or 'in (0, 1)' for floats (exclusive)."""
+    low, high = bounds
+    closed = kind != "float"
+    if low is not None and high is not None:
+        return f"in [{low}, {high}]" if closed else f"in ({low}, {high})"
+    if high is None:
+        return f">= {low}" if closed else f"> {low}"
+    return f"<= {high}" if closed else f"< {high}"
+
+
+def _check_bounds(key: str, kind: str, bounds, value) -> None:
+    """Refuse a value outside its bounds, naming the flag; a list must be nonempty, and NaN fails every float bound."""
+    low = -math.inf if bounds[0] is None else bounds[0]
+    high = math.inf if bounds[1] is None else bounds[1]
+    values = value if kind == "int_list" else [value]
+    if kind == "float":
+        inside = all(low < v < high for v in values)
+    else:
+        inside = all(low <= v <= high for v in values)
+    if values and inside:
+        return
+    flag = "--" + key.replace("_", "-")
+    text = _bound_text(kind, bounds)
+    if kind == "int_list":
+        raise UsageError(f"{flag} needs values {text}, got {value}")
+    raise UsageError(f"{flag} must {'lie' if text.startswith('in') else 'be'} {text}, got {value}")
+
+
 def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
     spec = COMMANDS[name]["params"]
     file_values = load_config(args.config) if args.config else {}
@@ -294,7 +228,7 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
         raise UsageError(f"unknown config key {sorted(unknown)[0]!r} for {name} "
                          f"(known: {sorted(set(spec) | reserved)})")
     params = {}
-    for key, (kind, default, _help) in spec.items():
+    for key, (kind, default, _help, bounds) in spec.items():
         flag_val = getattr(args, key.replace("-", "_"))
         if flag_val is not None:
             params[key] = flag_val
@@ -302,6 +236,8 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
             params[key] = _from_config(key, kind, file_values[key])
         else:
             params[key] = default
+        if bounds is not None:
+            _check_bounds(key, kind, bounds, params[key])
     if args.seed is not None:
         seed = args.seed
     elif "seed" in file_values:
@@ -323,21 +259,9 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(name, params, seed, out_dir, jobs)
 
 
-def _require_at_least(p: dict, **bounds) -> None:
-    """Refuse a value below its bound, naming the flag; a list must be nonempty and every entry in bounds."""
-    for key, low in bounds.items():
-        value = p[key]
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, list):
-            if not value or min(value) < low:
-                raise UsageError(f"{flag} needs values >= {low}, got {value}")
-        elif value < low:
-            raise UsageError(f"{flag} must be >= {low}, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # command implementations: each returns (outputs, summary_lines, failures)
-# outputs: {filename: (header, columns)} or {filename: ("json", text)}
+# outputs: {filename: (header, columns)} or {filename: ("json", text)}; run() writes them
 # ---------------------------------------------------------------------------
 
 
@@ -384,7 +308,6 @@ def _cmd_legendre_check(cfg: ExperimentConfig):
 
 
 def _cmd_represent_poly(cfg: ExperimentConfig):
-    _require_at_least(cfg.params, probes=1)
     P = SparsePolynomial.from_json(cfg.params["poly"])
     act = exp_activation()
     table = build_monomial_table(max(P.degree, 1))
@@ -413,9 +336,6 @@ def _cmd_represent_poly(cfg: ExperimentConfig):
 
 def _cmd_concentration(cfg: ExperimentConfig):
     p = cfg.params
-    if not 0.0 < p["delta"] < 1.0:
-        raise UsageError(f"--delta must lie in (0, 1), got {p['delta']}")
-    _require_at_least(p, trials=1, probes=1, r=1)
     P = SparsePolynomial.from_json(p["poly"])
     act = exp_activation()
     result = concentration_experiment(
@@ -452,9 +372,6 @@ def _cmd_concentration(cfg: ExperimentConfig):
 
 def _cmd_learn_poly(cfg: ExperimentConfig):
     p = cfg.params
-    _require_at_least(p, d=1, r=1, steps=1, n_val=1)
-    if not p["eta"] > 0.0:
-        raise UsageError(f"--eta must be > 0, got {p['eta']}")
     P = SparsePolynomial.from_json(p["poly"])
     if P.dimension != p["d"]:
         raise UsageError(f"polynomial dimension {P.dimension} != --d {p['d']}")
@@ -561,19 +478,10 @@ def _cmd_params(cfg: ExperimentConfig):
 
 
 def _cmd_psi_check(cfg: ExperimentConfig):
-    _require_at_least(cfg.params, grid=2)  # the oddness and periodicity residuals need two points
     psi = PsiFunction(cfg.params["d"])
     report = psi_properties_check(psi, cfg.params["grid"], cfg.params["order"])
-    checks = [
-        ("oddness_residual", report.oddness_residual, "< 1e-12", report.oddness_residual < 1e-12),
-        ("periodicity_residual", report.periodicity_residual, "< 1e-12", report.periodicity_residual < 1e-12),
-        ("interval_integral_max_dev_from_2/3", report.max_interval_deviation, "< 1e-10", report.max_interval_deviation < 1e-10),
-        ("max_abs_value", report.max_abs_value, "<= 1", report.max_abs_value <= 1.0 + 1e-12),
-        ("relu_decomposition_residual", report.decomposition_residual, "< 1e-12", report.decomposition_residual < 1e-12),
-        ("gaussian_norm_at_w=d", report.gaussian_norm_at_d, ">= 1/6", report.gaussian_norm_at_d >= 1.0 / 6.0),
-    ]
-    rows = [(name, float(val), req, ok) for name, val, req, ok in checks]
-    failures = [f"{name} = {val:.6e} fails requirement {req}" for name, val, req, ok in checks if not ok]
+    rows = [(name, float(val), req, ok) for name, val, req, ok in report.checks]
+    failures = [f"{name} = {val:.6e} fails requirement {req}" for name, val, req, ok in report.checks if not ok]
     summary = [f"a = {psi.a}; all checks passed: {report.passed}"]
     header = ("property", "observed", "requirement", "passed")
     return {"psi_properties.csv": (header, list(zip(*rows)))}, summary, failures
@@ -581,7 +489,6 @@ def _cmd_psi_check(cfg: ExperimentConfig):
 
 def _cmd_linear_residual(cfg: ExperimentConfig):
     p = cfg.params
-    _require_at_least(p, d=1, r=0, trials=1)
     if p["r"] > p["d"]:
         raise UsageError(f"--r must be <= --d ({p['d']}), got {p['r']}")
     res = linear_residual(p["d"], p["r"], RandomSource(cfg.seed), p["trials"])
@@ -602,8 +509,6 @@ def _cmd_linear_residual(cfg: ExperimentConfig):
 
 def _cmd_correlation_decay(cfg: ExperimentConfig):
     p = cfg.params
-    # std_err takes the sample deviation over the w draws (ddof=1), so it needs two
-    _require_at_least(p, d_values=1, trials=2, mc_samples=1, f_r=1)
     rows_out = correlation_decay(
         RidgeReluNetFactory(p["f_r"]), p["d_values"], p["trials"], p["mc_samples"],
         RandomSource(cfg.seed), jobs=cfg.jobs,
@@ -621,9 +526,6 @@ def _cmd_correlation_decay(cfg: ExperimentConfig):
 
 def _cmd_neuron_inapprox(cfg: ExperimentConfig):
     p = cfg.params
-    _require_at_least(p, d_values=1, r=1, n_train=1)
-    if p["baseline"] not in (0, 1):
-        raise UsageError(f"--baseline must be 0 or 1, got {p['baseline']}")
     family = FeatureFamily(relu, uniform_sphere(1.0))
     rows_out = neuron_inapprox_sweep(
         family, p["r"], p["d_values"], p["n_train"], RandomSource(cfg.seed),
@@ -643,7 +545,6 @@ def _cmd_neuron_inapprox(cfg: ExperimentConfig):
 
 def _cmd_exp_identity(cfg: ExperimentConfig):
     p = cfg.params
-    _require_at_least(p, grid=1)
     zs = np.linspace(-1.0, 1.0, p["grid"])
     errors = relu_exp_identity_check(zs, p["order"])
     worst = float(errors.max())
@@ -654,17 +555,108 @@ def _cmd_exp_identity(cfg: ExperimentConfig):
     return {"exp_identity.csv": (("z", "abs_error"), [zs, errors])}, summary, failures
 
 
-_RUNNERS = {
-    "legendre-check": _cmd_legendre_check,
-    "represent-poly": _cmd_represent_poly,
-    "concentration": _cmd_concentration,
-    "learn-poly": _cmd_learn_poly,
-    "params": _cmd_params,
-    "psi-check": _cmd_psi_check,
-    "linear-residual": _cmd_linear_residual,
-    "correlation-decay": _cmd_correlation_decay,
-    "neuron-inapprox": _cmd_neuron_inapprox,
-    "exp-identity": _cmd_exp_identity,
+# parameter spec: name -> (kind, default, help, bounds).  bounds is None or
+# (low, high), either end None; ints and the entries of int lists are
+# checked inclusively (a list must also be nonempty), floats exclusively.
+COMMANDS: dict[str, dict] = {
+    "legendre-check": {
+        "help": "orthogonality, vanishing pattern, and reconstruction of the Legendre machinery",
+        "run": _cmd_legendre_check,
+        "params": {"max_degree": ("int", 12, "largest degree checked", (0, None))},
+    },
+    "represent-poly": {
+        "help": "construct the weight function for a polynomial and verify by quadrature",
+        "run": _cmd_represent_poly,
+        "params": {
+            "poly": ("str", '{"1,1": 1.0}', "polynomial as JSON multi-index map", None),
+            "probes": ("int", 20, "number of unit-ball probe points", (1, None)),
+            "quad_order": ("int", 0, "per-axis quadrature order (0 = degree + 4)", (0, None)),
+        },
+    },
+    "concentration": {
+        "help": "sup-error of averaged random features vs their expectation across r",
+        "run": _cmd_concentration,
+        "params": {
+            "poly": ("str", '{"1,1": 1.0}', "polynomial as JSON multi-index map", None),
+            "r": ("int_list", [64, 128, 256, 512, 1024, 2048, 4096], "feature counts", (1, None)),
+            "trials": ("int", 20, "independent feature draws per r", (1, None)),
+            "probes": ("int", 2000, "unit-ball probe points", (1, None)),
+            "delta": ("float", 0.01, "failure probability in the envelope", (0, 1)),
+        },
+    },
+    "learn-poly": {
+        "help": "SGD on a two-layer net against margin-filtered polynomial-sign data",
+        "run": _cmd_learn_poly,
+        "params": {
+            "d": ("int", 3, "input dimension", (1, None)),
+            "poly": ("str", '{"1,1,0": 2.0}', "scaled polynomial (sup over ball = 1)", None),
+            "margin": ("float", 0.3, "margin filter on |P(x)|", None),
+            "r": ("int", 1000, "hidden width", (1, None)),
+            "eta": ("float", 0.01, "learning rate", (0, None)),
+            "steps": ("int", 200_000, "SGD steps", (1, None)),
+            "comparator_scale": ("float", 3.0, "scale of the explicit polynomial predictor", None),
+            "n_val": ("int", 2000, "validation set size", (1, None)),
+        },
+    },
+    "params": {
+        "help": "exact guarantee-scale hyperparameters (reported, never used to train)",
+        "run": _cmd_params,
+        "params": {
+            "epsilon": ("float", 0.1, "target excess loss", (0, 1)),
+            "delta": ("float", 0.1, "failure probability", (0, 1)),
+            "d": ("int", 3, "input dimension", (1, None)),
+            "k": ("int", 2, "polynomial degree", (1, None)),
+            "alpha": ("float", 1.0, "coefficient bound", None),
+        },
+    },
+    "psi-check": {
+        "help": "certify the periodic hard-instance function",
+        "run": _cmd_psi_check,
+        "params": {
+            "d": ("int", 3, "dimension parameter (a = 6 d^2 + 1)", (1, None)),
+            # the oddness and periodicity residuals need two points
+            "grid": ("int", 10_000, "grid points for residuals", (2, None)),
+            "order": ("int", 16, "quadrature order per segment", (1, None)),
+        },
+    },
+    "linear-residual": {
+        "help": "squared distance of a random unit target from a random feature span",
+        "run": _cmd_linear_residual,
+        "params": {
+            "d": ("int", 100, "ambient dimension", (1, None)),
+            "r": ("int", 50, "number of random directions", (0, None)),
+            "trials": ("int", 500, "independent trials", (1, None)),
+        },
+    },
+    "correlation-decay": {
+        "help": "decay of the squared correlation between a fixed net and psi ridges",
+        "run": _cmd_correlation_decay,
+        "params": {
+            "d_values": ("int_list", [2, 4, 6, 8, 10, 12], "dimensions", (1, None)),
+            # std_err takes the sample deviation over the w draws (ddof=1), so it needs two
+            "trials": ("int", 64, "w draws per dimension", (2, None)),
+            "mc_samples": ("int", 100_000, "Monte-Carlo x samples", (1, None)),
+            "f_r": ("int", 50, "feature count of the fixed test network", (1, None)),
+        },
+    },
+    "neuron-inapprox": {
+        "help": "least-squares error of oblivious ReLU features on the hard targets",
+        "run": _cmd_neuron_inapprox,
+        "params": {
+            "d_values": ("int_list", [4, 10, 15, 20], "dimensions", (1, None)),
+            "r": ("int", 200, "feature count", (1, None)),
+            "n_train": ("int", 4000, "training sample size", (1, None)),
+            "baseline": ("int", 1, "1 = include the directly-trained neuron baseline", (0, 1)),
+        },
+    },
+    "exp-identity": {
+        "help": "check the exp-through-ReLU integral identity on a z grid",
+        "run": _cmd_exp_identity,
+        "params": {
+            "grid": ("int", 41, "number of z points in [-1, 1]", (1, None)),
+            "order": ("int", 40, "quadrature order per segment", (1, None)),
+        },
+    },
 }
 
 
@@ -679,13 +671,14 @@ def _build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, spec in COMMANDS.items():
         sub = subs.add_parser(name, help=spec["help"], description=spec["help"])
-        for key, (kind, default, help_text) in spec["params"].items():
+        for key, (kind, default, help_text, bounds) in spec["params"].items():
+            bound = f", {_bound_text(kind, bounds)}" if bounds else ""
             sub.add_argument(
                 f"--{key.replace('_', '-')}",
                 dest=key.replace("-", "_"),
                 type=_PARSERS[kind],
                 default=None,
-                help=f"{help_text} (default: {default})",
+                help=f"{help_text} (default: {default}{bound})",
             )
         sub.add_argument("--config", default=None, help="JSON config file (flags override)")
         sub.add_argument("--seed", type=int, default=None, help="root seed (default: $RF_LAB_SEED or 0)")
@@ -723,10 +716,8 @@ def run(argv) -> int:
         return int(exc.code or 0)
 
     started = datetime.now(timezone.utc).isoformat()
-    out_dir = Path(cfg.out_dir) / cfg.name
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        outputs, summary, failures = _RUNNERS[cfg.name](cfg)
+        outputs, summary, failures = COMMANDS[cfg.name]["run"](cfg)
     except (UsageError, ValueError) as exc:  # bad parameter values
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -734,6 +725,8 @@ def run(argv) -> int:
         print(f"VALIDATION FAILURE: {exc}", file=sys.stderr)
         return 2
 
+    out_dir = Path(cfg.out_dir) / cfg.name
+    out_dir.mkdir(parents=True, exist_ok=True)
     checksums = {}
     for filename, payload in outputs.items():
         path = out_dir / filename

@@ -186,15 +186,22 @@ class PsiReport:
     gaussian_norm_at_d: float
 
     @property
-    def passed(self) -> bool:
+    def checks(self) -> tuple:
+        """(property, observed value, requirement, met) for each certified property."""
         return (
-            self.oddness_residual < 1e-12
-            and self.periodicity_residual < 1e-12
-            and self.max_interval_deviation < 1e-10
-            and self.max_abs_value <= 1.0 + 1e-12
-            and self.decomposition_residual < 1e-12
-            and self.gaussian_norm_at_d >= 1.0 / 6.0
+            ("oddness_residual", self.oddness_residual, "< 1e-12", self.oddness_residual < 1e-12),
+            ("periodicity_residual", self.periodicity_residual, "< 1e-12", self.periodicity_residual < 1e-12),
+            ("interval_integral_max_dev_from_2/3", self.max_interval_deviation, "< 1e-10",
+             self.max_interval_deviation < 1e-10),
+            ("max_abs_value", self.max_abs_value, "<= 1", self.max_abs_value <= 1.0 + 1e-12),
+            ("relu_decomposition_residual", self.decomposition_residual, "< 1e-12",
+             self.decomposition_residual < 1e-12),
+            ("gaussian_norm_at_w=d", self.gaussian_norm_at_d, ">= 1/6", self.gaussian_norm_at_d >= 1.0 / 6.0),
         )
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for *_, ok in self.checks)
 
 
 def psi_properties_check(psi: PsiFunction, grid_points: int = 10_000, norm_order: int = 16) -> PsiReport:

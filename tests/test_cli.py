@@ -48,6 +48,14 @@ BAD_INPUTS = [
     ("represent-poly --probes 0", "--probes"),
     ("exp-identity --grid 0", "--grid"),
     ("psi-check --grid 1", "--grid"),  # oddness and periodicity need two points
+    ("psi-check --d 0", "--d"),
+    ("psi-check --order 0", "--order"),
+    ("params --d 0", "--d"),
+    ("params --d -1", "--d"),
+    ("params --k 0", "--k"),
+    ("params --epsilon 1", "--epsilon"),
+    ("exp-identity --order 0", "--order"),
+    ("legendre-check --max-degree -1", "--max-degree"),
 ]
 
 
@@ -90,6 +98,10 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
 
+    def test_help_shows_each_flags_bounds(self, capsys):
+        assert run(["psi-check", "--help"]) == 0
+        assert "(default: 3, >= 1)" in " ".join(capsys.readouterr().out.split())
+
     def test_invalid_parameter_value_is_usage_error(self, tmp_path, capsys):
         assert run(["psi-check", "--d", "0", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
@@ -106,6 +118,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named} ")
         assert "Traceback" not in err
+        assert not (tmp_path / "concentration").exists()
 
     @pytest.mark.parametrize("argv, named", [pytest.param(*case, id=case[0]) for case in BAD_INPUTS])
     def test_sweep_bad_input_is_usage_error(self, tmp_path, capsys, argv, named):
@@ -114,7 +127,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named} ")
         assert "Traceback" not in err
-        assert not list((tmp_path / command).glob("*.csv"))
+        assert not (tmp_path / command).exists()
 
     def test_diverged_training_exits_two(self, tmp_path, capsys):
         assert run(["learn-poly", "--eta", "50", "--steps", "2000", "--out", str(tmp_path)]) == 2
@@ -128,6 +141,12 @@ class TestExitCodes:
         # the default polynomial has sup |P| = 1 on the ball, so margin 1.5 rejects every draw
         assert run(["learn-poly", "--margin", "1.5", "--steps", "10", "--out", str(tmp_path)]) == 1
         assert "error: margin 1.5 accepted 0 of" in capsys.readouterr().err
+        assert not (tmp_path / "learn-poly").exists()
+
+    def test_polynomial_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
+        assert run(["learn-poly", "--d", "2", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: polynomial dimension 3 != --d 2")
+        assert not (tmp_path / "learn-poly").exists()
 
 
 class TestConfigFiles:
@@ -162,6 +181,13 @@ class TestConfigFiles:
         assert run(["psi-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
+
+    def test_file_value_is_bounds_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"d": 0}')
+        assert run(["psi-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: --d must be >= 1, got 0")
+        assert not (tmp_path / "psi-check").exists()
 
     def test_unknown_key_named_in_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -94,11 +94,6 @@ class ExperimentConfig:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
-        return cls(raw["name"], raw["params"], raw["seed"], raw["out_dir"], raw["jobs"])
-
 
 def _parse_int_list(value) -> list:
     """Comma-separated string from the command line, or a JSON list from a config."""
@@ -254,8 +249,7 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
         jobs = _from_config("jobs", "int", file_values["jobs"])
     else:
         jobs = usable_cpus()
-    if jobs < 1:
-        raise UsageError(f"jobs must be >= 1, got {jobs}")
+    _check_bounds("jobs", "int", (1, None), jobs)
     return ExperimentConfig(name, params, seed, out_dir, jobs)
 
 
@@ -312,9 +306,12 @@ def _cmd_represent_poly(cfg: ExperimentConfig):
     act = exp_activation()
     table = build_monomial_table(max(P.degree, 1))
     g = construct_g(P, act, table)
+    quad_order = cfg.params["quad_order"]
+    if 0 < quad_order < P.degree + 2:
+        raise UsageError(f"--quad-order must be 0 or >= degree + 2 = {P.degree + 2}, got {quad_order}")
     rng = RandomSource(cfg.seed)
     xs = uniform_ball(P.dimension, cfg.params["probes"], rng.generator(0))
-    order = cfg.params["quad_order"] or P.degree + 4
+    order = quad_order or P.degree + 4
     res_t = verify_representation(P, g, act, xs, order, truncate=True)
     res_f = verify_representation(P, g, act, xs, max(order, P.degree + 6), truncate=False)
     g_max = max_abs_g(g, 10_000, rng.derive(1))
@@ -606,7 +603,7 @@ COMMANDS: dict[str, dict] = {
             "delta": ("float", 0.1, "failure probability", (0, 1)),
             "d": ("int", 3, "input dimension", (1, None)),
             "k": ("int", 2, "polynomial degree", (1, None)),
-            "alpha": ("float", 1.0, "coefficient bound", None),
+            "alpha": ("float", 1.0, "coefficient bound", (0, None)),
         },
     },
     "psi-check": {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -83,8 +84,9 @@ def feature_matrix(sample: FeatureSample, X, out=None) -> np.ndarray:
     return sample.family.activation(Z, out=Z)
 
 
-# Largest feature block predict builds at once (512 KiB of float64): small
-# enough for malloc to reuse one block and for the cache to hold it.
+# Feature values predict builds at once (512 KiB of float64), plus one row
+# where a lone last row joins a block: small enough for malloc to reuse one
+# block and for the cache to hold it.
 PREDICT_CELLS = 1 << 16
 # BLAS matrix-vector kernels take output rows in groups (four in OpenBLAS).
 # Blocks that start on a group boundary sum every row exactly as one product
@@ -100,18 +102,17 @@ def predict_block_rows(row_values: int) -> int:
 
 
 def row_blocks(n_rows: int, row_values: int):
-    """(start, stop) blocks of ``predict_block_rows(row_values)`` rows covering n_rows rows.
+    """Disjoint (start, stop) blocks covering range(n_rows) in order, each of
+    ``predict_block_rows(row_values)`` rows but the last.
 
     A product over each block equals the same rows of one product over all
     rows.  NumPy sends a lone row through a dot product, not GEMV, so a lone
-    last row is computed with the group before it, which is computed twice.
+    last row joins the block before it, which then has one row more.
     """
     rows = predict_block_rows(row_values)
-    for start in range(0, n_rows, rows):
-        stop = min(start + rows, n_rows)
-        if start == n_rows - 1 > 0:
-            start -= PREDICT_ROW_GROUP
-        yield start, stop
+    last = n_rows - 1 if n_rows > 1 and n_rows % rows == 1 else n_rows
+    for start in range(0, last, rows):
+        yield start, n_rows if start + rows >= last else start + rows
 
 
 def longest_block(blocks) -> int:
@@ -123,21 +124,16 @@ def gaussian_row_blocks(gen: np.random.Generator, n_rows: int, d: int, row_value
     """(start, stop, points) over ``row_blocks(n_rows, row_values)``: points are
     rows start:stop of ``gen.standard_normal((n_rows, d))``.
 
-    The rows are drawn in order into one reused buffer, so they take the
-    values of one whole draw without it being held; each block's points are
-    overwritten by the next block's.  The group a lone last row repeats is
-    carried over from the block before, not drawn again.
+    Each block is drawn in order into one reused buffer, so the blocks take
+    the values of one whole draw without it being held; each block's points
+    are overwritten by the next block's.
     """
     blocks = list(row_blocks(n_rows, row_values))
     buf = np.empty((longest_block(blocks), d))
-    drawn = prev_rows = 0  # rows drawn so far, where the previous block ends
     for start, stop in blocks:
-        kept = drawn - start
-        if kept:
-            buf[:kept] = buf[prev_rows - kept : prev_rows]
-        gen.standard_normal(out=buf[kept : stop - start])
-        drawn, prev_rows = stop, stop - start
-        yield start, stop, buf[:prev_rows]
+        points = buf[: stop - start]
+        gen.standard_normal(out=points)
+        yield start, stop, points
 
 
 @dataclass(frozen=True)
@@ -323,26 +319,16 @@ def concentration_experiment(
     f_vals = integral_feature_expectation(g, act.evaluate, probe_pts, P.degree + 6)
     grid_c = max_abs_g(g, 10_000, rng.derive(2))
     family = FeatureFamily(act.evaluate, uniform_cube())
-    state = (P.dimension, act, g, family, probe_pts, f_vals, rng)
+    cell = partial(_concentration_cell, P.dimension, act, g, family, probe_pts, f_vals, rng)
     cells = [(ri, r, t) for ri, r in enumerate(r_values) for t in range(trials)]
-    results = map_cells(_concentration_cell, cells, jobs, _set_concentration_state, (state,))
+    results = map_cells(cell, cells, jobs)
     rows = tuple(row for row, _ in results)
     sup_c = max([grid_c] + [sample_sup for _, sample_sup in results])
     return ConcentrationResult(r_values, rows, act.lipschitz_L, sup_c)
 
 
-# State shared by every concentration cell, installed once per process.
-_concentration_state = None
-
-
-def _set_concentration_state(state) -> None:
-    global _concentration_state
-    _concentration_state = state
-
-
-def _concentration_cell(cell):
+def _concentration_cell(d, act, g, family, probe_pts, f_vals, rng, cell):
     """One (r, trial) draw: the CSV row and the largest |g(w_i)| it sampled."""
-    d, act, g, family, probe_pts, f_vals, rng = _concentration_state
     ri, r, t = cell
     sample = sample_features(family, d, r, rng.derive(1, ri, t))
     combo = approximant_from_g(g, act, sample)

@@ -15,15 +15,19 @@ the term-by-term sum is kept as a test oracle (``ReluDecomposition.evaluate``).
 
 Composed with a random direction, x -> psi(<w, x>) with ||w|| = d
 oscillates too fast for any fixed low-norm feature family to track, which
-is what the correlation-decay and inapproximability sweeps measure.  The
+is what the correlation-decay and inapproximability sweeps measure.  Both
+run one cell per dimension through ``parallel.map_cells``.  The
 correlation sweep streams its Gaussian sample in tiles of whole row groups,
 at most ``features.PREDICT_CELLS`` psi values each: every tile is drawn,
 projected and passed through psi in place in two reused buffers and added
 to the running sums, so a cell holds no array that grows with the sample.
-Its test net is a ``features.LinearCombination``, which evaluates in the
-same row blocks.  The inapproximability sweep's least-squares fit and its
-directly-trained baseline draw their held-out points in them too, into one
-reused buffer each (``features.gaussian_row_blocks``).
+The tiles are its own, not ``features.row_blocks``, because their size
+fixes the order of the sums.  Its test net is a
+``features.LinearCombination``, which evaluates each tile in
+``row_blocks``.  The inapproximability sweep's least-squares fit and its
+directly-trained baseline draw their held-out points in ``row_blocks``
+too, each block straight into one reused buffer
+(``features.gaussian_row_blocks``).
 """
 
 from __future__ import annotations
@@ -314,13 +318,11 @@ def correlation_decay(
     size fixes the order of the sums: another size changes the results in
     their last digits.
     """
-    cells = [(int(d), f_factory, trials, mc_samples, rng.seed, rng.stream_id) for d in d_values]
-    return map_cells(_correlation_cell, cells, jobs)
+    cell = partial(_correlation_cell, f_factory, trials, mc_samples, rng)
+    return map_cells(cell, [int(d) for d in d_values], jobs)
 
 
-def _correlation_cell(cell) -> CorrelationDecayRow:
-    d, f_factory, trials, mc_samples, seed, stream = cell
-    rng = RandomSource(seed, stream)
+def _correlation_cell(f_factory, trials: int, mc_samples: int, rng: RandomSource, d: int) -> CorrelationDecayRow:
     psi = PsiFunction(d)
     f = f_factory(d, rng.generator(d, 0))
     gen_w = rng.generator(d, 1)
@@ -332,7 +334,8 @@ def _correlation_cell(cell) -> CorrelationDecayRow:
     Z = np.empty((len(X), trials))  # psi_w(x) at the tile's points
     inner_sums = np.zeros(trials)
     f_sq_sum = 0.0
-    # non-overlapping tiles: row_blocks' recomputed lone row would be summed twice
+    # its own tiles, not row_blocks: their size fixes the order of the sums,
+    # and a lone last point joining the tile before would change it
     for start in range(0, mc_samples, rows):
         m = min(rows, mc_samples - start)
         x, z = X[:m], Z[:m]
@@ -359,10 +362,11 @@ class RidgeReluNetFactory:
     """Per-dimension test function builder: an r-feature ReLU combination
     with unit-sphere directions and N(0, 1/r) output weights.
 
-    A picklable callable, so correlation sweeps can fan out across worker
-    processes.  The net it returns is a ``LinearCombination`` over a
-    ``FeatureSample``, so it evaluates any batch of points in ``predict``'s
-    row blocks rather than as one n x r feature matrix.
+    The sweep calls it once per dimension, in the cell that runs that
+    dimension, with the cell's own generator.  The net it returns is a
+    ``LinearCombination`` over a ``FeatureSample``, so it evaluates any
+    batch of points in ``predict``'s row blocks rather than as one n x r
+    feature matrix.
     """
 
     r: int = 50
@@ -481,16 +485,11 @@ def neuron_inapprox_sweep(
     the whole sample are skipped.  Optionally adds the directly-trained
     single-neuron baseline on the middle candidate (``baseline_neuron_target``).
     """
-    cells = [
-        (family, r, int(d), n_train, rng.seed, rng.stream_id, include_baseline)
-        for d in d_values
-    ]
-    return [row for group in map_cells(_sweep_cell, cells, jobs) for row in group]
+    cell = partial(_sweep_cell, family, r, n_train, include_baseline, rng)
+    return [row for group in map_cells(cell, [int(d) for d in d_values], jobs) for row in group]
 
 
-def _sweep_cell(cell):
-    family, r, d, n_train, seed, stream, include_baseline = cell
-    rng = RandomSource(seed, stream)
+def _sweep_cell(family: FeatureFamily, r: int, n_train: int, include_baseline: bool, rng: RandomSource, d: int):
     sample = sample_features(family, d, r, rng.derive(d, 0))
     psi = PsiFunction(d)
     control_col = sample.r // 2

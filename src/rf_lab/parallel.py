@@ -4,12 +4,20 @@ Every sweep splits its work into cells whose randomness is pre-assigned
 (a cell derives its own streams from the root seed and its index), so the
 results never depend on how many processes ran them.  BLAS is kept at one
 thread per process by the CLI, so ``jobs`` processes use ``jobs`` cores.
+
+Workers are forked, and the function they run is installed in a module
+global before the fork, so a sweep hands its shared state to the cells as
+a ``functools.partial`` over its cell function: nothing but the cells and
+their results is pickled.
 """
 
 from __future__ import annotations
 
 import math
 import os
+
+# The function the running map's workers call; set only while a pool runs.
+_fn = None
 
 
 def usable_cpus() -> int:
@@ -19,31 +27,36 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def map_cells(fn, cells, jobs: int, initializer=None, initargs=()) -> list:
+def _call(cell):
+    return _fn(cell)
+
+
+def map_cells(fn, cells, jobs: int) -> list:
     """``[fn(cell) for cell in cells]``, over ``jobs`` worker processes.
 
-    ``initializer(*initargs)`` runs once in every process that runs cells
-    (in this one when the map is serial) and is the place to build state
-    that all cells share.  Workers are forked, so ``initargs`` need not be
-    picklable; cells and results must be.  Cells are sent in chunks of
-    ``ceil(n / (4 jobs))``: many tiny cells cost a few round trips instead
-    of one each, and every worker still gets about four chunks, so cells of
-    uneven cost balance.
+    ``fn`` is installed as the module's ``_fn`` before the workers are
+    forked and reset once they are done, so it may be any callable (a
+    ``partial`` over unpicklable state, a closure) and is never pickled;
+    cells and results must be.  Maps do not nest: a cell that ran a map of
+    its own would reset ``_fn`` under the worker's later cells.  Cells are
+    sent in chunks of ``ceil(n / (4 jobs))``: many tiny cells cost a few
+    round trips instead of one each, and every worker still gets about four
+    chunks, so cells of uneven cost balance.
     """
+    global _fn
     cells = list(cells)
     jobs = min(jobs, len(cells))
     if jobs <= 1:
-        if initializer is not None:
-            initializer(*initargs)
         return [fn(cell) for cell in cells]
     # imported here so that serial runs and plain imports do not pay for it
     import concurrent.futures
     import multiprocessing
 
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=initializer,
-        initargs=initargs,
-    ) as pool:
-        return list(pool.map(fn, cells, chunksize=math.ceil(len(cells) / (4 * jobs))))
+    _fn = fn
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            return list(pool.map(_call, cells, chunksize=math.ceil(len(cells) / (4 * jobs))))
+    finally:
+        _fn = None

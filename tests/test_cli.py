@@ -13,7 +13,7 @@ import pytest
 
 import rf_lab
 from rf_lab import cli
-from rf_lab.cli import BLAS_THREAD_VARS, ExperimentConfig, run, write_csv
+from rf_lab.cli import BLAS_THREAD_VARS, run, write_csv
 from rf_lab.features import PREDICT_CELLS
 from rf_lab.hardness import SweepRow
 from rf_lab.parallel import usable_cpus
@@ -129,6 +129,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / command).exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["params", "--alpha", "-5"], "--alpha must be > 0, got -5.0"),
+        (["psi-check", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        # quad_order must exceed the polynomial's degree by two: a relation, not a fixed bound
+        (["represent-poly", "--quad-order", "1"], "--quad-order must be 0 or >= degree + 2 = 4, got 1"),
+        (["represent-poly", "--quad-order", "3"], "--quad-order must be 0 or >= degree + 2 = 4, got 3"),
+        (["represent-poly", "--poly", '{"1,1,1": 1.0}', "--quad-order", "4"],
+         "--quad-order must be 0 or >= degree + 2 = 5, got 4"),
+    ])
+    def test_refusal_names_the_flag_and_value(self, tmp_path, capsys, argv, message):
+        assert run([*argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / argv[0]).exists()
+
+    def test_smallest_quad_order_is_accepted(self, tmp_path, capsys):
+        assert run(["represent-poly", "--quad-order", "4", "--out", str(tmp_path)]) == 0
+
     def test_diverged_training_exits_two(self, tmp_path, capsys):
         assert run(["learn-poly", "--eta", "50", "--steps", "2000", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -238,10 +255,6 @@ class TestConfigFiles:
         assert run(["psi-check", "--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "psi-check" / "manifest.json").read_text())
         assert manifest["config"]["jobs"] == usable_cpus()
-
-    def test_experiment_config_round_trip(self):
-        cfg = ExperimentConfig("psi-check", {"d": 4}, 7, "out", 2)
-        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
 class TestCommandOutputs:

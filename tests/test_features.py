@@ -212,8 +212,8 @@ class TestBlockedPredict:
     @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
     @pytest.mark.parametrize("r, k", [(64, None), (1000, None), (PREDICT_CELLS // 4 + 1, None), (96, 3)])
     def test_equals_fresh_matrices_per_block(self, family, r, k):
-        # n = rows + 1 and 3 rows + 1 step a lone last row back one group, into a
-        # block of 5 rows: rows + 1 when a block is one group of four
+        # n = rows + 1 and 3 rows + 1 end in a lone row, which joins the block
+        # before it: a block of rows + 1
         sample = sample_features(BLOCK_FAMILIES[family](), 2, r, RandomSource(60))
         combo = LinearCombination(RandomSource(61).generator().standard_normal((r, k) if k else r), 0.375)
         rows = predict_block_rows(r)
@@ -450,6 +450,19 @@ class TestBlockedLeastSquares:
         assert peak < 1.5 * n_train * r * 8
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("row_values", [50, PREDICT_CELLS // 4 + 1])  # 1,308 rows; one group of four
+    def test_blocks_partition_the_rows(self, row_values):
+        block = predict_block_rows(row_values)
+        for n_rows in (0, 1, block - 1, block, block + 1, 2 * block + 1, 4 * 5 + 1, 4 * 400 + 1):
+            blocks = list(row_blocks(n_rows, row_values))
+            assert [i for start, stop in blocks for i in range(start, stop)] == list(range(n_rows)), n_rows
+            sizes = [stop - start for start, stop in blocks]
+            assert all(size == block for size in sizes[:-1]), n_rows
+            if n_rows > 1:  # a lone last row joins the block before it
+                assert 2 <= sizes[-1] <= block + 1, n_rows
+
+
 class TestGaussianRowBlocks:
     @pytest.mark.parametrize("row_values, n_rows", [
         (50, 1), (50, 3), (50, 2 * 1308), (50, 2 * 1308 + 1), (50, 2 * 1308 + 5),
@@ -464,7 +477,7 @@ class TestGaussianRowBlocks:
             assert np.array_equal(points, whole[start:stop]), (start, stop)
             blocks.append((start, stop))
         assert blocks == list(row_blocks(n_rows, row_values))
-        # the lone row's repeated group is not drawn again: the streams end level
+        # every row is drawn once: the streams end level
         assert gen.standard_normal() == whole_gen.standard_normal()
 
 

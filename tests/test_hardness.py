@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -269,6 +270,13 @@ class TestCorrelationDecay:
         ratio = big.mean_sq / small.mean_sq
         assert 0.3 <= ratio <= 0.7
 
+    def test_follows_a_derived_source(self):
+        sweep = partial(correlation_decay, RidgeReluNetFactory(7), [2, 3], 8, 2_000)
+        root = RandomSource(7)
+        one = sweep(root.derive(1))
+        assert all(a.mean_sq != b.mean_sq for a, b in zip(one, sweep(root.derive(2))))
+        assert sweep(root.derive(1), jobs=2) == one
+
     def test_relu_net_signal_decreases(self):
         rows = correlation_decay(RidgeReluNetFactory(50), [2, 4, 6], trials=24,
                                  mc_samples=50_000, rng=RandomSource(9))
@@ -434,6 +442,13 @@ class TestNeuronSweep:
         family = FeatureFamily(relu, uniform_sphere(1.0))
         assert neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8), jobs=2) == rows
 
+    def test_follows_a_derived_source(self):
+        sweep = partial(neuron_inapprox_sweep, FeatureFamily(relu, uniform_sphere(1.0)), 20, [3, 5], 200)
+        root = RandomSource(8)
+        one = sweep(root.derive(1))
+        assert all(a.normalized_error != b.normalized_error for a, b in zip(one, sweep(root.derive(2))))
+        assert sweep(root.derive(1), jobs=2) == one
+
     def test_held_out_rows_featurized_once_in_blocks(self, monkeypatch):
         calls = {3: [], 6: []}
         feature_matrix = features.feature_matrix
@@ -454,11 +469,10 @@ class TestNeuronSweep:
 
     def test_largest_d_cell_memory(self):
         # neuron-inapprox's defaults at d = 20: a 6.4 MB training matrix, held once
-        rng = RandomSource(0)
-        cell = (FeatureFamily(relu, uniform_sphere(1.0)), 200, 20, 4000, rng.seed, rng.stream_id, True)
+        family = FeatureFamily(relu, uniform_sphere(1.0))
         tracemalloc.start()
         try:
-            hardness._sweep_cell(cell)
+            hardness._sweep_cell(family, 200, 4000, True, RandomSource(0), 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

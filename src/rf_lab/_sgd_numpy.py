@@ -1,31 +1,33 @@
 """Hinge-loss SGD inner loop on a two-layer net, in NumPy.
 
-Contract: advance hinge-loss SGD for ``count`` steps starting at ``start``,
-writing the per-step loss and the post-step norms into the trace arrays
-(entry t+1 describes the state after step t).  Updates use the pre-update
-outer weights, i.e. the exact simultaneous subgradient step.  Labels must be
--1 or +1.
+Contract: advance hinge-loss SGD for ``count`` steps on the rows of (X, Y),
+whose row i is the example of step ``start + i``, and return the steps that
+updated, each as (step, loss, ||W - W0||_F, ||U||, ||W||_F) with the norms
+taken after the step.  Every other step has loss 0 and leaves the norms as
+they were (the scan invariant below), so these records are the whole
+per-step trace.  Updates use the pre-update outer weights, i.e. the exact
+simultaneous subgradient step.  Labels must be -1 or +1.
 
 Scan invariant: step t changes W and U only if its margin 1 - y N(x) is
 >= 0, so between two updates the net is fixed and every step in between has
 loss 0 and the same norms.  The loop therefore alternates two modes:
 
 * exact steps, one at a time, the textbook per-step code in float64; a step
-  that does not update copies the norms forward instead of recomputing them;
+  that updates computes the norms and is recorded;
 * after ``QUIET`` exact steps in a row without an update, a scan scores the
   margins of a window of upcoming steps with one float32 GEMM against the
   fixed net.  A step whose scanned margin is below -tol provably does not
-  update (see ``_clear_steps`` for the bound), so it gets loss 0 and the
-  carried norms.  The first step that might update runs as an exact step.
-  The window starts at ``FIRST_WINDOW`` rows, doubles after every clean scan
-  and resets after an update; it never exceeds ``SCAN_CELLS // r`` rows (at
-  least 1), the rows of the scan buffer.
+  update (see ``_clear_steps`` for the bound), so it is skipped.  The first
+  step that might update runs as an exact step.  The window starts at
+  ``FIRST_WINDOW`` rows, doubles after every clean scan and resets after an
+  update; it never exceeds ``SCAN_CELLS // r`` rows (at least 1), the rows
+  of the scan buffer.
 
 The scan only decides which steps to skip and writes no number, so it runs
 in float32: the steps of a call are cast once per call, the net once at the
-first scan after each update.  Every trace entry and the final W, U are
-bit-identical to the per-step loop; the Python-level work scales with the
-number of updates, not of steps.
+first scan after each update.  The records and the final W, U are
+bit-identical to the per-step loop; the Python-level work and the records
+scale with the number of updates, not of steps.
 """
 
 from __future__ import annotations
@@ -130,60 +132,47 @@ def _clear_steps(net: _ScanNet, X, x_inf, Y, sigma, dsigma, buf) -> int:
     return int(could[0]) if could.size else len(Y)
 
 
-def run_steps(W, U, W0, X, Y, eta, sigma, dsigma, loss, drift, unorm, wnorm, start, count):
+def run_steps(W, U, W0, X, Y, eta, sigma, dsigma, start, count):
     r = W.shape[0]
-    end = start + count
     reuse_s = dsigma is sigma  # exp: sigma' = sigma, so s serves as sigma'(z) bit for bit
-    cur_drift = np.linalg.norm(W - W0)
-    cur_unorm = np.linalg.norm(U)
-    cur_wnorm = np.linalg.norm(W)
-    X32 = X[start:end].astype(np.float32)
-    x_inf = np.abs(X[start:end]).max(axis=1)
+    updates = []
+    X32 = X[:count].astype(np.float32)
+    x_inf = np.abs(X[:count]).max(axis=1)
     net = None  # the float32 net, cast at the first scan after an update
     max_window = max(1, SCAN_CELLS // r)
     buf = np.empty((min(max_window, count), r), np.float32)  # pages are touched only by a scan
     first_window = min(FIRST_WINDOW, max_window)
     window = first_window
     quiet = 0
-    t = start
-    while t < end:
+    i = 0
+    while i < count:
         if quiet >= QUIET:
             if net is None:
                 net = _scan_net(W, U)
-            hi = min(end, t + window)
-            rows = slice(t - start, hi - start)
-            clear = _clear_steps(net, X32[rows], x_inf[rows], Y[t:hi], sigma, dsigma, buf)
-            loss[t : t + clear] = 0.0
-            drift[t + 1 : t + clear + 1] = cur_drift
-            unorm[t + 1 : t + clear + 1] = cur_unorm
-            wnorm[t + 1 : t + clear + 1] = cur_wnorm
-            t += clear
-            if t == hi:
+            hi = min(count, i + window)
+            i += _clear_steps(net, X32[i:hi], x_inf[i:hi], Y[i:hi], sigma, dsigma, buf)
+            if i == hi:
                 window = min(2 * window, max_window)
                 continue
-            quiet = QUIET - 1  # step t runs exactly; back to scanning unless it updates
-        x = X[t]
-        y = Y[t]
+            quiet = QUIET - 1  # step i runs exactly; back to scanning unless it updates
+        x = X[i]
+        y = Y[i]
         z = W @ x
         s = sigma(z)
         n_val = float(U @ s)
         margin = 1.0 - y * n_val
-        loss[t] = margin if margin > 0.0 else 0.0
         if margin >= 0.0:
             # subgradient: dU = -y * s, dW_i = -y * u_i * sigma'(z_i) * x
             ds = s if reuse_s else dsigma(z)
             coef = (eta * y) * (U * ds)
             W += coef[:, None] * x[None, :]
             U += (eta * y) * s
-            cur_drift = np.linalg.norm(W - W0)
-            cur_unorm = np.linalg.norm(U)
-            cur_wnorm = np.linalg.norm(W)
+            # the step's hinge loss is its margin, which is >= 0
+            updates.append((start + i, margin, np.linalg.norm(W - W0), np.linalg.norm(U), np.linalg.norm(W)))
             net = None
             quiet = 0
             window = first_window
         else:
             quiet += 1
-        drift[t + 1] = cur_drift
-        unorm[t + 1] = cur_unorm
-        wnorm[t + 1] = cur_wnorm
-        t += 1
+        i += 1
+    return updates

@@ -38,7 +38,7 @@ for _var in BLAS_THREAD_VARS:
 import numpy as np
 
 from . import __version__
-from .features import PREDICT_CELLS, FeatureFamily, concentration_experiment, relu
+from .features import FeatureFamily, concentration_experiment, relu
 from .hardness import (
     PsiFunction,
     RidgeReluNetFactory,
@@ -69,6 +69,7 @@ from .trainer import (
     margin_filtered_sampler,
     sgd_train,
     guarantee_params,
+    take_rows,
     xavier_init,
 )
 
@@ -128,32 +129,57 @@ def _conversion(column) -> str:
 
 
 def _format_column(column, conversion) -> list:
-    """The column's values as CSV text; a float column formats each distinct bit pattern once."""
+    """The column's values as CSV text; a float column formats each run of one bit pattern once."""
     if conversion != "%.17g":
         values = column.tolist() if isinstance(column, np.ndarray) else column
         return list(map(conversion.__mod__, values))
-    # Keyed on bits: np.unique on the floats themselves would merge -0.0 into 0.0.
-    bits, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
-    texts = np.array([conversion % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+    # Runs of bits: comparing the floats themselves would merge -0.0 into 0.0.
+    bits = np.asarray(column, dtype=np.float64).view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = [conversion % v for v in bits[starts].view(np.float64).tolist()]
+    if len(texts) == len(bits):
+        return texts
+    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=len(bits))).tolist()
 
 
-def write_csv(path: Path, header, columns) -> None:
-    """Write columns of equal length; each column must hold one kind of value.
+CSV_CELLS = 1 << 13  # values formatted into text at a time
 
-    Rows are formatted and written in blocks of at most ``PREDICT_CELLS``
-    values, so memory follows the block, not the table.  A float bit
-    pattern is formatted once per block it occurs in.
+
+def _csv_text(blocks):
+    """The CSV rows of ``blocks`` as pieces of text of at most ``CSV_CELLS`` values each."""
+    kinds = None
+    for columns in blocks:
+        columns = list(columns)
+        conversions = list(map(_conversion, columns))  # refuse a bad column before any row of its block
+        n_rows = min(map(len, columns), default=0)
+        if n_rows == 0:
+            continue
+        if kinds is None:
+            kinds = conversions
+        elif conversions != kinds:
+            raise TypeError(f"CSV column changes kind between blocks: {kinds} then {conversions}")
+        rows = max(1, CSV_CELLS // len(columns))
+        for start in range(0, n_rows, rows):
+            texts = [_format_column(c[start : start + rows], conv) for c, conv in zip(columns, conversions)]
+            yield "\n".join(map(",".join, zip(*texts))) + "\n"
+
+
+def write_csv(path: Path, header, blocks) -> None:
+    """Write a table given as blocks of rows: each block is a sequence of
+    columns of equal length, and each column holds one kind of value, the
+    same in every block.
+
+    The blocks are read one at a time (a generator may make them as they
+    are written), and rows are formatted and written at most ``CSV_CELLS``
+    values at a time, so memory follows the piece, not the table.  A run of
+    equal floats within a piece is formatted once.  The file is made only
+    once the first block has been checked.
     """
-    columns = list(columns)
-    conversions = list(map(_conversion, columns))  # refuse a bad column before writing a row
-    n_rows = min(map(len, columns), default=0)
-    block = max(1, PREDICT_CELLS // max(1, len(columns)))
+    pieces = _csv_text(blocks)
+    first = next(pieces, "")
     with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(",".join(header) + "\n")
-        for start in range(0, n_rows, block):
-            texts = [_format_column(c[start : start + block], conv) for c, conv in zip(columns, conversions)]
-            out.write("\n".join(map(",".join, zip(*texts))) + "\n")
+        out.write(",".join(header) + "\n" + first)
+        out.writelines(pieces)
 
 
 def load_config(path: str) -> dict:
@@ -197,7 +223,8 @@ def _bound_text(kind: str, bounds) -> str:
 
 
 def _check_bounds(key: str, kind: str, bounds, value) -> None:
-    """Refuse a value outside its bounds, naming the flag; a list must be nonempty, and NaN fails every float bound."""
+    """Refuse a value outside its bounds, naming the flag; a list must be
+    nonempty and without repeats, and NaN fails every float bound."""
     low = -math.inf if bounds[0] is None else bounds[0]
     high = math.inf if bounds[1] is None else bounds[1]
     values = value if kind == "int_list" else [value]
@@ -205,9 +232,11 @@ def _check_bounds(key: str, kind: str, bounds, value) -> None:
         inside = all(low < v < high for v in values)
     else:
         inside = all(low <= v <= high for v in values)
-    if values and inside:
-        return
     flag = "--" + key.replace("_", "-")
+    if values and inside:
+        if len(set(values)) < len(values):  # a repeated sweep value would write its rows twice
+            raise UsageError(f"{flag} needs distinct values, got {value}")
+        return
     text = _bound_text(kind, bounds)
     if kind == "int_list":
         raise UsageError(f"{flag} needs values {text}, got {value}")
@@ -255,7 +284,8 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # command implementations: each returns (outputs, summary_lines, failures)
-# outputs: {filename: (header, columns)} or {filename: ("json", text)}; run() writes them
+# outputs: {filename: (header, blocks)} or {filename: ("json", text)}; run() writes them
+# with write_csv, where blocks is an iterable of column sequences
 # ---------------------------------------------------------------------------
 
 
@@ -298,7 +328,7 @@ def _cmd_legendre_check(cfg: ExperimentConfig):
         f"reconstruction residual: {worst_recon:.3e} (< 1e-10)",
     ]
     header = ("check", "m", "n", "observed", "expected", "abs_error")
-    return {"legendre_check.csv": (header, list(zip(*rows)))}, summary, failures
+    return {"legendre_check.csv": (header, [list(zip(*rows))])}, summary, failures
 
 
 def _cmd_represent_poly(cfg: ExperimentConfig):
@@ -328,7 +358,7 @@ def _cmd_represent_poly(cfg: ExperimentConfig):
         f"max |g| on grid: {g_max:.6g} vs bound {bound:.6g}",
     ]
     header = ("point", "truncated_residual", "full_residual")
-    return {"represent_poly.csv": (header, list(zip(*rows)))}, summary, failures
+    return {"represent_poly.csv": (header, [list(zip(*rows))])}, summary, failures
 
 
 def _cmd_concentration(cfg: ExperimentConfig):
@@ -359,8 +389,8 @@ def _cmd_concentration(cfg: ExperimentConfig):
             failures.append(f"log-log slope {slope:.4f} outside [-0.65, -0.35]")
     return (
         {
-            "concentration.csv": (header, list(zip(*rows))),
-            "concentration_summary.csv": (("r", "mean_sup_error", "std", "envelope"), list(zip(*sum_rows))),
+            "concentration.csv": (header, [list(zip(*rows))]),
+            "concentration_summary.csv": (("r", "mean_sup_error", "std", "envelope"), [list(zip(*sum_rows))]),
         },
         summary,
         failures,
@@ -380,7 +410,7 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
     )
     rng = RandomSource(cfg.seed)
     result = sgd_train(p["d"], sampler, config, rng, act, n_val=p["n_val"])
-    X_val, y_val = sampler(p["n_val"], rng.generator(2))
+    X_val, y_val = take_rows(sampler(p["n_val"], rng.generator(2)), p["n_val"], p["d"])
     comp_pred = p["comparator_scale"] * P.evaluate(X_val)
     comparator = float(np.mean(np.maximum(0.0, 1.0 - y_val * comp_pred)))
 
@@ -400,8 +430,7 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
         checked += 1
 
     report = drift_check(result.trace, config, act)
-    t = result.trace
-    trace_columns = (range(len(t.loss)), t.loss, t.run_avg_loss, t.w_drift, t.u_norm)
+    trace_blocks = ((b.step, b.loss, b.run_avg_loss, b.w_drift, b.u_norm) for b in result.trace.blocks())
     best = result.net
     checkpoint = {
         "d": best.d, "r": best.r, "activation": act.name, "seed": cfg.seed,
@@ -437,9 +466,9 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
     )]
     return (
         {
-            "learn_poly_trace.csv": (("step", "loss", "run_avg_loss", "w_drift", "u_norm"), trace_columns),
-            "learn_poly_summary.csv": (sum_header, list(zip(*sum_row))),
-            "learn_poly_validation.csv": (("step", "val_loss"), list(zip(*result.val_history))),
+            "learn_poly_trace.csv": (("step", "loss", "run_avg_loss", "w_drift", "u_norm"), trace_blocks),
+            "learn_poly_summary.csv": (sum_header, [list(zip(*sum_row))]),
+            "learn_poly_validation.csv": (("step", "val_loss"), [list(zip(*result.val_history))]),
             "learn_poly_checkpoint.json": ("json", json.dumps(checkpoint)),
         },
         summary,
@@ -481,7 +510,7 @@ def _cmd_psi_check(cfg: ExperimentConfig):
     failures = [f"{name} = {val:.6e} fails requirement {req}" for name, val, req, ok in report.checks if not ok]
     summary = [f"a = {psi.a}; all checks passed: {report.passed}"]
     header = ("property", "observed", "requirement", "passed")
-    return {"psi_properties.csv": (header, list(zip(*rows)))}, summary, failures
+    return {"psi_properties.csv": (header, [list(zip(*rows))])}, summary, failures
 
 
 def _cmd_linear_residual(cfg: ExperimentConfig):
@@ -501,7 +530,7 @@ def _cmd_linear_residual(cfg: ExperimentConfig):
         f"mean residual: {mean:.4f} (population value {1 - p['r'] / p['d']:.4f})",
         f"fraction >= 1/4: {frac:.4f}",
     ]
-    return {"linear_residual.csv": (("trial", "residual", "seed"), list(zip(*rows)))}, summary, failures
+    return {"linear_residual.csv": (("trial", "residual", "seed"), [list(zip(*rows))])}, summary, failures
 
 
 def _cmd_correlation_decay(cfg: ExperimentConfig):
@@ -518,7 +547,7 @@ def _cmd_correlation_decay(cfg: ExperimentConfig):
         f"d={r.d}: {r.mean_sq:.4e} +- {r.std_err:.1e}" for r in rows_out
     ]
     header = ("d", "mean_sq_normalized", "std_err", "n_w", "mc_samples")
-    return {"correlation_decay.csv": (header, list(zip(*rows)))}, summary, failures
+    return {"correlation_decay.csv": (header, [list(zip(*rows))])}, summary, failures
 
 
 def _cmd_neuron_inapprox(cfg: ExperimentConfig):
@@ -537,7 +566,7 @@ def _cmd_neuron_inapprox(cfg: ExperimentConfig):
             failures.append(f"neuron GD baseline at d={r.d} has error {r.normalized_error:.3e} >= 0.01")
     summary = [f"d={r.d} {r.target}: err={r.normalized_error:.4f}" for r in rows_out]
     header = ("d", "target", "normalized_error", "r_max_abs_u")
-    return {"neuron_inapprox.csv": (header, list(zip(*rows)))}, summary, failures
+    return {"neuron_inapprox.csv": (header, [list(zip(*rows))])}, summary, failures
 
 
 def _cmd_exp_identity(cfg: ExperimentConfig):
@@ -549,7 +578,7 @@ def _cmd_exp_identity(cfg: ExperimentConfig):
     if worst >= 1e-8:
         failures.append(f"identity error {worst:.3e} >= 1e-8")
     summary = [f"max |LHS - e^z| over {p['grid']} points: {worst:.3e}"]
-    return {"exp_identity.csv": (("z", "abs_error"), [zs, errors])}, summary, failures
+    return {"exp_identity.csv": (("z", "abs_error"), [(zs, errors)])}, summary, failures
 
 
 # parameter spec: name -> (kind, default, help, bounds).  bounds is None or
@@ -730,8 +759,7 @@ def run(argv) -> int:
         if payload[0] == "json":
             path.write_text(payload[1] + "\n", encoding="utf-8", newline="\n")
         else:
-            header, columns = payload
-            write_csv(path, header, columns)
+            write_csv(path, *payload)
         checksums[filename] = _sha256(path)
     manifest = {
         "command": cfg.name,

@@ -321,7 +321,8 @@ def concentration_experiment(
     family = FeatureFamily(act.evaluate, uniform_cube())
     cell = partial(_concentration_cell, P.dimension, act, g, family, probe_pts, f_vals, rng)
     cells = [(ri, r, t) for ri, r in enumerate(r_values) for t in range(trials)]
-    results = map_cells(cell, cells, jobs)
+    # a cell's work grows with its r, so a pool starts on the largest
+    results = map_cells(cell, cells, jobs, cost=lambda c: c[1])
     rows = tuple(row for row, _ in results)
     sup_c = max([grid_c] + [sample_sup for _, sample_sup in results])
     return ConcentrationResult(r_values, rows, act.lipschitz_L, sup_c)

@@ -486,7 +486,9 @@ def neuron_inapprox_sweep(
     single-neuron baseline on the middle candidate (``baseline_neuron_target``).
     """
     cell = partial(_sweep_cell, family, r, n_train, include_baseline, rng)
-    return [row for group in map_cells(cell, [int(d) for d in d_values], jobs) for row in group]
+    # a cell's work grows with its d, so a pool starts on the largest
+    groups = map_cells(cell, [int(d) for d in d_values], jobs, cost=lambda d: d)
+    return [row for group in groups for row in group]
 
 
 def _sweep_cell(family: FeatureFamily, r: int, n_train: int, include_baseline: bool, rng: RandomSource, d: int):

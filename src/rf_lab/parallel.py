@@ -31,7 +31,7 @@ def _call(cell):
     return _fn(cell)
 
 
-def map_cells(fn, cells, jobs: int) -> list:
+def map_cells(fn, cells, jobs: int, cost=None) -> list:
     """``[fn(cell) for cell in cells]``, over ``jobs`` worker processes.
 
     ``fn`` is installed as the module's ``_fn`` before the workers are
@@ -41,13 +41,19 @@ def map_cells(fn, cells, jobs: int) -> list:
     its own would reset ``_fn`` under the worker's later cells.  Cells are
     sent in chunks of ``ceil(n / (4 jobs))``: many tiny cells cost a few
     round trips instead of one each, and every worker still gets about four
-    chunks, so cells of uneven cost balance.
+    chunks, so cells of uneven cost balance.  With ``cost``, a pool is sent
+    the cells in descending ``cost(cell)`` (ties in their given order), so
+    the largest start first and the smallest fill in at the end; results
+    still come back in the order of ``cells``.
     """
     global _fn
     cells = list(cells)
     jobs = min(jobs, len(cells))
     if jobs <= 1:
         return [fn(cell) for cell in cells]
+    order = list(range(len(cells)))
+    if cost is not None:
+        order.sort(key=lambda i: cost(cells[i]), reverse=True)
     # imported here so that serial runs and plain imports do not pay for it
     import concurrent.futures
     import multiprocessing
@@ -57,6 +63,11 @@ def map_cells(fn, cells, jobs: int) -> list:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=jobs, mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            return list(pool.map(_call, cells, chunksize=math.ceil(len(cells) / (4 * jobs))))
+            sent = [cells[i] for i in order]
+            done = pool.map(_call, sent, chunksize=math.ceil(len(cells) / (4 * jobs)))
+            results = [None] * len(cells)
+            for i, result in zip(order, done):
+                results[i] = result
+            return results
     finally:
         _fn = None

@@ -13,8 +13,12 @@ a hinge-loss subgradient step on both layers simultaneously:
 rather than of steps; ``kernel_backend()`` names it.
 
 Per-step diagnostics (loss, running average, ||W_t - W_0||_F, ||U_t||,
-||W_t||_F; Frobenius norms throughout) are recorded for every step so drift
-bounds can be checked after the fact with ``drift_check``.
+||W_t||_F; Frobenius norms throughout) are kept for every step as the steps
+that updated: a step that does not update has loss 0 and moves no norm.
+``TrainTrace`` expands any range of steps from them, so drift bounds are
+checked after the fact with ``drift_check`` and the trace is written out
+range by range.  The training stream is drawn one checkpoint chunk at a
+time, so no buffer of the run grows with its step count except the records.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -125,15 +129,69 @@ class TrainConfig:
     infeasible_at_desk_scale: bool = False
 
 
-@dataclass
-class TrainTrace:
-    """Per-step diagnostics; arrays have length steps + 1 (entry 0 = init)."""
+TRACE_ROWS = 1 << 13  # trace entries expanded at a time by ``TrainTrace.blocks``
 
+
+class TraceRows(NamedTuple):
+    """Consecutive entries of a trace, one array per column."""
+
+    step: np.ndarray
     loss: np.ndarray
     run_avg_loss: np.ndarray
     w_drift: np.ndarray
     u_norm: np.ndarray
     w_norm: np.ndarray
+
+
+@dataclass
+class TrainTrace:
+    """Per-step diagnostics of a T-step run, stored as its updating steps.
+
+    Entry t (0 <= t <= T) holds the loss of step t, the running average of
+    the losses of steps 0..t, and ||W - W_0||_F, ||U||, ||W||_F after step
+    t - 1 (entry 0: at initialization).  Entry T's loss is that of the last
+    drawn example at the final parameters.  A step that does not update has
+    loss 0 and leaves the norms unchanged, so the trace keeps only
+
+    * ``steps``: the steps that updated, increasing, then T;
+    * ``loss``: the loss at each of ``steps``;
+    * ``w_drift``, ``u_norm``, ``w_norm``: the norms at initialization,
+      then after each updating step (one value per entry of ``steps``).
+
+    ``rows`` and ``blocks`` expand any range of entries, bit for bit the
+    values of per-step arrays: the running average is the cumulative sum
+    of the recorded losses over t + 1, and adding the zero losses in
+    between would not move that sum.
+    """
+
+    steps: np.ndarray
+    loss: np.ndarray
+    w_drift: np.ndarray
+    u_norm: np.ndarray
+    w_norm: np.ndarray
+
+    def __post_init__(self):
+        self._loss_sums = np.concatenate(([0.0], np.cumsum(self.loss)))
+
+    def __len__(self) -> int:
+        return int(self.steps[-1]) + 1
+
+    def rows(self, start: int = 0, stop: int | None = None) -> TraceRows:
+        """Entries start..stop - 1 (default: all of them)."""
+        t = np.arange(start, len(self) if stop is None else stop)
+        before = np.searchsorted(self.steps, t)  # records of the steps before t
+        through = np.searchsorted(self.steps, t, side="right")  # and of step t
+        loss = np.zeros(len(t))
+        hit = through > before
+        loss[hit] = self.loss[before[hit]]
+        run_avg = self._loss_sums[through]
+        run_avg /= t + 1
+        return TraceRows(t, loss, run_avg, self.w_drift[before], self.u_norm[before], self.w_norm[before])
+
+    def blocks(self):
+        """All entries, as consecutive ``TraceRows`` of at most ``TRACE_ROWS`` entries."""
+        for start in range(0, len(self), TRACE_ROWS):
+            yield self.rows(start, min(start + TRACE_ROWS, len(self)))
 
 
 @dataclass
@@ -156,9 +214,53 @@ def _validation_loss(net: TwoLayerNet, X_val, y_val) -> float:
     return float(np.mean(np.maximum(0.0, 1.0 - y_val * preds)))
 
 
+def row_chunks(blocks: Iterable, sizes, d: int):
+    """Regroup a stream of (X, y) row blocks into consecutive (X, y) chunks
+    of ``sizes`` rows each, X of width d.
+
+    A block is read only when a chunk needs its rows, so the stream is
+    drawn as the chunks are consumed.  A stream that ends early raises
+    ValueError.
+    """
+    blocks = iter(blocks)
+    X_blk = y_blk = np.empty(0)
+    at = 0
+    for size in sizes:
+        X = np.empty((size, d))
+        y = np.empty(size)
+        got = 0
+        while got < size:
+            if at == len(X_blk):
+                try:
+                    X_blk, y_blk = next(blocks)
+                except StopIteration:
+                    raise ValueError(f"sampler stream ended before {size - got} more rows") from None
+                at = 0
+            take = min(size - got, len(X_blk) - at)
+            X[got : got + take] = X_blk[at : at + take]
+            y[got : got + take] = y_blk[at : at + take]
+            got += take
+            at += take
+        yield X, y
+
+
+def take_rows(blocks: Iterable, n: int, d: int):
+    """The first n rows of a stream of (X, y) row blocks, as one (n, d) X and its (n,) y."""
+    return next(row_chunks(blocks, (n,), d))
+
+
+def _checked(chunk):
+    X, y = chunk
+    if np.any(np.linalg.norm(X, axis=1) > 1.0 + 1e-9):
+        raise ValueError("sampler produced points outside the unit ball")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("sampler produced labels outside {-1, +1}")
+    return X, y
+
+
 def sgd_train(
     d: int,
-    sampler: Callable[[int, np.random.Generator], tuple],
+    sampler: Callable[[int, np.random.Generator], Iterable],
     config: TrainConfig,
     rng: RandomSource,
     act: AnalyticActivation,
@@ -167,67 +269,55 @@ def sgd_train(
 ) -> SGDResult:
     """Run T fresh-sample SGD steps and return the best validation checkpoint.
 
-    ``sampler(n, gen)`` must return (X, y) with ||x|| <= 1 and y in {-1, +1};
-    it is called once for the training stream and once for the held-out
-    validation set, on independent sub-generators of ``rng``, so identical
-    (rng, config) reproduce identical traces.  Each generator is fresh and
-    dropped after its call, as ``margin_filtered_sampler`` requires.
+    ``sampler(n, gen)`` must yield (X, y) blocks of n rows in all, with
+    ||x|| <= 1 and y in {-1, +1}; it is called once for the training stream
+    and once for the held-out validation set, on independent sub-generators
+    of ``rng``, so identical (rng, config) reproduce identical traces.  Each
+    generator is fresh and belongs to its stream, as
+    ``margin_filtered_sampler`` requires.
 
-    The (T+1)-row stream and the five trace arrays are the only buffers held
-    whole.  The stream's unit-ball check runs in ``features.row_blocks``, and
-    the stream is freed before the running average, which is the cumulative
-    loss divided in place by the step counts, the same bits as a division
-    into a new array.
+    The stream is read one checkpoint chunk at a time (``T // n_checkpoints``
+    steps), and then row T, whose loss at the final parameters ends the
+    trace; each chunk's points and labels are checked as they arrive.  The
+    trace keeps the steps that updated (``TrainTrace``), so memory follows
+    the chunk and the number of updates, not T.
     """
     T = int(config.steps)
     eta = float(config.eta)
     net = xavier_init(d, config.r, rng.derive(0), act)
     W0 = net.W.copy()
-    X, y = sampler(T + 1, rng.generator(1))
-    X = np.ascontiguousarray(np.asarray(X, dtype=float))
-    y = np.ascontiguousarray(np.asarray(y, dtype=float))
-    if X.shape != (T + 1, d):
-        raise ValueError(f"sampler returned X of shape {X.shape}, expected {(T + 1, d)}")
-    for start, stop in row_blocks(T + 1, d):
-        if np.any(np.linalg.norm(X[start:stop], axis=1) > 1.0 + 1e-9):
-            raise ValueError("sampler produced points outside the unit ball")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("sampler produced labels outside {-1, +1}")
-    X_val, y_val = sampler(n_val, rng.generator(2))
-    X_val = np.asarray(X_val, dtype=float)
-    y_val = np.asarray(y_val, dtype=float)
-
-    loss = np.zeros(T + 1)
-    drift = np.zeros(T + 1)
-    unorm = np.zeros(T + 1)
-    wnorm = np.zeros(T + 1)
-    wnorm[0] = np.linalg.norm(net.W)
+    chunk = max(1, T // n_checkpoints)
+    counts = [min(chunk, T - done) for done in range(0, T, chunk)]
+    stream = map(_checked, row_chunks(sampler(T + 1, rng.generator(1)), [*counts, 1], d))
+    # the first chunk comes before the validation set, so a margin that accepts nothing fails on the stream
+    X, y = next(stream)
+    X_val, y_val = take_rows(sampler(n_val, rng.generator(2)), n_val, d)
 
     best_loss = val = _validation_loss(net, X_val, y_val)
     best_step = 0
     best_net = net.copy()
     val_history = [(0, best_loss)]
-    chunk = max(1, T // n_checkpoints)
+    initial_norms = (0.0, np.linalg.norm(net.U), np.linalg.norm(net.W))
+    records = []  # (step, loss, ||W - W0||, ||U||, ||W||) of the updating steps, one array per chunk
     done = 0
-    while done < T:
-        count = min(chunk, T - done)
+    for count in counts:
         before = net.copy()
         # overflow shows up as the non-finite values checked below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            _sgd_numpy.run_steps(
-                net.W, net.U, W0, X, y, eta, act.evaluate, act.derivative,
-                loss, drift, unorm, wnorm, done, count,
+            updates = _sgd_numpy.run_steps(
+                net.W, net.U, W0, X, y, eta, act.evaluate, act.derivative, done, count
             )
             # a chunk without an update leaves the net, hence its validation loss, unchanged
             if not (np.array_equal(net.W, before.W) and np.array_equal(net.U, before.U)):
                 val = _validation_loss(net, X_val, y_val)
         done += count
-        finite = (
-            np.all(np.isfinite(loss[done - count : done]))
-            and np.isfinite(wnorm[done])
-            and np.isfinite(unorm[done])
-            and math.isfinite(val)
-        )
+        finite = math.isfinite(val)
+        if updates:
+            records.append(np.array(updates))
+            # the chunk's losses and the norms after its last step; a chunk without
+            # an update has loss 0 and keeps norms that were already checked
+            losses, last_norms = records[-1][:, 1], records[-1][-1, 3:]
+            finite = finite and np.all(np.isfinite(losses)) and np.all(np.isfinite(last_norms))
         if not finite:
             raise DivergenceError(
                 f"SGD finiteness check failed at step {done}: non-finite loss or weights "
@@ -238,12 +328,17 @@ def sgd_train(
             best_loss = val
             best_step = done
             best_net = net.copy()
-    # final entry: loss of the last drawn example at the final parameters
-    loss[T] = hinge_loss(forward(net, X[T]), float(y[T]))
-    del X, y  # the stream is used up; the running average needs its room
-    run_avg = np.cumsum(loss)
-    run_avg /= np.arange(1, T + 2)
-    trace = TrainTrace(loss, run_avg, drift, unorm, wnorm)
+        X, y = next(stream)
+    # X is row T: the loss of the last drawn example at the final parameters ends the trace
+    final = hinge_loss(forward(net, X[0]), float(y[0]))
+    updated = np.concatenate([np.empty((0, 5)), *records])
+    trace = TrainTrace(
+        steps=np.append(updated[:, 0].astype(np.int64), T),
+        loss=np.append(updated[:, 1], final),
+        w_drift=np.append(initial_norms[0], updated[:, 2]),
+        u_norm=np.append(initial_norms[1], updated[:, 3]),
+        w_norm=np.append(initial_norms[2], updated[:, 4]),
+    )
     return SGDResult(best_net, best_step, best_loss, net, val_history, trace, kernel_backend())
 
 
@@ -344,32 +439,31 @@ def margin_filtered_sampler(P, margin: float):
 
     Draws x uniformly from the unit ball, labels y = sign(P(x)), and rejects
     points with |P(x)| < margin so the comparator polynomial attains near-zero
-    hinge loss.  ``P`` should already be scaled so sup_ball |P| = 1.  A margin
-    that accepts none of the first 10^5 draws, or fewer than n of the first
-    1000 n + 10^5, raises ValueError; at or above sup |P| it would accept
-    none.
+    hinge loss.  ``P`` should already be scaled so sup_ball |P| = 1.
+    ``sampler(n, gen)`` is a generator of (X, y) blocks of kept rows, n rows
+    in all, drawn as they are read; ``take_rows`` collects them into one
+    array.  A margin that accepts none of the first 10^5 draws, or fewer
+    than n of the first 1000 n + 10^5, raises ValueError when the stream
+    reaches that point; at or above sup |P| it would accept none.
 
     Points come in batches of max(2 n, 64) draws: a batch's normals (one
     row per draw), then its uniforms (the radii).  The batch is never held
-    whole.  Its kept rows and their labels are written straight into the
-    (n, d) and (n,) outputs, and the batch goes through non-overlapping
-    blocks of about ``PREDICT_CELLS`` values, in two passes over the stream:
-    a copy of ``gen`` is taken, the batch's normals are drawn from ``gen``
-    block by block into one scratch buffer and dropped, and then each block
-    of normals is drawn again from the copy next to that block's uniforms
-    from ``gen``.  Drawing a stream block by block with ``out=`` gives the
-    values of one whole draw, and every step is row by row, so the points
-    and labels are those of drawing the whole batch at once.  The second
-    pass stops once n rows are kept, leaving the rest of the batch's
-    uniforms undrawn: ``gen`` must not be drawn from after the sampler
-    returns.
+    whole.  It goes through non-overlapping blocks of about
+    ``PREDICT_CELLS`` values, in two passes over the stream: a copy of
+    ``gen`` is taken, the batch's normals are drawn from ``gen`` block by
+    block into one scratch buffer and dropped, and then each block of
+    normals is drawn again from the copy next to that block's uniforms from
+    ``gen``, and its kept rows are yielded.  Drawing a stream block by block
+    with ``out=`` gives the values of one whole draw, and every step is row
+    by row, so the points and labels are those of drawing the whole batch at
+    once.  The second pass stops once n rows are kept, leaving the rest of
+    the batch's uniforms undrawn: ``gen`` belongs to the stream, and nothing
+    else may draw from it.
     """
     d = P.dimension
     block = max(1, PREDICT_CELLS // d)
 
     def sampler(n: int, gen: np.random.Generator):
-        X = np.empty((n, d))
-        y = np.empty(n)
         batch = max(2 * n, 64)
         normals = np.empty((min(block, batch), d))
         radii = np.empty((len(normals), 1))
@@ -391,12 +485,11 @@ def margin_filtered_sampler(P, margin: float):
                 g *= u ** (1.0 / d)
                 p = P.evaluate(g)
                 keep = np.flatnonzero(np.abs(p) >= margin)[: n - got]
-                X[got : got + len(keep)] = g[keep]
-                y[got : got + len(keep)] = np.sign(p[keep])
-                got += len(keep)
+                if len(keep):
+                    got += len(keep)
+                    yield g[keep], np.sign(p[keep])
                 if got == n:
                     break
-        return X, y
 
     return sampler
 
@@ -406,30 +499,39 @@ def drift_check(trace: TrainTrace, config: TrainConfig, act: AnalyticActivation)
     and ||W_t||, ||U_t|| <= B + 1 inside the norm-cap window t <= B / (2 eps).
 
     B = max(2, ||W_0||, ||U_0||) and eps is read off the step-size relation
-    eta = eps / (L B^2) that the window is stated for.
+    eta = eps / (L B^2) that the window is stated for.  The trace is read in
+    ``TrainTrace.blocks``; minima and maxima over blocks are those over the
+    whole trace.
     """
     L = act.lipschitz_L
     eta = float(config.eta)
+    T = len(trace) - 1
     B = max(2.0, float(trace.w_norm[0]), float(trace.u_norm[0]))
     cap_eps = eta * L * B * B
-    cap_steps = int(B / (2.0 * cap_eps)) if cap_eps > 0 else len(trace.w_drift) - 1
-    cap_steps = min(cap_steps, len(trace.w_drift) - 1)
-    # margins = t * eta * L * (B + 1) - w_drift, built in place in the same order
-    margins = np.arange(len(trace.w_drift), dtype=float)
-    margins *= eta
-    margins *= L
-    margins *= B + 1.0
-    margins -= trace.w_drift
-    drift_ok = bool(np.all(margins >= -1e-9))
-    window = slice(0, cap_steps + 1)
-    max_norm = float(max(np.max(trace.w_norm[window]), np.max(trace.u_norm[window])))
+    cap_steps = int(B / (2.0 * cap_eps)) if cap_eps > 0 else T
+    cap_steps = min(cap_steps, T)
+    min_margins, w_max, u_max = [], [], []
+    for rows in trace.blocks():
+        # margins = t * eta * L * (B + 1) - w_drift, built in place in the same order
+        margins = rows.step.astype(float)
+        margins *= eta
+        margins *= L
+        margins *= B + 1.0
+        margins -= rows.w_drift
+        min_margins.append(np.min(margins))
+        window = rows.step <= cap_steps
+        if window.any():
+            w_max.append(np.max(rows.w_norm[window]))
+            u_max.append(np.max(rows.u_norm[window]))
+    min_margin = float(np.min(min_margins))  # NaN if any margin is
+    max_norm = float(max(np.max(w_max), np.max(u_max)))
     norms_ok = max_norm <= B + 1.0 + 1e-9
     return DriftReport(
         b_value=B,
         cap_epsilon=cap_eps,
         cap_steps=cap_steps,
         norms_ok=norms_ok,
-        drift_ok=drift_ok,
-        min_drift_margin=float(np.min(margins)),
+        drift_ok=min_margin >= -1e-9,
+        min_drift_margin=min_margin,
         max_norm=max_norm,
     )

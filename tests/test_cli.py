@@ -13,8 +13,7 @@ import pytest
 
 import rf_lab
 from rf_lab import cli
-from rf_lab.cli import BLAS_THREAD_VARS, run, write_csv
-from rf_lab.features import PREDICT_CELLS
+from rf_lab.cli import BLAS_THREAD_VARS, CSV_CELLS, run, write_csv
 from rf_lab.hardness import SweepRow
 from rf_lab.parallel import usable_cpus
 
@@ -31,6 +30,9 @@ BAD_INPUTS = [
     ("correlation-decay --f-r 0", "--f-r"),
     ("correlation-decay --d-values=", "--d-values"),
     ("correlation-decay --d-values 2,0", "--d-values"),
+    ("correlation-decay --d-values 2,2", "--d-values"),  # a repeated value would write its row twice
+    ("concentration --r 64,64", "--r"),
+    ("neuron-inapprox --d-values 4,4", "--d-values"),
     ("linear-residual --trials 0", "--trials"),
     ("linear-residual --d 0 --r 0", "--d"),
     ("linear-residual --d 5 --r 6", "--r"),
@@ -428,7 +430,7 @@ class TestWriteCsv:
 
     def written(self, tmp_path, header, columns) -> bytes:
         path = tmp_path / "t.csv"
-        write_csv(path, header, columns)
+        write_csv(path, header, [columns])
         return path.read_bytes()
 
     def test_matches_reference_formatting(self, tmp_path):
@@ -438,20 +440,20 @@ class TestWriteCsv:
 
     def test_accepts_iterables_of_columns(self, tmp_path):
         column = np.array([0.5, -0.0, np.nan])
-        write_csv(tmp_path / "a.csv", ("i", "v"), (range(3), column))
-        write_csv(tmp_path / "b.csv", ("i", "v"), list(zip(*[(i, float(v)) for i, v in enumerate(column)])))
+        write_csv(tmp_path / "a.csv", ("i", "v"), [(range(3), column)])
+        write_csv(tmp_path / "b.csv", ("i", "v"), [list(zip(*[(i, float(v)) for i, v in enumerate(column)]))])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes() == b"i,v\n0,0.5\n1,-0\n2,nan\n"
 
     def test_header_only(self, tmp_path):
         write_csv(tmp_path / "t.csv", ("a", "b"), [])
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
-        write_csv(tmp_path / "u.csv", ("a", "b"), list(zip(*[])))
+        write_csv(tmp_path / "u.csv", ("a", "b"), [list(zip(*[]))])
         assert (tmp_path / "u.csv").read_bytes() == b"a,b\n"
 
     @pytest.mark.parametrize("column", [[1, 2.5], [0.5, "x"], [None, None]])
     def test_column_without_one_kind_is_refused(self, tmp_path, column):
         with pytest.raises(TypeError, match="CSV column"):
-            write_csv(tmp_path / "t.csv", ("a",), [column])
+            write_csv(tmp_path / "t.csv", ("a",), [[column]])
 
     def test_signed_zeros_stay_apart(self, tmp_path):
         column = [0.0, -0.0, -0.0, 0.0, 1.0]
@@ -479,9 +481,9 @@ class TestWriteCsv:
         columns = (range(len(column)), column)
         assert self.written(tmp_path, header, columns) == self.expected(header, (range(len(column)), column.tolist()))
 
-    BLOCK = PREDICT_CELLS // 2  # rows per written block of a two-column table
+    BLOCK = CSV_CELLS // 2  # rows per written piece of a two-column table
 
-    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("n", [8 * BLOCK - 1, 8 * BLOCK, 8 * BLOCK + 1, 16 * BLOCK + 1])
     def test_rows_across_block_boundaries(self, tmp_path, n):
         gen = np.random.default_rng(n)
         values = gen.choice(np.array([0.1, -2.5, 1 / 3, 7.0]), size=n)
@@ -504,11 +506,27 @@ class TestWriteCsv:
         assert self.written(tmp_path, ("a",), [range(0)]) == b"a\n"
 
     def test_bad_column_is_refused_before_any_row(self, tmp_path):
-        # the float sits in a later block than the ints: the column is still checked whole
+        # the float sits in a later piece than the ints: the block is still checked whole
         path = tmp_path / "t.csv"
         with pytest.raises(TypeError, match="CSV column"):
-            write_csv(path, ("a",), [[1] * self.BLOCK * 2 + [2.5]])
+            write_csv(path, ("a",), [[[1] * self.BLOCK * 2 + [2.5]]])
         assert not path.exists()
+
+    def test_column_changing_kind_between_blocks_is_refused(self, tmp_path):
+        with pytest.raises(TypeError, match="changes kind between blocks"):
+            write_csv(tmp_path / "t.csv", ("a", "b"), [([1, 2], [0.5, 1.5]), ([3], [True])])
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 7])
+    def test_blocks_write_the_bytes_of_one_block(self, tmp_path, rows):
+        n = 4 * self.BLOCK + 3
+        gen = np.random.default_rng(rows)
+        values = gen.choice(np.array([0.1, -0.0, 0.0, 1 / 3]), size=n)
+        flags = gen.random(n) < 0.5
+        whole = self.written(tmp_path, ("i", "v", "f"), (range(n), values, flags))
+        path = tmp_path / "blocks.csv"
+        write_csv(path, ("i", "v", "f"), ((range(n)[a : a + rows], values[a : a + rows], flags[a : a + rows])
+                                          for a in range(0, n, rows)))
+        assert path.read_bytes() == whole
 
     def test_memory_follows_the_block_not_the_table(self, tmp_path):
         # a 200k-row learn-poly trace: zeros with sparse updates, a running average
@@ -522,12 +540,12 @@ class TestWriteCsv:
         columns = (range(T), loss, run_avg, drift, unorm)
         tracemalloc.start()
         try:
-            write_csv(tmp_path / "trace.csv", ("step", "loss", "run_avg_loss", "w_drift", "u_norm"), columns)
+            write_csv(tmp_path / "trace.csv", ("step", "loss", "run_avg_loss", "w_drift", "u_norm"), [columns])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # below the float data it writes (6.4 MB), let alone the table's 13 MB of text
-        assert peak < 4 * T * 8
+        # one piece of CSV_CELLS values of text; the table's text is 13 MB
+        assert peak < 2**20
 
     def test_arrays_and_lists_give_the_same_bytes(self, tmp_path):
         lists = [[0.1, -0.0, np.inf, np.nan, 5e-324], [0, -7, 3, 2**40, 5],

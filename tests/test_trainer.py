@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import rf_lab.trainer as trainer_mod
-from rf_lab import _sgd_numpy
+from rf_lab import _sgd_numpy, cli
+from rf_lab.cli import CSV_CELLS
 from rf_lab.legendre import MultiIndex
 from rf_lab.features import PREDICT_CELLS, predict_block_rows
 from rf_lab.numerics import RandomSource, uniform_ball
@@ -19,7 +20,9 @@ from rf_lab.poly_repr import (
     exp_activation,
 )
 from rf_lab.trainer import (
+    TRACE_ROWS,
     TrainConfig,
+    TrainTrace,
     TwoLayerNet,
     drift_check,
     finite_difference_check,
@@ -28,8 +31,10 @@ from rf_lab.trainer import (
     hinge_loss,
     kernel_backend,
     margin_filtered_sampler,
+    row_chunks,
     sgd_train,
     guarantee_params,
+    take_rows,
     xavier_init,
 )
 
@@ -62,16 +67,13 @@ def ball_sign_sampler(d=2, margin=0.3):
     """Linearly separable stream: y = sign(x_1), filtered to |x_1| >= margin."""
 
     def sampler(n, gen):
-        out = []
         got = 0
         while got < n:
             X = gen.standard_normal((4 * n, d))
             X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
-            X = X[np.abs(X[:, 0]) >= margin]
-            out.append(X)
+            X = X[np.abs(X[:, 0]) >= margin][: n - got]
             got += len(X)
-        X = np.vstack(out)[:n]
-        return X, np.sign(X[:, 0])
+            yield X, np.sign(X[:, 0])
 
     return sampler
 
@@ -165,30 +167,33 @@ class TestSGD:
     def test_zero_learning_rate_keeps_network(self):
         cfg = make_config(r=10, eta=0.0, steps=50)
         res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(7), exp_activation())
+        rows = res.trace.rows()
         assert np.array_equal(res.final_net.U, np.zeros(10))
-        assert np.all(res.trace.w_drift == 0.0)
-        assert np.all(res.trace.u_norm == 0.0)
-        assert np.max(np.abs(res.trace.w_norm - res.trace.w_norm[0])) < 1e-12
+        assert np.all(rows.w_drift == 0.0)
+        assert np.all(rows.u_norm == 0.0)
+        assert np.max(np.abs(rows.w_norm - rows.w_norm[0])) < 1e-12
 
     def test_separable_stream_converges(self):
         cfg = make_config(r=1, eta=0.05, steps=20_000)
         res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(8), identity_activation())
-        assert res.trace.run_avg_loss[-1] < 0.1
+        assert res.trace.rows(len(res.trace) - 1).run_avg_loss[0] < 0.1
         assert res.best_val_loss < 0.05
 
     def test_trace_lengths(self):
         cfg = make_config(r=5, eta=0.01, steps=77)
         res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(9), exp_activation())
-        for arr in (res.trace.loss, res.trace.run_avg_loss, res.trace.w_drift,
-                    res.trace.u_norm, res.trace.w_norm):
+        assert len(res.trace) == 78
+        rows = res.trace.rows()
+        for arr in rows:
             assert len(arr) == 78
-        assert np.array_equal(res.trace.run_avg_loss, np.cumsum(res.trace.loss) / np.arange(1, 79))
+        assert np.array_equal(rows.step, np.arange(78))
+        assert np.array_equal(rows.run_avg_loss, np.cumsum(rows.loss) / np.arange(1, 79))
 
     def test_deterministic_traces(self):
         cfg = make_config(r=20, eta=0.02, steps=500)
         a = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), exp_activation())
         b = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), exp_activation())
-        assert np.array_equal(a.trace.loss, b.trace.loss)
+        assert np.array_equal(a.trace.rows().loss, b.trace.rows().loss)
         assert np.array_equal(a.final_net.W, b.final_net.W)
         assert a.val_history == b.val_history
 
@@ -208,38 +213,49 @@ class TestSGD:
 
         def bad_sampler(n, gen):
             X = 3.0 * gen.standard_normal((n, 2))
-            return X, np.sign(X[:, 0])
+            yield X, np.sign(X[:, 0])
 
         with pytest.raises(ValueError, match="unit ball"):
             sgd_train(2, bad_sampler, cfg, RandomSource(14), exp_activation())
 
-    @pytest.mark.parametrize("row", [0, 20_000, 32_768])
+    # 32,769 rows: 100 checkpoint chunks of 327 steps, one of 68, then row T alone
+    @pytest.mark.parametrize("row", [0, 326, 327, 20_000, 32_767, 32_768])
     def test_unit_ball_checked_on_every_row(self, row):
-        # 32,769 rows of d = 2: one whole block of the check, then a lone last row
-        assert predict_block_rows(2) == 32_768
         cfg = make_config(r=5, eta=0.01, steps=32_768)
 
         def one_bad_row(n, gen):
-            X, y = ball_sign_sampler()(n, gen)
+            X, y = take_rows(ball_sign_sampler()(n, gen), n, 2)
             if n == 32_769:
                 X[row] /= np.linalg.norm(X[row]) * (1.0 - 1e-6)
-            return X, y
+            yield X[: n // 2], y[: n // 2]
+            yield X[n // 2 :], y[n // 2 :]
 
         with pytest.raises(ValueError, match="unit ball"):
             sgd_train(2, one_bad_row, cfg, RandomSource(14), exp_activation())
 
+    def test_short_stream_is_refused(self):
+        def short(n, gen):
+            yield from ball_sign_sampler()(n - 1, gen)
+
+        with pytest.raises(ValueError, match="stream ended"):
+            sgd_train(2, short, make_config(r=5, eta=0.01, steps=100), RandomSource(14), exp_activation())
+
     def test_default_run_memory(self):
-        # learn-poly at its CLI defaults
+        # learn-poly at its CLI defaults, then at five times the steps with a narrower net:
+        # one bound for both, as the run holds one checkpoint chunk of the stream, the
+        # scan and validation buffers and the update records (per-step arrays would
+        # take 8 MB per column at a million steps)
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
-        cfg = make_config(r=1000, eta=0.01, steps=200_000)
-        tracemalloc.start()
-        try:
-            sgd_train(3, margin_filtered_sampler(P, 0.3), cfg, RandomSource(0), exp_activation())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the stream and four trace arrays are 12.8 MB; a whole sampler batch was 9.2 MiB more
-        assert peak <= 18 * 2**20
+        for r, steps in ((1000, 200_000), (100, 1_000_000)):
+            cfg = make_config(r=r, eta=0.01, steps=steps)
+            tracemalloc.start()
+            try:
+                res = sgd_train(3, margin_filtered_sampler(P, 0.3), cfg, RandomSource(0), exp_activation())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(res.trace.steps) < 1000
+            assert peak <= 4 * 2**20, (r, steps)
 
 
 class TestTheoremParams:
@@ -303,24 +319,49 @@ class TestDrift:
 
     @pytest.mark.parametrize("scale", [1e3, 1e4])
     def test_margin_bit_matches_out_of_place_expression(self, scale):
-        # a real trace's drift, scaled so the smallest margin sits at an
-        # interior step rather than at t = 0, where every margin is exactly 0
-        cfg = make_config(r=120, eta=0.01, steps=3000)
+        # a real trace's drift, scaled so the smallest margin sits at an interior
+        # step rather than at t = 0, where every margin is exactly 0; the trace
+        # spans three of drift_check's blocks
+        cfg = make_config(r=120, eta=0.01, steps=2 * TRACE_ROWS + 500)
         act = exp_activation()
         res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17), act)
         trace = dataclasses.replace(res.trace, w_drift=res.trace.w_drift * scale)
         report = drift_check(trace, cfg, act)
-        t = np.arange(len(trace.w_drift), dtype=float)
-        margins = t * cfg.eta * act.lipschitz_L * (report.b_value + 1.0) - trace.w_drift
+        dense = trace.rows()
+        t = np.arange(len(trace), dtype=float)
+        margins = t * cfg.eta * act.lipschitz_L * (report.b_value + 1.0) - dense.w_drift
         assert np.argmin(margins) > 0
         assert report.min_drift_margin == float(np.min(margins))
         assert not report.drift_ok
+        window = slice(0, report.cap_steps + 1)
+        assert report.max_norm == float(max(np.max(dense.w_norm[window]), np.max(dense.u_norm[window])))
+
+    @pytest.mark.parametrize("where", [1, TRACE_ROWS - 1, TRACE_ROWS, TRACE_ROWS + 1, 2 * TRACE_ROWS + 7])
+    def test_smallest_margin_found_in_any_block(self, where):
+        # a drift of 1e5, far above every other and every t * eta * L * (B + 1), first
+        # reached at entry `where`
+        T = 2 * TRACE_ROWS + 500
+        cfg = make_config(r=10, eta=0.01, steps=T)
+        act = exp_activation()
+        gen = np.random.default_rng(where)
+        steps = np.unique(np.append(gen.choice(T, 40, replace=False), where - 1))
+        drift = np.where(steps == where - 1, 1e5, gen.random(len(steps)))
+        k = len(steps) + 1
+        trace = TrainTrace(steps=np.append(steps, T), loss=np.zeros(k), w_drift=np.append(0.0, drift),
+                           u_norm=np.full(k, 0.5), w_norm=np.full(k, 3.0))
+        report = drift_check(trace, cfg, act)
+        t = np.arange(T + 1, dtype=float)
+        margins = t * cfg.eta * act.lipschitz_L * (report.b_value + 1.0) - trace.rows().w_drift
+        assert np.argmin(margins) == where
+        assert report.min_drift_margin == float(np.min(margins))
+        assert not report.drift_ok
+
 
 class TestMarginSampler:
     def test_contract(self):
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
         sampler = margin_filtered_sampler(P, 0.3)
-        X, y = sampler(500, RandomSource(18).generator())
+        X, y = take_rows(sampler(500, RandomSource(18).generator()), 500, 3)
         assert X.shape == (500, 3)
         assert np.all(np.linalg.norm(X, axis=1) <= 1.0 + 1e-12)
         assert np.all(np.isin(y, (-1.0, 1.0)))
@@ -332,7 +373,7 @@ class TestMarginSampler:
         # sup |P| over the ball is 1: no draw can pass, so the sampler stops at its draw cap
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
         with pytest.raises(ValueError, match=f"margin {margin} accepted 0 of"):
-            margin_filtered_sampler(P, margin)(10, RandomSource(18).generator())
+            take_rows(margin_filtered_sampler(P, margin)(10, RandomSource(18).generator()), 10, 3)
 
     def test_unreachable_margin_stops_after_the_first_empty_draws(self):
         # learn-poly's default steps; the first batch of 2 n draws accepts none
@@ -340,7 +381,7 @@ class TestMarginSampler:
         n = 200_001
         gen = CountingGenerator(RandomSource(18).generator())
         with pytest.raises(ValueError, match=f"accepted 0 of {2 * n} draws"):
-            margin_filtered_sampler(P, 2.0)(n, gen)
+            next(margin_filtered_sampler(P, 2.0)(n, gen))
         assert gen.points == 2 * n
 
     # the streamed draw against the whole-batch oracle: two batches at learn-poly's
@@ -348,9 +389,21 @@ class TestMarginSampler:
     @pytest.mark.parametrize("margin, n", [(0.3, 1), (0.3, 500), (0.9, 2000), (0.3, 200_001)])
     def test_cap_leaves_reachable_draws_unchanged(self, margin, n):
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
-        X, y = margin_filtered_sampler(P, margin)(n, RandomSource(18).generator())
         X_ref, y_ref = uncapped_margin_sampler(P, margin, n, RandomSource(18).generator())
+        blocks = list(margin_filtered_sampler(P, margin)(n, RandomSource(18).generator()))
+        # every block holds kept rows of one block of draws
+        assert all(0 < len(X) == len(y) <= PREDICT_CELLS // 3 for X, y in blocks)
+        X, y = np.concatenate([X for X, _ in blocks]), np.concatenate([y for _, y in blocks])
         assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
+        # read as sgd_train reads it: checkpoint chunks of T // 100 rows, then row T alone
+        T = n - 1
+        chunk = max(1, T // 100)
+        sizes = [min(chunk, T - done) for done in range(0, T, chunk)] + [1]
+        stream = margin_filtered_sampler(P, margin)(n, RandomSource(18).generator())
+        chunks = list(row_chunks(stream, sizes, 3))
+        assert [len(X) for X, _ in chunks] == sizes
+        assert np.array_equal(np.concatenate([X for X, _ in chunks]), X_ref)
+        assert np.array_equal(np.concatenate([y for _, y in chunks]), y_ref)
 
     def test_last_kept_row_inside_a_block(self):
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
@@ -364,7 +417,7 @@ class TestMarginSampler:
         last = np.flatnonzero(np.abs(P.evaluate(g)) >= margin)[n - 1]
         block = PREDICT_CELLS // 3
         assert block < last < 2 * block - 1
-        X, y = margin_filtered_sampler(P, margin)(n, RandomSource(18).generator())
+        X, y = take_rows(margin_filtered_sampler(P, margin)(n, RandomSource(18).generator()), n, 3)
         assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
     def test_memory_follows_the_block(self):
@@ -373,12 +426,13 @@ class TestMarginSampler:
         gen = RandomSource(18).generator()  # its first call imports modules
         tracemalloc.start()
         try:
-            sampler(200_001, gen)
+            kept = sum(len(X) for X, _ in sampler(200_001, gen))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the outputs are 6.1 MiB; one whole 400,002-row batch of normals is another 9.2
-        assert peak <= 8 * 2**20
+        # kept whole, the rows would be 6.1 MiB and one 400,002-row batch of normals 9.2
+        assert kept == 200_001
+        assert peak <= 2 * 2**20
 
 
 class CountingGenerator:
@@ -435,24 +489,44 @@ def reference_run_steps(W, U, W0, X, Y, eta, sigma, dsigma, loss, drift, unorm, 
 
 
 def run_both(W, U, X, Y, eta, act, chunks=None):
-    """Run the kernel (over ``chunks``, default one call) and the oracle from the
-    same start; return both outcomes as (W, U, loss, drift, unorm, wnorm)."""
+    """Run the kernel (over ``chunks``, default one call, each on its own rows)
+    and the oracle from the same start; return both outcomes as (W, U, loss,
+    drift, unorm, wnorm), the kernel's per-step arrays expanded from its
+    update records by ``TrainTrace`` (the last loss entry is left 0 in both)."""
     steps = len(X) - 1
     chunks = chunks or [steps]
     assert sum(chunks) == steps
-    outcomes = []
-    for kernel in (_sgd_numpy.run_steps, reference_run_steps):
-        Wk, Uk, W0 = W.copy(), U.copy(), W.copy()
-        traces = [np.zeros(steps + 1) for _ in range(4)]
-        traces[1][0] = np.linalg.norm(Wk - W0)
-        traces[2][0] = np.linalg.norm(Uk)
-        traces[3][0] = np.linalg.norm(Wk)
-        start = 0
-        for count in chunks:
-            kernel(Wk, Uk, W0, X, Y, eta, act.evaluate, act.derivative, *traces, start, count)
-            start += count
-        outcomes.append((Wk, Uk, *traces))
-    return outcomes
+    Wk, Uk, W0 = W.copy(), U.copy(), W.copy()
+    records = []
+    start = 0
+    for count in chunks:
+        end = start + count
+        updates = _sgd_numpy.run_steps(Wk, Uk, W0, X[start:end], Y[start:end], eta, act.evaluate,
+                                       act.derivative, start, count)
+        assert [u[0] for u in updates] == sorted(u[0] for u in updates) and all(
+            start <= u[0] < end for u in updates)
+        records += updates
+        start = end
+    rec = np.array(records).reshape(-1, 5)
+    trace = TrainTrace(
+        steps=np.append(rec[:, 0].astype(np.int64), steps),
+        loss=np.append(rec[:, 1], 0.0),
+        w_drift=np.append(0.0, rec[:, 2]),
+        u_norm=np.append(np.linalg.norm(U), rec[:, 3]),
+        w_norm=np.append(np.linalg.norm(W), rec[:, 4]),
+    )
+    rows = trace.rows()
+    fast = (Wk, Uk, rows.loss, rows.w_drift, rows.u_norm, rows.w_norm)
+
+    Wr, Ur, W0 = W.copy(), U.copy(), W.copy()
+    traces = [np.zeros(steps + 1) for _ in range(4)]
+    traces[1][0] = np.linalg.norm(Wr - W0)
+    traces[2][0] = np.linalg.norm(Ur)
+    traces[3][0] = np.linalg.norm(Wr)
+    reference_run_steps(Wr, Ur, W0, X, Y, eta, act.evaluate, act.derivative, *traces, 0, steps)
+    # the running average, from the records, is the per-step cumulative sum over t + 1
+    assert np.array_equal(rows.run_avg_loss, np.cumsum(traces[0]) / np.arange(1, steps + 2))
+    return fast, (Wr, Ur, *traces)
 
 
 def assert_identical(fast, slow):
@@ -701,8 +775,8 @@ class TestValidationReuse:
         rng = RandomSource(40)
         net = xavier_init(d, cfg.r, rng.derive(0), act)
         W0 = net.W.copy()
-        X, y = sampler(T + 1, rng.generator(1))
-        X_val, y_val = sampler(2000, rng.generator(2))
+        X, y = take_rows(sampler(T + 1, rng.generator(1)), T + 1, d)
+        X_val, y_val = take_rows(sampler(2000, rng.generator(2)), 2000, d)
         traces = [np.zeros(T + 1) for _ in range(4)]
         history = [(0, trainer_mod._validation_loss(net, X_val, y_val))]
         changed = 0
@@ -731,3 +805,32 @@ class TestValidationReuse:
         # plus the single-point loss of the last example
         assert sum(validation_calls) == 1 + changed
         assert len(validation_calls) == 2 + changed
+
+
+class TestTraceCsv:
+    """learn-poly's trace CSV, written range by range from the update records,
+    against a dense per-step reference written whole."""
+
+    # T + 1 one past a multiple of the checkpoint chunk (T // 100 = 20), of the
+    # CSV's text piece (CSV_CELLS // 5 = 1,638 rows) and of the trace block
+    @pytest.mark.parametrize("steps", [2000, 2 * (CSV_CELLS // 5), TRACE_ROWS])
+    def test_matches_dense_reference(self, tmp_path, steps, capsys):
+        T, r, seed = steps, 20, 3
+        argv = ["learn-poly", "--steps", str(T), "--r", str(r), "--n-val", "50", "--seed", str(seed)]
+        assert cli.run([*argv, "--out", str(tmp_path)]) == 0
+
+        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        act = exp_activation()
+        rng = RandomSource(seed)
+        net = xavier_init(3, r, rng.derive(0), act)
+        W0 = net.W.copy()
+        X, y = take_rows(margin_filtered_sampler(P, 0.3)(T + 1, rng.generator(1)), T + 1, 3)
+        loss, drift, unorm, wnorm = (np.zeros(T + 1) for _ in range(4))
+        wnorm[0] = np.linalg.norm(net.W)
+        reference_run_steps(net.W, net.U, W0, X, y, 0.01, act.evaluate, act.derivative,
+                            loss, drift, unorm, wnorm, 0, T)
+        loss[T] = hinge_loss(forward(net, X[T]), y[T])
+        reference = tmp_path / "reference.csv"
+        cli.write_csv(reference, ("step", "loss", "run_avg_loss", "w_drift", "u_norm"),
+                      [(range(T + 1), loss, np.cumsum(loss) / np.arange(1, T + 2), drift, unorm)])
+        assert (tmp_path / "learn-poly" / "learn_poly_trace.csv").read_bytes() == reference.read_bytes()

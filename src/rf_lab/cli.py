@@ -60,6 +60,7 @@ from .poly_repr import (
     verify_representation,
 )
 from .trainer import (
+    DESK_SCALE_MAX_R,
     DivergenceError,
     TrainConfig,
     drift_check,
@@ -69,7 +70,6 @@ from .trainer import (
     margin_filtered_sampler,
     sgd_train,
     guarantee_params,
-    take_rows,
     xavier_init,
 )
 
@@ -404,15 +404,11 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
         raise UsageError(f"polynomial dimension {P.dimension} != --d {p['d']}")
     act = exp_activation()
     sampler = margin_filtered_sampler(P, p["margin"])
-    config = TrainConfig(
-        epsilon=0.1, delta=0.1, degree=P.degree, coeff_bound=P.coeff_bound,
-        r=p["r"], eta=p["eta"], steps=p["steps"], seed=cfg.seed,
-    )
+    config = TrainConfig(r=p["r"], eta=p["eta"], steps=p["steps"])
     rng = RandomSource(cfg.seed)
     result = sgd_train(p["d"], sampler, config, rng, act, n_val=p["n_val"])
-    X_val, y_val = take_rows(sampler(p["n_val"], rng.generator(2)), p["n_val"], p["d"])
-    comp_pred = p["comparator_scale"] * P.evaluate(X_val)
-    comparator = float(np.mean(np.maximum(0.0, 1.0 - y_val * comp_pred)))
+    comp_pred = p["comparator_scale"] * P.evaluate(result.X_val)
+    comparator = float(np.mean(np.maximum(0.0, 1.0 - result.y_val * comp_pred)))
 
     # gradient spot-check away from the kink
     gen = rng.generator(3)
@@ -478,27 +474,28 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
 
 def _cmd_params(cfg: ExperimentConfig):
     p = cfg.params
-    config = guarantee_params(p["epsilon"], p["delta"], p["d"], p["k"], p["alpha"], exp_activation())
-    beta_float = float(config.beta) if config.beta < 10**300 else math.inf
+    beta, config = guarantee_params(p["epsilon"], p["delta"], p["d"], p["k"], p["alpha"], exp_activation())
+    beta_float = float(beta) if beta < 10**300 else math.inf
+    infeasible = config.r > DESK_SCALE_MAX_R
     payload = {
         "epsilon": p["epsilon"],
         "delta": p["delta"],
         "d": p["d"],
         "k": p["k"],
         "alpha": p["alpha"],
-        "beta": str(config.beta),
+        "beta": str(beta),
         "beta_float": beta_float,
         "r": str(config.r),
         "eta": f"{config.eta.numerator}/{config.eta.denominator}",
         "steps": str(config.steps),
-        "infeasible_at_desk_scale": config.infeasible_at_desk_scale,
+        "infeasible_at_desk_scale": infeasible,
     }
     summary = [
-        f"beta = {config.beta} (~{beta_float:.6g})",
+        f"beta = {beta} (~{beta_float:.6g})",
         f"r >= {config.r}",
         f"eta = {payload['eta']}",
         f"T = {config.steps}",
-        f"infeasible at desk scale: {config.infeasible_at_desk_scale}",
+        f"infeasible at desk scale: {infeasible}",
     ]
     return {"params.json": ("json", json.dumps(payload, indent=2))}, summary, []
 

@@ -138,10 +138,9 @@ def gaussian_row_blocks(gen: np.random.Generator, n_rows: int, d: int, row_value
 
 @dataclass(frozen=True)
 class LinearCombination:
-    """Prediction sum_i u_i f_i(x) + intercept over a feature sample."""
+    """Prediction sum_i u_i f_i(x) over a feature sample."""
 
     weights: np.ndarray
-    intercept: float = 0.0
 
     def __post_init__(self):
         self.weights.setflags(write=False)
@@ -157,7 +156,6 @@ class LinearCombination:
         for start, stop in blocks:
             F_block = feature_matrix(sample, X[start:stop], out=F[: stop - start])
             np.matmul(F_block, self.weights, out=out[start:stop])
-        out += self.intercept
         return out
 
     @property

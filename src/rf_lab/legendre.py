@@ -117,10 +117,6 @@ class MonomialExpansionTable:
             raise ValueError(f"degree {max(m, n)} exceeds table max_degree {self.max_degree}")
         return float(self.coeffs[m, n])
 
-    def raw_integral(self, m: int, n: int) -> float:
-        """I(m, n) = int_{-1}^{1} w^m p_n(w) dw = e(m, n) * ||p_n||^2."""
-        return self.e(m, n) * legendre_norm_sq(n)
-
 
 def build_monomial_table(m_max: int) -> MonomialExpansionTable:
     """Build e(m, n) for all 0 <= n <= m <= m_max by the exact recurrence."""

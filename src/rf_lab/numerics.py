@@ -63,10 +63,6 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def integrate(self, f) -> float:
-        """Apply the rule to a vectorized scalar function."""
-        return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
-
 
 def _legendre_with_derivative(n: int, x: np.ndarray):
     """P_n(x) and P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1), for n >= 1 and |x| < 1."""

@@ -115,18 +115,19 @@ def gradients(net: TwoLayerNet, x, y):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SGD hyperparameters; ``guarantee_params`` fills them from the guarantee."""
+    """The three values SGD reads: width r, step size eta and step count T.
 
-    epsilon: float
-    delta: float
-    degree: int
-    coeff_bound: float
+    ``guarantee_params`` fills them from the guarantee and returns its beta
+    beside them, for the ``params`` report only, as training never reads
+    beta; a width above ``DESK_SCALE_MAX_R`` is out of reach at desk scale.
+    """
+
     r: int
     eta: object  # float for practical runs, exact Fraction from guarantee_params
     steps: int
-    beta: object | None = None
-    seed: int = 0
-    infeasible_at_desk_scale: bool = False
+
+
+DESK_SCALE_MAX_R = 10**8  # widest network a desk-scale run can train
 
 
 TRACE_ROWS = 1 << 13  # trace entries expanded at a time by ``TrainTrace.blocks``
@@ -199,7 +200,8 @@ class SGDResult:
     net: TwoLayerNet  # best validation checkpoint
     best_step: int
     best_val_loss: float
-    final_net: TwoLayerNet
+    X_val: np.ndarray  # the held-out validation set the checkpoints were scored on
+    y_val: np.ndarray
     val_history: list  # (step, validation hinge loss)
     trace: TrainTrace
     backend: str
@@ -280,7 +282,8 @@ def sgd_train(
     steps), and then row T, whose loss at the final parameters ends the
     trace; each chunk's points and labels are checked as they arrive.  The
     trace keeps the steps that updated (``TrainTrace``), so memory follows
-    the chunk and the number of updates, not T.
+    the chunk and the number of updates, not T.  The result carries the
+    validation set, so a comparator is scored on the checkpoints' points.
     """
     T = int(config.steps)
     eta = float(config.eta)
@@ -301,14 +304,13 @@ def sgd_train(
     records = []  # (step, loss, ||W - W0||, ||U||, ||W||) of the updating steps, one array per chunk
     done = 0
     for count in counts:
-        before = net.copy()
         # overflow shows up as the non-finite values checked below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
             updates = _sgd_numpy.run_steps(
                 net.W, net.U, W0, X, y, eta, act.evaluate, act.derivative, done, count
             )
             # a chunk without an update leaves the net, hence its validation loss, unchanged
-            if not (np.array_equal(net.W, before.W) and np.array_equal(net.U, before.U)):
+            if updates:
                 val = _validation_loss(net, X_val, y_val)
         done += count
         finite = math.isfinite(val)
@@ -339,18 +341,20 @@ def sgd_train(
         u_norm=np.append(initial_norms[1], updated[:, 3]),
         w_norm=np.append(initial_norms[2], updated[:, 4]),
     )
-    return SGDResult(best_net, best_step, best_loss, net, val_history, trace, kernel_backend())
+    return SGDResult(best_net, best_step, best_loss, X_val, y_val, val_history, trace, kernel_backend())
 
 
 def guarantee_params(
     epsilon: float, delta: float, d: int, k: int, alpha: float, act: AnalyticActivation
-) -> TrainConfig:
-    """Exact guarantee-scale hyperparameters (arbitrary-magnitude arithmetic).
+) -> tuple[Fraction, TrainConfig]:
+    """Exact guarantee-scale hyperparameters (arbitrary-magnitude arithmetic),
+    as ``(beta, TrainConfig(r, eta, T))``.
 
     beta = alpha^k (A/a)^k (12 d)^{2 k^2}, r >= 64 beta^6 L^2 / eps^4 * ln(1/delta),
     eta = eps / (8 r), T = ceil(4 beta^2 / eps^2).  The values overflow doubles
-    for all but trivial settings, so everything is carried as Fractions/ints;
-    runs with r > 1e8 are flagged infeasible at desk scale.
+    for all but trivial settings, so everything is carried as Fractions/ints.
+    beta only sizes r and T, so it is returned for the report beside the config
+    that training reads; a run with r > ``DESK_SCALE_MAX_R`` is out of reach.
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
@@ -368,17 +372,7 @@ def guarantee_params(
     r = math.ceil(64 * beta**6 * L2 / eps**4 * log_term)
     eta = eps / (8 * r)
     steps = math.ceil(4 * beta**2 / eps**2)
-    return TrainConfig(
-        epsilon=epsilon,
-        delta=delta,
-        degree=k,
-        coeff_bound=alpha,
-        r=r,
-        eta=eta,
-        steps=steps,
-        beta=beta,
-        infeasible_at_desk_scale=r > 10**8,
-    )
+    return beta, TrainConfig(r=r, eta=eta, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -386,8 +380,6 @@ class DriftReport:
     """Outcome of checking the norm-cap and drift inequalities on a trace."""
 
     b_value: float
-    cap_epsilon: float
-    cap_steps: int
     norms_ok: bool
     drift_ok: bool
     min_drift_margin: float
@@ -398,9 +390,9 @@ class DriftReport:
         return self.norms_ok and self.drift_ok
 
 
-def finite_difference_check(net: TwoLayerNet, x, y, h: float = 1e-5) -> float:
-    """Error of the analytic gradients against central finite differences,
-    relative to the gradient's largest component.
+def finite_difference_check(net: TwoLayerNet, x, y) -> float:
+    """Error of the analytic gradients against central finite differences of
+    step h = 1e-5, relative to the gradient's largest component.
 
     Meaningful only away from the hinge kink (|1 - y N(x)| not tiny), where
     the loss is differentiable.  (Per-component relative errors are
@@ -412,6 +404,7 @@ def finite_difference_check(net: TwoLayerNet, x, y, h: float = 1e-5) -> float:
     num = np.zeros(net.r + net.r * net.d)
     ana = np.concatenate([dU, dW.ravel()])
     flat_idx = 0
+    h = 1e-5
 
     def loss_at(W, U):
         z = W @ x
@@ -528,8 +521,6 @@ def drift_check(trace: TrainTrace, config: TrainConfig, act: AnalyticActivation)
     norms_ok = max_norm <= B + 1.0 + 1e-9
     return DriftReport(
         b_value=B,
-        cap_epsilon=cap_eps,
-        cap_steps=cap_steps,
         norms_ok=norms_ok,
         drift_ok=min_margin >= -1e-9,
         min_drift_margin=min_margin,

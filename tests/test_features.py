@@ -154,7 +154,7 @@ class TestApproximant:
 
 def predict_reference(combo, sample, X):
     """Unblocked prediction: the whole feature matrix at once."""
-    return feature_matrix(sample, X) @ combo.weights + combo.intercept
+    return feature_matrix(sample, X) @ combo.weights
 
 
 def per_block_predict(combo, sample, X):
@@ -162,7 +162,7 @@ def per_block_predict(combo, sample, X):
     out = np.empty((len(X),) + combo.weights.shape[1:])
     for start, stop in row_blocks(len(X), sample.r):
         out[start:stop] = sample.family.activation(X[start:stop] @ sample.weights.T) @ combo.weights
-    return out + combo.intercept
+    return out
 
 
 # the paper's two families: cube-sampled exp and unit-sphere ReLU features
@@ -179,7 +179,7 @@ class TestBlockedPredict:
         sample = sample_features(BLOCK_FAMILIES[family](), d, r, RandomSource(50))
         block = predict_block_rows(sample.r)
         assert block % PREDICT_ROW_GROUP == 0 and block * sample.r <= PREDICT_CELLS
-        combo = LinearCombination(RandomSource(51).generator().standard_normal(sample.r), 0.375)
+        combo = LinearCombination(RandomSource(51).generator().standard_normal(sample.r))
         for m in (1, block - 1, block, block + 1, 2 * block + 1, 2000):
             X = uniform_ball(d, m, RandomSource(52, m).generator())
             assert np.array_equal(combo.predict(sample, X), predict_reference(combo, sample, X)), m
@@ -189,7 +189,7 @@ class TestBlockedPredict:
         # itself depend on how a threaded BLAS splits such wide rows
         sample = sample_features(FeatureFamily(np.exp, uniform_cube()), 2, PREDICT_CELLS + 3, RandomSource(53))
         assert predict_block_rows(sample.r) == PREDICT_ROW_GROUP
-        combo = LinearCombination(RandomSource(54).generator().standard_normal(sample.r) / sample.r, -1.5)
+        combo = LinearCombination(RandomSource(54).generator().standard_normal(sample.r) / sample.r)
         for m in (1, 3, 5, 8):
             X = uniform_ball(2, m, RandomSource(55, m).generator())
             assert np.array_equal(combo.predict(sample, X), predict_reference(combo, sample, X)), m
@@ -200,11 +200,11 @@ class TestBlockedPredict:
         # rounding bound 2 p eps sum_i |f_i u_i|, not bit for bit
         p = 256
         sample = sample_features(FeatureFamily(relu, uniform_cube()), 4, p, RandomSource(56))
-        combo = LinearCombination(RandomSource(57).generator().standard_normal((p, 3)), 2.0)
+        combo = LinearCombination(RandomSource(57).generator().standard_normal((p, 3)))
         X = uniform_ball(4, 2000, RandomSource(58).generator())
         pred = combo.predict(sample, X)
         assert pred.shape == (2000, 3)
-        bound = 2 * p * np.finfo(float).eps * (np.abs(feature_matrix(sample, X)) @ np.abs(combo.weights) + 2.0)
+        bound = 2 * p * np.finfo(float).eps * (np.abs(feature_matrix(sample, X)) @ np.abs(combo.weights))
         assert np.all(np.abs(pred - predict_reference(combo, sample, X)) <= bound)
         first = combo.predict(sample, X[:1])
         assert first.shape == (1, 3) and np.all(np.abs(first - pred[:1]) <= bound[:1])
@@ -215,7 +215,7 @@ class TestBlockedPredict:
         # n = rows + 1 and 3 rows + 1 end in a lone row, which joins the block
         # before it: a block of rows + 1
         sample = sample_features(BLOCK_FAMILIES[family](), 2, r, RandomSource(60))
-        combo = LinearCombination(RandomSource(61).generator().standard_normal((r, k) if k else r), 0.375)
+        combo = LinearCombination(RandomSource(61).generator().standard_normal((r, k) if k else r))
         rows = predict_block_rows(r)
         for m in (1, 2, 3, rows + 1, 3 * rows + 1):
             X = uniform_ball(2, m, RandomSource(62, m).generator())

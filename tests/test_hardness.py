@@ -168,9 +168,8 @@ class TestPsiShape:
     def test_properties_report(self):
         report = psi_properties_check(PsiFunction(3))
         assert report.passed
-        assert report.max_interval_deviation < 1e-10
-        for _, integral in report.interval_integrals:
-            assert integral == pytest.approx(2.0 / 3.0, abs=1e-12)
+        # every sampled interval's energy is within 1e-12 of 2/3
+        assert report.max_interval_deviation <= 1e-12
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_blocked_decomposition_residual(self, d, monkeypatch):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rf_lab import hardness
 from rf_lab.hardness import PsiFunction, psi_eval, psi_gaussian_norm, psi_properties_check
 from rf_lab.numerics import (
     RandomSource,
@@ -20,6 +21,11 @@ from rf_lab.numerics import (
 
 def relu(z):
     return np.maximum(z, 0.0)
+
+
+def integrate(rule, f):
+    """Apply a quadrature rule to a vectorized scalar function."""
+    return float(rule.weights @ f(rule.nodes))
 
 
 def legendre_moment(m):
@@ -50,14 +56,14 @@ class TestGaussLegendre:
 
     def test_quadratic_moment_order_five(self):
         rule = gauss_legendre_rule(5)
-        assert rule.integrate(lambda w: w**2) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        assert integrate(rule, lambda w: w**2) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 13, 20, 40])
     def test_exactness_up_to_degree_2n_minus_1(self, order):
         rule = gauss_legendre_rule(order)
         assert abs(rule.weights.sum() - 2.0) < 1e-12
         for m in range(2 * order):
-            got = rule.integrate(lambda w: w**m)
+            got = integrate(rule, lambda w: w**m)
             exact = legendre_moment(m)
             assert abs(got - exact) / max(1.0, abs(exact)) < 1e-12, (order, m)
 
@@ -68,7 +74,7 @@ class TestGaussLegendre:
     def test_high_order_stays_stable(self):
         rule = gauss_legendre_rule(200)
         assert abs(rule.weights.sum() - 2.0) < 1e-11
-        assert rule.integrate(lambda w: w**8) == pytest.approx(2.0 / 9.0, rel=1e-12)
+        assert integrate(rule, lambda w: w**8) == pytest.approx(2.0 / 9.0, rel=1e-12)
 
 
 class TestGaussHermite:
@@ -78,19 +84,19 @@ class TestGaussHermite:
         assert rule.weights == pytest.approx([1.0])
 
     def test_low_moments(self):
-        assert gauss_hermite_rule(2).integrate(lambda z: z**2) == pytest.approx(1.0, abs=1e-14)
-        assert gauss_hermite_rule(3).integrate(lambda z: z**4) == pytest.approx(3.0, abs=1e-12)
+        assert integrate(gauss_hermite_rule(2), lambda z: z**2) == pytest.approx(1.0, abs=1e-14)
+        assert integrate(gauss_hermite_rule(3), lambda z: z**4) == pytest.approx(3.0, abs=1e-12)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 6, 11, 20, 35])
     def test_exactness_up_to_degree_2n_minus_1(self, order):
         rule = gauss_hermite_rule(order)
         assert abs(rule.weights.sum() - 1.0) < 1e-12
         for m in range(2 * order):
-            got = rule.integrate(lambda z: z**m)
+            got = integrate(rule, lambda z: z**m)
             exact = gaussian_moment(m)
             # odd moments vanish by a cancellation of large terms; relative
             # error is measured against the absolute-moment scale
-            scale = max(1.0, abs(exact), rule.integrate(lambda z: np.abs(z) ** m))
+            scale = max(1.0, abs(exact), integrate(rule, lambda z: np.abs(z) ** m))
             assert abs(got - exact) / scale < 1e-12, (order, m)
 
     def test_invalid_order(self):
@@ -166,9 +172,15 @@ class TestKinkSplitRule:
     def test_psi_energy_bit_matches_old_simpson_loop(self, d):
         psi = PsiFunction(d)
         report = psi_properties_check(psi, grid_points=100)
-        for n, value in report.interval_integrals:
-            assert value == old_simpson_psi_sq(psi, float(n), float(n + 2)), n
-        assert report.max_interval_deviation == 0.0
+        # the energies psi_properties_check takes: its Simpson rule split at psi's kinks,
+        # on the integer-aligned intervals [n, n + 2] it samples
+        a = psi.a
+        energies = []
+        for n in range(-a, a - 1, max(2, (2 * a - 2) // 40)):
+            z, w = kink_split_rule(hardness._SIMPSON, float(n), float(n + 2), psi.kinks)
+            energies.append(float(w @ psi_eval(psi, z) ** 2))
+            assert energies[-1] == old_simpson_psi_sq(psi, float(n), float(n + 2)), n
+        assert report.max_interval_deviation == max(abs(v - 2.0 / 3.0) for v in energies) == 0.0
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_psi_gaussian_norm_bit_matches_old_panel_loop(self, d):

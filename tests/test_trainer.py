@@ -20,6 +20,7 @@ from rf_lab.poly_repr import (
     exp_activation,
 )
 from rf_lab.trainer import (
+    DESK_SCALE_MAX_R,
     TRACE_ROWS,
     TrainConfig,
     TrainTrace,
@@ -39,10 +40,8 @@ from rf_lab.trainer import (
 )
 
 
-def make_config(r, eta, steps, seed=0):
-    return TrainConfig(
-        epsilon=0.1, delta=0.1, degree=2, coeff_bound=1.0, r=r, eta=eta, steps=steps, seed=seed
-    )
+def make_config(r, eta, steps):
+    return TrainConfig(r=r, eta=eta, steps=steps)
 
 
 def identity_activation():
@@ -162,13 +161,62 @@ class TestGradients:
             assert finite_difference_check(net, x, y) < 1e-6
             checked += 1
 
+    # training runs ``_sgd_numpy.run_steps``, not ``gradients``: one kernel step must be
+    # the SGD step on the gradients that the finite-difference check certifies
+    @staticmethod
+    def one_kernel_step(net, x, y, eta):
+        W, U = net.W.copy(), net.U.copy()
+        act = net.activation
+        updates = _sgd_numpy.run_steps(W, U, net.W.copy(), x[None, :], np.array([y]), eta,
+                                       act.evaluate, act.derivative, 0, 1)
+        return W, U, updates
+
+    @pytest.mark.parametrize("r", [7, 1000])
+    def test_kernel_step_is_minus_eta_gradient(self, r):
+        gen = np.random.default_rng(r)
+        for draw in range(50):
+            net = xavier_init(3, r, RandomSource(draw), exp_activation())
+            net.U = 0.1 * gen.standard_normal(r)
+            x = gen.standard_normal(3)
+            x /= max(1.0, float(np.linalg.norm(x)))
+            y = -1.0 if forward(net, x) > 0.0 else 1.0  # y N(x) <= 0, so the step updates
+            eta = float(gen.uniform(1e-3, 1.0))
+            dW, dU = gradients(net, x, y)
+            W, U, updates = self.one_kernel_step(net, x, y, eta)
+            assert len(updates) == 1
+            assert U.tobytes() == (net.U + -eta * dU).tobytes()
+            # the kernel forms eta y u_i sigma'(z_i) x_j in another order than -eta * dW, so
+            # W may move by a step a few ulps away; rounded addition is monotone, so W then
+            # lies between W_old plus the step 8 ulps down and W_old plus the step 8 ulps up
+            step = -eta * dW
+            ulps = 8.0 * np.spacing(np.abs(step))
+            assert np.all((net.W + (step - ulps) <= W) & (W <= net.W + (step + ulps))), draw
+
+    @pytest.mark.parametrize("r", [7, 1000])
+    def test_kernel_step_without_gradient_leaves_net(self, r):
+        gen = np.random.default_rng(r)
+        for draw in range(20):
+            net = xavier_init(3, r, RandomSource(draw), exp_activation())
+            net.U = gen.standard_normal(r)
+            x = gen.standard_normal(3)
+            x /= max(1.0, float(np.linalg.norm(x)))
+            y = float(gen.choice((-1.0, 1.0)))
+            # y N(x) just above 1: the margin is negative by 1e-12 to 1e-3
+            net.U *= (1.0 + 10.0 ** -gen.uniform(3.0, 12.0)) / (y * forward(net, x))
+            assert 1.0 - y * forward(net, x) < 0.0
+            dW, dU = gradients(net, x, y)
+            assert np.all(dW == 0.0) and np.all(dU == 0.0)
+            W, U, updates = self.one_kernel_step(net, x, y, 0.5)
+            assert updates == []
+            assert W.tobytes() == net.W.tobytes() and U.tobytes() == net.U.tobytes()
+
 
 class TestSGD:
     def test_zero_learning_rate_keeps_network(self):
         cfg = make_config(r=10, eta=0.0, steps=50)
         res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(7), exp_activation())
         rows = res.trace.rows()
-        assert np.array_equal(res.final_net.U, np.zeros(10))
+        assert np.array_equal(res.net.U, np.zeros(10))
         assert np.all(rows.w_drift == 0.0)
         assert np.all(rows.u_norm == 0.0)
         assert np.max(np.abs(rows.w_norm - rows.w_norm[0])) < 1e-12
@@ -194,7 +242,7 @@ class TestSGD:
         a = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), exp_activation())
         b = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), exp_activation())
         assert np.array_equal(a.trace.rows().loss, b.trace.rows().loss)
-        assert np.array_equal(a.final_net.W, b.final_net.W)
+        assert np.array_equal(a.net.W, b.net.W)
         assert a.val_history == b.val_history
 
     def test_best_checkpoint_no_worse_than_init(self):
@@ -260,21 +308,20 @@ class TestSGD:
 
 class TestTheoremParams:
     def test_eta_relation_exact(self):
-        cfg = guarantee_params(0.1, 0.1, 3, 2, 1.0, exp_activation())
+        _, cfg = guarantee_params(0.1, 0.1, 3, 2, 1.0, exp_activation())
         assert cfg.eta * 8 * cfg.r == Fraction(0.1)
 
     def test_beta_value_for_reference_setting(self):
-        cfg = guarantee_params(0.1, 0.1, 3, 2, 1.0, exp_activation())
-        assert cfg.beta == Fraction(4 * 36**8)  # alpha^k (A/a)^k (12 d)^(2 k^2)
-        assert cfg.infeasible_at_desk_scale
-        assert cfg.r > 10**8
+        beta, cfg = guarantee_params(0.1, 0.1, 3, 2, 1.0, exp_activation())
+        assert beta == Fraction(4 * 36**8)  # alpha^k (A/a)^k (12 d)^(2 k^2)
+        assert cfg.r > DESK_SCALE_MAX_R == 10**8
 
     def test_beta_monotone_in_d_and_k(self):
         act = exp_activation()
         betas = {}
         for d in (2, 3, 4):
             for k in (1, 2, 3):
-                betas[d, k] = guarantee_params(0.25, 0.1, d, k, 1.0, act).beta
+                betas[d, k] = guarantee_params(0.25, 0.1, d, k, 1.0, act)[0]
         for d in (2, 3):
             for k in (1, 2, 3):
                 assert betas[d + 1, k] > betas[d, k]
@@ -333,7 +380,10 @@ class TestDrift:
         assert np.argmin(margins) > 0
         assert report.min_drift_margin == float(np.min(margins))
         assert not report.drift_ok
-        window = slice(0, report.cap_steps + 1)
+        # the norm-cap window t <= B / (2 eps), eps = eta L B^2
+        B = report.b_value
+        cap_steps = min(int(B / (2.0 * (cfg.eta * act.lipschitz_L * B * B))), cfg.steps)
+        window = slice(0, cap_steps + 1)
         assert report.max_norm == float(max(np.max(dense.w_norm[window]), np.max(dense.u_norm[window])))
 
     @pytest.mark.parametrize("where", [1, TRACE_ROWS - 1, TRACE_ROWS, TRACE_ROWS + 1, 2 * TRACE_ROWS + 7])

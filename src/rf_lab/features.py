@@ -207,47 +207,52 @@ def least_squares_fit(
     are standard Gaussian draws; the returned population error is the
     held-out (10x n_train) estimate of E[(sum_i u_i f_i(x) - target(x))^2].
 
-    The training features are one n_train x p matrix, activated in place
-    and freed with the training points once the weights are solved.  The
-    held-out points are drawn and featurized in ``row_blocks``
-    (``gaussian_row_blocks``), so the pass never holds more than one block
-    of points and features: ``target`` is called once per block, and only
-    the (10 n_train, k) predictions and target values are kept whole.  With one
-    target the prediction is a matrix-vector product and every value keeps
-    the bits of one product over all rows.  With k targets it is a
-    matrix-matrix product, whose summation order OpenBLAS picks by the
-    block's shape: blocked errors agree with one product to within its
-    rounding, and bit for bit at the CLI's p = 200, k = 7.
+    Both passes draw their points in ``row_blocks`` (``gaussian_row_blocks``,
+    the values of one whole draw) and featurize each block into one reused
+    buffer, so neither holds more than one block of points and features, and
+    ``target`` is called once per block.  The training pass adds each
+    block's F_b^T F_b and F_b^T y_b to the p x p Gram matrix G and the
+    right-hand side, in block order; the held-out pass adds each block's
+    per-column sums of squared residuals and squared targets to running
+    totals, in block order, and divides by the row count at the end.
 
-    The ridge term is lambda = 1e-10 tr(G) / p for the p x p Gram matrix G,
-    so the solve stays defined when features repeat or n_train < p.
+    The ridge term is lambda = 1e-10 tr(G) / p, added to G's diagonal, so
+    the solve stays defined when features repeat or n_train < p.
 
     Returns (LinearCombination, population_error, max_abs_u, target_norm_sq),
     the last the held-out estimate of E[target(x)^2].  For k targets the
     weights are (p, k) and the other three are length-k lists.
     """
     p = sample.r
-    gen_train = rng.generator(0)
-    gen_test = rng.generator(1)
-    X = gen_train.standard_normal((n_train, sample.d))
-    F = feature_matrix(sample, X)
-    y = np.asarray(target(X, F), dtype=float)
-    gram = F.T @ F
-    ridge = 1e-10 * float(np.trace(gram)) / p
-    u = np.linalg.solve(gram + ridge * np.eye(p), F.T @ y)
-    del X, F, y, gram
+    gram = np.zeros((p, p))
+    rhs = 0.0
+    for X, F in _gaussian_feature_blocks(sample, rng.generator(0), n_train):
+        y = np.asarray(target(X, F), dtype=float)
+        gram += F.T @ F
+        rhs = rhs + F.T @ y
+    gram.flat[:: p + 1] += 1e-10 * float(np.trace(gram)) / p
+    u = np.linalg.solve(gram, rhs)
+    del gram
     n_test = 10 * n_train
-    pred = np.empty((n_test,) + u.shape[1:])
-    yh = np.empty_like(pred)
-    for start, stop, Xh in gaussian_row_blocks(gen_test, n_test, sample.d, p):
-        F_h = feature_matrix(sample, Xh)
-        np.matmul(F_h, u, out=pred[start:stop])
-        yh[start:stop] = target(Xh, F_h)
-    pred -= yh
-    pop_error = np.mean(np.square(pred, out=pred), axis=0).tolist()
-    target_norm_sq = np.mean(np.square(yh, out=yh), axis=0).tolist()
+    sq_error = sq_target = 0.0
+    for X, F in _gaussian_feature_blocks(sample, rng.generator(1), n_test):
+        y = np.asarray(target(X, F), dtype=float)
+        residual = F @ u
+        residual -= y
+        sq_error = sq_error + np.sum(np.square(residual, out=residual), axis=0)
+        sq_target = sq_target + np.sum(np.square(y), axis=0)
+    pop_error = (np.asarray(sq_error) / n_test).tolist()
+    target_norm_sq = (np.asarray(sq_target) / n_test).tolist()
     max_u = np.max(np.abs(u), axis=0).tolist()
     return LinearCombination(u), pop_error, max_u, target_norm_sq
+
+
+def _gaussian_feature_blocks(sample: FeatureSample, gen: np.random.Generator, n_rows: int):
+    """(points, features) per ``gaussian_row_blocks`` block of n_rows standard
+    normal points; the features are written into one reused buffer."""
+    F = np.empty((longest_block(row_blocks(n_rows, sample.r)), sample.r))
+    for start, stop, X in gaussian_row_blocks(gen, n_rows, sample.d, sample.r):
+        yield X, feature_matrix(sample, X, out=F[: stop - start])
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ to the running sums, so a cell holds no array that grows with the sample.
 The tiles are its own, not ``features.row_blocks``, because their size
 fixes the order of the sums.  Its test net is a
 ``features.LinearCombination``, which evaluates each tile in
-``row_blocks``.  The inapproximability sweep's least-squares fit and its
-directly-trained baseline draw their held-out points in ``row_blocks``
-too, each block straight into one reused buffer
-(``features.gaussian_row_blocks``).
+``row_blocks``.  The inapproximability sweep's least-squares fit draws its
+training and held-out points in ``row_blocks`` too, and its
+directly-trained baseline its held-out points, each block straight into
+one reused buffer (``features.gaussian_row_blocks``).
 """
 
 from __future__ import annotations
@@ -221,10 +221,12 @@ def psi_properties_check(psi: PsiFunction, grid_points: int = 10_000, norm_order
     rules = (kink_split_rule(_SIMPSON, float(n), float(n + 2), psi.kinks) for n in starts)
     dev = max(abs(float(w @ psi_eval(psi, z) ** 2) - 2.0 / 3.0) for z, w in rules)
     deco = psi_relu_decomposition(psi)
-    # in blocks: the term-by-term sum holds grid x n_terms long doubles, several times over
+    # in blocks: the term-by-term sum holds grid x n_terms long doubles, several times
+    # over; a long double takes the bytes of two float64 values, so a block gets
+    # half the rows row_blocks gives n_terms float64 values
     deco_res = max(
         float(np.max(np.abs(deco.evaluate(x[start:stop]) - vals[start:stop])))
-        for start, stop in row_blocks(len(x), deco.n_terms)
+        for start, stop in row_blocks(len(x), 2 * deco.n_terms)
     )
     norm = psi_gaussian_norm(psi, float(psi.d), norm_order)
     return PsiReport(
@@ -476,8 +478,9 @@ def neuron_inapprox_sweep(
     max normalized error over a small set of candidate biases b*.  All
     targets share one training draw and one held-out draw per d and are
     solved together as the columns of one least-squares problem, whose
-    held-out pass evaluates features and targets one row block at a time
-    (``least_squares_fit``); each error is normalized by its target's
+    training and held-out passes evaluate features and targets one row
+    block at a time (``least_squares_fit``), so a cell's memory does not
+    grow with n_train; each error is normalized by its target's
     squared norm on that held-out sample, and candidates that are zero on
     the whole sample are skipped.  Optionally adds the directly-trained
     single-neuron baseline on the middle candidate (``baseline_neuron_target``).

@@ -183,21 +183,18 @@ def construct_g(
     P: SparsePolynomial,
     act: AnalyticActivation,
     table: MonomialExpansionTable,
-    degree: int | None = None,
 ) -> LegendreExpansion:
     """Solve the triangular system for the c_J of the weight function g.
 
-    ``degree`` fixes the size k of the system (default: deg(P)); the system
-    is linear in P's coefficients at fixed k.  Indices J with a_{|J|} = 0
-    get c_J = 0 (their Taylor term contributes nothing, so the coefficient
-    is free and zero is the minimal choice); if P carries a nonzero alpha_J
-    at such a degree the polynomial is not representable and an error is
-    raised.
+    The system has one unknown per index J of degree at most k = deg(P), so
+    it is linear in P's coefficients among polynomials of one degree.
+    Indices J with a_{|J|} = 0 get c_J = 0 (their Taylor term contributes
+    nothing, so the coefficient is free and zero is the minimal choice); if
+    P carries a nonzero alpha_J at such a degree the polynomial is not
+    representable and an error is raised.
     """
     d = P.dimension
-    k = P.degree if degree is None else degree
-    if k < P.degree:
-        raise ValueError(f"degree {k} is below deg(P) = {P.degree}")
+    k = P.degree
     if k > table.max_degree:
         raise ValueError(f"table max_degree {table.max_degree} < polynomial degree {k}")
     half_pow = 0.5**d

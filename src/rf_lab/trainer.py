@@ -132,6 +132,8 @@ DESK_SCALE_MAX_R = 10**8  # widest network a desk-scale run can train
 
 TRACE_ROWS = 1 << 13  # trace entries expanded at a time by ``TrainTrace.blocks``
 
+N_CHECKPOINTS = 100  # ``sgd_train`` validates after every T // N_CHECKPOINTS steps (at least one)
+
 
 class TraceRows(NamedTuple):
     """Consecutive entries of a trace, one array per column."""
@@ -267,7 +269,6 @@ def sgd_train(
     rng: RandomSource,
     act: AnalyticActivation,
     n_val: int = 2000,
-    n_checkpoints: int = 100,
 ) -> SGDResult:
     """Run T fresh-sample SGD steps and return the best validation checkpoint.
 
@@ -278,7 +279,7 @@ def sgd_train(
     generator is fresh and belongs to its stream, as
     ``margin_filtered_sampler`` requires.
 
-    The stream is read one checkpoint chunk at a time (``T // n_checkpoints``
+    The stream is read one checkpoint chunk at a time (``T // N_CHECKPOINTS``
     steps), and then row T, whose loss at the final parameters ends the
     trace; each chunk's points and labels are checked as they arrive.  The
     trace keeps the steps that updated (``TrainTrace``), so memory follows
@@ -289,7 +290,7 @@ def sgd_train(
     eta = float(config.eta)
     net = xavier_init(d, config.r, rng.derive(0), act)
     W0 = net.W.copy()
-    chunk = max(1, T // n_checkpoints)
+    chunk = max(1, T // N_CHECKPOINTS)
     counts = [min(chunk, T - done) for done in range(0, T, chunk)]
     stream = map(_checked, row_chunks(sampler(T + 1, rng.generator(1)), [*counts, 1], d))
     # the first chunk comes before the validation set, so a margin that accepts nothing fails on the stream

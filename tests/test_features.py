@@ -359,21 +359,69 @@ class TestLeastSquares:
                 assert abs(errs[j] / norms[j] - err / norm) <= 1e-10
 
 
-def unblocked_least_squares_fit(sample, target, n_train, rng):
-    """least_squares_fit with the whole held-out feature matrix at once.
+def whole_training_residual(sample, target, n_train, rng, u):
+    """The exact normal-equation residual (G + lambda I) u - F^T y at the weights u.
 
-    Returns the weights, the held-out predictions and target values, and the
-    held-out feature matrix: the oracle for the blocked held-out pass.
+    F, y are the whole n_train x p training matrix and targets, on the fit's
+    training draw; the residual is computed in long double as
+    F^T (F u - y) + lambda u, with lambda = 1e-10 tr(G) / p, and returned as
+    float64 with ``(|F|^T (|F| |u| + |y|) + lambda |u|, lambda)``: the
+    magnitudes its rounding bound scales.
     """
     X = rng.generator(0).standard_normal((n_train, sample.d))
     F = feature_matrix(sample, X)
     y = np.asarray(target(X, F), dtype=float)
-    gram = F.T @ F
-    ridge = 1e-10 * float(np.trace(gram)) / sample.r
-    u = np.linalg.solve(gram + ridge * np.eye(sample.r), F.T @ y)
+    F_l, y_l, u_l = (a.astype(np.longdouble) for a in (F, y, u))
+    lam = np.longdouble(1e-10) * np.sum(np.square(F_l)) / sample.r
+    residual = F_l.T @ (F_l @ u_l - y_l) + lam * u_l
+    scale = np.abs(F_l).T @ (np.abs(F_l) @ np.abs(u_l) + np.abs(y_l)) + lam * np.abs(u_l)
+    return residual.astype(float), scale.astype(float), float(lam)
+
+
+def whole_held_out(sample, target, n_train, rng, u):
+    """Predictions at the weights u, target values and features on the whole held-out draw."""
     Xh = rng.generator(1).standard_normal((10 * n_train, sample.d))
     F_h = feature_matrix(sample, Xh)
-    return u, F_h @ u, np.asarray(target(Xh, F_h), dtype=float), F_h
+    return F_h @ u, np.asarray(target(Xh, F_h), dtype=float), F_h
+
+
+def assert_fit_within_rounding(sample, target, n_train, seed):
+    """least_squares_fit against the whole matrices, to within rounding bounds.
+
+    Weights: the fit adds G and F^T y in blocks, so each sum of n_train
+    products is off the exact one by at most n_train u times the sum of
+    magnitudes (u = eps / 2, any order); the ridge inherits tr(G)'s error;
+    and LU with partial pivoting solves a system within 3p u |L||U| |u|
+    (Higham, Thm 9.4), with |L||U| taken as |G + lambda I|, as for a
+    symmetric positive definite matrix.  So each component of the exact
+    residual is at most (n_train + 3p) u times |F|^T (|F| |u| + |y|) +
+    lambda |u|, plus the long-double reference's own rounding.  The bound
+    is smaller than lambda |u| somewhere, so a fit without the ridge fails.
+
+    Reports: each held-out prediction is two products of p terms apart at
+    most (delta = 2 p eps |F| |u|), so each squared error by
+    2 |residual| delta + delta^2, and the two sums of 10 n_train squares,
+    summed in different orders, by (10 n_train + 1) u of the total each,
+    plus the subtraction and squaring of each term.  max_abs_u is exact.
+    """
+    combo, errs, max_u, norms = least_squares_fit(sample, target, n_train, RandomSource(seed))
+    u = combo.weights
+    u_double, u_long = np.finfo(float).eps / 2, np.finfo(np.longdouble).eps / 2
+    residual, scale, lam = whole_training_residual(sample, target, n_train, RandomSource(seed), u)
+    bound = ((n_train + 3 * sample.r) * u_double + 2 * (n_train + sample.r) * u_long) * scale
+    assert np.all(np.abs(residual) <= bound)
+    assert np.any(lam * np.abs(u) > bound)
+    assert max_u == np.max(np.abs(u), axis=0).tolist()
+
+    pred, yh, F_h = whole_held_out(sample, target, n_train, RandomSource(seed), u)
+    n_test = len(yh)
+    delta = 2 * sample.r * np.finfo(float).eps * (np.abs(F_h) @ np.abs(u))
+    ref_err = np.mean((pred - yh) ** 2, axis=0)
+    ref_norm = np.mean(yh**2, axis=0)
+    sums = (2 * n_test + 8) * u_double
+    err_bound = np.mean(2 * np.abs(pred - yh) * delta + delta**2, axis=0) + sums * ref_err
+    assert np.all(np.abs(np.array(errs) - ref_err) <= err_bound)
+    assert np.all(np.abs(np.array(norms) - ref_norm) <= sums * ref_norm)
 
 
 def sweep_like_targets(d, k):
@@ -390,64 +438,44 @@ def sweep_like_targets(d, k):
 
 class TestBlockedLeastSquares:
     @pytest.mark.parametrize("r", [50, 200, 1000])
-    def test_single_target_equals_unblocked_fit(self, r):
+    def test_single_target_within_rounding_of_whole_matrices(self, r):
+        # n_train = 333 is one training block at r = 50, two at 200 and 21 at 1000
         sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 6, r, RandomSource(36))
         target = lambda X, F: np.sin(X @ np.arange(1.0, 7.0))  # noqa: E731
-        combo, err, max_u, norm = least_squares_fit(sample, target, 333, RandomSource(37))
-        u, pred, yh, _ = unblocked_least_squares_fit(sample, target, 333, RandomSource(37))
-        assert np.array_equal(combo.weights, u)
-        assert err == np.mean((pred - yh) ** 2)
-        assert norm == np.mean(yh**2) and max_u == np.max(np.abs(u))
+        assert_fit_within_rounding(sample, target, 333, 37)
 
-    def test_sweep_shape_equals_unblocked_fit(self):
+    def test_sweep_shape_within_rounding_of_whole_matrices(self):
         # p = 200 features, k = 7 targets, 40,000 held-out rows: the CLI's neuron sweep
         sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 4, 200, RandomSource(38))
-        targets = sweep_like_targets(4, 7)
-        _, errs, _, norms = least_squares_fit(sample, targets, 4000, RandomSource(39))
-        _, pred, yh, _ = unblocked_least_squares_fit(sample, targets, 4000, RandomSource(39))
-        assert errs == np.mean((pred - yh) ** 2, axis=0).tolist()
-        assert norms == np.mean(yh**2, axis=0).tolist()
+        assert_fit_within_rounding(sample, sweep_like_targets(4, 7), 4000, 39)
 
     def test_sweep_shape_at_the_largest_d(self):
-        # the training data is freed and the held-out points streamed: same bits
         sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 20, 200, RandomSource(44))
-        targets = sweep_like_targets(20, 7)
-        combo, errs, max_u, norms = least_squares_fit(sample, targets, 1000, RandomSource(45))
-        u, pred, yh, _ = unblocked_least_squares_fit(sample, targets, 1000, RandomSource(45))
-        assert np.array_equal(combo.weights, u)
-        assert errs == np.mean((pred - yh) ** 2, axis=0).tolist()
-        assert norms == np.mean(yh**2, axis=0).tolist()
-        assert max_u == np.max(np.abs(u), axis=0).tolist()
+        assert_fit_within_rounding(sample, sweep_like_targets(20, 7), 1000, 45)
 
     @pytest.mark.parametrize("r, k", [(256, 3), (1000, 7)])
     def test_columns_within_the_product_rounding(self, r, k):
         # a matrix-matrix product may sum a block in another order than the whole
-        # matrix: each prediction moves by at most 2 p eps sum_i |f_i u_i| (as in
-        # TestBlockedPredict.test_column_weights), so each error by at most
-        # mean(2 |residual| delta + delta^2), plus the rounding of the two means
+        # matrix, as in TestBlockedPredict.test_column_weights
         sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 5, r, RandomSource(40))
-        targets = sweep_like_targets(5, k)
-        _, errs, _, norms = least_squares_fit(sample, targets, 1000, RandomSource(41))
-        u, pred, yh, F_h = unblocked_least_squares_fit(sample, targets, 1000, RandomSource(41))
-        eps = np.finfo(float).eps
-        delta = 2 * r * eps * (np.abs(F_h) @ np.abs(u))
-        ref = np.mean((pred - yh) ** 2, axis=0)
-        bound = np.mean(2 * np.abs(pred - yh) * delta + delta**2, axis=0) + 64 * eps * ref
-        assert np.all(np.abs(np.array(errs) - ref) <= bound)
-        assert norms == np.mean(yh**2, axis=0).tolist()
+        assert_fit_within_rounding(sample, sweep_like_targets(5, k), 1000, 41)
 
     def test_memory_follows_the_block_not_the_held_out_set(self):
-        d, r, n_train = 20, 200, 4000
+        d, r = 20, 200
         sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), d, r, RandomSource(42))
-        tracemalloc.start()
-        try:
-            least_squares_fit(sample, sweep_like_targets(d, 7), n_train, RandomSource(43))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the training matrix is 6.4 MB, held once and freed before the held-out
-        # pass; held-out features for all 40,000 rows would be 64 MB
-        assert peak < 1.5 * n_train * r * 8
+        peaks = []
+        for n_train in (4000, 40_000):
+            tracemalloc.start()
+            try:
+                least_squares_fit(sample, sweep_like_targets(d, 7), n_train, RandomSource(43))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a block of 324 x 200 features, the 200 x 200 Gram matrix and one block
+        # product; the whole training matrix would be 6.4 MB at n_train = 4,000
+        # and 64 MB at 40,000, and whole held-out features ten times that
+        assert max(peaks) <= 2 * 2**20
+        assert abs(peaks[1] - peaks[0]) <= 2**19
 
 
 class TestRowBlocks:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rf_lab import features, hardness
-from rf_lab.features import PREDICT_CELLS, FeatureFamily, predict_block_rows, relu
+from rf_lab.features import PREDICT_CELLS, FeatureFamily, predict_block_rows, relu, row_blocks
 from rf_lab.hardness import (
     CorrelationDecayRow,
     PsiFunction,
@@ -196,19 +196,28 @@ class TestPsiShape:
 
         monkeypatch.setattr(ReluDecomposition, "evaluate", recording)
         psi_properties_check(psi)
-        assert max(len(x) for x in blocks) * (psi.a + 1) <= PREDICT_CELLS
+        # a long double takes 16 bytes: a block holds at most PREDICT_CELLS float64s' worth
+        assert max(len(x) for x in blocks) * (psi.a + 1) * 2 <= PREDICT_CELLS
         assert np.array_equal(np.unique(np.concatenate(blocks)), np.linspace(-psi.a, psi.a, 10_000))
 
     def test_properties_memory_follows_the_block(self):
-        psi = PsiFunction(8)
-        tracemalloc.start()
-        try:
-            psi_properties_check(psi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # the whole-grid ReLU sum held 10,000 x 386 long doubles several times over (118 MiB)
-        assert peak <= 4 * 2**20
+        assert psi_check_peak(8) <= 1.5 * 2**20
+
+    def test_properties_memory_at_the_default_d(self):
+        # about three long-double temporaries of one block, each up to 512 KiB, and the
+        # 10,000-point grids; blocks sized for float64 values read 2.2 MiB
+        assert psi_check_peak(3) <= 1.5 * 2**20
+
+
+def psi_check_peak(d):
+    """tracemalloc's peak over one psi_properties_check at its default grid."""
+    tracemalloc.start()
+    try:
+        psi_properties_check(PsiFunction(d))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPsiGaussianNorm:
@@ -452,22 +461,29 @@ class TestNeuronSweep:
         calls = {3: [], 6: []}
         feature_matrix = features.feature_matrix
 
-        def recording(sample, X):
+        def recording(sample, X, out=None):
             calls[sample.d].append(np.array(X))
-            return feature_matrix(sample, X)
+            return feature_matrix(sample, X, out=out)
 
         monkeypatch.setattr(features, "feature_matrix", recording)
         family = FeatureFamily(relu, uniform_sphere(1.0))
-        neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8), include_baseline=False)
+        n_train = 1400  # two training blocks of 1,308 and 92 rows at r = 50
+        neuron_inapprox_sweep(family, 50, [3, 6], n_train, RandomSource(8), include_baseline=False)
+        n_train_blocks = len(list(row_blocks(n_train, 50)))
+        assert n_train_blocks == 2
         for d, blocks in calls.items():
-            # one call for the training draw, then the held-out draw in order, each row once
-            assert len(blocks[0]) == 600
-            held_out = RandomSource(8).derive(d, 1).generator(1).standard_normal((6000, d))
-            assert np.array_equal(np.concatenate(blocks[1:]), held_out)
-            assert max(len(X) * 50 for X in blocks[1:]) <= PREDICT_CELLS
+            # the training draw in blocks, then the held-out draw, in order, each row once
+            rng = RandomSource(8).derive(d, 1)
+            train = rng.generator(0).standard_normal((n_train, d))
+            assert np.array_equal(np.concatenate(blocks[:n_train_blocks]), train)
+            held_out = rng.generator(1).standard_normal((10 * n_train, d))
+            assert np.array_equal(np.concatenate(blocks[n_train_blocks:]), held_out)
+            assert max(len(X) * 50 for X in blocks) <= PREDICT_CELLS
 
     def test_largest_d_cell_memory(self):
-        # neuron-inapprox's defaults at d = 20: a 6.4 MB training matrix, held once
+        # neuron-inapprox's defaults at d = 20: the fit holds one block of features
+        # and the Gram matrix; most of the peak is train_single_neuron's batch and
+        # held-out values
         family = FeatureFamily(relu, uniform_sphere(1.0))
         tracemalloc.start()
         try:
@@ -475,7 +491,7 @@ class TestNeuronSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 2**20
+        assert peak <= 3 * 2**20
 
     def test_direct_neuron_training(self):
         err, _ = train_single_neuron(baseline_neuron_target(6), 6, RandomSource(10))

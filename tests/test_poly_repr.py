@@ -137,16 +137,19 @@ class TestConstructG:
     def test_linearity_in_coefficients(self, table):
         gen = RandomSource(17).generator()
         act = exp_activation()
-        P1 = random_polynomial(gen, 3, 3)
-        P2 = random_polynomial(gen, 3, 3)
+        # the system is linear in alpha only at a fixed system size k = deg(P):
+        # x_1^3 with coefficients of one sign keeps P1, P2 and their sum at degree 3
+        cubic = MultiIndex((3, 0, 0))
+        P1 = SparsePolynomial(3, {**random_polynomial(gen, 3, 3).coefficients, cubic: 0.75})
+        P2 = SparsePolynomial(3, {**random_polynomial(gen, 3, 3).coefficients, cubic: 0.5})
         summed = dict(P1.coefficients)
         for J, a in P2.coefficients.items():
             summed[J] = summed.get(J, 0.0) + a
         P12 = SparsePolynomial(3, summed)
-        # the system is linear in alpha only at a fixed system size k
-        g1 = construct_g(P1, act, table, degree=3)
-        g2 = construct_g(P2, act, table, degree=3)
-        g12 = construct_g(P12, act, table, degree=3)
+        assert P1.degree == P2.degree == P12.degree == 3
+        g1 = construct_g(P1, act, table)
+        g2 = construct_g(P2, act, table)
+        g12 = construct_g(P12, act, table)
         keys = set(g1.coefficients) | set(g2.coefficients) | set(g12.coefficients)
         for J in keys:
             lhs = g12.coefficients.get(J, 0.0)

@@ -816,7 +816,8 @@ class TestKernelOracle:
 
 class TestValidationReuse:
     def test_matches_recomputing_every_checkpoint(self, monkeypatch):
-        d, T, n_checkpoints = 2, 6000, 60
+        # 100 checkpoint chunks of 60 steps: some update the net and some do not
+        d, T, n_checkpoints = 2, 6000, trainer_mod.N_CHECKPOINTS
         cfg = make_config(r=20, eta=0.05, steps=T)
         sampler = ball_sign_sampler()
         act = exp_activation()
@@ -847,7 +848,7 @@ class TestValidationReuse:
             return original(net, x)
 
         monkeypatch.setattr(trainer_mod, "forward", counting_forward)
-        res = sgd_train(d, sampler, cfg, RandomSource(40), act, n_checkpoints=n_checkpoints)
+        res = sgd_train(d, sampler, cfg, RandomSource(40), act)
         assert res.val_history == history
         assert res.best_step == history[best][0]
         assert 0 < changed < n_checkpoints

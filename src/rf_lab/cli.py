@@ -128,58 +128,28 @@ def _conversion(column) -> str:
     raise TypeError(f"CSV column mixes or holds unsupported types: {sorted(k.__name__ for k in kinds)}")
 
 
-def _format_column(column, conversion) -> list:
-    """The column's values as CSV text; a float column formats each run of one bit pattern once."""
-    if conversion != "%.17g":
-        values = column.tolist() if isinstance(column, np.ndarray) else column
-        return list(map(conversion.__mod__, values))
-    # Runs of bits: comparing the floats themselves would merge -0.0 into 0.0.
-    bits = np.asarray(column, dtype=np.float64).view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    texts = [conversion % v for v in bits[starts].view(np.float64).tolist()]
-    if len(texts) == len(bits):
-        return texts
-    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=len(bits))).tolist()
-
-
 CSV_CELLS = 1 << 13  # values formatted into text at a time
 
 
-def _csv_text(blocks):
-    """The CSV rows of ``blocks`` as pieces of text of at most ``CSV_CELLS`` values each."""
-    kinds = None
-    for columns in blocks:
-        columns = list(columns)
-        conversions = list(map(_conversion, columns))  # refuse a bad column before any row of its block
-        n_rows = min(map(len, columns), default=0)
-        if n_rows == 0:
-            continue
-        if kinds is None:
-            kinds = conversions
-        elif conversions != kinds:
-            raise TypeError(f"CSV column changes kind between blocks: {kinds} then {conversions}")
-        rows = max(1, CSV_CELLS // len(columns))
-        for start in range(0, n_rows, rows):
-            texts = [_format_column(c[start : start + rows], conv) for c, conv in zip(columns, conversions)]
-            yield "\n".join(map(",".join, zip(*texts))) + "\n"
+def write_csv(path: Path, header, columns) -> None:
+    """Write a table given as a sequence of columns of equal length, each
+    column holding one kind of value.
 
-
-def write_csv(path: Path, header, blocks) -> None:
-    """Write a table given as blocks of rows: each block is a sequence of
-    columns of equal length, and each column holds one kind of value, the
-    same in every block.
-
-    The blocks are read one at a time (a generator may make them as they
-    are written), and rows are formatted and written at most ``CSV_CELLS``
-    values at a time, so memory follows the piece, not the table.  A run of
-    equal floats within a piece is formatted once.  The file is made only
-    once the first block has been checked.
+    Each row is formatted by one template of the columns' conversions, and
+    rows are written at most ``CSV_CELLS`` values at a time, so a long
+    table's text is never built whole.  Every column is checked before the
+    file is made.
     """
-    pieces = _csv_text(blocks)
-    first = next(pieces, "")
+    columns = list(columns)
+    row = ",".join(map(_conversion, columns))
+    n_rows = min(map(len, columns), default=0)
+    step = max(1, CSV_CELLS // max(1, len(columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(",".join(header) + "\n" + first)
-        out.writelines(pieces)
+        out.write(",".join(header) + "\n")
+        for start in range(0, n_rows, step):
+            piece = [c[start : start + step] for c in columns]
+            piece = [c.tolist() if isinstance(c, np.ndarray) else c for c in piece]
+            out.write("\n".join(map(row.__mod__, zip(*piece))) + "\n")
 
 
 def load_config(path: str) -> dict:
@@ -284,8 +254,8 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # command implementations: each returns (outputs, summary_lines, failures)
-# outputs: {filename: (header, blocks)} or {filename: ("json", text)}; run() writes them
-# with write_csv, where blocks is an iterable of column sequences
+# outputs: {filename: (header, columns)} or {filename: ("json", text)}; run() writes
+# them with write_csv
 # ---------------------------------------------------------------------------
 
 
@@ -328,7 +298,7 @@ def _cmd_legendre_check(cfg: ExperimentConfig):
         f"reconstruction residual: {worst_recon:.3e} (< 1e-10)",
     ]
     header = ("check", "m", "n", "observed", "expected", "abs_error")
-    return {"legendre_check.csv": (header, [list(zip(*rows))])}, summary, failures
+    return {"legendre_check.csv": (header, list(zip(*rows)))}, summary, failures
 
 
 def _cmd_represent_poly(cfg: ExperimentConfig):
@@ -358,7 +328,7 @@ def _cmd_represent_poly(cfg: ExperimentConfig):
         f"max |g| on grid: {g_max:.6g} vs bound {bound:.6g}",
     ]
     header = ("point", "truncated_residual", "full_residual")
-    return {"represent_poly.csv": (header, [list(zip(*rows))])}, summary, failures
+    return {"represent_poly.csv": (header, list(zip(*rows)))}, summary, failures
 
 
 def _cmd_concentration(cfg: ExperimentConfig):
@@ -389,8 +359,8 @@ def _cmd_concentration(cfg: ExperimentConfig):
             failures.append(f"log-log slope {slope:.4f} outside [-0.65, -0.35]")
     return (
         {
-            "concentration.csv": (header, [list(zip(*rows))]),
-            "concentration_summary.csv": (("r", "mean_sup_error", "std", "envelope"), [list(zip(*sum_rows))]),
+            "concentration.csv": (header, list(zip(*rows))),
+            "concentration_summary.csv": (("r", "mean_sup_error", "std", "envelope"), list(zip(*sum_rows))),
         },
         summary,
         failures,
@@ -426,7 +396,11 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
         checked += 1
 
     report = drift_check(result.trace, config, act)
-    trace_blocks = ((b.step, b.loss, b.run_avg_loss, b.w_drift, b.u_norm) for b in result.trace.blocks())
+    trace = result.trace
+    trace_columns = (
+        trace.steps, trace.loss, np.cumsum(trace.loss) / (trace.steps + 1),
+        trace.w_drift, trace.u_norm, trace.w_norm,
+    )
     best = result.net
     checkpoint = {
         "d": best.d, "r": best.r, "activation": act.name, "seed": cfg.seed,
@@ -462,9 +436,11 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
     )]
     return (
         {
-            "learn_poly_trace.csv": (("step", "loss", "run_avg_loss", "w_drift", "u_norm"), trace_blocks),
-            "learn_poly_summary.csv": (sum_header, [list(zip(*sum_row))]),
-            "learn_poly_validation.csv": (("step", "val_loss"), [list(zip(*result.val_history))]),
+            "learn_poly_trace.csv": (
+                ("step", "loss", "run_avg_loss", "w_drift", "u_norm", "w_norm"), trace_columns
+            ),
+            "learn_poly_summary.csv": (sum_header, list(zip(*sum_row))),
+            "learn_poly_validation.csv": (("step", "val_loss"), list(zip(*result.val_history))),
             "learn_poly_checkpoint.json": ("json", json.dumps(checkpoint)),
         },
         summary,
@@ -507,7 +483,7 @@ def _cmd_psi_check(cfg: ExperimentConfig):
     failures = [f"{name} = {val:.6e} fails requirement {req}" for name, val, req, ok in report.checks if not ok]
     summary = [f"a = {psi.a}; all checks passed: {report.passed}"]
     header = ("property", "observed", "requirement", "passed")
-    return {"psi_properties.csv": (header, [list(zip(*rows))])}, summary, failures
+    return {"psi_properties.csv": (header, list(zip(*rows)))}, summary, failures
 
 
 def _cmd_linear_residual(cfg: ExperimentConfig):
@@ -527,7 +503,7 @@ def _cmd_linear_residual(cfg: ExperimentConfig):
         f"mean residual: {mean:.4f} (population value {1 - p['r'] / p['d']:.4f})",
         f"fraction >= 1/4: {frac:.4f}",
     ]
-    return {"linear_residual.csv": (("trial", "residual", "seed"), [list(zip(*rows))])}, summary, failures
+    return {"linear_residual.csv": (("trial", "residual", "seed"), list(zip(*rows)))}, summary, failures
 
 
 def _cmd_correlation_decay(cfg: ExperimentConfig):
@@ -544,7 +520,7 @@ def _cmd_correlation_decay(cfg: ExperimentConfig):
         f"d={r.d}: {r.mean_sq:.4e} +- {r.std_err:.1e}" for r in rows_out
     ]
     header = ("d", "mean_sq_normalized", "std_err", "n_w", "mc_samples")
-    return {"correlation_decay.csv": (header, [list(zip(*rows))])}, summary, failures
+    return {"correlation_decay.csv": (header, list(zip(*rows)))}, summary, failures
 
 
 def _cmd_neuron_inapprox(cfg: ExperimentConfig):
@@ -563,7 +539,7 @@ def _cmd_neuron_inapprox(cfg: ExperimentConfig):
             failures.append(f"neuron GD baseline at d={r.d} has error {r.normalized_error:.3e} >= 0.01")
     summary = [f"d={r.d} {r.target}: err={r.normalized_error:.4f}" for r in rows_out]
     header = ("d", "target", "normalized_error", "r_max_abs_u")
-    return {"neuron_inapprox.csv": (header, [list(zip(*rows))])}, summary, failures
+    return {"neuron_inapprox.csv": (header, list(zip(*rows)))}, summary, failures
 
 
 def _cmd_exp_identity(cfg: ExperimentConfig):
@@ -575,7 +551,7 @@ def _cmd_exp_identity(cfg: ExperimentConfig):
     if worst >= 1e-8:
         failures.append(f"identity error {worst:.3e} >= 1e-8")
     summary = [f"max |LHS - e^z| over {p['grid']} points: {worst:.3e}"]
-    return {"exp_identity.csv": (("z", "abs_error"), [(zs, errors)])}, summary, failures
+    return {"exp_identity.csv": (("z", "abs_error"), (zs, errors))}, summary, failures
 
 
 # parameter spec: name -> (kind, default, help, bounds).  bounds is None or

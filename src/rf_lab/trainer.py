@@ -12,12 +12,11 @@ a hinge-loss subgradient step on both layers simultaneously:
 ``_sgd_numpy.run_steps``, whose cost scales with the number of updates
 rather than of steps; ``kernel_backend()`` names it.
 
-Per-step diagnostics (loss, running average, ||W_t - W_0||_F, ||U_t||,
-||W_t||_F; Frobenius norms throughout) are kept for every step as the steps
-that updated: a step that does not update has loss 0 and moves no norm.
-``TrainTrace`` expands any range of steps from them, so drift bounds are
-checked after the fact with ``drift_check`` and the trace is written out
-range by range.  The training stream is drawn one checkpoint chunk at a
+Per-step diagnostics (loss, ||W_t - W_0||_F, ||U_t||, ||W_t||_F; Frobenius
+norms throughout) are kept as the steps that updated (``TrainTrace``): a
+step that does not update has loss 0 and moves no norm, so the records
+determine every step.  Drift bounds are checked on them after the fact with
+``drift_check``.  The training stream is drawn one checkpoint chunk at a
 time, so no buffer of the run grows with its step count except the records.
 """
 
@@ -27,7 +26,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -130,20 +129,7 @@ class TrainConfig:
 DESK_SCALE_MAX_R = 10**8  # widest network a desk-scale run can train
 
 
-TRACE_ROWS = 1 << 13  # trace entries expanded at a time by ``TrainTrace.blocks``
-
 N_CHECKPOINTS = 100  # ``sgd_train`` validates after every T // N_CHECKPOINTS steps (at least one)
-
-
-class TraceRows(NamedTuple):
-    """Consecutive entries of a trace, one array per column."""
-
-    step: np.ndarray
-    loss: np.ndarray
-    run_avg_loss: np.ndarray
-    w_drift: np.ndarray
-    u_norm: np.ndarray
-    w_norm: np.ndarray
 
 
 @dataclass
@@ -161,10 +147,10 @@ class TrainTrace:
     * ``w_drift``, ``u_norm``, ``w_norm``: the norms at initialization,
       then after each updating step (one value per entry of ``steps``).
 
-    ``rows`` and ``blocks`` expand any range of entries, bit for bit the
-    values of per-step arrays: the running average is the cumulative sum
-    of the recorded losses over t + 1, and adding the zero losses in
-    between would not move that sum.
+    Entries between records follow from them: entry t's loss is 0 unless t
+    is in ``steps``, its norms are those of the first record at or after t,
+    and its running average is the cumulative sum of the recorded losses
+    through t over t + 1.
     """
 
     steps: np.ndarray
@@ -172,29 +158,6 @@ class TrainTrace:
     w_drift: np.ndarray
     u_norm: np.ndarray
     w_norm: np.ndarray
-
-    def __post_init__(self):
-        self._loss_sums = np.concatenate(([0.0], np.cumsum(self.loss)))
-
-    def __len__(self) -> int:
-        return int(self.steps[-1]) + 1
-
-    def rows(self, start: int = 0, stop: int | None = None) -> TraceRows:
-        """Entries start..stop - 1 (default: all of them)."""
-        t = np.arange(start, len(self) if stop is None else stop)
-        before = np.searchsorted(self.steps, t)  # records of the steps before t
-        through = np.searchsorted(self.steps, t, side="right")  # and of step t
-        loss = np.zeros(len(t))
-        hit = through > before
-        loss[hit] = self.loss[before[hit]]
-        run_avg = self._loss_sums[through]
-        run_avg /= t + 1
-        return TraceRows(t, loss, run_avg, self.w_drift[before], self.u_norm[before], self.w_norm[before])
-
-    def blocks(self):
-        """All entries, as consecutive ``TraceRows`` of at most ``TRACE_ROWS`` entries."""
-        for start in range(0, len(self), TRACE_ROWS):
-            yield self.rows(start, min(start + TRACE_ROWS, len(self)))
 
 
 @dataclass
@@ -489,36 +452,32 @@ def margin_filtered_sampler(P, margin: float):
 
 
 def drift_check(trace: TrainTrace, config: TrainConfig, act: AnalyticActivation) -> DriftReport:
-    """Verify ||W_t - W_0||_F <= t * eta * L * (B+1) at every recorded step,
-    and ||W_t||, ||U_t|| <= B + 1 inside the norm-cap window t <= B / (2 eps).
+    """Verify ||W_t - W_0||_F <= t * eta * L * (B+1) at every step t of the
+    trace, and ||W_t||, ||U_t|| <= B + 1 inside the norm-cap window
+    t <= B / (2 eps).
 
     B = max(2, ||W_0||, ||U_0||) and eps is read off the step-size relation
-    eta = eps / (L B^2) that the window is stated for.  The trace is read in
-    ``TrainTrace.blocks``; minima and maxima over blocks are those over the
-    whole trace.
+    eta = eps / (L B^2) that the window is stated for.  Record i's norms hold
+    at the entries after the previous record through ``steps[i]``, and the
+    margin grows with t, so both checks read each record at the first of its
+    entries; the minimum and maximum are those over every step.
     """
     L = act.lipschitz_L
     eta = float(config.eta)
-    T = len(trace) - 1
     B = max(2.0, float(trace.w_norm[0]), float(trace.u_norm[0]))
     cap_eps = eta * L * B * B
-    cap_steps = int(B / (2.0 * cap_eps)) if cap_eps > 0 else T
-    cap_steps = min(cap_steps, T)
-    min_margins, w_max, u_max = [], [], []
-    for rows in trace.blocks():
-        # margins = t * eta * L * (B + 1) - w_drift, built in place in the same order
-        margins = rows.step.astype(float)
-        margins *= eta
-        margins *= L
-        margins *= B + 1.0
-        margins -= rows.w_drift
-        min_margins.append(np.min(margins))
-        window = rows.step <= cap_steps
-        if window.any():
-            w_max.append(np.max(rows.w_norm[window]))
-            u_max.append(np.max(rows.u_norm[window]))
-    min_margin = float(np.min(min_margins))  # NaN if any margin is
-    max_norm = float(max(np.max(w_max), np.max(u_max)))
+    # compared as a float: a tiny eta puts the window's end past every integer
+    cap_steps = B / (2.0 * cap_eps) if cap_eps > 0 else math.inf
+    first = np.append(0, trace.steps[:-1] + 1)  # the first entry of each record
+    # margins = t * eta * L * (B + 1) - w_drift, built in place in the same order
+    margins = first.astype(float)
+    margins *= eta
+    margins *= L
+    margins *= B + 1.0
+    margins -= trace.w_drift
+    min_margin = float(np.min(margins))  # NaN if any margin is
+    window = first <= cap_steps  # holds entry 0
+    max_norm = float(max(np.max(trace.w_norm[window]), np.max(trace.u_norm[window])))
     norms_ok = max_norm <= B + 1.0 + 1e-9
     return DriftReport(
         b_value=B,

@@ -15,7 +15,11 @@ import rf_lab
 from rf_lab import cli
 from rf_lab.cli import BLAS_THREAD_VARS, CSV_CELLS, run, write_csv
 from rf_lab.hardness import SweepRow
+from rf_lab.legendre import MultiIndex
+from rf_lab.numerics import RandomSource
 from rf_lab.parallel import usable_cpus
+from rf_lab.poly_repr import SparsePolynomial, exp_activation
+from rf_lab.trainer import TrainConfig, margin_filtered_sampler, sgd_train
 
 
 def read(path):
@@ -280,8 +284,13 @@ class TestCommandOutputs:
         assert ckpt["d"] == 3 and ckpt["r"] == 30 and ckpt["activation"] == "exp"
         assert len(ckpt["W"]) == 30 * 3 and len(ckpt["U"]) == 30
         trace = (tmp_path / "learn-poly" / "learn_poly_trace.csv").read_text().splitlines()
-        assert trace[0] == "step,loss,run_avg_loss,w_drift,u_norm"
-        assert len(trace) == 1 + 400 + 1  # header + steps + step 0
+        assert trace[0] == "step,loss,run_avg_loss,w_drift,u_norm,w_norm"
+        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        result = sgd_train(3, margin_filtered_sampler(P, 0.3), TrainConfig(r=30, eta=0.01, steps=400),
+                           RandomSource(4), exp_activation())
+        # header + one row per update record, the last at step 400
+        assert len(trace) == 1 + len(result.trace.steps)
+        assert [int(line.split(",")[0]) for line in trace[1:]] == result.trace.steps.tolist()
 
     def test_learn_poly_writes_validation_history(self, tmp_path, capsys):
         assert run(["learn-poly", "--steps", "2000", "--r", "30", "--seed", "4", "--out", str(tmp_path)]) == 0
@@ -430,7 +439,7 @@ class TestWriteCsv:
 
     def written(self, tmp_path, header, columns) -> bytes:
         path = tmp_path / "t.csv"
-        write_csv(path, header, [columns])
+        write_csv(path, header, columns)
         return path.read_bytes()
 
     def test_matches_reference_formatting(self, tmp_path):
@@ -440,20 +449,20 @@ class TestWriteCsv:
 
     def test_accepts_iterables_of_columns(self, tmp_path):
         column = np.array([0.5, -0.0, np.nan])
-        write_csv(tmp_path / "a.csv", ("i", "v"), [(range(3), column)])
-        write_csv(tmp_path / "b.csv", ("i", "v"), [list(zip(*[(i, float(v)) for i, v in enumerate(column)]))])
+        write_csv(tmp_path / "a.csv", ("i", "v"), (range(3), column))
+        write_csv(tmp_path / "b.csv", ("i", "v"), list(zip(*[(i, float(v)) for i, v in enumerate(column)])))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes() == b"i,v\n0,0.5\n1,-0\n2,nan\n"
 
     def test_header_only(self, tmp_path):
         write_csv(tmp_path / "t.csv", ("a", "b"), [])
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
-        write_csv(tmp_path / "u.csv", ("a", "b"), [list(zip(*[]))])
+        write_csv(tmp_path / "u.csv", ("a", "b"), list(zip(*[])))
         assert (tmp_path / "u.csv").read_bytes() == b"a,b\n"
 
     @pytest.mark.parametrize("column", [[1, 2.5], [0.5, "x"], [None, None]])
     def test_column_without_one_kind_is_refused(self, tmp_path, column):
         with pytest.raises(TypeError, match="CSV column"):
-            write_csv(tmp_path / "t.csv", ("a",), [[column]])
+            write_csv(tmp_path / "t.csv", ("a",), [column])
 
     def test_signed_zeros_stay_apart(self, tmp_path):
         column = [0.0, -0.0, -0.0, 0.0, 1.0]
@@ -506,31 +515,15 @@ class TestWriteCsv:
         assert self.written(tmp_path, ("a",), [range(0)]) == b"a\n"
 
     def test_bad_column_is_refused_before_any_row(self, tmp_path):
-        # the float sits in a later piece than the ints: the block is still checked whole
+        # the float sits in a later piece than the ints: the column is still checked whole
         path = tmp_path / "t.csv"
         with pytest.raises(TypeError, match="CSV column"):
-            write_csv(path, ("a",), [[[1] * self.BLOCK * 2 + [2.5]]])
+            write_csv(path, ("a",), [[1] * self.BLOCK * 2 + [2.5]])
         assert not path.exists()
 
-    def test_column_changing_kind_between_blocks_is_refused(self, tmp_path):
-        with pytest.raises(TypeError, match="changes kind between blocks"):
-            write_csv(tmp_path / "t.csv", ("a", "b"), [([1, 2], [0.5, 1.5]), ([3], [True])])
-
-    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 7])
-    def test_blocks_write_the_bytes_of_one_block(self, tmp_path, rows):
-        n = 4 * self.BLOCK + 3
-        gen = np.random.default_rng(rows)
-        values = gen.choice(np.array([0.1, -0.0, 0.0, 1 / 3]), size=n)
-        flags = gen.random(n) < 0.5
-        whole = self.written(tmp_path, ("i", "v", "f"), (range(n), values, flags))
-        path = tmp_path / "blocks.csv"
-        write_csv(path, ("i", "v", "f"), ((range(n)[a : a + rows], values[a : a + rows], flags[a : a + rows])
-                                          for a in range(0, n, rows)))
-        assert path.read_bytes() == whole
-
     def test_memory_follows_the_block_not_the_table(self, tmp_path):
-        # a 200k-row learn-poly trace: zeros with sparse updates, a running average
-        # of all-distinct values, and norms that change only on updates
+        # a 200k-row, five-column table: mostly zeros, a column of all-distinct
+        # values, and columns that change every 50 rows
         T = 200_001
         gen = np.random.default_rng(3)
         loss = np.where(gen.random(T) < 0.02, gen.random(T), 0.0)
@@ -540,7 +533,7 @@ class TestWriteCsv:
         columns = (range(T), loss, run_avg, drift, unorm)
         tracemalloc.start()
         try:
-            write_csv(tmp_path / "trace.csv", ("step", "loss", "run_avg_loss", "w_drift", "u_norm"), [columns])
+            write_csv(tmp_path / "table.csv", ("step", "loss", "run_avg_loss", "w_drift", "u_norm"), columns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -485,6 +485,7 @@ class TestNeuronSweep:
         # and the Gram matrix; most of the peak is train_single_neuron's batch and
         # held-out values
         family = FeatureFamily(relu, uniform_sphere(1.0))
+        np.random.default_rng(0).random()  # NumPy imports numpy.random's modules on a first draw
         tracemalloc.start()
         try:
             hardness._sweep_cell(family, 200, 4000, True, RandomSource(0), 20)

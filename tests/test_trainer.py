@@ -4,13 +4,13 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import rf_lab.trainer as trainer_mod
 from rf_lab import _sgd_numpy, cli
-from rf_lab.cli import CSV_CELLS
 from rf_lab.legendre import MultiIndex
 from rf_lab.features import PREDICT_CELLS, predict_block_rows
 from rf_lab.numerics import RandomSource, uniform_ball
@@ -21,7 +21,7 @@ from rf_lab.poly_repr import (
 )
 from rf_lab.trainer import (
     DESK_SCALE_MAX_R,
-    TRACE_ROWS,
+    DriftReport,
     TrainConfig,
     TrainTrace,
     TwoLayerNet,
@@ -42,6 +42,69 @@ from rf_lab.trainer import (
 
 def make_config(r, eta, steps):
     return TrainConfig(r=r, eta=eta, steps=steps)
+
+
+class DenseTrace(NamedTuple):
+    step: np.ndarray
+    loss: np.ndarray
+    run_avg_loss: np.ndarray
+    w_drift: np.ndarray
+    u_norm: np.ndarray
+    w_norm: np.ndarray
+
+
+def expand(trace: TrainTrace, start=0, stop=None):
+    """Entries start..stop - 1 (default: all) of the dense per-step trace, by
+    the expansion rule README states: an entry t that is not a record has
+    loss 0 and the norms of the first record at or after t, and every
+    entry's running average is the cumulative sum of the recorded losses
+    through t over t + 1.  Returns (step, loss, run_avg_loss, w_drift,
+    u_norm, w_norm) as arrays."""
+    t = np.arange(start, int(trace.steps[-1]) + 1 if stop is None else stop)
+    before = np.searchsorted(trace.steps, t)  # records of the steps before t
+    through = np.searchsorted(trace.steps, t, side="right")  # and of step t
+    loss = np.zeros(len(t))
+    hit = through > before
+    loss[hit] = trace.loss[before[hit]]
+    run_avg = np.concatenate(([0.0], np.cumsum(trace.loss)))[through]
+    run_avg /= t + 1
+    return DenseTrace(t, loss, run_avg, trace.w_drift[before], trace.u_norm[before], trace.w_norm[before])
+
+
+ORACLE_ROWS = 1 << 13  # dense entries the drift oracle expands at a time
+
+
+def dense_drift_check(trace: TrainTrace, config: TrainConfig, act) -> DriftReport:
+    """The oracle for ``drift_check``: both inequalities at every entry of the
+    dense trace, expanded block by block; minima and maxima over blocks are
+    those over the whole trace."""
+    L = act.lipschitz_L
+    eta = float(config.eta)
+    T = int(trace.steps[-1])
+    B = max(2.0, float(trace.w_norm[0]), float(trace.u_norm[0]))
+    cap_eps = eta * L * B * B
+    cap_steps = min(int(B / (2.0 * cap_eps)) if cap_eps > 0 else T, T)
+    min_margins, w_max, u_max = [], [], []
+    for start in range(0, T + 1, ORACLE_ROWS):
+        rows = expand(trace, start, min(start + ORACLE_ROWS, T + 1))
+        margins = rows.step.astype(float)
+        margins *= eta
+        margins *= L
+        margins *= B + 1.0
+        margins -= rows.w_drift
+        min_margins.append(np.min(margins))
+        window = rows.step <= cap_steps
+        if window.any():
+            w_max.append(np.max(rows.w_norm[window]))
+            u_max.append(np.max(rows.u_norm[window]))
+    min_margin = float(np.min(min_margins))
+    max_norm = float(max(np.max(w_max), np.max(u_max)))
+    return DriftReport(B, max_norm <= B + 1.0 + 1e-9, min_margin >= -1e-9, min_margin, max_norm)
+
+
+def assert_same_report(report, oracle):
+    """Field for field and bit for bit (repr keeps -0.0 apart from 0.0)."""
+    assert repr(dataclasses.astuple(report)) == repr(dataclasses.astuple(oracle))
 
 
 def identity_activation():
@@ -215,7 +278,7 @@ class TestSGD:
     def test_zero_learning_rate_keeps_network(self):
         cfg = make_config(r=10, eta=0.0, steps=50)
         res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(7), exp_activation())
-        rows = res.trace.rows()
+        rows = expand(res.trace)
         assert np.array_equal(res.net.U, np.zeros(10))
         assert np.all(rows.w_drift == 0.0)
         assert np.all(rows.u_norm == 0.0)
@@ -224,14 +287,14 @@ class TestSGD:
     def test_separable_stream_converges(self):
         cfg = make_config(r=1, eta=0.05, steps=20_000)
         res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(8), identity_activation())
-        assert res.trace.rows(len(res.trace) - 1).run_avg_loss[0] < 0.1
+        assert expand(res.trace).run_avg_loss[-1] < 0.1
         assert res.best_val_loss < 0.05
 
     def test_trace_lengths(self):
         cfg = make_config(r=5, eta=0.01, steps=77)
         res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(9), exp_activation())
-        assert len(res.trace) == 78
-        rows = res.trace.rows()
+        assert res.trace.steps[-1] == 77
+        rows = expand(res.trace)
         for arr in rows:
             assert len(arr) == 78
         assert np.array_equal(rows.step, np.arange(78))
@@ -241,7 +304,8 @@ class TestSGD:
         cfg = make_config(r=20, eta=0.02, steps=500)
         a = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), exp_activation())
         b = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), exp_activation())
-        assert np.array_equal(a.trace.rows().loss, b.trace.rows().loss)
+        for field in dataclasses.fields(TrainTrace):
+            assert np.array_equal(getattr(a.trace, field.name), getattr(b.trace, field.name)), field.name
         assert np.array_equal(a.net.W, b.net.W)
         assert a.val_history == b.val_history
 
@@ -341,6 +405,7 @@ class TestDrift:
         cfg = make_config(r=10, eta=0.0, steps=50)
         res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(15), exp_activation())
         report = drift_check(res.trace, cfg, exp_activation())
+        assert_same_report(report, dense_drift_check(res.trace, cfg, exp_activation()))
         assert report.passed
         assert report.min_drift_margin >= 0.0
 
@@ -354,6 +419,7 @@ class TestDrift:
         cfg = make_config(r=r, eta=eta, steps=200)
         res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(16), act)
         report = drift_check(res.trace, cfg, act)
+        assert_same_report(report, dense_drift_check(res.trace, cfg, act))
         assert report.passed
         assert report.b_value == pytest.approx(B)
 
@@ -362,20 +428,21 @@ class TestDrift:
         act = exp_activation()
         res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17), act)
         report = drift_check(res.trace, cfg, act)
+        assert_same_report(report, dense_drift_check(res.trace, cfg, act))
         assert report.drift_ok
 
     @pytest.mark.parametrize("scale", [1e3, 1e4])
     def test_margin_bit_matches_out_of_place_expression(self, scale):
         # a real trace's drift, scaled so the smallest margin sits at an interior
-        # step rather than at t = 0, where every margin is exactly 0; the trace
-        # spans three of drift_check's blocks
-        cfg = make_config(r=120, eta=0.01, steps=2 * TRACE_ROWS + 500)
+        # step rather than at t = 0, where every margin is exactly 0
+        cfg = make_config(r=120, eta=0.01, steps=16_884)
         act = exp_activation()
         res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17), act)
         trace = dataclasses.replace(res.trace, w_drift=res.trace.w_drift * scale)
         report = drift_check(trace, cfg, act)
-        dense = trace.rows()
-        t = np.arange(len(trace), dtype=float)
+        assert_same_report(report, dense_drift_check(trace, cfg, act))
+        dense = expand(trace)
+        t = np.arange(cfg.steps + 1, dtype=float)
         margins = t * cfg.eta * act.lipschitz_L * (report.b_value + 1.0) - dense.w_drift
         assert np.argmin(margins) > 0
         assert report.min_drift_margin == float(np.min(margins))
@@ -386,24 +453,40 @@ class TestDrift:
         window = slice(0, cap_steps + 1)
         assert report.max_norm == float(max(np.max(dense.w_norm[window]), np.max(dense.u_norm[window])))
 
-    @pytest.mark.parametrize("where", [1, TRACE_ROWS - 1, TRACE_ROWS, TRACE_ROWS + 1, 2 * TRACE_ROWS + 7])
-    def test_smallest_margin_found_in_any_block(self, where):
-        # a drift of 1e5, far above every other and every t * eta * L * (B + 1), first
-        # reached at entry `where`
-        T = 2 * TRACE_ROWS + 500
+    # Step s updates to a drift of 1e5, far above every other and every
+    # t * eta * L * (B + 1), and the next update is at step `after` (T: none).
+    # The drift holds at entries s + 1 .. after, so the smallest margin is at
+    # s + 1: between two records when after > s + 1, at a record when s + 1
+    # updates too.
+    @pytest.mark.parametrize("s, after", [(0, 9), (0, 1), (4000, 4017), (4000, 4001), (9990, 10_000)],
+                             ids=["first-gap", "first-next", "interior-gap", "interior-next", "last-gap"])
+    def test_smallest_margin_found_at_any_record(self, s, after):
+        T = 10_000
         cfg = make_config(r=10, eta=0.01, steps=T)
         act = exp_activation()
-        gen = np.random.default_rng(where)
-        steps = np.unique(np.append(gen.choice(T, 40, replace=False), where - 1))
-        drift = np.where(steps == where - 1, 1e5, gen.random(len(steps)))
-        k = len(steps) + 1
-        trace = TrainTrace(steps=np.append(steps, T), loss=np.zeros(k), w_drift=np.append(0.0, drift),
+        gen = np.random.default_rng(s + after)
+        others = gen.choice(T, 40, replace=False)
+        updates = np.union1d(others[(others < s) | (others > after)], [s, after])
+        updates = updates[updates < T]
+        drift = np.where(updates == s, 1e5, gen.random(len(updates)))
+        k = len(updates) + 1
+        trace = TrainTrace(steps=np.append(updates, T), loss=np.zeros(k), w_drift=np.append(0.0, drift),
                            u_norm=np.full(k, 0.5), w_norm=np.full(k, 3.0))
         report = drift_check(trace, cfg, act)
+        assert_same_report(report, dense_drift_check(trace, cfg, act))
         t = np.arange(T + 1, dtype=float)
-        margins = t * cfg.eta * act.lipschitz_L * (report.b_value + 1.0) - trace.rows().w_drift
-        assert np.argmin(margins) == where
+        margins = t * cfg.eta * act.lipschitz_L * (report.b_value + 1.0) - expand(trace).w_drift
+        assert np.argmin(margins) == s + 1
         assert report.min_drift_margin == float(np.min(margins))
+        assert not report.drift_ok
+
+    def test_tiny_step_size_puts_every_step_in_the_window(self):
+        # B / (2 eps) overflows a float: the window holds the whole run
+        cfg = make_config(r=10, eta=1e-320, steps=10)
+        trace = TrainTrace(steps=np.array([3, 10]), loss=np.array([0.5, 0.0]), w_drift=np.array([0.0, 0.1]),
+                           u_norm=np.array([0.5, 0.7]), w_norm=np.array([3.0, 3.5]))
+        report = drift_check(trace, cfg, exp_activation())
+        assert report.max_norm == 3.5 and report.norms_ok
         assert not report.drift_ok
 
 
@@ -565,7 +648,9 @@ def run_both(W, U, X, Y, eta, act, chunks=None):
         u_norm=np.append(np.linalg.norm(U), rec[:, 3]),
         w_norm=np.append(np.linalg.norm(W), rec[:, 4]),
     )
-    rows = trace.rows()
+    cfg = make_config(r=len(U), eta=eta, steps=steps)
+    assert_same_report(drift_check(trace, cfg, act), dense_drift_check(trace, cfg, act))
+    rows = expand(trace)
     fast = (Wk, Uk, rows.loss, rows.w_drift, rows.u_norm, rows.w_norm)
 
     Wr, Ur, W0 = W.copy(), U.copy(), W.copy()
@@ -859,12 +944,12 @@ class TestValidationReuse:
 
 
 class TestTraceCsv:
-    """learn-poly's trace CSV, written range by range from the update records,
-    against a dense per-step reference written whole."""
+    """learn-poly's trace CSV holds one row per update record; expanded by
+    README's rule, it is a dense per-step reference written whole."""
 
-    # T + 1 one past a multiple of the checkpoint chunk (T // 100 = 20), of the
-    # CSV's text piece (CSV_CELLS // 5 = 1,638 rows) and of the trace block
-    @pytest.mark.parametrize("steps", [2000, 2 * (CSV_CELLS // 5), TRACE_ROWS])
+    # checkpoint chunks of 20, 32 and 81 steps: they divide the first run's T,
+    # and the other two runs end on a short chunk
+    @pytest.mark.parametrize("steps", [2000, 3276, 8192])
     def test_matches_dense_reference(self, tmp_path, steps, capsys):
         T, r, seed = steps, 20, 3
         argv = ["learn-poly", "--steps", str(T), "--r", str(r), "--n-val", "50", "--seed", str(seed)]
@@ -881,7 +966,21 @@ class TestTraceCsv:
         reference_run_steps(net.W, net.U, W0, X, y, 0.01, act.evaluate, act.derivative,
                             loss, drift, unorm, wnorm, 0, T)
         loss[T] = hinge_loss(forward(net, X[T]), y[T])
+        header = ("step", "loss", "run_avg_loss", "w_drift", "u_norm", "w_norm")
         reference = tmp_path / "reference.csv"
-        cli.write_csv(reference, ("step", "loss", "run_avg_loss", "w_drift", "u_norm"),
-                      [(range(T + 1), loss, np.cumsum(loss) / np.arange(1, T + 2), drift, unorm)])
-        assert (tmp_path / "learn-poly" / "learn_poly_trace.csv").read_bytes() == reference.read_bytes()
+        cli.write_csv(reference, header, (range(T + 1), loss, np.cumsum(loss) / np.arange(1, T + 2),
+                                          drift, unorm, wnorm))
+
+        lines = (tmp_path / "learn-poly" / "learn_poly_trace.csv").read_text().splitlines()
+        assert lines[0] == ",".join(header)
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        records = TrainTrace(steps=table[:, 0].astype(np.int64), loss=table[:, 1],
+                             w_drift=table[:, 3], u_norm=table[:, 4], w_norm=table[:, 5])
+        assert records.steps[-1] == T
+        expanded = tmp_path / "expanded.csv"
+        cli.write_csv(expanded, header, expand(records))
+        assert expanded.read_bytes() == reference.read_bytes()
+        # each row is the reference's line at its step; its first five cells are
+        # the line of the five-column dense trace learn-poly wrote before w_norm
+        dense = reference.read_text().splitlines()
+        assert [dense[1 + t] for t in records.steps] == lines[1:]

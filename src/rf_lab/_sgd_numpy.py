@@ -1,4 +1,4 @@
-"""Hinge-loss SGD inner loop on a two-layer net, in NumPy.
+"""Hinge-loss SGD inner loop on a two-layer exp net, in NumPy.
 
 Contract: advance hinge-loss SGD for ``count`` steps on the rows of (X, Y),
 whose row i is the example of step ``start + i``, and return the steps that
@@ -72,69 +72,63 @@ def _scan_net(W, U) -> _ScanNet:
     return _ScanNet(W.T.astype(np.float32), u, abs_u, float(np.abs(W).sum(axis=1).max()), floor)
 
 
-def _clear_steps(net: _ScanNet, X, x_inf, Y, sigma, dsigma, buf) -> int:
+def _clear_steps(net: _ScanNet, X, x_inf, Y, buf) -> int:
     """Number of leading rows of (X, Y) at which the fixed net provably does not update.
 
     ``X`` holds the rows in float32 and ``x_inf`` their float64 ||x||_inf;
-    ``buf`` is a float32 work array of shape (>= len(X), r) in which a ufunc
-    activation runs.
+    ``buf`` is a float32 work array of shape (>= len(X), r) in which exp runs.
 
-    Bound.  Per step the exact code computes z^ = fl64(W x), s^ = fl64(sigma(z^))
+    Bound.  Per step the exact code computes z^ = fl64(W x), s^ = fl64(exp(z^))
     and n^ = fl64(U . s^).  The scan rounds x, W and U to float32 and computes
     z~, s~, n~ in float32 with other summation orders.  Let u = 2^-24 and
     gamma_m = m u / (1 - m u), the float32 units, and tiny = 2^-149.  Assume
     (a) every m-term float32 or float64 inner product, in any order and with
     or without FMA, errs by at most gamma_m times the sum of its absolute
     terms, plus tiny/2 per product that falls below float32's normal range;
-    (b) sigma and sigma' are evaluated in float32 with relative error <= 8u
-    (4 ulp) plus an absolute 2 tiny when the result is subnormal, and at
-    least as well in float64 (tests check this for NumPy's exp); (c) |sigma'|
-    varies by at most a factor 2 within 2e of z~.  Rounding x and W to
-    float32 adds two relative errors of u (or tiny/2 each below the normal
-    range) to each of the d products, so with a = ||x||_inf, b = max_i ||w_i||_1
-    and e = gamma_{d+2} a b + tiny (b + d a + d), e bounds |z~_i - z_i| and,
-    with room to spare, the float64 |z^_i - z_i|.  Rounding U to float32 errs
-    by at most u max(|u_i|, 2^-126) = u |u|_i, with |u| = ``abs_u``.  Then
+    (b) exp is evaluated in float32 with relative error <= 8u (4 ulp) plus
+    an absolute 2 tiny when the result is subnormal, and at least as well in
+    float64 (tests check this for NumPy's exp); (c) exp varies by at most a
+    factor 2 within 2e of z~, which holds whenever 2e <= ln 2.  Rounding x
+    and W to float32 adds two relative errors of u (or tiny/2 each below the
+    normal range) to each of the d products, so with a = ||x||_inf,
+    b = max_i ||w_i||_1 and e = gamma_{d+2} a b + tiny (b + d a + d), e
+    bounds |z~_i - z_i| and, with room to spare, the float64 |z^_i - z_i|.
+    Rounding U to float32 errs by at most u max(|u_i|, 2^-126) = u |u|_i,
+    with |u| = ``abs_u``.  Since exp' = exp, the derivative's term of the
+    bound is M itself:
 
-        |n^ - n~| <= (2 gamma_r + 16u) M + 4 e L + A  (to first order),
-        M = sum_i |u|_i |s~_i|,  L = sum_i |u|_i |sigma'(z~_i)|,
-        A = (r + 4 sum_i |u|_i) tiny,
+        |n^ - n~| <= (2 gamma_r + 16u) M + 4 e M + A  (to first order),
+        M = sum_i |u|_i |s~_i|,  A = (r + 4 sum_i |u|_i) tiny,
 
-    where A covers the sums' and sigma's values below the normal range (the
-    GEMV's r products, and 2 tiny per subnormal sigma or sigma' weighted by
-    |u|_i, using 4 e <= 1).  tol doubles the right side, which covers the
-    higher-order terms and the rounding of M, L, tol and the margin, all but
-    M and L taken in float64.  For exp, L = M.  A scanned margin
-    fl(1 - y n~) below -tol gives y n~ > 1 + tol, hence y n^ > 1: the exact
-    step's margin is negative and it does not update.
+    where A covers the sums' and exp's values below the normal range (the
+    GEMV's r products, and 2 tiny per subnormal exp weighted by |u|_i,
+    using 4 e <= 1).  tol doubles the right side, which covers the
+    higher-order terms and the rounding of M, tol and the margin, all but M
+    taken in float64.  A scanned margin fl(1 - y n~) below -tol gives
+    y n~ > 1 + tol, hence y n^ > 1: the exact step's margin is negative and
+    it does not update.
 
-    (c) holds for exp, cosh and constant sigma' whenever 2e <= ln 2, so rows
-    with e > 1/4 count as possible updates.  So does a float32 overflow: an
-    inf z~ needs a b > 2^127, hence e > 1/4; an inf s~ makes M, hence tol,
-    inf (every |u|_i > 0); and inf - inf or 0 * inf makes the margin NaN,
-    which is never below -tol.  Such a step runs exactly, and only speed is
-    lost.
+    (c) needs e <= ln(2) / 2, so rows with e > ``_MAX_E`` = 1/4 count as
+    possible updates.  So does a float32 overflow: an inf z~ needs
+    a b > 2^127, hence e > 1/4; an inf s~ makes M, hence tol, inf (every
+    |u|_i > 0); and inf - inf or 0 * inf makes the margin NaN, which is
+    never below -tol.  Such a step runs exactly, and only speed is lost.
     """
     d, r = net.wt.shape
     with np.errstate(over="ignore", invalid="ignore"):  # rows past an update are speculative
         Z = np.matmul(X, net.wt, out=buf[: len(X)])
-        # sigma'(z) before sigma and |S|, either of which may overwrite Z
-        lip = None if dsigma is sigma else np.abs(dsigma(Z)) @ net.abs_u
-        S = sigma(Z, out=Z) if isinstance(sigma, np.ufunc) else sigma(Z)
+        S = np.exp(Z, out=Z)
         n = S @ net.u
         mag = np.abs(S, out=S) @ net.abs_u
-        if lip is None:
-            lip = mag
         e = _gamma(d + 2) * net.w_l1 * x_inf + _TINY * (net.w_l1 + d * x_inf + d)
         tol = 2.0 * ((2.0 * _gamma(r) + 16.0 * _UNIT_ROUNDOFF) * mag.astype(float)
-                     + 4.0 * e * lip + net.floor)
+                     + 4.0 * e * mag + net.floor)
         could = np.flatnonzero(~((1.0 - Y * n < -tol) & (e <= _MAX_E)))
     return int(could[0]) if could.size else len(Y)
 
 
-def run_steps(W, U, W0, X, Y, eta, sigma, dsigma, start, count):
+def run_steps(W, U, W0, X, Y, eta, start, count):
     r = W.shape[0]
-    reuse_s = dsigma is sigma  # exp: sigma' = sigma, so s serves as sigma'(z) bit for bit
     updates = []
     X32 = X[:count].astype(np.float32)
     x_inf = np.abs(X[:count]).max(axis=1)
@@ -150,7 +144,7 @@ def run_steps(W, U, W0, X, Y, eta, sigma, dsigma, start, count):
             if net is None:
                 net = _scan_net(W, U)
             hi = min(count, i + window)
-            i += _clear_steps(net, X32[i:hi], x_inf[i:hi], Y[i:hi], sigma, dsigma, buf)
+            i += _clear_steps(net, X32[i:hi], x_inf[i:hi], Y[i:hi], buf)
             if i == hi:
                 window = min(2 * window, max_window)
                 continue
@@ -158,13 +152,12 @@ def run_steps(W, U, W0, X, Y, eta, sigma, dsigma, start, count):
         x = X[i]
         y = Y[i]
         z = W @ x
-        s = sigma(z)
+        s = np.exp(z)
         n_val = float(U @ s)
         margin = 1.0 - y * n_val
         if margin >= 0.0:
-            # subgradient: dU = -y * s, dW_i = -y * u_i * sigma'(z_i) * x
-            ds = s if reuse_s else dsigma(z)
-            coef = (eta * y) * (U * ds)
+            # subgradient: dU = -y * s, dW_i = -y * u_i * exp'(z_i) * x, and exp' = exp
+            coef = (eta * y) * (U * s)
             W += coef[:, None] * x[None, :]
             U += (eta * y) * s
             # the step's hinge loss is its margin, which is >= 0

@@ -49,12 +49,12 @@ from .hardness import (
     relu_exp_identity_check,
 )
 from .legendre import build_monomial_table, legendre_eval, legendre_norm_sq
-from .numerics import RandomSource, gauss_legendre_rule, uniform_ball, uniform_sphere
+from .numerics import RandomSource, gauss_legendre_rule, uniform_ball, unit_sphere
 from .parallel import usable_cpus
 from .poly_repr import (
+    EXP_LIPSCHITZ,
     SparsePolynomial,
     construct_g,
-    exp_activation,
     g_magnitude_bound,
     max_abs_g,
     verify_representation,
@@ -259,6 +259,11 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _float_or_inf(beta) -> float:
+    """The exact beta as a float for reports, inf from 10^300 up."""
+    return float(beta) if beta < 10**300 else math.inf
+
+
 def _cmd_legendre_check(cfg: ExperimentConfig):
     kmax = cfg.params["max_degree"]
     table = build_monomial_table(kmax)
@@ -303,24 +308,24 @@ def _cmd_legendre_check(cfg: ExperimentConfig):
 
 def _cmd_represent_poly(cfg: ExperimentConfig):
     P = SparsePolynomial.from_json(cfg.params["poly"])
-    act = exp_activation()
     table = build_monomial_table(max(P.degree, 1))
-    g = construct_g(P, act, table)
+    g = construct_g(P, table)
     quad_order = cfg.params["quad_order"]
     if 0 < quad_order < P.degree + 2:
         raise UsageError(f"--quad-order must be 0 or >= degree + 2 = {P.degree + 2}, got {quad_order}")
     rng = RandomSource(cfg.seed)
     xs = uniform_ball(P.dimension, cfg.params["probes"], rng.generator(0))
     order = quad_order or P.degree + 4
-    res_t = verify_representation(P, g, act, xs, order, truncate=True)
-    res_f = verify_representation(P, g, act, xs, max(order, P.degree + 6), truncate=False)
+    res_t = verify_representation(P, g, xs, order, truncate=True)
+    res_f = verify_representation(P, g, xs, max(order, P.degree + 6), truncate=False)
     g_max = max_abs_g(g, 10_000, rng.derive(1))
-    bound = g_magnitude_bound(P, act)
+    beta = g_magnitude_bound(P.dimension, P.degree, P.coeff_bound)
+    bound = _float_or_inf(beta)
     rows = [(i, float(res_t[i]), float(res_f[i])) for i in range(len(xs))]
     failures = []
-    if float(np.max(np.abs(res_t))) >= 1e-8:
+    if not float(np.max(np.abs(res_t))) < 1e-8:  # NaN fails too
         failures.append(f"truncated-mode residual {np.max(np.abs(res_t)):.3e} >= 1e-8")
-    if g_max > bound:
+    if g_max > beta:
         failures.append(f"max |g| = {g_max:.3e} exceeds the a-priori bound {bound:.3e}")
     summary = [
         f"max truncated residual: {np.max(np.abs(res_t)):.3e} (< 1e-8)",
@@ -334,9 +339,8 @@ def _cmd_represent_poly(cfg: ExperimentConfig):
 def _cmd_concentration(cfg: ExperimentConfig):
     p = cfg.params
     P = SparsePolynomial.from_json(p["poly"])
-    act = exp_activation()
     result = concentration_experiment(
-        P, act, p["r"], p["trials"], p["probes"], RandomSource(cfg.seed), jobs=cfg.jobs,
+        P, p["r"], p["trials"], p["probes"], RandomSource(cfg.seed), jobs=cfg.jobs,
     )
     delta = p["delta"]
     rows = list(result.rows)
@@ -351,7 +355,7 @@ def _cmd_concentration(cfg: ExperimentConfig):
     violations = [row for row in rows if row[2] > result.envelope(row[0], delta)]
     if violations:
         failures.append(f"{len(violations)} trials exceed the concentration envelope")
-    summary = [f"weight sup C = {result.weight_sup_C:.6g}, L = {result.lipschitz_L:.6g}"]
+    summary = [f"weight sup C = {result.weight_sup_C:.6g}, L = {EXP_LIPSCHITZ:.6g}"]
     if len(result.r_values) >= 4:
         slope = result.loglog_slope()
         summary.append(f"log-log slope of mean sup error: {slope:.4f} (theory -0.5)")
@@ -372,17 +376,16 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
     P = SparsePolynomial.from_json(p["poly"])
     if P.dimension != p["d"]:
         raise UsageError(f"polynomial dimension {P.dimension} != --d {p['d']}")
-    act = exp_activation()
     sampler = margin_filtered_sampler(P, p["margin"])
     config = TrainConfig(r=p["r"], eta=p["eta"], steps=p["steps"])
     rng = RandomSource(cfg.seed)
-    result = sgd_train(p["d"], sampler, config, rng, act, n_val=p["n_val"])
+    result = sgd_train(p["d"], sampler, config, rng, n_val=p["n_val"])
     comp_pred = p["comparator_scale"] * P.evaluate(result.X_val)
     comparator = float(np.mean(np.maximum(0.0, 1.0 - result.y_val * comp_pred)))
 
     # gradient spot-check away from the kink
     gen = rng.generator(3)
-    probe_net = xavier_init(p["d"], 20, rng.derive(3), act)
+    probe_net = xavier_init(p["d"], 20, rng.derive(3))
     probe_net.U = gen.standard_normal(20) * 0.1
     worst_fd = 0.0
     checked = 0
@@ -395,7 +398,7 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
         worst_fd = max(worst_fd, finite_difference_check(probe_net, x, y))
         checked += 1
 
-    report = drift_check(result.trace, config, act)
+    report = drift_check(result.trace, config)
     trace = result.trace
     trace_columns = (
         trace.steps, trace.loss, np.cumsum(trace.loss) / (trace.steps + 1),
@@ -403,7 +406,7 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
     )
     best = result.net
     checkpoint = {
-        "d": best.d, "r": best.r, "activation": act.name, "seed": cfg.seed,
+        "d": best.d, "r": best.r, "activation": "exp", "seed": cfg.seed,
         "best_step": result.best_step,
         "W": [float(v) for v in best.W.ravel()],
         "U": [float(v) for v in best.U],
@@ -450,8 +453,8 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
 
 def _cmd_params(cfg: ExperimentConfig):
     p = cfg.params
-    beta, config = guarantee_params(p["epsilon"], p["delta"], p["d"], p["k"], p["alpha"], exp_activation())
-    beta_float = float(beta) if beta < 10**300 else math.inf
+    beta, config = guarantee_params(p["epsilon"], p["delta"], p["d"], p["k"], p["alpha"])
+    beta_float = _float_or_inf(beta)
     infeasible = config.r > DESK_SCALE_MAX_R
     payload = {
         "epsilon": p["epsilon"],
@@ -525,7 +528,7 @@ def _cmd_correlation_decay(cfg: ExperimentConfig):
 
 def _cmd_neuron_inapprox(cfg: ExperimentConfig):
     p = cfg.params
-    family = FeatureFamily(relu, uniform_sphere(1.0))
+    family = FeatureFamily(relu, unit_sphere)
     rows_out = neuron_inapprox_sweep(
         family, p["r"], p["d_values"], p["n_train"], RandomSource(cfg.seed),
         include_baseline=bool(p["baseline"]), jobs=cfg.jobs,

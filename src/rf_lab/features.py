@@ -1,6 +1,6 @@
 """Random ridge features, the concentration experiment, and least squares.
 
-A feature family is an activation sigma and a measure for the directions
+A feature family is an activation sigma and a sampler for the directions
 w_i; feature i evaluates a point as f_i(x) = sigma(<w_i, x>).  The paper
 uses two: exp features with cube-sampled directions (the positive
 representation result) and bias-free ReLU features with unit-sphere
@@ -19,10 +19,10 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import Measure, RandomSource, sample_measure, uniform_ball, uniform_cube
+from .numerics import RandomSource, uniform_ball, uniform_cube
 from .parallel import map_cells
 from .poly_repr import (
-    AnalyticActivation,
+    EXP_LIPSCHITZ,
     LegendreExpansion,
     SparsePolynomial,
     construct_g,
@@ -39,15 +39,17 @@ def relu(z, out=None):
 
 @dataclass(frozen=True)
 class FeatureFamily:
-    """Ridge features f_i(x) = activation(<w_i, x>) with w_i drawn from weight_dist.
+    """Ridge features f_i(x) = activation(<w_i, x>) with w_i drawn by weight_dist.
 
     The activation is ufunc-like: ``activation(z, out=None)`` applies sigma
     elementwise, writes into ``out`` when it is given and returns it.  ``out``
     may be ``z`` itself, so features are computed in the projection's buffer.
+    ``weight_dist(d, n, gen)`` draws the n directions, shape (n, d):
+    ``numerics.uniform_cube`` or ``numerics.unit_sphere``.
     """
 
     activation: Callable[..., np.ndarray]
-    weight_dist: Measure
+    weight_dist: Callable[[int, int, np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ def sample_features(family: FeatureFamily, d: int, r: int, rng: RandomSource) ->
     """Draw the feature parameters; deterministic given rng."""
     if r < 1 or d < 1:
         raise ValueError("need r >= 1 and d >= 1")
-    weights = sample_measure(family.weight_dist, d, r, rng.generator())
+    weights = family.weight_dist(d, r, rng.generator())
     return FeatureSample(family, d, r, weights)
 
 
@@ -163,16 +165,14 @@ class LinearCombination:
         return float(np.max(np.abs(self.weights))) if len(self.weights) else 0.0
 
 
-def approximant_from_g(
-    g: LegendreExpansion, act: AnalyticActivation, sample: FeatureSample
-) -> LinearCombination:
+def approximant_from_g(g: LegendreExpansion, sample: FeatureSample) -> LinearCombination:
     """The averaged-feature approximant with u_i = g(w_i) / r.
 
     Requires cube-sampled features; the expectation of the resulting
     predictor over resampling is the integral the weight function g
     represents.
     """
-    if sample.family.weight_dist.kind != "uniform_cube":
+    if sample.family.weight_dist is not uniform_cube:
         raise ValueError("approximant_from_g needs features with cube-sampled weights")
     u = eval_g(g, sample.weights) / sample.r
     return LinearCombination(np.asarray(u, dtype=float))
@@ -266,7 +266,6 @@ class ConcentrationResult:
 
     r_values: tuple
     rows: tuple  # (r, trial, sup_error, max_abs_u, seed)
-    lipschitz_L: float
     weight_sup_C: float
 
     def mean_errors(self) -> np.ndarray:
@@ -284,9 +283,9 @@ class ConcentrationResult:
         return np.asarray(stds)
 
     def envelope(self, r: int, delta: float) -> float:
-        """(L C / sqrt(r)) * (4 + sqrt(2 ln(1/delta)))."""
+        """(L C / sqrt(r)) * (4 + sqrt(2 ln(1/delta))), L = ``EXP_LIPSCHITZ``."""
         return (
-            self.lipschitz_L
+            EXP_LIPSCHITZ
             * self.weight_sup_C
             / math.sqrt(r)
             * (4.0 + math.sqrt(2.0 * math.log(1.0 / delta)))
@@ -300,7 +299,6 @@ class ConcentrationResult:
 
 def concentration_experiment(
     P: SparsePolynomial,
-    act: AnalyticActivation,
     r_values,
     trials: int,
     probes: int,
@@ -312,29 +310,30 @@ def concentration_experiment(
     For each feature count r and trial, samples cube features, forms the
     u_i = g(w_i)/r approximant, and measures max_t |f_hat(x_t) - f(x_t)|
     over a fixed probe set in the unit ball, where f is the quadrature value
-    of the feature expectation (full activation).  Deterministic given rng;
-    trials may fan out over a worker pool without changing results.
+    of the feature expectation (exp, not its Taylor truncation).
+    Deterministic given rng; trials may fan out over a worker pool without
+    changing results.
     """
     r_values = tuple(int(r) for r in r_values)
     table = build_monomial_table(max(P.degree, 1))
-    g = construct_g(P, act, table)
+    g = construct_g(P, table)
     probe_pts = uniform_ball(P.dimension, probes, rng.generator(0))
-    f_vals = integral_feature_expectation(g, act.evaluate, probe_pts, P.degree + 6)
+    f_vals = integral_feature_expectation(g, np.exp, probe_pts, P.degree + 6)
     grid_c = max_abs_g(g, 10_000, rng.derive(2))
-    family = FeatureFamily(act.evaluate, uniform_cube())
-    cell = partial(_concentration_cell, P.dimension, act, g, family, probe_pts, f_vals, rng)
+    family = FeatureFamily(np.exp, uniform_cube)
+    cell = partial(_concentration_cell, P.dimension, g, family, probe_pts, f_vals, rng)
     cells = [(ri, r, t) for ri, r in enumerate(r_values) for t in range(trials)]
     # a cell's work grows with its r, so a pool starts on the largest
     results = map_cells(cell, cells, jobs, cost=lambda c: c[1])
     rows = tuple(row for row, _ in results)
     sup_c = max([grid_c] + [sample_sup for _, sample_sup in results])
-    return ConcentrationResult(r_values, rows, act.lipschitz_L, sup_c)
+    return ConcentrationResult(r_values, rows, sup_c)
 
 
-def _concentration_cell(d, act, g, family, probe_pts, f_vals, rng, cell):
+def _concentration_cell(d, g, family, probe_pts, f_vals, rng, cell):
     """One (r, trial) draw: the CSV row and the largest |g(w_i)| it sampled."""
     ri, r, t = cell
     sample = sample_features(family, d, r, rng.derive(1, ri, t))
-    combo = approximant_from_g(g, act, sample)
+    combo = approximant_from_g(g, sample)
     sup_err = sup_error_estimate(combo, sample, f_vals, probe_pts)
     return (r, t, sup_err, combo.max_abs_weight, rng.seed), float(np.max(np.abs(eval_g(g, sample.weights))))

@@ -55,7 +55,7 @@ from .numerics import (
     gauss_legendre_rule,
     gaussian_expectation_1d,
     kink_split_rule,
-    uniform_sphere,
+    unit_sphere,
 )
 from .parallel import map_cells
 
@@ -374,7 +374,7 @@ class RidgeReluNetFactory:
         W = gen.standard_normal((self.r, d))
         W /= np.linalg.norm(W, axis=1, keepdims=True)
         u = gen.standard_normal(self.r) / self.r
-        sample = FeatureSample(FeatureFamily(relu, uniform_sphere(1.0)), d, self.r, W)
+        sample = FeatureSample(FeatureFamily(relu, unit_sphere), d, self.r, W)
         return partial(LinearCombination(u).predict, sample)
 
 

@@ -25,9 +25,9 @@ Randomness is carried by :class:`RandomSource`, a (seed, stream_id) pair
 mapped onto ``numpy.random.SeedSequence``.  Equal pairs reproduce bit-equal
 draw sequences, distinct stream ids are statistically independent, and
 derived sub-streams extend the spawn key, so trial cells can run
-concurrently without coordination.  Feature directions are drawn from a
-:class:`Measure`: uniform on the cube [-1/sqrt(d), 1/sqrt(d)]^d or on a
-sphere of given radius.
+concurrently without coordination.  Feature directions are drawn uniformly
+on the cube [-1/sqrt(d), 1/sqrt(d)]^d (``uniform_cube``) or on the unit
+sphere (``unit_sphere``).
 """
 
 from __future__ import annotations
@@ -203,40 +203,20 @@ class RandomSource:
         return RandomSource(self.seed, self.stream_id, self._path + subkeys)
 
 
-@dataclass(frozen=True)
-class Measure:
-    """Sampling measure on R^d for feature directions."""
-
-    kind: str
-    radius: float | None = None
+def uniform_cube(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n draws, shape (n, d), uniform on the cube [-1/sqrt(d), 1/sqrt(d)]^d."""
+    half = 1.0 / math.sqrt(d)
+    return gen.uniform(-half, half, size=(n, d))
 
 
-def uniform_cube() -> Measure:
-    """Uniform on the cube [-1/sqrt(d), 1/sqrt(d)]^d (d fixed at sampling time)."""
-    return Measure("uniform_cube")
-
-
-def uniform_sphere(radius: float) -> Measure:
-    if radius <= 0:
-        raise ValueError("sphere radius must be positive")
-    return Measure("uniform_sphere", radius=radius)
-
-
-def sample_measure(measure: Measure, d: int, n: int, gen: np.random.Generator) -> np.ndarray:
-    """Draw n points of dimension d from the measure, shape (n, d)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if measure.kind == "uniform_cube":
-        half = 1.0 / math.sqrt(d)
-        return gen.uniform(-half, half, size=(n, d))
-    if measure.kind == "uniform_sphere":
-        g = gen.standard_normal((n, d))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        g *= measure.radius
-        # one more normalization pass pins the norm to the radius at machine precision
-        g *= measure.radius / np.linalg.norm(g, axis=1, keepdims=True)
-        return g
-    raise ValueError(f"unknown measure kind: {measure.kind!r}")
+def unit_sphere(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n draws, shape (n, d), uniform on the unit sphere in R^d."""
+    g = gen.standard_normal((n, d))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    # one more normalization pass pins the norm to 1 at machine precision; a product
+    # with the reciprocal, which the sphere-sampled outputs' bytes are pinned to
+    g *= 1.0 / np.linalg.norm(g, axis=1, keepdims=True)
+    return g
 
 
 def uniform_ball(d: int, n: int, gen: np.random.Generator) -> np.ndarray:

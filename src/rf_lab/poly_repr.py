@@ -1,6 +1,6 @@
-"""Representing polynomials as cube-expectations of activation features.
+"""Representing polynomials as cube-expectations of exp features.
 
-Given an analytic activation sigma and a sparse polynomial P on R^d with
+Given the lab's activation sigma = exp and a sparse polynomial P on R^d with
 deg(P) <= k, this module constructs a weight function
 
     g(w) = sum_{|J| <= k} c_J * p_J(sqrt(d) * w)
@@ -9,7 +9,7 @@ on the cube [-1/sqrt(d), 1/sqrt(d)]^d such that
 
     c_d * int_cube sigma_k(<w, x>) g(w) dw = P(x),        c_d = (sqrt(d)/2)^d,
 
-holds exactly for the degree-k Taylor truncation sigma_k of the activation.
+holds exactly for the degree-k Taylor truncation sigma_k of exp.
 Expanding <w, x>^i over monomials and projecting onto the tensor Legendre
 basis turns this into a triangular linear system in the c_J, solved in
 ascending degree order:
@@ -17,10 +17,10 @@ ascending degree order:
     (1/2)^d * a_{|J|} * (|J|! / J!) * d^{-|J|/2}
         * sum_{J' <= J} c_{J'} * e_{J,J'} * ||p_{J'}||^2  =  alpha_J,
 
-where a_i are the Taylor coefficients, e_{J,J'} the monomial-to-Legendre
-expansion coefficients and alpha_J the coefficients of P.  The multinomial
-factor |J|!/J! comes from expanding the inner product power and is required
-for the quadrature check below to vanish.
+where a_i = 1/i! are the Taylor coefficients of exp, e_{J,J'} the
+monomial-to-Legendre expansion coefficients and alpha_J the coefficients of
+P.  The multinomial factor |J|!/J! comes from expanding the inner product
+power and is required for the quadrature check below to vanish.
 
 The construction is verified, never trusted: ``verify_representation``
 recomputes the cube integral by tensor Gauss-Legendre quadrature and
@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
@@ -49,10 +50,6 @@ from .legendre import (
     tensor_grid,
 )
 from .numerics import RandomSource, gauss_legendre_rule
-
-
-class UnrepresentableMonomialError(ValueError):
-    """P has a monomial whose degree is missing from the activation's Taylor series."""
 
 
 @dataclass(frozen=True)
@@ -97,61 +94,52 @@ class SparsePolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "SparsePolynomial":
+        """Parse a JSON object {"j_1,...,j_d": coefficient}; malformed input raises ValueError."""
         raw = json.loads(text)
-        if not raw:
-            raise ValueError("polynomial JSON must contain at least one multi-index key")
-        coeffs = {MultiIndex.from_string(key): float(val) for key, val in raw.items()}
+        if not isinstance(raw, dict) or not raw:
+            raise ValueError("polynomial JSON must be an object with at least one multi-index key")
+        coeffs = {}
+        for key, val in raw.items():
+            try:
+                value = float(val)
+            except (TypeError, ValueError, OverflowError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"coefficient of {key!r} must be a finite number, got {val!r}")
+            coeffs[MultiIndex.from_string(key)] = value
         dims = {J.dim for J in coeffs}
         if len(dims) != 1:
             raise ValueError("all multi-index keys must have the same length")
         return cls(dims.pop(), coeffs)
 
 
-@dataclass(frozen=True)
-class AnalyticActivation:
-    """Activation with evaluator, derivative, and Taylor coefficient access.
-
-    ``lipschitz_L`` is a Lipschitz constant valid on [-1, 1] with
-    sigma(0) <= L.  ``taylor_bounds(k)`` returns (a, A) bracketing the
-    magnitudes of the nonzero Taylor coefficients a_1, ..., a_k.
-    """
-
-    name: str
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-    taylor_coeff: Callable[[int], float]
-    lipschitz_L: float
-
-    def taylor_bounds(self, k: int) -> tuple:
-        mags = [abs(self.taylor_coeff(i)) for i in range(1, k + 1)]
-        mags = [m for m in mags if m != 0.0]
-        if not mags:
-            return (1.0, 1.0)
-        return (min(mags), max(mags))
-
-    def truncated(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Degree-k Taylor truncation sigma_k(z) = sum_{i<=k} a_i z^i."""
-        coeffs = [self.taylor_coeff(i) for i in range(k + 1)]
-
-        def sigma_k(z):
-            z = np.asarray(z, dtype=float)
-            out = np.zeros_like(z)
-            for a in reversed(coeffs):
-                out = out * z + a
-            return out
-
-        return sigma_k
+EXP_LIPSCHITZ = math.e  # Lipschitz constant of exp on [-1, 1], and exp(0) <= it
 
 
-def exp_activation() -> AnalyticActivation:
-    """exp(z): every Taylor coefficient 1/i!, Lipschitz constant e on [-1, 1]."""
-    return AnalyticActivation(
-        name="exp",
-        evaluate=np.exp,
-        derivative=np.exp,
-        taylor_coeff=lambda i: 1.0 / math.factorial(i),
-        lipschitz_L=math.e,
-    )
+def exp_taylor_coeff(i: int) -> float:
+    """Taylor coefficient a_i = 1/i! of exp."""
+    return 1.0 / math.factorial(i)
+
+
+def exp_taylor_bounds(k: int) -> tuple:
+    """(a, A) bracketing the Taylor coefficients a_1, ..., a_k of exp: (1/k!, 1); (1, 1) at k = 0."""
+    if k == 0:
+        return (1.0, 1.0)
+    return (exp_taylor_coeff(k), 1.0)
+
+
+def exp_truncated(k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Degree-k Taylor truncation exp_k(z) = sum_{i<=k} z^i / i!."""
+    coeffs = [exp_taylor_coeff(i) for i in range(k + 1)]
+
+    def sigma_k(z):
+        z = np.asarray(z, dtype=float)
+        out = np.zeros_like(z)
+        for a in reversed(coeffs):
+            out = out * z + a
+        return out
+
+    return sigma_k
 
 
 @dataclass(frozen=True)
@@ -179,19 +167,12 @@ def _multinomial(J: MultiIndex) -> float:
     return float(out)
 
 
-def construct_g(
-    P: SparsePolynomial,
-    act: AnalyticActivation,
-    table: MonomialExpansionTable,
-) -> LegendreExpansion:
+def construct_g(P: SparsePolynomial, table: MonomialExpansionTable) -> LegendreExpansion:
     """Solve the triangular system for the c_J of the weight function g.
 
     The system has one unknown per index J of degree at most k = deg(P), so
-    it is linear in P's coefficients among polynomials of one degree.
-    Indices J with a_{|J|} = 0 get c_J = 0 (their Taylor term contributes
-    nothing, so the coefficient is free and zero is the minimal choice); if
-    P carries a nonzero alpha_J at such a degree the polynomial is not
-    representable and an error is raised.
+    it is linear in P's coefficients among polynomials of one degree.  Every
+    Taylor coefficient 1/i! of exp is nonzero, so every P is representable.
     """
     d = P.dimension
     k = P.degree
@@ -202,16 +183,7 @@ def construct_g(
     indices = list(iter_multi_indices(d, k))
     for J in indices:
         alpha = float(P.coefficients.get(J, 0.0))
-        a_deg = float(act.taylor_coeff(J.degree))
-        if a_deg == 0.0:
-            if alpha != 0.0:
-                raise UnrepresentableMonomialError(
-                    f"monomial x^{J} has coefficient {alpha} but the activation's "
-                    f"Taylor coefficient a_{J.degree} is zero"
-                )
-            coeffs[J] = 0.0
-            continue
-        scale = half_pow * a_deg * _multinomial(J) / (math.sqrt(d) ** J.degree)
+        scale = half_pow * exp_taylor_coeff(J.degree) * _multinomial(J) / (math.sqrt(d) ** J.degree)
         acc = 0.0
         for Jp in indices:
             if Jp == J or Jp.degree > J.degree:
@@ -250,12 +222,19 @@ def max_abs_g(g: LegendreExpansion, n_points: int, rng: RandomSource) -> float:
     return float(np.max(np.abs(eval_g(g, pts))))
 
 
-def g_magnitude_bound(P: SparsePolynomial, act: AnalyticActivation) -> float:
-    """The a-priori bound alpha^k (A/a)^k (12 d)^{2 k^2} on max |g|."""
-    k = P.degree
-    alpha = max(1.0, P.coeff_bound)
-    a, A = act.taylor_bounds(k)
-    return alpha**k * (A / a) ** k * (12.0 * P.dimension) ** (2 * k * k)
+def g_magnitude_bound(d: int, k: int, alpha: float) -> Fraction:
+    """The a-priori bound beta = max(1, alpha)^k (A/a)^k (12 d)^{2 k^2} on max |g|
+    for a degree-k polynomial on R^d with coefficients at most alpha in
+    magnitude, (a, A) = ``exp_taylor_bounds(k)``.
+
+    Exact: beta overflows a double already at moderate d and k.
+    """
+    a, A = exp_taylor_bounds(k)
+    return (
+        Fraction(max(1.0, alpha)) ** k
+        * (Fraction(A) / Fraction(a)) ** k
+        * Fraction(12 * d) ** (2 * k * k)
+    )
 
 
 def cube_quadrature(d: int, order: int):
@@ -284,7 +263,6 @@ def integral_feature_expectation(
 def verify_representation(
     P: SparsePolynomial,
     g: LegendreExpansion,
-    act: AnalyticActivation,
     x_points,
     quad_order: int | None = None,
     truncate: bool = True,
@@ -301,7 +279,7 @@ def verify_representation(
         quad_order = k + 4
     if quad_order < k + 2:
         raise ValueError(f"quad_order must be >= degree + 2 = {k + 2}")
-    sigma = act.truncated(k) if truncate else act.evaluate
+    sigma = exp_truncated(k) if truncate else np.exp
     x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     values = integral_feature_expectation(g, sigma, x_points, quad_order)
     return values - P.evaluate(x_points)

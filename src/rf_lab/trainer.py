@@ -1,12 +1,12 @@
-"""Two-layer network, hinge loss, and the fresh-sample SGD procedure.
+"""Two-layer exp network, hinge loss, and the fresh-sample SGD procedure.
 
-The network is N(x) = sum_i u_i sigma(<w_i, x>) with no bias inside the
+The network is N(x) = sum_i u_i exp(<w_i, x>) with no bias inside the
 activation; inner rows initialize uniformly on [-1/sqrt(d), 1/sqrt(d)]^d
 and the outer layer at zero.  Each SGD step draws a fresh example and takes
-a hinge-loss subgradient step on both layers simultaneously:
+a hinge-loss subgradient step on both layers simultaneously (exp' = exp):
 
-    dU_i = -y * 1[1 - y N(x) >= 0] * sigma(<w_i, x>)
-    dW_i = -y * 1[1 - y N(x) >= 0] * u_i * sigma'(<w_i, x>) * x
+    dU_i = -y * 1[1 - y N(x) >= 0] * exp(<w_i, x>)
+    dW_i = -y * 1[1 - y N(x) >= 0] * u_i * exp(<w_i, x>) * x
 
 (the indicator takes the nonzero branch at the kink).  The loop runs in
 ``_sgd_numpy.run_steps``, whose cost scales with the number of updates
@@ -32,13 +32,13 @@ import numpy as np
 
 from .features import PREDICT_CELLS, row_blocks
 from .numerics import RandomSource
-from .poly_repr import AnalyticActivation
+from .poly_repr import EXP_LIPSCHITZ, g_magnitude_bound
 
 from . import _sgd_numpy
 
 
 def kernel_backend(act_name: str | None = None) -> str:
-    """Name of the SGD kernel, for any activation: always 'numpy'."""
+    """Name of the SGD kernel: always 'numpy'."""
     return _sgd_numpy.BACKEND
 
 
@@ -48,7 +48,6 @@ class TwoLayerNet:
 
     W: np.ndarray  # (r, d)
     U: np.ndarray  # (r,)
-    activation: AnalyticActivation
 
     @property
     def r(self) -> int:
@@ -59,21 +58,21 @@ class TwoLayerNet:
         return self.W.shape[1]
 
     def copy(self) -> "TwoLayerNet":
-        return TwoLayerNet(self.W.copy(), self.U.copy(), self.activation)
+        return TwoLayerNet(self.W.copy(), self.U.copy())
 
 
-def xavier_init(d: int, r: int, rng: RandomSource, act: AnalyticActivation) -> TwoLayerNet:
+def xavier_init(d: int, r: int, rng: RandomSource) -> TwoLayerNet:
     """Rows of W uniform on the cube [-1/sqrt(d), 1/sqrt(d)]^d; U = 0."""
     if d < 1 or r < 1:
         raise ValueError("need d >= 1 and r >= 1")
     gen = rng.generator()
     half = 1.0 / math.sqrt(d)
     W = gen.uniform(-half, half, size=(r, d))
-    return TwoLayerNet(W, np.zeros(r), act)
+    return TwoLayerNet(W, np.zeros(r))
 
 
 def forward(net: TwoLayerNet, x) -> float | np.ndarray:
-    """N(x) = sum_i u_i sigma(<w_i, x>); x is one point (d,) or a batch (m, d).
+    """N(x) = sum_i u_i exp(<w_i, x>); x is one point (d,) or a batch (m, d).
 
     A batch is evaluated in ``features.row_blocks``, so no more than one
     block of hidden activations exists at a time; the blocks change no sum.
@@ -82,10 +81,10 @@ def forward(net: TwoLayerNet, x) -> float | np.ndarray:
     if x.shape[-1] != net.d:
         raise ValueError(f"input dimension {x.shape[-1]} != network dimension {net.d}")
     if x.ndim == 1:
-        return float(net.U @ net.activation.evaluate(net.W @ x))
+        return float(net.U @ np.exp(net.W @ x))
     out = np.empty(len(x))
     for start, stop in row_blocks(len(x), net.r):
-        out[start:stop] = np.asarray(net.activation.evaluate(x[start:stop] @ net.W.T)) @ net.U
+        out[start:stop] = np.exp(x[start:stop] @ net.W.T) @ net.U
     return out
 
 
@@ -102,13 +101,12 @@ def gradients(net: TwoLayerNet, x, y):
     if y not in (-1.0, 1.0, -1, 1):
         raise ValueError(f"label must be -1 or +1, got {y}")
     z = net.W @ x
-    s = np.asarray(net.activation.evaluate(z))
+    s = np.exp(z)
     n_val = float(net.U @ s)
     if 1.0 - y * n_val < 0.0:
         return np.zeros_like(net.W), np.zeros_like(net.U)
-    ds = np.asarray(net.activation.derivative(z))
     dU = -y * s
-    dW = (-y * net.U * ds)[:, None] * x[None, :]
+    dW = (-y * net.U * s)[:, None] * x[None, :]  # exp' = exp
     return dW, dU
 
 
@@ -230,7 +228,6 @@ def sgd_train(
     sampler: Callable[[int, np.random.Generator], Iterable],
     config: TrainConfig,
     rng: RandomSource,
-    act: AnalyticActivation,
     n_val: int = 2000,
 ) -> SGDResult:
     """Run T fresh-sample SGD steps and return the best validation checkpoint.
@@ -251,7 +248,7 @@ def sgd_train(
     """
     T = int(config.steps)
     eta = float(config.eta)
-    net = xavier_init(d, config.r, rng.derive(0), act)
+    net = xavier_init(d, config.r, rng.derive(0))
     W0 = net.W.copy()
     chunk = max(1, T // N_CHECKPOINTS)
     counts = [min(chunk, T - done) for done in range(0, T, chunk)]
@@ -270,9 +267,7 @@ def sgd_train(
     for count in counts:
         # overflow shows up as the non-finite values checked below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            updates = _sgd_numpy.run_steps(
-                net.W, net.U, W0, X, y, eta, act.evaluate, act.derivative, done, count
-            )
+            updates = _sgd_numpy.run_steps(net.W, net.U, W0, X, y, eta, done, count)
             # a chunk without an update leaves the net, hence its validation loss, unchanged
             if updates:
                 val = _validation_loss(net, X_val, y_val)
@@ -309,13 +304,14 @@ def sgd_train(
 
 
 def guarantee_params(
-    epsilon: float, delta: float, d: int, k: int, alpha: float, act: AnalyticActivation
+    epsilon: float, delta: float, d: int, k: int, alpha: float
 ) -> tuple[Fraction, TrainConfig]:
     """Exact guarantee-scale hyperparameters (arbitrary-magnitude arithmetic),
     as ``(beta, TrainConfig(r, eta, T))``.
 
-    beta = alpha^k (A/a)^k (12 d)^{2 k^2}, r >= 64 beta^6 L^2 / eps^4 * ln(1/delta),
-    eta = eps / (8 r), T = ceil(4 beta^2 / eps^2).  The values overflow doubles
+    beta = ``g_magnitude_bound(d, k, alpha)``, L = ``EXP_LIPSCHITZ``,
+    r >= 64 beta^6 L^2 / eps^4 * ln(1/delta), eta = eps / (8 r),
+    T = ceil(4 beta^2 / eps^2).  The values overflow doubles
     for all but trivial settings, so everything is carried as Fractions/ints.
     beta only sizes r and T, so it is returned for the report beside the config
     that training reads; a run with r > ``DESK_SCALE_MAX_R`` is out of reach.
@@ -324,14 +320,9 @@ def guarantee_params(
         raise ValueError("epsilon and delta must lie in (0, 1)")
     if k < 1:
         raise ValueError("degree k must be >= 1")
-    a, A = act.taylor_bounds(k)
     eps = Fraction(epsilon)
-    beta = (
-        Fraction(max(1.0, alpha)) ** k
-        * (Fraction(A) / Fraction(a)) ** k
-        * Fraction(12 * d) ** (2 * k * k)
-    )
-    L2 = Fraction(act.lipschitz_L) ** 2
+    beta = g_magnitude_bound(d, k, alpha)
+    L2 = Fraction(EXP_LIPSCHITZ) ** 2
     log_term = Fraction(math.log(1.0 / delta))
     r = math.ceil(64 * beta**6 * L2 / eps**4 * log_term)
     eta = eps / (8 * r)
@@ -372,7 +363,7 @@ def finite_difference_check(net: TwoLayerNet, x, y) -> float:
 
     def loss_at(W, U):
         z = W @ x
-        return max(0.0, 1.0 - y * float(U @ net.activation.evaluate(z)))
+        return max(0.0, 1.0 - y * float(U @ np.exp(z)))
 
     for i in range(net.r):
         U_p, U_m = net.U.copy(), net.U.copy()
@@ -451,18 +442,18 @@ def margin_filtered_sampler(P, margin: float):
     return sampler
 
 
-def drift_check(trace: TrainTrace, config: TrainConfig, act: AnalyticActivation) -> DriftReport:
+def drift_check(trace: TrainTrace, config: TrainConfig) -> DriftReport:
     """Verify ||W_t - W_0||_F <= t * eta * L * (B+1) at every step t of the
     trace, and ||W_t||, ||U_t|| <= B + 1 inside the norm-cap window
     t <= B / (2 eps).
 
-    B = max(2, ||W_0||, ||U_0||) and eps is read off the step-size relation
-    eta = eps / (L B^2) that the window is stated for.  Record i's norms hold
+    L = ``EXP_LIPSCHITZ``, B = max(2, ||W_0||, ||U_0||) and eps is read off
+    the step-size relation eta = eps / (L B^2) that the window is stated for.  Record i's norms hold
     at the entries after the previous record through ``steps[i]``, and the
     margin grows with t, so both checks read each record at the first of its
     entries; the minimum and maximum are those over every step.
     """
-    L = act.lipschitz_L
+    L = EXP_LIPSCHITZ
     eta = float(config.eta)
     B = max(2.0, float(trace.w_norm[0]), float(trace.u_norm[0]))
     cap_eps = eta * L * B * B

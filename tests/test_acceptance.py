@@ -41,7 +41,6 @@ from rf_lab.numerics import RandomSource, gauss_legendre_rule, uniform_ball
 from rf_lab.poly_repr import (
     SparsePolynomial,
     construct_g,
-    exp_activation,
     g_magnitude_bound,
     max_abs_g,
     verify_representation,
@@ -124,7 +123,6 @@ def test_criterion_01_legendre_suite():
 
 
 def test_criterion_02_representation_oracle():
-    act = exp_activation()
     table = build_monomial_table(6)
     rng = RandomSource(20240202)
     worst_residual = 0.0
@@ -137,11 +135,11 @@ def test_criterion_02_representation_oracle():
         n_terms = min(int(gen.integers(1, 5)), len(candidates))
         picks = gen.choice(len(candidates), size=n_terms, replace=False)
         P = SparsePolynomial(d, {candidates[i]: float(gen.uniform(-1, 1)) for i in picks})
-        g = construct_g(P, act, table)
+        g = construct_g(P, table)
         xs = uniform_ball(d, 20, rng.generator(trial, 1))
-        res = verify_representation(P, g, act, xs, truncate=True)
+        res = verify_representation(P, g, xs, truncate=True)
         worst_residual = max(worst_residual, float(np.max(np.abs(res))))
-        if max_abs_g(g, 10_000, rng.derive(trial)) > g_magnitude_bound(P, act):
+        if max_abs_g(g, 10_000, rng.derive(trial)) > g_magnitude_bound(d, P.degree, P.coeff_bound):
             bound_ok = False
     ok = worst_residual < 1e-8 and bound_ok
     _report(2, ok, f"max truncated residual {worst_residual:.2e} (<1e-8), "
@@ -183,19 +181,18 @@ def test_criterion_03_concentration_rate(conc_dir):
 
 
 def test_criterion_04_sgd_learn_poly():
-    act = exp_activation()
     P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})  # sup over the ball = 1
     sampler = margin_filtered_sampler(P, 0.3)
     config = TrainConfig(r=1000, eta=0.01, steps=200_000)
     rng = RandomSource(20240404)
-    result = sgd_train(3, sampler, config, rng, act)
+    result = sgd_train(3, sampler, config, rng)
     X_val, y_val = take_rows(sampler(2000, rng.generator(2)), 2000, 3)
     assert result.X_val.tobytes() == X_val.tobytes() and result.y_val.tobytes() == y_val.tobytes()
     comparator = float(np.mean(np.maximum(0.0, 1.0 - y_val * (3.0 * P.evaluate(X_val)))))
     gap_ok = result.best_val_loss <= comparator + 0.1
 
     gen = rng.generator(3)
-    probe = xavier_init(3, 20, rng.derive(3), act)
+    probe = xavier_init(3, 20, rng.derive(3))
     probe.U = 0.1 * gen.standard_normal(20)
     worst_fd = 0.0
     checked = 0
@@ -209,7 +206,7 @@ def test_criterion_04_sgd_learn_poly():
         checked += 1
     grad_ok = worst_fd < 1e-6
 
-    report = drift_check(result.trace, config, act)
+    report = drift_check(result.trace, config)
     ok = gap_ok and grad_ok and report.drift_ok
     _report(4, ok, f"best val hinge {result.best_val_loss:.4f} vs bound {comparator + 0.1:.4f}, "
                    f"grad FD {worst_fd:.1e} (<1e-6), drift bound holds: {report.drift_ok} "

@@ -18,7 +18,7 @@ from rf_lab.hardness import SweepRow
 from rf_lab.legendre import MultiIndex
 from rf_lab.numerics import RandomSource
 from rf_lab.parallel import usable_cpus
-from rf_lab.poly_repr import SparsePolynomial, exp_activation
+from rf_lab.poly_repr import SparsePolynomial
 from rf_lab.trainer import TrainConfig, margin_filtered_sampler, sgd_train
 
 
@@ -148,6 +148,23 @@ class TestExitCodes:
         assert run([*argv, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / argv[0]).exists()
+
+    # malformed coefficients are usage errors; a coefficient whose beta overflows a
+    # double, or whose g does, fails validation with the exact beta printed as inf
+    @pytest.mark.parametrize("poly, code", [
+        ('[1]', 1),
+        ('{"1,1": null}', 1),
+        ('{"1,1": NaN}', 1),
+        ('{"1,1": 1e400}', 1),
+        ('{"10,0,0": 1.0}', 2),
+        ('{"1,1": 1e306}', 2),
+        ('{"1,1": 1.7e308}', 2),  # g overflows: NaN residuals
+    ])
+    def test_malformed_polynomial_exits_with_a_message(self, tmp_path, capsys, poly, code):
+        assert run(["represent-poly", "--poly", poly, "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: " if code == 1 else "VALIDATION FAILURE: truncated-mode residual")
+        assert "Traceback" not in err
 
     def test_smallest_quad_order_is_accepted(self, tmp_path, capsys):
         assert run(["represent-poly", "--quad-order", "4", "--out", str(tmp_path)]) == 0
@@ -287,7 +304,7 @@ class TestCommandOutputs:
         assert trace[0] == "step,loss,run_avg_loss,w_drift,u_norm,w_norm"
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
         result = sgd_train(3, margin_filtered_sampler(P, 0.3), TrainConfig(r=30, eta=0.01, steps=400),
-                           RandomSource(4), exp_activation())
+                           RandomSource(4))
         # header + one row per update record, the last at step 400
         assert len(trace) == 1 + len(result.trace.steps)
         assert [int(line.split(",")[0]) for line in trace[1:]] == result.trace.steps.tolist()

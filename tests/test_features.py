@@ -29,13 +29,12 @@ from rf_lab.numerics import (
     RandomSource,
     uniform_ball,
     uniform_cube,
-    uniform_sphere,
+    unit_sphere,
 )
 from rf_lab.poly_repr import (
     LegendreExpansion,
     SparsePolynomial,
     construct_g,
-    exp_activation,
     integral_feature_expectation,
 )
 
@@ -47,22 +46,22 @@ def identity(z, out=None):
 class TestSampling:
     def test_cube_support(self):
         d = 9
-        sample = sample_features(FeatureFamily(relu, uniform_cube()), d, 100, RandomSource(1))
+        sample = sample_features(FeatureFamily(relu, uniform_cube), d, 100, RandomSource(1))
         assert np.all(np.abs(sample.weights) <= 1.0 / 3.0)
 
     def test_sphere_support(self):
-        sample = sample_features(FeatureFamily(relu, uniform_sphere(5.0)), 5, 50, RandomSource(2))
+        sample = sample_features(FeatureFamily(relu, unit_sphere), 5, 50, RandomSource(2))
         norms = np.linalg.norm(sample.weights, axis=1)
-        assert np.max(np.abs(norms - 5.0)) < 1e-12
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
 
     def test_fixed_seed_reproducible(self):
-        fam = FeatureFamily(relu, uniform_cube())
+        fam = FeatureFamily(relu, uniform_cube)
         a = sample_features(fam, 4, 10, RandomSource(3, 1))
         b = sample_features(fam, 4, 10, RandomSource(3, 1))
         assert np.array_equal(a.weights, b.weights)
 
     def test_nested_prefix_property(self):
-        fam = FeatureFamily(relu, uniform_cube())
+        fam = FeatureFamily(relu, uniform_cube)
         small = sample_features(fam, 4, 10, RandomSource(3, 1))
         big = sample_features(fam, 4, 30, RandomSource(3, 1))
         assert np.array_equal(big.weights[:10], small.weights)
@@ -70,22 +69,22 @@ class TestSampling:
 
 class TestFeatureMatrix:
     def test_identity_ridge_is_linear_form(self):
-        sample = sample_features(FeatureFamily(identity, uniform_cube()), 3, 5, RandomSource(4))
+        sample = sample_features(FeatureFamily(identity, uniform_cube), 3, 5, RandomSource(4))
         X = uniform_ball(3, 7, RandomSource(5).generator())
         assert np.allclose(feature_matrix(sample, X), X @ sample.weights.T)
 
     def test_relu_at_origin_is_zero(self):
-        sample = sample_features(FeatureFamily(relu, uniform_cube()), 3, 1, RandomSource(6))
+        sample = sample_features(FeatureFamily(relu, uniform_cube), 3, 1, RandomSource(6))
         assert feature_matrix(sample, np.zeros((1, 3))) == pytest.approx(0.0)
 
     def test_dimension_mismatch(self):
-        sample = sample_features(FeatureFamily(relu, uniform_cube()), 3, 2, RandomSource(9))
+        sample = sample_features(FeatureFamily(relu, uniform_cube), 3, 2, RandomSource(9))
         with pytest.raises(ValueError):
             feature_matrix(sample, np.zeros((1, 4)))
 
     @pytest.mark.parametrize("activation", [relu, np.exp], ids=["relu", "exp"])
     def test_in_place_activation_gives_the_same_bits(self, activation):
-        sample = sample_features(FeatureFamily(activation, uniform_cube()), 3, 37, RandomSource(7))
+        sample = sample_features(FeatureFamily(activation, uniform_cube), 3, 37, RandomSource(7))
         X = 2.0 * uniform_ball(3, 101, RandomSource(8).generator())
         expected = activation(X @ sample.weights.T)
         assert np.array_equal(feature_matrix(sample, X), expected)
@@ -97,56 +96,50 @@ class TestFeatureMatrix:
 
 
 @pytest.fixture(scope="module")
-def g_and_act():
-    act = exp_activation()
+def g():
     P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
-    table = build_monomial_table(4)
-    return P, construct_g(P, act, table), act
+    return construct_g(P, build_monomial_table(4))
 
 
 class TestApproximant:
     def test_constant_g_gives_uniform_weights(self):
         g = LegendreExpansion(2, {MultiIndex((0, 0)): 4.5})
-        sample = sample_features(FeatureFamily(np.exp, uniform_cube()), 2, 8, RandomSource(10))
-        combo = approximant_from_g(g, exp_activation(), sample)
+        sample = sample_features(FeatureFamily(np.exp, uniform_cube), 2, 8, RandomSource(10))
+        combo = approximant_from_g(g, sample)
         assert np.allclose(combo.weights, 4.5 / 8)
 
-    def test_single_feature_weight(self, g_and_act):
+    def test_single_feature_weight(self, g):
         from rf_lab.poly_repr import eval_g
 
-        _, g, act = g_and_act
-        sample = sample_features(FeatureFamily(np.exp, uniform_cube()), 2, 1, RandomSource(11))
-        combo = approximant_from_g(g, act, sample)
+        sample = sample_features(FeatureFamily(np.exp, uniform_cube), 2, 1, RandomSource(11))
+        combo = approximant_from_g(g, sample)
         assert combo.weights[0] == pytest.approx(float(eval_g(g, sample.weights[0])))
 
-    def test_requires_cube_ridge_features(self, g_and_act):
-        _, g, act = g_and_act
-        sample = sample_features(FeatureFamily(np.exp, uniform_sphere(1.0)), 2, 4, RandomSource(12))
+    def test_requires_cube_ridge_features(self, g):
+        sample = sample_features(FeatureFamily(np.exp, unit_sphere), 2, 4, RandomSource(12))
         with pytest.raises(ValueError):
-            approximant_from_g(g, act, sample)
+            approximant_from_g(g, sample)
 
-    def test_weight_bound_exact(self, g_and_act):
+    def test_weight_bound_exact(self, g):
         from rf_lab.poly_repr import eval_g, max_abs_g
 
-        _, g, act = g_and_act
         rng = RandomSource(13)
         c = max_abs_g(g, 10_000, rng.derive(0))
         for trial in range(5):
-            sample = sample_features(FeatureFamily(np.exp, uniform_cube()), 2, 64, rng.derive(trial))
-            combo = approximant_from_g(g, act, sample)
+            sample = sample_features(FeatureFamily(np.exp, uniform_cube), 2, 64, rng.derive(trial))
+            combo = approximant_from_g(g, sample)
             c = max(c, float(np.max(np.abs(eval_g(g, sample.weights)))))
             assert np.all(np.abs(combo.weights) <= c / 64 + 0.0)
 
-    def test_resampling_mean_matches_integral(self, g_and_act):
+    def test_resampling_mean_matches_integral(self, g):
         # oracle: quadrature value of the feature expectation at fixed probes
-        _, g, act = g_and_act
         rng = RandomSource(14)
         probes = uniform_ball(2, 5, rng.generator(999))
-        f_vals = integral_feature_expectation(g, act.evaluate, probes, 8)
+        f_vals = integral_feature_expectation(g, np.exp, probes, 8)
         preds = np.zeros((200, 5))
         for t in range(200):
-            sample = sample_features(FeatureFamily(act.evaluate, uniform_cube()), 2, 64, rng.derive(t))
-            preds[t] = approximant_from_g(g, act, sample).predict(sample, probes)
+            sample = sample_features(FeatureFamily(np.exp, uniform_cube), 2, 64, rng.derive(t))
+            preds[t] = approximant_from_g(g, sample).predict(sample, probes)
         mean = preds.mean(axis=0)
         se = preds.std(axis=0, ddof=1) / math.sqrt(200)
         assert np.all(np.abs(mean - f_vals) < 4 * se + 1e-12)
@@ -167,8 +160,8 @@ def per_block_predict(combo, sample, X):
 
 # the paper's two families: cube-sampled exp and unit-sphere ReLU features
 BLOCK_FAMILIES = {
-    "ridge_exp": lambda: FeatureFamily(np.exp, uniform_cube()),
-    "ridge_relu": lambda: FeatureFamily(relu, uniform_sphere(1.0)),
+    "ridge_exp": lambda: FeatureFamily(np.exp, uniform_cube),
+    "ridge_relu": lambda: FeatureFamily(relu, unit_sphere),
 }
 
 
@@ -187,7 +180,7 @@ class TestBlockedPredict:
     def test_more_features_than_block_cells(self):
         # one row group per block; a one-product reference over more rows would
         # itself depend on how a threaded BLAS splits such wide rows
-        sample = sample_features(FeatureFamily(np.exp, uniform_cube()), 2, PREDICT_CELLS + 3, RandomSource(53))
+        sample = sample_features(FeatureFamily(np.exp, uniform_cube), 2, PREDICT_CELLS + 3, RandomSource(53))
         assert predict_block_rows(sample.r) == PREDICT_ROW_GROUP
         combo = LinearCombination(RandomSource(54).generator().standard_normal(sample.r) / sample.r)
         for m in (1, 3, 5, 8):
@@ -199,7 +192,7 @@ class TestBlockedPredict:
         # block's shape: blocks agree with one product to within the dot-product
         # rounding bound 2 p eps sum_i |f_i u_i|, not bit for bit
         p = 256
-        sample = sample_features(FeatureFamily(relu, uniform_cube()), 4, p, RandomSource(56))
+        sample = sample_features(FeatureFamily(relu, uniform_cube), 4, p, RandomSource(56))
         combo = LinearCombination(RandomSource(57).generator().standard_normal((p, 3)))
         X = uniform_ball(4, 2000, RandomSource(58).generator())
         pred = combo.predict(sample, X)
@@ -222,7 +215,7 @@ class TestBlockedPredict:
             assert np.array_equal(combo.predict(sample, X), per_block_predict(combo, sample, X)), m
 
     def test_single_point_and_weight_mismatch(self):
-        sample = sample_features(FeatureFamily(relu, uniform_cube()), 2, 3, RandomSource(59))
+        sample = sample_features(FeatureFamily(relu, uniform_cube), 2, 3, RandomSource(59))
         combo = LinearCombination(np.array([0.5, -1.0, 2.0]))
         x = np.array([0.25, -0.5])
         assert np.array_equal(combo.predict(sample, x), predict_reference(combo, sample, x))
@@ -240,33 +233,33 @@ class TestBlockedPredict:
 
         monkeypatch.setattr(features, "feature_matrix", recording)
         P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
-        concentration_experiment(P, exp_activation(), [64, 1024, 4096], trials=2, probes=300, rng=RandomSource(60))
+        concentration_experiment(P, [64, 1024, 4096], trials=2, probes=300, rng=RandomSource(60))
         assert len(sizes) == 2 * (1 + 5 + 19)
         assert max(sizes) <= PREDICT_CELLS
 
 
 class TestSupError:
     def test_zero_against_self(self):
-        sample = sample_features(FeatureFamily(relu, uniform_cube()), 2, 3, RandomSource(15))
+        sample = sample_features(FeatureFamily(relu, uniform_cube), 2, 3, RandomSource(15))
         combo = LinearCombination(np.array([0.5, -1.0, 2.0]))
         probes = uniform_ball(2, 50, RandomSource(16).generator())
         assert sup_error_estimate(combo, sample, combo.predict(sample, probes), probes) == 0.0
 
     def test_constant_shift(self):
-        sample = sample_features(FeatureFamily(relu, uniform_cube()), 2, 3, RandomSource(17))
+        sample = sample_features(FeatureFamily(relu, uniform_cube), 2, 3, RandomSource(17))
         combo = LinearCombination(np.array([0.5, -1.0, 2.0]))
         probes = uniform_ball(2, 50, RandomSource(18).generator())
         shifted = combo.predict(sample, probes) + 0.25
         assert sup_error_estimate(combo, sample, shifted, probes) == pytest.approx(0.25)
 
     def test_empty_probe_set_rejected(self):
-        sample = sample_features(FeatureFamily(relu, uniform_cube()), 2, 1, RandomSource(19))
+        sample = sample_features(FeatureFamily(relu, uniform_cube), 2, 1, RandomSource(19))
         combo = LinearCombination(np.ones(1))
         with pytest.raises(ValueError):
             sup_error_estimate(combo, sample, np.zeros(0), np.zeros((0, 2)))
 
     def test_probes_outside_ball_rejected(self):
-        sample = sample_features(FeatureFamily(relu, uniform_cube()), 2, 1, RandomSource(20))
+        sample = sample_features(FeatureFamily(relu, uniform_cube), 2, 1, RandomSource(20))
         combo = LinearCombination(np.ones(1))
         with pytest.raises(ValueError):
             sup_error_estimate(combo, sample, np.zeros(1), np.array([[2.0, 0.0]]))
@@ -274,7 +267,7 @@ class TestSupError:
 
 class TestLeastSquares:
     def test_realizable_target_recovered(self):
-        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 10, 20, RandomSource(21))
+        sample = sample_features(FeatureFamily(relu, unit_sphere), 10, 20, RandomSource(21))
         target = lambda X, F: 2.0 * F[:, 0]  # noqa: E731
         combo, err, max_u, _ = least_squares_fit(sample, target, 400, RandomSource(22))
         assert err < 1e-6
@@ -285,14 +278,14 @@ class TestLeastSquares:
 
     def test_orthogonal_target_error_is_target_norm(self):
         # constant target vs odd (linear) features: best fit is u = 0
-        sample = sample_features(FeatureFamily(identity, uniform_sphere(1.0)), 6, 10, RandomSource(23))
+        sample = sample_features(FeatureFamily(identity, unit_sphere), 6, 10, RandomSource(23))
         target = lambda X, F: np.ones(len(X))  # noqa: E731
         _, err, _, _ = least_squares_fit(sample, target, 2000, RandomSource(24))
         assert err == pytest.approx(1.0, abs=0.1)
 
     def test_relu_features_beat_zero_predictor_on_neuron(self):
         d = 10
-        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), d, 20, RandomSource(25))
+        sample = sample_features(FeatureFamily(relu, unit_sphere), d, 20, RandomSource(25))
         w_star = np.zeros(d)
         w_star[0] = 1.0
         target = lambda X, F: np.maximum(X @ w_star, 0.0)  # noqa: E731
@@ -300,7 +293,7 @@ class TestLeastSquares:
         assert err < 0.5  # zero predictor has error ||target||^2 = 1/2
 
     def test_fit_is_a_local_minimum_of_training_objective(self):
-        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 5, 12, RandomSource(27))
+        sample = sample_features(FeatureFamily(relu, unit_sphere), 5, 12, RandomSource(27))
         target = lambda X, F: np.sin(X[:, 0])  # noqa: E731
         n_train = 300
         combo, _, _, _ = least_squares_fit(sample, target, n_train, RandomSource(28))
@@ -322,7 +315,7 @@ class TestLeastSquares:
                 assert objective(combo.weights + s * direction) >= base
 
     def test_training_error_monotone_in_nested_r(self):
-        fam = FeatureFamily(relu, uniform_sphere(1.0))
+        fam = FeatureFamily(relu, unit_sphere)
         target = lambda X, F: np.tanh(X @ np.arange(1.0, 6.0))  # noqa: E731
         X = RandomSource(31).generator(0).standard_normal((500, 5))
         y = target(X, None)
@@ -335,7 +328,7 @@ class TestLeastSquares:
             prev = train_err
 
     def test_columns_fitted_together_match_fits_alone(self):
-        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 4, 30, RandomSource(34))
+        sample = sample_features(FeatureFamily(relu, unit_sphere), 4, 30, RandomSource(34))
         w = np.array([1.0, -2.0, 0.5, 0.0])
 
         def targets(X, F):
@@ -440,29 +433,29 @@ class TestBlockedLeastSquares:
     @pytest.mark.parametrize("r", [50, 200, 1000])
     def test_single_target_within_rounding_of_whole_matrices(self, r):
         # n_train = 333 is one training block at r = 50, two at 200 and 21 at 1000
-        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 6, r, RandomSource(36))
+        sample = sample_features(FeatureFamily(relu, unit_sphere), 6, r, RandomSource(36))
         target = lambda X, F: np.sin(X @ np.arange(1.0, 7.0))  # noqa: E731
         assert_fit_within_rounding(sample, target, 333, 37)
 
     def test_sweep_shape_within_rounding_of_whole_matrices(self):
         # p = 200 features, k = 7 targets, 40,000 held-out rows: the CLI's neuron sweep
-        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 4, 200, RandomSource(38))
+        sample = sample_features(FeatureFamily(relu, unit_sphere), 4, 200, RandomSource(38))
         assert_fit_within_rounding(sample, sweep_like_targets(4, 7), 4000, 39)
 
     def test_sweep_shape_at_the_largest_d(self):
-        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 20, 200, RandomSource(44))
+        sample = sample_features(FeatureFamily(relu, unit_sphere), 20, 200, RandomSource(44))
         assert_fit_within_rounding(sample, sweep_like_targets(20, 7), 1000, 45)
 
     @pytest.mark.parametrize("r, k", [(256, 3), (1000, 7)])
     def test_columns_within_the_product_rounding(self, r, k):
         # a matrix-matrix product may sum a block in another order than the whole
         # matrix, as in TestBlockedPredict.test_column_weights
-        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), 5, r, RandomSource(40))
+        sample = sample_features(FeatureFamily(relu, unit_sphere), 5, r, RandomSource(40))
         assert_fit_within_rounding(sample, sweep_like_targets(5, k), 1000, 41)
 
     def test_memory_follows_the_block_not_the_held_out_set(self):
         d, r = 20, 200
-        sample = sample_features(FeatureFamily(relu, uniform_sphere(1.0)), d, r, RandomSource(42))
+        sample = sample_features(FeatureFamily(relu, unit_sphere), d, r, RandomSource(42))
         peaks = []
         for n_train in (4000, 40_000):
             tracemalloc.start()
@@ -513,7 +506,7 @@ class TestGaussianRowBlocks:
 def result():
     P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
     return concentration_experiment(
-        P, exp_activation(), [64, 256, 1024], trials=5, probes=500, rng=RandomSource(77)
+        P, [64, 256, 1024], trials=5, probes=500, rng=RandomSource(77)
     )
 
 
@@ -522,7 +515,7 @@ class TestConcentration:
     def test_deterministic(self, result):
         P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
         again = concentration_experiment(
-            P, exp_activation(), [64, 256, 1024], trials=5, probes=500, rng=RandomSource(77)
+            P, [64, 256, 1024], trials=5, probes=500, rng=RandomSource(77)
         )
         assert again.rows == result.rows
 
@@ -537,7 +530,7 @@ class TestConcentration:
     def test_parallel_matches_serial(self, result):
         P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
         par = concentration_experiment(
-            P, exp_activation(), [64, 256, 1024], trials=5, probes=500,
+            P, [64, 256, 1024], trials=5, probes=500,
             rng=RandomSource(77), jobs=2,
         )
         assert par.rows == result.rows

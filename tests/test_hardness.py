@@ -29,7 +29,7 @@ from rf_lab.hardness import (
     relu_exp_identity_check,
     train_single_neuron,
 )
-from rf_lab.numerics import RandomSource, uniform_sphere
+from rf_lab.numerics import RandomSource, unit_sphere
 
 
 def psi_floor_parity(psi, x):
@@ -421,7 +421,7 @@ class TestTiledCorrelationCell:
 
 @pytest.fixture(scope="module")
 def rows():
-    family = FeatureFamily(relu, uniform_sphere(1.0))
+    family = FeatureFamily(relu, unit_sphere)
     # the most negative candidate bias puts the neuron's kink at x_1 > 6d, so
     # dead candidates occur at every d and must be skipped before any division
     with warnings.catch_warnings():
@@ -447,11 +447,11 @@ class TestNeuronSweep:
                 assert row.normalized_error < 0.01
 
     def test_parallel_matches_serial(self, rows):
-        family = FeatureFamily(relu, uniform_sphere(1.0))
+        family = FeatureFamily(relu, unit_sphere)
         assert neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8), jobs=2) == rows
 
     def test_follows_a_derived_source(self):
-        sweep = partial(neuron_inapprox_sweep, FeatureFamily(relu, uniform_sphere(1.0)), 20, [3, 5], 200)
+        sweep = partial(neuron_inapprox_sweep, FeatureFamily(relu, unit_sphere), 20, [3, 5], 200)
         root = RandomSource(8)
         one = sweep(root.derive(1))
         assert all(a.normalized_error != b.normalized_error for a, b in zip(one, sweep(root.derive(2))))
@@ -466,7 +466,7 @@ class TestNeuronSweep:
             return feature_matrix(sample, X, out=out)
 
         monkeypatch.setattr(features, "feature_matrix", recording)
-        family = FeatureFamily(relu, uniform_sphere(1.0))
+        family = FeatureFamily(relu, unit_sphere)
         n_train = 1400  # two training blocks of 1,308 and 92 rows at r = 50
         neuron_inapprox_sweep(family, 50, [3, 6], n_train, RandomSource(8), include_baseline=False)
         n_train_blocks = len(list(row_blocks(n_train, 50)))
@@ -484,7 +484,7 @@ class TestNeuronSweep:
         # neuron-inapprox's defaults at d = 20: the fit holds one block of features
         # and the Gram matrix; most of the peak is train_single_neuron's batch and
         # held-out values
-        family = FeatureFamily(relu, uniform_sphere(1.0))
+        family = FeatureFamily(relu, unit_sphere)
         np.random.default_rng(0).random()  # NumPy imports numpy.random's modules on a first draw
         tracemalloc.start()
         try:

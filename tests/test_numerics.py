@@ -13,9 +13,8 @@ from rf_lab.numerics import (
     gauss_legendre_rule,
     gaussian_expectation_1d,
     kink_split_rule,
-    sample_measure,
     uniform_cube,
-    uniform_sphere,
+    unit_sphere,
 )
 
 
@@ -242,17 +241,16 @@ class TestRandomSourceAndMC:
         assert not np.array_equal(a, RandomSource(1, 0).derive(0).generator().standard_normal(100))
 
     def test_cube_coordinate_is_centered(self):
-        X = sample_measure(uniform_cube(), 4, 20000, RandomSource(11).generator())
+        X = uniform_cube(4, 20000, RandomSource(11).generator())
         mean, std_error = mean_and_std_error(X[:, 0])
         assert abs(mean) < 4 * std_error
 
     def test_sphere_sampler_norm_exact(self):
-        for radius in (1.0, 5.0, 12.5):
-            pts = sample_measure(uniform_sphere(radius), 6, 300, RandomSource(3).generator())
-            norms = np.linalg.norm(pts, axis=1)
-            assert np.max(np.abs(norms - radius)) < 1e-12
+        pts = unit_sphere(6, 300, RandomSource(3).generator())
+        norms = np.linalg.norm(pts, axis=1)
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
 
     def test_cube_support(self):
         d = 9
-        pts = sample_measure(uniform_cube(), d, 1000, RandomSource(5).generator())
+        pts = uniform_cube(d, 1000, RandomSource(5).generator())
         assert np.all(np.abs(pts) <= 1.0 / math.sqrt(d))

@@ -14,20 +14,21 @@ from rf_lab.legendre import (
 )
 from rf_lab.numerics import RandomSource, uniform_ball
 from rf_lab.poly_repr import (
-    AnalyticActivation,
+    EXP_LIPSCHITZ,
     LegendreExpansion,
     SparsePolynomial,
-    UnrepresentableMonomialError,
     construct_g,
     eval_g,
-    exp_activation,
+    exp_taylor_bounds,
+    exp_taylor_coeff,
+    exp_truncated,
     g_magnitude_bound,
     max_abs_g,
     verify_representation,
 )
 
 
-def forward_coefficients(g, act, table, k):
+def forward_coefficients(g, table, k):
     """Monomial coefficients that g produces, by the forward sum; the oracle for construct_g.
 
     Runs the triangular system of the module docstring forwards: alpha_J is
@@ -37,10 +38,7 @@ def forward_coefficients(g, act, table, k):
     out = {}
     indices = list(iter_multi_indices(d, k))
     for J in indices:
-        a_deg = float(act.taylor_coeff(J.degree))
-        if a_deg == 0.0:
-            out[J] = 0.0
-            continue
+        a_deg = 1.0 / math.factorial(J.degree)
         multinomial = math.factorial(J.degree) // math.prod(math.factorial(j) for j in J.entries)
         scale = (0.5**d) * a_deg * multinomial / (math.sqrt(d) ** J.degree)
         acc = 0.0
@@ -73,70 +71,48 @@ def random_polynomial(gen, d, k):
 
 class TestActivations:
     def test_exp_taylor_coeffs(self):
-        act = exp_activation()
-        assert act.taylor_coeff(0) == 1.0
-        assert act.taylor_coeff(3) == pytest.approx(1.0 / 6.0)
+        assert exp_taylor_coeff(0) == 1.0
+        assert exp_taylor_coeff(3) == pytest.approx(1.0 / 6.0)
 
     def test_exp_value(self):
-        assert float(exp_activation().evaluate(1.0)) == pytest.approx(math.e, abs=1e-15)
+        z = np.linspace(-1, 1, 9)
+        assert np.allclose(exp_truncated(2)(z), 1.0 + z + z * z / 2.0, rtol=0.0, atol=1e-15)
+        assert float(exp_truncated(20)(1.0)) == pytest.approx(math.e, abs=1e-15)
 
     def test_exp_taylor_bounds(self):
-        a, A = exp_activation().taylor_bounds(2)
-        assert (a, A) == (0.5, 1.0)
+        assert exp_taylor_bounds(2) == (0.5, 1.0)
+        assert exp_taylor_bounds(0) == (1.0, 1.0)
 
     def test_lipschitz_on_interval(self):
-        act = exp_activation()
         z = np.linspace(-1, 1, 401)
-        vals = act.evaluate(z)
-        slopes = np.abs(np.diff(vals) / np.diff(z))
-        assert np.all(slopes <= act.lipschitz_L + 1e-9)
-        assert float(act.evaluate(0.0)) <= act.lipschitz_L
+        slopes = np.abs(np.diff(np.exp(z)) / np.diff(z))
+        assert np.all(slopes <= EXP_LIPSCHITZ + 1e-9)
+        assert math.exp(0.0) <= EXP_LIPSCHITZ
 
 
 class TestConstructG:
     def test_zero_polynomial(self, table):
         P = SparsePolynomial(2, {MultiIndex((0, 0)): 0.0})
-        g = construct_g(P, exp_activation(), table)
+        g = construct_g(P, table)
         assert all(c == 0.0 for c in g.coefficients.values())
 
     def test_constant_base_case_d1(self, table):
         # single coefficient solves to alpha_0 / a_0 (hand-solved 1x1 system)
         P = SparsePolynomial(1, {MultiIndex((0,)): 2.25})
-        g = construct_g(P, exp_activation(), table)
+        g = construct_g(P, table)
         assert g.coefficients[MultiIndex((0,))] == pytest.approx(2.25)
-        res = verify_representation(P, g, exp_activation(), np.array([[0.3], [-0.8]]))
+        res = verify_representation(P, g, np.array([[0.3], [-0.8]]))
         assert np.max(np.abs(res)) < 1e-10
 
     def test_linear_monomial_d2(self, table):
         P = SparsePolynomial(2, {MultiIndex((1, 0)): 1.0})
-        g = construct_g(P, exp_activation(), table)
+        g = construct_g(P, table)
         xs = uniform_ball(2, 20, RandomSource(5).generator())
-        res = verify_representation(P, g, exp_activation(), xs)
+        res = verify_representation(P, g, xs)
         assert np.max(np.abs(res)) < 1e-10
-
-    def test_unrepresentable_monomial_raises(self, table):
-        # even activation (cosh) has a_1 = 0, so x_1 cannot be produced
-        cosh = AnalyticActivation(
-            name="cosh",
-            evaluate=np.cosh,
-            derivative=np.sinh,
-            taylor_coeff=lambda i: 1.0 / math.factorial(i) if i % 2 == 0 else 0.0,
-            lipschitz_L=float(np.sinh(1.0)),
-        )
-        P = SparsePolynomial(2, {MultiIndex((1, 0)): 0.5})
-        with pytest.raises(UnrepresentableMonomialError):
-            construct_g(P, cosh, table)
-        # but even targets work, with c_J = 0 at odd degrees
-        P2 = SparsePolynomial(2, {MultiIndex((1, 1)): 0.5})
-        g = construct_g(P2, cosh, table)
-        xs = uniform_ball(2, 10, RandomSource(6).generator())
-        res = verify_representation(P2, g, cosh, xs)
-        assert np.max(np.abs(res)) < 1e-10
-        assert g.coefficients[MultiIndex((1, 0))] == 0.0
 
     def test_linearity_in_coefficients(self, table):
         gen = RandomSource(17).generator()
-        act = exp_activation()
         # the system is linear in alpha only at a fixed system size k = deg(P):
         # x_1^3 with coefficients of one sign keeps P1, P2 and their sum at degree 3
         cubic = MultiIndex((3, 0, 0))
@@ -147,9 +123,9 @@ class TestConstructG:
             summed[J] = summed.get(J, 0.0) + a
         P12 = SparsePolynomial(3, summed)
         assert P1.degree == P2.degree == P12.degree == 3
-        g1 = construct_g(P1, act, table)
-        g2 = construct_g(P2, act, table)
-        g12 = construct_g(P12, act, table)
+        g1 = construct_g(P1, table)
+        g2 = construct_g(P2, table)
+        g12 = construct_g(P12, table)
         keys = set(g1.coefficients) | set(g2.coefficients) | set(g12.coefficients)
         for J in keys:
             lhs = g12.coefficients.get(J, 0.0)
@@ -158,17 +134,15 @@ class TestConstructG:
 
     def test_triangular_consistency(self, table):
         gen = RandomSource(23).generator()
-        act = exp_activation()
         P = random_polynomial(gen, 2, 3)
-        g = construct_g(P, act, table)
-        alpha_hat = forward_coefficients(g, act, table, P.degree)
+        g = construct_g(P, table)
+        alpha_hat = forward_coefficients(g, table, P.degree)
         for J, val in alpha_hat.items():
             assert abs(val - P.coefficients.get(J, 0.0)) < 1e-10, J
 
 
 class TestVerificationOracle:
     def test_truncated_exactness_random_suite(self, table):
-        act = exp_activation()
         rng = RandomSource(31)
         worst = 0.0
         for trial in range(20):
@@ -176,32 +150,30 @@ class TestVerificationOracle:
             d = int(gen.integers(1, 4))
             k = int(gen.integers(1, 4))
             P = random_polynomial(gen, d, k)
-            g = construct_g(P, act, table)
+            g = construct_g(P, table)
             xs = uniform_ball(d, 20, rng.generator(trial, 1))
-            res = verify_representation(P, g, act, xs, truncate=True)
+            res = verify_representation(P, g, xs, truncate=True)
             worst = max(worst, float(np.max(np.abs(res))))
         assert worst < 1e-8
 
     def test_bound_compliance_random_suite(self, table):
-        act = exp_activation()
         rng = RandomSource(37)
         for trial in range(20):
             gen = rng.generator(trial)
             d = int(gen.integers(1, 4))
             k = int(gen.integers(1, 4))
             P = random_polynomial(gen, d, k)
-            g = construct_g(P, act, table)
+            g = construct_g(P, table)
             observed = max_abs_g(g, 10_000, rng.derive(trial))
-            assert observed <= g_magnitude_bound(P, act), (trial, observed)
+            assert observed <= g_magnitude_bound(d, P.degree, P.coeff_bound), (trial, observed)
 
     def test_full_mode_reports_taylor_tail(self, table):
-        act = exp_activation()
         P = SparsePolynomial(3, {MultiIndex((1, 0, 0)): 1.0})
-        g = construct_g(P, act, table)
+        g = construct_g(P, table)
         xs = uniform_ball(3, 10, RandomSource(41).generator())
-        res_t = np.max(np.abs(verify_representation(P, g, act, xs, truncate=True)))
-        res_f = np.max(np.abs(verify_representation(P, g, act, xs, quad_order=10, truncate=False)))
-        # the truncated system is exact; the full activation leaves the tail
+        res_t = np.max(np.abs(verify_representation(P, g, xs, truncate=True)))
+        res_f = np.max(np.abs(verify_representation(P, g, xs, quad_order=10, truncate=False)))
+        # the truncated system is exact; untruncated exp leaves the tail
         assert res_t < 1e-10
         assert res_f > 1e-6
         assert np.isfinite(res_f)
@@ -209,14 +181,14 @@ class TestVerificationOracle:
     def test_zero_g_zero_poly(self, table):
         P = SparsePolynomial(2, {})
         g = LegendreExpansion(2, {})
-        res = verify_representation(P, g, exp_activation(), np.zeros((3, 2)))
+        res = verify_representation(P, g, np.zeros((3, 2)))
         assert np.all(res == 0.0)
 
     def test_quad_order_precondition(self, table):
         P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
-        g = construct_g(P, exp_activation(), table)
+        g = construct_g(P, table)
         with pytest.raises(ValueError):
-            verify_representation(P, g, exp_activation(), np.zeros((1, 2)), quad_order=2)
+            verify_representation(P, g, np.zeros((1, 2)), quad_order=2)
 
 
 class TestEvalG:
@@ -232,7 +204,7 @@ class TestEvalG:
 
     def test_matches_term_sum_at_origin(self, table):
         P = SparsePolynomial(2, {MultiIndex((1, 0)): 1.0})
-        g = construct_g(P, exp_activation(), table)
+        g = construct_g(P, table)
         w0 = np.zeros(2)
         manual = sum(
             c * float(np.prod([_leg(j, 0.0) for j in J.entries]))

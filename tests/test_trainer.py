@@ -12,13 +12,9 @@ import pytest
 import rf_lab.trainer as trainer_mod
 from rf_lab import _sgd_numpy, cli
 from rf_lab.legendre import MultiIndex
-from rf_lab.features import PREDICT_CELLS, predict_block_rows
+from rf_lab.features import PREDICT_CELLS, predict_block_rows, row_blocks
 from rf_lab.numerics import RandomSource, uniform_ball
-from rf_lab.poly_repr import (
-    AnalyticActivation,
-    SparsePolynomial,
-    exp_activation,
-)
+from rf_lab.poly_repr import EXP_LIPSCHITZ, SparsePolynomial
 from rf_lab.trainer import (
     DESK_SCALE_MAX_R,
     DriftReport,
@@ -74,11 +70,11 @@ def expand(trace: TrainTrace, start=0, stop=None):
 ORACLE_ROWS = 1 << 13  # dense entries the drift oracle expands at a time
 
 
-def dense_drift_check(trace: TrainTrace, config: TrainConfig, act) -> DriftReport:
+def dense_drift_check(trace: TrainTrace, config: TrainConfig) -> DriftReport:
     """The oracle for ``drift_check``: both inequalities at every entry of the
     dense trace, expanded block by block; minima and maxima over blocks are
     those over the whole trace."""
-    L = act.lipschitz_L
+    L = EXP_LIPSCHITZ
     eta = float(config.eta)
     T = int(trace.steps[-1])
     B = max(2.0, float(trace.w_norm[0]), float(trace.u_norm[0]))
@@ -107,24 +103,6 @@ def assert_same_report(report, oracle):
     assert repr(dataclasses.astuple(report)) == repr(dataclasses.astuple(oracle))
 
 
-def identity_activation():
-    """sigma(z) = z through Python callables (not ufuncs), so the scan's generic path runs."""
-    return AnalyticActivation(
-        name="identity",
-        evaluate=lambda z: np.asarray(z, dtype=float),
-        derivative=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-        taylor_coeff=lambda i: 1.0 if i == 1 else 0.0,
-        lipschitz_L=1.0,
-    )
-
-
-def sinh_activation():
-    """A ufunc activation whose derivative is another function."""
-    return AnalyticActivation(name="sinh", evaluate=np.sinh, derivative=np.cosh,
-                              taylor_coeff=lambda i: 1.0 / math.factorial(i) if i % 2 else 0.0,
-                              lipschitz_L=float(np.cosh(1.0)))
-
-
 def ball_sign_sampler(d=2, margin=0.3):
     """Linearly separable stream: y = sign(x_1), filtered to |x_1| >= margin."""
 
@@ -143,44 +121,44 @@ def ball_sign_sampler(d=2, margin=0.3):
 class TestBasics:
     def test_xavier_support_and_norms(self):
         d, r = 7, 40
-        net = xavier_init(d, r, RandomSource(1), exp_activation())
+        net = xavier_init(d, r, RandomSource(1))
         assert np.all(np.abs(net.W) <= 1.0 / math.sqrt(d))
         assert np.linalg.norm(net.U) == 0.0
         assert np.linalg.norm(net.W) <= math.sqrt(r)
         assert np.all(np.linalg.norm(net.W, axis=1) <= 1.0)
 
     def test_forward_zero_outer_layer(self):
-        net = xavier_init(3, 5, RandomSource(2), exp_activation())
+        net = xavier_init(3, 5, RandomSource(2))
         assert forward(net, np.array([0.5, 0.1, -0.2])) == 0.0
 
-    def test_forward_single_identity_neuron(self):
-        net = TwoLayerNet(np.array([[0.3, -0.4]]), np.array([1.0]), identity_activation())
+    def test_forward_single_neuron(self):
+        net = TwoLayerNet(np.array([[0.3, -0.4]]), np.array([2.0]))
         x = np.array([0.5, 0.5])
-        assert forward(net, x) == pytest.approx(0.3 * 0.5 - 0.4 * 0.5)
+        assert forward(net, x) == pytest.approx(2.0 * math.exp(0.3 * 0.5 - 0.4 * 0.5))
 
     def test_forward_linear_in_outer_layer(self):
-        net = xavier_init(4, 6, RandomSource(3), exp_activation())
+        net = xavier_init(4, 6, RandomSource(3))
         net.U = RandomSource(4).generator().standard_normal(6)
         x = np.array([0.1, -0.2, 0.3, 0.05])
-        doubled = TwoLayerNet(net.W, 2.0 * net.U, net.activation)
+        doubled = TwoLayerNet(net.W, 2.0 * net.U)
         assert forward(doubled, x) == pytest.approx(2.0 * forward(net, x))
 
     @pytest.mark.parametrize("r", [7, 1000])
-    def test_batch_forward_equals_unblocked_product(self, r):
+    def test_batch_forward_equals_unblocked_product(self, r, monkeypatch):
         recorded = []
-        exp = exp_activation()
 
-        def recording(z):
-            recorded.append(np.size(z))
-            return exp.evaluate(z)
+        def recording(n_rows, row_values):
+            for start, stop in row_blocks(n_rows, row_values):
+                recorded.append((stop - start) * row_values)
+                yield start, stop
 
-        act = AnalyticActivation("exp", recording, exp.derivative, exp.taylor_coeff, exp.lipschitz_L)
-        net = xavier_init(3, r, RandomSource(5), act)
+        monkeypatch.setattr(trainer_mod, "row_blocks", recording)
+        net = xavier_init(3, r, RandomSource(5))
         net.U = RandomSource(6).generator().standard_normal(r) / r
         block = predict_block_rows(r)
         for m in (1, block - 1, block, block + 1, 2000):
             x = uniform_ball(3, m, RandomSource(7, m).generator())
-            reference = exp.evaluate(x @ net.W.T) @ net.U  # the whole batch as one product
+            reference = np.exp(x @ net.W.T) @ net.U  # the whole batch as one product
             assert np.array_equal(forward(net, x), reference), m
         assert max(recorded) <= PREDICT_CELLS  # validation never holds n_val x r activations
 
@@ -196,12 +174,12 @@ class TestBasics:
 
 class TestGradients:
     def test_satisfied_margin_gives_zero(self):
-        net = TwoLayerNet(np.array([[1.0, 0.0]]), np.array([5.0]), identity_activation())
-        dW, dU = gradients(net, np.array([0.9, 0.0]), 1.0)  # y * N = 4.5 > 1
+        net = TwoLayerNet(np.array([[1.0, 0.0]]), np.array([5.0]))
+        dW, dU = gradients(net, np.array([0.9, 0.0]), 1.0)  # y * N = 5 e^0.9 > 1
         assert np.all(dW == 0.0) and np.all(dU == 0.0)
 
     def test_zero_outer_layer(self):
-        net = xavier_init(3, 4, RandomSource(5), exp_activation())
+        net = xavier_init(3, 4, RandomSource(5))
         x = np.array([0.2, -0.1, 0.4])
         dW, dU = gradients(net, x, 1.0)
         assert np.all(dW == 0.0)
@@ -214,7 +192,7 @@ class TestGradients:
         while checked < 100:
             d = int(gen.integers(2, 5))
             r = int(gen.integers(1, 8))
-            net = xavier_init(d, r, rng.derive(checked), exp_activation())
+            net = xavier_init(d, r, rng.derive(checked))
             net.U = 0.3 * gen.standard_normal(r)
             x = gen.standard_normal(d)
             x /= max(1.0, float(np.linalg.norm(x)))
@@ -229,16 +207,14 @@ class TestGradients:
     @staticmethod
     def one_kernel_step(net, x, y, eta):
         W, U = net.W.copy(), net.U.copy()
-        act = net.activation
-        updates = _sgd_numpy.run_steps(W, U, net.W.copy(), x[None, :], np.array([y]), eta,
-                                       act.evaluate, act.derivative, 0, 1)
+        updates = _sgd_numpy.run_steps(W, U, net.W.copy(), x[None, :], np.array([y]), eta, 0, 1)
         return W, U, updates
 
     @pytest.mark.parametrize("r", [7, 1000])
     def test_kernel_step_is_minus_eta_gradient(self, r):
         gen = np.random.default_rng(r)
         for draw in range(50):
-            net = xavier_init(3, r, RandomSource(draw), exp_activation())
+            net = xavier_init(3, r, RandomSource(draw))
             net.U = 0.1 * gen.standard_normal(r)
             x = gen.standard_normal(3)
             x /= max(1.0, float(np.linalg.norm(x)))
@@ -248,7 +224,7 @@ class TestGradients:
             W, U, updates = self.one_kernel_step(net, x, y, eta)
             assert len(updates) == 1
             assert U.tobytes() == (net.U + -eta * dU).tobytes()
-            # the kernel forms eta y u_i sigma'(z_i) x_j in another order than -eta * dW, so
+            # the kernel forms eta y u_i exp(z_i) x_j in another order than -eta * dW, so
             # W may move by a step a few ulps away; rounded addition is monotone, so W then
             # lies between W_old plus the step 8 ulps down and W_old plus the step 8 ulps up
             step = -eta * dW
@@ -259,7 +235,7 @@ class TestGradients:
     def test_kernel_step_without_gradient_leaves_net(self, r):
         gen = np.random.default_rng(r)
         for draw in range(20):
-            net = xavier_init(3, r, RandomSource(draw), exp_activation())
+            net = xavier_init(3, r, RandomSource(draw))
             net.U = gen.standard_normal(r)
             x = gen.standard_normal(3)
             x /= max(1.0, float(np.linalg.norm(x)))
@@ -277,7 +253,7 @@ class TestGradients:
 class TestSGD:
     def test_zero_learning_rate_keeps_network(self):
         cfg = make_config(r=10, eta=0.0, steps=50)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(7), exp_activation())
+        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(7))
         rows = expand(res.trace)
         assert np.array_equal(res.net.U, np.zeros(10))
         assert np.all(rows.w_drift == 0.0)
@@ -285,14 +261,15 @@ class TestSGD:
         assert np.max(np.abs(rows.w_norm - rows.w_norm[0])) < 1e-12
 
     def test_separable_stream_converges(self):
-        cfg = make_config(r=1, eta=0.05, steps=20_000)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(8), identity_activation())
+        # one exp unit keeps the sign of its u_i, so the smallest separating net has two
+        cfg = make_config(r=2, eta=0.05, steps=20_000)
+        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(8))
         assert expand(res.trace).run_avg_loss[-1] < 0.1
         assert res.best_val_loss < 0.05
 
     def test_trace_lengths(self):
         cfg = make_config(r=5, eta=0.01, steps=77)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(9), exp_activation())
+        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(9))
         assert res.trace.steps[-1] == 77
         rows = expand(res.trace)
         for arr in rows:
@@ -302,8 +279,8 @@ class TestSGD:
 
     def test_deterministic_traces(self):
         cfg = make_config(r=20, eta=0.02, steps=500)
-        a = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), exp_activation())
-        b = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), exp_activation())
+        a = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10))
+        b = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10))
         for field in dataclasses.fields(TrainTrace):
             assert np.array_equal(getattr(a.trace, field.name), getattr(b.trace, field.name)), field.name
         assert np.array_equal(a.net.W, b.net.W)
@@ -311,14 +288,14 @@ class TestSGD:
 
     def test_best_checkpoint_no_worse_than_init(self):
         cfg = make_config(r=30, eta=0.02, steps=2000)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(11), exp_activation())
+        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(11))
         assert res.best_val_loss <= res.val_history[0][1] + 1e-12
 
     def test_divergence_aborts(self):
         cfg = make_config(r=10, eta=1e6, steps=5000)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite"):
-                sgd_train(2, ball_sign_sampler(), cfg, RandomSource(12), exp_activation())
+                sgd_train(2, ball_sign_sampler(), cfg, RandomSource(12))
 
     def test_sampler_contract_enforced(self):
         cfg = make_config(r=5, eta=0.01, steps=10)
@@ -328,7 +305,7 @@ class TestSGD:
             yield X, np.sign(X[:, 0])
 
         with pytest.raises(ValueError, match="unit ball"):
-            sgd_train(2, bad_sampler, cfg, RandomSource(14), exp_activation())
+            sgd_train(2, bad_sampler, cfg, RandomSource(14))
 
     # 32,769 rows: 100 checkpoint chunks of 327 steps, one of 68, then row T alone
     @pytest.mark.parametrize("row", [0, 326, 327, 20_000, 32_767, 32_768])
@@ -343,14 +320,14 @@ class TestSGD:
             yield X[n // 2 :], y[n // 2 :]
 
         with pytest.raises(ValueError, match="unit ball"):
-            sgd_train(2, one_bad_row, cfg, RandomSource(14), exp_activation())
+            sgd_train(2, one_bad_row, cfg, RandomSource(14))
 
     def test_short_stream_is_refused(self):
         def short(n, gen):
             yield from ball_sign_sampler()(n - 1, gen)
 
         with pytest.raises(ValueError, match="stream ended"):
-            sgd_train(2, short, make_config(r=5, eta=0.01, steps=100), RandomSource(14), exp_activation())
+            sgd_train(2, short, make_config(r=5, eta=0.01, steps=100), RandomSource(14))
 
     def test_default_run_memory(self):
         # learn-poly at its CLI defaults, then at five times the steps with a narrower net:
@@ -362,7 +339,7 @@ class TestSGD:
             cfg = make_config(r=r, eta=0.01, steps=steps)
             tracemalloc.start()
             try:
-                res = sgd_train(3, margin_filtered_sampler(P, 0.3), cfg, RandomSource(0), exp_activation())
+                res = sgd_train(3, margin_filtered_sampler(P, 0.3), cfg, RandomSource(0))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -372,20 +349,19 @@ class TestSGD:
 
 class TestTheoremParams:
     def test_eta_relation_exact(self):
-        _, cfg = guarantee_params(0.1, 0.1, 3, 2, 1.0, exp_activation())
+        _, cfg = guarantee_params(0.1, 0.1, 3, 2, 1.0)
         assert cfg.eta * 8 * cfg.r == Fraction(0.1)
 
     def test_beta_value_for_reference_setting(self):
-        beta, cfg = guarantee_params(0.1, 0.1, 3, 2, 1.0, exp_activation())
+        beta, cfg = guarantee_params(0.1, 0.1, 3, 2, 1.0)
         assert beta == Fraction(4 * 36**8)  # alpha^k (A/a)^k (12 d)^(2 k^2)
         assert cfg.r > DESK_SCALE_MAX_R == 10**8
 
     def test_beta_monotone_in_d_and_k(self):
-        act = exp_activation()
         betas = {}
         for d in (2, 3, 4):
             for k in (1, 2, 3):
-                betas[d, k] = guarantee_params(0.25, 0.1, d, k, 1.0, act)[0]
+                betas[d, k] = guarantee_params(0.25, 0.1, d, k, 1.0)[0]
         for d in (2, 3):
             for k in (1, 2, 3):
                 assert betas[d + 1, k] > betas[d, k]
@@ -395,40 +371,38 @@ class TestTheoremParams:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            guarantee_params(0.0, 0.1, 3, 2, 1.0, exp_activation())
+            guarantee_params(0.0, 0.1, 3, 2, 1.0)
         with pytest.raises(ValueError):
-            guarantee_params(0.1, 0.1, 3, 0, 1.0, exp_activation())
+            guarantee_params(0.1, 0.1, 3, 0, 1.0)
 
 
 class TestDrift:
     def test_zero_eta_trivially_passes(self):
         cfg = make_config(r=10, eta=0.0, steps=50)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(15), exp_activation())
-        report = drift_check(res.trace, cfg, exp_activation())
-        assert_same_report(report, dense_drift_check(res.trace, cfg, exp_activation()))
+        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(15))
+        report = drift_check(res.trace, cfg)
+        assert_same_report(report, dense_drift_check(res.trace, cfg))
         assert report.passed
         assert report.min_drift_margin >= 0.0
 
     def test_matched_step_size_run_respects_bounds(self):
         # step size eta = eps / (L B^2) with B = max(2, ||W_0||)
-        act = exp_activation()
         r, eps = 100, 0.5
-        probe = xavier_init(3, r, RandomSource(16).derive(0), act)
+        probe = xavier_init(3, r, RandomSource(16).derive(0))
         B = max(2.0, float(np.linalg.norm(probe.W)))
-        eta = eps / (act.lipschitz_L * B * B)
+        eta = eps / (EXP_LIPSCHITZ * B * B)
         cfg = make_config(r=r, eta=eta, steps=200)
-        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(16), act)
-        report = drift_check(res.trace, cfg, act)
-        assert_same_report(report, dense_drift_check(res.trace, cfg, act))
+        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(16))
+        report = drift_check(res.trace, cfg)
+        assert_same_report(report, dense_drift_check(res.trace, cfg))
         assert report.passed
         assert report.b_value == pytest.approx(B)
 
     def test_practical_run_satisfies_drift_bound(self):
         cfg = make_config(r=120, eta=0.01, steps=3000)
-        act = exp_activation()
-        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17), act)
-        report = drift_check(res.trace, cfg, act)
-        assert_same_report(report, dense_drift_check(res.trace, cfg, act))
+        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17))
+        report = drift_check(res.trace, cfg)
+        assert_same_report(report, dense_drift_check(res.trace, cfg))
         assert report.drift_ok
 
     @pytest.mark.parametrize("scale", [1e3, 1e4])
@@ -436,20 +410,19 @@ class TestDrift:
         # a real trace's drift, scaled so the smallest margin sits at an interior
         # step rather than at t = 0, where every margin is exactly 0
         cfg = make_config(r=120, eta=0.01, steps=16_884)
-        act = exp_activation()
-        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17), act)
+        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17))
         trace = dataclasses.replace(res.trace, w_drift=res.trace.w_drift * scale)
-        report = drift_check(trace, cfg, act)
-        assert_same_report(report, dense_drift_check(trace, cfg, act))
+        report = drift_check(trace, cfg)
+        assert_same_report(report, dense_drift_check(trace, cfg))
         dense = expand(trace)
         t = np.arange(cfg.steps + 1, dtype=float)
-        margins = t * cfg.eta * act.lipschitz_L * (report.b_value + 1.0) - dense.w_drift
+        margins = t * cfg.eta * EXP_LIPSCHITZ * (report.b_value + 1.0) - dense.w_drift
         assert np.argmin(margins) > 0
         assert report.min_drift_margin == float(np.min(margins))
         assert not report.drift_ok
         # the norm-cap window t <= B / (2 eps), eps = eta L B^2
         B = report.b_value
-        cap_steps = min(int(B / (2.0 * (cfg.eta * act.lipschitz_L * B * B))), cfg.steps)
+        cap_steps = min(int(B / (2.0 * (cfg.eta * EXP_LIPSCHITZ * B * B))), cfg.steps)
         window = slice(0, cap_steps + 1)
         assert report.max_norm == float(max(np.max(dense.w_norm[window]), np.max(dense.u_norm[window])))
 
@@ -463,7 +436,6 @@ class TestDrift:
     def test_smallest_margin_found_at_any_record(self, s, after):
         T = 10_000
         cfg = make_config(r=10, eta=0.01, steps=T)
-        act = exp_activation()
         gen = np.random.default_rng(s + after)
         others = gen.choice(T, 40, replace=False)
         updates = np.union1d(others[(others < s) | (others > after)], [s, after])
@@ -472,10 +444,10 @@ class TestDrift:
         k = len(updates) + 1
         trace = TrainTrace(steps=np.append(updates, T), loss=np.zeros(k), w_drift=np.append(0.0, drift),
                            u_norm=np.full(k, 0.5), w_norm=np.full(k, 3.0))
-        report = drift_check(trace, cfg, act)
-        assert_same_report(report, dense_drift_check(trace, cfg, act))
+        report = drift_check(trace, cfg)
+        assert_same_report(report, dense_drift_check(trace, cfg))
         t = np.arange(T + 1, dtype=float)
-        margins = t * cfg.eta * act.lipschitz_L * (report.b_value + 1.0) - expand(trace).w_drift
+        margins = t * cfg.eta * EXP_LIPSCHITZ * (report.b_value + 1.0) - expand(trace).w_drift
         assert np.argmin(margins) == s + 1
         assert report.min_drift_margin == float(np.min(margins))
         assert not report.drift_ok
@@ -485,7 +457,7 @@ class TestDrift:
         cfg = make_config(r=10, eta=1e-320, steps=10)
         trace = TrainTrace(steps=np.array([3, 10]), loss=np.array([0.5, 0.0]), w_drift=np.array([0.0, 0.1]),
                            u_norm=np.array([0.5, 0.7]), w_norm=np.array([3.0, 3.5]))
-        report = drift_check(trace, cfg, exp_activation())
+        report = drift_check(trace, cfg)
         assert report.max_norm == 3.5 and report.norms_ok
         assert not report.drift_ok
 
@@ -602,18 +574,18 @@ def uncapped_margin_sampler(P, margin, n, gen):
     return X, np.sign(P.evaluate(X))
 
 
-def reference_run_steps(W, U, W0, X, Y, eta, sigma, dsigma, loss, drift, unorm, wnorm, start, count):
+def reference_run_steps(W, U, W0, X, Y, eta, loss, drift, unorm, wnorm, start, count):
     """The textbook per-step loop: the exact oracle for ``_sgd_numpy.run_steps``."""
     for t in range(start, start + count):
         x = X[t]
         y = Y[t]
         z = W @ x
-        s = sigma(z)
+        s = np.exp(z)
         n_val = float(U @ s)
         margin = 1.0 - y * n_val
         loss[t] = margin if margin > 0.0 else 0.0
         if margin >= 0.0:
-            coef = (eta * y) * (U * dsigma(z))
+            coef = (eta * y) * (U * np.exp(z))
             W += coef[:, None] * x[None, :]
             U += (eta * y) * s
         drift[t + 1] = np.linalg.norm(W - W0)
@@ -621,7 +593,7 @@ def reference_run_steps(W, U, W0, X, Y, eta, sigma, dsigma, loss, drift, unorm, 
         wnorm[t + 1] = np.linalg.norm(W)
 
 
-def run_both(W, U, X, Y, eta, act, chunks=None):
+def run_both(W, U, X, Y, eta, chunks=None):
     """Run the kernel (over ``chunks``, default one call, each on its own rows)
     and the oracle from the same start; return both outcomes as (W, U, loss,
     drift, unorm, wnorm), the kernel's per-step arrays expanded from its
@@ -634,8 +606,7 @@ def run_both(W, U, X, Y, eta, act, chunks=None):
     start = 0
     for count in chunks:
         end = start + count
-        updates = _sgd_numpy.run_steps(Wk, Uk, W0, X[start:end], Y[start:end], eta, act.evaluate,
-                                       act.derivative, start, count)
+        updates = _sgd_numpy.run_steps(Wk, Uk, W0, X[start:end], Y[start:end], eta, start, count)
         assert [u[0] for u in updates] == sorted(u[0] for u in updates) and all(
             start <= u[0] < end for u in updates)
         records += updates
@@ -649,7 +620,7 @@ def run_both(W, U, X, Y, eta, act, chunks=None):
         w_norm=np.append(np.linalg.norm(W), rec[:, 4]),
     )
     cfg = make_config(r=len(U), eta=eta, steps=steps)
-    assert_same_report(drift_check(trace, cfg, act), dense_drift_check(trace, cfg, act))
+    assert_same_report(drift_check(trace, cfg), dense_drift_check(trace, cfg))
     rows = expand(trace)
     fast = (Wk, Uk, rows.loss, rows.w_drift, rows.u_norm, rows.w_norm)
 
@@ -658,7 +629,7 @@ def run_both(W, U, X, Y, eta, act, chunks=None):
     traces[1][0] = np.linalg.norm(Wr - W0)
     traces[2][0] = np.linalg.norm(Ur)
     traces[3][0] = np.linalg.norm(Wr)
-    reference_run_steps(Wr, Ur, W0, X, Y, eta, act.evaluate, act.derivative, *traces, 0, steps)
+    reference_run_steps(Wr, Ur, W0, X, Y, eta, *traces, 0, steps)
     # the running average, from the records, is the per-step cumulative sum over t + 1
     assert np.array_equal(rows.run_avg_loss, np.cumsum(traces[0]) / np.arange(1, steps + 2))
     return fast, (Wr, Ur, *traces)
@@ -712,7 +683,7 @@ class TestKernelOracle:
         gen = RandomSource(30).generator()
         X, Y = stream(6001, 3, gen)
         W = gen.uniform(-0.5, 0.5, (40, 3))
-        fast, slow = run_both(W, np.zeros(40), X, Y, 0.05, exp_activation())
+        fast, slow = run_both(W, np.zeros(40), X, Y, 0.05)
         assert_identical(fast, slow)
         updates = np.count_nonzero(slow[2][:6000])
         cleared = sum(c for _, c, _ in scan_spy)
@@ -722,25 +693,17 @@ class TestKernelOracle:
         gen = RandomSource(31).generator()
         X, Y = stream(1501, 3, gen, labels="random")
         W = gen.uniform(-0.5, 0.5, (30, 3))
-        fast, slow = run_both(W, np.zeros(30), X, Y, 1e-6, exp_activation())
+        fast, slow = run_both(W, np.zeros(30), X, Y, 1e-6)
         assert_identical(fast, slow)
         assert np.all(slow[2][:1500] > 0.0)
         assert scan_spy == []
-
-    def test_identity_activation(self, scan_spy):
-        gen = RandomSource(32).generator()
-        X, Y = stream(4001, 2, gen)
-        W = gen.uniform(-0.7, 0.7, (5, 2))
-        fast, slow = run_both(W, np.zeros(5), X, Y, 0.05, identity_activation())
-        assert_identical(fast, slow)
-        assert sum(c for _, c, _ in scan_spy) > 2000
 
     def test_ragged_chunks(self, scan_spy):
         gen = RandomSource(33).generator()
         X, Y = stream(3001, 3, gen)
         W = gen.uniform(-0.5, 0.5, (25, 3))
         chunks = [1, 1, 7, 33, 1, 250, 17, 1000, 1, 1689]
-        fast, slow = run_both(W, np.zeros(25), X, Y, 0.05, exp_activation(), chunks)
+        fast, slow = run_both(W, np.zeros(25), X, Y, 0.05, chunks)
         assert_identical(fast, slow)
         assert any(c < n for n, c, _ in scan_spy) and any(c == n for n, c, _ in scan_spy)
 
@@ -750,7 +713,6 @@ class TestKernelOracle:
         (about 1e-5 here) and outside it."""
         gen = RandomSource(34).generator()
         r, d, n = 8, 2, 1500
-        act = exp_activation()
         W = gen.uniform(0.8, 1.2, (r, d))
         U = np.full(r, 0.5 / r)  # N(0) = 0.5 and N grows along positive directions
         v = np.abs(gen.standard_normal((n, d)))
@@ -767,7 +729,7 @@ class TestKernelOracle:
         margins = 1.0 - np.exp(X[:n] @ W.T) @ U
         assert 1e-9 < np.min(np.abs(margins)) and np.max(np.abs(margins)) < 2e-4
         assert np.any(margins >= 0.0) and np.any(margins < 0.0)
-        fast, slow = run_both(W, U, X, Y, 1e-16, act)
+        fast, slow = run_both(W, U, X, Y, 1e-16)
         assert_identical(fast, slow)
         assert sum(c for _, c, _ in scan_spy) > 0
         assert any(band for _, _, band in scan_spy)
@@ -778,45 +740,16 @@ class TestKernelOracle:
         r = _sgd_numpy.SCAN_CELLS // _sgd_numpy.FIRST_WINDOW + 3616
         X, Y = stream(401, 1, gen)
         W = gen.uniform(-1.0, 1.0, (r, 1))
-        fast, slow = run_both(W, np.zeros(r), X, Y, 1e-4, exp_activation())
+        fast, slow = run_both(W, np.zeros(r), X, Y, 1e-4)
         assert_identical(fast, slow)
         rows = _sgd_numpy.SCAN_CELLS // r
         assert scan_spy and max(n for n, _, _ in scan_spy) == rows < _sgd_numpy.FIRST_WINDOW
-
-    def test_ufunc_activation_with_other_derivative(self, scan_spy):
-        gen = RandomSource(37).generator()
-        X, Y = stream(3001, 3, gen)
-        W = gen.uniform(-0.5, 0.5, (20, 3))
-        fast, slow = run_both(W, np.zeros(20), X, Y, 0.05, sinh_activation())
-        assert_identical(fast, slow)
-        assert sum(c for _, c, _ in scan_spy) > 1000
-
-    def test_scan_takes_derivative_at_preactivations(self):
-        """sigma runs in place in the scan buffer; sigma' must see z, not sigma(z)."""
-        gen = RandomSource(38).generator()
-        W = gen.uniform(-0.5, 0.5, (6, 2))
-        X = gen.standard_normal((10, 2))
-        seen = []
-
-        def dsinh(z):
-            seen.append(z.copy())
-            return np.cosh(z)
-
-        net = _sgd_numpy._scan_net(W, gen.standard_normal(6))
-        _sgd_numpy._clear_steps(net, X.astype(np.float32), np.abs(X).max(axis=1), np.ones(10),
-                                np.sinh, dsinh, np.empty((10, 6), np.float32))
-        z = X @ W.T
-        # z rounded through float32: within e = gamma_{d+2} ||x||_inf max ||w_i||_1 of z
-        e = _sgd_numpy._gamma(4) * np.abs(X).max(axis=1, keepdims=True) * np.abs(W).sum(axis=1).max()
-        assert seen[0].dtype == np.float32
-        assert np.all(np.abs(seen[0] - z) <= e)
-        assert np.any(np.abs(np.sinh(z) - z) > 1e3 * e)  # so sigma(z) would fail the check above
 
     def test_count_one_calls(self):
         gen = RandomSource(35).generator()
         X, Y = stream(201, 3, gen)
         W = gen.uniform(-0.5, 0.5, (10, 3))
-        fast, slow = run_both(W, np.zeros(10), X, Y, 0.05, exp_activation(), [1] * 200)
+        fast, slow = run_both(W, np.zeros(10), X, Y, 0.05, [1] * 200)
         assert_identical(fast, slow)
 
     def test_float32_overflow_clears_nothing(self, scan_spy):
@@ -830,29 +763,34 @@ class TestKernelOracle:
         Z = X @ W.T
         assert 89.0 < Z.min() and Z.max() < 700.0
         assert np.all(np.isfinite(np.exp(Z) @ U))
-        fast, slow = run_both(W, U, X, np.ones(n + 1), 0.05, exp_activation())
+        fast, slow = run_both(W, U, X, np.ones(n + 1), 0.05)
         assert_identical(fast, slow)
         assert np.all(slow[2] == 0.0)  # every margin is far below 0: nothing updates
         assert len(scan_spy) > n // 2 and all(c == 0 for _, c, _ in scan_spy)
 
     def test_large_preactivation_error_clears_nothing(self, scan_spy):
-        """max ||w_i||_1 ~ 2e7 makes the float32 pre-activation bound e exceed
-        1/4, beyond which the bound does not hold for exp: no scan clears a row,
-        even though every margin is far below 0."""
+        """Rows (c, -c) with c ~ 1e7 and points with x_1 = x_2 give z = 0 exactly,
+        so every margin is 1 - r, far below 0; but max ||w_i||_1 ~ 2e7 makes the
+        float32 pre-activation bound e exceed 1/4, beyond which the bound does
+        not hold for exp (and tol, at least 8 e M, exceeds every |n~|): no scan
+        clears a row."""
         gen = RandomSource(43).generator()
         r, n = 4, 200
-        W = gen.uniform(0.9e7, 1.1e7, (r, 2))
-        X = np.abs(stream(n + 1, 2, gen)[0]) + 0.1
-        fast, slow = run_both(W, np.full(r, 1.0), X, np.ones(n + 1), 0.05, identity_activation())
+        c = 2.0**23 * np.array([1.0, 1.25, 1.5, 1.75])  # c t is exact in float64 for float32 t
+        W = np.column_stack([c, -c])
+        t = gen.uniform(0.1, 0.7, n + 1).astype(np.float32).astype(float)
+        X = np.column_stack([t, t])
+        assert np.all(X @ W.T == 0.0)
+        e = _sgd_numpy._gamma(4) * t * np.abs(W).sum(axis=1).max()
+        assert np.all(e > _sgd_numpy._MAX_E)
+        fast, slow = run_both(W, np.full(r, 1.0), X, np.ones(n + 1), 0.05)
         assert_identical(fast, slow)
         assert np.all(slow[2] == 0.0)
         assert len(scan_spy) > n // 2 and all(c == 0 for _, c, _ in scan_spy)
 
-    @pytest.mark.parametrize("act", [exp_activation(), sinh_activation()], ids=["exp", "sinh"])
-    def test_entries_below_float32_normal_range(self, scan_spy, act):
+    def test_entries_below_float32_normal_range(self, scan_spy):
         """Zeros and values below 2^-126 (float32 subnormals, and smaller ones that
-        round to 0) in X, W and U.  Under sinh, hidden units with tiny w_i keep
-        tiny u_i through every update."""
+        round to 0) in X, W and U."""
         gen = RandomSource(40).generator()
         tiny = np.array([0.0, 1e-39, -1e-40, 1e-42, 2.0**-149, 1e-46, -1e-300])
         r, d, n = 24, 3, 3001
@@ -864,12 +802,10 @@ class TestKernelOracle:
         W[:4] = gen.choice(tiny, (4, d))
         U = np.zeros(r)
         U[:4] = gen.choice(tiny, 4)
-        fast, slow = run_both(W, U, X, Y, 0.05, act)
+        fast, slow = run_both(W, U, X, Y, 0.05)
         assert_identical(fast, slow)
         assert np.count_nonzero(slow[2][:-1]) > 50 and sum(c for _, c, _ in scan_spy) > 1500
         assert np.all(np.abs(fast[0][:, 2]) < 2.0**-126)
-        if act.name == "sinh":
-            assert np.all(np.abs(fast[0][:4]) < 2.0**-126) and np.all(np.abs(fast[1][:4]) < 2.0**-126)
 
     def test_float32_exp_within_scan_bound(self):
         """The scan's bound assumes NumPy's float32 exp errs by at most 8u relatively
@@ -892,7 +828,7 @@ class TestKernelOracle:
         r, n = 1000, 10_000
         X, Y = stream(n + 1, 3, gen)
         W = gen.uniform(-3**-0.5, 3**-0.5, (r, 3))
-        fast, slow = run_both(W, np.zeros(r), X, Y, 0.01, exp_activation())
+        fast, slow = run_both(W, np.zeros(r), X, Y, 0.01)
         assert_identical(fast, slow)
         cleared = sum(c for _, c, _ in scan_spy)
         band = sum(b for _, _, b in scan_spy)
@@ -905,11 +841,10 @@ class TestValidationReuse:
         d, T, n_checkpoints = 2, 6000, trainer_mod.N_CHECKPOINTS
         cfg = make_config(r=20, eta=0.05, steps=T)
         sampler = ball_sign_sampler()
-        act = exp_activation()
 
         # recompute at every checkpoint, with the per-step oracle
         rng = RandomSource(40)
-        net = xavier_init(d, cfg.r, rng.derive(0), act)
+        net = xavier_init(d, cfg.r, rng.derive(0))
         W0 = net.W.copy()
         X, y = take_rows(sampler(T + 1, rng.generator(1)), T + 1, d)
         X_val, y_val = take_rows(sampler(2000, rng.generator(2)), 2000, d)
@@ -919,8 +854,7 @@ class TestValidationReuse:
         chunk = T // n_checkpoints
         for start in range(0, T, chunk):
             before = net.copy()
-            reference_run_steps(net.W, net.U, W0, X, y, cfg.eta, act.evaluate, act.derivative,
-                                *traces, start, chunk)
+            reference_run_steps(net.W, net.U, W0, X, y, cfg.eta, *traces, start, chunk)
             changed += not (np.array_equal(net.W, before.W) and np.array_equal(net.U, before.U))
             history.append((start + chunk, trainer_mod._validation_loss(net, X_val, y_val)))
         best = min(range(len(history)), key=lambda i: (history[i][1], i))
@@ -933,7 +867,7 @@ class TestValidationReuse:
             return original(net, x)
 
         monkeypatch.setattr(trainer_mod, "forward", counting_forward)
-        res = sgd_train(d, sampler, cfg, RandomSource(40), act)
+        res = sgd_train(d, sampler, cfg, RandomSource(40))
         assert res.val_history == history
         assert res.best_step == history[best][0]
         assert 0 < changed < n_checkpoints
@@ -956,15 +890,13 @@ class TestTraceCsv:
         assert cli.run([*argv, "--out", str(tmp_path)]) == 0
 
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
-        act = exp_activation()
         rng = RandomSource(seed)
-        net = xavier_init(3, r, rng.derive(0), act)
+        net = xavier_init(3, r, rng.derive(0))
         W0 = net.W.copy()
         X, y = take_rows(margin_filtered_sampler(P, 0.3)(T + 1, rng.generator(1)), T + 1, 3)
         loss, drift, unorm, wnorm = (np.zeros(T + 1) for _ in range(4))
         wnorm[0] = np.linalg.norm(net.W)
-        reference_run_steps(net.W, net.U, W0, X, y, 0.01, act.evaluate, act.derivative,
-                            loss, drift, unorm, wnorm, 0, T)
+        reference_run_steps(net.W, net.U, W0, X, y, 0.01, loss, drift, unorm, wnorm, 0, T)
         loss[T] = hinge_loss(forward(net, X[T]), y[T])
         header = ("step", "loss", "run_avg_loss", "w_drift", "u_norm", "w_norm")
         reference = tmp_path / "reference.csv"

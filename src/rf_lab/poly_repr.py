@@ -89,9 +89,6 @@ class SparsePolynomial:
             out += term
         return float(out[0]) if squeeze else out
 
-    def to_json(self) -> str:
-        return json.dumps({str(J): a for J, a in self.coefficients.items()})
-
     @classmethod
     def from_json(cls, text: str) -> "SparsePolynomial":
         """Parse a JSON object {"j_1,...,j_d": coefficient}; malformed input raises ValueError."""
@@ -153,11 +150,6 @@ class LegendreExpansion:
     def normalizer(self) -> float:
         """Cube normalization constant c_d = (sqrt(d)/2)^d (1/volume of the cube)."""
         return (math.sqrt(self.dimension) / 2.0) ** self.dimension
-
-    @property
-    def degree(self) -> int:
-        degs = [J.degree for J, c in self.coefficients.items() if c != 0.0]
-        return max(degs) if degs else 0
 
 
 def _multinomial(J: MultiIndex) -> float:

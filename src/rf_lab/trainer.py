@@ -22,11 +22,10 @@ time, so no buffer of the run grows with its step count except the records.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -179,43 +178,10 @@ def _validation_loss(net: TwoLayerNet, X_val, y_val) -> float:
     return float(np.mean(np.maximum(0.0, 1.0 - y_val * preds)))
 
 
-def row_chunks(blocks: Iterable, sizes, d: int):
-    """Regroup a stream of (X, y) row blocks into consecutive (X, y) chunks
-    of ``sizes`` rows each, X of width d.
-
-    A block is read only when a chunk needs its rows, so the stream is
-    drawn as the chunks are consumed.  A stream that ends early raises
-    ValueError.
-    """
-    blocks = iter(blocks)
-    X_blk = y_blk = np.empty(0)
-    at = 0
-    for size in sizes:
-        X = np.empty((size, d))
-        y = np.empty(size)
-        got = 0
-        while got < size:
-            if at == len(X_blk):
-                try:
-                    X_blk, y_blk = next(blocks)
-                except StopIteration:
-                    raise ValueError(f"sampler stream ended before {size - got} more rows") from None
-                at = 0
-            take = min(size - got, len(X_blk) - at)
-            X[got : got + take] = X_blk[at : at + take]
-            y[got : got + take] = y_blk[at : at + take]
-            got += take
-            at += take
-        yield X, y
-
-
-def take_rows(blocks: Iterable, n: int, d: int):
-    """The first n rows of a stream of (X, y) row blocks, as one (n, d) X and its (n,) y."""
-    return next(row_chunks(blocks, (n,), d))
-
-
-def _checked(chunk):
+def _checked(chunk, n: int):
     X, y = chunk
+    if len(X) != n or len(y) != n:
+        raise ValueError(f"sampler returned {len(X)} points and {len(y)} labels for {n} rows")
     if np.any(np.linalg.norm(X, axis=1) > 1.0 + 1e-9):
         raise ValueError("sampler produced points outside the unit ball")
     if not np.all(np.isin(y, (-1.0, 1.0))):
@@ -225,23 +191,20 @@ def _checked(chunk):
 
 def sgd_train(
     d: int,
-    sampler: Callable[[int, np.random.Generator], Iterable],
+    sampler: Callable[[int, np.random.Generator], tuple],
     config: TrainConfig,
     rng: RandomSource,
     n_val: int = 2000,
 ) -> SGDResult:
     """Run T fresh-sample SGD steps and return the best validation checkpoint.
 
-    ``sampler(n, gen)`` must yield (X, y) blocks of n rows in all, with
-    ||x|| <= 1 and y in {-1, +1}; it is called once for the training stream
-    and once for the held-out validation set, on independent sub-generators
-    of ``rng``, so identical (rng, config) reproduce identical traces.  Each
-    generator is fresh and belongs to its stream, as
-    ``margin_filtered_sampler`` requires.
-
-    The stream is read one checkpoint chunk at a time (``T // N_CHECKPOINTS``
-    steps), and then row T, whose loss at the final parameters ends the
-    trace; each chunk's points and labels are checked as they arrive.  The
+    ``sampler(n, gen)`` must return (X, y) of n rows, with ||x|| <= 1 and
+    y in {-1, +1}.  The training stream is drawn from ``rng.generator(1)``
+    one call per checkpoint chunk (``T // N_CHECKPOINTS`` steps), then one
+    call for row T, whose loss at the final parameters ends the trace; the
+    validation set is one call on ``rng.generator(2)``, made after the first
+    chunk.  So identical (rng, config) reproduce identical traces.  Every
+    call's row count, points and labels are checked as they arrive.  The
     trace keeps the steps that updated (``TrainTrace``), so memory follows
     the chunk and the number of updates, not T.  The result carries the
     validation set, so a comparator is scored on the checkpoints' points.
@@ -252,10 +215,11 @@ def sgd_train(
     W0 = net.W.copy()
     chunk = max(1, T // N_CHECKPOINTS)
     counts = [min(chunk, T - done) for done in range(0, T, chunk)]
-    stream = map(_checked, row_chunks(sampler(T + 1, rng.generator(1)), [*counts, 1], d))
+    gen = rng.generator(1)
+    stream = (_checked(sampler(n, gen), n) for n in [*counts, 1])
     # the first chunk comes before the validation set, so a margin that accepts nothing fails on the stream
     X, y = next(stream)
-    X_val, y_val = take_rows(sampler(n_val, rng.generator(2)), n_val, d)
+    X_val, y_val = _checked(sampler(n_val, rng.generator(2)), n_val)
 
     best_loss = val = _validation_loss(net, X_val, y_val)
     best_step = 0
@@ -388,32 +352,23 @@ def margin_filtered_sampler(P, margin: float):
     Draws x uniformly from the unit ball, labels y = sign(P(x)), and rejects
     points with |P(x)| < margin so the comparator polynomial attains near-zero
     hinge loss.  ``P`` should already be scaled so sup_ball |P| = 1.
-    ``sampler(n, gen)`` is a generator of (X, y) blocks of kept rows, n rows
-    in all, drawn as they are read; ``take_rows`` collects them into one
-    array.  A margin that accepts none of the first 10^5 draws, or fewer
-    than n of the first 1000 n + 10^5, raises ValueError when the stream
-    reaches that point; at or above sup |P| it would accept none.
+    ``sampler(n, gen)`` returns the first n kept rows as (X, y).
 
-    Points come in batches of max(2 n, 64) draws: a batch's normals (one
-    row per draw), then its uniforms (the radii).  The batch is never held
-    whole.  It goes through non-overlapping blocks of about
-    ``PREDICT_CELLS`` values, in two passes over the stream: a copy of
-    ``gen`` is taken, the batch's normals are drawn from ``gen`` block by
-    block into one scratch buffer and dropped, and then each block of
-    normals is drawn again from the copy next to that block's uniforms from
-    ``gen``, and its kept rows are yielded.  Drawing a stream block by block
-    with ``out=`` gives the values of one whole draw, and every step is row
-    by row, so the points and labels are those of drawing the whole batch at
-    once.  The second pass stops once n rows are kept, leaving the rest of
-    the batch's uniforms undrawn: ``gen`` belongs to the stream, and nothing
-    else may draw from it.
+    Candidates are drawn into one scratch buffer, in blocks of
+    min(``PREDICT_CELLS`` // d, max(2 (n - got), 64)) rows while got rows
+    are kept: a block's normals (one row per candidate), then its uniforms
+    (the radii).  So about two candidates are drawn per row, and kept rows
+    after the n-th are dropped.  A margin that accepts none of the first
+    10^5 draws of a call, or fewer than n of its first 1000 n + 10^5, raises
+    ValueError; at or above sup |P| it would accept none.
     """
     d = P.dimension
     block = max(1, PREDICT_CELLS // d)
 
     def sampler(n: int, gen: np.random.Generator):
-        batch = max(2 * n, 64)
-        normals = np.empty((min(block, batch), d))
+        X = np.empty((n, d))
+        y = np.empty(n)
+        normals = np.empty((min(block, max(2 * n, 64)), d))
         radii = np.empty((len(normals), 1))
         got = drawn = 0
         while got < n:
@@ -421,23 +376,17 @@ def margin_filtered_sampler(P, margin: float):
                 raise ValueError(
                     f"margin {margin} accepted {got} of {drawn} draws from the unit ball; need {n}"
                 )
-            drawn += batch
-            replay = copy.deepcopy(gen)
-            for start in range(0, batch, block):
-                gen.standard_normal(out=normals[: min(block, batch - start)])
-            for start in range(0, batch, block):
-                g = normals[: min(block, batch - start)]
-                replay.standard_normal(out=g)
-                u = gen.random(out=radii[: len(g)])
-                g /= np.linalg.norm(g, axis=1, keepdims=True)
-                g *= u ** (1.0 / d)
-                p = P.evaluate(g)
-                keep = np.flatnonzero(np.abs(p) >= margin)[: n - got]
-                if len(keep):
-                    got += len(keep)
-                    yield g[keep], np.sign(p[keep])
-                if got == n:
-                    break
+            g = gen.standard_normal(out=normals[: min(block, max(2 * (n - got), 64))])
+            u = gen.random(out=radii[: len(g)])
+            drawn += len(g)
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            g *= u ** (1.0 / d)
+            p = P.evaluate(g)
+            keep = np.flatnonzero(np.abs(p) >= margin)[: n - got]
+            X[got : got + len(keep)] = g[keep]
+            y[got : got + len(keep)] = np.sign(p[keep])
+            got += len(keep)
+        return X, y
 
     return sampler
 

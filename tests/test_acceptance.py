@@ -52,7 +52,6 @@ from rf_lab.trainer import (
     forward,
     margin_filtered_sampler,
     sgd_train,
-    take_rows,
     xavier_init,
 )
 
@@ -186,7 +185,7 @@ def test_criterion_04_sgd_learn_poly():
     config = TrainConfig(r=1000, eta=0.01, steps=200_000)
     rng = RandomSource(20240404)
     result = sgd_train(3, sampler, config, rng)
-    X_val, y_val = take_rows(sampler(2000, rng.generator(2)), 2000, 3)
+    X_val, y_val = sampler(2000, rng.generator(2))
     assert result.X_val.tobytes() == X_val.tobytes() and result.y_val.tobytes() == y_val.tobytes()
     comparator = float(np.mean(np.maximum(0.0, 1.0 - y_val * (3.0 * P.evaluate(X_val)))))
     gap_ok = result.best_val_loss <= comparator + 0.1

@@ -28,10 +28,8 @@ from rf_lab.trainer import (
     hinge_loss,
     kernel_backend,
     margin_filtered_sampler,
-    row_chunks,
     sgd_train,
     guarantee_params,
-    take_rows,
     xavier_init,
 )
 
@@ -107,15 +105,27 @@ def ball_sign_sampler(d=2, margin=0.3):
     """Linearly separable stream: y = sign(x_1), filtered to |x_1| >= margin."""
 
     def sampler(n, gen):
-        got = 0
-        while got < n:
-            X = gen.standard_normal((4 * n, d))
-            X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
-            X = X[np.abs(X[:, 0]) >= margin][: n - got]
-            got += len(X)
-            yield X, np.sign(X[:, 0])
+        X = np.empty((0, d))
+        while len(X) < n:
+            Z = gen.standard_normal((4 * n, d))
+            Z /= np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1.0)
+            X = np.concatenate([X, Z[np.abs(Z[:, 0]) >= margin][: n - len(X)]])
+        return X, np.sign(X[:, 0])
 
     return sampler
+
+
+def chunk_sizes(T):
+    """The row counts ``sgd_train`` asks of its training sampler, in order:
+    one per checkpoint chunk of T // N_CHECKPOINTS steps, then 1 for row T."""
+    chunk = max(1, T // trainer_mod.N_CHECKPOINTS)
+    return [min(chunk, T - done) for done in range(0, T, chunk)] + [1]
+
+
+def training_rows(sampler, T, gen):
+    """Rows 0..T of the training stream, drawn from ``gen`` chunk by chunk as ``sgd_train`` draws them."""
+    chunks = [sampler(n, gen) for n in chunk_sizes(T)]
+    return np.concatenate([X for X, _ in chunks]), np.concatenate([y for _, y in chunks])
 
 
 class TestBasics:
@@ -302,7 +312,7 @@ class TestSGD:
 
         def bad_sampler(n, gen):
             X = 3.0 * gen.standard_normal((n, 2))
-            yield X, np.sign(X[:, 0])
+            return X, np.sign(X[:, 0])
 
         with pytest.raises(ValueError, match="unit ball"):
             sgd_train(2, bad_sampler, cfg, RandomSource(14))
@@ -311,23 +321,40 @@ class TestSGD:
     @pytest.mark.parametrize("row", [0, 326, 327, 20_000, 32_767, 32_768])
     def test_unit_ball_checked_on_every_row(self, row):
         cfg = make_config(r=5, eta=0.01, steps=32_768)
+        assert chunk_sizes(32_768) == [327] * 100 + [68, 1]
+        served = []  # row counts of the training calls so far
 
         def one_bad_row(n, gen):
-            X, y = take_rows(ball_sign_sampler()(n, gen), n, 2)
-            if n == 32_769:
-                X[row] /= np.linalg.norm(X[row]) * (1.0 - 1e-6)
-            yield X[: n // 2], y[: n // 2]
-            yield X[n // 2 :], y[n // 2 :]
+            X, y = ball_sign_sampler()(n, gen)
+            if n != 2000:  # a training call, not the validation set
+                start = sum(served)
+                served.append(n)
+                if start <= row < start + n:
+                    X[row - start] /= np.linalg.norm(X[row - start]) * (1.0 - 1e-6)
+            return X, y
 
         with pytest.raises(ValueError, match="unit ball"):
             sgd_train(2, one_bad_row, cfg, RandomSource(14))
 
-    def test_short_stream_is_refused(self):
-        def short(n, gen):
-            yield from ball_sign_sampler()(n - 1, gen)
+    def test_short_stream_is_refused(self, tmp_path, monkeypatch, capsys):
+        def one_row_short(n, gen):
+            return ball_sign_sampler(d=3)(n - 1, gen)
 
-        with pytest.raises(ValueError, match="stream ended"):
-            sgd_train(2, short, make_config(r=5, eta=0.01, steps=100), RandomSource(14))
+        def one_label_short(n, gen):
+            X, y = ball_sign_sampler(d=3)(n, gen)
+            return X, y[:-1]
+
+        # learn-poly's --steps 10000 asks for checkpoint chunks of 100 rows
+        for sampler, counts in ((one_row_short, "99 points and 99 labels"),
+                                (one_label_short, "100 points and 99 labels")):
+            message = f"sampler returned {counts} for 100 rows"
+            with pytest.raises(ValueError, match=message):
+                sgd_train(3, sampler, make_config(r=5, eta=0.01, steps=10_000), RandomSource(14))
+            monkeypatch.setattr(cli, "margin_filtered_sampler", lambda P, margin: sampler)
+            out = tmp_path / sampler.__name__
+            assert cli.run(["learn-poly", "--steps", "10000", "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_default_run_memory(self):
         # learn-poly at its CLI defaults, then at five times the steps with a narrower net:
@@ -344,7 +371,7 @@ class TestSGD:
             finally:
                 tracemalloc.stop()
             assert len(res.trace.steps) < 1000
-            assert peak <= 4 * 2**20, (r, steps)
+            assert peak <= 3 * 2**20, (r, steps)
 
 
 class TestTheoremParams:
@@ -466,8 +493,8 @@ class TestMarginSampler:
     def test_contract(self):
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
         sampler = margin_filtered_sampler(P, 0.3)
-        X, y = take_rows(sampler(500, RandomSource(18).generator()), 500, 3)
-        assert X.shape == (500, 3)
+        X, y = sampler(500, RandomSource(18).generator())
+        assert X.shape == (500, 3) and y.shape == (500,)
         assert np.all(np.linalg.norm(X, axis=1) <= 1.0 + 1e-12)
         assert np.all(np.isin(y, (-1.0, 1.0)))
         assert np.all(np.abs(P.evaluate(X)) >= 0.3)
@@ -478,51 +505,43 @@ class TestMarginSampler:
         # sup |P| over the ball is 1: no draw can pass, so the sampler stops at its draw cap
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
         with pytest.raises(ValueError, match=f"margin {margin} accepted 0 of"):
-            take_rows(margin_filtered_sampler(P, margin)(10, RandomSource(18).generator()), 10, 3)
+            margin_filtered_sampler(P, margin)(10, RandomSource(18).generator())
 
     def test_unreachable_margin_stops_after_the_first_empty_draws(self):
-        # learn-poly's default steps; the first batch of 2 n draws accepts none
+        # one checkpoint chunk at learn-poly's default steps: blocks of 2 n draws accept none
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
-        n = 200_001
+        n = chunk_sizes(200_000)[0]
         gen = CountingGenerator(RandomSource(18).generator())
-        with pytest.raises(ValueError, match=f"accepted 0 of {2 * n} draws"):
-            next(margin_filtered_sampler(P, 2.0)(n, gen))
-        assert gen.points == 2 * n
+        with pytest.raises(ValueError, match="accepted 0 of 100000 draws"):
+            margin_filtered_sampler(P, 2.0)(n, gen)
+        assert gen.draws == [2 * n] * 25 and 2 * n == 4000
 
-    # the streamed draw against the whole-batch oracle: two batches at learn-poly's
-    # default steps, a low acceptance rate, and the 64-row batch floor
+    # against the whole-block reference: the 64-row block floor, one and two
+    # blocks, a low acceptance rate, and learn-poly's default steps
     @pytest.mark.parametrize("margin, n", [(0.3, 1), (0.3, 500), (0.9, 2000), (0.3, 200_001)])
     def test_cap_leaves_reachable_draws_unchanged(self, margin, n):
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
-        X_ref, y_ref = uncapped_margin_sampler(P, margin, n, RandomSource(18).generator())
-        blocks = list(margin_filtered_sampler(P, margin)(n, RandomSource(18).generator()))
-        # every block holds kept rows of one block of draws
-        assert all(0 < len(X) == len(y) <= PREDICT_CELLS // 3 for X, y in blocks)
-        X, y = np.concatenate([X for X, _ in blocks]), np.concatenate([y for _, y in blocks])
+        reference, sampler = uncapped_margin_sampler(P, margin), margin_filtered_sampler(P, margin)
+        X_ref, y_ref = reference(n, RandomSource(18).generator())
+        X, y = sampler(n, RandomSource(18).generator())
         assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
         # read as sgd_train reads it: checkpoint chunks of T // 100 rows, then row T alone
-        T = n - 1
-        chunk = max(1, T // 100)
-        sizes = [min(chunk, T - done) for done in range(0, T, chunk)] + [1]
-        stream = margin_filtered_sampler(P, margin)(n, RandomSource(18).generator())
-        chunks = list(row_chunks(stream, sizes, 3))
-        assert [len(X) for X, _ in chunks] == sizes
-        assert np.array_equal(np.concatenate([X for X, _ in chunks]), X_ref)
-        assert np.array_equal(np.concatenate([y for _, y in chunks]), y_ref)
+        X_ref, y_ref = training_rows(reference, n - 1, RandomSource(18).generator())
+        X, y = training_rows(sampler, n - 1, RandomSource(18).generator())
+        assert len(X) == n
+        assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
     def test_last_kept_row_inside_a_block(self):
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
         margin, n = 0.05, 30_000
-        X_ref, y_ref = uncapped_margin_sampler(P, margin, n, RandomSource(18).generator())
-        # the oracle's first batch fills the stream at a draw inside the sampler's second block
+        # the first block keeps fewer than n rows; the second keeps rows past the n-th, which are dropped
         gen = RandomSource(18).generator()
-        g = gen.standard_normal((2 * n, 3))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        g *= gen.random((2 * n, 1)) ** (1.0 / 3)
-        last = np.flatnonzero(np.abs(P.evaluate(g)) >= margin)[n - 1]
         block = PREDICT_CELLS // 3
-        assert block < last < 2 * block - 1
-        X, y = take_rows(margin_filtered_sampler(P, margin)(n, RandomSource(18).generator()), n, 3)
+        got = int(np.sum(np.abs(candidate_block(P, block, gen)[1]) >= margin))
+        second = np.abs(candidate_block(P, min(block, 2 * (n - got)), gen)[1]) >= margin
+        assert got < n < got + second.sum()
+        X_ref, y_ref = uncapped_margin_sampler(P, margin)(n, RandomSource(18).generator())
+        X, y = margin_filtered_sampler(P, margin)(n, RandomSource(18).generator())
         assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
     def test_memory_follows_the_block(self):
@@ -531,47 +550,54 @@ class TestMarginSampler:
         gen = RandomSource(18).generator()  # its first call imports modules
         tracemalloc.start()
         try:
-            kept = sum(len(X) for X, _ in sampler(200_001, gen))
+            kept = sum(len(sampler(n, gen)[0]) for n in chunk_sizes(200_000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # kept whole, the rows would be 6.1 MiB and one 400,002-row batch of normals 9.2
+        # kept whole, the rows would be 6.1 MiB; sgd_train reads them a 2,000-row chunk at a time
         assert kept == 200_001
         assert peak <= 2 * 2**20
 
 
 class CountingGenerator:
-    """A generator that counts the points drawn from it (rows of its uniform draws).
-
-    ``copy.deepcopy`` copies it with its count; the sampler's copy draws only normals.
-    """
+    """A generator that records the rows of each of its uniform draws (one per point drawn)."""
 
     def __init__(self, gen):
         self.gen = gen
-        self.points = 0
+        self.draws = []
 
     def standard_normal(self, size=None, out=None):
         return self.gen.standard_normal(size, out=out)
 
     def random(self, size=None, out=None):
-        self.points += (size if out is None else out.shape)[0]
+        self.draws.append((size if out is None else out.shape)[0])
         return self.gen.random(size, out=out)
 
 
-def uncapped_margin_sampler(P, margin, n, gen):
-    """The margin filter without a draw cap: the same batches, drawn until n points pass."""
-    xs = []
-    got = 0
-    while got < n:
-        batch = max(2 * n, 64)
-        g = gen.standard_normal((batch, P.dimension))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        g *= gen.random((batch, 1)) ** (1.0 / P.dimension)
-        keep = np.abs(P.evaluate(g)) >= margin
-        xs.append(g[keep])
-        got += int(keep.sum())
-    X = np.vstack(xs)[:n]
-    return X, np.sign(P.evaluate(X))
+def candidate_block(P, m, gen):
+    """m candidate points drawn whole, uniform on the unit ball (their normals,
+    then their radii), and P at them."""
+    g = gen.standard_normal((m, P.dimension))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g *= gen.random((m, 1)) ** (1.0 / P.dimension)
+    return g, P.evaluate(g)
+
+
+def uncapped_margin_sampler(P, margin):
+    """The margin filter without a draw cap: blocks of min(PREDICT_CELLS // d,
+    max(2 (n - got), 64)) candidates, each drawn whole, until n points pass."""
+
+    def sampler(n, gen):
+        xs = []
+        got = 0
+        while got < n:
+            g, p = candidate_block(P, min(PREDICT_CELLS // P.dimension, max(2 * (n - got), 64)), gen)
+            xs.append(g[np.abs(p) >= margin])
+            got += len(xs[-1])
+        X = np.vstack(xs)[:n]
+        return X, np.sign(P.evaluate(X))
+
+    return sampler
 
 
 def reference_run_steps(W, U, W0, X, Y, eta, loss, drift, unorm, wnorm, start, count):
@@ -846,8 +872,8 @@ class TestValidationReuse:
         rng = RandomSource(40)
         net = xavier_init(d, cfg.r, rng.derive(0))
         W0 = net.W.copy()
-        X, y = take_rows(sampler(T + 1, rng.generator(1)), T + 1, d)
-        X_val, y_val = take_rows(sampler(2000, rng.generator(2)), 2000, d)
+        X, y = training_rows(sampler, T, rng.generator(1))
+        X_val, y_val = sampler(2000, rng.generator(2))
         traces = [np.zeros(T + 1) for _ in range(4)]
         history = [(0, trainer_mod._validation_loss(net, X_val, y_val))]
         changed = 0
@@ -893,7 +919,7 @@ class TestTraceCsv:
         rng = RandomSource(seed)
         net = xavier_init(3, r, rng.derive(0))
         W0 = net.W.copy()
-        X, y = take_rows(margin_filtered_sampler(P, 0.3)(T + 1, rng.generator(1)), T + 1, 3)
+        X, y = training_rows(margin_filtered_sampler(P, 0.3), T, rng.generator(1))
         loss, drift, unorm, wnorm = (np.zeros(T + 1) for _ in range(4))
         wnorm[0] = np.linalg.norm(net.W)
         reference_run_steps(net.W, net.U, W0, X, y, 0.01, loss, drift, unorm, wnorm, 0, T)

@@ -1,13 +1,15 @@
 """Random ridge features, the concentration experiment, and least squares.
 
-A feature family is an activation sigma and a sampler for the directions
-w_i; feature i evaluates a point as f_i(x) = sigma(<w_i, x>).  The paper
-uses two: exp features with cube-sampled directions (the positive
-representation result) and bias-free ReLU features with unit-sphere
-directions (the negative inapproximability results).
+A feature sample is an activation sigma and an (r, d) weight matrix whose
+rows w_i were drawn once; feature i evaluates a point as
+f_i(x) = sigma(<w_i, x>), and ``predict(sample, u, X)`` is the network
+sum_i u_i f_i(x).  The paper uses two: exp features with cube-sampled
+directions (the positive representation result) and bias-free ReLU
+features with unit-sphere directions (the negative inapproximability
+results).
 
-Only the linear coefficients on top of the features are ever learned;
-the feature parameters are sampled once, obliviously of the target.
+Only the linear coefficients u on top of the features are ever learned;
+the weights are drawn obliviously of the target.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .numerics import RandomSource, uniform_ball, uniform_cube
 from .parallel import map_cells
 from .poly_repr import (
     EXP_LIPSCHITZ,
-    LegendreExpansion,
     SparsePolynomial,
     construct_g,
     eval_g,
@@ -38,39 +39,28 @@ def relu(z, out=None):
 
 
 @dataclass(frozen=True)
-class FeatureFamily:
-    """Ridge features f_i(x) = activation(<w_i, x>) with w_i drawn by weight_dist.
+class FeatureSample:
+    """r ridge features in dimension d: f_i(x) = activation(<w_i, x>), with
+    w_i row i of the (r, d) ``weights``.
 
     The activation is ufunc-like: ``activation(z, out=None)`` applies sigma
     elementwise, writes into ``out`` when it is given and returns it.  ``out``
     may be ``z`` itself, so features are computed in the projection's buffer.
-    ``weight_dist(d, n, gen)`` draws the n directions, shape (n, d):
-    ``numerics.uniform_cube`` or ``numerics.unit_sphere``.
     """
 
     activation: Callable[..., np.ndarray]
-    weight_dist: Callable[[int, int, np.random.Generator], np.ndarray]
-
-
-@dataclass(frozen=True)
-class FeatureSample:
-    """Sampled feature parameters: r neurons in dimension d."""
-
-    family: FeatureFamily
-    d: int
-    r: int
     weights: np.ndarray  # (r, d)
 
     def __post_init__(self):
         self.weights.setflags(write=False)
 
+    @property
+    def r(self) -> int:
+        return self.weights.shape[0]
 
-def sample_features(family: FeatureFamily, d: int, r: int, rng: RandomSource) -> FeatureSample:
-    """Draw the feature parameters; deterministic given rng."""
-    if r < 1 or d < 1:
-        raise ValueError("need r >= 1 and d >= 1")
-    weights = family.weight_dist(d, r, rng.generator())
-    return FeatureSample(family, d, r, weights)
+    @property
+    def d(self) -> int:
+        return self.weights.shape[1]
 
 
 def feature_matrix(sample: FeatureSample, X, out=None) -> np.ndarray:
@@ -83,7 +73,7 @@ def feature_matrix(sample: FeatureSample, X, out=None) -> np.ndarray:
     if X.shape[1] != sample.d:
         raise ValueError(f"points have dimension {X.shape[1]}, features expect {sample.d}")
     Z = np.matmul(X, sample.weights.T, out=out)
-    return sample.family.activation(Z, out=Z)
+    return sample.activation(Z, out=Z)
 
 
 # Feature values predict builds at once (512 KiB of float64), plus one row
@@ -138,58 +128,17 @@ def gaussian_row_blocks(gen: np.random.Generator, n_rows: int, d: int, row_value
         yield start, stop, points
 
 
-@dataclass(frozen=True)
-class LinearCombination:
-    """Prediction sum_i u_i f_i(x) over a feature sample."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights.setflags(write=False)
-
-    def predict(self, sample: FeatureSample, X) -> np.ndarray:
-        """Predictions at the points X, streamed in ``row_blocks`` through one feature buffer."""
-        if sample.r != len(self.weights):
-            raise ValueError("weight length does not match feature count")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty((len(X),) + self.weights.shape[1:])
-        blocks = list(row_blocks(len(X), sample.r))
-        F = np.empty((longest_block(blocks), sample.r))
-        for start, stop in blocks:
-            F_block = feature_matrix(sample, X[start:stop], out=F[: stop - start])
-            np.matmul(F_block, self.weights, out=out[start:stop])
-        return out
-
-    @property
-    def max_abs_weight(self) -> float:
-        return float(np.max(np.abs(self.weights))) if len(self.weights) else 0.0
-
-
-def approximant_from_g(g: LegendreExpansion, sample: FeatureSample) -> LinearCombination:
-    """The averaged-feature approximant with u_i = g(w_i) / r.
-
-    Requires cube-sampled features; the expectation of the resulting
-    predictor over resampling is the integral the weight function g
-    represents.
-    """
-    if sample.family.weight_dist is not uniform_cube:
-        raise ValueError("approximant_from_g needs features with cube-sampled weights")
-    u = eval_g(g, sample.weights) / sample.r
-    return LinearCombination(np.asarray(u, dtype=float))
-
-
-def sup_error_estimate(
-    combo: LinearCombination, sample: FeatureSample, target_values, probe_points
-) -> float:
-    """max_t |predict(x_t) - target_values[t]| over the probe set (a sup-norm lower bound)."""
-    probe_points = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    if probe_points.shape[0] == 0:
-        raise ValueError("probe set must be nonempty")
-    norms = np.linalg.norm(probe_points, axis=1)
-    if np.any(norms > 1.0 + 1e-12):
-        raise ValueError("probe points must lie in the unit ball")
-    pred = combo.predict(sample, probe_points)
-    return float(np.max(np.abs(pred - np.asarray(target_values, dtype=float))))
+def predict(sample: FeatureSample, u, X) -> np.ndarray:
+    """sum_i u_i f_i(x) at the points X, for u of shape (r,) or (r, k),
+    streamed in ``row_blocks`` through one feature buffer."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty((len(X),) + u.shape[1:])
+    blocks = list(row_blocks(len(X), sample.r))
+    F = np.empty((longest_block(blocks), sample.r))
+    for start, stop in blocks:
+        F_block = feature_matrix(sample, X[start:stop], out=F[: stop - start])
+        np.matmul(F_block, u, out=out[start:stop])
+    return out
 
 
 def least_squares_fit(
@@ -219,9 +168,9 @@ def least_squares_fit(
     The ridge term is lambda = 1e-10 tr(G) / p, added to G's diagonal, so
     the solve stays defined when features repeat or n_train < p.
 
-    Returns (LinearCombination, population_error, max_abs_u, target_norm_sq),
-    the last the held-out estimate of E[target(x)^2].  For k targets the
-    weights are (p, k) and the other three are length-k lists.
+    Returns (u, population_error, max_abs_u, target_norm_sq), the last the
+    held-out estimate of E[target(x)^2].  For k targets u is (p, k) and the
+    other three are length-k lists.
     """
     p = sample.r
     gram = np.zeros((p, p))
@@ -244,7 +193,7 @@ def least_squares_fit(
     pop_error = (np.asarray(sq_error) / n_test).tolist()
     target_norm_sq = (np.asarray(sq_target) / n_test).tolist()
     max_u = np.max(np.abs(u), axis=0).tolist()
-    return LinearCombination(u), pop_error, max_u, target_norm_sq
+    return u, pop_error, max_u, target_norm_sq
 
 
 def _gaussian_feature_blocks(sample: FeatureSample, gen: np.random.Generator, n_rows: int):
@@ -320,8 +269,7 @@ def concentration_experiment(
     probe_pts = uniform_ball(P.dimension, probes, rng.generator(0))
     f_vals = integral_feature_expectation(g, np.exp, probe_pts, P.degree + 6)
     grid_c = max_abs_g(g, 10_000, rng.derive(2))
-    family = FeatureFamily(np.exp, uniform_cube)
-    cell = partial(_concentration_cell, P.dimension, g, family, probe_pts, f_vals, rng)
+    cell = partial(_concentration_cell, g, probe_pts, f_vals, rng)
     cells = [(ri, r, t) for ri, r in enumerate(r_values) for t in range(trials)]
     # a cell's work grows with its r, so a pool starts on the largest
     results = map_cells(cell, cells, jobs, cost=lambda c: c[1])
@@ -330,10 +278,11 @@ def concentration_experiment(
     return ConcentrationResult(r_values, rows, sup_c)
 
 
-def _concentration_cell(d, g, family, probe_pts, f_vals, rng, cell):
+def _concentration_cell(g, probe_pts, f_vals, rng, cell):
     """One (r, trial) draw: the CSV row and the largest |g(w_i)| it sampled."""
     ri, r, t = cell
-    sample = sample_features(family, d, r, rng.derive(1, ri, t))
-    combo = approximant_from_g(g, sample)
-    sup_err = sup_error_estimate(combo, sample, f_vals, probe_pts)
-    return (r, t, sup_err, combo.max_abs_weight, rng.seed), float(np.max(np.abs(eval_g(g, sample.weights))))
+    sample = FeatureSample(np.exp, uniform_cube(g.dimension, r, rng.derive(1, ri, t).generator()))
+    g_vals = eval_g(g, sample.weights)
+    u = g_vals / r
+    sup_err = float(np.max(np.abs(predict(sample, u, probe_pts) - f_vals)))
+    return (r, t, sup_err, float(np.max(np.abs(u))), rng.seed), float(np.max(np.abs(g_vals)))

@@ -22,8 +22,8 @@ at most ``features.PREDICT_CELLS`` psi values each: every tile is drawn,
 projected and passed through psi in place in two reused buffers and added
 to the running sums, so a cell holds no array that grows with the sample.
 The tiles are its own, not ``features.row_blocks``, because their size
-fixes the order of the sums.  Its test net is a
-``features.LinearCombination``, which evaluates each tile in
+fixes the order of the sums.  Its test net is ``features.predict`` over a
+ReLU ``features.FeatureSample``, which evaluates each tile in
 ``row_blocks``.  The inapproximability sweep's least-squares fit draws its
 training and held-out points in ``row_blocks`` too, and its
 directly-trained baseline its held-out points, each block straight into
@@ -39,15 +39,13 @@ from functools import partial
 import numpy as np
 
 from .features import (
-    FeatureFamily,
     FeatureSample,
-    LinearCombination,
     gaussian_row_blocks,
     least_squares_fit,
+    predict,
     predict_block_rows,
     relu,
     row_blocks,
-    sample_features,
 )
 from .numerics import (
     QuadratureRule,
@@ -362,10 +360,9 @@ class RidgeReluNetFactory:
     with unit-sphere directions and N(0, 1/r) output weights.
 
     The sweep calls it once per dimension, in the cell that runs that
-    dimension, with the cell's own generator.  The net it returns is a
-    ``LinearCombination`` over a ``FeatureSample``, so it evaluates any
-    batch of points in ``predict``'s row blocks rather than as one n x r
-    feature matrix.
+    dimension, with the cell's own generator.  The net it returns is
+    ``predict`` over a ``FeatureSample``: it evaluates any batch of points
+    in row blocks rather than as one n x r feature matrix.
     """
 
     r: int = 50
@@ -374,8 +371,7 @@ class RidgeReluNetFactory:
         W = gen.standard_normal((self.r, d))
         W /= np.linalg.norm(W, axis=1, keepdims=True)
         u = gen.standard_normal(self.r) / self.r
-        sample = FeatureSample(FeatureFamily(relu, unit_sphere), d, self.r, W)
-        return partial(LinearCombination(u).predict, sample)
+        return partial(predict, FeatureSample(relu, W), u)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +458,6 @@ def train_single_neuron(
 
 
 def neuron_inapprox_sweep(
-    family: FeatureFamily,
     r: int,
     d_values,
     n_train: int,
@@ -470,9 +465,10 @@ def neuron_inapprox_sweep(
     include_baseline: bool = True,
     jobs: int = 1,
 ):
-    """Least-squares error of oblivious features against the hard targets.
+    """Least-squares error of oblivious ReLU features against the hard targets.
 
-    Per dimension d: sample r features first (obliviously), then fit them to
+    Per dimension d: sample r bias-free ReLU features with unit-sphere
+    directions first (obliviously), then fit them to
     (a) a realizable control (one of the sampled features), (b) the psi
     target psi(<d e_1, x>), and (c) the scaled neuron target, reporting the
     max normalized error over a small set of candidate biases b*.  All
@@ -485,14 +481,14 @@ def neuron_inapprox_sweep(
     the whole sample are skipped.  Optionally adds the directly-trained
     single-neuron baseline on the middle candidate (``baseline_neuron_target``).
     """
-    cell = partial(_sweep_cell, family, r, n_train, include_baseline, rng)
+    cell = partial(_sweep_cell, r, n_train, include_baseline, rng)
     # a cell's work grows with its d, so a pool starts on the largest
     groups = map_cells(cell, [int(d) for d in d_values], jobs, cost=lambda d: d)
     return [row for group in groups for row in group]
 
 
-def _sweep_cell(family: FeatureFamily, r: int, n_train: int, include_baseline: bool, rng: RandomSource, d: int):
-    sample = sample_features(family, d, r, rng.derive(d, 0))
+def _sweep_cell(r: int, n_train: int, include_baseline: bool, rng: RandomSource, d: int):
+    sample = FeatureSample(relu, unit_sphere(d, r, rng.derive(d, 0).generator()))
     psi = PsiFunction(d)
     control_col = sample.r // 2
     w_dir = np.zeros(d)

@@ -240,15 +240,20 @@ def cube_quadrature(d: int, order: int):
     return pts * scale, wts * scale**d
 
 
-def integral_feature_expectation(
-    g: LegendreExpansion, sigma: Callable[[np.ndarray], np.ndarray], x_points, order: int
-) -> np.ndarray:
-    """f(x) = c_d * int_cube sigma(<w, x>) g(w) dw at each x, by quadrature."""
+def _quadrature_terms(g: LegendreExpansion, sigma, x_points, order: int):
+    """The cube rule's factors: sigma(<w_j, x>), (n_x, n_nodes), and c_d omega_j g(w_j)."""
     x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     w_pts, w_wts = cube_quadrature(g.dimension, order)
     g_vals = eval_g(g, w_pts)
     weighted = w_wts * g_vals * g.normalizer
-    sig_vals = np.asarray(sigma(x_points @ w_pts.T))  # (n_x, n_nodes)
+    return np.asarray(sigma(x_points @ w_pts.T)), weighted
+
+
+def integral_feature_expectation(
+    g: LegendreExpansion, sigma: Callable[[np.ndarray], np.ndarray], x_points, order: int
+) -> np.ndarray:
+    """f(x) = c_d * int_cube sigma(<w, x>) g(w) dw at each x, by quadrature."""
+    sig_vals, weighted = _quadrature_terms(g, sigma, x_points, order)
     return sig_vals @ weighted
 
 
@@ -276,3 +281,31 @@ def verify_representation(
     values = integral_feature_expectation(g, sigma, x_points, quad_order)
     return values - P.evaluate(x_points)
 
+
+def truncated_residual_bound(P: SparsePolynomial, g: LegendreExpansion, x_points, quad_order: int) -> np.ndarray:
+    """Per-point bound on the rounding in ``verify_representation``'s truncated residual.
+
+    Bound.  The order >= k + 2 rule integrates sigma_k(<w, x>) g(w), of degree
+    <= 2k in each w_i, exactly, so the residual fl(sum_j t_j) - fl(P(x)) over
+    the N nodes, t_j = sigma_k(<w_j, x>) c_d omega_j g(w_j), is all rounding.
+    Let u = 2^-53, gamma_n = n u / (1 - n u), tiny = 2^-1074, T = sum_j |t_j|.
+    Assume (a) the N-term inner product errs by at most gamma_N T in any
+    order, with or without FMA (Higham, eq. 3.5), plus tiny/2 per product
+    below the normal range; (b) each term is within gamma_m |t_j|,
+    m = 12d + 18k + 10: |<w, x>| <= 1, so the projection errs by gamma_d and
+    Horner's 2k steps by e gamma_2k; sigma_k's slope is <= e and sigma_k >= 1/3
+    on [-1, 1] for k >= 2, so sigma_k errs by 3e (gamma_d + gamma_2k) <=
+    gamma_{9d + 18k} relatively; c_d omega_j g(w_j) is d + 2 products of d + 2
+    factors correct to 2u (the d rule weights, scale^d, c_d), 3d + 6, leaving
+    4 for g(w_j); (c) g(w_j), with construct_g's coefficients, and
+    sigma_1 = 1 + z near z = -1 are as accurate, and P(x) is within
+    (gamma_N + gamma_m) T.  (c) is the empirical part: over 80 random
+    polynomials of degree <= 8 in d <= 3 and monomials up to degree 30 the
+    residual stayed below 7 u T, against 2 (N + m) u T >= 48 u T.  So, to
+    first order, |residual| <= 2 gamma_{N+m} T + (N + m) tiny.  An inf or
+    NaN term makes the bound and the residual inf or NaN alike.
+    """
+    sig_vals, weighted = _quadrature_terms(g, exp_truncated(P.degree), x_points, quad_order)
+    n = weighted.size + 12 * P.dimension + 18 * P.degree + 10
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    return 2.0 * gamma * (np.abs(sig_vals) @ np.abs(weighted)) + n * 2.0**-1074

@@ -15,11 +15,17 @@ import rf_lab
 from rf_lab import cli
 from rf_lab.cli import BLAS_THREAD_VARS, CSV_CELLS, run, write_csv
 from rf_lab.hardness import SweepRow
-from rf_lab.legendre import MultiIndex
-from rf_lab.numerics import RandomSource
+from rf_lab.legendre import MultiIndex, build_monomial_table
+from rf_lab.numerics import RandomSource, uniform_ball
 from rf_lab.parallel import usable_cpus
-from rf_lab.poly_repr import SparsePolynomial
-from rf_lab.trainer import TrainConfig, margin_filtered_sampler, sgd_train
+from rf_lab.poly_repr import (
+    LegendreExpansion,
+    SparsePolynomial,
+    construct_g,
+    truncated_residual_bound,
+    verify_representation,
+)
+from rf_lab.trainer import TrainConfig, guarantee_params, margin_filtered_sampler, sgd_train
 
 
 def read(path):
@@ -149,15 +155,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / argv[0]).exists()
 
-    # malformed coefficients are usage errors; a coefficient whose beta overflows a
-    # double, or whose g does, fails validation with the exact beta printed as inf
+    # malformed coefficients are usage errors; a coefficient whose g overflows a
+    # double fails validation
     @pytest.mark.parametrize("poly, code", [
         ('[1]', 1),
         ('{"1,1": null}', 1),
         ('{"1,1": NaN}', 1),
         ('{"1,1": 1e400}', 1),
-        ('{"10,0,0": 1.0}', 2),
-        ('{"1,1": 1e306}', 2),
         ('{"1,1": 1.7e308}', 2),  # g overflows: NaN residuals
     ])
     def test_malformed_polynomial_exits_with_a_message(self, tmp_path, capsys, poly, code):
@@ -165,6 +169,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: " if code == 1 else "VALIDATION FAILURE: truncated-mode residual")
         assert "Traceback" not in err
+
+    # large in absolute terms, but at rounding level against the quadrature's terms:
+    # a high degree, or coefficients whose beta is printed as inf
+    @pytest.mark.parametrize("poly", ['{"8,0": 1}', '{"10,0,0": 1.0}', '{"1,1": 1e300}', '{"1,1": 1e306}'])
+    def test_rounding_level_residual_passes(self, tmp_path, capsys, poly):
+        assert run(["represent-poly", "--poly", poly, "--out", str(tmp_path)]) == 0
+        assert "largest share of its rounding bound" in capsys.readouterr().out
+
+    def test_perturbed_g_fails_the_residual_check(self, tmp_path, capsys, monkeypatch):
+        def perturbed(P, table):
+            # the largest coefficient moved by 1e-6 of itself
+            g = construct_g(P, table)
+            J = max(g.coefficients, key=lambda J: abs(g.coefficients[J]))
+            return LegendreExpansion(g.dimension, {**g.coefficients, J: g.coefficients[J] * (1 + 1e-6)})
+
+        P = SparsePolynomial.from_json(cli.COMMANDS["represent-poly"]["params"]["poly"][1])
+        g = perturbed(P, build_monomial_table(P.degree))
+        xs = uniform_ball(2, 20, RandomSource(0).generator(0))
+        share = np.abs(verify_representation(P, g, xs, 6)) / truncated_residual_bound(P, g, xs, 6)
+        assert np.max(share) > 1e3
+        monkeypatch.setattr(cli, "construct_g", perturbed)
+        assert run(["represent-poly", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("VALIDATION FAILURE: truncated-mode residual")
 
     def test_smallest_quad_order_is_accepted(self, tmp_path, capsys):
         assert run(["represent-poly", "--quad-order", "4", "--out", str(tmp_path)]) == 0
@@ -292,6 +319,20 @@ class TestCommandOutputs:
         assert int(num) > 0 and int(den) > 0
         out = capsys.readouterr().out
         assert "infeasible" in out
+
+    def test_params_writes_integers_past_the_str_digit_limit(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert run(["params", "--k", "20", "--out", str(tmp_path)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        payload = json.loads((tmp_path / "params" / "params.json").read_text())
+        _, config = guarantee_params(0.1, 0.1, 3, 20, 1.0)
+        assert len(payload["r"]) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert payload["r"] == str(config.r)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert f"r >= {payload['r']}\n" in capsys.readouterr().out
 
     def test_learn_poly_checkpoint_schema(self, tmp_path, capsys):
         code = run(["learn-poly", "--steps", "400", "--r", "30", "--seed", "4",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rf_lab import features, hardness
-from rf_lab.features import PREDICT_CELLS, FeatureFamily, predict_block_rows, relu, row_blocks
+from rf_lab.features import PREDICT_CELLS, predict_block_rows, relu, row_blocks
 from rf_lab.hardness import (
     CorrelationDecayRow,
     PsiFunction,
@@ -421,12 +421,11 @@ class TestTiledCorrelationCell:
 
 @pytest.fixture(scope="module")
 def rows():
-    family = FeatureFamily(relu, unit_sphere)
     # the most negative candidate bias puts the neuron's kink at x_1 > 6d, so
     # dead candidates occur at every d and must be skipped before any division
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8))
+        return neuron_inapprox_sweep(50, [3, 6], 600, RandomSource(8))
 
 
 class TestNeuronSweep:
@@ -447,11 +446,10 @@ class TestNeuronSweep:
                 assert row.normalized_error < 0.01
 
     def test_parallel_matches_serial(self, rows):
-        family = FeatureFamily(relu, unit_sphere)
-        assert neuron_inapprox_sweep(family, 50, [3, 6], 600, RandomSource(8), jobs=2) == rows
+        assert neuron_inapprox_sweep(50, [3, 6], 600, RandomSource(8), jobs=2) == rows
 
     def test_follows_a_derived_source(self):
-        sweep = partial(neuron_inapprox_sweep, FeatureFamily(relu, unit_sphere), 20, [3, 5], 200)
+        sweep = partial(neuron_inapprox_sweep, 20, [3, 5], 200)
         root = RandomSource(8)
         one = sweep(root.derive(1))
         assert all(a.normalized_error != b.normalized_error for a, b in zip(one, sweep(root.derive(2))))
@@ -463,12 +461,14 @@ class TestNeuronSweep:
 
         def recording(sample, X, out=None):
             calls[sample.d].append(np.array(X))
+            # each cell draws its ReLU features on the sphere from rng.derive(d, 0)
+            expected = unit_sphere(sample.d, 50, RandomSource(8).derive(sample.d, 0).generator())
+            assert sample.activation is relu and np.array_equal(sample.weights, expected)
             return feature_matrix(sample, X, out=out)
 
         monkeypatch.setattr(features, "feature_matrix", recording)
-        family = FeatureFamily(relu, unit_sphere)
         n_train = 1400  # two training blocks of 1,308 and 92 rows at r = 50
-        neuron_inapprox_sweep(family, 50, [3, 6], n_train, RandomSource(8), include_baseline=False)
+        neuron_inapprox_sweep(50, [3, 6], n_train, RandomSource(8), include_baseline=False)
         n_train_blocks = len(list(row_blocks(n_train, 50)))
         assert n_train_blocks == 2
         for d, blocks in calls.items():
@@ -484,11 +484,10 @@ class TestNeuronSweep:
         # neuron-inapprox's defaults at d = 20: the fit holds one block of features
         # and the Gram matrix; most of the peak is train_single_neuron's batch and
         # held-out values
-        family = FeatureFamily(relu, unit_sphere)
         np.random.default_rng(0).random()  # NumPy imports numpy.random's modules on a first draw
         tracemalloc.start()
         try:
-            hardness._sweep_cell(family, 200, 4000, True, RandomSource(0), 20)
+            hardness._sweep_cell(200, 4000, True, RandomSource(0), 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

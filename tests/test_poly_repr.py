@@ -25,6 +25,7 @@ from rf_lab.poly_repr import (
     exp_truncated,
     g_magnitude_bound,
     max_abs_g,
+    truncated_residual_bound,
     verify_representation,
 )
 
@@ -156,6 +157,29 @@ class TestVerificationOracle:
             res = verify_representation(P, g, xs, truncate=True)
             worst = max(worst, float(np.max(np.abs(res))))
         assert worst < 1e-8
+
+    @pytest.mark.parametrize("poly", [
+        '{"0": 1}', '{"1": 5e-324}', '{"15": 1}', '{"3,3,3": 1}', '{"6,6": 1e200}', '{"1,1": -1e306}',
+    ])
+    def test_truncated_residual_within_its_rounding_bound(self, poly):
+        P = SparsePolynomial.from_json(poly)
+        g = construct_g(P, build_monomial_table(max(P.degree, 1)))
+        xs = uniform_ball(P.dimension, 50, RandomSource(43).generator())
+        order = P.degree + 4
+        share = np.abs(verify_representation(P, g, xs, order)) / truncated_residual_bound(P, g, xs, order)
+        assert np.max(share) <= 0.2
+
+    def test_random_suite_within_rounding_bound(self, table):
+        rng = RandomSource(47)
+        for trial in range(30):
+            gen = rng.generator(trial)
+            d = int(gen.integers(1, 4))
+            P = random_polynomial(gen, d, int(gen.integers(1, 7)))
+            P = SparsePolynomial(d, {J: c * 10.0 ** int(gen.integers(-3, 4)) for J, c in P.coefficients.items()})
+            g = construct_g(P, table)
+            xs = uniform_ball(d, 20, rng.generator(trial, 1))
+            bound = truncated_residual_bound(P, g, xs, P.degree + 4)
+            assert np.all(np.abs(verify_representation(P, g, xs)) <= 0.2 * bound), trial
 
     def test_bound_compliance_random_suite(self, table):
         rng = RandomSource(37)

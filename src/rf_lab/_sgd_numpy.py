@@ -32,6 +32,7 @@ scale with the number of updates, not of steps.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -47,12 +48,13 @@ SCAN_CELLS = 1 << 18
 _UNIT_ROUNDOFF = 2.0**-24  # float32
 _TINY = 2.0**-149  # smallest float32 subnormal
 _NORMAL_MIN = np.float32(2.0**-126)  # smallest normal float32
-_MAX_E = 0.25  # largest pre-activation error bound the scan trusts
 
 
 def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u), float32 u: the relative error bound of an n-term sum."""
-    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    """Higham's gamma_n = n u / (1 - n u), float32 u: the relative error bound of an
+    n-term sum.  inf from n u >= 1/4, so gamma_n is at most 1/3 where it is finite."""
+    nu = n * _UNIT_ROUNDOFF
+    return nu / (1.0 - nu) if nu < 0.25 else math.inf
 
 
 class _ScanNet(NamedTuple):
@@ -108,11 +110,21 @@ def _clear_steps(net: _ScanNet, X, x_inf, Y, buf) -> int:
     y n~ > 1 + tol, hence y n^ > 1: the exact step's margin is negative and
     it does not update.
 
-    (c) needs e <= ln(2) / 2, so rows with e > ``_MAX_E`` = 1/4 count as
-    possible updates.  So does a float32 overflow: an inf z~ needs
-    a b > 2^127, hence e > 1/4; an inf s~ makes M, hence tol, inf (every
-    |u|_i > 0); and inf - inf or 0 * inf makes the margin NaN, which is
-    never below -tol.  Such a step runs exactly, and only speed is lost.
+    The bound needs no guard of its own where its assumptions fail:
+
+    * gamma_m is inf from m u >= 1/4 (``_gamma``), for a net of r >= 2^22
+      or d >= 2^22 - 2; tol is then inf or NaN, and no row clears.  Where
+      it is finite, gamma_r <= 1/3.
+    * (c) holds for e <= ln(2) / 2.  For e > ln(2) / 2, tol >= 8 e M >
+      2.77 M.  The float32 sums give |n~| <= (1 + gamma_r) sum_i |u_i s~_i|
+      and M >= (1 - gamma_r) sum_i |u_i s~_i| (to the subnormal terms A
+      covers), so with gamma_r <= 1/3, |n~| <= 2 M < tol: the scanned
+      margin 1 - y n~ is above 1 - tol, never below -tol, and no row clears.
+    * A float32 overflow: an inf z~ needs a b > 2^127, hence e > ln(2) / 2;
+      an inf s~ makes M, hence tol, inf (every |u|_i > 0); and inf - inf
+      or 0 * inf makes the margin NaN, which is never below -tol.
+
+    Such a step runs exactly, and only speed is lost.
     """
     d, r = net.wt.shape
     with np.errstate(over="ignore", invalid="ignore"):  # rows past an update are speculative
@@ -123,7 +135,7 @@ def _clear_steps(net: _ScanNet, X, x_inf, Y, buf) -> int:
         e = _gamma(d + 2) * net.w_l1 * x_inf + _TINY * (net.w_l1 + d * x_inf + d)
         tol = 2.0 * ((2.0 * _gamma(r) + 16.0 * _UNIT_ROUNDOFF) * mag.astype(float)
                      + 4.0 * e * mag + net.floor)
-        could = np.flatnonzero(~((1.0 - Y * n < -tol) & (e <= _MAX_E)))
+        could = np.flatnonzero(~(1.0 - Y * n < -tol))
     return int(could[0]) if could.size else len(Y)
 
 

@@ -41,7 +41,6 @@ from . import __version__
 from .features import concentration_experiment
 from .hardness import (
     PsiFunction,
-    RidgeReluNetFactory,
     correlation_decay,
     linear_residual,
     neuron_inapprox_sweep,
@@ -273,9 +272,21 @@ def _exact_text(value) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _float_or_inf(beta) -> float:
-    """The exact beta as a float for reports, inf from 10^300 up."""
-    return float(beta) if beta < 10**300 else math.inf
+def _float_or_none(value):
+    """An exact int or Fraction as a float, None past the float64 range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _approx_text(value, spec: str) -> str:
+    """An exact positive int or Fraction formatted as a float by ``spec``; past
+    the float64 range as 10^x, x its decimal exponent to three places."""
+    as_float = _float_or_none(value)
+    if as_float is not None:
+        return format(as_float, spec)
+    return f"10^{math.log10(value.numerator) - math.log10(value.denominator):.3f}"
 
 
 def _cmd_legendre_check(cfg: ExperimentConfig):
@@ -322,8 +333,7 @@ def _cmd_legendre_check(cfg: ExperimentConfig):
 
 def _cmd_represent_poly(cfg: ExperimentConfig):
     P = SparsePolynomial.from_json(cfg.params["poly"])
-    table = build_monomial_table(max(P.degree, 1))
-    g = construct_g(P, table)
+    g = construct_g(P)
     quad_order = cfg.params["quad_order"]
     if 0 < quad_order < P.degree + 2:
         raise UsageError(f"--quad-order must be 0 or >= degree + 2 = {P.degree + 2}, got {quad_order}")
@@ -337,21 +347,20 @@ def _cmd_represent_poly(cfg: ExperimentConfig):
         res_f = verify_representation(P, g, xs, max(order, P.degree + 6), truncate=False)
     share[~np.isfinite(res_t)] = np.inf
     worst = int(np.argmax(share))
-    g_max = max_abs_g(g, 10_000, rng.derive(1))
+    g_max = max_abs_g(g, rng.derive(1))
     beta = g_magnitude_bound(P.dimension, P.degree, P.coeff_bound)
-    bound = _float_or_inf(beta)
     rows = [(i, float(res_t[i]), float(res_f[i])) for i in range(len(xs))]
     failures = []
     if not share[worst] <= 1.0:
         failures.append(f"truncated-mode residual {res_t[worst]:.3e} at probe {worst} is "
                         f"{share[worst]:.3g} times its rounding bound")
     if g_max > beta:
-        failures.append(f"max |g| = {g_max:.3e} exceeds the a-priori bound {bound:.3e}")
+        failures.append(f"max |g| = {g_max:.3e} exceeds the a-priori bound {_approx_text(beta, '.3e')}")
     summary = [
         f"max truncated residual: {np.max(np.abs(res_t)):.3e}; "
         f"largest share of its rounding bound: {share[worst]:.3g} (<= 1)",
         f"max full-activation residual (Taylor tail, reported): {np.max(np.abs(res_f)):.3e}",
-        f"max |g| on grid: {g_max:.6g} vs bound {bound:.6g}",
+        f"max |g| on grid: {g_max:.6g} vs bound {_approx_text(beta, '.6g')}",
     ]
     header = ("point", "truncated_residual", "full_residual")
     return {"represent_poly.csv": (header, list(zip(*rows)))}, summary, failures
@@ -475,7 +484,6 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
 def _cmd_params(cfg: ExperimentConfig):
     p = cfg.params
     beta, config = guarantee_params(p["epsilon"], p["delta"], p["d"], p["k"], p["alpha"])
-    beta_float = _float_or_inf(beta)
     infeasible = config.r > DESK_SCALE_MAX_R
     payload = {
         "epsilon": p["epsilon"],
@@ -484,14 +492,14 @@ def _cmd_params(cfg: ExperimentConfig):
         "k": p["k"],
         "alpha": p["alpha"],
         "beta": _exact_text(beta),
-        "beta_float": beta_float,
+        "beta_float": _float_or_none(beta),  # null past the float64 range
         "r": _exact_text(config.r),
         "eta": _exact_text(config.eta),  # 0 < eta < 1, so always "numerator/denominator"
         "steps": _exact_text(config.steps),
         "infeasible_at_desk_scale": infeasible,
     }
     summary = [
-        f"beta = {payload['beta']} (~{beta_float:.6g})",
+        f"beta = {payload['beta']} (~{_approx_text(beta, '.6g')})",
         f"r >= {payload['r']}",
         f"eta = {payload['eta']}",
         f"T = {payload['steps']}",
@@ -533,8 +541,7 @@ def _cmd_linear_residual(cfg: ExperimentConfig):
 def _cmd_correlation_decay(cfg: ExperimentConfig):
     p = cfg.params
     rows_out = correlation_decay(
-        RidgeReluNetFactory(p["f_r"]), p["d_values"], p["trials"], p["mc_samples"],
-        RandomSource(cfg.seed), jobs=cfg.jobs,
+        p["f_r"], p["d_values"], p["trials"], p["mc_samples"], RandomSource(cfg.seed), cfg.jobs,
     )
     rows = [(r.d, r.mean_sq, r.std_err, r.n_w, r.mc_samples) for r in rows_out]
     failures = []

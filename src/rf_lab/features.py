@@ -31,7 +31,6 @@ from .poly_repr import (
     integral_feature_expectation,
     max_abs_g,
 )
-from .legendre import build_monomial_table
 
 
 def relu(z, out=None):
@@ -63,11 +62,11 @@ class FeatureSample:
         return self.weights.shape[1]
 
 
-def feature_matrix(sample: FeatureSample, X, out=None) -> np.ndarray:
+def feature_matrix(sample: FeatureSample, X, out) -> np.ndarray:
     """Feature values, shape (len(X), r); entry (t, i) = f_i(x_t).
 
     The activation is applied in place to the projections, which are
-    written into ``out`` (an array of that shape) when it is given.
+    written into ``out`` (an array of that shape, or None for a new one).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != sample.d:
@@ -252,7 +251,7 @@ def concentration_experiment(
     trials: int,
     probes: int,
     rng: RandomSource,
-    jobs: int = 1,
+    jobs: int,
 ) -> ConcentrationResult:
     """Sup-error of the averaged-feature approximant against its expectation.
 
@@ -264,11 +263,10 @@ def concentration_experiment(
     changing results.
     """
     r_values = tuple(int(r) for r in r_values)
-    table = build_monomial_table(max(P.degree, 1))
-    g = construct_g(P, table)
+    g = construct_g(P)
     probe_pts = uniform_ball(P.dimension, probes, rng.generator(0))
     f_vals = integral_feature_expectation(g, np.exp, probe_pts, P.degree + 6)
-    grid_c = max_abs_g(g, 10_000, rng.derive(2))
+    grid_c = max_abs_g(g, rng.derive(2))
     cell = partial(_concentration_cell, g, probe_pts, f_vals, rng)
     cells = [(ri, r, t) for ri, r in enumerate(r_values) for t in range(trials)]
     # a cell's work grows with its r, so a pool starts on the largest

@@ -205,7 +205,7 @@ class PsiReport:
         return all(ok for *_, ok in self.checks)
 
 
-def psi_properties_check(psi: PsiFunction, grid_points: int = 10_000, norm_order: int = 16) -> PsiReport:
+def psi_properties_check(psi: PsiFunction, grid_points: int, norm_order: int) -> PsiReport:
     """Certify oddness, 4-periodicity, per-interval energy 2/3, amplitude,
     ReLU-decomposition agreement, and the Gaussian norm at ||w|| = d."""
     a = psi.a
@@ -226,7 +226,7 @@ def psi_properties_check(psi: PsiFunction, grid_points: int = 10_000, norm_order
         float(np.max(np.abs(deco.evaluate(x[start:stop]) - vals[start:stop])))
         for start, stop in row_blocks(len(x), 2 * deco.n_terms)
     )
-    norm = psi_gaussian_norm(psi, float(psi.d), norm_order)
+    norm = psi_gaussian_norm(psi, norm_order)
     return PsiReport(
         d=psi.d,
         oddness_residual=odd,
@@ -238,13 +238,9 @@ def psi_properties_check(psi: PsiFunction, grid_points: int = 10_000, norm_order
     )
 
 
-def psi_gaussian_norm(psi: PsiFunction, w_norm: float, order: int = 16) -> float:
-    """||psi(<w, x>)||^2 = E[psi(z)^2], z ~ N(0, w_norm^2), by kink-split quadrature."""
-    if w_norm < 0:
-        raise ValueError("w_norm must be >= 0")
-    return gaussian_expectation_1d(
-        lambda z: psi_eval(psi, z) ** 2, w_norm, order, kinks=psi.kinks
-    )
+def psi_gaussian_norm(psi: PsiFunction, order: int) -> float:
+    """||psi(<w, x>)||^2 at ||w|| = d, E[psi(z)^2] for z ~ N(0, d^2), by kink-split quadrature."""
+    return gaussian_expectation_1d(lambda z: psi_eval(psi, z) ** 2, float(psi.d), order, psi.kinks)
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +288,17 @@ class CorrelationDecayRow:
     mc_samples: int
 
 
-def correlation_decay(
-    f_factory,
-    d_values,
-    trials: int,
-    mc_samples: int,
-    rng: RandomSource,
-    jobs: int = 1,
-):
+def correlation_decay(f_r: int, d_values, trials: int, mc_samples: int, rng: RandomSource, jobs: int):
     """Monte-Carlo estimate of E_w <f, psi_w>^2 / ||f||^2 per dimension.
 
-    ``f_factory(d, gen)`` builds the fixed test function for each d (called
-    once per d; must accept an (n, d) batch).  For each of ``trials`` draws
-    of w uniform on the radius-d sphere, <f, psi_w> is estimated over
-    ``mc_samples`` Gaussian points shared across draws, then squared and
-    averaged.  The squared sample mean carries an upward noise-floor bias of
-    Var(f psi_w)/mc_samples, so decay trends flatten there.
+    The fixed test function f is drawn once per d, in the cell that runs
+    that d: an ``f_r``-feature ReLU net with unit-sphere directions and
+    N(0, 1/f_r^2) output weights (``_relu_test_net``).  For each of
+    ``trials`` draws of w uniform on the radius-d sphere, <f, psi_w> is
+    estimated over ``mc_samples`` Gaussian points shared across draws, then
+    squared and averaged.  The squared sample mean carries an upward
+    noise-floor bias of Var(f psi_w)/mc_samples, so decay trends flatten
+    there.
 
     The points are drawn, evaluated and summed one tile of
     ``features.predict_block_rows(trials)`` rows at a time (1,024 at 64
@@ -315,13 +306,24 @@ def correlation_decay(
     size fixes the order of the sums: another size changes the results in
     their last digits.
     """
-    cell = partial(_correlation_cell, f_factory, trials, mc_samples, rng)
+    cell = partial(_correlation_cell, f_r, trials, mc_samples, rng)
     return map_cells(cell, [int(d) for d in d_values], jobs)
 
 
-def _correlation_cell(f_factory, trials: int, mc_samples: int, rng: RandomSource, d: int) -> CorrelationDecayRow:
+def _relu_test_net(f_r: int, d: int, gen: np.random.Generator):
+    """The correlation cell's test net: ``predict`` over a ReLU ``FeatureSample``
+    of f_r unit-sphere directions, with N(0, 1) / f_r output weights.  It
+    evaluates any batch of points in row blocks rather than as one n x f_r
+    feature matrix."""
+    W = gen.standard_normal((f_r, d))
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    u = gen.standard_normal(f_r) / f_r
+    return partial(predict, FeatureSample(relu, W), u)
+
+
+def _correlation_cell(f_r: int, trials: int, mc_samples: int, rng: RandomSource, d: int) -> CorrelationDecayRow:
     psi = PsiFunction(d)
-    f = f_factory(d, rng.generator(d, 0))
+    f = _relu_test_net(f_r, d, rng.generator(d, 0))
     gen_w = rng.generator(d, 1)
     ws = gen_w.standard_normal((trials, d))
     ws *= d / np.linalg.norm(ws, axis=1, keepdims=True)
@@ -352,26 +354,6 @@ def _correlation_cell(f_factory, trials: int, mc_samples: int, rng: RandomSource
         n_w=trials,
         mc_samples=mc_samples,
     )
-
-
-@dataclass(frozen=True)
-class RidgeReluNetFactory:
-    """Per-dimension test function builder: an r-feature ReLU combination
-    with unit-sphere directions and N(0, 1/r) output weights.
-
-    The sweep calls it once per dimension, in the cell that runs that
-    dimension, with the cell's own generator.  The net it returns is
-    ``predict`` over a ``FeatureSample``: it evaluates any batch of points
-    in row blocks rather than as one n x r feature matrix.
-    """
-
-    r: int = 50
-
-    def __call__(self, d: int, gen: np.random.Generator):
-        W = gen.standard_normal((self.r, d))
-        W /= np.linalg.norm(W, axis=1, keepdims=True)
-        u = gen.standard_normal(self.r) / self.r
-        return partial(predict, FeatureSample(relu, W), u)
 
 
 # ---------------------------------------------------------------------------
@@ -406,29 +388,28 @@ def baseline_neuron_target(d: int) -> ReluNeuron:
     return ReluNeuron(w_star, float(d * d))
 
 
-def train_single_neuron(
-    target: ReluNeuron,
-    d: int,
-    rng: RandomSource,
-    steps: int = 400,
-    n_eval: int = 50_000,
-    tol: float = 1e-10,
-) -> tuple[float, int]:
+NEURON_GD_STEPS = 400  # most updates ``train_single_neuron`` makes
+NEURON_GD_TOL = 1e-10  # its stopping rule's relative batch squared error
+NEURON_GD_EVAL = 50_000  # its held-out points
+
+
+def train_single_neuron(target: ReluNeuron, d: int, rng: RandomSource) -> tuple[float, int]:
     """Fit one ReLU neuron to the target by plain SGD on the squared loss.
 
     Each step draws a fresh batch of 4096 points and moves by 0.4 times the
     batch-mean gradient.  Training stops at the first step whose
-    batch squared error is at most ``tol`` times the batch's squared target
-    norm (before that step's update), or after ``steps`` updates.  At the
-    default tolerance the baseline target stops after ~70-110 updates for
-    d = 4..20 with held-out errors of ~1e-10.  Returns ``(error, updates)``:
-    the held-out normalized error E[(model - target)^2] / E[target^2] and
-    the number of updates made.
+    batch squared error is at most ``NEURON_GD_TOL`` times the batch's
+    squared target norm (before that step's update), or after
+    ``NEURON_GD_STEPS`` updates.  The baseline target stops after ~70-110
+    updates for d = 4..20 with held-out errors of ~1e-10.  Returns
+    ``(error, updates)``: the normalized error E[(model - target)^2] /
+    E[target^2] on ``NEURON_GD_EVAL`` held-out points and the number of
+    updates made.
 
     Each batch is drawn into one reused buffer, and the held-out points in
     ``row_blocks`` of at most ``features.PREDICT_CELLS`` coordinates
     (``gaussian_row_blocks``): both take the values of whole draws, and
-    only the (n_eval,) model and target values are kept whole.
+    only the (NEURON_GD_EVAL,) model and target values are kept whole.
     """
     lr, batch = 0.4, 4096
     gen = rng.generator(0)
@@ -436,21 +417,21 @@ def train_single_neuron(
     b = 1.0  # start active; a dead neuron has zero gradient
     updates = 0
     X = np.empty((batch, d))
-    while updates < steps:
+    while updates < NEURON_GD_STEPS:
         gen.standard_normal(out=X)
         y = target.evaluate(X)
         z = X @ w + b
         active = z >= 0.0
         err = np.where(active, z, 0.0) - y
-        if err @ err <= tol * (y @ y):
+        if err @ err <= NEURON_GD_TOL * (y @ y):
             break
         grad_common = 2.0 * err * active
         w -= lr * ((grad_common @ X) / batch)
         b -= lr * grad_common.mean()
         updates += 1
-    yh = np.empty(n_eval)
-    mh = np.empty(n_eval)
-    for start, stop, Xh in gaussian_row_blocks(rng.generator(1), n_eval, d, d):
+    yh = np.empty(NEURON_GD_EVAL)
+    mh = np.empty(NEURON_GD_EVAL)
+    for start, stop, Xh in gaussian_row_blocks(rng.generator(1), NEURON_GD_EVAL, d, d):
         yh[start:stop] = target.evaluate(Xh)
         mh[start:stop] = np.maximum(Xh @ w + b, 0.0)
     mh -= yh
@@ -462,8 +443,8 @@ def neuron_inapprox_sweep(
     d_values,
     n_train: int,
     rng: RandomSource,
-    include_baseline: bool = True,
-    jobs: int = 1,
+    include_baseline: bool,
+    jobs: int,
 ):
     """Least-squares error of oblivious ReLU features against the hard targets.
 
@@ -528,7 +509,7 @@ def _sweep_cell(r: int, n_train: int, include_baseline: bool, rng: RandomSource,
 # ---------------------------------------------------------------------------
 
 
-def relu_exp_identity_check(z_values, order: int = 40) -> np.ndarray:
+def relu_exp_identity_check(z_values, order: int) -> np.ndarray:
     """Per-z error of the ReLU integral identity against e^z on |z| <= 1.
 
     For each z, evaluates

@@ -21,13 +21,13 @@ by the caller.  :func:`kink_split_rule` is the one place that splits a 1-D
 interval at kinks (and into panels no wider than a given width) and maps a
 base rule onto each panel; :func:`gaussian_expectation_1d` builds on it.
 
-Randomness is carried by :class:`RandomSource`, a (seed, stream_id) pair
-mapped onto ``numpy.random.SeedSequence``.  Equal pairs reproduce bit-equal
-draw sequences, distinct stream ids are statistically independent, and
-derived sub-streams extend the spawn key, so trial cells can run
-concurrently without coordination.  Feature directions are drawn uniformly
-on the cube [-1/sqrt(d), 1/sqrt(d)]^d (``uniform_cube``) or on the unit
-sphere (``unit_sphere``).
+Randomness is carried by :class:`RandomSource`, a root seed mapped onto
+``numpy.random.SeedSequence``.  Equal seeds reproduce bit-equal draw
+sequences, and derived sub-streams extend the spawn key, so they are
+statistically independent and trial cells can run concurrently without
+coordination.  Feature directions are drawn uniformly on the cube
+[-1/sqrt(d), 1/sqrt(d)]^d (``uniform_cube``) or on the unit sphere
+(``unit_sphere``).
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 
-def kink_split_rule(base: QuadratureRule, lo: float, hi: float, kinks=(), max_width: float = math.inf):
+def kink_split_rule(base: QuadratureRule, lo: float, hi: float, kinks, max_width: float = math.inf):
     """Composite rule for the flat measure dx on [lo, hi], as flat (nodes, weights).
 
     Splits [lo, hi] at every kink strictly inside it, cuts each piece into
@@ -153,7 +153,7 @@ def kink_split_rule(base: QuadratureRule, lo: float, hi: float, kinks=(), max_wi
     return nodes, weights
 
 
-def gaussian_expectation_1d(func, sigma: float, order: int, kinks=()) -> float:
+def gaussian_expectation_1d(func, sigma: float, order: int, kinks) -> float:
     """E[func(z)] for z ~ N(0, sigma^2), splitting the domain at ``kinks``.
 
     With no kinks this is plain scaled Gauss-Hermite.  With kinks the
@@ -182,25 +182,23 @@ def gaussian_expectation_1d(func, sigma: float, order: int, kinks=()) -> float:
 
 @dataclass(frozen=True)
 class RandomSource:
-    """Reproducible randomness identified by a (seed, stream_id) pair.
+    """Reproducible randomness identified by a root seed.
 
     ``derive`` extends the underlying spawn key, giving independent
-    sub-streams for trial cells while keeping the root pair printable.
+    sub-streams for trial cells while keeping the root seed printable.
+    The spawn key's first entry is a fixed 0: the lab's outputs are pinned
+    to the streams drawn with it.
     """
 
     seed: int
-    stream_id: int = 0
     _path: tuple = field(default=(), repr=False)
 
     def generator(self, *subkeys: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.seed % (1 << 64),
-            spawn_key=(self.stream_id % (1 << 64), *self._path, *subkeys),
-        )
+        ss = np.random.SeedSequence(entropy=self.seed % (1 << 64), spawn_key=(0, *self._path, *subkeys))
         return np.random.default_rng(ss)
 
     def derive(self, *subkeys: int) -> "RandomSource":
-        return RandomSource(self.seed, self.stream_id, self._path + subkeys)
+        return RandomSource(self.seed, self._path + subkeys)
 
 
 def uniform_cube(d: int, n: int, gen: np.random.Generator) -> np.ndarray:

@@ -41,15 +41,15 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .legendre import (
-    MonomialExpansionTable,
     MultiIndex,
+    build_monomial_table,
     iter_multi_indices,
     multi_expansion_coeff,
     multi_legendre_eval,
     multi_norm_sq,
     tensor_grid,
 )
-from .numerics import RandomSource, gauss_legendre_rule
+from .numerics import RandomSource, gauss_legendre_rule, uniform_cube
 
 
 @dataclass(frozen=True)
@@ -159,17 +159,17 @@ def _multinomial(J: MultiIndex) -> float:
     return float(out)
 
 
-def construct_g(P: SparsePolynomial, table: MonomialExpansionTable) -> LegendreExpansion:
+def construct_g(P: SparsePolynomial) -> LegendreExpansion:
     """Solve the triangular system for the c_J of the weight function g.
 
     The system has one unknown per index J of degree at most k = deg(P), so
     it is linear in P's coefficients among polynomials of one degree.  Every
     Taylor coefficient 1/i! of exp is nonzero, so every P is representable.
+    The monomial expansion table is built to degree max(k, 1).
     """
     d = P.dimension
     k = P.degree
-    if k > table.max_degree:
-        raise ValueError(f"table max_degree {table.max_degree} < polynomial degree {k}")
+    table = build_monomial_table(max(k, 1))
     half_pow = 0.5**d
     coeffs: dict[MultiIndex, float] = {}
     indices = list(iter_multi_indices(d, k))
@@ -206,11 +206,12 @@ def eval_g(g: LegendreExpansion, w) -> np.ndarray:
     return float(out[0]) if squeeze else out
 
 
-def max_abs_g(g: LegendreExpansion, n_points: int, rng: RandomSource) -> float:
-    """Max of |g| over n_points uniform samples of the cube."""
-    gen = rng.generator()
-    half = 1.0 / math.sqrt(g.dimension)
-    pts = gen.uniform(-half, half, size=(n_points, g.dimension))
+MAX_ABS_G_POINTS = 10_000  # uniform cube samples ``max_abs_g`` takes the max over
+
+
+def max_abs_g(g: LegendreExpansion, rng: RandomSource) -> float:
+    """Max of |g| over ``MAX_ABS_G_POINTS`` uniform samples of the cube."""
+    pts = uniform_cube(g.dimension, MAX_ABS_G_POINTS, rng.generator())
     return float(np.max(np.abs(eval_g(g, pts))))
 
 
@@ -258,11 +259,7 @@ def integral_feature_expectation(
 
 
 def verify_representation(
-    P: SparsePolynomial,
-    g: LegendreExpansion,
-    x_points,
-    quad_order: int | None = None,
-    truncate: bool = True,
+    P: SparsePolynomial, g: LegendreExpansion, x_points, quad_order: int, truncate: bool
 ) -> np.ndarray:
     """Residuals c_d * int sigma(<w, x>) g(w) dw - P(x) at each probe point.
 
@@ -272,8 +269,6 @@ def verify_representation(
     the full activation; the residual then reports the Taylor tail.
     """
     k = P.degree
-    if quad_order is None:
-        quad_order = k + 4
     if quad_order < k + 2:
         raise ValueError(f"quad_order must be >= degree + 2 = {k + 2}")
     sigma = exp_truncated(k) if truncate else np.exp

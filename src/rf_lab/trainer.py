@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .features import PREDICT_CELLS, row_blocks
-from .numerics import RandomSource
+from .numerics import RandomSource, uniform_cube
 from .poly_repr import EXP_LIPSCHITZ, g_magnitude_bound
 
 from . import _sgd_numpy
@@ -64,10 +64,7 @@ def xavier_init(d: int, r: int, rng: RandomSource) -> TwoLayerNet:
     """Rows of W uniform on the cube [-1/sqrt(d), 1/sqrt(d)]^d; U = 0."""
     if d < 1 or r < 1:
         raise ValueError("need d >= 1 and r >= 1")
-    gen = rng.generator()
-    half = 1.0 / math.sqrt(d)
-    W = gen.uniform(-half, half, size=(r, d))
-    return TwoLayerNet(W, np.zeros(r))
+    return TwoLayerNet(uniform_cube(d, r, rng.generator()), np.zeros(r))
 
 
 def forward(net: TwoLayerNet, x) -> float | np.ndarray:
@@ -194,7 +191,7 @@ def sgd_train(
     sampler: Callable[[int, np.random.Generator], tuple],
     config: TrainConfig,
     rng: RandomSource,
-    n_val: int = 2000,
+    n_val: int,
 ) -> SGDResult:
     """Run T fresh-sample SGD steps and return the best validation checkpoint.
 

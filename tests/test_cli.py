@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,13 +16,14 @@ import rf_lab
 from rf_lab import cli
 from rf_lab.cli import BLAS_THREAD_VARS, CSV_CELLS, run, write_csv
 from rf_lab.hardness import SweepRow
-from rf_lab.legendre import MultiIndex, build_monomial_table
+from rf_lab.legendre import MultiIndex
 from rf_lab.numerics import RandomSource, uniform_ball
 from rf_lab.parallel import usable_cpus
 from rf_lab.poly_repr import (
     LegendreExpansion,
     SparsePolynomial,
     construct_g,
+    g_magnitude_bound,
     truncated_residual_bound,
     verify_representation,
 )
@@ -171,23 +173,23 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     # large in absolute terms, but at rounding level against the quadrature's terms:
-    # a high degree, or coefficients whose beta is printed as inf
+    # a high degree, or coefficients whose beta exceeds the float64 range
     @pytest.mark.parametrize("poly", ['{"8,0": 1}', '{"10,0,0": 1.0}', '{"1,1": 1e300}', '{"1,1": 1e306}'])
     def test_rounding_level_residual_passes(self, tmp_path, capsys, poly):
         assert run(["represent-poly", "--poly", poly, "--out", str(tmp_path)]) == 0
         assert "largest share of its rounding bound" in capsys.readouterr().out
 
     def test_perturbed_g_fails_the_residual_check(self, tmp_path, capsys, monkeypatch):
-        def perturbed(P, table):
+        def perturbed(P):
             # the largest coefficient moved by 1e-6 of itself
-            g = construct_g(P, table)
+            g = construct_g(P)
             J = max(g.coefficients, key=lambda J: abs(g.coefficients[J]))
             return LegendreExpansion(g.dimension, {**g.coefficients, J: g.coefficients[J] * (1 + 1e-6)})
 
         P = SparsePolynomial.from_json(cli.COMMANDS["represent-poly"]["params"]["poly"][1])
-        g = perturbed(P, build_monomial_table(P.degree))
+        g = perturbed(P)
         xs = uniform_ball(2, 20, RandomSource(0).generator(0))
-        share = np.abs(verify_representation(P, g, xs, 6)) / truncated_residual_bound(P, g, xs, 6)
+        share = np.abs(verify_representation(P, g, xs, 6, True)) / truncated_residual_bound(P, g, xs, 6)
         assert np.max(share) > 1e3
         monkeypatch.setattr(cli, "construct_g", perturbed)
         assert run(["represent-poly", "--out", str(tmp_path)]) == 2
@@ -334,6 +336,35 @@ class TestCommandOutputs:
             sys.set_int_max_str_digits(limit)
         assert f"r >= {payload['r']}\n" in capsys.readouterr().out
 
+    def test_params_json_is_strict_past_the_float_range(self, tmp_path, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert run(["params", "--k", "20", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "params" / "params.json").read_text(), parse_constant=refuse)
+        assert payload["beta_float"] is None
+        beta, _ = guarantee_params(0.1, 0.1, 3, 20, 1.0)
+        exponent = len(str(beta.numerator // beta.denominator)) - 1
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.endswith(")") and "inf" not in line
+        assert math.floor(float(line.rpartition("(~10^")[2][:-1])) == exponent
+
+    def test_params_beta_float_within_the_float_range(self, tmp_path, capsys):
+        assert run(["params", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "params" / "params.json").read_text())
+        assert payload["beta_float"] == float(4 * 36**8)
+        assert f"(~{float(4 * 36**8):.6g})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("poly, code, stream", [('{"10,0,0": 1.0}', 0, "out"), ('{"1,1": 1.7e308}', 2, "err")])
+    def test_represent_poly_prints_a_bound_past_the_float_range(self, tmp_path, capsys, poly, code, stream):
+        assert run(["represent-poly", "--poly", poly, "--out", str(tmp_path)]) == code
+        text = getattr(capsys.readouterr(), stream)
+        P = SparsePolynomial.from_json(poly)
+        beta = g_magnitude_bound(P.dimension, P.degree, P.coeff_bound)
+        exponent = len(str(beta.numerator // beta.denominator)) - 1
+        bound = text.split("bound ")[1].split()[0]
+        assert bound.startswith("10^") and math.floor(float(bound[3:])) == exponent
+
     def test_learn_poly_checkpoint_schema(self, tmp_path, capsys):
         code = run(["learn-poly", "--steps", "400", "--r", "30", "--seed", "4",
                     "--out", str(tmp_path)])
@@ -345,7 +376,7 @@ class TestCommandOutputs:
         assert trace[0] == "step,loss,run_avg_loss,w_drift,u_norm,w_norm"
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
         result = sgd_train(3, margin_filtered_sampler(P, 0.3), TrainConfig(r=30, eta=0.01, steps=400),
-                           RandomSource(4))
+                           RandomSource(4), 2000)
         # header + one row per update record, the last at step 400
         assert len(trace) == 1 + len(result.trace.steps)
         assert [int(line.split(",")[0]) for line in trace[1:]] == result.trace.steps.tolist()

@@ -16,7 +16,6 @@ from rf_lab.hardness import (
     PsiFunction,
     ReluDecomposition,
     ReluNeuron,
-    RidgeReluNetFactory,
     _candidate_biases,
     baseline_neuron_target,
     correlation_decay,
@@ -29,7 +28,7 @@ from rf_lab.hardness import (
     relu_exp_identity_check,
     train_single_neuron,
 )
-from rf_lab.numerics import RandomSource, unit_sphere
+from rf_lab.numerics import RandomSource, gaussian_expectation_1d, unit_sphere
 
 
 def psi_floor_parity(psi, x):
@@ -166,7 +165,7 @@ class TestPsiShape:
             assert_same_floats(value, psi_mod_form(psi, scalar))
 
     def test_properties_report(self):
-        report = psi_properties_check(PsiFunction(3))
+        report = psi_properties_check(PsiFunction(3), 10_000, 16)
         assert report.passed
         # every sampled interval's energy is within 1e-12 of 2/3
         assert report.max_interval_deviation <= 1e-12
@@ -183,7 +182,7 @@ class TestPsiShape:
         x = np.linspace(-psi.a, psi.a, 10_000)
         whole = np.abs(skewed.evaluate(x) - psi_eval(psi, x))
         assert len(np.unique(whole)) > 1000
-        assert psi_properties_check(psi).decomposition_residual == float(np.max(whole))
+        assert psi_properties_check(psi, 10_000, 16).decomposition_residual == float(np.max(whole))
 
     def test_decomposition_evaluated_in_blocks(self, monkeypatch):
         psi = PsiFunction(8)
@@ -195,7 +194,7 @@ class TestPsiShape:
             return whole(deco, x)
 
         monkeypatch.setattr(ReluDecomposition, "evaluate", recording)
-        psi_properties_check(psi)
+        psi_properties_check(psi, 10_000, 16)
         # a long double takes 16 bytes: a block holds at most PREDICT_CELLS float64s' worth
         assert max(len(x) for x in blocks) * (psi.a + 1) * 2 <= PREDICT_CELLS
         assert np.array_equal(np.unique(np.concatenate(blocks)), np.linspace(-psi.a, psi.a, 10_000))
@@ -211,10 +210,10 @@ class TestPsiShape:
 
 
 def psi_check_peak(d):
-    """tracemalloc's peak over one psi_properties_check at its default grid."""
+    """tracemalloc's peak over one psi_properties_check at psi-check's default grid and order."""
     tracemalloc.start()
     try:
-        psi_properties_check(PsiFunction(d))
+        psi_properties_check(PsiFunction(d), 10_000, 16)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -223,19 +222,24 @@ def psi_check_peak(d):
 class TestPsiGaussianNorm:
     @pytest.mark.parametrize("d", range(3, 11))
     def test_norm_bounds_at_matched_scale(self, d):
-        val = psi_gaussian_norm(PsiFunction(d), float(d))
+        val = psi_gaussian_norm(PsiFunction(d), 16)
         assert val >= 1.0 / 6.0
         assert 0.25 <= val <= 0.40
 
     def test_approaches_one_third(self):
-        vals = [psi_gaussian_norm(PsiFunction(d), float(d)) for d in (3, 6, 10)]
+        vals = [psi_gaussian_norm(PsiFunction(d), 16) for d in (3, 6, 10)]
         for v in vals:
             assert abs(v - 1.0 / 3.0) < 0.01
 
     def test_vanishes_at_zero_scale(self):
+        # the expectation psi_gaussian_norm takes, at scales 1e-3 and 0 (sigma = 0 reads psi(0) = 0)
         psi = PsiFunction(3)
-        assert psi_gaussian_norm(psi, 1e-3) < 1e-5
-        assert psi_gaussian_norm(psi, 0.0) == 0.0
+
+        def psi_sq(z):
+            return psi_eval(psi, z) ** 2
+
+        assert gaussian_expectation_1d(psi_sq, 1e-3, 16, psi.kinks) < 1e-5
+        assert gaussian_expectation_1d(psi_sq, 0.0, 16, psi.kinks) == 0.0
 
 
 class TestLinearResidual:
@@ -255,14 +259,15 @@ class TestLinearResidual:
         assert abs(float(res.mean()) - (1.0 - r / d)) < 0.02
 
 
-def constant_one_factory(d, gen):
-    return lambda X: np.ones(len(X))
+@pytest.fixture
+def constant_one_net(monkeypatch):
+    """Cells test the constant function 1 in place of their ReLU net."""
+    monkeypatch.setattr(hardness, "_relu_test_net", lambda f_r, d, gen: lambda X: np.ones(len(X)))
 
 
 class TestCorrelationDecay:
-    def test_constant_function_sits_at_noise_floor(self):
-        rows = correlation_decay(constant_one_factory, [3], trials=32, mc_samples=20_000,
-                                 rng=RandomSource(5))
+    def test_constant_function_sits_at_noise_floor(self, constant_one_net):
+        rows = correlation_decay(1, [3], trials=32, mc_samples=20_000, rng=RandomSource(5), jobs=1)
         row = rows[0]
         # true correlation ~ 0; the squared-mean estimator floor is
         # Var(psi(<w,x>))/mc ~ (1/3)/mc
@@ -270,35 +275,32 @@ class TestCorrelationDecay:
         assert row.mean_sq < 5 * floor
         assert row.mean_sq >= 0.0
 
-    def test_doubling_samples_halves_the_floor(self):
-        small = correlation_decay(constant_one_factory, [3], trials=128, mc_samples=10_000,
-                                  rng=RandomSource(6))[0]
-        big = correlation_decay(constant_one_factory, [3], trials=128, mc_samples=20_000,
-                                rng=RandomSource(6))[0]
+    def test_doubling_samples_halves_the_floor(self, constant_one_net):
+        small = correlation_decay(1, [3], trials=128, mc_samples=10_000, rng=RandomSource(6), jobs=1)[0]
+        big = correlation_decay(1, [3], trials=128, mc_samples=20_000, rng=RandomSource(6), jobs=1)[0]
         ratio = big.mean_sq / small.mean_sq
         assert 0.3 <= ratio <= 0.7
 
     def test_follows_a_derived_source(self):
-        sweep = partial(correlation_decay, RidgeReluNetFactory(7), [2, 3], 8, 2_000)
+        sweep = partial(correlation_decay, 7, [2, 3], 8, 2_000)
         root = RandomSource(7)
-        one = sweep(root.derive(1))
-        assert all(a.mean_sq != b.mean_sq for a, b in zip(one, sweep(root.derive(2))))
+        one = sweep(root.derive(1), jobs=1)
+        assert all(a.mean_sq != b.mean_sq for a, b in zip(one, sweep(root.derive(2), jobs=1)))
         assert sweep(root.derive(1), jobs=2) == one
 
     def test_relu_net_signal_decreases(self):
-        rows = correlation_decay(RidgeReluNetFactory(50), [2, 4, 6], trials=24,
-                                 mc_samples=50_000, rng=RandomSource(9))
+        rows = correlation_decay(50, [2, 4, 6], trials=24, mc_samples=50_000, rng=RandomSource(9), jobs=1)
         assert rows[0].mean_sq > rows[1].mean_sq > rows[2].mean_sq
 
     def test_parallel_matches_serial(self):
         kwargs = dict(trials=8, mc_samples=5_000, rng=RandomSource(7))
-        a = correlation_decay(RidgeReluNetFactory(10), [2, 3], **kwargs)
-        b = correlation_decay(RidgeReluNetFactory(10), [2, 3], jobs=2, **kwargs)
+        a = correlation_decay(10, [2, 3], jobs=1, **kwargs)
+        b = correlation_decay(10, [2, 3], jobs=2, **kwargs)
         assert a == b
 
 
 def unblocked_relu_net(r, d, gen):
-    """RidgeReluNetFactory's net as one product over all points."""
+    """The correlation cell's test net as one product over all points."""
     W = gen.standard_normal((r, d))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     u = gen.standard_normal(r) / r
@@ -308,11 +310,11 @@ def unblocked_relu_net(r, d, gen):
 class TestRidgeReluNet:
     @pytest.mark.parametrize("r, d", [(50, 2), (50, 12), (7, 5)])
     def test_equals_unblocked_net(self, r, d):
-        f = RidgeReluNetFactory(r)(d, RandomSource(63).generator(d))
+        f = hardness._relu_test_net(r, d, RandomSource(63).generator(d))
         reference = unblocked_relu_net(r, d, RandomSource(63).generator(d))
         block = predict_block_rows(r)
         for m in (1, block - 1, block, block + 1, 100_000):
-            X = RandomSource(64, m).generator().standard_normal((m, d))
+            X = RandomSource(64).derive(m).generator().standard_normal((m, d))
             assert np.array_equal(f(X), reference(X)), m
 
     def test_never_builds_more_than_a_block(self, monkeypatch):
@@ -325,7 +327,7 @@ class TestRidgeReluNet:
             return F
 
         monkeypatch.setattr(features, "feature_matrix", recording)
-        f = RidgeReluNetFactory(50)(4, RandomSource(65).generator())
+        f = hardness._relu_test_net(50, 4, RandomSource(65).generator())
         f(RandomSource(66).generator().standard_normal((100_000, 4)))
         assert sum(sizes) == 100_000 * 50 and max(sizes) <= PREDICT_CELLS
 
@@ -335,10 +337,10 @@ def chunked_correlation_cell(cell, chunk) -> CorrelationDecayRow:
     is drawn, projected, passed through psi by its remainder form and summed
     anew.  With the cell's tile size it sums as the cell does; with 100,000
     points it is the cell before tiling, which agrees to rounding only."""
-    d, f_factory, trials, mc_samples, seed, stream = cell
-    rng = RandomSource(seed, stream)
+    d, f_r, trials, mc_samples, seed = cell
+    rng = RandomSource(seed)
     psi = PsiFunction(d)
-    f = f_factory(d, rng.generator(d, 0))
+    f = hardness._relu_test_net(f_r, d, rng.generator(d, 0))
     ws = rng.generator(d, 1).standard_normal((trials, d))
     ws *= d / np.linalg.norm(ws, axis=1, keepdims=True)
     gen_x = rng.generator(d, 2)
@@ -367,11 +369,10 @@ class TestTiledCorrelationCell:
     @staticmethod
     def sweep(trials, mc_samples, jobs):
         rng = RandomSource(61)
-        factory = RidgeReluNetFactory(7)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # std_err of one draw
-            rows = correlation_decay(factory, [2, 5], trials, mc_samples, rng, jobs=jobs)
-        return [(row, (row.d, factory, trials, mc_samples, rng.seed, rng.stream_id)) for row in rows]
+            rows = correlation_decay(7, [2, 5], trials, mc_samples, rng, jobs=jobs)
+        return [(row, (row.d, 7, trials, mc_samples, rng.seed)) for row in rows]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("trials, mc_samples", CASES)
@@ -400,7 +401,7 @@ class TestTiledCorrelationCell:
             return whole(psi, x, out=out)
 
         monkeypatch.setattr(hardness, "psi_eval", recording)
-        correlation_decay(RidgeReluNetFactory(7), [2, 3], trials=64, mc_samples=5_000, rng=RandomSource(62))
+        correlation_decay(7, [2, 3], trials=64, mc_samples=5_000, rng=RandomSource(62), jobs=1)
         assert len(sizes) == 2 * 5  # 1024-row tiles
         assert sum(sizes) == 2 * 5_000 * 64
         assert max(sizes) <= PREDICT_CELLS
@@ -410,8 +411,7 @@ class TestTiledCorrelationCell:
         tracemalloc.start()
         try:
             # correlation-decay's CLI defaults at --jobs 1
-            correlation_decay(RidgeReluNetFactory(50), [2, 4, 6, 8, 10, 12], trials=64,
-                              mc_samples=100_000, rng=RandomSource(0), jobs=1)
+            correlation_decay(50, [2, 4, 6, 8, 10, 12], trials=64, mc_samples=100_000, rng=RandomSource(0), jobs=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,7 +425,7 @@ def rows():
     # dead candidates occur at every d and must be skipped before any division
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return neuron_inapprox_sweep(50, [3, 6], 600, RandomSource(8))
+        return neuron_inapprox_sweep(50, [3, 6], 600, RandomSource(8), True, 1)
 
 
 class TestNeuronSweep:
@@ -446,13 +446,13 @@ class TestNeuronSweep:
                 assert row.normalized_error < 0.01
 
     def test_parallel_matches_serial(self, rows):
-        assert neuron_inapprox_sweep(50, [3, 6], 600, RandomSource(8), jobs=2) == rows
+        assert neuron_inapprox_sweep(50, [3, 6], 600, RandomSource(8), True, jobs=2) == rows
 
     def test_follows_a_derived_source(self):
-        sweep = partial(neuron_inapprox_sweep, 20, [3, 5], 200)
+        sweep = partial(neuron_inapprox_sweep, 20, [3, 5], 200, include_baseline=True)
         root = RandomSource(8)
-        one = sweep(root.derive(1))
-        assert all(a.normalized_error != b.normalized_error for a, b in zip(one, sweep(root.derive(2))))
+        one = sweep(root.derive(1), jobs=1)
+        assert all(a.normalized_error != b.normalized_error for a, b in zip(one, sweep(root.derive(2), jobs=1)))
         assert sweep(root.derive(1), jobs=2) == one
 
     def test_held_out_rows_featurized_once_in_blocks(self, monkeypatch):
@@ -468,7 +468,7 @@ class TestNeuronSweep:
 
         monkeypatch.setattr(features, "feature_matrix", recording)
         n_train = 1400  # two training blocks of 1,308 and 92 rows at r = 50
-        neuron_inapprox_sweep(50, [3, 6], n_train, RandomSource(8), include_baseline=False)
+        neuron_inapprox_sweep(50, [3, 6], n_train, RandomSource(8), include_baseline=False, jobs=1)
         n_train_blocks = len(list(row_blocks(n_train, 50)))
         assert n_train_blocks == 2
         for d, blocks in calls.items():
@@ -530,11 +530,12 @@ def whole_draw_neuron_gd(target, d, rng, n_eval, steps=400, lr=0.4, batch=4096, 
 class TestNeuronBaseline:
     @pytest.mark.parametrize("d", [4, 20])
     @pytest.mark.parametrize("lone_last_row", [False, True])
-    def test_streamed_draws_equal_whole_draws(self, d, lone_last_row):
+    def test_streamed_draws_equal_whole_draws(self, d, lone_last_row, monkeypatch):
         n_eval = 3 * predict_block_rows(d) + 1 if lone_last_row else 50_000
+        monkeypatch.setattr(hardness, "NEURON_GD_EVAL", n_eval)
         target = baseline_neuron_target(d)
         expected = whole_draw_neuron_gd(target, d, RandomSource(14), n_eval)
-        assert train_single_neuron(target, d, RandomSource(14), n_eval=n_eval) == expected
+        assert train_single_neuron(target, d, RandomSource(14)) == expected
 
     def test_memory_follows_the_block(self):
         tracemalloc.start()
@@ -547,10 +548,12 @@ class TestNeuronBaseline:
         assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("d", [3, 10])
-    def test_zero_tolerance_matches_fixed_steps(self, d):
+    def test_zero_tolerance_matches_fixed_steps(self, d, monkeypatch):
+        monkeypatch.setattr(hardness, "NEURON_GD_STEPS", 40)
+        monkeypatch.setattr(hardness, "NEURON_GD_TOL", 0.0)
         target = baseline_neuron_target(d)
         expected = whole_draw_neuron_gd(target, d, RandomSource(12), 50_000, steps=40, tol=0.0)
-        assert train_single_neuron(target, d, RandomSource(12), steps=40, tol=0.0) == expected
+        assert train_single_neuron(target, d, RandomSource(12)) == expected
         assert expected[1] == 40
 
     @pytest.mark.parametrize("d", [4, 10, 20])
@@ -576,15 +579,15 @@ class TestNeuronBaseline:
 
 class TestExpIdentity:
     def test_grid_error_small(self):
-        assert relu_exp_identity_check(np.linspace(-1, 1, 41)).max() < 1e-10
+        assert relu_exp_identity_check(np.linspace(-1, 1, 41), 40).max() < 1e-10
 
     def test_zero_is_exact_normalization(self):
         # z = 0: only c * e^b survives, and c int_0^1 e^b db = 1 = e^0
-        assert relu_exp_identity_check([0.0]).max() < 1e-14
+        assert relu_exp_identity_check([0.0], 40).max() < 1e-14
 
     def test_selected_points(self):
-        assert relu_exp_identity_check([1.0]).max() < 1e-10
-        assert relu_exp_identity_check([-0.5]).max() < 1e-10
+        assert relu_exp_identity_check([1.0], 40).max() < 1e-10
+        assert relu_exp_identity_check([-0.5], 40).max() < 1e-10
 
     def test_one_error_per_z_in_order(self):
         zs = np.array([0.3, -1.0, 0.0, 0.7])
@@ -594,7 +597,7 @@ class TestExpIdentity:
 
     def test_domain_validated(self):
         with pytest.raises(ValueError):
-            relu_exp_identity_check([1.5])
+            relu_exp_identity_check([1.5], 40)
 
     def test_low_order_degrades(self):
         # order 2 per segment cannot resolve e^b: the check must report it

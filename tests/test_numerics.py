@@ -149,7 +149,7 @@ class TestKinkSplitRule:
 
     def test_kinks_on_or_outside_the_interval_are_ignored(self):
         base = gauss_legendre_rule(4)
-        plain = kink_split_rule(base, -1.0, 2.0)
+        plain = kink_split_rule(base, -1.0, 2.0, ())
         for kinks in ([-1.0], [2.0], [-7.0, 2.5], [-1.0, 2.0, 9.0]):
             nodes, weights = kink_split_rule(base, -1.0, 2.0, kinks)
             assert np.array_equal(nodes, plain[0]) and np.array_equal(weights, plain[1]), kinks
@@ -170,7 +170,7 @@ class TestKinkSplitRule:
     @pytest.mark.parametrize("d", [3, 8])
     def test_psi_energy_bit_matches_old_simpson_loop(self, d):
         psi = PsiFunction(d)
-        report = psi_properties_check(psi, grid_points=100)
+        report = psi_properties_check(psi, grid_points=100, norm_order=16)
         # the energies psi_properties_check takes: its Simpson rule split at psi's kinks,
         # on the integer-aligned intervals [n, n + 2] it samples
         a = psi.a
@@ -185,7 +185,7 @@ class TestKinkSplitRule:
     def test_psi_gaussian_norm_bit_matches_old_panel_loop(self, d):
         psi = PsiFunction(d)
         old = old_gaussian_panels(lambda z: psi_eval(psi, z) ** 2, float(d), 16, psi.kinks)
-        assert psi_gaussian_norm(psi, float(d), 16) == old
+        assert psi_gaussian_norm(psi, 16) == old
 
 
 def mean_and_std_error(values):
@@ -197,13 +197,13 @@ class TestRidgeIntegrals:
     """E_x[phi(<w, x>)^2] for standard Gaussian x is the 1-D E[phi(z)^2], z ~ N(0, ||w||^2)."""
 
     def test_identity_norm_is_variance(self):
-        assert gaussian_expectation_1d(lambda z: z**2, 1.0, 8) == pytest.approx(1.0, abs=1e-14)
+        assert gaussian_expectation_1d(lambda z: z**2, 1.0, 8, ()) == pytest.approx(1.0, abs=1e-14)
 
     def test_relu_norm_is_half(self):
-        assert gaussian_expectation_1d(lambda z: relu(z) ** 2, 1.0, 16) == pytest.approx(0.5, abs=1e-13)
+        assert gaussian_expectation_1d(lambda z: relu(z) ** 2, 1.0, 16, ()) == pytest.approx(0.5, abs=1e-13)
 
     def test_constant_is_one_for_any_scale(self):
-        assert gaussian_expectation_1d(np.ones_like, 7.0, 4) == pytest.approx(1.0)
+        assert gaussian_expectation_1d(np.ones_like, 7.0, 4, ()) == pytest.approx(1.0)
 
     def test_kink_split_matches_closed_forms(self):
         v = gaussian_expectation_1d(lambda z: relu(z) ** 2, 1.0, 16, kinks=[0.0])
@@ -220,7 +220,7 @@ class TestRidgeIntegrals:
         for trial in range(20):
             w = gen.standard_normal(d)
             w_norm = float(np.linalg.norm(w))
-            quad = gaussian_expectation_1d(lambda z: relu(z) ** 2, w_norm, 40)
+            quad = gaussian_expectation_1d(lambda z: relu(z) ** 2, w_norm, 40, ())
             X = rng.derive(trial).generator().standard_normal((20000, d))
             mean, std_error = mean_and_std_error(relu(X @ w) ** 2)
             assert abs(mean - quad) < 4 * std_error, trial
@@ -228,17 +228,24 @@ class TestRidgeIntegrals:
 
 class TestRandomSourceAndMC:
     def test_equal_sources_bitwise_identical(self):
-        a = RandomSource(seed=42, stream_id=3).generator().standard_normal((500, 4))
-        b = RandomSource(42, 3).generator().standard_normal((500, 4))
+        a = RandomSource(seed=42).derive(3).generator().standard_normal((500, 4))
+        b = RandomSource(42).derive(3).generator().standard_normal((500, 4))
         assert np.array_equal(a, b)
         # a derived source extends the spawn key: derive(1).generator(2) is generator(1, 2)
-        c = RandomSource(42, 3).derive(1).generator(2).random(50)
-        assert np.array_equal(c, RandomSource(42, 3).generator(1, 2).random(50))
+        c = RandomSource(42).derive(3).derive(1).generator(2).random(50)
+        assert np.array_equal(c, RandomSource(42).derive(3).generator(1, 2).random(50))
 
     def test_distinct_streams_differ(self):
-        a = RandomSource(1, 0).generator().standard_normal(100)
-        assert not np.array_equal(a, RandomSource(1, 1).generator().standard_normal(100))
-        assert not np.array_equal(a, RandomSource(1, 0).derive(0).generator().standard_normal(100))
+        a = RandomSource(1).generator().standard_normal(100)
+        assert not np.array_equal(a, RandomSource(1).derive(1).generator().standard_normal(100))
+        assert not np.array_equal(a, RandomSource(1).derive(0).generator().standard_normal(100))
+
+    @pytest.mark.parametrize("seed, path, subkeys", [(0, (), ()), (7, (3,), (1, 2)), (-1, (2, 5), (0,))])
+    def test_spawn_key_starts_with_zero(self, seed, path, subkeys):
+        """The streams every output is pinned to: entropy seed mod 2^64, spawn key (0, *path, *subkeys)."""
+        ss = np.random.SeedSequence(entropy=seed % (1 << 64), spawn_key=(0, *path, *subkeys))
+        expected = np.random.default_rng(ss).random(20)
+        assert np.array_equal(RandomSource(seed).derive(*path).generator(*subkeys).random(20), expected)
 
     def test_cube_coordinate_is_centered(self):
         X = uniform_cube(4, 20000, RandomSource(11).generator())

@@ -1,18 +1,25 @@
 """The library's public surface: every public top-level name, and every public
-member of a public class, has a reader in the library.
+member of a public class, has a reader in the library, and every default of a
+public parameter or field is one the library both sets and leaves.
 
 A public function, class, method, property or field that only tests reach is
 either given a job by an experiment or deleted; a test oracle lives in the
-test that uses it.
+test that uses it.  A default that every library call overrides is dead, and
+one that no library call overrides is a constant: either way it goes.
 """
 
 import ast
+import math
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rf_lab"
 
 # Public names allowed to go without a reference in the library.  Keep empty.
 ALLOWED_UNREFERENCED = frozenset()
+# Defaults allowed to go unset or always set, as (module, name, parameter).
+# kernel_backend's act_name is passed only by the benchmark harness, which
+# reads the function; both go with the harness's next revision.
+ALLOWED_DEFAULTS = frozenset({("trainer.py", "kernel_backend", "act_name")})
 
 
 def _public_definitions(trees: dict):
@@ -96,4 +103,127 @@ def test_guard_sees_imports_self_reference_and_attributes():
     assert unreferenced_names(sources) == [
         ("a.py", "recursive"), ("a.py", "Self"), ("a.py", "Self.copy"), ("a.py", "only_imported"),
         ("a.py", "Record.unread"), ("a.py", "Record.method"),
+    ]
+
+
+def _is_record_class(node) -> bool:
+    """A dataclass (``@dataclass`` or ``@dataclass(...)``) or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(n, ast.Name) and n.id in ("dataclass", "NamedTuple") for n in decorators + node.bases)
+
+
+def _parameters(node, is_member: bool):
+    """(positional names, defaulted names) of a def, without a method's self or
+    cls, or of a record class's constructor, from its annotated fields."""
+    if isinstance(node, ast.ClassDef):
+        fields = [m for m in node.body if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)]
+        return [f.target.id for f in fields], [f.target.id for f in fields if f.value is not None]
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    if is_member and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list):
+        positional = positional[1:]
+    return positional, defaulted
+
+
+def _callee(node):
+    """The name a call target or a value refers to: ``f`` or ``obj.f``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def unset_defaults(sources: dict) -> list:
+    """(module, name, parameter, problem) of each default of a public function,
+    method or record-class field that no call in ``sources`` passes ("never
+    set") or that every call passes ("never left out").
+
+    A call names its callee as ``f(...)`` or ``obj.f(...)``, or hands it to
+    ``functools.partial`` with arguments that count as passed; only direct calls
+    count as leaving a value out.  A positional, keyword, ``*args`` or
+    ``**kwargs`` argument passes a parameter it can reach.  A function the
+    library uses as a value, such as an activation stored in a feature sample,
+    is called where its caller cannot be read, so it is exempt.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    calls, callees = {}, set()
+    for node in nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        target, args, direct = node.func, node.args, True
+        if _callee(target) == "partial" and args:
+            callees.add(id(target))
+            target, args, direct = args[0], args[1:], False
+        callees.add(id(target))
+        calls.setdefault(_callee(target), []).append((args, node.keywords, direct))
+    values = {
+        _callee(node) for node in nodes
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load) and id(node) not in callees
+    }
+    problems = []
+    for module, qualname, definition in _public_definitions(trees):
+        name = qualname.rpartition(".")[2]
+        if isinstance(definition, ast.ClassDef):
+            if not _is_record_class(definition):
+                continue
+        elif not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef)) or name in values:
+            continue
+        positional, defaulted = _parameters(definition, "." in qualname)
+        for parameter in defaulted:
+            index = positional.index(parameter) if parameter in positional else math.inf  # keyword-only
+            passed = [
+                any(isinstance(a, ast.Starred) for a in args) or index < len(args)
+                or any(k.arg in (parameter, None) for k in keywords)
+                for args, keywords, _ in calls.get(name, [])
+            ]
+            left_out = [not p for p, (_, _, direct) in zip(passed, calls.get(name, [])) if direct]
+            if not any(passed):
+                problems.append((module, qualname, parameter, "never set"))
+            elif not any(left_out):
+                problems.append((module, qualname, parameter, "never left out"))
+    return problems
+
+
+def test_every_default_is_set_by_one_library_call_and_left_by_another():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    problems = unset_defaults(sources)
+    assert [p for p in problems if p[:3] not in ALLOWED_DEFAULTS] == []
+    # the allowance is still needed
+    assert {p[:3] for p in problems} >= ALLOWED_DEFAULTS
+
+
+def test_defaults_guard_sees_positions_keywords_partial_records_and_values():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "def mixed(x, y=1, *, z=2):\n    pass\n"
+            "def unset(x, y=1):\n    pass\n"
+            "def always(x, y=1):\n    pass\n"
+            "def by_partial(x, y=1):\n    pass\n"
+            "def activation(z, out=None):\n    pass\n"
+            "def _private(x=1):\n    pass\n"
+            "class Tool:\n    def run(self, n=1):\n        pass\n"
+            "@dataclass\nclass Record:\n    a: int\n    b: int = 0\n    c: int = 1\n    d: int = 2\n"
+            "class Plain:\n    a: int = 0\n"
+        ),
+        "b.py": (
+            "import a\nfrom functools import partial\n"
+            "a.mixed(0)\na.mixed(0, 5)\na.mixed(0, **{})\n"
+            "a.unset(0)\n"
+            "a.always(0, 1)\na.always(0, y=1)\n"
+            "partial(a.by_partial, 0, 2)(); a.by_partial(0)\n"
+            "store = [a.activation]\n"
+            "a.Tool().run(*[3])\n"
+            "a.Record(1, 2)\na.Record(a=1, c=3)\n"
+        ),
+    }
+    assert unset_defaults(sources) == [
+        ("a.py", "unset", "y", "never set"),
+        ("a.py", "always", "y", "never left out"),
+        ("a.py", "Tool.run", "n", "never left out"),
+        ("a.py", "Record", "d", "never set"),
     ]

@@ -167,7 +167,7 @@ class TestBasics:
         net.U = RandomSource(6).generator().standard_normal(r) / r
         block = predict_block_rows(r)
         for m in (1, block - 1, block, block + 1, 2000):
-            x = uniform_ball(3, m, RandomSource(7, m).generator())
+            x = uniform_ball(3, m, RandomSource(7).derive(m).generator())
             reference = np.exp(x @ net.W.T) @ net.U  # the whole batch as one product
             assert np.array_equal(forward(net, x), reference), m
         assert max(recorded) <= PREDICT_CELLS  # validation never holds n_val x r activations
@@ -263,7 +263,7 @@ class TestGradients:
 class TestSGD:
     def test_zero_learning_rate_keeps_network(self):
         cfg = make_config(r=10, eta=0.0, steps=50)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(7))
+        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(7), 2000)
         rows = expand(res.trace)
         assert np.array_equal(res.net.U, np.zeros(10))
         assert np.all(rows.w_drift == 0.0)
@@ -273,13 +273,13 @@ class TestSGD:
     def test_separable_stream_converges(self):
         # one exp unit keeps the sign of its u_i, so the smallest separating net has two
         cfg = make_config(r=2, eta=0.05, steps=20_000)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(8))
+        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(8), 2000)
         assert expand(res.trace).run_avg_loss[-1] < 0.1
         assert res.best_val_loss < 0.05
 
     def test_trace_lengths(self):
         cfg = make_config(r=5, eta=0.01, steps=77)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(9))
+        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(9), 2000)
         assert res.trace.steps[-1] == 77
         rows = expand(res.trace)
         for arr in rows:
@@ -289,8 +289,8 @@ class TestSGD:
 
     def test_deterministic_traces(self):
         cfg = make_config(r=20, eta=0.02, steps=500)
-        a = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10))
-        b = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10))
+        a = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), 2000)
+        b = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), 2000)
         for field in dataclasses.fields(TrainTrace):
             assert np.array_equal(getattr(a.trace, field.name), getattr(b.trace, field.name)), field.name
         assert np.array_equal(a.net.W, b.net.W)
@@ -298,14 +298,14 @@ class TestSGD:
 
     def test_best_checkpoint_no_worse_than_init(self):
         cfg = make_config(r=30, eta=0.02, steps=2000)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(11))
+        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(11), 2000)
         assert res.best_val_loss <= res.val_history[0][1] + 1e-12
 
     def test_divergence_aborts(self):
         cfg = make_config(r=10, eta=1e6, steps=5000)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite"):
-                sgd_train(2, ball_sign_sampler(), cfg, RandomSource(12))
+                sgd_train(2, ball_sign_sampler(), cfg, RandomSource(12), 2000)
 
     def test_sampler_contract_enforced(self):
         cfg = make_config(r=5, eta=0.01, steps=10)
@@ -315,7 +315,7 @@ class TestSGD:
             return X, np.sign(X[:, 0])
 
         with pytest.raises(ValueError, match="unit ball"):
-            sgd_train(2, bad_sampler, cfg, RandomSource(14))
+            sgd_train(2, bad_sampler, cfg, RandomSource(14), 2000)
 
     # 32,769 rows: 100 checkpoint chunks of 327 steps, one of 68, then row T alone
     @pytest.mark.parametrize("row", [0, 326, 327, 20_000, 32_767, 32_768])
@@ -334,7 +334,7 @@ class TestSGD:
             return X, y
 
         with pytest.raises(ValueError, match="unit ball"):
-            sgd_train(2, one_bad_row, cfg, RandomSource(14))
+            sgd_train(2, one_bad_row, cfg, RandomSource(14), 2000)
 
     def test_short_stream_is_refused(self, tmp_path, monkeypatch, capsys):
         def one_row_short(n, gen):
@@ -349,7 +349,7 @@ class TestSGD:
                                 (one_label_short, "100 points and 99 labels")):
             message = f"sampler returned {counts} for 100 rows"
             with pytest.raises(ValueError, match=message):
-                sgd_train(3, sampler, make_config(r=5, eta=0.01, steps=10_000), RandomSource(14))
+                sgd_train(3, sampler, make_config(r=5, eta=0.01, steps=10_000), RandomSource(14), 2000)
             monkeypatch.setattr(cli, "margin_filtered_sampler", lambda P, margin: sampler)
             out = tmp_path / sampler.__name__
             assert cli.run(["learn-poly", "--steps", "10000", "--out", str(out)]) == 1
@@ -366,7 +366,7 @@ class TestSGD:
             cfg = make_config(r=r, eta=0.01, steps=steps)
             tracemalloc.start()
             try:
-                res = sgd_train(3, margin_filtered_sampler(P, 0.3), cfg, RandomSource(0))
+                res = sgd_train(3, margin_filtered_sampler(P, 0.3), cfg, RandomSource(0), 2000)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -406,7 +406,7 @@ class TestTheoremParams:
 class TestDrift:
     def test_zero_eta_trivially_passes(self):
         cfg = make_config(r=10, eta=0.0, steps=50)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(15))
+        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(15), 2000)
         report = drift_check(res.trace, cfg)
         assert_same_report(report, dense_drift_check(res.trace, cfg))
         assert report.passed
@@ -419,7 +419,7 @@ class TestDrift:
         B = max(2.0, float(np.linalg.norm(probe.W)))
         eta = eps / (EXP_LIPSCHITZ * B * B)
         cfg = make_config(r=r, eta=eta, steps=200)
-        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(16))
+        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(16), 2000)
         report = drift_check(res.trace, cfg)
         assert_same_report(report, dense_drift_check(res.trace, cfg))
         assert report.passed
@@ -427,7 +427,7 @@ class TestDrift:
 
     def test_practical_run_satisfies_drift_bound(self):
         cfg = make_config(r=120, eta=0.01, steps=3000)
-        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17))
+        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17), 2000)
         report = drift_check(res.trace, cfg)
         assert_same_report(report, dense_drift_check(res.trace, cfg))
         assert report.drift_ok
@@ -437,7 +437,7 @@ class TestDrift:
         # a real trace's drift, scaled so the smallest margin sits at an interior
         # step rather than at t = 0, where every margin is exactly 0
         cfg = make_config(r=120, eta=0.01, steps=16_884)
-        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17))
+        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17), 2000)
         trace = dataclasses.replace(res.trace, w_drift=res.trace.w_drift * scale)
         report = drift_check(trace, cfg)
         assert_same_report(report, dense_drift_check(trace, cfg))
@@ -797,9 +797,9 @@ class TestKernelOracle:
     def test_large_preactivation_error_clears_nothing(self, scan_spy):
         """Rows (c, -c) with c ~ 1e7 and points with x_1 = x_2 give z = 0 exactly,
         so every margin is 1 - r, far below 0; but max ||w_i||_1 ~ 2e7 makes the
-        float32 pre-activation bound e exceed 1/4, beyond which the bound does
-        not hold for exp (and tol, at least 8 e M, exceeds every |n~|): no scan
-        clears a row."""
+        float32 pre-activation bound e exceed ln(2) / 2, beyond which the bound
+        does not hold for exp, and tol, at least 8 e M, exceeds every |n~|: no
+        scan clears a row."""
         gen = RandomSource(43).generator()
         r, n = 4, 200
         c = 2.0**23 * np.array([1.0, 1.25, 1.5, 1.75])  # c t is exact in float64 for float32 t
@@ -808,11 +808,34 @@ class TestKernelOracle:
         X = np.column_stack([t, t])
         assert np.all(X @ W.T == 0.0)
         e = _sgd_numpy._gamma(4) * t * np.abs(W).sum(axis=1).max()
-        assert np.all(e > _sgd_numpy._MAX_E)
+        assert np.all(e > math.log(2.0) / 2.0)
         fast, slow = run_both(W, np.full(r, 1.0), X, np.ones(n + 1), 0.05)
         assert_identical(fast, slow)
         assert np.all(slow[2] == 0.0)
         assert len(scan_spy) > n // 2 and all(c == 0 for _, c, _ in scan_spy)
+
+    @pytest.mark.parametrize("n", [2**22, 2**22 + 1, 2**24, 2**25, 2**40])
+    def test_gamma_is_inf_from_a_quarter(self, n):
+        """n u >= 1/4: at 2^24 the quotient once divided by zero, at 2^25 it read -2."""
+        assert _sgd_numpy._gamma(n) == math.inf
+
+    @pytest.mark.parametrize("n", [1, 1000, 2**22 - 1])
+    def test_gamma_below_a_quarter_is_at_most_a_third(self, n):
+        u = 2.0**-24
+        assert _sgd_numpy._gamma(n) == n * u / (1.0 - n * u) <= 1.0 / 3.0
+
+    def test_untrusted_gamma_clears_nothing(self, scan_spy, monkeypatch):
+        """With a unit roundoff that puts r u past 1/4, as a net 2^22 wide does in
+        float32, gamma_r and so tol are inf or NaN: the stream that
+        test_converging_stream mostly scans then runs every step exactly."""
+        gen = RandomSource(30).generator()
+        X, Y = stream(6001, 3, gen)
+        W = gen.uniform(-0.5, 0.5, (40, 3))
+        monkeypatch.setattr(_sgd_numpy, "_UNIT_ROUNDOFF", 2.0**-7)  # r u = 40 / 128
+        assert _sgd_numpy._gamma(40) == math.inf
+        fast, slow = run_both(W, np.zeros(40), X, Y, 0.05)
+        assert_identical(fast, slow)
+        assert len(scan_spy) > 100 and all(c == 0 for _, c, _ in scan_spy)
 
     def test_entries_below_float32_normal_range(self, scan_spy):
         """Zeros and values below 2^-126 (float32 subnormals, and smaller ones that
@@ -893,7 +916,7 @@ class TestValidationReuse:
             return original(net, x)
 
         monkeypatch.setattr(trainer_mod, "forward", counting_forward)
-        res = sgd_train(d, sampler, cfg, RandomSource(40))
+        res = sgd_train(d, sampler, cfg, RandomSource(40), 2000)
         assert res.val_history == history
         assert res.best_step == history[best][0]
         assert 0 < changed < n_checkpoints

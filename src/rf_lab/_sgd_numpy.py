@@ -12,8 +12,9 @@ Scan invariant: step t changes W and U only if its margin 1 - y N(x) is
 >= 0, so between two updates the net is fixed and every step in between has
 loss 0 and the same norms.  The loop therefore alternates two modes:
 
-* exact steps, one at a time, the textbook per-step code in float64; a step
-  that updates computes the norms and is recorded;
+* exact steps, one at a time, each a ``hinge_step`` in float64, the step
+  whose gradient ``trainer.finite_difference_check`` certifies; a step that
+  updates computes the norms and is recorded;
 * after ``QUIET`` exact steps in a row without an update, a scan scores the
   margins of a window of upcoming steps with one float32 GEMM against the
   fixed net.  A step whose scanned margin is below -tol provably does not
@@ -139,6 +140,25 @@ def _clear_steps(net: _ScanNet, X, x_inf, Y, buf) -> int:
     return int(could[0]) if could.size else len(Y)
 
 
+def hinge_step(W, U, x, y, eta) -> float:
+    """One exact step at example (x, y): updates W and U in place iff the margin
+    1 - y N(x) is >= 0, and returns the margin.
+
+    The subgradient is dU = -y s, dW_i = -y u_i exp'(z_i) x with z = W x,
+    s = exp(z) and exp' = exp, and the step moves both layers by -eta times it
+    from the pre-update U.  At eta = 1 the step's displacement, old minus new,
+    is the subgradient, which ``trainer.finite_difference_check`` reads.
+    """
+    z = W @ x
+    s = np.exp(z)
+    margin = 1.0 - y * float(U @ s)
+    if margin >= 0.0:
+        coef = (eta * y) * (U * s)
+        W += coef[:, None] * x[None, :]
+        U += (eta * y) * s
+    return margin
+
+
 def run_steps(W, U, W0, X, Y, eta, start, count):
     r = W.shape[0]
     updates = []
@@ -161,17 +181,8 @@ def run_steps(W, U, W0, X, Y, eta, start, count):
                 window = min(2 * window, max_window)
                 continue
             quiet = QUIET - 1  # step i runs exactly; back to scanning unless it updates
-        x = X[i]
-        y = Y[i]
-        z = W @ x
-        s = np.exp(z)
-        n_val = float(U @ s)
-        margin = 1.0 - y * n_val
+        margin = hinge_step(W, U, X[i], Y[i], eta)
         if margin >= 0.0:
-            # subgradient: dU = -y * s, dW_i = -y * u_i * exp'(z_i) * x, and exp' = exp
-            coef = (eta * y) * (U * s)
-            W += coef[:, None] * x[None, :]
-            U += (eta * y) * s
             # the step's hinge loss is its margin, which is >= 0
             updates.append((start + i, margin, np.linalg.norm(W - W0), np.linalg.norm(U), np.linalg.norm(W)))
             net = None

@@ -55,9 +55,9 @@ from .poly_repr import (
     SparsePolynomial,
     construct_g,
     g_magnitude_bound,
+    integral_feature_expectation,
     max_abs_g,
-    truncated_residual_bound,
-    verify_representation,
+    truncated_residual,
 )
 from .trainer import (
     DESK_SCALE_MAX_R,
@@ -170,8 +170,11 @@ def load_config(path: str) -> dict:
 
 
 def _from_config(key: str, kind: str, value):
-    """Parse a config-file value; a float or bool where integers belong is refused, not truncated."""
+    """Parse a config-file value; a float or bool where integers belong is refused, not
+    truncated, and anything but a JSON string where text belongs is refused, not written out."""
     try:
+        if kind == "str" and not isinstance(value, str):
+            raise ValueError(f"expected a string, got {value!r}")
         if kind in ("int", "int_list"):
             for item in value if isinstance(value, list) else [value]:
                 if isinstance(item, (bool, float)):
@@ -185,18 +188,15 @@ def _bound_text(kind: str, bounds) -> str:
     """'>= 1' or 'in [0, 1]' for ints and int lists (inclusive); '> 0' or 'in (0, 1)' for floats (exclusive)."""
     low, high = bounds
     closed = kind != "float"
-    if low is not None and high is not None:
-        return f"in [{low}, {high}]" if closed else f"in ({low}, {high})"
     if high is None:
         return f">= {low}" if closed else f"> {low}"
-    return f"<= {high}" if closed else f"< {high}"
+    return f"in [{low}, {high}]" if closed else f"in ({low}, {high})"
 
 
 def _check_bounds(key: str, kind: str, bounds, value) -> None:
     """Refuse a value outside its bounds, naming the flag; a list must be
     nonempty and without repeats, and NaN fails every float bound."""
-    low = -math.inf if bounds[0] is None else bounds[0]
-    high = math.inf if bounds[1] is None else bounds[1]
+    low, high = bounds[0], math.inf if bounds[1] is None else bounds[1]
     values = value if kind == "int_list" else [value]
     if kind == "float":
         inside = all(low < v < high for v in values)
@@ -241,7 +241,7 @@ def _resolve_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
             seed = int(os.environ.get("RF_LAB_SEED", "0"))
         except ValueError as exc:
             raise UsageError(f"RF_LAB_SEED: {exc}") from exc
-    out_dir = args.out if args.out is not None else str(file_values.get("out", "rf_lab_out"))
+    out_dir = args.out if args.out is not None else _from_config("out", "str", file_values.get("out", "rf_lab_out"))
     if args.jobs is not None:
         jobs = args.jobs
     elif "jobs" in file_values:
@@ -342,9 +342,9 @@ def _cmd_represent_poly(cfg: ExperimentConfig):
     order = quad_order or P.degree + 4
     # a coefficient near the float64 limit overflows; its inf or NaN fails the check
     with np.errstate(over="ignore", invalid="ignore"):
-        res_t = verify_representation(P, g, xs, order, truncate=True)
-        share = np.abs(res_t) / truncated_residual_bound(P, g, xs, order)
-        res_f = verify_representation(P, g, xs, max(order, P.degree + 6), truncate=False)
+        res_t, bound = truncated_residual(P, g, xs, order)
+        share = np.abs(res_t) / bound
+        res_f = integral_feature_expectation(g, np.exp, xs, max(order, P.degree + 6)) - P.evaluate(xs)
     share[~np.isfinite(res_t)] = np.inf
     worst = int(np.argmax(share))
     g_max = max_abs_g(g, rng.derive(1))
@@ -585,7 +585,7 @@ def _cmd_exp_identity(cfg: ExperimentConfig):
 
 
 # parameter spec: name -> (kind, default, help, bounds).  bounds is None or
-# (low, high), either end None; ints and the entries of int lists are
+# (low, high or None); ints and the entries of int lists are
 # checked inclusively (a list must also be nonempty), floats exclusively.
 COMMANDS: dict[str, dict] = {
     "legendre-check": {

@@ -22,12 +22,13 @@ monomial-to-Legendre expansion coefficients and alpha_J the coefficients of
 P.  The multinomial factor |J|!/J! comes from expanding the inner product
 power and is required for the quadrature check below to vanish.
 
-The construction is verified, never trusted: ``verify_representation``
-recomputes the cube integral by tensor Gauss-Legendre quadrature and
-returns the per-point residuals.  With the truncated activation the
-integrand is a polynomial and the residuals are at rounding level; with the
-full activation the residual measures the Taylor tail of order > k, which
-is reported rather than asserted away.
+The construction is verified, never trusted: ``truncated_residual``
+recomputes the cube integral of the truncated activation by tensor
+Gauss-Legendre quadrature and returns the per-point residuals with a bound
+on their rounding, both from one pass over the nodes.  The integrand is a
+polynomial, so the residuals are at rounding level.  With the full
+activation, ``integral_feature_expectation(g, np.exp, ...) - P`` measures the
+Taylor tail of order > k, which is reported rather than asserted away.
 """
 
 from __future__ import annotations
@@ -258,27 +259,10 @@ def integral_feature_expectation(
     return sig_vals @ weighted
 
 
-def verify_representation(
-    P: SparsePolynomial, g: LegendreExpansion, x_points, quad_order: int, truncate: bool
-) -> np.ndarray:
-    """Residuals c_d * int sigma(<w, x>) g(w) dw - P(x) at each probe point.
-
-    ``truncate=True`` uses the degree-k Taylor truncation of the activation,
-    for which the construction is exact and the quadrature (order >= k+1
-    per axis) introduces no error beyond rounding.  ``truncate=False`` uses
-    the full activation; the residual then reports the Taylor tail.
-    """
-    k = P.degree
-    if quad_order < k + 2:
-        raise ValueError(f"quad_order must be >= degree + 2 = {k + 2}")
-    sigma = exp_truncated(k) if truncate else np.exp
-    x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
-    values = integral_feature_expectation(g, sigma, x_points, quad_order)
-    return values - P.evaluate(x_points)
-
-
-def truncated_residual_bound(P: SparsePolynomial, g: LegendreExpansion, x_points, quad_order: int) -> np.ndarray:
-    """Per-point bound on the rounding in ``verify_representation``'s truncated residual.
+def truncated_residual(P: SparsePolynomial, g: LegendreExpansion, x_points, quad_order: int):
+    """Residuals c_d * int sigma_k(<w, x>) g(w) dw - P(x) at each probe point,
+    with sigma_k the degree-k Taylor truncation of exp, and a per-point bound on
+    their rounding, as ``(residual, bound)`` from one quadrature pass.
 
     Bound.  The order >= k + 2 rule integrates sigma_k(<w, x>) g(w), of degree
     <= 2k in each w_i, exactly, so the residual fl(sum_j t_j) - fl(P(x)) over
@@ -300,7 +284,12 @@ def truncated_residual_bound(P: SparsePolynomial, g: LegendreExpansion, x_points
     first order, |residual| <= 2 gamma_{N+m} T + (N + m) tiny.  An inf or
     NaN term makes the bound and the residual inf or NaN alike.
     """
-    sig_vals, weighted = _quadrature_terms(g, exp_truncated(P.degree), x_points, quad_order)
-    n = weighted.size + 12 * P.dimension + 18 * P.degree + 10
+    k = P.degree
+    if quad_order < k + 2:
+        raise ValueError(f"quad_order must be >= degree + 2 = {k + 2}")
+    x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
+    sig_vals, weighted = _quadrature_terms(g, exp_truncated(k), x_points, quad_order)
+    n = weighted.size + 12 * P.dimension + 18 * k + 10
     gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
-    return 2.0 * gamma * (np.abs(sig_vals) @ np.abs(weighted)) + n * 2.0**-1074
+    bound = 2.0 * gamma * (np.abs(sig_vals) @ np.abs(weighted)) + n * 2.0**-1074
+    return sig_vals @ weighted - P.evaluate(x_points), bound

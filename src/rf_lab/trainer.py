@@ -8,9 +8,11 @@ a hinge-loss subgradient step on both layers simultaneously (exp' = exp):
     dU_i = -y * 1[1 - y N(x) >= 0] * exp(<w_i, x>)
     dW_i = -y * 1[1 - y N(x) >= 0] * u_i * exp(<w_i, x>) * x
 
-(the indicator takes the nonzero branch at the kink).  The loop runs in
-``_sgd_numpy.run_steps``, whose cost scales with the number of updates
-rather than of steps; ``kernel_backend()`` names it.
+(the indicator takes the nonzero branch at the kink).  Each step is one
+call of ``_sgd_numpy.hinge_step``.  ``_sgd_numpy.run_steps`` runs the loop
+with it, at a cost that scales with the number of updates rather than of
+steps (``kernel_backend()`` names it), and ``finite_difference_check``
+reads the gradient off one step at eta = 1.
 
 Per-step diagnostics (loss, ||W_t - W_0||_F, ||U_t||, ||W_t||_F; Frobenius
 norms throughout) are kept as the steps that updated (``TrainTrace``): a
@@ -30,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .features import PREDICT_CELLS, row_blocks
-from .numerics import RandomSource, uniform_cube
+from .numerics import RandomSource, uniform_ball, uniform_cube
 from .poly_repr import EXP_LIPSCHITZ, g_magnitude_bound
 
 from . import _sgd_numpy
@@ -89,21 +91,6 @@ def hinge_loss(y_hat: float, y: float) -> float:
     if y not in (-1.0, 1.0, -1, 1):
         raise ValueError(f"label must be -1 or +1, got {y}")
     return max(0.0, 1.0 - y_hat * y)
-
-
-def gradients(net: TwoLayerNet, x, y):
-    """Hinge-loss subgradients (dW, dU) at one example."""
-    x = np.asarray(x, dtype=float)
-    if y not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"label must be -1 or +1, got {y}")
-    z = net.W @ x
-    s = np.exp(z)
-    n_val = float(net.U @ s)
-    if 1.0 - y * n_val < 0.0:
-        return np.zeros_like(net.W), np.zeros_like(net.U)
-    dU = -y * s
-    dW = (-y * net.U * s)[:, None] * x[None, :]  # exp' = exp
-    return dW, dU
 
 
 @dataclass(frozen=True)
@@ -307,18 +294,21 @@ class DriftReport:
 
 
 def finite_difference_check(net: TwoLayerNet, x, y) -> float:
-    """Error of the analytic gradients against central finite differences of
+    """Error of the SGD kernel's step against central finite differences of
     step h = 1e-5, relative to the gradient's largest component.
 
+    The gradient checked is the one training takes: ``_sgd_numpy.hinge_step``
+    at eta = 1 on a copy of the net, read as its displacement (old minus new).
     Meaningful only away from the hinge kink (|1 - y N(x)| not tiny), where
     the loss is differentiable.  (Per-component relative errors are
     meaningless for near-zero components, where the h^-1-amplified rounding
     of the difference quotient dominates.)
     """
     x = np.asarray(x, dtype=float)
-    dW, dU = gradients(net, x, y)
+    stepped = net.copy()
+    _sgd_numpy.hinge_step(stepped.W, stepped.U, x, y, 1.0)
     num = np.zeros(net.r + net.r * net.d)
-    ana = np.concatenate([dU, dW.ravel()])
+    ana = np.concatenate([net.U - stepped.U, (net.W - stepped.W).ravel()])
     flat_idx = 0
     h = 1e-5
 
@@ -351,10 +341,9 @@ def margin_filtered_sampler(P, margin: float):
     hinge loss.  ``P`` should already be scaled so sup_ball |P| = 1.
     ``sampler(n, gen)`` returns the first n kept rows as (X, y).
 
-    Candidates are drawn into one scratch buffer, in blocks of
+    Candidates are drawn by ``uniform_ball``, in blocks of
     min(``PREDICT_CELLS`` // d, max(2 (n - got), 64)) rows while got rows
-    are kept: a block's normals (one row per candidate), then its uniforms
-    (the radii).  So about two candidates are drawn per row, and kept rows
+    are kept.  So about two candidates are drawn per row, and kept rows
     after the n-th are dropped.  A margin that accepts none of the first
     10^5 draws of a call, or fewer than n of its first 1000 n + 10^5, raises
     ValueError; at or above sup |P| it would accept none.
@@ -365,19 +354,14 @@ def margin_filtered_sampler(P, margin: float):
     def sampler(n: int, gen: np.random.Generator):
         X = np.empty((n, d))
         y = np.empty(n)
-        normals = np.empty((min(block, max(2 * n, 64)), d))
-        radii = np.empty((len(normals), 1))
         got = drawn = 0
         while got < n:
             if drawn >= (100_000 if got == 0 else 1000 * n + 100_000):
                 raise ValueError(
                     f"margin {margin} accepted {got} of {drawn} draws from the unit ball; need {n}"
                 )
-            g = gen.standard_normal(out=normals[: min(block, max(2 * (n - got), 64))])
-            u = gen.random(out=radii[: len(g)])
+            g = uniform_ball(d, min(block, max(2 * (n - got), 64)), gen)
             drawn += len(g)
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            g *= u ** (1.0 / d)
             p = P.evaluate(g)
             keep = np.flatnonzero(np.abs(p) >= margin)[: n - got]
             X[got : got + len(keep)] = g[keep]

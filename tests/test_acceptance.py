@@ -43,7 +43,7 @@ from rf_lab.poly_repr import (
     construct_g,
     g_magnitude_bound,
     max_abs_g,
-    verify_representation,
+    truncated_residual,
 )
 from rf_lab.trainer import (
     TrainConfig,
@@ -135,7 +135,7 @@ def test_criterion_02_representation_oracle():
         P = SparsePolynomial(d, {candidates[i]: float(gen.uniform(-1, 1)) for i in picks})
         g = construct_g(P)
         xs = uniform_ball(d, 20, rng.generator(trial, 1))
-        res = verify_representation(P, g, xs, P.degree + 4, truncate=True)
+        res = truncated_residual(P, g, xs, P.degree + 4)[0]
         worst_residual = max(worst_residual, float(np.max(np.abs(res))))
         if max_abs_g(g, rng.derive(trial)) > g_magnitude_bound(d, P.degree, P.coeff_bound):
             bound_ok = False

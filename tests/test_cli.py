@@ -24,8 +24,7 @@ from rf_lab.poly_repr import (
     SparsePolynomial,
     construct_g,
     g_magnitude_bound,
-    truncated_residual_bound,
-    verify_representation,
+    truncated_residual,
 )
 from rf_lab.trainer import TrainConfig, guarantee_params, margin_filtered_sampler, sgd_train
 
@@ -116,6 +115,11 @@ class TestExitCodes:
         assert run(["psi-check", "--help"]) == 0
         assert "(default: 3, >= 1)" in " ".join(capsys.readouterr().out.split())
 
+    def test_every_bound_has_a_lower_end(self):
+        # the help text and the checks read a bound as (low, high or None)
+        bounds = [spec[3] for command in cli.COMMANDS.values() for spec in command["params"].values()]
+        assert all(low is not None for low, _ in filter(None, bounds))
+
     def test_invalid_parameter_value_is_usage_error(self, tmp_path, capsys):
         assert run(["psi-check", "--d", "0", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
@@ -189,7 +193,8 @@ class TestExitCodes:
         P = SparsePolynomial.from_json(cli.COMMANDS["represent-poly"]["params"]["poly"][1])
         g = perturbed(P)
         xs = uniform_ball(2, 20, RandomSource(0).generator(0))
-        share = np.abs(verify_representation(P, g, xs, 6, True)) / truncated_residual_bound(P, g, xs, 6)
+        res, bound = truncated_residual(P, g, xs, 6)
+        share = np.abs(res) / bound
         assert np.max(share) > 1e3
         monkeypatch.setattr(cli, "construct_g", perturbed)
         assert run(["represent-poly", "--out", str(tmp_path)]) == 2
@@ -291,6 +296,19 @@ class TestConfigFiles:
         assert run(["psi-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "psi-check").exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("exp-identity", '{"out": null}', "config key 'out': expected a string, got None"),
+        ("exp-identity", '{"out": false}', "config key 'out': expected a string, got False"),
+        ("represent-poly", '{"poly": {"1,1": 1.0}}', "config key 'poly': expected a string, got {'1,1': 1.0}"),
+    ])
+    def test_non_string_config_value_is_usage_error(self, tmp_path, capsys, monkeypatch, command, text, message):
+        # without --out the outputs would go under the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(text)
+        assert run([command, "--config", "cfg.json"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_non_integer_in_config_list_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -24,9 +24,9 @@ from rf_lab.poly_repr import (
     exp_taylor_coeff,
     exp_truncated,
     g_magnitude_bound,
+    integral_feature_expectation,
     max_abs_g,
-    truncated_residual_bound,
-    verify_representation,
+    truncated_residual,
 )
 
 
@@ -103,14 +103,14 @@ class TestConstructG:
         P = SparsePolynomial(1, {MultiIndex((0,)): 2.25})
         g = construct_g(P)
         assert g.coefficients[MultiIndex((0,))] == pytest.approx(2.25)
-        res = verify_representation(P, g, np.array([[0.3], [-0.8]]), P.degree + 4, True)
+        res = truncated_residual(P, g, np.array([[0.3], [-0.8]]), P.degree + 4)[0]
         assert np.max(np.abs(res)) < 1e-10
 
     def test_linear_monomial_d2(self):
         P = SparsePolynomial(2, {MultiIndex((1, 0)): 1.0})
         g = construct_g(P)
         xs = uniform_ball(2, 20, RandomSource(5).generator())
-        res = verify_representation(P, g, xs, P.degree + 4, True)
+        res = truncated_residual(P, g, xs, P.degree + 4)[0]
         assert np.max(np.abs(res)) < 1e-10
 
     def test_linearity_in_coefficients(self):
@@ -154,7 +154,7 @@ class TestVerificationOracle:
             P = random_polynomial(gen, d, k)
             g = construct_g(P)
             xs = uniform_ball(d, 20, rng.generator(trial, 1))
-            res = verify_representation(P, g, xs, P.degree + 4, truncate=True)
+            res = truncated_residual(P, g, xs, P.degree + 4)[0]
             worst = max(worst, float(np.max(np.abs(res))))
         assert worst < 1e-8
 
@@ -166,7 +166,8 @@ class TestVerificationOracle:
         g = construct_g(P)
         xs = uniform_ball(P.dimension, 50, RandomSource(43).generator())
         order = P.degree + 4
-        share = np.abs(verify_representation(P, g, xs, order, True)) / truncated_residual_bound(P, g, xs, order)
+        res, bound = truncated_residual(P, g, xs, order)
+        share = np.abs(res) / bound
         assert np.max(share) <= 0.2
 
     def test_random_suite_within_rounding_bound(self):
@@ -178,8 +179,8 @@ class TestVerificationOracle:
             P = SparsePolynomial(d, {J: c * 10.0 ** int(gen.integers(-3, 4)) for J, c in P.coefficients.items()})
             g = construct_g(P)
             xs = uniform_ball(d, 20, rng.generator(trial, 1))
-            bound = truncated_residual_bound(P, g, xs, P.degree + 4)
-            assert np.all(np.abs(verify_representation(P, g, xs, P.degree + 4, True)) <= 0.2 * bound), trial
+            res, bound = truncated_residual(P, g, xs, P.degree + 4)
+            assert np.all(np.abs(res) <= 0.2 * bound), trial
 
     def test_bound_compliance_random_suite(self):
         rng = RandomSource(37)
@@ -196,8 +197,8 @@ class TestVerificationOracle:
         P = SparsePolynomial(3, {MultiIndex((1, 0, 0)): 1.0})
         g = construct_g(P)
         xs = uniform_ball(3, 10, RandomSource(41).generator())
-        res_t = np.max(np.abs(verify_representation(P, g, xs, P.degree + 4, truncate=True)))
-        res_f = np.max(np.abs(verify_representation(P, g, xs, quad_order=10, truncate=False)))
+        res_t = np.max(np.abs(truncated_residual(P, g, xs, P.degree + 4)[0]))
+        res_f = np.max(np.abs(integral_feature_expectation(g, np.exp, xs, 10) - P.evaluate(xs)))
         # the truncated system is exact; untruncated exp leaves the tail
         assert res_t < 1e-10
         assert res_f > 1e-6
@@ -206,14 +207,25 @@ class TestVerificationOracle:
     def test_zero_g_zero_poly(self):
         P = SparsePolynomial(2, {})
         g = LegendreExpansion(2, {})
-        res = verify_representation(P, g, np.zeros((3, 2)), P.degree + 4, True)
+        res = truncated_residual(P, g, np.zeros((3, 2)), P.degree + 4)[0]
         assert np.all(res == 0.0)
 
     def test_quad_order_precondition(self):
         P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
         g = construct_g(P)
         with pytest.raises(ValueError):
-            verify_representation(P, g, np.zeros((1, 2)), quad_order=2, truncate=True)
+            truncated_residual(P, g, np.zeros((1, 2)), quad_order=2)
+
+    @pytest.mark.parametrize("poly", ['{"0": 1}', '{"2,1": -0.5, "0,1": 2}', '{"3,3,3": 1}'])
+    def test_one_pass_residual_is_the_quadrature_residual(self, poly):
+        # one pass computes the residual beside its bound; it is the quadrature residual bit for bit
+        P = SparsePolynomial.from_json(poly)
+        g = construct_g(P)
+        xs = uniform_ball(P.dimension, 30, RandomSource(53).generator())
+        order = P.degree + 4
+        res = truncated_residual(P, g, xs, order)[0]
+        expected = integral_feature_expectation(g, exp_truncated(P.degree), xs, order) - P.evaluate(xs)
+        assert res.tobytes() == expected.tobytes()
 
 
 class TestEvalG:

@@ -1,4 +1,4 @@
-"""Network forward/gradients, the SGD loop, hyperparameters, drift bounds."""
+"""Network forward, the SGD step and loop, hyperparameters, drift bounds."""
 
 import dataclasses
 import math
@@ -24,7 +24,6 @@ from rf_lab.trainer import (
     drift_check,
     finite_difference_check,
     forward,
-    gradients,
     hinge_loss,
     kernel_backend,
     margin_filtered_sampler,
@@ -182,11 +181,33 @@ class TestBasics:
             hinge_loss(0.5, 0)
 
 
+def gradients(net, x, y):
+    """Hinge-loss subgradients (dW, dU) at one example, in closed form: the oracle for
+    the kernel's ``hinge_step``.  Zero where the margin 1 - y N(x) is negative."""
+    s = np.exp(net.W @ x)
+    if 1.0 - y * float(net.U @ s) < 0.0:
+        return np.zeros_like(net.W), np.zeros_like(net.U)
+    return (-y * net.U * s)[:, None] * x[None, :], -y * s  # exp' = exp
+
+
 class TestGradients:
+    """``_sgd_numpy.hinge_step`` is the step training runs and the finite-difference
+    check reads; each case checks one step of ``run_steps`` against the oracle."""
+
+    @staticmethod
+    def one_kernel_step(net, x, y, eta):
+        W, U = net.W.copy(), net.U.copy()
+        updates = _sgd_numpy.run_steps(W, U, net.W.copy(), x[None, :], np.array([y]), eta, 0, 1)
+        return W, U, updates
+
     def test_satisfied_margin_gives_zero(self):
         net = TwoLayerNet(np.array([[1.0, 0.0]]), np.array([5.0]))
-        dW, dU = gradients(net, np.array([0.9, 0.0]), 1.0)  # y * N = 5 e^0.9 > 1
+        x = np.array([0.9, 0.0])  # y * N = 5 e^0.9 > 1
+        dW, dU = gradients(net, x, 1.0)
         assert np.all(dW == 0.0) and np.all(dU == 0.0)
+        W, U, updates = self.one_kernel_step(net, x, 1.0, 1.0)
+        assert updates == []
+        assert W.tobytes() == net.W.tobytes() and U.tobytes() == net.U.tobytes()
 
     def test_zero_outer_layer(self):
         net = xavier_init(3, 4, RandomSource(5))
@@ -194,6 +215,9 @@ class TestGradients:
         dW, dU = gradients(net, x, 1.0)
         assert np.all(dW == 0.0)
         assert np.allclose(dU, -np.exp(net.W @ x))
+        W, U, updates = self.one_kernel_step(net, x, 1.0, 1.0)
+        assert len(updates) == 1
+        assert W.tobytes() == net.W.tobytes() and U.tobytes() == (net.U - dU).tobytes()
 
     def test_finite_difference_suite(self):
         rng = RandomSource(6)
@@ -211,14 +235,6 @@ class TestGradients:
                 continue
             assert finite_difference_check(net, x, y) < 1e-6
             checked += 1
-
-    # training runs ``_sgd_numpy.run_steps``, not ``gradients``: one kernel step must be
-    # the SGD step on the gradients that the finite-difference check certifies
-    @staticmethod
-    def one_kernel_step(net, x, y, eta):
-        W, U = net.W.copy(), net.U.copy()
-        updates = _sgd_numpy.run_steps(W, U, net.W.copy(), x[None, :], np.array([y]), eta, 0, 1)
-        return W, U, updates
 
     @pytest.mark.parametrize("r", [7, 1000])
     def test_kernel_step_is_minus_eta_gradient(self, r):
@@ -258,6 +274,21 @@ class TestGradients:
             W, U, updates = self.one_kernel_step(net, x, y, 0.5)
             assert updates == []
             assert W.tobytes() == net.W.tobytes() and U.tobytes() == net.U.tobytes()
+
+    def test_wrong_kernel_step_fails_learn_poly(self, tmp_path, capsys, monkeypatch):
+        def no_activation_in_w_step(W, U, x, y, eta):
+            # the kernel's step with s dropped from the W update
+            s = np.exp(W @ x)
+            margin = 1.0 - y * float(U @ s)
+            if margin >= 0.0:
+                W += ((eta * y) * U)[:, None] * x[None, :]
+                U += (eta * y) * s
+            return margin
+
+        monkeypatch.setattr(_sgd_numpy, "hinge_step", no_activation_in_w_step)
+        assert cli.run(["learn-poly", "--steps", "2000", "--r", "50", "--n-val", "200",
+                        "--out", str(tmp_path)]) == 2
+        assert "VALIDATION FAILURE: gradient finite-difference" in capsys.readouterr().err
 
 
 class TestSGD:

@@ -66,6 +66,7 @@ from .trainer import (
     drift_check,
     finite_difference_check,
     forward,
+    hinge_loss,
     kernel_backend,
     margin_filtered_sampler,
     sgd_train,
@@ -292,20 +293,20 @@ def _approx_text(value, spec: str) -> str:
 def _cmd_legendre_check(cfg: ExperimentConfig):
     kmax = cfg.params["max_degree"]
     table = build_monomial_table(kmax)
-    rule = gauss_legendre_rule(max(20, kmax + 8))
+    nodes, weights = gauss_legendre_rule(max(20, kmax + 8))
     rows = []
     failures = []
     worst_orth = worst_recon = 0.0
     for m in range(kmax + 1):
-        pm = legendre_eval(m, rule.nodes)
+        pm = legendre_eval(m, nodes)
         for n in range(kmax + 1):
-            inner = float(rule.weights @ (pm * legendre_eval(n, rule.nodes)))
+            inner = float(weights @ (pm * legendre_eval(n, nodes)))
             expected = legendre_norm_sq(n) if m == n else 0.0
             err = abs(inner - expected)
             worst_orth = max(worst_orth, err)
             rows.append(("orthogonality", m, n, inner, expected, err))
             if m < n or (m + n) % 2 == 1:
-                e = table.e(m, n)
+                e = table[m, n]
                 rows.append(("vanishing", m, n, e, 0.0, abs(e)))
                 if e != 0.0:
                     failures.append(f"e({m},{n}) = {e} should vanish exactly")
@@ -313,7 +314,7 @@ def _cmd_legendre_check(cfg: ExperimentConfig):
     for m in range(kmax + 1):
         recon = np.zeros_like(grid)
         for n in range(m + 1):
-            e = table.e(m, n)
+            e = table[m, n]
             if e:
                 recon += e * legendre_eval(n, grid)
         err = float(np.max(np.abs(recon - grid**m)))
@@ -410,8 +411,7 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
     config = TrainConfig(r=p["r"], eta=p["eta"], steps=p["steps"])
     rng = RandomSource(cfg.seed)
     result = sgd_train(p["d"], sampler, config, rng, n_val=p["n_val"])
-    comp_pred = p["comparator_scale"] * P.evaluate(result.X_val)
-    comparator = float(np.mean(np.maximum(0.0, 1.0 - result.y_val * comp_pred)))
+    comparator = hinge_loss(p["comparator_scale"] * P.evaluate(result.X_val), result.y_val)
 
     # gradient spot-check away from the kink
     gen = rng.generator(3)

@@ -16,18 +16,17 @@ the term-by-term sum is kept as a test oracle (``ReluDecomposition.evaluate``).
 Composed with a random direction, x -> psi(<w, x>) with ||w|| = d
 oscillates too fast for any fixed low-norm feature family to track, which
 is what the correlation-decay and inapproximability sweeps measure.  Both
-run one cell per dimension through ``parallel.map_cells``.  The
-correlation sweep streams its Gaussian sample in tiles of whole row groups,
-at most ``features.PREDICT_CELLS`` psi values each: every tile is drawn,
-projected and passed through psi in place in two reused buffers and added
-to the running sums, so a cell holds no array that grows with the sample.
-The tiles are its own, not ``features.row_blocks``, because their size
-fixes the order of the sums.  Its test net is ``features.predict`` over a
-ReLU ``features.FeatureSample``, which evaluates each tile in
-``row_blocks``.  The inapproximability sweep's least-squares fit draws its
-training and held-out points in ``row_blocks`` too, and its
-directly-trained baseline its held-out points, each block straight into
-one reused buffer (``features.gaussian_row_blocks``).
+run one cell per dimension through ``parallel.map_cells``.  Each draws
+its Gaussian points in ``features.row_blocks``, each block straight into
+one reused buffer (``features.gaussian_row_blocks``), where a lone last
+point joins the block before it.  The correlation sweep projects each
+block into one reused buffer, passes it through psi in place (at most
+``features.PREDICT_CELLS`` psi values, plus one row) and adds it to the
+running sums, so a cell holds no array that grows with the sample; its
+test net is ``features.predict`` over a ReLU ``features.FeatureSample``.
+The inapproximability sweep's least-squares fit draws its training and
+held-out points this way, and its directly-trained baseline its held-out
+points.
 """
 
 from __future__ import annotations
@@ -42,13 +41,12 @@ from .features import (
     FeatureSample,
     gaussian_row_blocks,
     least_squares_fit,
+    longest_block,
     predict,
-    predict_block_rows,
     relu,
     row_blocks,
 )
 from .numerics import (
-    QuadratureRule,
     RandomSource,
     gauss_legendre_rule,
     gaussian_expectation_1d,
@@ -144,15 +142,23 @@ class ReluDecomposition:
         return len(self.coefficients)
 
     def evaluate(self, x):
-        """Naive term-by-term sum; the oracle for the closed-form evaluator.
+        """Term-by-term sum; the oracle for the closed-form evaluator.
 
-        Accumulates in extended precision where the platform provides it:
-        the ~6 d^2 alternating terms have magnitude ~2a, so a float64 sum
-        would carry several 1e-12 of rounding at d >= 5.
+        The ~6 d^2 alternating terms have magnitude ~2a, so a plain float64
+        sum would carry several 1e-12 of rounding at d >= 5.  Instead x is
+        split as round(x) + f with |f| <= 1/2: the shifted integers
+        z_j = round(x) + c_j, the active set z_j + f > 0 (tested as z_j > -f),
+        S = sum a_j z_j and C = sum a_j over it are all exact, and the value
+        is S + f C + constant.  Integer offsets and coefficients are assumed.
+        Each intermediate holds at most len(x) x n_terms values.
         """
-        x = np.asarray(x, dtype=np.longdouble)
-        rect = np.maximum(x[..., None] + self.offsets.astype(np.longdouble), 0.0)
-        out = (rect @ self.coefficients.astype(np.longdouble) + np.longdouble(self.constant)).astype(float)
+        x = np.asarray(x, dtype=float)
+        whole = np.round(x)
+        f = x - whole
+        z = whole[..., None] + self.offsets
+        active = z > -f[..., None]
+        z *= active
+        out = z @ self.coefficients + f * (active @ self.coefficients) + self.constant
         return out if out.ndim else float(out)
 
 
@@ -171,7 +177,7 @@ def psi_relu_decomposition(psi: PsiFunction) -> ReluDecomposition:
 
 # Simpson on [-1, 1], exact for psi^2 between kinks.  Its nodes are panel ends and
 # midpoints, binary-exact at psi's integer kinks, so each energy is exactly 2/3.
-_SIMPSON = QuadratureRule(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 4.0, 1.0]) / 3.0)
+_SIMPSON = (np.array([-1.0, 0.0, 1.0]), np.array([1.0, 4.0, 1.0]) / 3.0)
 
 
 @dataclass(frozen=True)
@@ -219,12 +225,10 @@ def psi_properties_check(psi: PsiFunction, grid_points: int, norm_order: int) ->
     rules = (kink_split_rule(_SIMPSON, float(n), float(n + 2), psi.kinks) for n in starts)
     dev = max(abs(float(w @ psi_eval(psi, z) ** 2) - 2.0 / 3.0) for z, w in rules)
     deco = psi_relu_decomposition(psi)
-    # in blocks: the term-by-term sum holds grid x n_terms long doubles, several times
-    # over; a long double takes the bytes of two float64 values, so a block gets
-    # half the rows row_blocks gives n_terms float64 values
+    # in blocks: the term-by-term sum holds grid x n_terms values
     deco_res = max(
         float(np.max(np.abs(deco.evaluate(x[start:stop]) - vals[start:stop])))
-        for start, stop in row_blocks(len(x), 2 * deco.n_terms)
+        for start, stop in row_blocks(len(x), deco.n_terms)
     )
     norm = psi_gaussian_norm(psi, norm_order)
     return PsiReport(
@@ -300,11 +304,12 @@ def correlation_decay(f_r: int, d_values, trials: int, mc_samples: int, rng: Ran
     noise-floor bias of Var(f psi_w)/mc_samples, so decay trends flatten
     there.
 
-    The points are drawn, evaluated and summed one tile of
-    ``features.predict_block_rows(trials)`` rows at a time (1,024 at 64
-    draws), so a cell's memory does not grow with ``mc_samples``.  The tile
-    size fixes the order of the sums: another size changes the results in
-    their last digits.
+    The points are drawn, evaluated and summed one block at a time, over
+    ``features.gaussian_row_blocks(gen, mc_samples, d, trials)`` (1,024 rows
+    at 64 draws), so a cell's memory does not grow with ``mc_samples``.  As
+    in every such stream, a lone last point joins the block before it.  The
+    block size fixes the order of the sums: another size changes the results
+    in their last digits.
     """
     cell = partial(_correlation_cell, f_r, trials, mc_samples, rng)
     return map_cells(cell, [int(d) for d in d_values], jobs)
@@ -327,23 +332,16 @@ def _correlation_cell(f_r: int, trials: int, mc_samples: int, rng: RandomSource,
     gen_w = rng.generator(d, 1)
     ws = gen_w.standard_normal((trials, d))
     ws *= d / np.linalg.norm(ws, axis=1, keepdims=True)
-    gen_x = rng.generator(d, 2)
-    rows = predict_block_rows(trials)
-    X = np.empty((min(rows, mc_samples), d))  # the tile's Gaussian points
-    Z = np.empty((len(X), trials))  # psi_w(x) at the tile's points
+    # psi_w(x) at a block's points, in one buffer: a fresh array per block made
+    # the default sweep's cells take about a quarter more CPU time
+    Z = np.empty((longest_block(row_blocks(mc_samples, trials)), trials))
     inner_sums = np.zeros(trials)
     f_sq_sum = 0.0
-    # its own tiles, not row_blocks: their size fixes the order of the sums,
-    # and a lone last point joining the tile before would change it
-    for start in range(0, mc_samples, rows):
-        m = min(rows, mc_samples - start)
-        x, z = X[:m], Z[:m]
-        gen_x.standard_normal(out=x)
-        fx = np.asarray(f(x), dtype=float)
+    for start, stop, x in gaussian_row_blocks(rng.generator(d, 2), mc_samples, d, trials):
+        fx = f(x)
         f_sq_sum += float(fx @ fx)
-        np.matmul(x, ws.T, out=z)
-        psi_eval(psi, z, out=z)
-        inner_sums += fx @ z
+        z = np.matmul(x, ws.T, out=Z[: stop - start])
+        inner_sums += fx @ psi_eval(psi, z, out=z)
     inners = inner_sums / mc_samples
     f_norm_sq = f_sq_sum / mc_samples
     sq = inners**2 / f_norm_sq

@@ -5,8 +5,8 @@ Everything here is built on the classical (unnormalized) family p_n on
 <p_m, p_n> = delta_{mn} * 2/(2n+1).  Multivariate polynomials use tensor
 products p_J(w) = p_{j_1}(w_1) ... p_{j_d}(w_d) indexed by multi-indices.
 
-The one non-textbook piece is :class:`MonomialExpansionTable`: the exact
-coefficients e(m, n) of the expansion
+The one non-textbook piece is the array ``build_monomial_table`` returns:
+the exact coefficients e(m, n) = table[m, n] of the expansion
 
     w^m = sum_n e(m, n) * p_n(w),
 
@@ -15,7 +15,8 @@ w * p_n = ((n+1) p_{n+1} + n p_{n-1}) / (2n+1):
 
     e(m+1, n) = n/(2n-1) * e(m, n-1) + (n+1)/(2n+3) * e(m, n+1).
 
-e(m, n) vanishes whenever n > m or m + n is odd.  The raw projection
+e(m, n) vanishes whenever n > m or m + n is odd; an index past the
+table's degree raises NumPy's IndexError.  The raw projection
 integral I(m, n) = int_{-1}^{1} w^m p_n(w) dw is recovered as
 e(m, n) * 2/(2n+1).
 """
@@ -102,24 +103,9 @@ def legendre_norm_sq(n: int) -> float:
     return 2.0 / (2 * n + 1)
 
 
-@dataclass(frozen=True)
-class MonomialExpansionTable:
-    """Exact monomial-to-Legendre expansion coefficients up to max_degree."""
-
-    max_degree: int
-    coeffs: np.ndarray  # coeffs[m, n] = e(m, n)
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
-
-    def e(self, m: int, n: int) -> float:
-        if m > self.max_degree or n > self.max_degree:
-            raise ValueError(f"degree {max(m, n)} exceeds table max_degree {self.max_degree}")
-        return float(self.coeffs[m, n])
-
-
-def build_monomial_table(m_max: int) -> MonomialExpansionTable:
-    """Build e(m, n) for all 0 <= n <= m <= m_max by the exact recurrence."""
+def build_monomial_table(m_max: int) -> np.ndarray:
+    """The read-only (m_max + 1, m_max + 1) array of e(m, n), indexed ``[m, n]``,
+    for all 0 <= n <= m <= m_max by the exact recurrence."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     e = np.zeros((m_max + 1, m_max + 1))
@@ -129,7 +115,8 @@ def build_monomial_table(m_max: int) -> MonomialExpansionTable:
             lower = (n / (2 * n - 1)) * e[m, n - 1] if n >= 1 else 0.0
             upper = ((n + 1) / (2 * n + 3)) * e[m, n + 1] if n + 1 <= m_max else 0.0
             e[m + 1, n] = lower + upper
-    return MonomialExpansionTable(m_max, e)
+    e.setflags(write=False)
+    return e
 
 
 def multi_legendre_eval(J: MultiIndex, w):
@@ -152,7 +139,7 @@ def multi_norm_sq(J: MultiIndex) -> float:
     return out
 
 
-def multi_expansion_coeff(J: MultiIndex, J_prime: MultiIndex, table: MonomialExpansionTable) -> float:
+def multi_expansion_coeff(J: MultiIndex, J_prime: MultiIndex, table: np.ndarray) -> float:
     """Coefficient of p_{J'} in the Legendre expansion of w^J.
 
     Separates over coordinates: prod_i e(j_i, j'_i).  Zero whenever J' is
@@ -162,7 +149,7 @@ def multi_expansion_coeff(J: MultiIndex, J_prime: MultiIndex, table: MonomialExp
         raise ValueError("multi-index dimensions differ")
     out = 1.0
     for m, n in zip(J.entries, J_prime.entries):
-        out *= table.e(m, n)
+        out *= table[m, n]
         if out == 0.0:
             return 0.0
     return out

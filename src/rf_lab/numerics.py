@@ -1,6 +1,8 @@
 """Deterministic quadrature, seeded random streams, and sampling measures.
 
-Two Gauss rules back every exactness check in the package:
+Two Gauss rules back every exactness check in the package.  A rule is a
+``(nodes, weights)`` pair of arrays, as are the composite rules built from
+them:
 
 * ``gauss_legendre`` integrates against the flat measure ``dw`` on [-1, 1]
   (total mass 2), so an order-n rule is exact for polynomials of degree
@@ -48,30 +50,15 @@ _GAUSS_SUPPORT_SIGMAS = 40.0  # exp(-40^2/2) underflows double precision
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of a quadrature rule.
-
-    ``weights`` sum to the total mass of the underlying measure (2 for
-    Gauss-Legendre on [-1, 1], 1 for probabilists' Gauss-Hermite).
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-
-
 def _legendre_with_derivative(n: int, x: np.ndarray):
     """P_n(x) and P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1), for n >= 1 and |x| < 1."""
     p = legendre_eval(n, x)
     return p, n * (x * p - legendre_eval(n - 1, x)) / (x * x - 1.0)
 
 
-def gauss_legendre_rule(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1] for the flat measure dw."""
+def gauss_legendre_rule(order: int):
+    """Gauss-Legendre rule on [-1, 1] for the flat measure dw, as (nodes, weights);
+    the weights sum to 2."""
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     k = np.arange(order, dtype=float)
@@ -86,7 +73,7 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
     x = 0.5 * (x - x[::-1])  # enforce the exact +/- symmetry of the roots
     _, dp = _legendre_with_derivative(order, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return QuadratureRule(x, w)
+    return x, w
 
 
 def _hermite_orthonormal(n: int, x: np.ndarray):
@@ -104,12 +91,13 @@ def _hermite_orthonormal(n: int, x: np.ndarray):
     return h, h_prev, christoffel
 
 
-def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Probabilists' Gauss-Hermite rule: E[f(z)] for z ~ N(0, 1)."""
+def gauss_hermite_rule(order: int):
+    """Probabilists' Gauss-Hermite rule: E[f(z)] for z ~ N(0, 1), as (nodes, weights);
+    the weights sum to 1."""
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     if order == 1:
-        return QuadratureRule(np.zeros(1), np.ones(1))
+        return np.zeros(1), np.ones(1)
     off = np.sqrt(np.arange(1, order, dtype=float))
     jacobi = np.diag(off, 1) + np.diag(off, -1)
     x = np.linalg.eigvalsh(jacobi)
@@ -123,7 +111,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     x = 0.5 * (x - x[::-1])
     _, _, christoffel = _hermite_orthonormal(order, x)
     w = 1.0 / christoffel
-    return QuadratureRule(x, w)
+    return x, w
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +119,14 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 
-def kink_split_rule(base: QuadratureRule, lo: float, hi: float, kinks, max_width: float = math.inf):
+def kink_split_rule(base, lo: float, hi: float, kinks, max_width: float = math.inf):
     """Composite rule for the flat measure dx on [lo, hi], as flat (nodes, weights).
 
     Splits [lo, hi] at every kink strictly inside it, cuts each piece into
     equal panels no wider than ``max_width``, and maps ``base`` (a rule on
-    [-1, 1]) onto every panel.  A base rule exact for degree k on [-1, 1]
-    then integrates any piecewise polynomial of degree k with breaks at the
-    kinks exactly.
+    [-1, 1], as (nodes, weights)) onto every panel.  A base rule exact for
+    degree k on [-1, 1] then integrates any piecewise polynomial of degree k
+    with breaks at the kinks exactly.
     """
     cuts = sorted({lo, hi, *(float(c) for c in kinks if lo < c < hi)})
     edges = [cuts[0]]
@@ -148,8 +136,9 @@ def kink_split_rule(base: QuadratureRule, lo: float, hi: float, kinks, max_width
     edges = np.asarray(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * base.nodes[None, :]).ravel()
-    weights = (half[:, None] * base.weights[None, :]).ravel()
+    base_nodes, base_weights = base
+    nodes = (mid[:, None] + half[:, None] * base_nodes[None, :]).ravel()
+    weights = (half[:, None] * base_weights[None, :]).ravel()
     return nodes, weights
 
 
@@ -167,8 +156,8 @@ def gaussian_expectation_1d(func, sigma: float, order: int, kinks) -> float:
     if sigma == 0.0:
         return float(np.asarray(func(np.zeros(1)))[0])
     if not len(kinks):
-        rule = gauss_hermite_rule(order)
-        return float(rule.weights @ np.asarray(func(sigma * rule.nodes), dtype=float))
+        z, w = gauss_hermite_rule(order)
+        return float(w @ np.asarray(func(sigma * z), dtype=float))
     lim = _GAUSS_SUPPORT_SIGMAS * sigma
     z, w = kink_split_rule(gauss_legendre_rule(order), -lim, lim, kinks, max_width=2.0 * sigma)
     dens = np.exp(-0.5 * (z / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))

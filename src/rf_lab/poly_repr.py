@@ -119,13 +119,6 @@ def exp_taylor_coeff(i: int) -> float:
     return 1.0 / math.factorial(i)
 
 
-def exp_taylor_bounds(k: int) -> tuple:
-    """(a, A) bracketing the Taylor coefficients a_1, ..., a_k of exp: (1/k!, 1); (1, 1) at k = 0."""
-    if k == 0:
-        return (1.0, 1.0)
-    return (exp_taylor_coeff(k), 1.0)
-
-
 def exp_truncated(k: int) -> Callable[[np.ndarray], np.ndarray]:
     """Degree-k Taylor truncation exp_k(z) = sum_{i<=k} z^i / i!."""
     coeffs = [exp_taylor_coeff(i) for i in range(k + 1)]
@@ -219,16 +212,12 @@ def max_abs_g(g: LegendreExpansion, rng: RandomSource) -> float:
 def g_magnitude_bound(d: int, k: int, alpha: float) -> Fraction:
     """The a-priori bound beta = max(1, alpha)^k (A/a)^k (12 d)^{2 k^2} on max |g|
     for a degree-k polynomial on R^d with coefficients at most alpha in
-    magnitude, (a, A) = ``exp_taylor_bounds(k)``.
+    magnitude, where a = 1/k! and A = 1 bracket exp's Taylor coefficients
+    a_1, ..., a_k, so A/a = k!.
 
     Exact: beta overflows a double already at moderate d and k.
     """
-    a, A = exp_taylor_bounds(k)
-    return (
-        Fraction(max(1.0, alpha)) ** k
-        * (Fraction(A) / Fraction(a)) ** k
-        * Fraction(12 * d) ** (2 * k * k)
-    )
+    return Fraction(max(1.0, alpha)) ** k * Fraction(math.factorial(k)) ** k * Fraction(12 * d) ** (2 * k * k)
 
 
 def cube_quadrature(d: int, order: int):
@@ -236,8 +225,7 @@ def cube_quadrature(d: int, order: int):
 
     Weights are for the flat measure dw on the cube, so they sum to (2/sqrt(d))^d.
     """
-    rule = gauss_legendre_rule(order)
-    pts, wts = tensor_grid(rule.nodes, rule.weights, d)
+    pts, wts = tensor_grid(*gauss_legendre_rule(order), d)
     scale = 1.0 / math.sqrt(d)
     return pts * scale, wts * scale**d
 

@@ -86,11 +86,10 @@ def forward(net: TwoLayerNet, x) -> float | np.ndarray:
     return out
 
 
-def hinge_loss(y_hat: float, y: float) -> float:
-    """l(y_hat, y) = max(0, 1 - y_hat * y) for labels y in {-1, +1}."""
-    if y not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"label must be -1 or +1, got {y}")
-    return max(0.0, 1.0 - y_hat * y)
+def hinge_loss(pred, y) -> float:
+    """Mean of max(0, 1 - y * pred) over predictions and labels in {-1, +1}
+    (scalars or arrays of one shape); the labels are checked where they are drawn."""
+    return float(np.mean(np.maximum(0.0, 1.0 - y * pred)))
 
 
 @dataclass(frozen=True)
@@ -157,11 +156,6 @@ class DivergenceError(RuntimeError):
     """SGD reached a non-finite loss, weight norm or validation loss."""
 
 
-def _validation_loss(net: TwoLayerNet, X_val, y_val) -> float:
-    preds = forward(net, X_val)
-    return float(np.mean(np.maximum(0.0, 1.0 - y_val * preds)))
-
-
 def _checked(chunk, n: int):
     X, y = chunk
     if len(X) != n or len(y) != n:
@@ -205,7 +199,7 @@ def sgd_train(
     X, y = next(stream)
     X_val, y_val = _checked(sampler(n_val, rng.generator(2)), n_val)
 
-    best_loss = val = _validation_loss(net, X_val, y_val)
+    best_loss = val = hinge_loss(forward(net, X_val), y_val)
     best_step = 0
     best_net = net.copy()
     val_history = [(0, best_loss)]
@@ -218,7 +212,7 @@ def sgd_train(
             updates = _sgd_numpy.run_steps(net.W, net.U, W0, X, y, eta, done, count)
             # a chunk without an update leaves the net, hence its validation loss, unchanged
             if updates:
-                val = _validation_loss(net, X_val, y_val)
+                val = hinge_loss(forward(net, X_val), y_val)
         done += count
         finite = math.isfinite(val)
         if updates:
@@ -239,7 +233,7 @@ def sgd_train(
             best_net = net.copy()
         X, y = next(stream)
     # X is row T: the loss of the last drawn example at the final parameters ends the trace
-    final = hinge_loss(forward(net, X[0]), float(y[0]))
+    final = hinge_loss(forward(net, X[0]), y[0])
     updated = np.concatenate([np.empty((0, 5)), *records])
     trace = TrainTrace(
         steps=np.append(updated[:, 0].astype(np.int64), T),

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, config handling, manifests, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,9 +16,10 @@ import pytest
 import rf_lab
 from rf_lab import cli
 from rf_lab.cli import BLAS_THREAD_VARS, CSV_CELLS, run, write_csv
-from rf_lab.hardness import SweepRow
-from rf_lab.legendre import MultiIndex
-from rf_lab.numerics import RandomSource, uniform_ball
+from rf_lab.features import ConcentrationResult
+from rf_lab.hardness import CorrelationDecayRow, SweepRow
+from rf_lab.legendre import MultiIndex, build_monomial_table
+from rf_lab.numerics import RandomSource, gauss_legendre_rule, uniform_ball
 from rf_lab.parallel import usable_cpus
 from rf_lab.poly_repr import (
     LegendreExpansion,
@@ -26,7 +28,7 @@ from rf_lab.poly_repr import (
     g_magnitude_bound,
     truncated_residual,
 )
-from rf_lab.trainer import TrainConfig, guarantee_params, margin_filtered_sampler, sgd_train
+from rf_lab.trainer import DriftReport, TrainConfig, guarantee_params, margin_filtered_sampler, sgd_train
 
 
 def read(path):
@@ -221,6 +223,109 @@ class TestExitCodes:
         assert run(["learn-poly", "--d", "2", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: polynomial dimension 3 != --d 2")
         assert not (tmp_path / "learn-poly").exists()
+
+
+def _table_with(m, n, delta):
+    """build_monomial_table with e(m, n) moved by delta."""
+    def build(m_max):
+        table = build_monomial_table(m_max).copy()
+        table[m, n] += delta
+        return table
+    return build
+
+
+def _heavier_rule(order):
+    """gauss_legendre_rule with weights 0.1% too large."""
+    nodes, weights = gauss_legendre_rule(order)
+    return nodes, weights * 1.001
+
+
+def _concentration_with(errors, weight_sup_C):
+    """concentration_experiment's result for r = 64..512, two trials each, at the given sup errors."""
+    def experiment(P, r_values, *args, **kwargs):
+        r_values = (64, 128, 256, 512)
+        rows = tuple((r, t, errors(r), 1.0, 0) for r in r_values for t in range(2))
+        return ConcentrationResult(r_values, rows, weight_sup_C)
+    return experiment
+
+
+def _drift_with(**fields):
+    return lambda trace, config: DriftReport(**{
+        "b_value": 2.0, "norms_ok": True, "drift_ok": True, "min_drift_margin": 0.0, "max_norm": 1.0, **fields,
+    })
+
+
+def _worse_best_checkpoint(*args, **kwargs):
+    result = sgd_train(*args, **kwargs)
+    return dataclasses.replace(result, best_val_loss=result.val_history[0][1] + 1.0)
+
+
+def _zero_labels(P, margin):
+    def sampler(n, gen):
+        X, _ = margin_filtered_sampler(P, margin)(n, gen)
+        return X, np.zeros(n)
+    return sampler
+
+
+SMALL_LEARN_POLY = ["learn-poly", "--steps", "200", "--r", "20", "--n-val", "50"]
+
+# The refusals no other test reaches: (id, command line, the library call the command
+# makes and its stand-in, exit code, the start of the failure or error naming the check).
+REFUSALS = [
+    ("legendre-vanishing", ["legendre-check"], ("build_monomial_table", _table_with(0, 1, 0.5)), 2,
+     "e(0,1) = 0.5 should vanish exactly"),
+    ("legendre-orthogonality", ["legendre-check"],
+     ("gauss_legendre_rule", _heavier_rule), 2, "orthogonality residual "),
+    ("legendre-reconstruction", ["legendre-check"], ("build_monomial_table", _table_with(2, 0, 1e-6)), 2,
+     "reconstruction residual "),
+    ("concentration-envelope", ["concentration"],
+     ("concentration_experiment", _concentration_with(lambda r: r**-0.5, 0.01)), 2,
+     "8 trials exceed the concentration envelope"),
+    ("concentration-slope", ["concentration"],
+     ("concentration_experiment", _concentration_with(lambda r: 1.0 / r, 1.0)), 2,
+     "log-log slope -1.0000 outside [-0.65, -0.35]"),
+    ("learn-poly-drift", SMALL_LEARN_POLY, ("drift_check", _drift_with(drift_ok=False, min_drift_margin=-1.0)), 2,
+     "drift bound violated (min margin -1.000e+00)"),
+    ("learn-poly-norm-cap", SMALL_LEARN_POLY, ("drift_check", _drift_with(norms_ok=False, max_norm=9.0)), 2,
+     "norm cap violated within the drift-check window (max 9.000e+00)"),
+    ("learn-poly-best-checkpoint", SMALL_LEARN_POLY, ("sgd_train", _worse_best_checkpoint), 2,
+     "best checkpoint is worse than the initial validation loss"),
+    ("linear-residual-range", ["linear-residual"], ("linear_residual", lambda *a: np.array([0.5, 1.5])), 2,
+     "residuals escaped [0, 1]"),
+    ("linear-residual-mean", ["linear-residual"], ("linear_residual", lambda *a: np.array([0.1, 0.1])), 2,
+     "mean residual 0.1000 < 1/4 despite r <= d/2"),
+    ("correlation-finite", ["correlation-decay"],
+     ("correlation_decay", lambda *a: [CorrelationDecayRow(2, math.nan, 0.0, 64, 100_000)]), 2,
+     "normalized squared correlations must be finite and nonnegative"),
+    ("neuron-control", ["neuron-inapprox"],
+     ("neuron_inapprox_sweep", lambda *a, **k: [SweepRow(4, "control", 1e-3, 1.0)]), 2,
+     "realizable control at d=4 has error 1.000e-03 >= 1e-6"),
+    ("sampler-labels", SMALL_LEARN_POLY, ("margin_filtered_sampler", _zero_labels), 1,
+     "sampler produced labels outside {-1, +1}"),
+    ("config-unreadable", ["psi-check", "--config", "{tmp}/missing.json"], None, 1, "cannot read config file "),
+    ("config-not-object", ["psi-check", "--config", "{tmp}/list.json"], None, 1, "config {tmp}/list.json must "
+     "contain a JSON object"),
+]
+
+
+class TestRefusalPaths:
+    @pytest.mark.parametrize("argv, patch, code, named", [pytest.param(*case[1:], id=case[0]) for case in REFUSALS])
+    def test_refusal_exits_naming_its_check(self, tmp_path, capsys, monkeypatch, argv, patch, code, named):
+        (tmp_path / "list.json").write_text("[1, 2]")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        named = named.replace("{tmp}", str(tmp_path))
+        if patch is not None:
+            monkeypatch.setattr(cli, *patch)
+        assert run([*argv, "--jobs", "1", "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 1:
+            assert len(err) == 1 and err[0].startswith(f"error: {named}")
+            assert not (tmp_path / "out").exists()
+            return
+        manifest = json.loads((tmp_path / "out" / argv[0] / "manifest.json").read_text())
+        failures = manifest["validation_failures"]
+        assert len(failures) == 1 and failures[0].startswith(named)
+        assert err == [f"VALIDATION FAILURE: {failures[0]}"]
 
 
 class TestConfigFiles:

@@ -184,6 +184,12 @@ class TestPsiShape:
         assert len(np.unique(whole)) > 1000
         assert psi_properties_check(psi, 10_000, 16).decomposition_residual == float(np.max(whole))
 
+    @pytest.mark.parametrize("d", [4, 5, 10])
+    def test_decomposition_residual_needs_no_extended_precision(self, d, monkeypatch):
+        # where long double is float64 (Windows, macOS arm64) the oracle must still be exact
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        assert psi_properties_check(PsiFunction(d), 10_000, 16).decomposition_residual == 0.0
+
     def test_decomposition_evaluated_in_blocks(self, monkeypatch):
         psi = PsiFunction(8)
         blocks = []
@@ -195,8 +201,8 @@ class TestPsiShape:
 
         monkeypatch.setattr(ReluDecomposition, "evaluate", recording)
         psi_properties_check(psi, 10_000, 16)
-        # a long double takes 16 bytes: a block holds at most PREDICT_CELLS float64s' worth
-        assert max(len(x) for x in blocks) * (psi.a + 1) * 2 <= PREDICT_CELLS
+        # each intermediate holds a block's rows times the a + 1 terms
+        assert max(len(x) for x in blocks) * (psi.a + 1) <= PREDICT_CELLS
         assert np.array_equal(np.unique(np.concatenate(blocks)), np.linspace(-psi.a, psi.a, 10_000))
 
     def test_properties_memory_follows_the_block(self):
@@ -334,9 +340,10 @@ class TestRidgeReluNet:
 
 def chunked_correlation_cell(cell, chunk) -> CorrelationDecayRow:
     """The correlation cell from fresh arrays: each chunk of ``chunk`` points
-    is drawn, projected, passed through psi by its remainder form and summed
-    anew.  With the cell's tile size it sums as the cell does; with 100,000
-    points it is the cell before tiling, which agrees to rounding only."""
+    (a lone last point joins the chunk before it) is drawn, projected, passed
+    through psi by its remainder form and summed anew.  With the cell's block
+    size it sums as the cell does; with 100,000 points it is the cell before
+    blocking, which agrees to rounding only."""
     d, f_r, trials, mc_samples, seed = cell
     rng = RandomSource(seed)
     psi = PsiFunction(d)
@@ -346,8 +353,11 @@ def chunked_correlation_cell(cell, chunk) -> CorrelationDecayRow:
     gen_x = rng.generator(d, 2)
     inner_sums = np.zeros(trials)
     f_sq_sum = 0.0
-    for start in range(0, mc_samples, chunk):
-        X = gen_x.standard_normal((min(chunk, mc_samples - start), d))
+    cuts = [*range(0, mc_samples, chunk), mc_samples]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        X = gen_x.standard_normal((stop - start, d))
         fx = f(X)
         f_sq_sum += float(fx @ fx)
         inner_sums += fx @ psi_mod_form(psi, X @ ws.T)
@@ -359,11 +369,11 @@ def chunked_correlation_cell(cell, chunk) -> CorrelationDecayRow:
 
 class TestTiledCorrelationCell:
     CASES = [
-        (1, 65_537),  # one-column products; a lone last tile row
+        (1, 65_537),  # one-column products; a lone last point joins the block before
         (2, 70_001),
-        (64, 2_049),  # a lone last tile row
-        (PREDICT_CELLS // 4 + 1, 13),  # one row group per tile, then a lone row
-        (3, 100_001),  # more points than one untiled chunk
+        (64, 2_049),  # a lone last point
+        (PREDICT_CELLS // 4 + 1, 13),  # one row group per block, then a lone point
+        (3, 100_001),  # more points than one unblocked chunk
     ]
 
     @staticmethod
@@ -384,7 +394,7 @@ class TestTiledCorrelationCell:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("trials, mc_samples", CASES)
     def test_equals_untiled_cell(self, trials, mc_samples, jobs):
-        """Equal to rounding: the tiles sum in another order than whole chunks."""
+        """Equal to rounding: the blocks sum in another order than whole chunks."""
         for row, cell in self.sweep(trials, mc_samples, jobs):
             ref = chunked_correlation_cell(cell, 100_000)
             assert (row.d, row.n_w, row.mc_samples) == (ref.d, ref.n_w, ref.mc_samples)
@@ -402,7 +412,7 @@ class TestTiledCorrelationCell:
 
         monkeypatch.setattr(hardness, "psi_eval", recording)
         correlation_decay(7, [2, 3], trials=64, mc_samples=5_000, rng=RandomSource(62), jobs=1)
-        assert len(sizes) == 2 * 5  # 1024-row tiles
+        assert len(sizes) == 2 * 5  # 1024-row blocks
         assert sum(sizes) == 2 * 5_000 * 64
         assert max(sizes) <= PREDICT_CELLS
         assert all(in_place)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from rf_lab.poly_repr import (
     SparsePolynomial,
     construct_g,
     eval_g,
-    exp_taylor_bounds,
     exp_taylor_coeff,
     exp_truncated,
     g_magnitude_bound,
@@ -80,10 +80,6 @@ class TestActivations:
         z = np.linspace(-1, 1, 9)
         assert np.allclose(exp_truncated(2)(z), 1.0 + z + z * z / 2.0, rtol=0.0, atol=1e-15)
         assert float(exp_truncated(20)(1.0)) == pytest.approx(math.e, abs=1e-15)
-
-    def test_exp_taylor_bounds(self):
-        assert exp_taylor_bounds(2) == (0.5, 1.0)
-        assert exp_taylor_bounds(0) == (1.0, 1.0)
 
     def test_lipschitz_on_interval(self):
         z = np.linspace(-1, 1, 401)
@@ -192,6 +188,13 @@ class TestVerificationOracle:
             g = construct_g(P)
             observed = max_abs_g(g, rng.derive(trial))
             assert observed <= g_magnitude_bound(d, P.degree, P.coeff_bound), (trial, observed)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("d, alpha", [(1, 0.5), (3, 1.0), (4, 2.5)])
+    def test_beta_is_exact(self, d, k, alpha):
+        # beta = max(1, alpha)^k (k!)^k (12 d)^(2 k^2), as exact integers and a dyadic alpha
+        expected = Fraction(max(1.0, alpha)) ** k * math.factorial(k) ** k * (12 * d) ** (2 * k * k)
+        assert g_magnitude_bound(d, k, alpha) == expected
 
     def test_full_mode_reports_taylor_tail(self):
         P = SparsePolynomial(3, {MultiIndex((1, 0, 0)): 1.0})

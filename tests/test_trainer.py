@@ -175,10 +175,21 @@ class TestBasics:
         assert hinge_loss(0.0, 1) == 1.0
         assert hinge_loss(2.0, 1) == 0.0
         assert hinge_loss(-1.0, 1) == 2.0
+        assert hinge_loss(np.array([0.0, 2.0, -1.0, 0.5]), np.array([1.0, 1.0, 1.0, -1.0])) == 4.5 / 4
 
     def test_hinge_label_validated(self):
-        with pytest.raises(ValueError):
-            hinge_loss(0.5, 0)
+        # the label of row T, which the trace's last hinge loss scores, is checked where it is drawn
+        cfg = make_config(r=5, eta=0.01, steps=1000)
+        assert chunk_sizes(1000)[-2:] == [10, 1]
+
+        def zero_last_label(n, gen):
+            X, y = ball_sign_sampler()(n, gen)
+            if n == 1:
+                y[0] = 0.0
+            return X, y
+
+        with pytest.raises(ValueError, match=r"labels outside \{-1, \+1\}"):
+            sgd_train(2, zero_last_label, cfg, RandomSource(14), 2000)
 
 
 def gradients(net, x, y):
@@ -929,14 +940,14 @@ class TestValidationReuse:
         X, y = training_rows(sampler, T, rng.generator(1))
         X_val, y_val = sampler(2000, rng.generator(2))
         traces = [np.zeros(T + 1) for _ in range(4)]
-        history = [(0, trainer_mod._validation_loss(net, X_val, y_val))]
+        history = [(0, hinge_loss(forward(net, X_val), y_val))]
         changed = 0
         chunk = T // n_checkpoints
         for start in range(0, T, chunk):
             before = net.copy()
             reference_run_steps(net.W, net.U, W0, X, y, cfg.eta, *traces, start, chunk)
             changed += not (np.array_equal(net.W, before.W) and np.array_equal(net.U, before.U))
-            history.append((start + chunk, trainer_mod._validation_loss(net, X_val, y_val)))
+            history.append((start + chunk, hinge_loss(forward(net, X_val), y_val)))
         best = min(range(len(history)), key=lambda i: (history[i][1], i))
 
         validation_calls = []

@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -62,7 +62,6 @@ from .poly_repr import (
 from .trainer import (
     DESK_SCALE_MAX_R,
     DivergenceError,
-    TrainConfig,
     drift_check,
     finite_difference_check,
     forward,
@@ -88,13 +87,6 @@ class ExperimentConfig:
     seed: int
     out_dir: str
     jobs: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"name": self.name, "params": self.params, "seed": self.seed,
-             "out_dir": self.out_dir, "jobs": self.jobs},
-            sort_keys=True,
-        )
 
 
 def _parse_int_list(value) -> list:
@@ -374,7 +366,7 @@ def _cmd_concentration(cfg: ExperimentConfig):
         P, p["r"], p["trials"], p["probes"], RandomSource(cfg.seed), jobs=cfg.jobs,
     )
     delta = p["delta"]
-    rows = list(result.rows)
+    rows = [(*row, cfg.seed) for row in result.rows]
     header = ("r", "trial", "sup_error", "max_abs_u", "seed")
     means = result.mean_errors()
     stds = result.std_errors()
@@ -408,9 +400,8 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
     if P.dimension != p["d"]:
         raise UsageError(f"polynomial dimension {P.dimension} != --d {p['d']}")
     sampler = margin_filtered_sampler(P, p["margin"])
-    config = TrainConfig(r=p["r"], eta=p["eta"], steps=p["steps"])
     rng = RandomSource(cfg.seed)
-    result = sgd_train(p["d"], sampler, config, rng, n_val=p["n_val"])
+    result = sgd_train(p["d"], sampler, p["r"], p["eta"], p["steps"], rng, n_val=p["n_val"])
     comparator = hinge_loss(p["comparator_scale"] * P.evaluate(result.X_val), result.y_val)
 
     # gradient spot-check away from the kink
@@ -428,7 +419,7 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
         worst_fd = max(worst_fd, finite_difference_check(probe_net, x, y))
         checked += 1
 
-    report = drift_check(result.trace, config)
+    report = drift_check(result.trace, p["eta"])
     trace = result.trace
     trace_columns = (
         trace.steps, trace.loss, np.cumsum(trace.loss) / (trace.steps + 1),
@@ -452,7 +443,6 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
         failures.append("best checkpoint is worse than the initial validation loss")
     gap_ok = result.best_val_loss <= comparator + 0.1
     summary = [
-        f"backend: {result.backend}",
         f"best validation hinge loss: {result.best_val_loss:.6f} at step {result.best_step}",
         f"comparator ({p['comparator_scale']:g} * P) loss: {comparator:.6f}; "
         f"target bound {comparator + 0.1:.6f}; within bound: {gap_ok}",
@@ -461,11 +451,11 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
     ]
     sum_header = (
         "best_step", "best_val_loss", "comparator_loss", "bound", "within_bound",
-        "grad_fd_max_rel_err", "drift_ok", "backend",
+        "grad_fd_max_rel_err", "drift_ok",
     )
     sum_row = [(
         result.best_step, result.best_val_loss, comparator, comparator + 0.1,
-        gap_ok, worst_fd, report.passed, result.backend,
+        gap_ok, worst_fd, report.passed,
     )]
     return (
         {
@@ -483,8 +473,8 @@ def _cmd_learn_poly(cfg: ExperimentConfig):
 
 def _cmd_params(cfg: ExperimentConfig):
     p = cfg.params
-    beta, config = guarantee_params(p["epsilon"], p["delta"], p["d"], p["k"], p["alpha"])
-    infeasible = config.r > DESK_SCALE_MAX_R
+    beta, r, eta, steps = guarantee_params(p["epsilon"], p["delta"], p["d"], p["k"], p["alpha"])
+    infeasible = r > DESK_SCALE_MAX_R
     payload = {
         "epsilon": p["epsilon"],
         "delta": p["delta"],
@@ -493,9 +483,9 @@ def _cmd_params(cfg: ExperimentConfig):
         "alpha": p["alpha"],
         "beta": _exact_text(beta),
         "beta_float": _float_or_none(beta),  # null past the float64 range
-        "r": _exact_text(config.r),
-        "eta": _exact_text(config.eta),  # 0 < eta < 1, so always "numerator/denominator"
-        "steps": _exact_text(config.steps),
+        "r": _exact_text(r),
+        "eta": _exact_text(eta),  # 0 < eta < 1, so always "numerator/denominator"
+        "steps": _exact_text(steps),
         "infeasible_at_desk_scale": infeasible,
     }
     summary = [
@@ -510,12 +500,11 @@ def _cmd_params(cfg: ExperimentConfig):
 
 def _cmd_psi_check(cfg: ExperimentConfig):
     psi = PsiFunction(cfg.params["d"])
-    report = psi_properties_check(psi, cfg.params["grid"], cfg.params["order"])
-    rows = [(name, float(val), req, ok) for name, val, req, ok in report.checks]
-    failures = [f"{name} = {val:.6e} fails requirement {req}" for name, val, req, ok in report.checks if not ok]
-    summary = [f"a = {psi.a}; all checks passed: {report.passed}"]
+    checks = psi_properties_check(psi, cfg.params["grid"], cfg.params["order"])
+    failures = [f"{name} = {val:.6e} fails requirement {req}" for name, val, req, ok in checks if not ok]
+    summary = [f"a = {psi.a}; all checks passed: {not failures}"]
     header = ("property", "observed", "requirement", "passed")
-    return {"psi_properties.csv": (header, list(zip(*rows)))}, summary, failures
+    return {"psi_properties.csv": (header, list(zip(*checks)))}, summary, failures
 
 
 def _cmd_linear_residual(cfg: ExperimentConfig):
@@ -543,7 +532,7 @@ def _cmd_correlation_decay(cfg: ExperimentConfig):
     rows_out = correlation_decay(
         p["f_r"], p["d_values"], p["trials"], p["mc_samples"], RandomSource(cfg.seed), cfg.jobs,
     )
-    rows = [(r.d, r.mean_sq, r.std_err, r.n_w, r.mc_samples) for r in rows_out]
+    rows = [(r.d, r.mean_sq, r.std_err, p["trials"], p["mc_samples"]) for r in rows_out]
     failures = []
     if any((not math.isfinite(r.mean_sq)) or r.mean_sq < 0 for r in rows_out):
         failures.append("normalized squared correlations must be finite and nonnegative")
@@ -623,7 +612,7 @@ COMMANDS: dict[str, dict] = {
             "r": ("int", 1000, "hidden width", (1, None)),
             "eta": ("float", 0.01, "learning rate", (0, None)),
             "steps": ("int", 200_000, "SGD steps", (1, None)),
-            "comparator_scale": ("float", 3.0, "scale of the explicit polynomial predictor", None),
+            "comparator_scale": ("float", 3.0, "scale of the explicit polynomial predictor", (0, None)),
             "n_val": ("int", 2000, "validation set size", (1, None)),
         },
     },
@@ -764,11 +753,12 @@ def run(argv) -> int:
         else:
             write_csv(path, *payload)
         checksums[filename] = _sha256(path)
+    config_text = json.dumps(asdict(cfg), sort_keys=True)
     manifest = {
         "command": cfg.name,
         "version": __version__,
-        "config": json.loads(cfg.to_json()),
-        "config_hash": hashlib.sha256(cfg.to_json().encode()).hexdigest(),
+        "config": json.loads(config_text),
+        "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "outputs": checksums,

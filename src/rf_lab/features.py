@@ -213,7 +213,7 @@ class ConcentrationResult:
     """Per-trial sup errors plus the explicit high-probability envelope."""
 
     r_values: tuple
-    rows: tuple  # (r, trial, sup_error, max_abs_u, seed)
+    rows: tuple  # (r, trial, sup_error, max_abs_u)
     weight_sup_C: float
 
     def mean_errors(self) -> np.ndarray:
@@ -283,4 +283,4 @@ def _concentration_cell(g, probe_pts, f_vals, rng, cell):
     g_vals = eval_g(g, sample.weights)
     u = g_vals / r
     sup_err = float(np.max(np.abs(predict(sample, u, probe_pts) - f_vals)))
-    return (r, t, sup_err, float(np.max(np.abs(u))), rng.seed), float(np.max(np.abs(g_vals)))
+    return (r, t, sup_err, float(np.max(np.abs(u)))), float(np.max(np.abs(g_vals)))

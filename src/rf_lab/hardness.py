@@ -10,8 +10,10 @@ with a = 6 d^2 + 1 (odd).  On [-a, a] it is an odd triangle wave of period
 integers, zeros at the even integers.  Outside the window it follows the
 definition as written: constant -1 to the left, decreasing affinely to the
 right.  Evaluation takes the position within the period in closed form,
-with one floor and no division, rather than summing the ~6d^2 ReLU terms;
-the term-by-term sum is kept as a test oracle (``ReluDecomposition.evaluate``).
+with one floor and no division, rather than summing the ~6d^2 ReLU terms.
+``psi_properties_check`` certifies this shape, the term-by-term sum
+(``ReluDecomposition.evaluate``) included, as one (property, observed,
+requirement, met) row per property, the rows psi-check writes.
 
 Composed with a random direction, x -> psi(<w, x>) with ||w|| = d
 oscillates too fast for any fixed low-norm feature family to track, which
@@ -180,40 +182,10 @@ def psi_relu_decomposition(psi: PsiFunction) -> ReluDecomposition:
 _SIMPSON = (np.array([-1.0, 0.0, 1.0]), np.array([1.0, 4.0, 1.0]) / 3.0)
 
 
-@dataclass(frozen=True)
-class PsiReport:
-    """Grid residuals and exact integrals certifying psi's claimed shape."""
-
-    d: int
-    oddness_residual: float
-    periodicity_residual: float
-    max_interval_deviation: float  # from the exact per-interval value 2/3
-    max_abs_value: float
-    decomposition_residual: float
-    gaussian_norm_at_d: float
-
-    @property
-    def checks(self) -> tuple:
-        """(property, observed value, requirement, met) for each certified property."""
-        return (
-            ("oddness_residual", self.oddness_residual, "< 1e-12", self.oddness_residual < 1e-12),
-            ("periodicity_residual", self.periodicity_residual, "< 1e-12", self.periodicity_residual < 1e-12),
-            ("interval_integral_max_dev_from_2/3", self.max_interval_deviation, "< 1e-10",
-             self.max_interval_deviation < 1e-10),
-            ("max_abs_value", self.max_abs_value, "<= 1", self.max_abs_value <= 1.0 + 1e-12),
-            ("relu_decomposition_residual", self.decomposition_residual, "< 1e-12",
-             self.decomposition_residual < 1e-12),
-            ("gaussian_norm_at_w=d", self.gaussian_norm_at_d, ">= 1/6", self.gaussian_norm_at_d >= 1.0 / 6.0),
-        )
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for *_, ok in self.checks)
-
-
-def psi_properties_check(psi: PsiFunction, grid_points: int, norm_order: int) -> PsiReport:
+def psi_properties_check(psi: PsiFunction, grid_points: int, norm_order: int) -> tuple:
     """Certify oddness, 4-periodicity, per-interval energy 2/3, amplitude,
-    ReLU-decomposition agreement, and the Gaussian norm at ||w|| = d."""
+    ReLU-decomposition agreement, and the Gaussian norm at ||w|| = d, as one
+    (property, observed value, requirement, met) row each."""
     a = psi.a
     x = np.linspace(-a, a, grid_points)
     vals = psi_eval(psi, x)
@@ -230,15 +202,16 @@ def psi_properties_check(psi: PsiFunction, grid_points: int, norm_order: int) ->
         float(np.max(np.abs(deco.evaluate(x[start:stop]) - vals[start:stop])))
         for start, stop in row_blocks(len(x), deco.n_terms)
     )
+    amp = float(np.max(np.abs(vals)))
     norm = psi_gaussian_norm(psi, norm_order)
-    return PsiReport(
-        d=psi.d,
-        oddness_residual=odd,
-        periodicity_residual=per,
-        max_interval_deviation=float(dev),
-        max_abs_value=float(np.max(np.abs(vals))),
-        decomposition_residual=deco_res,
-        gaussian_norm_at_d=norm,
+    return (
+        ("oddness_residual", odd, "< 1e-12", odd < 1e-12),
+        ("periodicity_residual", per, "< 1e-12", per < 1e-12),
+        # the largest deviation from the exact per-interval value 2/3
+        ("interval_integral_max_dev_from_2/3", dev, "< 1e-10", dev < 1e-10),
+        ("max_abs_value", amp, "<= 1", amp <= 1.0 + 1e-12),
+        ("relu_decomposition_residual", deco_res, "< 1e-12", deco_res < 1e-12),
+        ("gaussian_norm_at_w=d", norm, ">= 1/6", norm >= 1.0 / 6.0),
     )
 
 
@@ -288,8 +261,6 @@ class CorrelationDecayRow:
     d: int
     mean_sq: float  # mean over w draws of <f, psi_w>^2, normalized by ||f||^2
     std_err: float
-    n_w: int
-    mc_samples: int
 
 
 def correlation_decay(f_r: int, d_values, trials: int, mc_samples: int, rng: RandomSource, jobs: int):
@@ -349,8 +320,6 @@ def _correlation_cell(f_r: int, trials: int, mc_samples: int, rng: RandomSource,
         d=d,
         mean_sq=float(np.mean(sq)),
         std_err=float(np.std(sq, ddof=1) / math.sqrt(trials)),
-        n_w=trials,
-        mc_samples=mc_samples,
     )
 
 

@@ -11,8 +11,11 @@ a hinge-loss subgradient step on both layers simultaneously (exp' = exp):
 (the indicator takes the nonzero branch at the kink).  Each step is one
 call of ``_sgd_numpy.hinge_step``.  ``_sgd_numpy.run_steps`` runs the loop
 with it, at a cost that scales with the number of updates rather than of
-steps (``kernel_backend()`` names it), and ``finite_difference_check``
-reads the gradient off one step at eta = 1.
+steps, and ``finite_difference_check`` reads the gradient off one step at
+eta = 1.  ``sgd_train`` reads the paper's three hyperparameters, width r,
+step size eta and step count T, as plain arguments; ``guarantee_params``
+gives their exact guarantee-scale values, which only the ``params`` report
+prints.
 
 Per-step diagnostics (loss, ||W_t - W_0||_F, ||U_t||, ||W_t||_F; Frobenius
 norms throughout) are kept as the steps that updated (``TrainTrace``): a
@@ -92,20 +95,6 @@ def hinge_loss(pred, y) -> float:
     return float(np.mean(np.maximum(0.0, 1.0 - y * pred)))
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """The three values SGD reads: width r, step size eta and step count T.
-
-    ``guarantee_params`` fills them from the guarantee and returns its beta
-    beside them, for the ``params`` report only, as training never reads
-    beta; a width above ``DESK_SCALE_MAX_R`` is out of reach at desk scale.
-    """
-
-    r: int
-    eta: object  # float for practical runs, exact Fraction from guarantee_params
-    steps: int
-
-
 DESK_SCALE_MAX_R = 10**8  # widest network a desk-scale run can train
 
 
@@ -149,7 +138,6 @@ class SGDResult:
     y_val: np.ndarray
     val_history: list  # (step, validation hinge loss)
     trace: TrainTrace
-    backend: str
 
 
 class DivergenceError(RuntimeError):
@@ -170,26 +158,29 @@ def _checked(chunk, n: int):
 def sgd_train(
     d: int,
     sampler: Callable[[int, np.random.Generator], tuple],
-    config: TrainConfig,
+    r: int,
+    eta: float,
+    steps: int,
     rng: RandomSource,
     n_val: int,
 ) -> SGDResult:
-    """Run T fresh-sample SGD steps and return the best validation checkpoint.
+    """Run T = ``steps`` fresh-sample SGD steps of size ``eta`` on a width-r
+    net and return the best validation checkpoint.
 
     ``sampler(n, gen)`` must return (X, y) of n rows, with ||x|| <= 1 and
     y in {-1, +1}.  The training stream is drawn from ``rng.generator(1)``
     one call per checkpoint chunk (``T // N_CHECKPOINTS`` steps), then one
     call for row T, whose loss at the final parameters ends the trace; the
     validation set is one call on ``rng.generator(2)``, made after the first
-    chunk.  So identical (rng, config) reproduce identical traces.  Every
+    chunk.  So identical arguments reproduce identical traces.  Every
     call's row count, points and labels are checked as they arrive.  The
     trace keeps the steps that updated (``TrainTrace``), so memory follows
     the chunk and the number of updates, not T.  The result carries the
     validation set, so a comparator is scored on the checkpoints' points.
     """
-    T = int(config.steps)
-    eta = float(config.eta)
-    net = xavier_init(d, config.r, rng.derive(0))
+    T = int(steps)
+    eta = float(eta)
+    net = xavier_init(d, r, rng.derive(0))
     W0 = net.W.copy()
     chunk = max(1, T // N_CHECKPOINTS)
     counts = [min(chunk, T - done) for done in range(0, T, chunk)]
@@ -242,21 +233,21 @@ def sgd_train(
         u_norm=np.append(initial_norms[1], updated[:, 3]),
         w_norm=np.append(initial_norms[2], updated[:, 4]),
     )
-    return SGDResult(best_net, best_step, best_loss, X_val, y_val, val_history, trace, kernel_backend())
+    return SGDResult(best_net, best_step, best_loss, X_val, y_val, val_history, trace)
 
 
 def guarantee_params(
     epsilon: float, delta: float, d: int, k: int, alpha: float
-) -> tuple[Fraction, TrainConfig]:
+) -> tuple[Fraction, int, Fraction, int]:
     """Exact guarantee-scale hyperparameters (arbitrary-magnitude arithmetic),
-    as ``(beta, TrainConfig(r, eta, T))``.
+    as ``(beta, r, eta, T)``.
 
     beta = ``g_magnitude_bound(d, k, alpha)``, L = ``EXP_LIPSCHITZ``,
     r >= 64 beta^6 L^2 / eps^4 * ln(1/delta), eta = eps / (8 r),
     T = ceil(4 beta^2 / eps^2).  The values overflow doubles
     for all but trivial settings, so everything is carried as Fractions/ints.
-    beta only sizes r and T, so it is returned for the report beside the config
-    that training reads; a run with r > ``DESK_SCALE_MAX_R`` is out of reach.
+    Training never reads beta, which only sizes r and T; a run with
+    r > ``DESK_SCALE_MAX_R`` is out of reach.
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
@@ -269,7 +260,7 @@ def guarantee_params(
     r = math.ceil(64 * beta**6 * L2 / eps**4 * log_term)
     eta = eps / (8 * r)
     steps = math.ceil(4 * beta**2 / eps**2)
-    return beta, TrainConfig(r=r, eta=eta, steps=steps)
+    return beta, r, eta, steps
 
 
 @dataclass(frozen=True)
@@ -301,28 +292,20 @@ def finite_difference_check(net: TwoLayerNet, x, y) -> float:
     x = np.asarray(x, dtype=float)
     stepped = net.copy()
     _sgd_numpy.hinge_step(stepped.W, stepped.U, x, y, 1.0)
-    num = np.zeros(net.r + net.r * net.d)
     ana = np.concatenate([net.U - stepped.U, (net.W - stepped.W).ravel()])
-    flat_idx = 0
+    theta = np.concatenate([net.U, net.W.ravel()])  # the parameters in the order of ana
+    num = np.empty_like(theta)
     h = 1e-5
 
-    def loss_at(W, U):
-        z = W @ x
-        return max(0.0, 1.0 - y * float(U @ np.exp(z)))
+    def loss_at(theta):
+        U, W = theta[: net.r], theta[net.r :].reshape(net.r, net.d)
+        return max(0.0, 1.0 - y * float(U @ np.exp(W @ x)))
 
-    for i in range(net.r):
-        U_p, U_m = net.U.copy(), net.U.copy()
-        U_p[i] += h
-        U_m[i] -= h
-        num[flat_idx] = (loss_at(net.W, U_p) - loss_at(net.W, U_m)) / (2 * h)
-        flat_idx += 1
-    for i in range(net.r):
-        for j in range(net.d):
-            W_p, W_m = net.W.copy(), net.W.copy()
-            W_p[i, j] += h
-            W_m[i, j] -= h
-            num[flat_idx] = (loss_at(W_p, net.U) - loss_at(W_m, net.U)) / (2 * h)
-            flat_idx += 1
+    for i in range(len(theta)):
+        plus, minus = theta.copy(), theta.copy()
+        plus[i] += h
+        minus[i] -= h
+        num[i] = (loss_at(plus) - loss_at(minus)) / (2 * h)
     scale = max(float(np.max(np.abs(num))), float(np.max(np.abs(ana))), 1e-8)
     return float(np.max(np.abs(ana - num)) / scale)
 
@@ -366,7 +349,7 @@ def margin_filtered_sampler(P, margin: float):
     return sampler
 
 
-def drift_check(trace: TrainTrace, config: TrainConfig) -> DriftReport:
+def drift_check(trace: TrainTrace, eta: float) -> DriftReport:
     """Verify ||W_t - W_0||_F <= t * eta * L * (B+1) at every step t of the
     trace, and ||W_t||, ||U_t|| <= B + 1 inside the norm-cap window
     t <= B / (2 eps).
@@ -378,7 +361,7 @@ def drift_check(trace: TrainTrace, config: TrainConfig) -> DriftReport:
     entries; the minimum and maximum are those over every step.
     """
     L = EXP_LIPSCHITZ
-    eta = float(config.eta)
+    eta = float(eta)
     B = max(2.0, float(trace.w_norm[0]), float(trace.u_norm[0]))
     cap_eps = eta * L * B * B
     # compared as a float: a tiny eta puts the window's end past every integer

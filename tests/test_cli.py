@@ -28,7 +28,7 @@ from rf_lab.poly_repr import (
     g_magnitude_bound,
     truncated_residual,
 )
-from rf_lab.trainer import DriftReport, TrainConfig, guarantee_params, margin_filtered_sampler, sgd_train
+from rf_lab.trainer import DriftReport, guarantee_params, margin_filtered_sampler, sgd_train
 
 
 def read(path):
@@ -60,6 +60,10 @@ BAD_INPUTS = [
     ("learn-poly --eta -1", "--eta"),
     ("learn-poly --eta 0", "--eta"),
     ("learn-poly --eta nan", "--eta"),
+    ("learn-poly --comparator-scale nan", "--comparator-scale"),
+    ("learn-poly --comparator-scale 0", "--comparator-scale"),
+    ("learn-poly --comparator-scale -1", "--comparator-scale"),
+    ("learn-poly --comparator-scale inf", "--comparator-scale"),
     ("represent-poly --probes 0", "--probes"),
     ("exp-identity --grid 0", "--grid"),
     ("psi-check --grid 1", "--grid"),  # oddness and periodicity need two points
@@ -80,6 +84,16 @@ class TestExitCodes:
         assert code == 0
         assert (tmp_path / "psi-check" / "psi_properties.csv").exists()
         assert (tmp_path / "psi-check" / "manifest.json").exists()
+        assert "all checks passed: True" in capsys.readouterr().out
+
+    def test_psi_check_writes_its_check_rows(self, tmp_path, capsys, monkeypatch):
+        rows = (("oddness_residual", 0.0, "< 1e-12", True), ("max_abs_value", 2.0, "<= 1", False))
+        monkeypatch.setattr(cli, "psi_properties_check", lambda *args: rows)
+        assert run(["psi-check", "--out", str(tmp_path)]) == 2
+        assert "all checks passed: False" in capsys.readouterr().out
+        assert (tmp_path / "psi-check" / "psi_properties.csv").read_text() == (
+            "property,observed,requirement,passed\noddness_residual,0,< 1e-12,1\nmax_abs_value,2,<= 1,0\n"
+        )
 
     def test_validation_failure_exits_two(self, tmp_path, capsys):
         # an order-2 rule cannot resolve e^b: the identity check must fail loudly
@@ -157,6 +171,7 @@ class TestExitCodes:
         (["represent-poly", "--quad-order", "3"], "--quad-order must be 0 or >= degree + 2 = 4, got 3"),
         (["represent-poly", "--poly", '{"1,1,1": 1.0}', "--quad-order", "4"],
          "--quad-order must be 0 or >= degree + 2 = 5, got 4"),
+        (["learn-poly", "--comparator-scale", "nan"], "--comparator-scale must be > 0, got nan"),
     ])
     def test_refusal_names_the_flag_and_value(self, tmp_path, capsys, argv, message):
         assert run([*argv, "--out", str(tmp_path)]) == 1
@@ -244,13 +259,13 @@ def _concentration_with(errors, weight_sup_C):
     """concentration_experiment's result for r = 64..512, two trials each, at the given sup errors."""
     def experiment(P, r_values, *args, **kwargs):
         r_values = (64, 128, 256, 512)
-        rows = tuple((r, t, errors(r), 1.0, 0) for r in r_values for t in range(2))
+        rows = tuple((r, t, errors(r), 1.0) for r in r_values for t in range(2))
         return ConcentrationResult(r_values, rows, weight_sup_C)
     return experiment
 
 
 def _drift_with(**fields):
-    return lambda trace, config: DriftReport(**{
+    return lambda trace, eta: DriftReport(**{
         "b_value": 2.0, "norms_ok": True, "drift_ok": True, "min_drift_margin": 0.0, "max_norm": 1.0, **fields,
     })
 
@@ -295,7 +310,7 @@ REFUSALS = [
     ("linear-residual-mean", ["linear-residual"], ("linear_residual", lambda *a: np.array([0.1, 0.1])), 2,
      "mean residual 0.1000 < 1/4 despite r <= d/2"),
     ("correlation-finite", ["correlation-decay"],
-     ("correlation_decay", lambda *a: [CorrelationDecayRow(2, math.nan, 0.0, 64, 100_000)]), 2,
+     ("correlation_decay", lambda *a: [CorrelationDecayRow(2, math.nan, 0.0)]), 2,
      "normalized squared correlations must be finite and nonnegative"),
     ("neuron-control", ["neuron-inapprox"],
      ("neuron_inapprox_sweep", lambda *a, **k: [SweepRow(4, "control", 1e-3, 1.0)]), 2,
@@ -450,11 +465,11 @@ class TestCommandOutputs:
         assert run(["params", "--k", "20", "--out", str(tmp_path)]) == 0
         assert sys.get_int_max_str_digits() == limit
         payload = json.loads((tmp_path / "params" / "params.json").read_text())
-        _, config = guarantee_params(0.1, 0.1, 3, 20, 1.0)
+        _, r, _, _ = guarantee_params(0.1, 0.1, 3, 20, 1.0)
         assert len(payload["r"]) > limit
         sys.set_int_max_str_digits(0)
         try:
-            assert payload["r"] == str(config.r)
+            assert payload["r"] == str(r)
         finally:
             sys.set_int_max_str_digits(limit)
         assert f"r >= {payload['r']}\n" in capsys.readouterr().out
@@ -466,7 +481,7 @@ class TestCommandOutputs:
         assert run(["params", "--k", "20", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "params" / "params.json").read_text(), parse_constant=refuse)
         assert payload["beta_float"] is None
-        beta, _ = guarantee_params(0.1, 0.1, 3, 20, 1.0)
+        beta = guarantee_params(0.1, 0.1, 3, 20, 1.0)[0]
         exponent = len(str(beta.numerator // beta.denominator)) - 1
         line = capsys.readouterr().out.splitlines()[0]
         assert line.endswith(")") and "inf" not in line
@@ -498,20 +513,21 @@ class TestCommandOutputs:
         trace = (tmp_path / "learn-poly" / "learn_poly_trace.csv").read_text().splitlines()
         assert trace[0] == "step,loss,run_avg_loss,w_drift,u_norm,w_norm"
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
-        result = sgd_train(3, margin_filtered_sampler(P, 0.3), TrainConfig(r=30, eta=0.01, steps=400),
-                           RandomSource(4), 2000)
+        result = sgd_train(3, margin_filtered_sampler(P, 0.3), 30, 0.01, 400, RandomSource(4), 2000)
         # header + one row per update record, the last at step 400
         assert len(trace) == 1 + len(result.trace.steps)
         assert [int(line.split(",")[0]) for line in trace[1:]] == result.trace.steps.tolist()
 
     def test_learn_poly_writes_validation_history(self, tmp_path, capsys):
         assert run(["learn-poly", "--steps", "2000", "--r", "30", "--seed", "4", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("best validation hinge loss: ")
         out = tmp_path / "learn-poly"
         lines = (out / "learn_poly_validation.csv").read_text().splitlines()
         assert lines[0] == "step,val_loss"
         steps, losses = zip(*(line.split(",") for line in lines[1:]))
         assert [int(s) for s in steps] == list(range(0, 2001, 20))  # step 0 and 100 checkpoints
         summary = (out / "learn_poly_summary.csv").read_text().splitlines()
+        assert summary[0] == "best_step,best_val_loss,comparator_loss,bound,within_bound,grad_fd_max_rel_err,drift_ok"
         best = dict(zip(summary[0].split(","), summary[1].split(",")))
         assert float(best["best_val_loss"]) == min(map(float, losses))
         assert losses[[int(s) for s in steps].index(int(best["best_step"]))] == best["best_val_loss"]
@@ -523,6 +539,21 @@ class TestCommandOutputs:
         assert code == 0
         rows = (tmp_path / "correlation-decay" / "correlation_decay.csv").read_text().splitlines()
         assert len(rows) == 3  # header + two dimensions
+
+    def test_correlation_decay_echoes_its_sample_sizes(self, tmp_path, capsys):
+        argv = ["correlation-decay", "--d-values", "2,3", "--trials", "5", "--mc-samples", "1500"]
+        assert run([*argv, "--jobs", "1", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "correlation-decay" / "correlation_decay.csv").read_text().splitlines()
+        assert lines[0] == "d,mean_sq_normalized,std_err,n_w,mc_samples"
+        assert [line.split(",")[3:] for line in lines[1:]] == [["5", "1500"], ["5", "1500"]]
+
+    @pytest.mark.parametrize("seed", [0, 7, -3])
+    def test_concentration_seed_column_is_the_seed(self, tmp_path, capsys, seed):
+        argv = ["concentration", "--r", "64,128", "--trials", "2", "--probes", "50", "--seed", str(seed)]
+        assert run([*argv, "--jobs", "1", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "concentration" / "concentration.csv").read_text().splitlines()
+        assert lines[0] == "r,trial,sup_error,max_abs_u,seed"
+        assert [line.split(",")[-1] for line in lines[1:]] == [str(seed)] * 4
 
     def test_neuron_inapprox_smoke(self, tmp_path, capsys):
         code = run(["neuron-inapprox", "--d-values", "3", "--r", "20",

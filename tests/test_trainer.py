@@ -18,7 +18,6 @@ from rf_lab.poly_repr import EXP_LIPSCHITZ, SparsePolynomial
 from rf_lab.trainer import (
     DESK_SCALE_MAX_R,
     DriftReport,
-    TrainConfig,
     TrainTrace,
     TwoLayerNet,
     drift_check,
@@ -33,8 +32,12 @@ from rf_lab.trainer import (
 )
 
 
-def make_config(r, eta, steps):
-    return TrainConfig(r=r, eta=eta, steps=steps)
+class Hyper(NamedTuple):
+    """The three values ``sgd_train`` reads, in its argument order."""
+
+    r: int
+    eta: float
+    steps: int
 
 
 class DenseTrace(NamedTuple):
@@ -67,12 +70,12 @@ def expand(trace: TrainTrace, start=0, stop=None):
 ORACLE_ROWS = 1 << 13  # dense entries the drift oracle expands at a time
 
 
-def dense_drift_check(trace: TrainTrace, config: TrainConfig) -> DriftReport:
+def dense_drift_check(trace: TrainTrace, eta: float) -> DriftReport:
     """The oracle for ``drift_check``: both inequalities at every entry of the
     dense trace, expanded block by block; minima and maxima over blocks are
     those over the whole trace."""
     L = EXP_LIPSCHITZ
-    eta = float(config.eta)
+    eta = float(eta)
     T = int(trace.steps[-1])
     B = max(2.0, float(trace.w_norm[0]), float(trace.u_norm[0]))
     cap_eps = eta * L * B * B
@@ -179,7 +182,7 @@ class TestBasics:
 
     def test_hinge_label_validated(self):
         # the label of row T, which the trace's last hinge loss scores, is checked where it is drawn
-        cfg = make_config(r=5, eta=0.01, steps=1000)
+        cfg = Hyper(r=5, eta=0.01, steps=1000)
         assert chunk_sizes(1000)[-2:] == [10, 1]
 
         def zero_last_label(n, gen):
@@ -189,7 +192,7 @@ class TestBasics:
             return X, y
 
         with pytest.raises(ValueError, match=r"labels outside \{-1, \+1\}"):
-            sgd_train(2, zero_last_label, cfg, RandomSource(14), 2000)
+            sgd_train(2, zero_last_label, *cfg, RandomSource(14), 2000)
 
 
 def gradients(net, x, y):
@@ -304,8 +307,8 @@ class TestGradients:
 
 class TestSGD:
     def test_zero_learning_rate_keeps_network(self):
-        cfg = make_config(r=10, eta=0.0, steps=50)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(7), 2000)
+        cfg = Hyper(r=10, eta=0.0, steps=50)
+        res = sgd_train(2, ball_sign_sampler(), *cfg, RandomSource(7), 2000)
         rows = expand(res.trace)
         assert np.array_equal(res.net.U, np.zeros(10))
         assert np.all(rows.w_drift == 0.0)
@@ -314,14 +317,14 @@ class TestSGD:
 
     def test_separable_stream_converges(self):
         # one exp unit keeps the sign of its u_i, so the smallest separating net has two
-        cfg = make_config(r=2, eta=0.05, steps=20_000)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(8), 2000)
+        cfg = Hyper(r=2, eta=0.05, steps=20_000)
+        res = sgd_train(2, ball_sign_sampler(), *cfg, RandomSource(8), 2000)
         assert expand(res.trace).run_avg_loss[-1] < 0.1
         assert res.best_val_loss < 0.05
 
     def test_trace_lengths(self):
-        cfg = make_config(r=5, eta=0.01, steps=77)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(9), 2000)
+        cfg = Hyper(r=5, eta=0.01, steps=77)
+        res = sgd_train(2, ball_sign_sampler(), *cfg, RandomSource(9), 2000)
         assert res.trace.steps[-1] == 77
         rows = expand(res.trace)
         for arr in rows:
@@ -330,39 +333,39 @@ class TestSGD:
         assert np.array_equal(rows.run_avg_loss, np.cumsum(rows.loss) / np.arange(1, 79))
 
     def test_deterministic_traces(self):
-        cfg = make_config(r=20, eta=0.02, steps=500)
-        a = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), 2000)
-        b = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(10), 2000)
+        cfg = Hyper(r=20, eta=0.02, steps=500)
+        a = sgd_train(2, ball_sign_sampler(), *cfg, RandomSource(10), 2000)
+        b = sgd_train(2, ball_sign_sampler(), *cfg, RandomSource(10), 2000)
         for field in dataclasses.fields(TrainTrace):
             assert np.array_equal(getattr(a.trace, field.name), getattr(b.trace, field.name)), field.name
         assert np.array_equal(a.net.W, b.net.W)
         assert a.val_history == b.val_history
 
     def test_best_checkpoint_no_worse_than_init(self):
-        cfg = make_config(r=30, eta=0.02, steps=2000)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(11), 2000)
+        cfg = Hyper(r=30, eta=0.02, steps=2000)
+        res = sgd_train(2, ball_sign_sampler(), *cfg, RandomSource(11), 2000)
         assert res.best_val_loss <= res.val_history[0][1] + 1e-12
 
     def test_divergence_aborts(self):
-        cfg = make_config(r=10, eta=1e6, steps=5000)
+        cfg = Hyper(r=10, eta=1e6, steps=5000)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite"):
-                sgd_train(2, ball_sign_sampler(), cfg, RandomSource(12), 2000)
+                sgd_train(2, ball_sign_sampler(), *cfg, RandomSource(12), 2000)
 
     def test_sampler_contract_enforced(self):
-        cfg = make_config(r=5, eta=0.01, steps=10)
+        cfg = Hyper(r=5, eta=0.01, steps=10)
 
         def bad_sampler(n, gen):
             X = 3.0 * gen.standard_normal((n, 2))
             return X, np.sign(X[:, 0])
 
         with pytest.raises(ValueError, match="unit ball"):
-            sgd_train(2, bad_sampler, cfg, RandomSource(14), 2000)
+            sgd_train(2, bad_sampler, *cfg, RandomSource(14), 2000)
 
     # 32,769 rows: 100 checkpoint chunks of 327 steps, one of 68, then row T alone
     @pytest.mark.parametrize("row", [0, 326, 327, 20_000, 32_767, 32_768])
     def test_unit_ball_checked_on_every_row(self, row):
-        cfg = make_config(r=5, eta=0.01, steps=32_768)
+        cfg = Hyper(r=5, eta=0.01, steps=32_768)
         assert chunk_sizes(32_768) == [327] * 100 + [68, 1]
         served = []  # row counts of the training calls so far
 
@@ -376,7 +379,7 @@ class TestSGD:
             return X, y
 
         with pytest.raises(ValueError, match="unit ball"):
-            sgd_train(2, one_bad_row, cfg, RandomSource(14), 2000)
+            sgd_train(2, one_bad_row, *cfg, RandomSource(14), 2000)
 
     def test_short_stream_is_refused(self, tmp_path, monkeypatch, capsys):
         def one_row_short(n, gen):
@@ -391,7 +394,7 @@ class TestSGD:
                                 (one_label_short, "100 points and 99 labels")):
             message = f"sampler returned {counts} for 100 rows"
             with pytest.raises(ValueError, match=message):
-                sgd_train(3, sampler, make_config(r=5, eta=0.01, steps=10_000), RandomSource(14), 2000)
+                sgd_train(3, sampler, *Hyper(r=5, eta=0.01, steps=10_000), RandomSource(14), 2000)
             monkeypatch.setattr(cli, "margin_filtered_sampler", lambda P, margin: sampler)
             out = tmp_path / sampler.__name__
             assert cli.run(["learn-poly", "--steps", "10000", "--out", str(out)]) == 1
@@ -405,10 +408,10 @@ class TestSGD:
         # take 8 MB per column at a million steps)
         P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
         for r, steps in ((1000, 200_000), (100, 1_000_000)):
-            cfg = make_config(r=r, eta=0.01, steps=steps)
+            cfg = Hyper(r=r, eta=0.01, steps=steps)
             tracemalloc.start()
             try:
-                res = sgd_train(3, margin_filtered_sampler(P, 0.3), cfg, RandomSource(0), 2000)
+                res = sgd_train(3, margin_filtered_sampler(P, 0.3), *cfg, RandomSource(0), 2000)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -418,13 +421,13 @@ class TestSGD:
 
 class TestTheoremParams:
     def test_eta_relation_exact(self):
-        _, cfg = guarantee_params(0.1, 0.1, 3, 2, 1.0)
-        assert cfg.eta * 8 * cfg.r == Fraction(0.1)
+        _, r, eta, _ = guarantee_params(0.1, 0.1, 3, 2, 1.0)
+        assert eta * 8 * r == Fraction(0.1)
 
     def test_beta_value_for_reference_setting(self):
-        beta, cfg = guarantee_params(0.1, 0.1, 3, 2, 1.0)
+        beta, r, _, _ = guarantee_params(0.1, 0.1, 3, 2, 1.0)
         assert beta == Fraction(4 * 36**8)  # alpha^k (A/a)^k (12 d)^(2 k^2)
-        assert cfg.r > DESK_SCALE_MAX_R == 10**8
+        assert r > DESK_SCALE_MAX_R == 10**8
 
     def test_beta_monotone_in_d_and_k(self):
         betas = {}
@@ -447,10 +450,10 @@ class TestTheoremParams:
 
 class TestDrift:
     def test_zero_eta_trivially_passes(self):
-        cfg = make_config(r=10, eta=0.0, steps=50)
-        res = sgd_train(2, ball_sign_sampler(), cfg, RandomSource(15), 2000)
-        report = drift_check(res.trace, cfg)
-        assert_same_report(report, dense_drift_check(res.trace, cfg))
+        cfg = Hyper(r=10, eta=0.0, steps=50)
+        res = sgd_train(2, ball_sign_sampler(), *cfg, RandomSource(15), 2000)
+        report = drift_check(res.trace, cfg.eta)
+        assert_same_report(report, dense_drift_check(res.trace, cfg.eta))
         assert report.passed
         assert report.min_drift_margin >= 0.0
 
@@ -460,29 +463,29 @@ class TestDrift:
         probe = xavier_init(3, r, RandomSource(16).derive(0))
         B = max(2.0, float(np.linalg.norm(probe.W)))
         eta = eps / (EXP_LIPSCHITZ * B * B)
-        cfg = make_config(r=r, eta=eta, steps=200)
-        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(16), 2000)
-        report = drift_check(res.trace, cfg)
-        assert_same_report(report, dense_drift_check(res.trace, cfg))
+        cfg = Hyper(r=r, eta=eta, steps=200)
+        res = sgd_train(3, ball_sign_sampler(d=3), *cfg, RandomSource(16), 2000)
+        report = drift_check(res.trace, cfg.eta)
+        assert_same_report(report, dense_drift_check(res.trace, cfg.eta))
         assert report.passed
         assert report.b_value == pytest.approx(B)
 
     def test_practical_run_satisfies_drift_bound(self):
-        cfg = make_config(r=120, eta=0.01, steps=3000)
-        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17), 2000)
-        report = drift_check(res.trace, cfg)
-        assert_same_report(report, dense_drift_check(res.trace, cfg))
+        cfg = Hyper(r=120, eta=0.01, steps=3000)
+        res = sgd_train(3, ball_sign_sampler(d=3), *cfg, RandomSource(17), 2000)
+        report = drift_check(res.trace, cfg.eta)
+        assert_same_report(report, dense_drift_check(res.trace, cfg.eta))
         assert report.drift_ok
 
     @pytest.mark.parametrize("scale", [1e3, 1e4])
     def test_margin_bit_matches_out_of_place_expression(self, scale):
         # a real trace's drift, scaled so the smallest margin sits at an interior
         # step rather than at t = 0, where every margin is exactly 0
-        cfg = make_config(r=120, eta=0.01, steps=16_884)
-        res = sgd_train(3, ball_sign_sampler(d=3), cfg, RandomSource(17), 2000)
+        cfg = Hyper(r=120, eta=0.01, steps=16_884)
+        res = sgd_train(3, ball_sign_sampler(d=3), *cfg, RandomSource(17), 2000)
         trace = dataclasses.replace(res.trace, w_drift=res.trace.w_drift * scale)
-        report = drift_check(trace, cfg)
-        assert_same_report(report, dense_drift_check(trace, cfg))
+        report = drift_check(trace, cfg.eta)
+        assert_same_report(report, dense_drift_check(trace, cfg.eta))
         dense = expand(trace)
         t = np.arange(cfg.steps + 1, dtype=float)
         margins = t * cfg.eta * EXP_LIPSCHITZ * (report.b_value + 1.0) - dense.w_drift
@@ -504,7 +507,7 @@ class TestDrift:
                              ids=["first-gap", "first-next", "interior-gap", "interior-next", "last-gap"])
     def test_smallest_margin_found_at_any_record(self, s, after):
         T = 10_000
-        cfg = make_config(r=10, eta=0.01, steps=T)
+        cfg = Hyper(r=10, eta=0.01, steps=T)
         gen = np.random.default_rng(s + after)
         others = gen.choice(T, 40, replace=False)
         updates = np.union1d(others[(others < s) | (others > after)], [s, after])
@@ -513,8 +516,8 @@ class TestDrift:
         k = len(updates) + 1
         trace = TrainTrace(steps=np.append(updates, T), loss=np.zeros(k), w_drift=np.append(0.0, drift),
                            u_norm=np.full(k, 0.5), w_norm=np.full(k, 3.0))
-        report = drift_check(trace, cfg)
-        assert_same_report(report, dense_drift_check(trace, cfg))
+        report = drift_check(trace, cfg.eta)
+        assert_same_report(report, dense_drift_check(trace, cfg.eta))
         t = np.arange(T + 1, dtype=float)
         margins = t * cfg.eta * EXP_LIPSCHITZ * (report.b_value + 1.0) - expand(trace).w_drift
         assert np.argmin(margins) == s + 1
@@ -523,10 +526,10 @@ class TestDrift:
 
     def test_tiny_step_size_puts_every_step_in_the_window(self):
         # B / (2 eps) overflows a float: the window holds the whole run
-        cfg = make_config(r=10, eta=1e-320, steps=10)
+        cfg = Hyper(r=10, eta=1e-320, steps=10)
         trace = TrainTrace(steps=np.array([3, 10]), loss=np.array([0.5, 0.0]), w_drift=np.array([0.0, 0.1]),
                            u_norm=np.array([0.5, 0.7]), w_norm=np.array([3.0, 3.5]))
-        report = drift_check(trace, cfg)
+        report = drift_check(trace, cfg.eta)
         assert report.max_norm == 3.5 and report.norms_ok
         assert not report.drift_ok
 
@@ -687,8 +690,8 @@ def run_both(W, U, X, Y, eta, chunks=None):
         u_norm=np.append(np.linalg.norm(U), rec[:, 3]),
         w_norm=np.append(np.linalg.norm(W), rec[:, 4]),
     )
-    cfg = make_config(r=len(U), eta=eta, steps=steps)
-    assert_same_report(drift_check(trace, cfg), dense_drift_check(trace, cfg))
+    cfg = Hyper(r=len(U), eta=eta, steps=steps)
+    assert_same_report(drift_check(trace, cfg.eta), dense_drift_check(trace, cfg.eta))
     rows = expand(trace)
     fast = (Wk, Uk, rows.loss, rows.w_drift, rows.u_norm, rows.w_norm)
 
@@ -930,7 +933,7 @@ class TestValidationReuse:
     def test_matches_recomputing_every_checkpoint(self, monkeypatch):
         # 100 checkpoint chunks of 60 steps: some update the net and some do not
         d, T, n_checkpoints = 2, 6000, trainer_mod.N_CHECKPOINTS
-        cfg = make_config(r=20, eta=0.05, steps=T)
+        cfg = Hyper(r=20, eta=0.05, steps=T)
         sampler = ball_sign_sampler()
 
         # recompute at every checkpoint, with the per-step oracle
@@ -958,7 +961,7 @@ class TestValidationReuse:
             return original(net, x)
 
         monkeypatch.setattr(trainer_mod, "forward", counting_forward)
-        res = sgd_train(d, sampler, cfg, RandomSource(40), 2000)
+        res = sgd_train(d, sampler, *cfg, RandomSource(40), 2000)
         assert res.val_history == history
         assert res.best_step == history[best][0]
         assert 0 < changed < n_checkpoints

@@ -3,13 +3,14 @@
 A feature sample is an activation sigma and an (r, d) weight matrix whose
 rows w_i were drawn once; feature i evaluates a point as
 f_i(x) = sigma(<w_i, x>), and ``predict(sample, u, X)`` is the network
-sum_i u_i f_i(x).  The paper uses two: exp features with cube-sampled
-directions (the positive representation result) and bias-free ReLU
-features with unit-sphere directions (the negative inapproximability
-results).
+sum_i u_i f_i(x).  The paper uses three: exp features with cube-sampled
+directions (the positive representation result), bias-free ReLU features
+with unit-sphere directions (the negative inapproximability results), and
+the psi ridges psi(<w, x>) of the correlation-decay sweep.
 
 Only the linear coefficients u on top of the features are ever learned;
-the weights are drawn obliviously of the target.
+the weights are drawn obliviously of the target.  The concentration
+experiment returns its sup errors as an (r x trial) array.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ def feature_matrix(sample: FeatureSample, X, out) -> np.ndarray:
     The activation is applied in place to the projections, which are
     written into ``out`` (an array of that shape, or None for a new one).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != sample.d:
         raise ValueError(f"points have dimension {X.shape[1]}, features expect {sample.d}")
     Z = np.matmul(X, sample.weights.T, out=out)
@@ -127,10 +127,18 @@ def gaussian_row_blocks(gen: np.random.Generator, n_rows: int, d: int, row_value
         yield start, stop, points
 
 
+def gaussian_feature_blocks(sample: FeatureSample, gen: np.random.Generator, n_rows: int):
+    """(points, features) per ``gaussian_row_blocks`` block of n_rows standard
+    normal points; the features are written into one reused buffer, so each
+    block's are overwritten by the next block's."""
+    F = np.empty((longest_block(row_blocks(n_rows, sample.r)), sample.r))
+    for start, stop, X in gaussian_row_blocks(gen, n_rows, sample.d, sample.r):
+        yield X, feature_matrix(sample, X, out=F[: stop - start])
+
+
 def predict(sample: FeatureSample, u, X) -> np.ndarray:
     """sum_i u_i f_i(x) at the points X, for u of shape (r,) or (r, k),
     streamed in ``row_blocks`` through one feature buffer."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.empty((len(X),) + u.shape[1:])
     blocks = list(row_blocks(len(X), sample.r))
     F = np.empty((longest_block(blocks), sample.r))
@@ -174,8 +182,8 @@ def least_squares_fit(
     p = sample.r
     gram = np.zeros((p, p))
     rhs = 0.0
-    for X, F in _gaussian_feature_blocks(sample, rng.generator(0), n_train):
-        y = np.asarray(target(X, F), dtype=float)
+    for X, F in gaussian_feature_blocks(sample, rng.generator(0), n_train):
+        y = target(X, F)
         gram += F.T @ F
         rhs = rhs + F.T @ y
     gram.flat[:: p + 1] += 1e-10 * float(np.trace(gram)) / p
@@ -183,8 +191,8 @@ def least_squares_fit(
     del gram
     n_test = 10 * n_train
     sq_error = sq_target = 0.0
-    for X, F in _gaussian_feature_blocks(sample, rng.generator(1), n_test):
-        y = np.asarray(target(X, F), dtype=float)
+    for X, F in gaussian_feature_blocks(sample, rng.generator(1), n_test):
+        y = target(X, F)
         residual = F @ u
         residual -= y
         sq_error = sq_error + np.sum(np.square(residual, out=residual), axis=0)
@@ -195,54 +203,16 @@ def least_squares_fit(
     return u, pop_error, max_u, target_norm_sq
 
 
-def _gaussian_feature_blocks(sample: FeatureSample, gen: np.random.Generator, n_rows: int):
-    """(points, features) per ``gaussian_row_blocks`` block of n_rows standard
-    normal points; the features are written into one reused buffer."""
-    F = np.empty((longest_block(row_blocks(n_rows, sample.r)), sample.r))
-    for start, stop, X in gaussian_row_blocks(gen, n_rows, sample.d, sample.r):
-        yield X, feature_matrix(sample, X, out=F[: stop - start])
-
-
 # ---------------------------------------------------------------------------
 # concentration experiment
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConcentrationResult:
-    """Per-trial sup errors plus the explicit high-probability envelope."""
-
-    r_values: tuple
-    rows: tuple  # (r, trial, sup_error, max_abs_u)
-    weight_sup_C: float
-
-    def mean_errors(self) -> np.ndarray:
-        means = []
-        for r in self.r_values:
-            errs = [row[2] for row in self.rows if row[0] == r]
-            means.append(float(np.mean(errs)))
-        return np.asarray(means)
-
-    def std_errors(self) -> np.ndarray:
-        stds = []
-        for r in self.r_values:
-            errs = [row[2] for row in self.rows if row[0] == r]
-            stds.append(float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0)
-        return np.asarray(stds)
-
-    def envelope(self, r: int, delta: float) -> float:
-        """(L C / sqrt(r)) * (4 + sqrt(2 ln(1/delta))), L = ``EXP_LIPSCHITZ``."""
-        return (
-            EXP_LIPSCHITZ
-            * self.weight_sup_C
-            / math.sqrt(r)
-            * (4.0 + math.sqrt(2.0 * math.log(1.0 / delta)))
-        )
-
-    def loglog_slope(self) -> float:
-        """Least-squares slope of log(mean sup error) against log r."""
-        means = self.mean_errors()
-        return float(np.polyfit(np.log(np.asarray(self.r_values, float)), np.log(means), 1)[0])
+def concentration_envelope(weight_sup_C: float, r, delta: float):
+    """(L C / sqrt(r)) * (4 + sqrt(2 ln(1/delta))), L = ``EXP_LIPSCHITZ``, the
+    sup error that a draw of r features exceeds with probability at most
+    delta; r is an int or an array of them."""
+    return EXP_LIPSCHITZ * weight_sup_C / np.sqrt(r) * (4.0 + math.sqrt(2.0 * math.log(1.0 / delta)))
 
 
 def concentration_experiment(
@@ -252,7 +222,7 @@ def concentration_experiment(
     probes: int,
     rng: RandomSource,
     jobs: int,
-) -> ConcentrationResult:
+):
     """Sup-error of the averaged-feature approximant against its expectation.
 
     For each feature count r and trial, samples cube features, forms the
@@ -261,8 +231,11 @@ def concentration_experiment(
     of the feature expectation (exp, not its Taylor truncation).
     Deterministic given rng; trials may fan out over a worker pool without
     changing results.
+
+    Returns ``(sup_error, max_abs_u, weight_sup_C)``: each draw's sup error
+    and largest |u_i| as (len(r_values), trials) arrays, row i for
+    r_values[i], and the largest |g| seen on a cube grid or in any draw.
     """
-    r_values = tuple(int(r) for r in r_values)
     g = construct_g(P)
     probe_pts = uniform_ball(P.dimension, probes, rng.generator(0))
     f_vals = integral_feature_expectation(g, np.exp, probe_pts, P.degree + 6)
@@ -270,17 +243,16 @@ def concentration_experiment(
     cell = partial(_concentration_cell, g, probe_pts, f_vals, rng)
     cells = [(ri, r, t) for ri, r in enumerate(r_values) for t in range(trials)]
     # a cell's work grows with its r, so a pool starts on the largest
-    results = map_cells(cell, cells, jobs, cost=lambda c: c[1])
-    rows = tuple(row for row, _ in results)
-    sup_c = max([grid_c] + [sample_sup for _, sample_sup in results])
-    return ConcentrationResult(r_values, rows, sup_c)
+    sup_err, max_u, sample_sup = zip(*map_cells(cell, cells, jobs, cost=lambda c: c[1]))
+    shape = (len(r_values), trials)
+    return np.reshape(sup_err, shape), np.reshape(max_u, shape), max([grid_c, *sample_sup])
 
 
 def _concentration_cell(g, probe_pts, f_vals, rng, cell):
-    """One (r, trial) draw: the CSV row and the largest |g(w_i)| it sampled."""
+    """One (r, trial) draw: its sup error, largest |u_i| and largest |g(w_i)|."""
     ri, r, t = cell
     sample = FeatureSample(np.exp, uniform_cube(g.dimension, r, rng.derive(1, ri, t).generator()))
     g_vals = eval_g(g, sample.weights)
     u = g_vals / r
     sup_err = float(np.max(np.abs(predict(sample, u, probe_pts) - f_vals)))
-    return (r, t, sup_err, float(np.max(np.abs(u)))), float(np.max(np.abs(g_vals)))
+    return sup_err, float(np.max(np.abs(u))), float(np.max(np.abs(g_vals)))

@@ -21,11 +21,12 @@ is what the correlation-decay and inapproximability sweeps measure.  Both
 run one cell per dimension through ``parallel.map_cells``.  Each draws
 its Gaussian points in ``features.row_blocks``, each block straight into
 one reused buffer (``features.gaussian_row_blocks``), where a lone last
-point joins the block before it.  The correlation sweep projects each
-block into one reused buffer, passes it through psi in place (at most
-``features.PREDICT_CELLS`` psi values, plus one row) and adds it to the
-running sums, so a cell holds no array that grows with the sample; its
-test net is ``features.predict`` over a ReLU ``features.FeatureSample``.
+point joins the block before it.  The correlation sweep's ridges
+psi_w(x) = psi(<w, x>) are a ``features.FeatureSample`` with activation
+psi, streamed by ``features.gaussian_feature_blocks`` in one reused buffer
+(at most ``features.PREDICT_CELLS`` values, plus one row) into running
+sums, so a cell holds no array that grows with the sample; its test net
+is ``features.predict`` over a ReLU ``features.FeatureSample``.
 The inapproximability sweep's least-squares fit draws its training and
 held-out points this way, and its directly-trained baseline its held-out
 points.
@@ -41,9 +42,9 @@ import numpy as np
 
 from .features import (
     FeatureSample,
+    gaussian_feature_blocks,
     gaussian_row_blocks,
     least_squares_fit,
-    longest_block,
     predict,
     relu,
     row_blocks,
@@ -79,7 +80,7 @@ class PsiFunction:
 
 
 def psi_eval(psi: PsiFunction, x, out=None):
-    """Exact piecewise-linear evaluation of psi (scalar or array input).
+    """Exact piecewise-linear evaluation of psi at an array of points.
 
     Inside the window psi is the triangle wave 1 - |4 q - 2| of the
     fractional part q = h/4 - floor(h/4), h = x + a, computed in one buffer
@@ -109,7 +110,7 @@ def psi_eval(psi: PsiFunction, x, out=None):
     np.copyto(out, -1.0, where=left)
     if right_values is not None:
         out[right] = right_values
-    return out if out.ndim else float(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,6 @@ class ReluNeuron:
         self.w_star.setflags(write=False)
 
     def evaluate(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.maximum(X @ self.w_star + self.b_star, 0.0)
 
 
@@ -160,8 +160,7 @@ class ReluDecomposition:
         z = whole[..., None] + self.offsets
         active = z > -f[..., None]
         z *= active
-        out = z @ self.coefficients + f * (active @ self.coefficients) + self.constant
-        return out if out.ndim else float(out)
+        return z @ self.coefficients + f * (active @ self.coefficients) + self.constant
 
 
 def psi_relu_decomposition(psi: PsiFunction) -> ReluDecomposition:
@@ -275,9 +274,11 @@ def correlation_decay(f_r: int, d_values, trials: int, mc_samples: int, rng: Ran
     noise-floor bias of Var(f psi_w)/mc_samples, so decay trends flatten
     there.
 
-    The points are drawn, evaluated and summed one block at a time, over
-    ``features.gaussian_row_blocks(gen, mc_samples, d, trials)`` (1,024 rows
-    at 64 draws), so a cell's memory does not grow with ``mc_samples``.  As
+    The ridges psi_w(x) = psi(<w, x>) are one ``features.FeatureSample``,
+    drawn, evaluated and summed one block at a time by
+    ``features.gaussian_feature_blocks``, over ``gaussian_row_blocks(gen,
+    mc_samples, d, trials)`` (1,024 rows at 64 draws), so a cell's memory
+    does not grow with ``mc_samples``.  As
     in every such stream, a lone last point joins the block before it.  The
     block size fixes the order of the sums: another size changes the results
     in their last digits.
@@ -287,32 +288,27 @@ def correlation_decay(f_r: int, d_values, trials: int, mc_samples: int, rng: Ran
 
 
 def _relu_test_net(f_r: int, d: int, gen: np.random.Generator):
-    """The correlation cell's test net: ``predict`` over a ReLU ``FeatureSample``
-    of f_r unit-sphere directions, with N(0, 1) / f_r output weights.  It
-    evaluates any batch of points in row blocks rather than as one n x f_r
-    feature matrix."""
+    """The correlation cell's test net, as ``(sample, u)``: a ReLU
+    ``FeatureSample`` of f_r unit-sphere directions and N(0, 1) / f_r output
+    weights, which ``predict`` evaluates in row blocks."""
     W = gen.standard_normal((f_r, d))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     u = gen.standard_normal(f_r) / f_r
-    return partial(predict, FeatureSample(relu, W), u)
+    return FeatureSample(relu, W), u
 
 
 def _correlation_cell(f_r: int, trials: int, mc_samples: int, rng: RandomSource, d: int) -> CorrelationDecayRow:
     psi = PsiFunction(d)
-    f = _relu_test_net(f_r, d, rng.generator(d, 0))
-    gen_w = rng.generator(d, 1)
-    ws = gen_w.standard_normal((trials, d))
+    net, u = _relu_test_net(f_r, d, rng.generator(d, 0))
+    ws = rng.generator(d, 1).standard_normal((trials, d))
     ws *= d / np.linalg.norm(ws, axis=1, keepdims=True)
-    # psi_w(x) at a block's points, in one buffer: a fresh array per block made
-    # the default sweep's cells take about a quarter more CPU time
-    Z = np.empty((longest_block(row_blocks(mc_samples, trials)), trials))
+    ridges = FeatureSample(lambda z, out: psi_eval(psi, z, out=out), ws)  # psi_w(x) = psi(<w, x>)
     inner_sums = np.zeros(trials)
     f_sq_sum = 0.0
-    for start, stop, x in gaussian_row_blocks(rng.generator(d, 2), mc_samples, d, trials):
-        fx = f(x)
+    for x, psi_wx in gaussian_feature_blocks(ridges, rng.generator(d, 2), mc_samples):
+        fx = predict(net, u, x)
         f_sq_sum += float(fx @ fx)
-        z = np.matmul(x, ws.T, out=Z[: stop - start])
-        inner_sums += fx @ psi_eval(psi, z, out=z)
+        inner_sums += fx @ psi_wx
     inners = inner_sums / mc_samples
     f_norm_sq = f_sq_sum / mc_samples
     sq = inners**2 / f_norm_sq
@@ -493,7 +489,7 @@ def relu_exp_identity_check(z_values, order: int) -> np.ndarray:
     c = 1.0 / (math.e - 1.0)
     rule = gauss_legendre_rule(order)
     errors = []
-    for z in np.atleast_1d(np.asarray(z_values, dtype=float)):
+    for z in z_values:
         if abs(z) > 1.0:
             raise ValueError(f"identity only holds for |z| <= 1, got {z}")
         b, w = kink_split_rule(rule, 0.0, 1.0, [abs(z)])

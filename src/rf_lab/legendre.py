@@ -83,17 +83,17 @@ def iter_multi_indices(d: int, max_degree: int):
 
 
 def legendre_eval(n: int, w):
-    """p_n(w) by the three-term recurrence; w may be a scalar or array."""
+    """p_n(w) by the three-term recurrence, at an array of points w."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     w = np.asarray(w, dtype=float)
     p_prev = np.ones_like(w)
     if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
+        return p_prev
     p = w.copy()
     for k in range(2, n + 1):
         p_prev, p = p, ((2 * k - 1) * w * p - (k - 1) * p_prev) / k
-    return p if p.ndim else float(p)
+    return p
 
 
 def legendre_norm_sq(n: int) -> float:
@@ -120,7 +120,7 @@ def build_monomial_table(m_max: int) -> np.ndarray:
 
 
 def multi_legendre_eval(J: MultiIndex, w):
-    """Tensor-product value p_J(w); w has shape (d,) or (m, d)."""
+    """Tensor-product values p_J(w) at points w of shape (..., d)."""
     w = np.asarray(w, dtype=float)
     if w.shape[-1] != J.dim:
         raise ValueError(f"point dimension {w.shape[-1]} != multi-index dimension {J.dim}")
@@ -128,7 +128,7 @@ def multi_legendre_eval(J: MultiIndex, w):
     for axis, j in enumerate(J.entries):
         if j:
             out = out * legendre_eval(j, w[..., axis])
-    return out if out.ndim else float(out)
+    return out
 
 
 def multi_norm_sq(J: MultiIndex) -> float:

@@ -154,14 +154,14 @@ def gaussian_expectation_1d(func, sigma: float, order: int, kinks) -> float:
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
-        return float(np.asarray(func(np.zeros(1)))[0])
+        return float(func(np.zeros(1))[0])
     if not len(kinks):
         z, w = gauss_hermite_rule(order)
-        return float(w @ np.asarray(func(sigma * z), dtype=float))
+        return float(w @ func(sigma * z))
     lim = _GAUSS_SUPPORT_SIGMAS * sigma
     z, w = kink_split_rule(gauss_legendre_rule(order), -lim, lim, kinks, max_width=2.0 * sigma)
     dens = np.exp(-0.5 * (z / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-    return float(np.sum(w * dens * np.asarray(func(z), dtype=float)))
+    return float(np.sum(w * dens * func(z)))
 
 
 # ---------------------------------------------------------------------------

@@ -76,19 +76,17 @@ class SparsePolynomial:
         return max(vals) if vals else 0.0
 
     def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        pts = x[None, :] if squeeze else x
-        out = np.zeros(pts.shape[0])
+        """P at points x of shape (m, d)."""
+        out = np.zeros(len(x))
         for J, a in self.coefficients.items():
             if a == 0.0:
                 continue
-            term = np.full(pts.shape[0], a)
+            term = np.full(len(x), a)
             for axis, j in enumerate(J.entries):
                 if j:
-                    term = term * pts[:, axis] ** j
+                    term = term * x[:, axis] ** j
             out += term
-        return float(out[0]) if squeeze else out
+        return out
 
     @classmethod
     def from_json(cls, text: str) -> "SparsePolynomial":
@@ -185,19 +183,16 @@ def construct_g(P: SparsePolynomial) -> LegendreExpansion:
 
 
 def eval_g(g: LegendreExpansion, w) -> np.ndarray:
-    """Evaluate g at cube points w of shape (d,) or (m, d)."""
-    w = np.asarray(w, dtype=float)
+    """Evaluate g at cube points w of shape (..., d)."""
     half = 1.0 / math.sqrt(g.dimension)
     if np.any(np.abs(w) > half + 1e-12):
         raise ValueError(f"point outside the cube [-{half:.6g}, {half:.6g}]^{g.dimension}")
     scaled = w * math.sqrt(g.dimension)
-    squeeze = scaled.ndim == 1
-    pts = scaled[None, :] if squeeze else scaled
-    out = np.zeros(pts.shape[0])
+    out = np.zeros(scaled.shape[:-1])
     for J, c in g.coefficients.items():
         if c != 0.0:
-            out += c * multi_legendre_eval(J, pts)
-    return float(out[0]) if squeeze else out
+            out += c * multi_legendre_eval(J, scaled)
+    return out
 
 
 MAX_ABS_G_POINTS = 10_000  # uniform cube samples ``max_abs_g`` takes the max over
@@ -232,7 +227,6 @@ def cube_quadrature(d: int, order: int):
 
 def _quadrature_terms(g: LegendreExpansion, sigma, x_points, order: int):
     """The cube rule's factors: sigma(<w_j, x>), (n_x, n_nodes), and c_d omega_j g(w_j)."""
-    x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     w_pts, w_wts = cube_quadrature(g.dimension, order)
     g_vals = eval_g(g, w_pts)
     weighted = w_wts * g_vals * g.normalizer
@@ -275,7 +269,6 @@ def truncated_residual(P: SparsePolynomial, g: LegendreExpansion, x_points, quad
     k = P.degree
     if quad_order < k + 2:
         raise ValueError(f"quad_order must be >= degree + 2 = {k + 2}")
-    x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     sig_vals, weighted = _quadrature_terms(g, exp_truncated(k), x_points, quad_order)
     n = weighted.size + 12 * P.dimension + 18 * k + 10
     gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)

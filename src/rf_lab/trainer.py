@@ -358,7 +358,8 @@ def drift_check(trace: TrainTrace, eta: float) -> DriftReport:
     the step-size relation eta = eps / (L B^2) that the window is stated for.  Record i's norms hold
     at the entries after the previous record through ``steps[i]``, and the
     margin grows with t, so both checks read each record at the first of its
-    entries; the minimum and maximum are those over every step.
+    entries; the minimum and maximum are those over every step, except that
+    entry 0's margin, 0 - 0 by construction, counts only in a trace of one entry.
     """
     L = EXP_LIPSCHITZ
     eta = float(eta)
@@ -367,12 +368,14 @@ def drift_check(trace: TrainTrace, eta: float) -> DriftReport:
     # compared as a float: a tiny eta puts the window's end past every integer
     cap_steps = B / (2.0 * cap_eps) if cap_eps > 0 else math.inf
     first = np.append(0, trace.steps[:-1] + 1)  # the first entry of each record
+    t0 = min(1, int(trace.steps[-1]))  # margins are read from entry t0 on
+    late = trace.steps >= t0  # the records with an entry t >= t0, read at the first such entry
     # margins = t * eta * L * (B + 1) - w_drift, built in place in the same order
-    margins = first.astype(float)
+    margins = np.maximum(first[late], t0).astype(float)
     margins *= eta
     margins *= L
     margins *= B + 1.0
-    margins -= trace.w_drift
+    margins -= trace.w_drift[late]
     min_margin = float(np.min(margins))  # NaN if any margin is
     window = first <= cap_steps  # holds entry 0
     max_norm = float(max(np.max(trace.w_norm[window]), np.max(trace.u_norm[window])))

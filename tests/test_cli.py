@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ import pytest
 import rf_lab
 from rf_lab import cli
 from rf_lab.cli import BLAS_THREAD_VARS, CSV_CELLS, run, write_csv
-from rf_lab.features import ConcentrationResult
 from rf_lab.hardness import CorrelationDecayRow, SweepRow
 from rf_lab.legendre import MultiIndex, build_monomial_table
 from rf_lab.numerics import RandomSource, gauss_legendre_rule, uniform_ball
@@ -140,12 +140,14 @@ class TestExitCodes:
         assert run(["psi-check", "--d", "0", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    # explicit ids, the names these cases were first collected under, so a case
+    # added anywhere leaves the others' names as they are
     @pytest.mark.parametrize("flags, named", [
-        (["--delta", "0"], "--delta"),
-        (["--delta", "1.5"], "--delta"),
-        (["--trials", "0"], "--trials"),
-        (["--probes", "0"], "--probes"),
-        (["--r", "64,0"], "--r"),
+        pytest.param(["--delta", "0"], "--delta", id="flags0---delta"),
+        pytest.param(["--delta", "1.5"], "--delta", id="flags1---delta"),
+        pytest.param(["--trials", "0"], "--trials", id="flags2---trials"),
+        pytest.param(["--probes", "0"], "--probes", id="flags3---probes"),
+        pytest.param(["--r", "64,0"], "--r", id="flags4---r"),
     ])
     def test_concentration_bad_input_is_usage_error(self, tmp_path, capsys, flags, named):
         assert run(["concentration", *flags, "--out", str(tmp_path)]) == 1
@@ -163,15 +165,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / command).exists()
 
+    # each id is a fixed tag and the message: the names these cases were first collected under
     @pytest.mark.parametrize("argv, message", [
-        (["params", "--alpha", "-5"], "--alpha must be > 0, got -5.0"),
-        (["psi-check", "--jobs", "0"], "--jobs must be >= 1, got 0"),
-        # quad_order must exceed the polynomial's degree by two: a relation, not a fixed bound
-        (["represent-poly", "--quad-order", "1"], "--quad-order must be 0 or >= degree + 2 = 4, got 1"),
-        (["represent-poly", "--quad-order", "3"], "--quad-order must be 0 or >= degree + 2 = 4, got 3"),
-        (["represent-poly", "--poly", '{"1,1,1": 1.0}', "--quad-order", "4"],
-         "--quad-order must be 0 or >= degree + 2 = 5, got 4"),
-        (["learn-poly", "--comparator-scale", "nan"], "--comparator-scale must be > 0, got nan"),
+        pytest.param(argv, message, id=f"{tag}-{message}") for tag, argv, message in [
+            ("argv0", ["params", "--alpha", "-5"], "--alpha must be > 0, got -5.0"),
+            ("argv1", ["psi-check", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+            # quad_order must exceed the polynomial's degree by two: a relation, not a fixed bound
+            ("argv2", ["represent-poly", "--quad-order", "1"], "--quad-order must be 0 or >= degree + 2 = 4, got 1"),
+            ("argv3", ["represent-poly", "--quad-order", "3"], "--quad-order must be 0 or >= degree + 2 = 4, got 3"),
+            ("argv4", ["represent-poly", "--poly", '{"1,1,1": 1.0}', "--quad-order", "4"],
+             "--quad-order must be 0 or >= degree + 2 = 5, got 4"),
+            ("argv5", ["learn-poly", "--comparator-scale", "nan"], "--comparator-scale must be > 0, got nan"),
+        ]
     ])
     def test_refusal_names_the_flag_and_value(self, tmp_path, capsys, argv, message):
         assert run([*argv, "--out", str(tmp_path)]) == 1
@@ -256,12 +261,14 @@ def _heavier_rule(order):
 
 
 def _concentration_with(errors, weight_sup_C):
-    """concentration_experiment's result for r = 64..512, two trials each, at the given sup errors."""
-    def experiment(P, r_values, *args, **kwargs):
-        r_values = (64, 128, 256, 512)
-        rows = tuple((r, t, errors(r), 1.0) for r in r_values for t in range(2))
-        return ConcentrationResult(r_values, rows, weight_sup_C)
+    """concentration_experiment's result at the given sup errors, equal over each r's trials."""
+    def experiment(P, r_values, trials, *args, **kwargs):
+        sup = np.array([[errors(r)] * trials for r in r_values])
+        return sup, np.ones_like(sup), weight_sup_C
     return experiment
+
+
+SMALL_CONCENTRATION = ["concentration", "--r", "64,128,256,512", "--trials", "2"]
 
 
 def _drift_with(**fields):
@@ -293,10 +300,10 @@ REFUSALS = [
      ("gauss_legendre_rule", _heavier_rule), 2, "orthogonality residual "),
     ("legendre-reconstruction", ["legendre-check"], ("build_monomial_table", _table_with(2, 0, 1e-6)), 2,
      "reconstruction residual "),
-    ("concentration-envelope", ["concentration"],
+    ("concentration-envelope", SMALL_CONCENTRATION,
      ("concentration_experiment", _concentration_with(lambda r: r**-0.5, 0.01)), 2,
      "8 trials exceed the concentration envelope"),
-    ("concentration-slope", ["concentration"],
+    ("concentration-slope", SMALL_CONCENTRATION,
      ("concentration_experiment", _concentration_with(lambda r: 1.0 / r, 1.0)), 2,
      "log-log slope -1.0000 outside [-0.65, -0.35]"),
     ("learn-poly-drift", SMALL_LEARN_POLY, ("drift_check", _drift_with(drift_ok=False, min_drift_margin=-1.0)), 2,
@@ -407,8 +414,10 @@ class TestConfigFiles:
         assert not (tmp_path / "psi-check").exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("seed", '"x"'), ("seed", "1.5"), ("seed", "true"), ("seed", "null"),
-        ("jobs", "1.7"), ("jobs", '"two"'), ("d", "2.5"),
+        pytest.param(key, value, id=f"{key}-{value}") for key, value in [
+            ("seed", '"x"'), ("seed", "1.5"), ("seed", "true"), ("seed", "null"),
+            ("jobs", "1.7"), ("jobs", '"two"'), ("d", "2.5"),
+        ]
     ])
     def test_non_integer_config_value_is_usage_error(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
@@ -418,9 +427,11 @@ class TestConfigFiles:
         assert not (tmp_path / "psi-check").exists()
 
     @pytest.mark.parametrize("command, text, message", [
-        ("exp-identity", '{"out": null}', "config key 'out': expected a string, got None"),
-        ("exp-identity", '{"out": false}', "config key 'out': expected a string, got False"),
-        ("represent-poly", '{"poly": {"1,1": 1.0}}', "config key 'poly': expected a string, got {'1,1': 1.0}"),
+        pytest.param(*case, id="-".join(case)) for case in [
+            ("exp-identity", '{"out": null}', "config key 'out': expected a string, got None"),
+            ("exp-identity", '{"out": false}', "config key 'out': expected a string, got False"),
+            ("represent-poly", '{"poly": {"1,1": 1.0}}', "config key 'poly': expected a string, got {'1,1': 1.0}"),
+        ]
     ])
     def test_non_string_config_value_is_usage_error(self, tmp_path, capsys, monkeypatch, command, text, message):
         # without --out the outputs would go under the working directory
@@ -547,13 +558,32 @@ class TestCommandOutputs:
         assert lines[0] == "d,mean_sq_normalized,std_err,n_w,mc_samples"
         assert [line.split(",")[3:] for line in lines[1:]] == [["5", "1500"], ["5", "1500"]]
 
-    @pytest.mark.parametrize("seed", [0, 7, -3])
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**70])  # the last past the int64 range
     def test_concentration_seed_column_is_the_seed(self, tmp_path, capsys, seed):
         argv = ["concentration", "--r", "64,128", "--trials", "2", "--probes", "50", "--seed", str(seed)]
         assert run([*argv, "--jobs", "1", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "concentration" / "concentration.csv").read_text().splitlines()
         assert lines[0] == "r,trial,sup_error,max_abs_u,seed"
         assert [line.split(",")[-1] for line in lines[1:]] == [str(seed)] * 4
+
+    @pytest.mark.parametrize("trials", [1, 3], ids=["one-trial", "three-trials"])
+    def test_concentration_summary_reads_each_rs_rows(self, tmp_path, capsys, trials):
+        argv = ["concentration", "--r", "64,128,256", "--trials", str(trials), "--probes", "50"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # one trial has no sample deviation; none is taken
+            assert run([*argv, "--jobs", "1", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "concentration"
+        rows = [line.split(",") for line in (out / "concentration.csv").read_text().splitlines()[1:]]
+        summary = [line.split(",") for line in (out / "concentration_summary.csv").read_text().splitlines()[1:]]
+        assert [line[0] for line in summary] == ["64", "128", "256"]
+        for r, mean, std, _ in summary:
+            errors = [float(row[2]) for row in rows if row[0] == r]
+            assert len(errors) == trials
+            assert float(mean) == float(np.mean(errors))
+            if trials == 1:
+                assert std == "0"
+            else:
+                assert float(std) == float(np.std(errors, ddof=1))
 
     def test_neuron_inapprox_smoke(self, tmp_path, capsys):
         code = run(["neuron-inapprox", "--d-values", "3", "--r", "20",
@@ -622,6 +652,16 @@ class TestManifest:
         assert emitted == set(manifest["outputs"])
 
 
+# Small runs of the commands whose defaults take more than a moment.
+SMALL_RUNS = {
+    "concentration": ["--r", "64,128", "--trials", "2", "--probes", "50"],
+    "learn-poly": SMALL_LEARN_POLY[1:],
+    "linear-residual": ["--trials", "20"],
+    "correlation-decay": ["--d-values", "2,3", "--trials", "4", "--mc-samples", "2000"],
+    "neuron-inapprox": ["--d-values", "3", "--r", "20", "--n-train", "200"],
+}
+
+
 class TestReproducibility:
     def test_concentration_byte_identical(self, tmp_path, capsys):
         argv = ["concentration", "--r", "64,256", "--trials", "3", "--probes", "200", "--seed", "7"]
@@ -639,6 +679,20 @@ class TestReproducibility:
         assert read(tmp_path / "serial" / "neuron-inapprox" / "neuron_inapprox.csv") == read(
             tmp_path / "par" / "neuron-inapprox" / "neuron_inapprox.csv"
         )
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_no_random_stream_is_opened_twice(self, tmp_path, capsys, monkeypatch, command):
+        # two draws from one stream replay the same bits; --jobs 1 opens every stream here
+        keys = []
+        generator = RandomSource.generator
+
+        def recording(source, *subkeys):
+            keys.append((*source._path, *subkeys))
+            return generator(source, *subkeys)
+
+        monkeypatch.setattr(RandomSource, "generator", recording)
+        assert run([command, *SMALL_RUNS.get(command, []), "--jobs", "1", "--out", str(tmp_path)]) == 0
+        assert len(keys) == len(set(keys)), sorted(keys)
 
     def test_csv_floats_are_full_precision(self, tmp_path, capsys):
         assert run(["linear-residual", "--trials", "3", "--d", "8", "--r", "2",
@@ -702,7 +756,7 @@ class TestWriteCsv:
         write_csv(tmp_path / "u.csv", ("a", "b"), list(zip(*[])))
         assert (tmp_path / "u.csv").read_bytes() == b"a,b\n"
 
-    @pytest.mark.parametrize("column", [[1, 2.5], [0.5, "x"], [None, None]])
+    @pytest.mark.parametrize("column", [[1, 2.5], [0.5, "x"], [None, None]], ids=["column0", "column1", "column2"])
     def test_column_without_one_kind_is_refused(self, tmp_path, column):
         with pytest.raises(TypeError, match="CSV column"):
             write_csv(tmp_path / "t.csv", ("a",), [column])

@@ -12,6 +12,7 @@ from rf_lab.features import (
     PREDICT_CELLS,
     PREDICT_ROW_GROUP,
     FeatureSample,
+    concentration_envelope,
     concentration_experiment,
     feature_matrix,
     gaussian_row_blocks,
@@ -220,7 +221,7 @@ class TestBlockedPredict:
     def test_single_point_and_weight_mismatch(self):
         sample = draw(relu, uniform_cube, 2, 3, RandomSource(59))
         u = np.array([0.5, -1.0, 2.0])
-        x = np.array([0.25, -0.5])
+        x = np.array([[0.25, -0.5]])
         assert np.array_equal(predict(sample, u, x), predict_reference(sample, u, x))
         with pytest.raises(ValueError):
             predict(sample, np.ones(4), x)
@@ -254,15 +255,15 @@ class TestSupError:
         rng = RandomSource(15)
         probes = uniform_ball(2, 50, RandomSource(16).generator())
         own = self.cell_prediction(g, probes, rng, 3)
-        row, _ = features._concentration_cell(g, probes, own, rng, (0, 3, 0))
-        assert row[2] == 0.0
+        sup_error, _, _ = features._concentration_cell(g, probes, own, rng, (0, 3, 0))
+        assert sup_error == 0.0
 
     def test_constant_shift(self, g):
         rng = RandomSource(17)
         probes = uniform_ball(2, 50, RandomSource(18).generator())
         shifted = self.cell_prediction(g, probes, rng, 3) + 0.25
-        row, _ = features._concentration_cell(g, probes, shifted, rng, (0, 3, 0))
-        assert row[2] == pytest.approx(0.25)
+        sup_error, _, _ = features._concentration_cell(g, probes, shifted, rng, (0, 3, 0))
+        assert sup_error == pytest.approx(0.25)
 
 
 class TestLeastSquares:
@@ -501,38 +502,47 @@ class TestGaussianRowBlocks:
         assert gen.standard_normal() == whole_gen.standard_normal()
 
 
+R_VALUES = [64, 256, 1024]
+
+
 @pytest.fixture(scope="module")
 def result():
     P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
-    return concentration_experiment(
-        P, [64, 256, 1024], trials=5, probes=500, rng=RandomSource(77), jobs=1
-    )
+    return concentration_experiment(P, R_VALUES, trials=5, probes=500, rng=RandomSource(77), jobs=1)
+
+
+def assert_same_result(got, expected):
+    sup, max_u, weight_sup_C = got
+    assert np.array_equal(sup, expected[0]) and np.array_equal(max_u, expected[1])
+    assert weight_sup_C == expected[2]
 
 
 class TestConcentration:
 
     def test_deterministic(self, result):
         P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
-        again = concentration_experiment(
-            P, [64, 256, 1024], trials=5, probes=500, rng=RandomSource(77), jobs=1
-        )
-        assert again.rows == result.rows
+        again = concentration_experiment(P, R_VALUES, trials=5, probes=500, rng=RandomSource(77), jobs=1)
+        assert_same_result(again, result)
 
     def test_envelope_holds_per_trial(self, result):
-        for row in result.rows:
-            assert row[2] <= result.envelope(row[0], 0.01)
+        sup, _, weight_sup_C = result
+        for r, row in zip(R_VALUES, sup):
+            assert np.all(row <= concentration_envelope(weight_sup_C, r, 0.01))
+
+    def test_envelope_takes_an_int_or_an_array(self):
+        C, delta = 2.5, 0.01
+        expected = [math.e * C / math.sqrt(r) * (4.0 + math.sqrt(2.0 * math.log(1.0 / delta))) for r in R_VALUES]
+        assert [concentration_envelope(C, r, delta) for r in R_VALUES] == expected
+        assert concentration_envelope(C, np.array(R_VALUES), delta).tolist() == expected
 
     def test_error_decreases_with_r(self, result):
-        means = result.mean_errors()
+        means = result[0].mean(axis=1)
         assert np.all(np.diff(means) < 0)
 
     def test_parallel_matches_serial(self, result):
         P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
-        par = concentration_experiment(
-            P, [64, 256, 1024], trials=5, probes=500,
-            rng=RandomSource(77), jobs=2,
-        )
-        assert par.rows == result.rows
+        par = concentration_experiment(P, R_VALUES, trials=5, probes=500, rng=RandomSource(77), jobs=2)
+        assert_same_result(par, result)
 
     def test_rows_and_weight_sup_from_each_cells_draw(self, result):
         # cell (ri, r, t) draws r cube weights from rng.derive(1, ri, t); its
@@ -543,12 +553,14 @@ class TestConcentration:
         probes = uniform_ball(2, 500, rng.generator(0))
         f_vals = integral_feature_expectation(g, np.exp, probes, P.degree + 6)
         sup_c = max_abs_g(g, rng.derive(2))
-        assert len(result.rows) == 3 * 5
-        for r, t, sup_error, max_abs_u in result.rows:
-            W = uniform_cube(2, r, rng.derive(1, result.r_values.index(r), t).generator())
-            g_vals = eval_g(g, W)
-            u = g_vals / r
-            assert max_abs_u == float(np.max(np.abs(u)))
-            assert sup_error == float(np.max(np.abs(np.exp(probes @ W.T) @ u - f_vals)))
-            sup_c = max(sup_c, float(np.max(np.abs(g_vals))))
-        assert result.weight_sup_C == sup_c
+        sup, max_u, weight_sup_C = result
+        assert sup.shape == max_u.shape == (3, 5)
+        for ri, r in enumerate(R_VALUES):
+            for t in range(5):
+                W = uniform_cube(2, r, rng.derive(1, ri, t).generator())
+                g_vals = eval_g(g, W)
+                u = g_vals / r
+                assert max_u[ri, t] == float(np.max(np.abs(u)))
+                assert sup[ri, t] == float(np.max(np.abs(np.exp(probes @ W.T) @ u - f_vals)))
+                sup_c = max(sup_c, float(np.max(np.abs(g_vals))))
+        assert weight_sup_C == sup_c

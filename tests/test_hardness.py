@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rf_lab import features, hardness
-from rf_lab.features import PREDICT_CELLS, predict_block_rows, relu, row_blocks
+from rf_lab.features import PREDICT_CELLS, FeatureSample, predict, predict_block_rows, relu, row_blocks
 from rf_lab.hardness import (
     CorrelationDecayRow,
     PsiFunction,
@@ -127,16 +127,10 @@ class TestPsiShape:
         near_kinks = np.concatenate([np.nextafter(psi.kinks, -np.inf), np.nextafter(psi.kinks, np.inf)])
         specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
         gauss = d * np.random.default_rng(d).standard_normal(1_000_000)
-        scalars = [0.5, float(a), -float(a) - 2.5, np.nextafter(float(a), 0.0), np.nextafter(-float(a), 0.0),
-                   0.0, -0.0, np.inf, -np.inf, np.nan, np.array(1.5)]
+        singles = np.array([0.5, a, -a - 2.5, np.nextafter(float(a), 0.0), np.nextafter(-float(a), 0.0), 1.5])
         with np.errstate(invalid="ignore"):  # the references warn on inf and nan
-            for x in (grid, edges, near_kinks, specials, gauss):
+            for x in (grid, edges, near_kinks, specials, gauss, singles):
                 value = psi_eval(psi, x)
-                assert np.array_equal(value, psi_floor_parity(psi, x), equal_nan=True)
-                assert_same_floats(value, psi_mod_form(psi, x))
-            for x in scalars:
-                value = psi_eval(psi, x)
-                assert type(value) is float
                 assert np.array_equal(value, psi_floor_parity(psi, x), equal_nan=True)
                 assert_same_floats(value, psi_mod_form(psi, x))
 
@@ -164,10 +158,6 @@ class TestPsiShape:
             in_place = x.copy()
             assert psi_eval(psi, in_place, out=in_place) is in_place
             assert_same_floats(in_place, expected)
-        for scalar in (a, -a, a + 3.0, -a - 2.5, 0.5):
-            value = psi_eval(psi, scalar)
-            assert type(value) is float
-            assert_same_floats(value, psi_mod_form(psi, scalar))
 
     def test_properties_report(self):
         checks = psi_properties_check(PsiFunction(3), 10_000, 16)
@@ -277,8 +267,11 @@ class TestLinearResidual:
 
 @pytest.fixture
 def constant_one_net(monkeypatch):
-    """Cells test the constant function 1 in place of their ReLU net."""
-    monkeypatch.setattr(hardness, "_relu_test_net", lambda f_r, d, gen: lambda X: np.ones(len(X)))
+    """Cells test the constant function 1 in place of their ReLU net: one exp
+    feature along the zero direction, with output weight 1."""
+    monkeypatch.setattr(
+        hardness, "_relu_test_net", lambda f_r, d, gen: (FeatureSample(np.exp, np.zeros((1, d))), np.ones(1))
+    )
 
 
 class TestCorrelationDecay:
@@ -326,12 +319,12 @@ def unblocked_relu_net(r, d, gen):
 class TestRidgeReluNet:
     @pytest.mark.parametrize("r, d", [(50, 2), (50, 12), (7, 5)])
     def test_equals_unblocked_net(self, r, d):
-        f = hardness._relu_test_net(r, d, RandomSource(63).generator(d))
+        sample, u = hardness._relu_test_net(r, d, RandomSource(63).generator(d))
         reference = unblocked_relu_net(r, d, RandomSource(63).generator(d))
         block = predict_block_rows(r)
         for m in (1, block - 1, block, block + 1, 100_000):
             X = RandomSource(64).derive(m).generator().standard_normal((m, d))
-            assert np.array_equal(f(X), reference(X)), m
+            assert np.array_equal(predict(sample, u, X), reference(X)), m
 
     def test_never_builds_more_than_a_block(self, monkeypatch):
         sizes = []
@@ -343,8 +336,8 @@ class TestRidgeReluNet:
             return F
 
         monkeypatch.setattr(features, "feature_matrix", recording)
-        f = hardness._relu_test_net(50, 4, RandomSource(65).generator())
-        f(RandomSource(66).generator().standard_normal((100_000, 4)))
+        sample, u = hardness._relu_test_net(50, 4, RandomSource(65).generator())
+        predict(sample, u, RandomSource(66).generator().standard_normal((100_000, 4)))
         assert sum(sizes) == 100_000 * 50 and max(sizes) <= PREDICT_CELLS
 
 
@@ -357,7 +350,7 @@ def chunked_correlation_cell(cell, chunk) -> CorrelationDecayRow:
     d, f_r, trials, mc_samples, seed = cell
     rng = RandomSource(seed)
     psi = PsiFunction(d)
-    f = hardness._relu_test_net(f_r, d, rng.generator(d, 0))
+    net, u = hardness._relu_test_net(f_r, d, rng.generator(d, 0))
     ws = rng.generator(d, 1).standard_normal((trials, d))
     ws *= d / np.linalg.norm(ws, axis=1, keepdims=True)
     gen_x = rng.generator(d, 2)
@@ -368,7 +361,7 @@ def chunked_correlation_cell(cell, chunk) -> CorrelationDecayRow:
         del cuts[-2]
     for start, stop in zip(cuts[:-1], cuts[1:]):
         X = gen_x.standard_normal((stop - start, d))
-        fx = f(X)
+        fx = predict(net, u, X)
         f_sq_sum += float(fx @ fx)
         inner_sums += fx @ psi_mod_form(psi, X @ ws.T)
     sq = (inner_sums / mc_samples) ** 2 / (f_sq_sum / mc_samples)

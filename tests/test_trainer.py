@@ -73,7 +73,9 @@ ORACLE_ROWS = 1 << 13  # dense entries the drift oracle expands at a time
 def dense_drift_check(trace: TrainTrace, eta: float) -> DriftReport:
     """The oracle for ``drift_check``: both inequalities at every entry of the
     dense trace, expanded block by block; minima and maxima over blocks are
-    those over the whole trace."""
+    those over the whole trace.  The drift margin of entry 0 is 0 - 0 by
+    construction, so the minimum margin is over the entries t >= 1 unless
+    the trace has no other."""
     L = EXP_LIPSCHITZ
     eta = float(eta)
     T = int(trace.steps[-1])
@@ -88,7 +90,7 @@ def dense_drift_check(trace: TrainTrace, eta: float) -> DriftReport:
         margins *= L
         margins *= B + 1.0
         margins -= rows.w_drift
-        min_margins.append(np.min(margins))
+        min_margins.append(np.min(margins[rows.step >= min(T, 1)]))
         window = rows.step <= cap_steps
         if window.any():
             w_max.append(np.max(rows.w_norm[window]))
@@ -477,18 +479,38 @@ class TestDrift:
         assert_same_report(report, dense_drift_check(res.trace, cfg.eta))
         assert report.drift_ok
 
+    def test_passing_run_reports_its_smallest_margin_past_entry_0(self):
+        # entry 0's margin is 0 - 0 by construction; a passing run reports the
+        # smallest margin over t >= 1, which is positive
+        cfg = Hyper(r=120, eta=0.01, steps=3000)
+        res = sgd_train(3, ball_sign_sampler(d=3), *cfg, RandomSource(17), 2000)
+        report = drift_check(res.trace, cfg.eta)
+        oracle = dense_drift_check(res.trace, cfg.eta)
+        assert report.passed
+        assert report.min_drift_margin == oracle.min_drift_margin > 0.0
+        t = np.arange(1, cfg.steps + 1, dtype=float)
+        margins = t * cfg.eta * EXP_LIPSCHITZ * (report.b_value + 1.0) - expand(res.trace).w_drift[1:]
+        assert report.min_drift_margin == float(np.min(margins))
+
+    def test_trace_of_entry_0_alone_reports_its_margin(self):
+        trace = TrainTrace(steps=np.array([0]), loss=np.zeros(1), w_drift=np.zeros(1),
+                           u_norm=np.zeros(1), w_norm=np.ones(1))
+        report = drift_check(trace, 0.01)
+        assert_same_report(report, dense_drift_check(trace, 0.01))
+        assert report.min_drift_margin == 0.0 and report.passed
+
     @pytest.mark.parametrize("scale", [1e3, 1e4])
     def test_margin_bit_matches_out_of_place_expression(self, scale):
-        # a real trace's drift, scaled so the smallest margin sits at an interior
-        # step rather than at t = 0, where every margin is exactly 0
+        # a real trace's drift, scaled so the smallest margin over t >= 1 is
+        # negative and sits at an interior step rather than at t = 1
         cfg = Hyper(r=120, eta=0.01, steps=16_884)
         res = sgd_train(3, ball_sign_sampler(d=3), *cfg, RandomSource(17), 2000)
         trace = dataclasses.replace(res.trace, w_drift=res.trace.w_drift * scale)
         report = drift_check(trace, cfg.eta)
         assert_same_report(report, dense_drift_check(trace, cfg.eta))
         dense = expand(trace)
-        t = np.arange(cfg.steps + 1, dtype=float)
-        margins = t * cfg.eta * EXP_LIPSCHITZ * (report.b_value + 1.0) - dense.w_drift
+        t = np.arange(1, cfg.steps + 1, dtype=float)
+        margins = t * cfg.eta * EXP_LIPSCHITZ * (report.b_value + 1.0) - dense.w_drift[1:]
         assert np.argmin(margins) > 0
         assert report.min_drift_margin == float(np.min(margins))
         assert not report.drift_ok

@@ -282,6 +282,14 @@ def _approx_text(value, spec: str) -> str:
     return f"10^{math.log10(value.numerator) - math.log10(value.denominator):.3f}"
 
 
+def _polynomial(text: str) -> SparsePolynomial:
+    """The ``--poly`` value as a polynomial; malformed text is a usage error naming the flag."""
+    try:
+        return SparsePolynomial.from_json(text)
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise UsageError(f"--poly is not a polynomial ({exc}), got {text}") from exc
+
+
 def _cmd_legendre_check(cfg: ExperimentConfig):
     kmax = cfg.params["max_degree"]
     table = build_monomial_table(kmax)
@@ -325,7 +333,7 @@ def _cmd_legendre_check(cfg: ExperimentConfig):
 
 
 def _cmd_represent_poly(cfg: ExperimentConfig):
-    P = SparsePolynomial.from_json(cfg.params["poly"])
+    P = _polynomial(cfg.params["poly"])
     g = construct_g(P)
     quad_order = cfg.params["quad_order"]
     if 0 < quad_order < P.degree + 2:
@@ -361,7 +369,7 @@ def _cmd_represent_poly(cfg: ExperimentConfig):
 
 def _cmd_concentration(cfg: ExperimentConfig):
     p = cfg.params
-    P = SparsePolynomial.from_json(p["poly"])
+    P = _polynomial(p["poly"])
     r, trials = p["r"], p["trials"]
     sup, max_u, weight_sup_C = concentration_experiment(P, r, trials, p["probes"], RandomSource(cfg.seed), jobs=cfg.jobs)
     # floats made from the list: an int array's cast to float takes a 64 KiB buffer of peak RSS
@@ -395,7 +403,7 @@ def _cmd_concentration(cfg: ExperimentConfig):
 
 def _cmd_learn_poly(cfg: ExperimentConfig):
     p = cfg.params
-    P = SparsePolynomial.from_json(p["poly"])
+    P = _polynomial(p["poly"])
     if P.dimension != p["d"]:
         raise UsageError(f"polynomial dimension {P.dimension} != --d {p['d']}")
     sampler = margin_filtered_sampler(P, p["margin"])
@@ -528,34 +536,26 @@ def _cmd_linear_residual(cfg: ExperimentConfig):
 
 def _cmd_correlation_decay(cfg: ExperimentConfig):
     p = cfg.params
-    rows_out = correlation_decay(
-        p["f_r"], p["d_values"], p["trials"], p["mc_samples"], RandomSource(cfg.seed), cfg.jobs,
-    )
-    rows = [(r.d, r.mean_sq, r.std_err, p["trials"], p["mc_samples"]) for r in rows_out]
+    sweep = correlation_decay(p["f_r"], p["d_values"], p["trials"], p["mc_samples"], RandomSource(cfg.seed), cfg.jobs)
+    rows = [(*row, p["trials"], p["mc_samples"]) for row in sweep]
     failures = []
-    if any((not math.isfinite(r.mean_sq)) or r.mean_sq < 0 for r in rows_out):
+    if any((not math.isfinite(mean_sq)) or mean_sq < 0 for _, mean_sq, *_ in rows):
         failures.append("normalized squared correlations must be finite and nonnegative")
-    summary = [
-        f"d={r.d}: {r.mean_sq:.4e} +- {r.std_err:.1e}" for r in rows_out
-    ]
+    summary = [f"d={d}: {mean_sq:.4e} +- {std_err:.1e}" for d, mean_sq, std_err, *_ in rows]
     header = ("d", "mean_sq_normalized", "std_err", "n_w", "mc_samples")
     return {"correlation_decay.csv": (header, list(zip(*rows)))}, summary, failures
 
 
 def _cmd_neuron_inapprox(cfg: ExperimentConfig):
     p = cfg.params
-    rows_out = neuron_inapprox_sweep(
-        p["r"], p["d_values"], p["n_train"], RandomSource(cfg.seed),
-        include_baseline=bool(p["baseline"]), jobs=cfg.jobs,
-    )
-    rows = [(r.d, r.target, r.normalized_error, r.r_max_abs_u) for r in rows_out]
+    rows = neuron_inapprox_sweep(p["r"], p["d_values"], p["n_train"], RandomSource(cfg.seed), cfg.jobs)
     failures = []
-    for r in rows_out:
-        if r.target == "control" and not r.normalized_error < 1e-6:
-            failures.append(f"realizable control at d={r.d} has error {r.normalized_error:.3e} >= 1e-6")
-        if r.target == "neuron_gd_baseline" and not r.normalized_error < 0.01:
-            failures.append(f"neuron GD baseline at d={r.d} has error {r.normalized_error:.3e} >= 0.01")
-    summary = [f"d={r.d} {r.target}: err={r.normalized_error:.4f}" for r in rows_out]
+    for d, target, err, _ in rows:
+        if target == "control" and not err < 1e-6:
+            failures.append(f"realizable control at d={d} has error {err:.3e} >= 1e-6")
+        if target == "neuron_gd_baseline" and not err < 0.01:
+            failures.append(f"neuron GD baseline at d={d} has error {err:.3e} >= 0.01")
+    summary = [f"d={d} {target}: err={err:.4f}" for d, target, err, _ in rows]
     header = ("d", "target", "normalized_error", "r_max_abs_u")
     return {"neuron_inapprox.csv": (header, list(zip(*rows)))}, summary, failures
 
@@ -663,7 +663,6 @@ COMMANDS: dict[str, dict] = {
             "d_values": ("int_list", [4, 10, 15, 20], "dimensions", (1, None)),
             "r": ("int", 200, "feature count", (1, None)),
             "n_train": ("int", 4000, "training sample size", (1, None)),
-            "baseline": ("int", 1, "1 = include the directly-trained neuron baseline", (0, 1)),
         },
     },
     "exp-identity": {

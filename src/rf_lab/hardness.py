@@ -17,7 +17,9 @@ requirement, met) row per property, the rows psi-check writes.
 
 Composed with a random direction, x -> psi(<w, x>) with ||w|| = d
 oscillates too fast for any fixed low-norm feature family to track, which
-is what the correlation-decay and inapproximability sweeps measure.  Both
+is what the correlation-decay and inapproximability sweeps measure.  The
+latter's hard targets, psi(<d e_1, x>) and [<d^3 e_1, x> + b*]_+, are
+functions of t = x_1 alone.  Both sweeps return their CSV rows as tuples and
 run one cell per dimension through ``parallel.map_cells``.  Each draws
 its Gaussian points in ``features.row_blocks``, each block straight into
 one reused buffer (``features.gaussian_row_blocks``), where a lone last
@@ -28,7 +30,7 @@ psi, streamed by ``features.gaussian_feature_blocks`` in one reused buffer
 sums, so a cell holds no array that grows with the sample; its test net
 is ``features.predict`` over a ReLU ``features.FeatureSample``.
 The inapproximability sweep's least-squares fit draws its training and
-held-out points this way, and its directly-trained baseline its held-out
+held-out points this way, and its directly-trained neuron its held-out
 points.
 """
 
@@ -95,7 +97,6 @@ def psi_eval(psi: PsiFunction, x, out=None):
     and is returned; it may be ``x`` itself.  The tail masks and the right
     tail's values are taken from x before anything is written.
     """
-    x = np.asarray(x, dtype=float)
     a = float(psi.a)
     left = x < -a
     right = x >= a
@@ -111,20 +112,6 @@ def psi_eval(psi: PsiFunction, x, out=None):
     if right_values is not None:
         out[right] = right_values
     return out
-
-
-@dataclass(frozen=True)
-class ReluNeuron:
-    """Target neuron x -> [<w*, x> + b*]_+."""
-
-    w_star: np.ndarray
-    b_star: float
-
-    def __post_init__(self):
-        self.w_star.setflags(write=False)
-
-    def evaluate(self, X) -> np.ndarray:
-        return np.maximum(X @ self.w_star + self.b_star, 0.0)
 
 
 @dataclass(frozen=True)
@@ -154,7 +141,6 @@ class ReluDecomposition:
         is S + f C + constant.  Integer offsets and coefficients are assumed.
         Each intermediate holds at most len(x) x n_terms values.
         """
-        x = np.asarray(x, dtype=float)
         whole = np.round(x)
         f = x - whole
         z = whole[..., None] + self.offsets
@@ -255,15 +241,9 @@ def _linear_residual_trial(d: int, r: int, gen: np.random.Generator) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrelationDecayRow:
-    d: int
-    mean_sq: float  # mean over w draws of <f, psi_w>^2, normalized by ||f||^2
-    std_err: float
-
-
 def correlation_decay(f_r: int, d_values, trials: int, mc_samples: int, rng: RandomSource, jobs: int):
-    """Monte-Carlo estimate of E_w <f, psi_w>^2 / ||f||^2 per dimension.
+    """Monte-Carlo estimate of E_w <f, psi_w>^2 / ||f||^2 per dimension, as
+    (d, mean_sq, std_err) rows: the mean over the w draws and its standard error.
 
     The fixed test function f is drawn once per d, in the cell that runs
     that d: an ``f_r``-feature ReLU net with unit-sphere directions and
@@ -297,7 +277,7 @@ def _relu_test_net(f_r: int, d: int, gen: np.random.Generator):
     return FeatureSample(relu, W), u
 
 
-def _correlation_cell(f_r: int, trials: int, mc_samples: int, rng: RandomSource, d: int) -> CorrelationDecayRow:
+def _correlation_cell(f_r: int, trials: int, mc_samples: int, rng: RandomSource, d: int) -> tuple:
     psi = PsiFunction(d)
     net, u = _relu_test_net(f_r, d, rng.generator(d, 0))
     ws = rng.generator(d, 1).standard_normal((trials, d))
@@ -312,11 +292,7 @@ def _correlation_cell(f_r: int, trials: int, mc_samples: int, rng: RandomSource,
     inners = inner_sums / mc_samples
     f_norm_sq = f_sq_sum / mc_samples
     sq = inners**2 / f_norm_sq
-    return CorrelationDecayRow(
-        d=d,
-        mean_sq=float(np.mean(sq)),
-        std_err=float(np.std(sq, ddof=1) / math.sqrt(trials)),
-    )
+    return d, float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(trials))
 
 
 # ---------------------------------------------------------------------------
@@ -324,31 +300,20 @@ def _correlation_cell(f_r: int, trials: int, mc_samples: int, rng: RandomSource,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    d: int
-    target: str  # control | psi | neuron | neuron_gd_baseline
-    normalized_error: float
-    r_max_abs_u: float
-
-
-def _candidate_biases(psi: PsiFunction) -> list:
-    """A small spread of decomposition offsets (scaled by d^2) to try as b*."""
+def _candidate_biases(psi: PsiFunction) -> np.ndarray:
+    """The array of candidate biases b*: decomposition offsets a - 2n, scaled by d^2,
+    at distinct n among 1, a // 4, a // 2, 3a // 4, a.  n = a // 2 gives b* = d^2,
+    the middle candidate by index except at d = 1, where a // 4 = 1 repeats n = 1."""
     a = psi.a
     picks = sorted({1, max(1, a // 4), max(1, a // 2), max(1, (3 * a) // 4), a})
-    return [float(a - 2 * n) * psi.d * psi.d for n in picks]
+    return (a - 2.0 * np.array(picks)) * (psi.d * psi.d)
 
 
-def baseline_neuron_target(d: int) -> ReluNeuron:
-    """The target of the directly-trained baseline: w* = d^3 e_1, b* = d^2.
-
-    This is the sweep's middle candidate, n = a // 2 = 3 d^2 (offset
-    a - 2n = 1, scaled by d^2).  Its kink sits at x_1 = -1/d, inside the
-    Gaussian bulk, so the target is not affine on the data.
-    """
-    w_star = np.zeros(d)
-    w_star[0] = float(d) ** 3
-    return ReluNeuron(w_star, float(d * d))
+def neuron_target(d: int, t, b_star):
+    """[<d^3 e_1, x> + b*]_+ as relu(d^3 t + b*), t = x_1, for one b* or an array
+    of them (one column each); bit for bit the d-dimensional form, since
+    X @ (c e_1) is c x_1 exactly: every other product is an exact zero."""
+    return relu(np.add.outer(float(d) ** 3 * t, b_star))
 
 
 NEURON_GD_STEPS = 400  # most updates ``train_single_neuron`` makes
@@ -356,8 +321,10 @@ NEURON_GD_TOL = 1e-10  # its stopping rule's relative batch squared error
 NEURON_GD_EVAL = 50_000  # its held-out points
 
 
-def train_single_neuron(target: ReluNeuron, d: int, rng: RandomSource) -> tuple[float, int]:
-    """Fit one ReLU neuron to the target by plain SGD on the squared loss.
+def train_single_neuron(d: int, rng: RandomSource) -> tuple[float, int]:
+    """Fit one ReLU neuron by plain SGD on the squared loss to the candidate
+    n = a // 2, ``neuron_target(d, x_1, d^2)``, whose kink at x_1 = -1/d lies
+    inside the Gaussian bulk, so the target is not affine on the data.
 
     Each step draws a fresh batch of 4096 points and moves by 0.4 times the
     batch-mean gradient.  Training stops at the first step whose
@@ -375,6 +342,7 @@ def train_single_neuron(target: ReluNeuron, d: int, rng: RandomSource) -> tuple[
     only the (NEURON_GD_EVAL,) model and target values are kept whole.
     """
     lr, batch = 0.4, 4096
+    b_star = float(d * d)
     gen = rng.generator(0)
     w = 0.01 * gen.standard_normal(d)
     b = 1.0  # start active; a dead neuron has zero gradient
@@ -382,7 +350,7 @@ def train_single_neuron(target: ReluNeuron, d: int, rng: RandomSource) -> tuple[
     X = np.empty((batch, d))
     while updates < NEURON_GD_STEPS:
         gen.standard_normal(out=X)
-        y = target.evaluate(X)
+        y = neuron_target(d, X[:, 0], b_star)
         z = X @ w + b
         active = z >= 0.0
         err = np.where(active, z, 0.0) - y
@@ -395,75 +363,57 @@ def train_single_neuron(target: ReluNeuron, d: int, rng: RandomSource) -> tuple[
     yh = np.empty(NEURON_GD_EVAL)
     mh = np.empty(NEURON_GD_EVAL)
     for start, stop, Xh in gaussian_row_blocks(rng.generator(1), NEURON_GD_EVAL, d, d):
-        yh[start:stop] = target.evaluate(Xh)
+        yh[start:stop] = neuron_target(d, Xh[:, 0], b_star)
         mh[start:stop] = np.maximum(Xh @ w + b, 0.0)
     mh -= yh
     return float(np.mean(np.square(mh, out=mh)) / np.mean(np.square(yh, out=yh))), updates
 
 
-def neuron_inapprox_sweep(
-    r: int,
-    d_values,
-    n_train: int,
-    rng: RandomSource,
-    include_baseline: bool,
-    jobs: int,
-):
-    """Least-squares error of oblivious ReLU features against the hard targets.
+def neuron_inapprox_sweep(r: int, d_values, n_train: int, rng: RandomSource, jobs: int):
+    """Least-squares error of oblivious ReLU features against the hard targets,
+    and of a directly-trained neuron, as (d, target, normalized_error,
+    r_max_abs_u) rows: control, psi, neuron, neuron_gd_baseline per d.
 
     Per dimension d: sample r bias-free ReLU features with unit-sphere
     directions first (obliviously), then fit them to
     (a) a realizable control (one of the sampled features), (b) the psi
-    target psi(<d e_1, x>), and (c) the scaled neuron target, reporting the
-    max normalized error over a small set of candidate biases b*.  All
+    target psi(d t), and (c) ``neuron_target(d, t, b*)``, t = x_1, reporting
+    the max normalized error over the candidate biases b*.  All
     targets share one training draw and one held-out draw per d and are
     solved together as the columns of one least-squares problem, whose
     training and held-out passes evaluate features and targets one row
     block at a time (``least_squares_fit``), so a cell's memory does not
     grow with n_train; each error is normalized by its target's
     squared norm on that held-out sample, and candidates that are zero on
-    the whole sample are skipped.  Optionally adds the directly-trained
-    single-neuron baseline on the middle candidate (``baseline_neuron_target``).
+    the whole sample are skipped.  Last comes ``train_single_neuron``'s
+    error, with r_max_abs_u 0.
     """
-    cell = partial(_sweep_cell, r, n_train, include_baseline, rng)
+    cell = partial(_sweep_cell, r, n_train, rng)
     # a cell's work grows with its d, so a pool starts on the largest
     groups = map_cells(cell, [int(d) for d in d_values], jobs, cost=lambda d: d)
     return [row for group in groups for row in group]
 
 
-def _sweep_cell(r: int, n_train: int, include_baseline: bool, rng: RandomSource, d: int):
+def _sweep_cell(r: int, n_train: int, rng: RandomSource, d: int):
     sample = FeatureSample(relu, unit_sphere(d, r, rng.derive(d, 0).generator()))
     psi = PsiFunction(d)
-    control_col = sample.r // 2
-    w_dir = np.zeros(d)
-    w_dir[0] = float(d)
-    w_star = np.zeros(d)
-    w_star[0] = float(d) ** 3
-    neurons = [ReluNeuron(w_star, b_star) for b_star in _candidate_biases(psi)]
+    biases = _candidate_biases(psi)
 
     def targets(X, F):
-        """Columns: the control feature, psi(<d e_1, x>), one per candidate neuron."""
-        cols = [F[:, control_col], psi_eval(psi, X @ w_dir)] + [n.evaluate(X) for n in neurons]
-        return np.column_stack(cols)
+        """Columns: the control feature, psi(d t), one per candidate neuron."""
+        t = X[:, 0]
+        return np.column_stack([F[:, r // 2], psi_eval(psi, d * t), neuron_target(d, t, biases)])
 
     _, errors, max_u, norms = least_squares_fit(sample, targets, n_train, rng.derive(d, 1))
-    rmu = [sample.r * mu for mu in max_u]
+    rmu = [r * mu for mu in max_u]
     rows = [
-        SweepRow(d, name, errors[j] / norms[j] if norms[j] > 0.0 else math.inf, rmu[j])
+        (d, name, errors[j] / norms[j] if norms[j] > 0.0 else math.inf, rmu[j])
         for j, name in enumerate(("control", "psi"))
     ]
-
-    worst = (-1.0, 0.0)
-    for err, t_norm, neuron_rmu in zip(errors[2:], norms[2:], rmu[2:]):
-        if t_norm == 0.0:  # neuron dead on the whole sample; nothing to fit
-            continue
-        if err / t_norm > worst[0]:
-            worst = (err / t_norm, neuron_rmu)
-    rows.append(SweepRow(d, "neuron", worst[0], worst[1]))
-
-    if include_baseline:
-        baseline_err, _ = train_single_neuron(baseline_neuron_target(d), d, rng.derive(d, 4))
-        rows.append(SweepRow(d, "neuron_gd_baseline", baseline_err, 0.0))
+    # a candidate zero on the whole sample is dead there: nothing to fit
+    live = [(err / t_norm, mu) for err, t_norm, mu in zip(errors[2:], norms[2:], rmu[2:]) if t_norm != 0.0]
+    rows.append((d, "neuron", *max(live, key=lambda e: e[0], default=(-1.0, 0.0))))
+    rows.append((d, "neuron_gd_baseline", train_single_neuron(d, rng.derive(d, 4))[0], 0.0))
     return rows
 
 

@@ -86,7 +86,6 @@ def legendre_eval(n: int, w):
     """p_n(w) by the three-term recurrence, at an array of points w."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    w = np.asarray(w, dtype=float)
     p_prev = np.ones_like(w)
     if n == 0:
         return p_prev
@@ -121,7 +120,6 @@ def build_monomial_table(m_max: int) -> np.ndarray:
 
 def multi_legendre_eval(J: MultiIndex, w):
     """Tensor-product values p_J(w) at points w of shape (..., d)."""
-    w = np.asarray(w, dtype=float)
     if w.shape[-1] != J.dim:
         raise ValueError(f"point dimension {w.shape[-1]} != multi-index dimension {J.dim}")
     out = np.ones(w.shape[:-1])

@@ -122,7 +122,6 @@ def exp_truncated(k: int) -> Callable[[np.ndarray], np.ndarray]:
     coeffs = [exp_taylor_coeff(i) for i in range(k + 1)]
 
     def sigma_k(z):
-        z = np.asarray(z, dtype=float)
         out = np.zeros_like(z)
         for a in reversed(coeffs):
             out = out * z + a
@@ -230,7 +229,7 @@ def _quadrature_terms(g: LegendreExpansion, sigma, x_points, order: int):
     w_pts, w_wts = cube_quadrature(g.dimension, order)
     g_vals = eval_g(g, w_pts)
     weighted = w_wts * g_vals * g.normalizer
-    return np.asarray(sigma(x_points @ w_pts.T)), weighted
+    return sigma(x_points @ w_pts.T), weighted
 
 
 def integral_feature_expectation(
@@ -257,14 +256,19 @@ def truncated_residual(P: SparsePolynomial, g: LegendreExpansion, x_points, quad
     Horner's 2k steps by e gamma_2k; sigma_k's slope is <= e and sigma_k >= 1/3
     on [-1, 1] for k >= 2, so sigma_k errs by 3e (gamma_d + gamma_2k) <=
     gamma_{9d + 18k} relatively; c_d omega_j g(w_j) is d + 2 products of d + 2
-    factors correct to 2u (the d rule weights, scale^d, c_d), 3d + 6, leaving
-    4 for g(w_j); (c) g(w_j), with construct_g's coefficients, and
-    sigma_1 = 1 + z near z = -1 are as accurate, and P(x) is within
-    (gamma_N + gamma_m) T.  (c) is the empirical part: over 80 random
-    polynomials of degree <= 8 in d <= 3 and monomials up to degree 30 the
-    residual stayed below 7 u T, against 2 (N + m) u T >= 48 u T.  So, to
-    first order, |residual| <= 2 gamma_{N+m} T + (N + m) tiny.  An inf or
-    NaN term makes the bound and the residual inf or NaN alike.
+    factors, 3d + 10 with 4 for g(w_j), if the d rule weights, scale^d and c_d
+    are correct to 2u.  Measured against long double, the weights err by up
+    to 3.1, 7.9, 7.5, 15, 17, 74 and 184 u at orders 4, 6, 8, 10, 16, 20 and
+    40 (the nodes by 0.63 u), so (b) needs m raised by d (e_w - 2) for e_w u
+    weights at every order >= 4: as written the derivation does not close,
+    and the bound keeps m as stated; (c) g(w_j), with construct_g's
+    coefficients, and sigma_1 = 1 + z near z = -1 are as accurate, and P(x)
+    is within (gamma_N + gamma_m) T.  (c) is the empirical part: over 80
+    random polynomials of degree <= 8 in d <= 3 and monomials up to degree 30
+    the residual stayed below 7 u T, against 2 (N + m) u T >= 48 u T.  So, to
+    first order and with (b) as assumed, |residual| <= 2 gamma_{N+m} T +
+    (N + m) tiny.  An inf or NaN term makes the bound and the residual inf or
+    NaN alike.
     """
     k = P.degree
     if quad_order < k + 2:

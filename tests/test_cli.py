@@ -17,7 +17,6 @@ import pytest
 import rf_lab
 from rf_lab import cli
 from rf_lab.cli import BLAS_THREAD_VARS, CSV_CELLS, run, write_csv
-from rf_lab.hardness import CorrelationDecayRow, SweepRow
 from rf_lab.legendre import MultiIndex, build_monomial_table
 from rf_lab.numerics import RandomSource, gauss_legendre_rule, uniform_ball
 from rf_lab.parallel import usable_cpus
@@ -51,7 +50,6 @@ BAD_INPUTS = [
     ("linear-residual --d 5 --r 6", "--r"),
     ("neuron-inapprox --n-train 0", "--n-train"),
     ("neuron-inapprox --d-values=", "--d-values"),
-    ("neuron-inapprox --baseline 5", "--baseline"),
     ("neuron-inapprox --r 0", "--r"),
     ("learn-poly --d 0", "--d"),
     ("learn-poly --r 0", "--r"),
@@ -104,8 +102,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("baseline_error", [0.01, float("nan")])
     def test_neuron_baseline_bound_exits_two(self, tmp_path, capsys, monkeypatch, baseline_error):
         def sweep(*args, **kwargs):
-            return [SweepRow(4, "control", 0.0, 1.0), SweepRow(4, "neuron_gd_baseline", 1e-10, 0.0),
-                    SweepRow(10, "neuron_gd_baseline", baseline_error, 0.0)]
+            return [(4, "control", 0.0, 1.0), (4, "neuron_gd_baseline", 1e-10, 0.0),
+                    (10, "neuron_gd_baseline", baseline_error, 0.0)]
 
         monkeypatch.setattr(cli, "neuron_inapprox_sweep", sweep)
         assert run(["neuron-inapprox", "--out", str(tmp_path)]) == 2
@@ -183,20 +181,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / argv[0]).exists()
 
-    # malformed coefficients are usage errors; a coefficient whose g overflows a
-    # double fails validation
+    # malformed polynomials are usage errors naming --poly; a coefficient whose g
+    # overflows a double fails validation
     @pytest.mark.parametrize("poly, code", [
         ('[1]', 1),
         ('{"1,1": null}', 1),
         ('{"1,1": NaN}', 1),
         ('{"1,1": 1e400}', 1),
         ('{"1,1": 1.7e308}', 2),  # g overflows: NaN residuals
+        ('{"": 1.0}', 1),  # an empty multi-index
+        ('{"a,b": 1.0}', 1),
+        ("nope", 1),  # not JSON
     ])
     def test_malformed_polynomial_exits_with_a_message(self, tmp_path, capsys, poly, code):
         assert run(["represent-poly", "--poly", poly, "--out", str(tmp_path)]) == code
         err = capsys.readouterr().err
-        assert err.startswith("error: " if code == 1 else "VALIDATION FAILURE: truncated-mode residual")
+        assert err.startswith("error: --poly " if code == 1 else "VALIDATION FAILURE: truncated-mode residual")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["concentration", "learn-poly"])
+    def test_every_command_names_a_malformed_polynomial(self, tmp_path, capsys, command):
+        assert run([command, "--poly", '{"": 1.0}', "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --poly is not a polynomial (invalid literal for int() with base 10: ''), got {\"\": 1.0}\n"
+        )
+        assert not (tmp_path / command).exists()
 
     # large in absolute terms, but at rounding level against the quadrature's terms:
     # a high degree, or coefficients whose beta exceeds the float64 range
@@ -317,10 +326,10 @@ REFUSALS = [
     ("linear-residual-mean", ["linear-residual"], ("linear_residual", lambda *a: np.array([0.1, 0.1])), 2,
      "mean residual 0.1000 < 1/4 despite r <= d/2"),
     ("correlation-finite", ["correlation-decay"],
-     ("correlation_decay", lambda *a: [CorrelationDecayRow(2, math.nan, 0.0)]), 2,
+     ("correlation_decay", lambda *a: [(2, math.nan, 0.0)]), 2,
      "normalized squared correlations must be finite and nonnegative"),
     ("neuron-control", ["neuron-inapprox"],
-     ("neuron_inapprox_sweep", lambda *a, **k: [SweepRow(4, "control", 1e-3, 1.0)]), 2,
+     ("neuron_inapprox_sweep", lambda *a: [(4, "control", 1e-3, 1.0)]), 2,
      "realizable control at d=4 has error 1.000e-03 >= 1e-6"),
     ("sampler-labels", SMALL_LEARN_POLY, ("margin_filtered_sampler", _zero_labels), 1,
      "sampler produced labels outside {-1, +1}"),
@@ -395,6 +404,16 @@ class TestConfigFiles:
         cfg.write_text('{"dd": 3}')
         assert run(["psi-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "dd" in capsys.readouterr().err
+
+    def test_baseline_is_neither_a_flag_nor_a_key(self, tmp_path, capsys):
+        # the directly-trained neuron always runs; there is no knob to turn it off
+        assert run(["neuron-inapprox", "--baseline", "0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --baseline 0\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"baseline": 0}')
+        assert run(["neuron-inapprox", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown config key 'baseline' for neuron-inapprox ")
+        assert not (tmp_path / "neuron-inapprox").exists()
 
     def test_seed_env_var_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RF_LAB_SEED", "1234")

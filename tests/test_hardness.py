@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -12,15 +11,13 @@ import pytest
 from rf_lab import features, hardness
 from rf_lab.features import PREDICT_CELLS, FeatureSample, predict, predict_block_rows, relu, row_blocks
 from rf_lab.hardness import (
-    CorrelationDecayRow,
     PsiFunction,
     ReluDecomposition,
-    ReluNeuron,
     _candidate_biases,
-    baseline_neuron_target,
     correlation_decay,
     linear_residual,
     neuron_inapprox_sweep,
+    neuron_target,
     psi_eval,
     psi_gaussian_norm,
     psi_properties_check,
@@ -81,14 +78,11 @@ def observed(checks) -> dict:
 class TestPsiShape:
     def test_zeros_at_even_integers(self):
         psi = PsiFunction(3)
-        assert psi_eval(psi, 0.0) == 0.0
-        assert psi_eval(psi, 2.0) == 0.0
-        assert psi_eval(psi, -2.0) == 0.0
+        assert np.array_equal(psi_eval(psi, np.array([0.0, 2.0, -2.0])), [0.0, 0.0, 0.0])
 
     def test_unit_peaks_at_odd_integers(self):
         psi = PsiFunction(3)
-        assert abs(psi_eval(psi, 1.0)) == 1.0
-        assert abs(psi_eval(psi, -1.0)) == 1.0
+        assert np.array_equal(np.abs(psi_eval(psi, np.array([1.0, -1.0]))), [1.0, 1.0])
 
     def test_periodicity_on_window(self):
         psi = PsiFunction(3)
@@ -104,8 +98,8 @@ class TestPsiShape:
     def test_outside_window_follows_definition(self):
         psi = PsiFunction(2)
         a = psi.a
-        assert psi_eval(psi, -a - 5.0) == -1.0  # all ReLU terms off
-        assert psi_eval(psi, a + 3.0) == pytest.approx(1.0 - 3.0)  # affine tail
+        # all ReLU terms off on the left; the affine tail on the right
+        assert np.array_equal(psi_eval(psi, np.array([-a - 5.0, a + 3.0])), [-1.0, 1.0 - 3.0])
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_decomposition_matches_closed_form(self, d):
@@ -276,30 +270,30 @@ def constant_one_net(monkeypatch):
 
 class TestCorrelationDecay:
     def test_constant_function_sits_at_noise_floor(self, constant_one_net):
-        rows = correlation_decay(1, [3], trials=32, mc_samples=20_000, rng=RandomSource(5), jobs=1)
-        row = rows[0]
+        [(d, mean_sq, _)] = correlation_decay(1, [3], trials=32, mc_samples=20_000, rng=RandomSource(5), jobs=1)
         # true correlation ~ 0; the squared-mean estimator floor is
         # Var(psi(<w,x>))/mc ~ (1/3)/mc
         floor = (1.0 / 3.0) / 20_000
-        assert row.mean_sq < 5 * floor
-        assert row.mean_sq >= 0.0
+        assert d == 3
+        assert 0.0 <= mean_sq < 5 * floor
 
     def test_doubling_samples_halves_the_floor(self, constant_one_net):
         small = correlation_decay(1, [3], trials=128, mc_samples=10_000, rng=RandomSource(6), jobs=1)[0]
         big = correlation_decay(1, [3], trials=128, mc_samples=20_000, rng=RandomSource(6), jobs=1)[0]
-        ratio = big.mean_sq / small.mean_sq
+        ratio = big[1] / small[1]
         assert 0.3 <= ratio <= 0.7
 
     def test_follows_a_derived_source(self):
         sweep = partial(correlation_decay, 7, [2, 3], 8, 2_000)
         root = RandomSource(7)
         one = sweep(root.derive(1), jobs=1)
-        assert all(a.mean_sq != b.mean_sq for a, b in zip(one, sweep(root.derive(2), jobs=1)))
+        assert all(a[1] != b[1] for a, b in zip(one, sweep(root.derive(2), jobs=1)))
         assert sweep(root.derive(1), jobs=2) == one
 
     def test_relu_net_signal_decreases(self):
         rows = correlation_decay(50, [2, 4, 6], trials=24, mc_samples=50_000, rng=RandomSource(9), jobs=1)
-        assert rows[0].mean_sq > rows[1].mean_sq > rows[2].mean_sq
+        assert [d for d, _, _ in rows] == [2, 4, 6]
+        assert rows[0][1] > rows[1][1] > rows[2][1]
 
     def test_parallel_matches_serial(self):
         kwargs = dict(trials=8, mc_samples=5_000, rng=RandomSource(7))
@@ -341,7 +335,7 @@ class TestRidgeReluNet:
         assert sum(sizes) == 100_000 * 50 and max(sizes) <= PREDICT_CELLS
 
 
-def chunked_correlation_cell(cell, chunk) -> CorrelationDecayRow:
+def chunked_correlation_cell(cell, chunk) -> tuple:
     """The correlation cell from fresh arrays: each chunk of ``chunk`` points
     (a lone last point joins the chunk before it) is drawn, projected, passed
     through psi by its remainder form and summed anew.  With the cell's block
@@ -367,7 +361,7 @@ def chunked_correlation_cell(cell, chunk) -> CorrelationDecayRow:
     sq = (inner_sums / mc_samples) ** 2 / (f_sq_sum / mc_samples)
     # NumPy's std of one draw is nan (with a warning)
     std_err = float(np.std(sq, ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
-    return CorrelationDecayRow(d, float(np.mean(sq)), std_err)
+    return d, float(np.mean(sq)), std_err
 
 
 class TestTiledCorrelationCell:
@@ -385,14 +379,14 @@ class TestTiledCorrelationCell:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # std_err of one draw
             rows = correlation_decay(7, [2, 5], trials, mc_samples, rng, jobs=jobs)
-        return [(row, (row.d, 7, trials, mc_samples, rng.seed)) for row in rows]
+        return [(row, (row[0], 7, trials, mc_samples, rng.seed)) for row in rows]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("trials, mc_samples", CASES)
     def test_equals_streamed_oracle(self, trials, mc_samples, jobs):
         for row, cell in self.sweep(trials, mc_samples, jobs):
             ref = chunked_correlation_cell(cell, predict_block_rows(trials))
-            assert np.array_equal(astuple(row), astuple(ref), equal_nan=True), row.d
+            assert np.array_equal(row, ref, equal_nan=True), row[0]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("trials, mc_samples", CASES)
@@ -400,9 +394,8 @@ class TestTiledCorrelationCell:
         """Equal to rounding: the blocks sum in another order than whole chunks."""
         for row, cell in self.sweep(trials, mc_samples, jobs):
             ref = chunked_correlation_cell(cell, 100_000)
-            assert row.d == ref.d
-            np.testing.assert_allclose([row.mean_sq, row.std_err], [ref.mean_sq, ref.std_err],
-                                       rtol=1e-12, atol=0.0, equal_nan=True)
+            assert row[0] == ref[0]
+            np.testing.assert_allclose(row[1:], ref[1:], rtol=1e-12, atol=0.0, equal_nan=True)
 
     def test_psi_eval_never_sees_more_than_a_tile(self, monkeypatch):
         sizes, in_place = [], []
@@ -438,35 +431,64 @@ def rows():
     # dead candidates occur at every d and must be skipped before any division
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return neuron_inapprox_sweep(50, [3, 6], 600, RandomSource(8), True, 1)
+        return neuron_inapprox_sweep(50, [3, 6], 600, RandomSource(8), 1)
 
 
 class TestNeuronSweep:
 
+    def test_four_rows_per_d(self, rows):
+        targets = ["control", "psi", "neuron", "neuron_gd_baseline"]
+        assert [(d, target) for d, target, _, _ in rows] == [(d, t) for d in (3, 6) for t in targets]
+        assert all(type(err) is float and type(rmu) is float for _, _, err, rmu in rows)
+
     def test_realizable_control(self, rows):
-        for row in rows:
-            if row.target == "control":
-                assert row.normalized_error < 1e-6
+        for _, target, err, _ in rows:
+            if target == "control":
+                assert err < 1e-6
 
     def test_psi_target_is_hard(self, rows):
-        for row in rows:
-            if row.target == "psi":
-                assert row.normalized_error > 0.5
+        for _, target, err, _ in rows:
+            if target == "psi":
+                assert err > 0.5
 
     def test_baseline_trains_to_high_accuracy(self, rows):
-        for row in rows:
-            if row.target == "neuron_gd_baseline":
-                assert row.normalized_error < 0.01
+        for _, target, err, r_max_abs_u in rows:
+            if target == "neuron_gd_baseline":
+                assert err < 0.01 and r_max_abs_u == 0.0
 
     def test_parallel_matches_serial(self, rows):
-        assert neuron_inapprox_sweep(50, [3, 6], 600, RandomSource(8), True, jobs=2) == rows
+        assert neuron_inapprox_sweep(50, [3, 6], 600, RandomSource(8), jobs=2) == rows
 
     def test_follows_a_derived_source(self):
-        sweep = partial(neuron_inapprox_sweep, 20, [3, 5], 200, include_baseline=True)
+        sweep = partial(neuron_inapprox_sweep, 20, [3, 5], 200)
         root = RandomSource(8)
         one = sweep(root.derive(1), jobs=1)
-        assert all(a.normalized_error != b.normalized_error for a, b in zip(one, sweep(root.derive(2), jobs=1)))
+        assert all(a[2] != b[2] for a, b in zip(one, sweep(root.derive(2), jobs=1)))
         assert sweep(root.derive(1), jobs=2) == one
+
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_target_block_equals_the_d_dimensional_form(self, d, monkeypatch):
+        # X @ (c e_1) is c x_1 bit for bit: every other product is an exact zero
+        blocks = []
+        fit = hardness.least_squares_fit
+
+        def recording(sample, target, n_train, rng):
+            def kept(X, F):
+                y = target(X, F)
+                blocks.append((X.copy(), F.copy(), y))
+                return y
+            return fit(sample, kept, n_train, rng)
+
+        monkeypatch.setattr(hardness, "least_squares_fit", recording)
+        r = 50
+        hardness._sweep_cell(r, 600, RandomSource(8), d)
+        X, F, y = blocks[0]  # the first training block
+        psi = PsiFunction(d)
+        e_1 = np.eye(d)[0]
+        neurons = [np.maximum(X @ (float(d) ** 3 * e_1) + b_star, 0.0) for b_star in _candidate_biases(psi)]
+        expected = np.column_stack([F[:, r // 2], psi_eval(psi, X @ (d * e_1)), *neurons])
+        assert y.shape == (len(X), 7 if d > 1 else 6)
+        assert np.array_equal(y, expected)
 
     def test_held_out_rows_featurized_once_in_blocks(self, monkeypatch):
         calls = {3: [], 6: []}
@@ -480,8 +502,9 @@ class TestNeuronSweep:
             return feature_matrix(sample, X, out=out)
 
         monkeypatch.setattr(features, "feature_matrix", recording)
+        monkeypatch.setattr(hardness, "train_single_neuron", lambda d, rng: (0.0, 0))
         n_train = 1400  # two training blocks of 1,308 and 92 rows at r = 50
-        neuron_inapprox_sweep(50, [3, 6], n_train, RandomSource(8), include_baseline=False, jobs=1)
+        neuron_inapprox_sweep(50, [3, 6], n_train, RandomSource(8), jobs=1)
         n_train_blocks = len(list(row_blocks(n_train, 50)))
         assert n_train_blocks == 2
         for d, blocks in calls.items():
@@ -500,31 +523,37 @@ class TestNeuronSweep:
         np.random.default_rng(0).random()  # NumPy imports numpy.random's modules on a first draw
         tracemalloc.start()
         try:
-            hardness._sweep_cell(200, 4000, True, RandomSource(0), 20)
+            hardness._sweep_cell(200, 4000, RandomSource(0), 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2**20
 
     def test_direct_neuron_training(self):
-        err, _ = train_single_neuron(baseline_neuron_target(6), 6, RandomSource(10))
+        err, _ = train_single_neuron(6, RandomSource(10))
         assert err < 1e-6
 
-    def test_neuron_evaluate(self):
-        t = ReluNeuron(np.array([1.0, -1.0]), -0.5)
-        out = t.evaluate(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(out, [0.5, 0.0])
+    def test_neuron_target(self):
+        t = np.array([1.0, -0.5, 0.25])
+        # d = 2: relu(8 t + b*), for one b* and for an array of them
+        assert np.array_equal(neuron_target(2, t, -4.0), [4.0, 0.0, 0.0])
+        both = neuron_target(2, t, np.array([-4.0, 4.0]))
+        assert both.shape == (3, 2)
+        assert np.array_equal(both, [[4.0, 12.0], [0.0, 0.0], [0.0, 6.0]])
 
 
-def whole_draw_neuron_gd(target, d, rng, n_eval, steps=400, lr=0.4, batch=4096, tol=1e-10):
-    """Reference: train_single_neuron with every batch and the held-out sample drawn whole."""
+def whole_draw_neuron_gd(d, rng, n_eval, steps=400, lr=0.4, batch=4096, tol=1e-10):
+    """Reference: train_single_neuron with every batch and the held-out sample
+    drawn whole, and its target in d dimensions, [<d^3 e_1, x> + d^2]_+."""
+    w_star = float(d) ** 3 * np.eye(d)[0]
+    b_star = float(d * d)
     gen = rng.generator(0)
     w = 0.01 * gen.standard_normal(d)
     b = 1.0
     updates = 0
     while updates < steps:
         X = gen.standard_normal((batch, d))
-        y = target.evaluate(X)
+        y = np.maximum(X @ w_star + b_star, 0.0)
         z = X @ w + b
         active = z >= 0.0
         err = np.where(active, z, 0.0) - y
@@ -535,7 +564,7 @@ def whole_draw_neuron_gd(target, d, rng, n_eval, steps=400, lr=0.4, batch=4096, 
         b -= lr * grad_common.mean()
         updates += 1
     Xh = rng.generator(1).standard_normal((n_eval, d))
-    yh = target.evaluate(Xh)
+    yh = np.maximum(Xh @ w_star + b_star, 0.0)
     mh = np.maximum(Xh @ w + b, 0.0)
     return float(np.mean((mh - yh) ** 2) / np.mean(yh**2)), updates
 
@@ -546,14 +575,13 @@ class TestNeuronBaseline:
     def test_streamed_draws_equal_whole_draws(self, d, lone_last_row, monkeypatch):
         n_eval = 3 * predict_block_rows(d) + 1 if lone_last_row else 50_000
         monkeypatch.setattr(hardness, "NEURON_GD_EVAL", n_eval)
-        target = baseline_neuron_target(d)
-        expected = whole_draw_neuron_gd(target, d, RandomSource(14), n_eval)
-        assert train_single_neuron(target, d, RandomSource(14)) == expected
+        expected = whole_draw_neuron_gd(d, RandomSource(14), n_eval)
+        assert train_single_neuron(d, RandomSource(14)) == expected
 
     def test_memory_follows_the_block(self):
         tracemalloc.start()
         try:
-            train_single_neuron(baseline_neuron_target(20), 20, RandomSource(13))
+            train_single_neuron(20, RandomSource(13))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -564,30 +592,33 @@ class TestNeuronBaseline:
     def test_zero_tolerance_matches_fixed_steps(self, d, monkeypatch):
         monkeypatch.setattr(hardness, "NEURON_GD_STEPS", 40)
         monkeypatch.setattr(hardness, "NEURON_GD_TOL", 0.0)
-        target = baseline_neuron_target(d)
-        expected = whole_draw_neuron_gd(target, d, RandomSource(12), 50_000, steps=40, tol=0.0)
-        assert train_single_neuron(target, d, RandomSource(12)) == expected
+        expected = whole_draw_neuron_gd(d, RandomSource(12), 50_000, steps=40, tol=0.0)
+        assert train_single_neuron(d, RandomSource(12)) == expected
         assert expected[1] == 40
 
     @pytest.mark.parametrize("d", [4, 10, 20])
     def test_stops_before_the_cap(self, d):
-        err, updates = train_single_neuron(baseline_neuron_target(d), d, RandomSource(13))
+        err, updates = train_single_neuron(d, RandomSource(13))
         assert 0 < updates < 400
         assert err < 1e-8
 
     @pytest.mark.parametrize("d", [4, 10, 20])
     def test_target_is_not_affine_on_the_data(self, d):
         # a kink outside the Gaussian bulk would make the baseline vacuous
-        X = np.random.default_rng(d).standard_normal((10_000, d))
-        active = float(np.mean(baseline_neuron_target(d).evaluate(X) > 0.0))
+        t = np.random.default_rng(d).standard_normal(10_000)
+        active = float(np.mean(neuron_target(d, t, float(d * d)) > 0.0))
         assert 0.05 <= active <= 0.95
 
+    # train_single_neuron's b* = d^2 is the candidate n = a // 2 = 3 d^2, offset a - 2n = 1
     @pytest.mark.parametrize("d", [4, 10])
     def test_is_the_middle_sweep_candidate(self, d):
-        biases = _candidate_biases(PsiFunction(d))
-        target = baseline_neuron_target(d)
-        assert target.b_star == biases[len(biases) // 2] == float(d * d)
-        assert np.array_equal(target.w_star, float(d) ** 3 * np.eye(d)[0])
+        psi = PsiFunction(d)
+        biases = _candidate_biases(psi)
+        assert biases[len(biases) // 2] == (psi.a - 2 * (psi.a // 2)) * d * d == float(d * d)
+
+    def test_is_not_the_middle_candidate_at_d_one(self):
+        # a = 7: a // 4 = 1 repeats n = 1, leaving n = 1, 3, 5, 7
+        assert np.array_equal(_candidate_biases(PsiFunction(1)), [5.0, 1.0, -3.0, -7.0])
 
 
 class TestExpIdentity:

@@ -19,13 +19,13 @@ from rf_lab.numerics import RandomSource, gauss_legendre_rule
 
 class TestOneVariable:
     def test_normalization_p0(self):
-        assert legendre_eval(0, 0.3) == 1.0
+        assert np.array_equal(legendre_eval(0, np.array([0.3, -0.8])), [1.0, 1.0])
 
     def test_p1_is_identity(self):
-        assert legendre_eval(1, 0.7) == pytest.approx(0.7)
+        assert np.array_equal(legendre_eval(1, np.array([0.7, -0.2])), [0.7, -0.2])
 
     def test_p2_value(self):
-        assert legendre_eval(2, 0.5) == pytest.approx(-0.125)
+        assert legendre_eval(2, np.array([0.5])) == pytest.approx([-0.125])
 
     def test_norm_sq_values(self):
         assert legendre_norm_sq(0) == pytest.approx(2.0)

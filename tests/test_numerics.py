@@ -7,6 +7,7 @@ import pytest
 
 from rf_lab import hardness
 from rf_lab.hardness import PsiFunction, psi_eval, psi_gaussian_norm, psi_properties_check
+from rf_lab.legendre import legendre_eval
 from rf_lab.numerics import (
     RandomSource,
     gauss_hermite_rule,
@@ -75,6 +76,42 @@ class TestGaussLegendre:
         rule = gauss_legendre_rule(200)
         assert abs(rule[1].sum() - 2.0) < 1e-11
         assert integrate(rule, lambda w: w**8) == pytest.approx(2.0 / 9.0, rel=1e-12)
+
+
+def long_double_legendre_rule(order):
+    """gauss_legendre_rule's Newton iteration and weight formula, in np.longdouble."""
+    def with_derivative(x):
+        p = legendre_eval(order, x)
+        return p, order * (x * p - legendre_eval(order - 1, x)) / (x * x - 1)
+
+    k = np.arange(order, dtype=np.longdouble)
+    x = np.cos(np.longdouble(np.pi) * (k + 0.75) / (order + 0.5))
+    for _ in range(100):
+        p, dp = with_derivative(x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) < np.finfo(np.longdouble).eps:
+            break
+    x = np.sort(x)
+    x = (x - x[::-1]) / 2
+    _, dp = with_derivative(x)
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+# Worst relative error of the float64 Gauss-Legendre weights, in units of
+# u = 2^-53: more than the 2u that truncated_residual's assumption (b) takes.
+WEIGHT_ERRORS_IN_U = {4: 3.1, 6: 7.9, 8: 7.5, 10: 15, 16: 17, 20: 74, 40: 184}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60, reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("order", sorted(WEIGHT_ERRORS_IN_U))
+def test_rule_rounding_against_long_double(order):
+    nodes, weights = gauss_legendre_rule(order)
+    exact_nodes, exact_weights = long_double_legendre_rule(order)
+    u = np.longdouble(2.0**-53)
+    weight_error = float(np.max(np.abs(weights - exact_weights) / exact_weights) / u)
+    assert weight_error == pytest.approx(WEIGHT_ERRORS_IN_U[order], rel=0.02)
+    assert float(np.max(np.abs(nodes - exact_nodes)) / u) <= 0.64
 
 
 class TestGaussHermite:

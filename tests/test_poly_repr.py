@@ -11,6 +11,7 @@ from rf_lab.legendre import (
     MultiIndex,
     build_monomial_table,
     iter_multi_indices,
+    legendre_eval,
     multi_expansion_coeff,
     multi_norm_sq,
 )
@@ -79,7 +80,7 @@ class TestActivations:
     def test_exp_value(self):
         z = np.linspace(-1, 1, 9)
         assert np.allclose(exp_truncated(2)(z), 1.0 + z + z * z / 2.0, rtol=0.0, atol=1e-15)
-        assert float(exp_truncated(20)(1.0)) == pytest.approx(math.e, abs=1e-15)
+        assert exp_truncated(20)(np.array([1.0])) == pytest.approx([math.e], abs=1e-15)
 
     def test_lipschitz_on_interval(self):
         z = np.linspace(-1, 1, 401)
@@ -247,16 +248,10 @@ class TestEvalG:
         g = construct_g(P)
         w0 = np.zeros(2)
         manual = sum(
-            c * float(np.prod([_leg(j, 0.0) for j in J.entries]))
+            c * float(np.prod([legendre_eval(j, np.zeros(1)) for j in J.entries]))
             for J, c in g.coefficients.items()
         )
         assert eval_g(g, w0) == pytest.approx(manual, abs=1e-14)
-
-
-def _leg(n, x):
-    from rf_lab.legendre import legendre_eval
-
-    return legendre_eval(n, x)
 
 
 class TestSerialization:

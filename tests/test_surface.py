@@ -5,12 +5,15 @@ public parameter or field is one the library both sets and leaves.
 A public function, class, method, property or field that only tests reach is
 either given a job by an experiment or deleted; a test oracle lives in the
 test that uses it.  A default that every library call overrides is dead, and
-one that no library call overrides is a constant: either way it goes.
+one that no library call overrides is a constant: either way it goes.  And
+every parameter a CLI command declares is one its command function reads.
 """
 
 import ast
 import math
 from pathlib import Path
+
+from rf_lab.cli import COMMANDS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rf_lab"
 
@@ -227,3 +230,58 @@ def test_defaults_guard_sees_positions_keywords_partial_records_and_values():
         ("a.py", "Tool.run", "n", "never left out"),
         ("a.py", "Record", "d", "never set"),
     ]
+
+
+def _reads_a_param(node) -> bool:
+    """``p["key"]`` or ``cfg.params["key"]``: a string subscript of a command's parameters."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)):
+        return False
+    value = node.value
+    if isinstance(value, ast.Name):
+        return value.id == "p"
+    return (isinstance(value, ast.Attribute) and value.attr == "params"
+            and isinstance(value.value, ast.Name) and value.value.id == "cfg")
+
+
+def command_params(source: str) -> dict:
+    """{command: {key: read}} for each key of each ``COMMANDS[command]["params"]``
+    in a CLI source, ``read`` telling whether the command's ``run`` function
+    reads it as ``p["key"]`` or ``cfg.params["key"]``."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "COMMANDS" for t in node.targets)
+        or isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.target.id == "COMMANDS"
+    )
+    table = {}
+    for name, spec in zip(commands.keys, commands.values):
+        fields = {key.value: value for key, value in zip(spec.keys, spec.values)}
+        run = functions[fields["run"].id]
+        read = {node.slice.value for node in ast.walk(run) if _reads_a_param(node)}
+        table[name.value] = {key.value: key.value in read for key in fields["params"].keys}
+    return table
+
+
+def test_every_command_reads_each_of_its_params():
+    table = command_params((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert set(table) == set(COMMANDS)
+    assert {name: set(params) for name, params in table.items()} == {
+        name: set(spec["params"]) for name, spec in COMMANDS.items()
+    }
+    assert [(name, key) for name, params in table.items() for key, read in params.items() if not read] == []
+
+
+def test_params_guard_catches_an_unread_key():
+    source = (
+        "def _one(cfg):\n    p = cfg.params\n    return p['a'], cfg.params['b']\n"
+        "def _two(cfg):\n    other = {}\n    return other['c'], cfg.params['d'], _three(cfg)\n"
+        "def _three(cfg):\n    return cfg.params['e']\n"
+        "COMMANDS: dict = {\n"
+        "    'one': {'run': _one, 'params': {'a': 1, 'b': 2}},\n"
+        "    'two': {'help': 'x', 'run': _two, 'params': {'c': 3, 'd': 4, 'e': 5}},\n"
+        "}\n"
+    )
+    # another dict's subscript and a read in another function do not count
+    assert command_params(source) == {"one": {"a": True, "b": True}, "two": {"c": False, "d": True, "e": False}}

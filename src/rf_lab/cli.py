@@ -335,17 +335,14 @@ def _cmd_legendre_check(cfg: ExperimentConfig):
 def _cmd_represent_poly(cfg: ExperimentConfig):
     P = _polynomial(cfg.params["poly"])
     g = construct_g(P)
-    quad_order = cfg.params["quad_order"]
-    if 0 < quad_order < P.degree + 2:
-        raise UsageError(f"--quad-order must be 0 or >= degree + 2 = {P.degree + 2}, got {quad_order}")
     rng = RandomSource(cfg.seed)
     xs = uniform_ball(P.dimension, cfg.params["probes"], rng.generator(0))
-    order = quad_order or P.degree + 4
-    # a coefficient near the float64 limit overflows; its inf or NaN fails the check
+    # per-axis orders: the truncated check is exact from degree + 2 on.  A coefficient
+    # near the float64 limit overflows; its inf or NaN fails the check
     with np.errstate(over="ignore", invalid="ignore"):
-        res_t, bound = truncated_residual(P, g, xs, order)
+        res_t, bound = truncated_residual(P, g, xs, P.degree + 4)
         share = np.abs(res_t) / bound
-        res_f = integral_feature_expectation(g, np.exp, xs, max(order, P.degree + 6)) - P.evaluate(xs)
+        res_f = integral_feature_expectation(g, np.exp, xs, P.degree + 6) - P.evaluate(xs)
     share[~np.isfinite(res_t)] = np.inf
     worst = int(np.argmax(share))
     g_max = max_abs_g(g, rng.derive(1))
@@ -404,21 +401,19 @@ def _cmd_concentration(cfg: ExperimentConfig):
 def _cmd_learn_poly(cfg: ExperimentConfig):
     p = cfg.params
     P = _polynomial(p["poly"])
-    if P.dimension != p["d"]:
-        raise UsageError(f"polynomial dimension {P.dimension} != --d {p['d']}")
     sampler = margin_filtered_sampler(P, p["margin"])
     rng = RandomSource(cfg.seed)
-    result = sgd_train(p["d"], sampler, p["r"], p["eta"], p["steps"], rng, n_val=p["n_val"])
+    result = sgd_train(P.dimension, sampler, p["r"], p["eta"], p["steps"], rng, n_val=p["n_val"])
     comparator = hinge_loss(p["comparator_scale"] * P.evaluate(result.X_val), result.y_val)
 
     # gradient spot-check away from the kink, on streams no other draw opens
-    probe_net = xavier_init(p["d"], 20, rng.derive(3))
+    probe_net = xavier_init(P.dimension, 20, rng.derive(3))
     gen = rng.generator(4)
     probe_net.U = gen.standard_normal(20) * 0.1
     worst_fd = 0.0
     checked = 0
     while checked < 20:
-        x = gen.standard_normal(p["d"])
+        x = gen.standard_normal(P.dimension)
         x /= max(1.0, float(np.linalg.norm(x)))
         y = float(gen.choice((-1.0, 1.0)))
         if abs(1.0 - y * forward(probe_net, x)) < 1e-3:
@@ -507,7 +502,7 @@ def _cmd_params(cfg: ExperimentConfig):
 
 def _cmd_psi_check(cfg: ExperimentConfig):
     psi = PsiFunction(cfg.params["d"])
-    checks = psi_properties_check(psi, cfg.params["grid"], cfg.params["order"])
+    checks = psi_properties_check(psi, cfg.params["grid"], 16)  # Gaussian-norm rule order per segment
     failures = [f"{name} = {val:.6e} fails requirement {req}" for name, val, req, ok in checks if not ok]
     summary = [f"a = {psi.a}; all checks passed: {not failures}"]
     header = ("property", "observed", "requirement", "passed")
@@ -563,7 +558,7 @@ def _cmd_neuron_inapprox(cfg: ExperimentConfig):
 def _cmd_exp_identity(cfg: ExperimentConfig):
     p = cfg.params
     zs = np.linspace(-1.0, 1.0, p["grid"])
-    errors = relu_exp_identity_check(zs, p["order"])
+    errors = relu_exp_identity_check(zs, 40)  # rule order per segment
     worst = float(errors.max())
     failures = []
     if worst >= 1e-8:
@@ -587,7 +582,6 @@ COMMANDS: dict[str, dict] = {
         "params": {
             "poly": ("str", '{"1,1": 1.0}', "polynomial as JSON multi-index map", None),
             "probes": ("int", 20, "number of unit-ball probe points", (1, None)),
-            "quad_order": ("int", 0, "per-axis quadrature order (0 = degree + 4)", (0, None)),
         },
     },
     "concentration": {
@@ -605,8 +599,7 @@ COMMANDS: dict[str, dict] = {
         "help": "SGD on a two-layer net against margin-filtered polynomial-sign data",
         "run": _cmd_learn_poly,
         "params": {
-            "d": ("int", 3, "input dimension", (1, None)),
-            "poly": ("str", '{"1,1,0": 2.0}', "scaled polynomial (sup over ball = 1)", None),
+            "poly": ("str", '{"1,1,0": 2.0}', "scaled polynomial (sup over ball = 1); fixes the input dimension", None),
             "margin": ("float", 0.3, "margin filter on |P(x)|", None),
             "r": ("int", 1000, "hidden width", (1, None)),
             "eta": ("float", 0.01, "learning rate", (0, None)),
@@ -633,7 +626,6 @@ COMMANDS: dict[str, dict] = {
             "d": ("int", 3, "dimension parameter (a = 6 d^2 + 1)", (1, None)),
             # the oddness and periodicity residuals need two points
             "grid": ("int", 10_000, "grid points for residuals", (2, None)),
-            "order": ("int", 16, "quadrature order per segment", (1, None)),
         },
     },
     "linear-residual": {
@@ -670,7 +662,6 @@ COMMANDS: dict[str, dict] = {
         "run": _cmd_exp_identity,
         "params": {
             "grid": ("int", 41, "number of z points in [-1, 1]", (1, None)),
-            "order": ("int", 40, "quadrature order per segment", (1, None)),
         },
     },
 }

@@ -12,8 +12,8 @@ definition as written: constant -1 to the left, decreasing affinely to the
 right.  Evaluation takes the position within the period in closed form,
 with one floor and no division, rather than summing the ~6d^2 ReLU terms.
 ``psi_properties_check`` certifies this shape, the term-by-term sum
-(``ReluDecomposition.evaluate``) included, as one (property, observed,
-requirement, met) row per property, the rows psi-check writes.
+(``psi_relu_sum``) included, as one (property, observed, requirement, met)
+row per property, the rows psi-check writes.
 
 Composed with a random direction, x -> psi(<w, x>) with ||w|| = d
 oscillates too fast for any fixed low-norm feature family to track, which
@@ -114,52 +114,31 @@ def psi_eval(psi: PsiFunction, x, out=None):
     return out
 
 
-@dataclass(frozen=True)
-class ReluDecomposition:
-    """psi as an explicit sum of ReLU terms plus a constant."""
-
-    coefficients: np.ndarray  # a_j
-    offsets: np.ndarray  # c_j
-    constant: float
-
-    def __post_init__(self):
-        self.coefficients.setflags(write=False)
-        self.offsets.setflags(write=False)
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.coefficients)
-
-    def evaluate(self, x):
-        """Term-by-term sum; the oracle for the closed-form evaluator.
-
-        The ~6 d^2 alternating terms have magnitude ~2a, so a plain float64
-        sum would carry several 1e-12 of rounding at d >= 5.  Instead x is
-        split as round(x) + f with |f| <= 1/2: the shifted integers
-        z_j = round(x) + c_j, the active set z_j + f > 0 (tested as z_j > -f),
-        S = sum a_j z_j and C = sum a_j over it are all exact, and the value
-        is S + f C + constant.  Integer offsets and coefficients are assumed.
-        Each intermediate holds at most len(x) x n_terms values.
-        """
-        whole = np.round(x)
-        f = x - whole
-        z = whole[..., None] + self.offsets
-        active = z > -f[..., None]
-        z *= active
-        return z @ self.coefficients + f * (active @ self.coefficients) + self.constant
+def psi_relu_decomposition(psi: PsiFunction) -> np.ndarray:
+    """psi's ReLU coefficients c_n, n = 0..a, read off the definition: c_0 = 1 and
+    c_n = 2 (-1)^n, the term [x + a - 2n]_+ = [x - kink_n]_+ of each."""
+    coefficients = np.where(np.arange(psi.a + 1) % 2, -2.0, 2.0)
+    coefficients[0] = 1.0
+    return coefficients
 
 
-def psi_relu_decomposition(psi: PsiFunction) -> ReluDecomposition:
-    """Read the a+1 ReLU terms (plus constant -1) off the definition."""
-    a = psi.a
-    coeffs = np.empty(a + 1)
-    offsets = np.empty(a + 1)
-    coeffs[0] = 1.0
-    offsets[0] = float(a)
-    for n in range(1, a + 1):
-        coeffs[n] = 2.0 * (-1.0) ** n
-        offsets[n] = float(a - 2 * n)
-    return ReluDecomposition(coeffs, offsets, -1.0)
+def psi_relu_sum(psi: PsiFunction, coefficients: np.ndarray, x):
+    """sum_n c_n [x - kink_n]_+ - 1 term by term; the oracle for the closed-form evaluator.
+
+    The ~6 d^2 alternating terms have magnitude ~2a, so a plain float64
+    sum would carry several 1e-12 of rounding at d >= 5.  Instead x is
+    split as round(x) + f with |f| <= 1/2: the shifted integers
+    z_n = round(x) - kink_n, the active set z_n + f > 0 (tested as z_n > -f),
+    S = sum c_n z_n and C = sum c_n over it are all exact, and the value
+    is S + f C - 1.  Integer coefficients are assumed.  Each intermediate
+    holds at most len(x) x (a + 1) values.
+    """
+    whole = np.round(x)
+    f = x - whole
+    z = whole[..., None] - psi.kinks
+    active = z > -f[..., None]
+    z *= active
+    return z @ coefficients + f * (active @ coefficients) - 1.0
 
 
 # Simpson on [-1, 1], exact for psi^2 between kinks.  Its nodes are panel ends and
@@ -181,11 +160,11 @@ def psi_properties_check(psi: PsiFunction, grid_points: int, norm_order: int) ->
     starts = range(-a, a - 1, max(2, (2 * a - 2) // 40))
     rules = (kink_split_rule(_SIMPSON, float(n), float(n + 2), psi.kinks) for n in starts)
     dev = max(abs(float(w @ psi_eval(psi, z) ** 2) - 2.0 / 3.0) for z, w in rules)
-    deco = psi_relu_decomposition(psi)
-    # in blocks: the term-by-term sum holds grid x n_terms values
+    coefficients = psi_relu_decomposition(psi)
+    # in blocks: the term-by-term sum holds grid x (a + 1) values
     deco_res = max(
-        float(np.max(np.abs(deco.evaluate(x[start:stop]) - vals[start:stop])))
-        for start, stop in row_blocks(len(x), deco.n_terms)
+        float(np.max(np.abs(psi_relu_sum(psi, coefficients, x[start:stop]) - vals[start:stop])))
+        for start, stop in row_blocks(len(x), len(coefficients))
     )
     amp = float(np.max(np.abs(vals)))
     norm = psi_gaussian_norm(psi, norm_order)
@@ -301,7 +280,7 @@ def _correlation_cell(f_r: int, trials: int, mc_samples: int, rng: RandomSource,
 
 
 def _candidate_biases(psi: PsiFunction) -> np.ndarray:
-    """The array of candidate biases b*: decomposition offsets a - 2n, scaled by d^2,
+    """The array of candidate biases b*: negated kinks a - 2n, scaled by d^2,
     at distinct n among 1, a // 4, a // 2, 3a // 4, a.  n = a // 2 gives b* = d^2,
     the middle candidate by index except at d = 1, where a // 4 = 1 repeats n = 1."""
     a = psi.a

@@ -96,9 +96,9 @@ class SparsePolynomial:
             raise ValueError("polynomial JSON must be an object with at least one multi-index key")
         coeffs = {}
         for key, val in raw.items():
-            try:
-                value = float(val)
-            except (TypeError, ValueError, OverflowError):
+            try:  # a JSON number only: not a bool, a string or null
+                value = float(val) if type(val) in (int, float) else math.nan
+            except OverflowError:
                 value = math.nan
             if not math.isfinite(value):
                 raise ValueError(f"coefficient of {key!r} must be a finite number, got {val!r}")
@@ -156,11 +156,11 @@ def construct_g(P: SparsePolynomial) -> LegendreExpansion:
     The system has one unknown per index J of degree at most k = deg(P), so
     it is linear in P's coefficients among polynomials of one degree.  Every
     Taylor coefficient 1/i! of exp is nonzero, so every P is representable.
-    The monomial expansion table is built to degree max(k, 1).
+    The monomial expansion table is built to degree k.
     """
     d = P.dimension
     k = P.degree
-    table = build_monomial_table(max(k, 1))
+    table = build_monomial_table(k)
     half_pow = 0.5**d
     coeffs: dict[MultiIndex, float] = {}
     indices = list(iter_multi_indices(d, k))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rf_lab
-from rf_lab import cli
+from rf_lab import cli, hardness
 from rf_lab.cli import BLAS_THREAD_VARS, CSV_CELLS, run, write_csv
 from rf_lab.legendre import MultiIndex, build_monomial_table
 from rf_lab.numerics import RandomSource, gauss_legendre_rule, uniform_ball
@@ -51,7 +51,6 @@ BAD_INPUTS = [
     ("neuron-inapprox --n-train 0", "--n-train"),
     ("neuron-inapprox --d-values=", "--d-values"),
     ("neuron-inapprox --r 0", "--r"),
-    ("learn-poly --d 0", "--d"),
     ("learn-poly --r 0", "--r"),
     ("learn-poly --steps -5", "--steps"),
     ("learn-poly --n-val 0", "--n-val"),
@@ -66,12 +65,10 @@ BAD_INPUTS = [
     ("exp-identity --grid 0", "--grid"),
     ("psi-check --grid 1", "--grid"),  # oddness and periodicity need two points
     ("psi-check --d 0", "--d"),
-    ("psi-check --order 0", "--order"),
     ("params --d 0", "--d"),
     ("params --d -1", "--d"),
     ("params --k 0", "--k"),
     ("params --epsilon 1", "--epsilon"),
-    ("exp-identity --order 0", "--order"),
     ("legendre-check --max-degree -1", "--max-degree"),
 ]
 
@@ -93,11 +90,37 @@ class TestExitCodes:
             "property,observed,requirement,passed\noddness_residual,0,< 1e-12,1\nmax_abs_value,2,<= 1,0\n"
         )
 
-    def test_validation_failure_exits_two(self, tmp_path, capsys):
+    def test_skewed_relu_coefficients_exit_two(self, tmp_path, capsys, monkeypatch):
+        exact = hardness.psi_relu_decomposition
+        monkeypatch.setattr(hardness, "psi_relu_decomposition", lambda psi: exact(psi) * (1.0 + 1e-9))
+        assert run(["psi-check", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("VALIDATION FAILURE: relu_decomposition_residual = ")
+
+    def test_validation_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         # an order-2 rule cannot resolve e^b: the identity check must fail loudly
-        code = run(["exp-identity", "--order", "2", "--out", str(tmp_path)])
+        monkeypatch.setattr(cli, "relu_exp_identity_check", lambda zs, order: hardness.relu_exp_identity_check(zs, 2))
+        code = run(["exp-identity", "--out", str(tmp_path)])
         assert code == 2
-        assert "VALIDATION FAILURE" in capsys.readouterr().err
+        assert "VALIDATION FAILURE: identity error" in capsys.readouterr().err
+
+    # the values each command works out from its inputs, as a flag and as a config key
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param(*case, id=f"{case[0]} {case[1]}") for case in [
+            ("learn-poly", "--d", "3"),
+            ("represent-poly", "--quad-order", "4"),
+            ("psi-check", "--order", "16"),
+            ("exp-identity", "--order", "40"),
+        ]
+    ])
+    def test_derived_value_is_neither_a_flag_nor_a_key(self, tmp_path, capsys, command, flag, value):
+        key = flag[2:].replace("-", "_")
+        assert run([command, flag, value, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": {value}}}')
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown config key '{key}' for {command} ")
+        assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize("baseline_error", [0.01, float("nan")])
     def test_neuron_baseline_bound_exits_two(self, tmp_path, capsys, monkeypatch, baseline_error):
@@ -168,11 +191,6 @@ class TestExitCodes:
         pytest.param(argv, message, id=f"{tag}-{message}") for tag, argv, message in [
             ("argv0", ["params", "--alpha", "-5"], "--alpha must be > 0, got -5.0"),
             ("argv1", ["psi-check", "--jobs", "0"], "--jobs must be >= 1, got 0"),
-            # quad_order must exceed the polynomial's degree by two: a relation, not a fixed bound
-            ("argv2", ["represent-poly", "--quad-order", "1"], "--quad-order must be 0 or >= degree + 2 = 4, got 1"),
-            ("argv3", ["represent-poly", "--quad-order", "3"], "--quad-order must be 0 or >= degree + 2 = 4, got 3"),
-            ("argv4", ["represent-poly", "--poly", '{"1,1,1": 1.0}', "--quad-order", "4"],
-             "--quad-order must be 0 or >= degree + 2 = 5, got 4"),
             ("argv5", ["learn-poly", "--comparator-scale", "nan"], "--comparator-scale must be > 0, got nan"),
         ]
     ])
@@ -192,6 +210,9 @@ class TestExitCodes:
         ('{"": 1.0}', 1),  # an empty multi-index
         ('{"a,b": 1.0}', 1),
         ("nope", 1),  # not JSON
+        ('{"1,1": true}', 1),  # float() takes bools and numeric strings; JSON numbers only
+        ('{"1,1": false}', 1),
+        ('{"1,1": "2"}', 1),
     ])
     def test_malformed_polynomial_exits_with_a_message(self, tmp_path, capsys, poly, code):
         assert run(["represent-poly", "--poly", poly, "--out", str(tmp_path)]) == code
@@ -206,6 +227,14 @@ class TestExitCodes:
             "error: --poly is not a polynomial (invalid literal for int() with base 10: ''), got {\"\": 1.0}\n"
         )
         assert not (tmp_path / command).exists()
+
+    def test_learn_poly_refuses_a_bool_coefficient(self, tmp_path, capsys):
+        assert run(["learn-poly", "--poly", '{"1,1,0": true}', "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --poly is not a polynomial (coefficient of '1,1,0' must be a finite number, got True), "
+            "got {\"1,1,0\": true}\n"
+        )
+        assert not (tmp_path / "learn-poly").exists()
 
     # large in absolute terms, but at rounding level against the quadrature's terms:
     # a high degree, or coefficients whose beta exceeds the float64 range
@@ -231,8 +260,19 @@ class TestExitCodes:
         assert run(["represent-poly", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("VALIDATION FAILURE: truncated-mode residual")
 
-    def test_smallest_quad_order_is_accepted(self, tmp_path, capsys):
-        assert run(["represent-poly", "--quad-order", "4", "--out", str(tmp_path)]) == 0
+    def test_check_orders_follow_the_degree(self, tmp_path, capsys, monkeypatch):
+        orders = []
+
+        def recording(function):
+            def record(*args):
+                orders.append((function.__name__, args[-1]))
+                return function(*args)
+            return record
+
+        for name in ("truncated_residual", "integral_feature_expectation"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        assert run(["represent-poly", "--poly", '{"1,1,1": 1.0}', "--out", str(tmp_path)]) == 0
+        assert orders == [("truncated_residual", 7), ("integral_feature_expectation", 9)]
 
     def test_diverged_training_exits_two(self, tmp_path, capsys):
         assert run(["learn-poly", "--eta", "50", "--steps", "2000", "--out", str(tmp_path)]) == 2
@@ -248,10 +288,33 @@ class TestExitCodes:
         assert "error: margin 1.5 accepted 0 of" in capsys.readouterr().err
         assert not (tmp_path / "learn-poly").exists()
 
-    def test_polynomial_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
-        assert run(["learn-poly", "--d", "2", "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("error: polynomial dimension 3 != --d 2")
-        assert not (tmp_path / "learn-poly").exists()
+    def test_learn_poly_dimension_is_the_polynomials(self, tmp_path, capsys):
+        assert run([*SMALL_LEARN_POLY, "--poly", '{"1,1": 2.0}', "--out", str(tmp_path)]) == 0
+        ckpt = json.loads((tmp_path / "learn-poly" / "learn_poly_checkpoint.json").read_text())
+        assert ckpt["d"] == 2 and len(ckpt["W"]) == 20 * 2
+
+    def test_learn_poly_probe_skips_the_kink(self, tmp_path, capsys, monkeypatch):
+        # the first four probe points sit on the hinge kink when y = 1: those are skipped
+        values, checked = [], []
+        real_forward, real_check = cli.forward, cli.finite_difference_check
+
+        def forward(net, x):
+            values.append((x.copy(), 1.0 if len(values) < 4 else real_forward(net, x)))
+            return values[-1][1]
+
+        def check(net, x, y):
+            checked.append((x.copy(), y))
+            return real_check(net, x, y)
+
+        monkeypatch.setattr(cli, "forward", forward)
+        monkeypatch.setattr(cli, "finite_difference_check", check)
+        assert run([*SMALL_LEARN_POLY, "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert len(checked) == 20
+        skipped = [i for i, (x, _) in enumerate(values) if not any(np.array_equal(x, c) for c, _ in checked)]
+        assert skipped and max(skipped) < 4 and len(values) == 20 + len(skipped)
+        kept = [v for i, v in enumerate(values) if i not in skipped]
+        assert all(np.array_equal(x, c) and abs(1.0 - y * value) >= 1e-3
+                   for (x, value), (c, y) in zip(kept, checked))
 
 
 def _table_with(m, n, delta):

@@ -12,7 +12,6 @@ from rf_lab import features, hardness
 from rf_lab.features import PREDICT_CELLS, FeatureSample, predict, predict_block_rows, relu, row_blocks
 from rf_lab.hardness import (
     PsiFunction,
-    ReluDecomposition,
     _candidate_biases,
     correlation_decay,
     linear_residual,
@@ -22,6 +21,7 @@ from rf_lab.hardness import (
     psi_gaussian_norm,
     psi_properties_check,
     psi_relu_decomposition,
+    psi_relu_sum,
     relu_exp_identity_check,
     train_single_neuron,
 )
@@ -104,12 +104,18 @@ class TestPsiShape:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_decomposition_matches_closed_form(self, d):
         psi = PsiFunction(d)
-        deco = psi_relu_decomposition(psi)
-        assert deco.n_terms == psi.a + 1
-        assert float(np.max(np.abs(deco.coefficients))) == 2.0
-        assert np.all(np.abs(deco.offsets) <= psi.a)
+        coefficients = psi_relu_decomposition(psi)
+        # c_0 = 1, then c_n = 2 (-1)^n: the definition's terms one by one
+        expected = [1.0] + [2.0 * (-1.0) ** n for n in range(1, psi.a + 1)]
+        assert np.array_equal(coefficients, expected) and coefficients.dtype == np.float64
         x = np.linspace(-psi.a, psi.a, 10_000)
-        assert np.max(np.abs(deco.evaluate(x) - psi_eval(psi, x))) < 1e-12
+        assert np.max(np.abs(psi_relu_sum(psi, coefficients, x) - psi_eval(psi, x))) < 1e-12
+
+    def test_relu_sum_by_hand(self):
+        # d = 1: a = 7, kinks -7, -5, ..., 7; at x = -4.5 the terms at -7 and -5 are active
+        psi = PsiFunction(1)
+        x = np.array([-8.0, -4.5, 0.25])
+        assert np.array_equal(psi_relu_sum(psi, psi_relu_decomposition(psi), x), [-1.0, 0.5, -0.25])
 
     @pytest.mark.parametrize("d", [1, 2, 6, 12, 20])
     def test_matches_floor_parity_form_exactly(self, d):
@@ -169,12 +175,10 @@ class TestPsiShape:
         # exact terms leave a residual of 0.0; skewed ones make it vary over the grid
         psi = PsiFunction(d)
         exact = psi_relu_decomposition(psi)
-        skewed = ReluDecomposition(
-            exact.coefficients * (1.0 + 1e-9 * np.arange(exact.n_terms)), exact.offsets, exact.constant
-        )
+        skewed = exact * (1.0 + 1e-9 * np.arange(len(exact)))
         monkeypatch.setattr(hardness, "psi_relu_decomposition", lambda _: skewed)
         x = np.linspace(-psi.a, psi.a, 10_000)
-        whole = np.abs(skewed.evaluate(x) - psi_eval(psi, x))
+        whole = np.abs(psi_relu_sum(psi, skewed, x) - psi_eval(psi, x))
         assert len(np.unique(whole)) > 1000
         assert observed(psi_properties_check(psi, 10_000, 16))["relu_decomposition_residual"] == float(np.max(whole))
 
@@ -187,13 +191,12 @@ class TestPsiShape:
     def test_decomposition_evaluated_in_blocks(self, monkeypatch):
         psi = PsiFunction(8)
         blocks = []
-        whole = ReluDecomposition.evaluate
 
-        def recording(deco, x):
+        def recording(psi, coefficients, x):
             blocks.append(np.array(x))
-            return whole(deco, x)
+            return psi_relu_sum(psi, coefficients, x)
 
-        monkeypatch.setattr(ReluDecomposition, "evaluate", recording)
+        monkeypatch.setattr(hardness, "psi_relu_sum", recording)
         psi_properties_check(psi, 10_000, 16)
         # each intermediate holds a block's rows times the a + 1 terms
         assert max(len(x) for x in blocks) * (psi.a + 1) <= PREDICT_CELLS

@@ -1,10 +1,10 @@
 """Batch experiment CLI.
 
 Every subcommand runs one reproducible pipeline, writes CSV outputs plus a
-manifest (config echo, version, timestamps, sha256 per output file) under
-``<out>/<subcommand>/``, and validates its module invariants before
-exiting.  Exit codes: 0 success, 1 usage or config error, 2 validation
-failure.
+manifest (config echo, version, timestamps, stage timings, sha256 per
+output file) under ``<out>/<subcommand>/``, and validates its module
+invariants before exiting.  Exit codes: 0 success, 1 usage or config
+error, 2 validation failure.
 
 Config files are flat JSON objects with the same keys as the command
 flags; explicit flags override file values, and unknown keys are rejected.
@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -723,6 +724,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
 
     started = datetime.now(timezone.utc).isoformat()
+    clock = time.perf_counter()
     try:
         outputs, summary, failures = COMMANDS[cfg.name]["run"](cfg)
     except (UsageError, ValueError) as exc:  # bad parameter values
@@ -731,7 +733,9 @@ def run(argv) -> int:
     except DivergenceError as exc:  # a run that broke an invariant before it had outputs
         print(f"VALIDATION FAILURE: {exc}", file=sys.stderr)
         return 2
+    timings = {"run_s": time.perf_counter() - clock}
 
+    clock = time.perf_counter()
     out_dir = Path(cfg.out_dir) / cfg.name
     out_dir.mkdir(parents=True, exist_ok=True)
     checksums = {}
@@ -742,6 +746,7 @@ def run(argv) -> int:
         else:
             write_csv(path, *payload)
         checksums[filename] = _sha256(path)
+    timings["write_s"] = time.perf_counter() - clock
     config_text = json.dumps(asdict(cfg), sort_keys=True)
     manifest = {
         "command": cfg.name,
@@ -751,6 +756,7 @@ def run(argv) -> int:
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "outputs": checksums,
+        "timings": timings,
         "validation_failures": failures,
         "environment": {
             "python": sys.version.split()[0],

@@ -11,17 +11,29 @@ the psi ridges psi(<w, x>) of the correlation-decay sweep.
 Only the linear coefficients u on top of the features are ever learned;
 the weights are drawn obliviously of the target.  The concentration
 experiment returns its sup errors as an (r x trial) array.
+
+A concentration cell evaluates its exp network at the n probes one of two
+ways, chosen by its own sizes.  ``predict`` takes n r exps.  Where
+|<w, x>| <= 1, as for cube weights and ball probes, exp(<w, x>) is also
+sum_{|alpha| <= K} w^alpha x^alpha / alpha! to within e/(K+1)! <= 2^-53,
+the explicit Taylor feature map of the exponential kernel (Cotter, Keshet
+and Srebro, arXiv:1109.4603), so the network is sum_alpha M_alpha x^alpha
+with M_alpha = sum_i u_i w_i^alpha / alpha!: m = C(d + K, d) moments, summed
+once over the r features.  A cell takes this moment path iff its
+m (r + n) values are fewer than predict's n r; ``predict`` stays the other
+path and the moment path's oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
 
+from .legendre import iter_multi_indices
 from .numerics import RandomSource, uniform_ball, uniform_cube
 from .parallel import map_cells
 from .poly_repr import (
@@ -208,6 +220,102 @@ def least_squares_fit(
 # ---------------------------------------------------------------------------
 
 
+# Order K of the moment path's Taylor series: the least K with e/(K+1)! <= 2^-53.
+# For |t| <= 1 the tail sum_{k>K} t^k/k! is at most |t|^(K+1) e^|t| / (K+1)! <= e/(K+1)!.
+_TAYLOR_ORDER = next(K for K in range(64) if math.e / math.factorial(K + 1) <= 2.0**-53)
+
+
+def _moments_pay(d: int, r: int, n: int) -> bool:
+    """True iff r exp features in dimension d cost fewer values at n points
+    through their m = C(d + K, d) Taylor moments, m (r + n), than through
+    ``predict``'s n r exps."""
+    m = math.comb(d + _TAYLOR_ORDER, d)
+    return m * (r + n) < n * r
+
+
+@cache
+def _taylor_terms(d: int):
+    """The terms w^alpha x^alpha / alpha! of exp(<w, x>)'s series, |alpha| <= K,
+    with alpha = (beta, a) split into its first d - 1 exponents beta and the
+    last one a.
+
+    Returns ``(heads, scale)``: heads[j][h] is the power-table row of
+    x_j^(beta_j) for the h-th distinct beta (see ``_power_blocks``), and
+    ``scale[h, a]`` is 1/alpha! where |alpha| <= K and 0 past it.
+    """
+    K = _TAYLOR_ORDER
+    alphas = [J.entries for J in iter_multi_indices(d, K)]
+    row = {beta: h for h, beta in enumerate(dict.fromkeys(alpha[:-1] for alpha in alphas))}
+    scale = np.zeros((len(row), K + 1))
+    for alpha in alphas:
+        scale[row[alpha[:-1]], alpha[-1]] = 1.0 / math.prod(map(math.factorial, alpha))
+    return tuple(np.array([(K + 1) * j + beta[j] for beta in row]) for j in range(d - 1)), scale
+
+
+def _power_blocks(points, heads):
+    """(start, stop, H, powers, scratch) over row blocks of the points:
+    H[h, t] = x_t^beta_h over the block's points x_t and the ``heads``
+    exponents beta_h of the first d - 1 coordinates, powers[a, t] = x_td^a
+    for a <= K, and scratch an array of H's shape for the caller.
+
+    All are point-major, so each is built a whole row at a time: x^k is
+    x^(k - j) x^j for j = 1, 2, 4, ... (at most K - 1 roundings).  They are
+    views of one buffer of at most PREDICT_CELLS values (one block row at
+    least), as ``predict``'s feature buffer is, and each block's overwrite
+    the last block's.
+    """
+    n, d = points.shape
+    K = _TAYLOR_ORDER
+    width = len(heads[0]) if heads else 1
+    row_values = d * (K + 1) + 3 * width
+    rows = max(1, PREDICT_CELLS // row_values)
+    buffer = np.empty(min(rows, n) * row_values)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        b = stop - start
+        table_values = d * (K + 1) * b
+        table = buffer[:table_values].reshape(d, K + 1, b)
+        H, factor, scratch = buffer[table_values : table_values + 3 * width * b].reshape(3, width, b)
+        table[:, 0] = 1.0
+        table[:, 1] = points[start:stop].T
+        j = 1
+        while j < K:
+            top = min(2 * j, K)
+            np.multiply(table[:, 1 : top - j + 1], table[:, j : j + 1], out=table[:, j + 1 : top + 1])
+            j = top
+        H.fill(1.0)
+        # every row index is in range; mode "clip" lets take write straight into out
+        for head_rows in heads:
+            H *= np.take(table.reshape(-1, b), head_rows, axis=0, out=factor, mode="clip")
+        yield start, stop, H, table[d - 1], scratch
+
+
+def _moment_predict(sample: FeatureSample, u, X) -> np.ndarray:
+    """sum_i u_i exp(<w_i, x>) at the points X, for exp features and u of
+    shape (r,), through the network's Taylor moments
+    M_alpha = sum_i u_i w_i^alpha / alpha!, |alpha| <= K: it is
+    sum_alpha M_alpha x^alpha.
+
+    Where every |<w_i, x>| <= 1 (cube weights, ball points) this differs
+    from the network by at most e/(K+1)! sum_i |u_i| <= 2^-53 sum_i |u_i|,
+    plus rounding.  With alpha = (beta, a) as in ``_taylor_terms``, the
+    moments are the (m', K+1) matrix sum_i u_i w_i^beta w_id^a, scaled, and
+    each point block's values are the column sums of (M @ powers) * H, so
+    both passes are one GEMM per ``_power_blocks`` block.
+    """
+    heads, scale = _taylor_terms(sample.d)
+    # a generator expression, so that no view of the weight pass's buffer outlives it
+    blocks = _power_blocks(sample.weights, heads)
+    moments = sum(np.multiply(H, u[start:stop], out=H) @ powers.T for start, stop, H, powers, _ in blocks)
+    moments *= scale
+    out = np.empty(len(X))
+    for start, stop, H, powers, terms in _power_blocks(X, heads):
+        np.matmul(moments, powers, out=terms)
+        terms *= H
+        np.sum(terms, axis=0, out=out[start:stop])
+    return out
+
+
 def concentration_envelope(weight_sup_C: float, r, delta: float):
     """(L C / sqrt(r)) * (4 + sqrt(2 ln(1/delta))), L = ``EXP_LIPSCHITZ``, the
     sup error that a draw of r features exceeds with probability at most
@@ -228,7 +336,11 @@ def concentration_experiment(
     For each feature count r and trial, samples cube features, forms the
     u_i = g(w_i)/r approximant, and measures max_t |f_hat(x_t) - f(x_t)|
     over a fixed probe set in the unit ball, where f is the quadrature value
-    of the feature expectation (exp, not its Taylor truncation).
+    of the feature expectation (exp, not its Taylor truncation).  A cell
+    whose m (r + probes) Taylor moment values are fewer than its
+    r * probes exps evaluates f_hat through the moments (see the module
+    docstring): its sup error then differs from ``predict``'s in the last
+    digits, within e/(K+1)! sum_i |u_i| plus rounding.
     Deterministic given rng; trials may fan out over a worker pool without
     changing results.
 
@@ -254,5 +366,6 @@ def _concentration_cell(g, probe_pts, f_vals, rng, cell):
     sample = FeatureSample(np.exp, uniform_cube(g.dimension, r, rng.derive(1, ri, t).generator()))
     g_vals = eval_g(g, sample.weights)
     u = g_vals / r
-    sup_err = float(np.max(np.abs(predict(sample, u, probe_pts) - f_vals)))
+    network = _moment_predict if _moments_pay(sample.d, r, len(probe_pts)) else predict
+    sup_err = float(np.max(np.abs(network(sample, u, probe_pts) - f_vals)))
     return sup_err, float(np.max(np.abs(u))), float(np.max(np.abs(g_vals)))

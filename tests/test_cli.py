@@ -695,6 +695,12 @@ class TestManifest:
         assert manifest["version"]
         assert manifest["started"] <= manifest["finished"]
 
+    def test_timings_time_each_stage(self, tmp_path, capsys):
+        assert run(["exp-identity", "--out", str(tmp_path)]) == 0
+        timings = json.loads((tmp_path / "exp-identity" / "manifest.json").read_text())["timings"]
+        assert sorted(timings) == ["run_s", "write_s"]
+        assert all(isinstance(seconds, float) and seconds >= 0.0 for seconds in timings.values())
+
     @pytest.mark.parametrize("openblas", [None, "2"])
     def test_environment_records_blas_threads(self, tmp_path, openblas):
         # a fresh process: the CLI sets its BLAS defaults before NumPy loads

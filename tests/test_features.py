@@ -1,13 +1,14 @@
 """Feature samples, blocked prediction, the averaged approximant, and the least-squares fitter."""
 
 import math
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from rf_lab import features
+from rf_lab import cli, features
 from rf_lab.features import (
     PREDICT_CELLS,
     PREDICT_ROW_GROUP,
@@ -227,19 +228,30 @@ class TestBlockedPredict:
             predict(sample, np.ones(4), x)
 
     def test_concentration_never_builds_a_larger_block(self, monkeypatch):
-        sizes = []
-        unblocked = features.feature_matrix
+        # the direct path's feature matrices, and the buffer that holds each
+        # moment-path block's power table and monomials
+        sizes, buffers = [], []
+        unblocked, moment_blocks = features.feature_matrix, features._power_blocks
 
         def recording(sample, X, out=None):
             F = unblocked(sample, X, out=out)
             sizes.append(F.size)
             return F
 
+        def recording_blocks(points, heads):
+            for block in moment_blocks(points, heads):
+                buffers.append(block[2].base.size)
+                yield block
+
         monkeypatch.setattr(features, "feature_matrix", recording)
+        monkeypatch.setattr(features, "_power_blocks", recording_blocks)
         P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
         concentration_experiment(P, [64, 1024, 4096], trials=2, probes=300, rng=RandomSource(60), jobs=1)
-        assert len(sizes) == 2 * (1 + 5 + 19)
-        assert max(sizes) <= PREDICT_CELLS
+        # r = 64 is direct, one block of 300 rows; r = 1024 and 4096 take the
+        # moment path, in blocks of 65536 // 95 = 689 points: 2 + 1 and 6 + 1
+        assert len(sizes) == 2 * 1
+        assert len(buffers) == 2 * ((2 + 1) + (6 + 1))
+        assert max(sizes + buffers) <= PREDICT_CELLS
 
 
 class TestSupError:
@@ -264,6 +276,85 @@ class TestSupError:
         shifted = self.cell_prediction(g, probes, rng, 3) + 0.25
         sup_error, _, _ = features._concentration_cell(g, probes, shifted, rng, (0, 3, 0))
         assert sup_error == pytest.approx(0.25)
+
+
+EPS = np.finfo(float).eps  # 2u, u = 2^-53
+
+
+def gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u): the relative error of n roundings (Higham)."""
+    return n * EPS / 2 / (1 - n * EPS / 2)
+
+
+def moment_path_bound(d: int, u) -> float:
+    """A bound on |moment path - direct path| at any ball point, for r = len(u)
+    cube exp features with coefficients u.
+
+    Every |<w_i, x>| <= 1, so sum_alpha |w_i^alpha x^alpha| / alpha! <= e and
+    the series' remainder past degree K is at most e/(K+1)! per feature.  The
+    moment path takes each term u_i w_i^alpha x^alpha / alpha! through at most
+    r + m' + 3K + 2d + 2 roundings, m' = C(d - 1 + K, d - 1): powers of
+    degree k take k - 1 and each side's head product d - 1 (2K + 2d - 2 for
+    both sides), u_i and w_id^a one each, the sum over r features r - 1,
+    1/alpha! and its product two, the (K + 1)-term product with x_d^a K + 1,
+    the product with the head one and the sum over m' heads m' - 1.  The
+    direct path takes each term u_i exp(<w_i, x>) through r + d + 5: the
+    projection's d (its error moves exp by a factor within 1 + gamma_(d+1)),
+    NumPy's exp within 2 ulp (4u; it measures below 1 ulp on [-1, 1]), u_i
+    one and the sum r - 1.  Each path errs by at most gamma_N e sum |u_i|.
+    """
+    K, r, total = features._TAYLOR_ORDER, len(u), float(np.sum(np.abs(u)))
+    heads = math.comb(d - 1 + K, d - 1)
+    rounding = gamma(r + heads + 3 * K + 2 * d + 2) + gamma(r + d + 5)
+    return (math.e / math.factorial(K + 1) + rounding * math.e) * total
+
+
+class TestMomentPath:
+    """The Taylor-moment evaluation of exp networks, against ``predict``."""
+
+    def test_order_is_the_least_below_the_unit_roundoff(self):
+        K = features._TAYLOR_ORDER
+        assert math.e / math.factorial(K + 1) <= 2.0**-53 < math.e / math.factorial(K)
+        assert (K, math.comb(2 + K, 2)) == (18, 190)
+
+    @pytest.mark.parametrize("d, n, r_values", [
+        (1, 500, (8, 64)),  # crossover r = 19 * 500 / 481 ~ 19.8
+        (2, 500, (256, 1024)),  # 190 * 500 / 310 ~ 306
+        (3, 2000, (2048, 4096)),  # 1330 * 2000 / 670 ~ 3970
+    ])
+    def test_agrees_with_predict_on_both_sides_of_the_crossover(self, d, n, r_values):
+        direct, moments = r_values
+        assert not features._moments_pay(d, direct, n) and features._moments_pay(d, moments, n)
+        X = uniform_ball(d, n, RandomSource(70).derive(d).generator())
+        for r in r_values:
+            sample = draw(np.exp, uniform_cube, d, r, RandomSource(71).derive(d, r))
+            u = RandomSource(72).derive(d, r).generator().standard_normal(r) / r
+            got = features._moment_predict(sample, u, X)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - predict(sample, u, X))) <= moment_path_bound(d, u), r
+
+    def test_each_cell_takes_the_path_its_count_picks(self):
+        params = cli.COMMANDS["concentration"]["params"]
+        r_values, probes = params["r"][1], params["probes"][1]
+        assert [features._moments_pay(2, r, probes) for r in r_values] == [r >= 256 for r in r_values]
+        # the benchmark tracer's small run (probes 200, r <= 256) pins its
+        # feature matrix bytes, so it stays direct
+        assert not any(features._moments_pay(2, r, 200) for r in (64, 128, 256))
+
+    def test_the_picked_path_is_the_faster_at_d3_r4096(self):
+        # one cell at the default probe count; the best of five interleaved
+        # timings of each path
+        sample = draw(np.exp, uniform_cube, 3, 4096, RandomSource(73))
+        u = RandomSource(74).generator().standard_normal(4096) / 4096
+        X = uniform_ball(3, 2000, RandomSource(75).generator())
+        best = {predict: math.inf, features._moment_predict: math.inf}
+        for _ in range(5):
+            for path in best:
+                start = time.perf_counter()
+                path(sample, u, X)
+                best[path] = min(best[path], time.perf_counter() - start)
+        picked = features._moment_predict if features._moments_pay(3, 4096, 2000) else predict
+        assert best[picked] == min(best.values()), best
 
 
 class TestLeastSquares:
@@ -561,6 +652,12 @@ class TestConcentration:
                 g_vals = eval_g(g, W)
                 u = g_vals / r
                 assert max_u[ri, t] == float(np.max(np.abs(u)))
-                assert sup[ri, t] == float(np.max(np.abs(np.exp(probes @ W.T) @ u - f_vals)))
+                direct = float(np.max(np.abs(np.exp(probes @ W.T) @ u - f_vals)))
+                if features._moments_pay(2, r, 500):
+                    # each sup error's subtractions err by at most u / (1 - u) <= 2u, relatively
+                    bound = moment_path_bound(2, u) + EPS * (sup[ri, t] + direct)
+                    assert abs(sup[ri, t] - direct) <= bound, (r, t)
+                else:
+                    assert sup[ri, t] == direct
                 sup_c = max(sup_c, float(np.max(np.abs(g_vals))))
         assert weight_sup_C == sup_c

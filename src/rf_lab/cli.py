@@ -369,7 +369,7 @@ def _cmd_concentration(cfg: ExperimentConfig):
     p = cfg.params
     P = _polynomial(p["poly"])
     r, trials = p["r"], p["trials"]
-    sup, max_u, weight_sup_C = concentration_experiment(P, r, trials, p["probes"], RandomSource(cfg.seed), jobs=cfg.jobs)
+    sup, max_u, weight_sup_C = concentration_experiment(P, r, trials, p["probes"], RandomSource(cfg.seed))
     # floats made from the list: an int array's cast to float takes a 64 KiB buffer of peak RSS
     r_float = np.array(r, dtype=float)
     envelope = concentration_envelope(weight_sup_C, r_float, p["delta"])

@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .legendre import iter_multi_indices
 from .numerics import RandomSource, uniform_ball, uniform_cube
-from .parallel import map_cells
 from .poly_repr import (
     EXP_LIPSCHITZ,
     SparsePolynomial,
@@ -329,7 +328,6 @@ def concentration_experiment(
     trials: int,
     probes: int,
     rng: RandomSource,
-    jobs: int,
 ):
     """Sup-error of the averaged-feature approximant against its expectation.
 
@@ -341,8 +339,10 @@ def concentration_experiment(
     r * probes exps evaluates f_hat through the moments (see the module
     docstring): its sup error then differs from ``predict``'s in the last
     digits, within e/(K+1)! sum_i |u_i| plus rounding.
-    Deterministic given rng; trials may fan out over a worker pool without
-    changing results.
+    Deterministic given rng: draw (ri, r, t) takes its weights from
+    ``rng.derive(1, ri, t)``.  The draws run in turn in the calling process;
+    together they take well under a second at the CLI defaults, less than a
+    worker pool costs to start.
 
     Returns ``(sup_error, max_abs_u, weight_sup_C)``: each draw's sup error
     and largest |u_i| as (len(r_values), trials) arrays, row i for
@@ -352,12 +352,14 @@ def concentration_experiment(
     probe_pts = uniform_ball(P.dimension, probes, rng.generator(0))
     f_vals = integral_feature_expectation(g, np.exp, probe_pts, P.degree + 6)
     grid_c = max_abs_g(g, rng.derive(2))
-    cell = partial(_concentration_cell, g, probe_pts, f_vals, rng)
-    cells = [(ri, r, t) for ri, r in enumerate(r_values) for t in range(trials)]
-    # a cell's work grows with its r, so a pool starts on the largest
-    sup_err, max_u, sample_sup = zip(*map_cells(cell, cells, jobs, cost=lambda c: c[1]))
-    shape = (len(r_values), trials)
-    return np.reshape(sup_err, shape), np.reshape(max_u, shape), max([grid_c, *sample_sup])
+    sup_err = np.empty((len(r_values), trials))
+    max_u = np.empty_like(sup_err)
+    weight_sup_C = grid_c
+    for ri, r in enumerate(r_values):
+        for t in range(trials):
+            sup_err[ri, t], max_u[ri, t], sample_sup = _concentration_cell(g, probe_pts, f_vals, rng, (ri, r, t))
+            weight_sup_C = max(weight_sup_C, sample_sup)
+    return sup_err, max_u, weight_sup_C
 
 
 def _concentration_cell(g, probe_pts, f_vals, rng, cell):

@@ -317,8 +317,10 @@ def train_single_neuron(d: int, rng: RandomSource) -> tuple[float, int]:
 
     Each batch is drawn into one reused buffer, and the held-out points in
     ``row_blocks`` of at most ``features.PREDICT_CELLS`` coordinates
-    (``gaussian_row_blocks``): both take the values of whole draws, and
-    only the (NEURON_GD_EVAL,) model and target values are kept whole.
+    (``gaussian_row_blocks``): both take the values of whole draws.  The
+    held-out pass adds each block's sums of squared residuals and squared
+    targets to running totals, in block order, as ``least_squares_fit``
+    does, so no array grows with ``NEURON_GD_EVAL``.
     """
     lr, batch = 0.4, 4096
     b_star = float(d * d)
@@ -339,13 +341,14 @@ def train_single_neuron(d: int, rng: RandomSource) -> tuple[float, int]:
         w -= lr * ((grad_common @ X) / batch)
         b -= lr * grad_common.mean()
         updates += 1
-    yh = np.empty(NEURON_GD_EVAL)
-    mh = np.empty(NEURON_GD_EVAL)
-    for start, stop, Xh in gaussian_row_blocks(rng.generator(1), NEURON_GD_EVAL, d, d):
-        yh[start:stop] = neuron_target(d, Xh[:, 0], b_star)
-        mh[start:stop] = np.maximum(Xh @ w + b, 0.0)
-    mh -= yh
-    return float(np.mean(np.square(mh, out=mh)) / np.mean(np.square(yh, out=yh))), updates
+    sq_error = sq_target = 0.0
+    for _, _, Xh in gaussian_row_blocks(rng.generator(1), NEURON_GD_EVAL, d, d):
+        yh = neuron_target(d, Xh[:, 0], b_star)
+        residual = np.maximum(Xh @ w + b, 0.0)
+        residual -= yh
+        sq_error += float(np.sum(np.square(residual, out=residual)))
+        sq_target += float(np.sum(np.square(yh, out=yh)))
+    return sq_error / sq_target, updates
 
 
 def neuron_inapprox_sweep(r: int, d_values, n_train: int, rng: RandomSource, jobs: int):

@@ -1,5 +1,6 @@
 """Feature samples, blocked prediction, the averaged approximant, and the least-squares fitter."""
 
+import concurrent.futures
 import math
 import time
 import tracemalloc
@@ -246,7 +247,7 @@ class TestBlockedPredict:
         monkeypatch.setattr(features, "feature_matrix", recording)
         monkeypatch.setattr(features, "_power_blocks", recording_blocks)
         P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
-        concentration_experiment(P, [64, 1024, 4096], trials=2, probes=300, rng=RandomSource(60), jobs=1)
+        concentration_experiment(P, [64, 1024, 4096], trials=2, probes=300, rng=RandomSource(60))
         # r = 64 is direct, one block of 300 rows; r = 1024 and 4096 take the
         # moment path, in blocks of 65536 // 95 = 689 points: 2 + 1 and 6 + 1
         assert len(sizes) == 2 * 1
@@ -599,7 +600,7 @@ R_VALUES = [64, 256, 1024]
 @pytest.fixture(scope="module")
 def result():
     P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
-    return concentration_experiment(P, R_VALUES, trials=5, probes=500, rng=RandomSource(77), jobs=1)
+    return concentration_experiment(P, R_VALUES, trials=5, probes=500, rng=RandomSource(77))
 
 
 def assert_same_result(got, expected):
@@ -612,7 +613,7 @@ class TestConcentration:
 
     def test_deterministic(self, result):
         P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
-        again = concentration_experiment(P, R_VALUES, trials=5, probes=500, rng=RandomSource(77), jobs=1)
+        again = concentration_experiment(P, R_VALUES, trials=5, probes=500, rng=RandomSource(77))
         assert_same_result(again, result)
 
     def test_envelope_holds_per_trial(self, result):
@@ -630,10 +631,18 @@ class TestConcentration:
         means = result[0].mean(axis=1)
         assert np.all(np.diff(means) < 0)
 
-    def test_parallel_matches_serial(self, result):
-        P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
-        par = concentration_experiment(P, R_VALUES, trials=5, probes=500, rng=RandomSource(77), jobs=2)
-        assert_same_result(par, result)
+    def test_cli_starts_no_pool_at_any_jobs(self, tmp_path, capsys, monkeypatch):
+        argv = ["concentration", "--r", "64,1024", "--trials", "3", "--probes", "200", "--seed", "7"]
+        assert cli.run([*argv, "--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("concentration started a worker pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert cli.run([*argv, "--jobs", "2", "--out", str(tmp_path / "jobs2")]) == 0
+        for name in ("concentration.csv", "concentration_summary.csv"):
+            serial = (tmp_path / "serial" / "concentration" / name).read_bytes()
+            assert (tmp_path / "jobs2" / "concentration" / name).read_bytes() == serial, name
 
     def test_rows_and_weight_sup_from_each_cells_draw(self, result):
         # cell (ri, r, t) draws r cube weights from rng.derive(1, ri, t); its

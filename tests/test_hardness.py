@@ -547,7 +547,9 @@ class TestNeuronSweep:
 
 def whole_draw_neuron_gd(d, rng, n_eval, steps=400, lr=0.4, batch=4096, tol=1e-10):
     """Reference: train_single_neuron with every batch and the held-out sample
-    drawn whole, and its target in d dimensions, [<d^3 e_1, x> + d^2]_+."""
+    drawn whole, and its target in d dimensions, [<d^3 e_1, x> + d^2]_+; its
+    squared residuals and targets are summed per ``row_blocks(n_eval, d)``
+    slice, in block order."""
     w_star = float(d) ** 3 * np.eye(d)[0]
     b_star = float(d * d)
     gen = rng.generator(0)
@@ -569,7 +571,10 @@ def whole_draw_neuron_gd(d, rng, n_eval, steps=400, lr=0.4, batch=4096, tol=1e-1
     Xh = rng.generator(1).standard_normal((n_eval, d))
     yh = np.maximum(Xh @ w_star + b_star, 0.0)
     mh = np.maximum(Xh @ w + b, 0.0)
-    return float(np.mean((mh - yh) ** 2) / np.mean(yh**2)), updates
+    blocks = list(row_blocks(n_eval, d))
+    sq_error = sum(float(np.sum((mh[start:stop] - yh[start:stop]) ** 2)) for start, stop in blocks)
+    sq_target = sum(float(np.sum(yh[start:stop] ** 2)) for start, stop in blocks)
+    return sq_error / sq_target, updates
 
 
 class TestNeuronBaseline:

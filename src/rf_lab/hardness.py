@@ -30,8 +30,9 @@ psi, streamed by ``features.gaussian_feature_blocks`` in one reused buffer
 sums, so a cell holds no array that grows with the sample; its test net
 is ``features.predict`` over a ReLU ``features.FeatureSample``.
 The inapproximability sweep's least-squares fit draws its training and
-held-out points this way, and its directly-trained neuron its held-out
-points.
+held-out points this way; its directly-trained neuron only each point's
+(t, s) in the frame (e_1, v) of its weights, the same SGD in law since
+N(0, I_d) is rotation-invariant.
 """
 
 from __future__ import annotations
@@ -300,27 +301,42 @@ NEURON_GD_TOL = 1e-10  # its stopping rule's relative batch squared error
 NEURON_GD_EVAL = 50_000  # its held-out points
 
 
+def _neuron_frame(w):
+    """(w_1, ||w_perp||) and v = w_perp / ||w_perp|| (0 if w_perp = 0)."""
+    v = w.copy()
+    v[0] = 0.0
+    n = np.linalg.norm(v)
+    return np.array([w[0], n]), v / n if n > 0.0 else v
+
+
+def _frame_gradient(g, ts, v, zeta):
+    """(g.t) e_1 + (g.s) v + ||g|| P zeta; v_1 = 0, so entry 0 is g.t."""
+    gt, gs = ts @ g
+    out = np.linalg.norm(g) * (zeta - (v @ zeta) * v) + gs * v
+    out[0] = gt
+    return out
+
+
 def train_single_neuron(d: int, rng: RandomSource) -> tuple[float, int]:
     """Fit one ReLU neuron by plain SGD on the squared loss to the candidate
     n = a // 2, ``neuron_target(d, x_1, d^2)``, whose kink at x_1 = -1/d lies
     inside the Gaussian bulk, so the target is not affine on the data.
 
-    Each step draws a fresh batch of 4096 points and moves by 0.4 times the
-    batch-mean gradient.  Training stops at the first step whose
-    batch squared error is at most ``NEURON_GD_TOL`` times the batch's
-    squared target norm (before that step's update), or after
-    ``NEURON_GD_STEPS`` updates.  The baseline target stops after ~70-110
-    updates for d = 4..20 with held-out errors of ~1e-10.  Returns
-    ``(error, updates)``: the normalized error E[(model - target)^2] /
-    E[target^2] on ``NEURON_GD_EVAL`` held-out points and the number of
-    updates made.
+    Each step moves by 0.4 times the mean gradient over a fresh batch of
+    4096 points, until the batch squared error (before the update) is at
+    most ``NEURON_GD_TOL`` times the batch's squared target norm, or for
+    ``NEURON_GD_STEPS`` updates (~70-110 at d = 4..20).  Returns
+    ``(error, updates)``: E[(model - target)^2] / E[target^2] on
+    ``NEURON_GD_EVAL`` held-out points, and the update count.
 
-    Each batch is drawn into one reused buffer, and the held-out points in
-    ``row_blocks`` of at most ``features.PREDICT_CELLS`` coordinates
-    (``gaussian_row_blocks``): both take the values of whole draws.  The
-    held-out pass adds each block's sums of squared residuals and squared
-    targets to running totals, in block order, as ``least_squares_fit``
-    does, so no array grows with ``NEURON_GD_EVAL``.
+    N(0, I_d) is rotation-invariant: in the frame (e_1, v) of w
+    (``_neuron_frame``), x = t e_1 + s v + P x with t, s ~ N(0, 1)
+    independent of P x ~ N(0, P), P the projection onto {e_1, v}^perp.
+    The loss and g read only (t, s); given them sum_i g_i P x_i is
+    N(0, ||g||^2 P), the law of ||g|| P zeta, zeta ~ N(0, I_d)
+    (``_frame_gradient``).  So a step draws 2 * 4096 + d normals, not
+    4096 d, for the same chain in law.  The held-out (t, s) pairs stream
+    through ``gaussian_row_blocks``, summed per block.
     """
     lr, batch = 0.4, 4096
     b_star = float(d * d)
@@ -328,33 +344,33 @@ def train_single_neuron(d: int, rng: RandomSource) -> tuple[float, int]:
     w = 0.01 * gen.standard_normal(d)
     b = 1.0  # start active; a dead neuron has zero gradient
     updates = 0
-    X = np.empty((batch, d))
     while updates < NEURON_GD_STEPS:
-        gen.standard_normal(out=X)
-        y = neuron_target(d, X[:, 0], b_star)
-        z = X @ w + b
+        coords, v = _neuron_frame(w)
+        ts = gen.standard_normal((2, batch))
+        y = neuron_target(d, ts[0], b_star)
+        z = coords @ ts + b
         active = z >= 0.0
         err = np.where(active, z, 0.0) - y
         if err @ err <= NEURON_GD_TOL * (y @ y):
             break
-        grad_common = 2.0 * err * active
-        w -= lr * ((grad_common @ X) / batch)
-        b -= lr * grad_common.mean()
+        g = 2.0 * err * active
+        w -= lr * (_frame_gradient(g, ts, v, gen.standard_normal(d)) / batch)
+        b -= lr * g.mean()
         updates += 1
+    coords, _ = _neuron_frame(w)
     sq_error = sq_target = 0.0
-    for _, _, Xh in gaussian_row_blocks(rng.generator(1), NEURON_GD_EVAL, d, d):
-        yh = neuron_target(d, Xh[:, 0], b_star)
-        residual = np.maximum(Xh @ w + b, 0.0)
-        residual -= yh
-        sq_error += float(np.sum(np.square(residual, out=residual)))
-        sq_target += float(np.sum(np.square(yh, out=yh)))
+    for _, _, ts_h in gaussian_row_blocks(rng.generator(1), NEURON_GD_EVAL, 2, 2):
+        yh = neuron_target(d, ts_h[:, 0], b_star)
+        residual = np.maximum(ts_h @ coords + b, 0.0) - yh
+        sq_error += float(residual @ residual)
+        sq_target += float(yh @ yh)
     return sq_error / sq_target, updates
 
 
 def neuron_inapprox_sweep(r: int, d_values, n_train: int, rng: RandomSource, jobs: int):
     """Least-squares error of oblivious ReLU features against the hard targets,
     and of a directly-trained neuron, as (d, target, normalized_error,
-    r_max_abs_u) rows: control, psi, neuron, neuron_gd_baseline per d.
+    r_max_abs_u, updates) rows: control, psi, neuron, neuron_gd_baseline per d.
 
     Per dimension d: sample r bias-free ReLU features with unit-sphere
     directions first (obliviously), then fit them to
@@ -368,7 +384,7 @@ def neuron_inapprox_sweep(r: int, d_values, n_train: int, rng: RandomSource, job
     grow with n_train; each error is normalized by its target's
     squared norm on that held-out sample, and candidates that are zero on
     the whole sample are skipped.  Last comes ``train_single_neuron``'s
-    error, with r_max_abs_u 0.
+    error, with r_max_abs_u 0 and its update count (0 on the other rows).
     """
     cell = partial(_sweep_cell, r, n_train, rng)
     # a cell's work grows with its d, so a pool starts on the largest
@@ -389,13 +405,14 @@ def _sweep_cell(r: int, n_train: int, rng: RandomSource, d: int):
     _, errors, max_u, norms = least_squares_fit(sample, targets, n_train, rng.derive(d, 1))
     rmu = [r * mu for mu in max_u]
     rows = [
-        (d, name, errors[j] / norms[j] if norms[j] > 0.0 else math.inf, rmu[j])
+        (d, name, errors[j] / norms[j] if norms[j] > 0.0 else math.inf, rmu[j], 0)
         for j, name in enumerate(("control", "psi"))
     ]
     # a candidate zero on the whole sample is dead there: nothing to fit
     live = [(err / t_norm, mu) for err, t_norm, mu in zip(errors[2:], norms[2:], rmu[2:]) if t_norm != 0.0]
-    rows.append((d, "neuron", *max(live, key=lambda e: e[0], default=(-1.0, 0.0))))
-    rows.append((d, "neuron_gd_baseline", train_single_neuron(d, rng.derive(d, 4))[0], 0.0))
+    rows.append((d, "neuron", *max(live, key=lambda e: e[0], default=(-1.0, 0.0)), 0))
+    error, updates = train_single_neuron(d, rng.derive(d, 4))
+    rows.append((d, "neuron_gd_baseline", error, 0.0, updates))
     return rows
 
 

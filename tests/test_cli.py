@@ -125,8 +125,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("baseline_error", [0.01, float("nan")])
     def test_neuron_baseline_bound_exits_two(self, tmp_path, capsys, monkeypatch, baseline_error):
         def sweep(*args, **kwargs):
-            return [(4, "control", 0.0, 1.0), (4, "neuron_gd_baseline", 1e-10, 0.0),
-                    (10, "neuron_gd_baseline", baseline_error, 0.0)]
+            return [(4, "control", 0.0, 1.0, 0), (4, "neuron_gd_baseline", 1e-10, 0.0, 70),
+                    (10, "neuron_gd_baseline", baseline_error, 0.0, 90)]
 
         monkeypatch.setattr(cli, "neuron_inapprox_sweep", sweep)
         assert run(["neuron-inapprox", "--out", str(tmp_path)]) == 2
@@ -392,7 +392,7 @@ REFUSALS = [
      ("correlation_decay", lambda *a: [(2, math.nan, 0.0)]), 2,
      "normalized squared correlations must be finite and nonnegative"),
     ("neuron-control", ["neuron-inapprox"],
-     ("neuron_inapprox_sweep", lambda *a: [(4, "control", 1e-3, 1.0)]), 2,
+     ("neuron_inapprox_sweep", lambda *a: [(4, "control", 1e-3, 1.0, 0)]), 2,
      "realizable control at d=4 has error 1.000e-03 >= 1e-6"),
     ("sampler-labels", SMALL_LEARN_POLY, ("margin_filtered_sampler", _zero_labels), 1,
      "sampler produced labels outside {-1, +1}"),
@@ -673,6 +673,12 @@ class TestCommandOutputs:
         assert code == 0
         text = (tmp_path / "neuron-inapprox" / "neuron_inapprox.csv").read_text()
         assert "control" in text and "psi" in text and "neuron_gd_baseline" in text
+        header, *lines = text.splitlines()
+        assert header == "d,target,normalized_error,r_max_abs_u,updates"
+        baseline = next(line.split(",") for line in lines if line.startswith("3,neuron_gd_baseline,"))
+        assert int(baseline[4]) > 0
+        summary_line = f"d=3 neuron_gd_baseline: err={float(baseline[2]):.4f} updates={baseline[4]}\n"
+        assert summary_line in capsys.readouterr().out
 
     def test_represent_poly_smoke(self, tmp_path, capsys):
         code = run(["represent-poly", "--poly", '{"2,0": 0.5, "0,1": -1.0}',

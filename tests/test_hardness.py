@@ -441,23 +441,32 @@ class TestNeuronSweep:
 
     def test_four_rows_per_d(self, rows):
         targets = ["control", "psi", "neuron", "neuron_gd_baseline"]
-        assert [(d, target) for d, target, _, _ in rows] == [(d, t) for d in (3, 6) for t in targets]
-        assert all(type(err) is float and type(rmu) is float for _, _, err, rmu in rows)
+        assert [(d, target) for d, target, *_ in rows] == [(d, t) for d in (3, 6) for t in targets]
+        assert all(type(err) is float and type(rmu) is float and type(n) is int for _, _, err, rmu, n in rows)
 
     def test_realizable_control(self, rows):
-        for _, target, err, _ in rows:
+        for _, target, err, *_ in rows:
             if target == "control":
                 assert err < 1e-6
 
     def test_psi_target_is_hard(self, rows):
-        for _, target, err, _ in rows:
+        for _, target, err, *_ in rows:
             if target == "psi":
                 assert err > 0.5
 
     def test_baseline_trains_to_high_accuracy(self, rows):
-        for _, target, err, r_max_abs_u in rows:
+        for _, target, err, r_max_abs_u, _ in rows:
             if target == "neuron_gd_baseline":
                 assert err < 0.01 and r_max_abs_u == 0.0
+
+    def test_updates_are_the_baselines_count(self, rows):
+        # the least-squares rows make no updates; the baseline's row carries train_single_neuron's
+        for d, target, err, _, updates in rows:
+            if target == "neuron_gd_baseline":
+                assert (err, updates) == train_single_neuron(d, RandomSource(8).derive(d, 4))
+                assert 0 < updates < hardness.NEURON_GD_STEPS
+            else:
+                assert updates == 0
 
     def test_parallel_matches_serial(self, rows):
         assert neuron_inapprox_sweep(50, [3, 6], 600, RandomSource(8), jobs=2) == rows
@@ -521,8 +530,9 @@ class TestNeuronSweep:
 
     def test_largest_d_cell_memory(self):
         # neuron-inapprox's defaults at d = 20: the fit holds one block of features
-        # and the Gram matrix; most of the peak is train_single_neuron's batch and
-        # held-out values
+        # and the Gram matrix; train_single_neuron holds a batch of 4096 (t, s) pairs,
+        # then one held-out block of 32,768 pairs and that block's target and
+        # residual vectors, which set the peak
         np.random.default_rng(0).random()  # NumPy imports numpy.random's modules on a first draw
         tracemalloc.start()
         try:
@@ -546,10 +556,10 @@ class TestNeuronSweep:
 
 
 def whole_draw_neuron_gd(d, rng, n_eval, steps=400, lr=0.4, batch=4096, tol=1e-10):
-    """Reference: train_single_neuron with every batch and the held-out sample
-    drawn whole, and its target in d dimensions, [<d^3 e_1, x> + d^2]_+; its
-    squared residuals and targets are summed per ``row_blocks(n_eval, d)``
-    slice, in block order."""
+    """Reference in law: train_single_neuron's SGD on whole d-column batches and
+    a whole d-column held-out sample, with its target in d dimensions,
+    [<d^3 e_1, x> + d^2]_+; its squared residuals and targets are summed per
+    ``row_blocks(n_eval, d)`` slice, in block order."""
     w_star = float(d) ** 3 * np.eye(d)[0]
     b_star = float(d * d)
     gen = rng.generator(0)
@@ -577,32 +587,138 @@ def whole_draw_neuron_gd(d, rng, n_eval, steps=400, lr=0.4, batch=4096, tol=1e-1
     return sq_error / sq_target, updates
 
 
+def whole_draw_projected_neuron_gd(d, rng, n_eval, steps=400, lr=0.4, batch=4096, tol=1e-10):
+    """Reference: train_single_neuron with the held-out (t, s) pairs drawn whole.  The
+    frame of w is e_1 and v = w_perp / ||w_perp|| (0 where w_perp = 0), and the
+    batch gradient is (g.t) e_1 + (g.s) v + ||g|| P zeta, with P zeta written
+    out as zeta - zeta_1 e_1 - (v.zeta) v; the squared residuals and targets
+    are summed per ``row_blocks(n_eval, 2)`` slice, in block order."""
+    e_1 = np.eye(d)[0]
+    b_star = float(d * d)
+
+    def frame(w):
+        w_perp = w - w[0] * e_1
+        n = np.linalg.norm(w_perp)
+        return np.array([w[0], n]), w_perp / n if n > 0.0 else w_perp
+
+    gen = rng.generator(0)
+    w = 0.01 * gen.standard_normal(d)
+    b = 1.0
+    updates = 0
+    while updates < steps:
+        coords, v = frame(w)
+        ts = gen.standard_normal((2, batch))
+        y = np.maximum(float(d) ** 3 * ts[0] + b_star, 0.0)
+        z = coords @ ts + b
+        active = z >= 0.0
+        err = np.where(active, z, 0.0) - y
+        if err @ err <= tol * (y @ y):
+            break
+        g = 2.0 * err * active
+        gt, gs = ts @ g
+        zeta = gen.standard_normal(d)
+        gradient = gt * e_1 + gs * v + np.linalg.norm(g) * (zeta - zeta[0] * e_1 - (v @ zeta) * v)
+        w -= lr * (gradient / batch)
+        b -= lr * g.mean()
+        updates += 1
+    coords, _ = frame(w)
+    ts_h = rng.generator(1).standard_normal((n_eval, 2))
+    yh = np.maximum(float(d) ** 3 * ts_h[:, 0] + b_star, 0.0)
+    residual = np.maximum(ts_h @ coords + b, 0.0) - yh
+    blocks = list(row_blocks(n_eval, 2))
+    sq_error = sum(float(residual[start:stop] @ residual[start:stop]) for start, stop in blocks)
+    sq_target = sum(float(yh[start:stop] @ yh[start:stop]) for start, stop in blocks)
+    return sq_error / sq_target, updates
+
+
+class CountingSource:
+    """RandomSource stand-in whose generators count the normals they draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = 0
+
+    def generator(self, *subkeys):
+        return CountingGenerator(self, self.rng.generator(*subkeys))
+
+
+class CountingGenerator:
+    def __init__(self, source, gen):
+        self.source = source
+        self.gen = gen
+
+    def standard_normal(self, size=None, out=None):
+        values = self.gen.standard_normal(size, out=out)
+        self.source.drawn += np.size(values)
+        return values
+
+
 class TestNeuronBaseline:
     @pytest.mark.parametrize("d", [4, 20])
     @pytest.mark.parametrize("lone_last_row", [False, True])
     def test_streamed_draws_equal_whole_draws(self, d, lone_last_row, monkeypatch):
-        n_eval = 3 * predict_block_rows(d) + 1 if lone_last_row else 50_000
+        n_eval = 3 * predict_block_rows(2) + 1 if lone_last_row else 50_000
         monkeypatch.setattr(hardness, "NEURON_GD_EVAL", n_eval)
-        expected = whole_draw_neuron_gd(d, RandomSource(14), n_eval)
+        expected = whole_draw_projected_neuron_gd(d, RandomSource(14), n_eval)
         assert train_single_neuron(d, RandomSource(14)) == expected
 
-    def test_memory_follows_the_block(self):
+    def test_memory_follows_the_block(self, monkeypatch):
+        # ten times the default held-out count: drawn whole, its (t, s) pairs alone would be 8 MB
+        monkeypatch.setattr(hardness, "NEURON_GD_EVAL", 500_000)
         tracemalloc.start()
         try:
             train_single_neuron(20, RandomSource(13))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the whole 50,000 x 20 held-out sample alone would be 8 MB
         assert peak <= 4 * 2**20
 
-    @pytest.mark.parametrize("d", [3, 10])
+    @pytest.mark.parametrize("d", [1, 3, 10])
     def test_zero_tolerance_matches_fixed_steps(self, d, monkeypatch):
         monkeypatch.setattr(hardness, "NEURON_GD_STEPS", 40)
         monkeypatch.setattr(hardness, "NEURON_GD_TOL", 0.0)
-        expected = whole_draw_neuron_gd(d, RandomSource(12), 50_000, steps=40, tol=0.0)
+        expected = whole_draw_projected_neuron_gd(d, RandomSource(12), 50_000, steps=40, tol=0.0)
         assert train_single_neuron(d, RandomSource(12)) == expected
         assert expected[1] == 40
+
+    @pytest.mark.parametrize("d, w_kind", [(1, "random"), (2, "random"), (2, "e_1"), (20, "random"), (20, "e_1")])
+    def test_frame_step_equals_the_d_dimensional_step(self, d, w_kind):
+        # the pre-activation and the batch gradient from (t, s, zeta), against the full batch X
+        gen = np.random.default_rng(d)
+        w = gen.standard_normal(d) / math.sqrt(d) if w_kind == "random" else 0.7 * np.eye(d)[0]
+        b = 0.3
+        X = gen.standard_normal((4096, d))
+        coords, v = hardness._neuron_frame(w)
+        ts = np.stack([X[:, 0], X @ v])
+        expected_z = X @ w + b
+        z = coords @ ts + b
+        assert np.max(np.abs(z - expected_z)) <= 1e-12 * np.max(np.abs(expected_z))
+        active = expected_z >= 0.0
+        g = 2.0 * (np.where(active, expected_z, 0.0) - neuron_target(d, ts[0], float(d * d))) * active
+        assert 0 < np.count_nonzero(active) < len(X)
+        PX = X - np.outer(ts[0], np.eye(d)[0]) - np.outer(ts[1], v)
+        zeta = (g @ PX) / np.linalg.norm(g)
+        expected = g @ X
+        gradient = hardness._frame_gradient(g, ts, v, zeta)
+        assert np.linalg.norm(gradient - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("d", [4, 10])
+    def test_same_law_as_d_dimensional_batches(self, d):
+        # the frame chain against SGD on whole d-column batches, over 12 seeds each
+        seeds = range(12)
+        frame = np.array([train_single_neuron(d, RandomSource(seed)) for seed in seeds])
+        whole = np.array([whole_draw_neuron_gd(d, RandomSource(seed), 50_000) for seed in seeds])
+        for a, b, floor in ((frame[:, 1], whole[:, 1], 1.0), (np.log10(frame[:, 0]), np.log10(whole[:, 0]), 0.0)):
+            std_err = math.sqrt((np.var(a, ddof=1) + np.var(b, ddof=1)) / len(seeds))
+            assert abs(np.mean(a) - np.mean(b)) <= max(4.0 * std_err, floor)
+
+    @pytest.mark.parametrize("d", [4, 20])
+    def test_draws_two_coordinates_per_point(self, d):
+        # O(batch + d) normals per update, not O(batch d): 2 per batch point, d per update
+        source = CountingSource(RandomSource(13))
+        err, updates = train_single_neuron(d, source)
+        assert (err, updates) == train_single_neuron(d, RandomSource(13))
+        assert source.drawn <= (updates + 1) * 2 * 4096 + updates * d + d + 2 * hardness.NEURON_GD_EVAL
 
     @pytest.mark.parametrize("d", [4, 10, 20])
     def test_stops_before_the_cap(self, d):

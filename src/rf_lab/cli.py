@@ -56,6 +56,7 @@ from .numerics import RandomSource, gauss_legendre_rule, uniform_ball
 from .parallel import usable_cpus
 from .poly_repr import (
     EXP_LIPSCHITZ,
+    MAX_DEGREE,
     SparsePolynomial,
     construct_g,
     g_magnitude_bound,
@@ -286,12 +287,16 @@ def _approx_text(value, spec: str) -> str:
     return f"10^{math.log10(value.numerator) - math.log10(value.denominator):.3f}"
 
 
-def _polynomial(text: str) -> SparsePolynomial:
-    """The ``--poly`` value as a polynomial; malformed text is a usage error naming the flag."""
+def _polynomial(text: str, max_degree: int | None = None) -> SparsePolynomial:
+    """The ``--poly`` value as a polynomial; malformed text, or a degree past
+    ``max_degree``, is a usage error naming the flag."""
     try:
-        return SparsePolynomial.from_json(text)
+        P = SparsePolynomial.from_json(text)
     except ValueError as exc:  # json.JSONDecodeError included
         raise UsageError(f"--poly is not a polynomial ({exc}), got {text}") from exc
+    if max_degree is not None and P.degree > max_degree:
+        raise UsageError(f"--poly must have degree <= {max_degree}, got degree {P.degree}")
+    return P
 
 
 def _cmd_legendre_check(cfg: ExperimentConfig):
@@ -337,7 +342,7 @@ def _cmd_legendre_check(cfg: ExperimentConfig):
 
 
 def _cmd_represent_poly(cfg: ExperimentConfig):
-    P = _polynomial(cfg.params["poly"])
+    P = _polynomial(cfg.params["poly"], MAX_DEGREE)
     g = construct_g(P)
     rng = RandomSource(cfg.seed)
     xs = uniform_ball(P.dimension, cfg.params["probes"], rng.generator(0))
@@ -370,7 +375,7 @@ def _cmd_represent_poly(cfg: ExperimentConfig):
 
 def _cmd_concentration(cfg: ExperimentConfig):
     p = cfg.params
-    P = _polynomial(p["poly"])
+    P = _polynomial(p["poly"], MAX_DEGREE)
     r, trials = p["r"], p["trials"]
     sup, max_u, weight_sup_C = concentration_experiment(P, r, trials, p["probes"], RandomSource(cfg.seed))
     # floats made from the list: an int array's cast to float takes a 64 KiB buffer of peak RSS

@@ -5,24 +5,23 @@ Everything here is built on the classical (unnormalized) family p_n on
 <p_m, p_n> = delta_{mn} * 2/(2n+1).  Multivariate polynomials use tensor
 products p_J(w) = p_{j_1}(w_1) ... p_{j_d}(w_d) indexed by multi-indices.
 
-The one non-textbook piece is the array ``build_monomial_table`` returns:
-the exact coefficients e(m, n) = table[m, n] of the expansion
+``build_monomial_table`` returns e(m, n) = table[m, n] of the expansion
 
     w^m = sum_n e(m, n) * p_n(w),
 
-generated by the recurrence that follows from
-w * p_n = ((n+1) p_{n+1} + n p_{n-1}) / (2n+1):
+by the recurrence that follows from w p_n = ((n+1) p_{n+1} + n p_{n-1}) / (2n+1):
 
     e(m+1, n) = n/(2n-1) * e(m, n-1) + (n+1)/(2n+3) * e(m, n+1).
 
 e(m, n) vanishes whenever n > m or m + n is odd; an index past the
-table's degree raises NumPy's IndexError.  The raw projection
-integral I(m, n) = int_{-1}^{1} w^m p_n(w) dw is recovered as
-e(m, n) * 2/(2n+1).
+table's degree raises NumPy's IndexError.  legendre-check and the tests
+read e; ``construct_g`` reads its inverse, the a(n, m) of
+p_n(w) = sum_m a(n, m) w^m that ``legendre_coefficient`` returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -49,24 +48,23 @@ class MultiIndex:
     def dim(self) -> int:
         return len(self.entries)
 
-    def __le__(self, other: "MultiIndex") -> bool:
-        """Entrywise partial order: J' <= J iff every entry is <=."""
-        if self.dim != other.dim:
-            raise ValueError("multi-index dimensions differ")
-        return all(a <= b for a, b in zip(self.entries, other.entries))
-
     def __str__(self) -> str:
         return ",".join(str(j) for j in self.entries)
 
     @classmethod
     def from_string(cls, text: str) -> "MultiIndex":
-        return cls(tuple(int(part) for part in text.split(",")))
+        """Parse "j_1,...,j_d" of ASCII digits (int() also takes signs, spaces and "_")."""
+        parts = text.split(",")
+        for part in parts:
+            if not (part.isascii() and part.isdigit()):
+                raise ValueError(f"invalid literal for int() with base 10: {part!r}")
+        return cls(tuple(map(int, parts)))
 
 
 def iter_multi_indices(d: int, max_degree: int):
     """All J with dim d and |J| <= max_degree, ascending degree then lexicographic.
 
-    Every J' < J is yielded before J, which the triangular solves rely on.
+    The order of ``construct_g``'s coefficients, so of ``eval_g``'s sum.
     """
 
     def comps(total, slots):
@@ -93,6 +91,15 @@ def legendre_eval(n: int, w):
     for k in range(2, n + 1):
         p_prev, p = p, ((2 * k - 1) * w * p - (k - 1) * p_prev) / k
     return p
+
+
+def legendre_coefficient(n: int, m: int) -> float:
+    """a(n, m), the coefficient of w^m in p_n: (-1)^j C(n, j) C(2n-2j, n) / 2^n
+    at m = n - 2j and 0 otherwise, rounded once from exact integers."""
+    j, odd = divmod(n - m, 2)
+    if j < 0 or odd:
+        return 0.0
+    return (-1) ** j * math.comb(n, j) * math.comb(2 * n - 2 * j, n) / 2**n
 
 
 def legendre_norm_sq(n: int) -> float:
@@ -134,22 +141,6 @@ def multi_norm_sq(J: MultiIndex) -> float:
     out = 1.0
     for j in J.entries:
         out *= legendre_norm_sq(j)
-    return out
-
-
-def multi_expansion_coeff(J: MultiIndex, J_prime: MultiIndex, table: np.ndarray) -> float:
-    """Coefficient of p_{J'} in the Legendre expansion of w^J.
-
-    Separates over coordinates: prod_i e(j_i, j'_i).  Zero whenever J' is
-    not entrywise <= J or any coordinate pair has odd sum.
-    """
-    if J.dim != J_prime.dim:
-        raise ValueError("multi-index dimensions differ")
-    out = 1.0
-    for m, n in zip(J.entries, J_prime.entries):
-        out *= table[m, n]
-        if out == 0.0:
-            return 0.0
     return out
 
 

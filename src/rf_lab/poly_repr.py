@@ -9,18 +9,17 @@ on the cube [-1/sqrt(d), 1/sqrt(d)]^d such that
 
     c_d * int_cube sigma_k(<w, x>) g(w) dw = P(x),        c_d = (sqrt(d)/2)^d,
 
-holds exactly for the degree-k Taylor truncation sigma_k of exp.
-Expanding <w, x>^i over monomials and projecting onto the tensor Legendre
-basis turns this into a triangular linear system in the c_J, solved in
-ascending degree order:
+holds exactly for the degree-k Taylor truncation sigma_k of exp.  The
+x^J coefficient of the left side is c_d int_cube w^J g(w) dw / J!, so
+projecting w^J onto the tensor Legendre basis gives, with alpha_J the
+coefficients of P,
 
-    (1/2)^d * a_{|J|} * (|J|! / J!) * d^{-|J|/2}
-        * sum_{J' <= J} c_{J'} * e_{J,J'} * ||p_{J'}||^2  =  alpha_J,
+    sum_{J'} e_{J,J'} c_{J'} ||p_{J'}||^2 = b_J = 2^d d^{|J|/2} J! alpha_J.
 
-where a_i = 1/i! are the Taylor coefficients of exp, e_{J,J'} the
-monomial-to-Legendre expansion coefficients and alpha_J the coefficients of
-P.  The multinomial factor |J|!/J! comes from expanding the inner product
-power and is required for the quadrature check below to vanish.
+e_{J,J'} = prod_i e(j_i, j'_i) has the inverse prod_i a(j'_i, j_i), a(n, m)
+the coefficient of w^m in p_n, so
+
+    c_{J'} = ||p_{J'}||^{-2} sum_{J in supp P} b_J prod_i a(j'_i, j_i).
 
 The construction is verified, never trusted: ``truncated_residual``
 recomputes the cube integral of the truncated activation by tensor
@@ -43,9 +42,8 @@ import numpy as np
 
 from .legendre import (
     MultiIndex,
-    build_monomial_table,
     iter_multi_indices,
-    multi_expansion_coeff,
+    legendre_coefficient,
     multi_legendre_eval,
     multi_norm_sq,
     tensor_grid,
@@ -91,18 +89,21 @@ class SparsePolynomial:
     @classmethod
     def from_json(cls, text: str) -> "SparsePolynomial":
         """Parse a JSON object {"j_1,...,j_d": coefficient}; malformed input raises ValueError."""
-        raw = json.loads(text)
-        if not isinstance(raw, dict) or not raw:
+        pairs = json.loads(text, object_pairs_hook=tuple)  # an object as its pairs, repeated keys kept
+        if not isinstance(pairs, tuple) or not pairs:
             raise ValueError("polynomial JSON must be an object with at least one multi-index key")
         coeffs = {}
-        for key, val in raw.items():
+        for key, val in pairs:
             try:  # a JSON number only: not a bool, a string or null
                 value = float(val) if type(val) in (int, float) else math.nan
             except OverflowError:
                 value = math.nan
             if not math.isfinite(value):
                 raise ValueError(f"coefficient of {key!r} must be a finite number, got {val!r}")
-            coeffs[MultiIndex.from_string(key)] = value
+            J = MultiIndex.from_string(key)
+            if J in coeffs:
+                raise ValueError(f"monomial {J} is named twice, the second time as {key!r}")
+            coeffs[J] = value
         dims = {J.dim for J in coeffs}
         if len(dims) != 1:
             raise ValueError("all multi-index keys must have the same length")
@@ -110,16 +111,12 @@ class SparsePolynomial:
 
 
 EXP_LIPSCHITZ = math.e  # Lipschitz constant of exp on [-1, 1], and exp(0) <= it
-
-
-def exp_taylor_coeff(i: int) -> float:
-    """Taylor coefficient a_i = 1/i! of exp."""
-    return 1.0 / math.factorial(i)
+MAX_DEGREE = 170  # the largest k whose k!, so every J! of construct_g, is a double
 
 
 def exp_truncated(k: int) -> Callable[[np.ndarray], np.ndarray]:
     """Degree-k Taylor truncation exp_k(z) = sum_{i<=k} z^i / i!."""
-    coeffs = [exp_taylor_coeff(i) for i in range(k + 1)]
+    coeffs = [1.0 / math.factorial(i) for i in range(k + 1)]
 
     def sigma_k(z):
         out = np.zeros_like(z)
@@ -143,41 +140,23 @@ class LegendreExpansion:
         return (math.sqrt(self.dimension) / 2.0) ** self.dimension
 
 
-def _multinomial(J: MultiIndex) -> float:
-    out = math.factorial(J.degree)
-    for j in J.entries:
-        out //= math.factorial(j)
-    return float(out)
-
-
 def construct_g(P: SparsePolynomial) -> LegendreExpansion:
-    """Solve the triangular system for the c_J of the weight function g.
-
-    The system has one unknown per index J of degree at most k = deg(P), so
-    it is linear in P's coefficients among polynomials of one degree.  Every
-    Taylor coefficient 1/i! of exp is nonzero, so every P is representable.
-    The monomial expansion table is built to degree k.
-    """
+    """The c_J of g by the closed form above; every 1/i! is nonzero, so every P
+    is representable.  Terms of weight a = 0 are skipped, so a b_J past the
+    float range, inf, reaches only the c_{J'} it feeds."""
     d = P.dimension
-    k = P.degree
-    table = build_monomial_table(k)
-    half_pow = 0.5**d
+    b = [
+        (J.entries, 2.0**d * math.sqrt(d) ** J.degree * math.prod(map(math.factorial, J.entries)) * alpha)
+        for J, alpha in P.coefficients.items() if alpha != 0.0
+    ]
     coeffs: dict[MultiIndex, float] = {}
-    indices = list(iter_multi_indices(d, k))
-    for J in indices:
-        alpha = float(P.coefficients.get(J, 0.0))
-        scale = half_pow * exp_taylor_coeff(J.degree) * _multinomial(J) / (math.sqrt(d) ** J.degree)
+    for Jp in iter_multi_indices(d, P.degree):
         acc = 0.0
-        for Jp in indices:
-            if Jp == J or Jp.degree > J.degree:
-                continue
-            if not (Jp <= J):
-                continue
-            c = coeffs[Jp]
-            if c != 0.0:
-                acc += c * multi_expansion_coeff(J, Jp, table) * multi_norm_sq(Jp)
-        diag = multi_expansion_coeff(J, J, table) * multi_norm_sq(J)
-        coeffs[J] = (alpha / scale - acc) / diag
+        for entries, b_J in b:
+            weight = math.prod(legendre_coefficient(n, m) for n, m in zip(Jp.entries, entries))
+            if weight:
+                acc += b_J * weight
+        coeffs[Jp] = acc / multi_norm_sq(Jp)
     return LegendreExpansion(d, coeffs)
 
 

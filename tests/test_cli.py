@@ -213,6 +213,14 @@ class TestExitCodes:
         ('{"1,1": true}', 1),  # float() takes bools and numeric strings; JSON numbers only
         ('{"1,1": false}', 1),
         ('{"1,1": "2"}', 1),
+        ('{"1,1": 1.0, "01,1": 2.0}', 1),  # one monomial named twice
+        ('{"1,1": 1.0, "1,1": 2.0}', 1),  # a repeated JSON key
+        ('{" 1,1": 1.0}', 1),  # int() takes spaces, signs and "_"; entries are ASCII digits only
+        ('{"1_0,0": 1.0}', 1),
+        ('{"+1": 1.0}', 1),
+        ('{"\u0661": 1.0}', 1),  # ARABIC-INDIC DIGIT ONE, which str.isdigit() and int() take
+        ('{"-1,2": 1.0}', 1),
+        ('{"1,1": 1' + "0" * 400 + '}', 1),  # a JSON integer past the float range
     ])
     def test_malformed_polynomial_exits_with_a_message(self, tmp_path, capsys, poly, code):
         assert run(["represent-poly", "--poly", poly, "--out", str(tmp_path)]) == code
@@ -227,6 +235,18 @@ class TestExitCodes:
             "error: --poly is not a polynomial (invalid literal for int() with base 10: ''), got {\"\": 1.0}\n"
         )
         assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize("command", ["represent-poly", "concentration"])
+    def test_degree_past_170_is_refused(self, tmp_path, capsys, command):
+        assert run([command, "--poly", '{"171": 1.0}', "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: --poly must have degree <= 170, got degree 171\n"
+        assert not (tmp_path / command).exists()
+
+    def test_learn_poly_runs_past_degree_170(self, tmp_path, capsys):
+        # learn-poly builds no g, so no factorial bounds its degree
+        argv = ["learn-poly", "--poly", '{"171": 1.0}', "--steps", "200", "--r", "20", "--n-val", "200"]
+        assert run([*argv, "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_learn_poly_refuses_a_bool_coefficient(self, tmp_path, capsys):
         assert run(["learn-poly", "--poly", '{"1,1,0": true}', "--out", str(tmp_path)]) == 1

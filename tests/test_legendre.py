@@ -1,5 +1,7 @@
 """Legendre basis: orthogonality, expansion table, tensor products."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,23 @@ from rf_lab.legendre import (
     MultiIndex,
     build_monomial_table,
     iter_multi_indices,
+    legendre_coefficient,
     legendre_eval,
     legendre_norm_sq,
-    multi_expansion_coeff,
     multi_legendre_eval,
     multi_norm_sq,
     tensor_grid,
 )
 from rf_lab.numerics import RandomSource, gauss_legendre_rule
+
+
+def multi_expansion_coeff(J, Jp, table):
+    """Coefficient of p_{J'} in the Legendre expansion of w^J: prod_i e(j_i, j'_i)."""
+    return math.prod(table[m, n] for m, n in zip(J.entries, Jp.entries))
+
+
+def entrywise_le(Jp, J):
+    return all(a <= b for a, b in zip(Jp.entries, J.entries))
 
 
 class TestOneVariable:
@@ -86,6 +97,24 @@ class TestMonomialTable:
             table[4, 0]
 
 
+class TestMonomialCoefficients:
+    @pytest.mark.parametrize("n", range(31))
+    def test_monomial_sum_is_the_recurrence(self, n):
+        # independent oracle: legendre_eval's three-term recurrence
+        w = np.linspace(-1.0, 1.0, 101)
+        terms = np.array([legendre_coefficient(n, m) * w**m for m in range(n + 1)])
+        err = np.abs(terms.sum(axis=0) - legendre_eval(n, w))
+        # both sides round to within n + 1 ulps of the terms' magnitudes (measured: 0.13 (n + 1))
+        assert np.all(err <= (n + 1) * 2.0**-52 * (np.abs(terms).sum(axis=0) + 1.0)), n
+
+    def test_inverse_of_the_expansion_table(self):
+        # sum_n e(m, n) a(n, m') = delta_{m m'}: a is e's inverse
+        table = build_monomial_table(12)
+        a = np.array([[legendre_coefficient(n, m) for m in range(13)] for n in range(13)])
+        assert np.max(np.abs(table @ a - np.eye(13))) < 1e-12
+        assert np.max(np.abs(a @ table - np.eye(13))) < 1e-12
+
+
 class TestTensorProducts:
     def test_all_zero_index_is_one(self):
         assert multi_legendre_eval(MultiIndex((0, 0, 0)), np.array([0.2, -0.9, 0.5])) == 1.0
@@ -142,7 +171,7 @@ class TestExpansionCoefficients:
         for _ in range(50):
             J = MultiIndex(tuple(int(j) for j in gen.integers(0, 4, size=3)))
             Jp = MultiIndex(tuple(int(j) for j in gen.integers(0, 4, size=3)))
-            if not (Jp <= J):
+            if not entrywise_le(Jp, J):
                 assert multi_expansion_coeff(J, Jp, table) == 0.0
 
 
@@ -157,5 +186,5 @@ class TestIteration:
         pos = {J: i for i, J in enumerate(idx)}
         for J in idx:
             for Jp in idx:
-                if Jp != J and Jp <= J:
+                if Jp != J and entrywise_le(Jp, J):
                     assert pos[Jp] < pos[J]

@@ -12,7 +12,6 @@ from rf_lab.legendre import (
     build_monomial_table,
     iter_multi_indices,
     legendre_eval,
-    multi_expansion_coeff,
     multi_norm_sq,
 )
 from rf_lab.numerics import RandomSource, uniform_ball
@@ -22,7 +21,6 @@ from rf_lab.poly_repr import (
     SparsePolynomial,
     construct_g,
     eval_g,
-    exp_taylor_coeff,
     exp_truncated,
     g_magnitude_bound,
     integral_feature_expectation,
@@ -34,22 +32,21 @@ from rf_lab.poly_repr import (
 def forward_coefficients(g, table, k):
     """Monomial coefficients that g produces, by the forward sum; the oracle for construct_g.
 
-    Runs the triangular system of the module docstring forwards: alpha_J is
-    (1/2)^d a_{|J|} (|J|! / J!) d^{-|J|/2} sum_{J' <= J} c_{J'} e_{J,J'} ||p_{J'}||^2.
+    Runs the system of the module docstring forwards through the e-table,
+    which construct_g never reads: alpha_J is
+    (1/2)^d a_{|J|} (|J|! / J!) d^{-|J|/2} sum_{J'} c_{J'} e_{J,J'} ||p_{J'}||^2.
     """
     d = g.dimension
     out = {}
-    indices = list(iter_multi_indices(d, k))
-    for J in indices:
+    for J in iter_multi_indices(d, k):
         a_deg = 1.0 / math.factorial(J.degree)
         multinomial = math.factorial(J.degree) // math.prod(math.factorial(j) for j in J.entries)
         scale = (0.5**d) * a_deg * multinomial / (math.sqrt(d) ** J.degree)
         acc = 0.0
-        for Jp in indices:
-            if Jp.degree <= J.degree and Jp <= J:
-                c = float(g.coefficients.get(Jp, 0.0))
-                if c != 0.0:
-                    acc += c * multi_expansion_coeff(J, Jp, table) * multi_norm_sq(Jp)
+        for Jp, c in g.coefficients.items():
+            e = math.prod(table[m, n] for m, n in zip(J.entries, Jp.entries))
+            if c != 0.0 and e != 0.0:
+                acc += c * e * multi_norm_sq(Jp)
         out[J] = scale * acc
     return out
 
@@ -74,8 +71,10 @@ def random_polynomial(gen, d, k):
 
 class TestActivations:
     def test_exp_taylor_coeffs(self):
-        assert exp_taylor_coeff(0) == 1.0
-        assert exp_taylor_coeff(3) == pytest.approx(1.0 / 6.0)
+        # exp_k(1) - exp_{k-1}(1) is the Taylor coefficient 1/k!
+        one = np.array([1.0])
+        assert exp_truncated(0)(one) == 1.0
+        assert exp_truncated(3)(one) - exp_truncated(2)(one) == pytest.approx([1.0 / 6.0])
 
     def test_exp_value(self):
         z = np.linspace(-1, 1, 9)
@@ -138,6 +137,15 @@ class TestConstructG:
         alpha_hat = forward_coefficients(g, table, P.degree)
         for J, val in alpha_hat.items():
             assert abs(val - P.coefficients.get(J, 0.0)) < 1e-10, J
+
+    @pytest.mark.parametrize("d, k, mixed", [(3, 6, True), (4, 8, True), (1, 15, False), (1, 30, False)])
+    def test_forward_system(self, d, k, mixed):
+        # the closed form read back through the e-table it never uses: x_1^k, with random lower terms if mixed
+        lower = random_polynomial(RandomSource(61).generator(d), d, k).coefficients if mixed else {}
+        P = SparsePolynomial(d, {**lower, MultiIndex((k,) + (0,) * (d - 1)): 0.5})
+        alpha_hat = forward_coefficients(construct_g(P), build_monomial_table(k), k)
+        for J, val in alpha_hat.items():
+            assert abs(val - P.coefficients.get(J, 0.0)) < 1e-12, J
 
 
 class TestVerificationOracle:
@@ -264,3 +272,16 @@ class TestSerialization:
     def test_dimension_consistency_enforced(self):
         with pytest.raises(ValueError):
             SparsePolynomial.from_json('{"1,0": 1.0, "1,0,0": 2.0}')
+
+    def test_negative_entry_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            MultiIndex((-1, 2))
+
+    def test_multi_index_of_another_dimension_refused(self):
+        with pytest.raises(ValueError, match="does not match dimension 2"):
+            SparsePolynomial(2, {MultiIndex((1, 0, 0)): 1.0})
+
+    def test_zero_term_is_skipped(self):
+        # 0 * (1e200)^2 would be 0 * inf = NaN
+        P = SparsePolynomial(2, {MultiIndex((2, 0)): 0.0, MultiIndex((0, 1)): 3.0})
+        assert P.evaluate(np.array([[1e200, 0.5]])).tolist() == [1.5]

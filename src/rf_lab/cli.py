@@ -151,13 +151,22 @@ def write_csv(path: Path, header, columns) -> None:
 
 
 def load_config(path: str) -> dict:
-    """Flat JSON config; raises UsageError with line/column on parse failure."""
+    """Flat JSON config; a parse failure (with line/column) or a repeated key raises UsageError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+
+    def unique(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise UsageError(f"config {path} names key {key!r} twice")
+            out[key] = value
+        return out
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"

@@ -184,7 +184,8 @@ def least_squares_fit(
     totals, in block order, and divides by the row count at the end.
 
     The ridge term is lambda = 1e-10 tr(G) / p, added to G's diagonal, so
-    the solve stays defined when features repeat or n_train < p.
+    the solve stays defined when features repeat or n_train < p; it is 1 when
+    tr(G) = 0, where every feature is dead, F^T y = 0 and so u = 0.
 
     Returns (u, population_error, max_abs_u, target_norm_sq), the last the
     held-out estimate of E[target(x)^2].  For k targets u is (p, k) and the
@@ -197,7 +198,7 @@ def least_squares_fit(
         y = target(X, F)
         gram += F.T @ F
         rhs = rhs + F.T @ y
-    gram.flat[:: p + 1] += 1e-10 * float(np.trace(gram)) / p
+    gram.flat[:: p + 1] += 1e-10 * float(np.trace(gram)) / p or 1.0
     u = np.linalg.solve(gram, rhs)
     del gram
     n_test = 10 * n_train
@@ -243,7 +244,7 @@ def _taylor_terms(d: int):
     ``scale[h, a]`` is 1/alpha! where |alpha| <= K and 0 past it.
     """
     K = _TAYLOR_ORDER
-    alphas = [J.entries for J in iter_multi_indices(d, K)]
+    alphas = list(iter_multi_indices(d, K))
     row = {beta: h for h, beta in enumerate(dict.fromkeys(alpha[:-1] for alpha in alphas))}
     scale = np.zeros((len(row), K + 1))
     for alpha in alphas:

@@ -3,7 +3,8 @@
 Everything here is built on the classical (unnormalized) family p_n on
 [-1, 1], with p_0 = 1, p_1(w) = w and the flat-measure inner product
 <p_m, p_n> = delta_{mn} * 2/(2n+1).  Multivariate polynomials use tensor
-products p_J(w) = p_{j_1}(w_1) ... p_{j_d}(w_d) indexed by multi-indices.
+products p_J(w) = p_{j_1}(w_1) ... p_{j_d}(w_d), a multi-index J being a tuple
+of d exponents.
 
 ``build_monomial_table`` returns e(m, n) = table[m, n] of the expansion
 
@@ -22,47 +23,13 @@ p_n(w) = sum_m a(n, m) w^m that ``legendre_coefficient`` returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent tuple J = (j_1, ..., j_d) of a monomial x^J."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(int(j) for j in self.entries)
-        if any(j < 0 for j in entries):
-            raise ValueError(f"multi-index entries must be nonnegative: {self.entries}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.entries)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __str__(self) -> str:
-        return ",".join(str(j) for j in self.entries)
-
-    @classmethod
-    def from_string(cls, text: str) -> "MultiIndex":
-        """Parse "j_1,...,j_d" of ASCII digits (int() also takes signs, spaces and "_")."""
-        parts = text.split(",")
-        for part in parts:
-            if not (part.isascii() and part.isdigit()):
-                raise ValueError(f"invalid literal for int() with base 10: {part!r}")
-        return cls(tuple(map(int, parts)))
-
-
 def iter_multi_indices(d: int, max_degree: int):
-    """All J with dim d and |J| <= max_degree, ascending degree then lexicographic.
+    """All tuples J of d exponents with |J| <= max_degree, by degree then lexicographic.
 
     The order of ``construct_g``'s coefficients, so of ``eval_g``'s sum.
     """
@@ -76,8 +43,7 @@ def iter_multi_indices(d: int, max_degree: int):
                 yield (first, *rest)
 
     for degree in range(max_degree + 1):
-        for entries in sorted(comps(degree, d)):
-            yield MultiIndex(entries)
+        yield from comps(degree, d)
 
 
 def legendre_eval(n: int, w):
@@ -125,21 +91,21 @@ def build_monomial_table(m_max: int) -> np.ndarray:
     return e
 
 
-def multi_legendre_eval(J: MultiIndex, w):
+def multi_legendre_eval(J: tuple, w):
     """Tensor-product values p_J(w) at points w of shape (..., d)."""
-    if w.shape[-1] != J.dim:
-        raise ValueError(f"point dimension {w.shape[-1]} != multi-index dimension {J.dim}")
+    if w.shape[-1] != len(J):
+        raise ValueError(f"point dimension {w.shape[-1]} != multi-index dimension {len(J)}")
     out = np.ones(w.shape[:-1])
-    for axis, j in enumerate(J.entries):
+    for axis, j in enumerate(J):
         if j:
             out = out * legendre_eval(j, w[..., axis])
     return out
 
 
-def multi_norm_sq(J: MultiIndex) -> float:
+def multi_norm_sq(J: tuple) -> float:
     """||p_J||^2 = prod_i 2/(2 j_i + 1) on [-1, 1]^d."""
     out = 1.0
-    for j in J.entries:
+    for j in J:
         out *= legendre_norm_sq(j)
     return out
 

@@ -41,7 +41,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .legendre import (
-    MultiIndex,
     iter_multi_indices,
     legendre_coefficient,
     multi_legendre_eval,
@@ -53,19 +52,19 @@ from .numerics import RandomSource, gauss_legendre_rule, uniform_cube
 
 @dataclass(frozen=True)
 class SparsePolynomial:
-    """P(x) = sum_J alpha_J x^J with a sparse coefficient map."""
+    """P(x) = sum_J alpha_J x^J with a sparse map from exponent tuples J to alpha_J."""
 
     dimension: int
-    coefficients: Mapping[MultiIndex, float]
+    coefficients: Mapping[tuple, float]
 
     def __post_init__(self):
         for J in self.coefficients:
-            if J.dim != self.dimension:
-                raise ValueError(f"multi-index {J} does not match dimension {self.dimension}")
+            if len(J) != self.dimension:
+                raise ValueError(f"multi-index {','.join(map(str, J))} does not match dimension {self.dimension}")
 
     @property
     def degree(self) -> int:
-        degs = [J.degree for J, a in self.coefficients.items() if a != 0.0]
+        degs = [sum(J) for J, a in self.coefficients.items() if a != 0.0]
         return max(degs) if degs else 0
 
     @property
@@ -80,7 +79,7 @@ class SparsePolynomial:
             if a == 0.0:
                 continue
             term = np.full(len(x), a)
-            for axis, j in enumerate(J.entries):
+            for axis, j in enumerate(J):
                 if j:
                     term = term * x[:, axis] ** j
             out += term
@@ -100,11 +99,15 @@ class SparsePolynomial:
                 value = math.nan
             if not math.isfinite(value):
                 raise ValueError(f"coefficient of {key!r} must be a finite number, got {val!r}")
-            J = MultiIndex.from_string(key)
+            parts = key.split(",")
+            for part in parts:  # int() alone also takes signs, spaces and "_"
+                if not (part.isascii() and part.isdigit()):
+                    raise ValueError(f"invalid literal for int() with base 10: {part!r}")
+            J = tuple(map(int, parts))
             if J in coeffs:
-                raise ValueError(f"monomial {J} is named twice, the second time as {key!r}")
+                raise ValueError(f"monomial {','.join(map(str, J))} is named twice, the second time as {key!r}")
             coeffs[J] = value
-        dims = {J.dim for J in coeffs}
+        dims = {len(J) for J in coeffs}
         if len(dims) != 1:
             raise ValueError("all multi-index keys must have the same length")
         return cls(dims.pop(), coeffs)
@@ -132,7 +135,7 @@ class LegendreExpansion:
     """g(w) = sum_{|J| <= k} c_J p_J(sqrt(d) w) on the cube [-1/sqrt(d), 1/sqrt(d)]^d."""
 
     dimension: int
-    coefficients: Mapping[MultiIndex, float]
+    coefficients: Mapping[tuple, float]
 
     @property
     def normalizer(self) -> float:
@@ -146,14 +149,14 @@ def construct_g(P: SparsePolynomial) -> LegendreExpansion:
     float range, inf, reaches only the c_{J'} it feeds."""
     d = P.dimension
     b = [
-        (J.entries, 2.0**d * math.sqrt(d) ** J.degree * math.prod(map(math.factorial, J.entries)) * alpha)
+        (J, 2.0**d * math.sqrt(d) ** sum(J) * math.prod(map(math.factorial, J)) * alpha)
         for J, alpha in P.coefficients.items() if alpha != 0.0
     ]
-    coeffs: dict[MultiIndex, float] = {}
+    coeffs: dict[tuple, float] = {}
     for Jp in iter_multi_indices(d, P.degree):
         acc = 0.0
-        for entries, b_J in b:
-            weight = math.prod(legendre_coefficient(n, m) for n, m in zip(Jp.entries, entries))
+        for J, b_J in b:
+            weight = math.prod(legendre_coefficient(n, m) for n, m in zip(Jp, J))
             if weight:
                 acc += b_J * weight
         coeffs[Jp] = acc / multi_norm_sq(Jp)
@@ -183,14 +186,14 @@ def max_abs_g(g: LegendreExpansion, rng: RandomSource) -> float:
 
 
 def g_magnitude_bound(d: int, k: int, alpha: float) -> Fraction:
-    """The a-priori bound beta = max(1, alpha)^k (A/a)^k (12 d)^{2 k^2} on max |g|
+    """The a-priori bound beta = max(1, alpha)^max(k, 1) (A/a)^k (12 d)^{2 k^2} on max |g|
     for a degree-k polynomial on R^d with coefficients at most alpha in
     magnitude, where a = 1/k! and A = 1 bracket exp's Taylor coefficients
-    a_1, ..., a_k, so A/a = k!.
+    a_1, ..., a_k, so A/a = k!.  At k = 0, g is P's constant, so |g| <= alpha.
 
     Exact: beta overflows a double already at moderate d and k.
     """
-    return Fraction(max(1.0, alpha)) ** k * Fraction(math.factorial(k)) ** k * Fraction(12 * d) ** (2 * k * k)
+    return Fraction(max(1.0, alpha)) ** max(k, 1) * Fraction(math.factorial(k)) ** k * Fraction(12 * d) ** (2 * k * k)
 
 
 def cube_quadrature(d: int, order: int):

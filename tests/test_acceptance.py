@@ -31,7 +31,6 @@ from rf_lab.hardness import (
     relu_exp_identity_check,
 )
 from rf_lab.legendre import (
-    MultiIndex,
     build_monomial_table,
     iter_multi_indices,
     legendre_eval,
@@ -178,7 +177,7 @@ def test_criterion_03_concentration_rate(conc_dir):
 
 
 def test_criterion_04_sgd_learn_poly():
-    P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})  # sup over the ball = 1
+    P = SparsePolynomial(3, {(1, 1, 0): 2.0})  # sup over the ball = 1
     sampler = margin_filtered_sampler(P, 0.3)
     rng = RandomSource(20240404)
     result = sgd_train(3, sampler, 1000, 0.01, 200_000, rng, 2000)

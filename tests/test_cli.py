@@ -17,7 +17,7 @@ import pytest
 import rf_lab
 from rf_lab import cli, hardness
 from rf_lab.cli import BLAS_THREAD_VARS, CSV_CELLS, run, write_csv
-from rf_lab.legendre import MultiIndex, build_monomial_table
+from rf_lab.legendre import build_monomial_table
 from rf_lab.numerics import RandomSource, gauss_legendre_rule, uniform_ball
 from rf_lab.parallel import usable_cpus
 from rf_lab.poly_repr import (
@@ -263,6 +263,11 @@ class TestExitCodes:
         assert run(["represent-poly", "--poly", poly, "--out", str(tmp_path)]) == 0
         assert "largest share of its rounding bound" in capsys.readouterr().out
 
+    def test_constant_polynomial_is_within_its_bound(self, tmp_path, capsys):
+        # at degree 0, g is the constant alpha itself
+        assert run(["represent-poly", "--poly", '{"0,0": 1.5}', "--out", str(tmp_path)]) == 0
+        assert "max |g| on grid: 1.5 vs bound 1.5" in capsys.readouterr().out
+
     def test_perturbed_g_fails_the_residual_check(self, tmp_path, capsys, monkeypatch):
         def perturbed(P):
             # the largest coefficient moved by 1e-6 of itself
@@ -414,11 +419,16 @@ REFUSALS = [
     ("neuron-control", ["neuron-inapprox"],
      ("neuron_inapprox_sweep", lambda *a: [(4, "control", 1e-3, 1.0, 0)]), 2,
      "realizable control at d=4 has error 1.000e-03 >= 1e-6"),
+    # one training point on which every feature is dead: the fit is u = 0, not a singular solve
+    ("neuron-control-dead-features", ["neuron-inapprox", "--r", "1", "--n-train", "1", "--d-values", "4"], None, 2,
+     "realizable control at d=4 has error 1.000e+00 >= 1e-6"),
     ("sampler-labels", SMALL_LEARN_POLY, ("margin_filtered_sampler", _zero_labels), 1,
      "sampler produced labels outside {-1, +1}"),
     ("config-unreadable", ["psi-check", "--config", "{tmp}/missing.json"], None, 1, "cannot read config file "),
     ("config-not-object", ["psi-check", "--config", "{tmp}/list.json"], None, 1, "config {tmp}/list.json must "
      "contain a JSON object"),
+    ("config-repeated-key", ["represent-poly", "--config", "{tmp}/twice.json"], None, 1, "config {tmp}/twice.json "
+     "names key 'probes' twice"),
 ]
 
 
@@ -426,6 +436,7 @@ class TestRefusalPaths:
     @pytest.mark.parametrize("argv, patch, code, named", [pytest.param(*case[1:], id=case[0]) for case in REFUSALS])
     def test_refusal_exits_naming_its_check(self, tmp_path, capsys, monkeypatch, argv, patch, code, named):
         (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "twice.json").write_text('{"probes": 5, "probes": 7}')
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         named = named.replace("{tmp}", str(tmp_path))
         if patch is not None:
@@ -625,7 +636,7 @@ class TestCommandOutputs:
         assert len(ckpt["W"]) == 30 * 3 and len(ckpt["U"]) == 30
         trace = (tmp_path / "learn-poly" / "learn_poly_trace.csv").read_text().splitlines()
         assert trace[0] == "step,loss,run_avg_loss,w_drift,u_norm,w_norm"
-        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        P = SparsePolynomial(3, {(1, 1, 0): 2.0})
         result = sgd_train(3, margin_filtered_sampler(P, 0.3), 30, 0.01, 400, RandomSource(4), 2000)
         # header + one row per update record, the last at step 400
         assert len(trace) == 1 + len(result.trace.steps)

@@ -24,7 +24,6 @@ from rf_lab.features import (
     relu,
     row_blocks,
 )
-from rf_lab.legendre import MultiIndex
 from rf_lab.numerics import (
     RandomSource,
     uniform_ball,
@@ -108,7 +107,7 @@ class TestFeatureMatrix:
 
 @pytest.fixture(scope="module")
 def g():
-    P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
+    P = SparsePolynomial(2, {(1, 1): 1.0})
     return construct_g(P)
 
 
@@ -119,7 +118,7 @@ def averaged_weights(g, sample):
 
 class TestApproximant:
     def test_constant_g_gives_uniform_weights(self):
-        g = LegendreExpansion(2, {MultiIndex((0, 0)): 4.5})
+        g = LegendreExpansion(2, {(0, 0): 4.5})
         sample = draw(np.exp, uniform_cube, 2, 8, RandomSource(10))
         assert np.allclose(averaged_weights(g, sample), 4.5 / 8)
 
@@ -246,7 +245,7 @@ class TestBlockedPredict:
 
         monkeypatch.setattr(features, "feature_matrix", recording)
         monkeypatch.setattr(features, "_power_blocks", recording_blocks)
-        P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
+        P = SparsePolynomial(2, {(1, 1): 1.0})
         concentration_experiment(P, [64, 1024, 4096], trials=2, probes=300, rng=RandomSource(60))
         # r = 64 is direct, one block of 300 rows; r = 1024 and 4096 take the
         # moment path, in blocks of 65536 // 95 = 689 points: 2 + 1 and 6 + 1
@@ -406,6 +405,16 @@ class TestLeastSquares:
             direction /= np.linalg.norm(direction)
             for s in (1e-3, -1e-3):
                 assert objective(u + s * direction) >= base
+
+    def test_every_feature_dead_fits_zero(self):
+        # G = 0 and F^T y = 0: the ridge must stay positive for the solve to exist
+        sample = FeatureSample(relu, np.zeros((3, 4)))
+        target = lambda X, F: np.sin(X[:, 0])  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u, err, max_u, norm = least_squares_fit(sample, target, 50, RandomSource(36))
+        assert np.array_equal(u, np.zeros(3)) and max_u == 0.0
+        assert err == norm > 0.0
 
     def test_training_error_monotone_in_nested_r(self):
         fam = (relu, unit_sphere)
@@ -599,7 +608,7 @@ R_VALUES = [64, 256, 1024]
 
 @pytest.fixture(scope="module")
 def result():
-    P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
+    P = SparsePolynomial(2, {(1, 1): 1.0})
     return concentration_experiment(P, R_VALUES, trials=5, probes=500, rng=RandomSource(77))
 
 
@@ -612,7 +621,7 @@ def assert_same_result(got, expected):
 class TestConcentration:
 
     def test_deterministic(self, result):
-        P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
+        P = SparsePolynomial(2, {(1, 1): 1.0})
         again = concentration_experiment(P, R_VALUES, trials=5, probes=500, rng=RandomSource(77))
         assert_same_result(again, result)
 
@@ -647,7 +656,7 @@ class TestConcentration:
     def test_rows_and_weight_sup_from_each_cells_draw(self, result):
         # cell (ri, r, t) draws r cube weights from rng.derive(1, ri, t); its
         # coefficients are u = g(w) / r and it reports max |u| and max |g(w)|
-        P = SparsePolynomial(2, {MultiIndex((1, 1)): 1.0})
+        P = SparsePolynomial(2, {(1, 1): 1.0})
         g = construct_g(P)
         rng = RandomSource(77)
         probes = uniform_ball(2, 500, rng.generator(0))

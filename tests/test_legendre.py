@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rf_lab.legendre import (
-    MultiIndex,
     build_monomial_table,
     iter_multi_indices,
     legendre_coefficient,
@@ -21,11 +20,11 @@ from rf_lab.numerics import RandomSource, gauss_legendre_rule
 
 def multi_expansion_coeff(J, Jp, table):
     """Coefficient of p_{J'} in the Legendre expansion of w^J: prod_i e(j_i, j'_i)."""
-    return math.prod(table[m, n] for m, n in zip(J.entries, Jp.entries))
+    return math.prod(table[m, n] for m, n in zip(J, Jp))
 
 
 def entrywise_le(Jp, J):
-    return all(a <= b for a, b in zip(Jp.entries, J.entries))
+    return all(a <= b for a, b in zip(Jp, J))
 
 
 class TestOneVariable:
@@ -117,31 +116,31 @@ class TestMonomialCoefficients:
 
 class TestTensorProducts:
     def test_all_zero_index_is_one(self):
-        assert multi_legendre_eval(MultiIndex((0, 0, 0)), np.array([0.2, -0.9, 0.5])) == 1.0
+        assert multi_legendre_eval((0, 0, 0), np.array([0.2, -0.9, 0.5])) == 1.0
 
     def test_product_of_linears(self):
-        got = multi_legendre_eval(MultiIndex((1, 1)), np.array([0.5, -0.2]))
+        got = multi_legendre_eval((1, 1), np.array([0.5, -0.2]))
         assert got == pytest.approx(-0.1)
 
     def test_mixed_degrees(self):
-        got = multi_legendre_eval(MultiIndex((2, 0)), np.array([0.5, 0.9]))
+        got = multi_legendre_eval((2, 0), np.array([0.5, 0.9]))
         assert got == pytest.approx(-0.125)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            multi_legendre_eval(MultiIndex((1, 2)), np.array([0.1, 0.2, 0.3]))
+            multi_legendre_eval((1, 2), np.array([0.1, 0.2, 0.3]))
 
     def test_multi_norm_values(self):
-        assert multi_norm_sq(MultiIndex((0,) * 5)) == pytest.approx(32.0)
-        assert multi_norm_sq(MultiIndex((1, 1, 0))) == pytest.approx(8.0 / 9.0)
-        assert multi_norm_sq(MultiIndex((1, 1, 0, 0))) == pytest.approx(16.0 / 9.0)
+        assert multi_norm_sq((0,) * 5) == pytest.approx(32.0)
+        assert multi_norm_sq((1, 1, 0)) == pytest.approx(8.0 / 9.0)
+        assert multi_norm_sq((1, 1, 0, 0)) == pytest.approx(16.0 / 9.0)
 
     def test_tensor_orthogonality_random_pairs(self):
         pts, wts = tensor_grid(*gauss_legendre_rule(12), 3)
         gen = RandomSource(99).generator()
         for _ in range(20):
-            J = MultiIndex(tuple(int(j) for j in gen.integers(0, 5, size=3)))
-            Jp = MultiIndex(tuple(int(j) for j in gen.integers(0, 5, size=3)))
+            J = tuple(int(j) for j in gen.integers(0, 5, size=3))
+            Jp = tuple(int(j) for j in gen.integers(0, 5, size=3))
             inner = float(wts @ (multi_legendre_eval(J, pts) * multi_legendre_eval(Jp, pts)))
             expected = multi_norm_sq(J) if J == Jp else 0.0
             assert abs(inner - expected) < 1e-10, (J, Jp)
@@ -150,15 +149,15 @@ class TestTensorProducts:
 class TestExpansionCoefficients:
     def test_base_case(self):
         table = build_monomial_table(2)
-        assert multi_expansion_coeff(MultiIndex((0, 0)), MultiIndex((0, 0)), table) == 1.0
+        assert multi_expansion_coeff((0, 0), (0, 0), table) == 1.0
 
     def test_parity_zero(self):
         table = build_monomial_table(2)
-        assert multi_expansion_coeff(MultiIndex((2, 0)), MultiIndex((1, 0)), table) == 0.0
+        assert multi_expansion_coeff((2, 0), (1, 0), table) == 0.0
 
     def test_w_squared_constant_part(self):
         table = build_monomial_table(2)
-        got = multi_expansion_coeff(MultiIndex((2, 0)), MultiIndex((0, 0)), table)
+        got = multi_expansion_coeff((2, 0), (0, 0), table)
         # oracle: <w^2, p_0> / ||p_0||^2 by quadrature
         nodes, weights = gauss_legendre_rule(10)
         oracle = float(weights @ nodes**2) / legendre_norm_sq(0)
@@ -169,8 +168,8 @@ class TestExpansionCoefficients:
         table = build_monomial_table(6)
         gen = RandomSource(123).generator()
         for _ in range(50):
-            J = MultiIndex(tuple(int(j) for j in gen.integers(0, 4, size=3)))
-            Jp = MultiIndex(tuple(int(j) for j in gen.integers(0, 4, size=3)))
+            J = tuple(int(j) for j in gen.integers(0, 4, size=3))
+            Jp = tuple(int(j) for j in gen.integers(0, 4, size=3))
             if not entrywise_le(Jp, J):
                 assert multi_expansion_coeff(J, Jp, table) == 0.0
 
@@ -179,7 +178,7 @@ class TestIteration:
     def test_order_ascending_degree_then_lex(self):
         idx = list(iter_multi_indices(2, 2))
         expected = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-        assert [J.entries for J in idx] == expected
+        assert idx == expected
 
     def test_all_predecessors_come_first(self):
         idx = list(iter_multi_indices(3, 3))

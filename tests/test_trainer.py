@@ -11,7 +11,6 @@ import pytest
 
 import rf_lab.trainer as trainer_mod
 from rf_lab import _sgd_numpy, cli
-from rf_lab.legendre import MultiIndex
 from rf_lab.features import PREDICT_CELLS, predict_block_rows, row_blocks
 from rf_lab.numerics import RandomSource, uniform_ball
 from rf_lab.poly_repr import EXP_LIPSCHITZ, SparsePolynomial
@@ -408,7 +407,7 @@ class TestSGD:
         # one bound for both, as the run holds one checkpoint chunk of the stream, the
         # scan and validation buffers and the update records (per-step arrays would
         # take 8 MB per column at a million steps)
-        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        P = SparsePolynomial(3, {(1, 1, 0): 2.0})
         for r, steps in ((1000, 200_000), (100, 1_000_000)):
             cfg = Hyper(r=r, eta=0.01, steps=steps)
             tracemalloc.start()
@@ -558,7 +557,7 @@ class TestDrift:
 
 class TestMarginSampler:
     def test_contract(self):
-        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        P = SparsePolynomial(3, {(1, 1, 0): 2.0})
         sampler = margin_filtered_sampler(P, 0.3)
         X, y = sampler(500, RandomSource(18).generator())
         assert X.shape == (500, 3) and y.shape == (500,)
@@ -570,13 +569,13 @@ class TestMarginSampler:
     @pytest.mark.parametrize("margin", [1.0 + 1e-9, 2.0])
     def test_unreachable_margin_raises(self, margin):
         # sup |P| over the ball is 1: no draw can pass, so the sampler stops at its draw cap
-        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        P = SparsePolynomial(3, {(1, 1, 0): 2.0})
         with pytest.raises(ValueError, match=f"margin {margin} accepted 0 of"):
             margin_filtered_sampler(P, margin)(10, RandomSource(18).generator())
 
     def test_unreachable_margin_stops_after_the_first_empty_draws(self):
         # one checkpoint chunk at learn-poly's default steps: blocks of 2 n draws accept none
-        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        P = SparsePolynomial(3, {(1, 1, 0): 2.0})
         n = chunk_sizes(200_000)[0]
         gen = CountingGenerator(RandomSource(18).generator())
         with pytest.raises(ValueError, match="accepted 0 of 100000 draws"):
@@ -587,7 +586,7 @@ class TestMarginSampler:
     # blocks, a low acceptance rate, and learn-poly's default steps
     @pytest.mark.parametrize("margin, n", [(0.3, 1), (0.3, 500), (0.9, 2000), (0.3, 200_001)])
     def test_cap_leaves_reachable_draws_unchanged(self, margin, n):
-        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        P = SparsePolynomial(3, {(1, 1, 0): 2.0})
         reference, sampler = uncapped_margin_sampler(P, margin), margin_filtered_sampler(P, margin)
         X_ref, y_ref = reference(n, RandomSource(18).generator())
         X, y = sampler(n, RandomSource(18).generator())
@@ -599,7 +598,7 @@ class TestMarginSampler:
         assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
     def test_last_kept_row_inside_a_block(self):
-        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        P = SparsePolynomial(3, {(1, 1, 0): 2.0})
         margin, n = 0.05, 30_000
         # the first block keeps fewer than n rows; the second keeps rows past the n-th, which are dropped
         gen = RandomSource(18).generator()
@@ -612,7 +611,7 @@ class TestMarginSampler:
         assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
     def test_memory_follows_the_block(self):
-        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        P = SparsePolynomial(3, {(1, 1, 0): 2.0})
         sampler = margin_filtered_sampler(P, 0.3)
         gen = RandomSource(18).generator()  # its first call imports modules
         tracemalloc.start()
@@ -1005,7 +1004,7 @@ class TestTraceCsv:
         argv = ["learn-poly", "--steps", str(T), "--r", str(r), "--n-val", "50", "--seed", str(seed)]
         assert cli.run([*argv, "--out", str(tmp_path)]) == 0
 
-        P = SparsePolynomial(3, {MultiIndex((1, 1, 0)): 2.0})
+        P = SparsePolynomial(3, {(1, 1, 0): 2.0})
         rng = RandomSource(seed)
         net = xavier_init(3, r, rng.derive(0))
         W0 = net.W.copy()

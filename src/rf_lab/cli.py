@@ -561,6 +561,8 @@ def _cmd_correlation_decay(cfg: ExperimentConfig):
 
 def _cmd_neuron_inapprox(cfg: ExperimentConfig):
     p = cfg.params
+    if p["n_train"] <= p["r"]:  # the realizable control needs more points than features
+        raise UsageError(f"--n-train must be > --r ({p['r']}), got {p['n_train']}")
     rows = neuron_inapprox_sweep(p["r"], p["d_values"], p["n_train"], RandomSource(cfg.seed), cfg.jobs)
     failures = []
     for d, target, err, _, _ in rows:

@@ -19,9 +19,9 @@ sum_{|alpha| <= K} w^alpha x^alpha / alpha! to within e/(K+1)! <= 2^-53,
 the explicit Taylor feature map of the exponential kernel (Cotter, Keshet
 and Srebro, arXiv:1109.4603), so the network is sum_alpha M_alpha x^alpha
 with M_alpha = sum_i u_i w_i^alpha / alpha!: m = C(d + K, d) moments, summed
-once over the r features.  A cell takes this moment path iff its
-m (r + n) values are fewer than predict's n r; ``predict`` stays the other
-path and the moment path's oracle.
+once over the r features.  A cell takes this moment path iff its GEMMs
+cost less than predict's n r exps (``_moments_pay``); ``predict`` stays the
+other path and the moment path's oracle.
 """
 
 from __future__ import annotations
@@ -226,11 +226,16 @@ _TAYLOR_ORDER = next(K for K in range(64) if math.e / math.factorial(K + 1) <= 2
 
 
 def _moments_pay(d: int, r: int, n: int) -> bool:
-    """True iff r exp features in dimension d cost fewer values at n points
-    through their m = C(d + K, d) Taylor moments, m (r + n), than through
-    ``predict``'s n r exps."""
-    m = math.comb(d + _TAYLOR_ORDER, d)
-    return m * (r + n) < n * r
+    """True iff r exp features in dimension d cost less at n points through
+    ``_moment_predict`` than through ``predict``'s n r exps.
+
+    The moment path's two GEMMs take m' (K + 1) multiply-adds per weight and
+    per point, m' = C(d - 1 + K, d - 1) the heads of ``_taylor_terms``, and
+    its blocks' set-up about 2^17 more; one exp feature value costs about
+    4 of them (best-of timings of both paths at d <= 3 and n = 200 to 2000).
+    """
+    gemm = math.comb(d - 1 + _TAYLOR_ORDER, d - 1) * (_TAYLOR_ORDER + 1)
+    return gemm * (r + n) + 2**17 < 4 * n * r
 
 
 @cache
@@ -336,10 +341,10 @@ def concentration_experiment(
     u_i = g(w_i)/r approximant, and measures max_t |f_hat(x_t) - f(x_t)|
     over a fixed probe set in the unit ball, where f is the quadrature value
     of the feature expectation (exp, not its Taylor truncation).  A cell
-    whose m (r + probes) Taylor moment values are fewer than its
-    r * probes exps evaluates f_hat through the moments (see the module
-    docstring): its sup error then differs from ``predict``'s in the last
-    digits, within e/(K+1)! sum_i |u_i| plus rounding.
+    for which ``_moments_pay`` picks the moment path evaluates f_hat
+    through the moments (see the module docstring): its sup error then
+    differs from ``predict``'s in the last digits, within e/(K+1)! sum_i |u_i|
+    plus rounding.
     Deterministic given rng: draw (ri, r, t) takes its weights from
     ``rng.derive(1, ri, t)``.  The draws run in turn in the calling process;
     together they take well under a second at the CLI defaults, less than a

@@ -192,6 +192,7 @@ class TestExitCodes:
             ("argv0", ["params", "--alpha", "-5"], "--alpha must be > 0, got -5.0"),
             ("argv1", ["psi-check", "--jobs", "0"], "--jobs must be >= 1, got 0"),
             ("argv5", ["learn-poly", "--comparator-scale", "nan"], "--comparator-scale must be > 0, got nan"),
+            ("n-train-at-r", ["neuron-inapprox", "--n-train", "200"], "--n-train must be > --r (200), got 200"),
         ]
     ])
     def test_refusal_names_the_flag_and_value(self, tmp_path, capsys, argv, message):
@@ -419,9 +420,9 @@ REFUSALS = [
     ("neuron-control", ["neuron-inapprox"],
      ("neuron_inapprox_sweep", lambda *a: [(4, "control", 1e-3, 1.0, 0)]), 2,
      "realizable control at d=4 has error 1.000e-03 >= 1e-6"),
-    # one training point on which every feature is dead: the fit is u = 0, not a singular solve
-    ("neuron-control-dead-features", ["neuron-inapprox", "--r", "1", "--n-train", "1", "--d-values", "4"], None, 2,
-     "realizable control at d=4 has error 1.000e+00 >= 1e-6"),
+    # one training point for one feature: too few to fit the realizable control
+    ("neuron-control-dead-features", ["neuron-inapprox", "--r", "1", "--n-train", "1", "--d-values", "4"], None, 1,
+     "--n-train must be > --r (1), got 1"),
     ("sampler-labels", SMALL_LEARN_POLY, ("margin_filtered_sampler", _zero_labels), 1,
      "sampler produced labels outside {-1, +1}"),
     ("config-unreadable", ["psi-check", "--config", "{tmp}/missing.json"], None, 1, "cannot read config file "),

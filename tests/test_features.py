@@ -317,10 +317,11 @@ class TestMomentPath:
         assert math.e / math.factorial(K + 1) <= 2.0**-53 < math.e / math.factorial(K)
         assert (K, math.comb(2 + K, 2)) == (18, 190)
 
+    # crossover r = (g n + 2^17) / (4 n - g), g = 19, 361, 3610 at d = 1, 2, 3
     @pytest.mark.parametrize("d, n, r_values", [
-        (1, 500, (8, 64)),  # crossover r = 19 * 500 / 481 ~ 19.8
-        (2, 500, (256, 1024)),  # 190 * 500 / 310 ~ 306
-        (3, 2000, (2048, 4096)),  # 1330 * 2000 / 670 ~ 3970
+        (1, 500, (8, 256)),  # ~ 71.0
+        (2, 500, (128, 1024)),  # ~ 190.1
+        (3, 2000, (1024, 4096)),  # ~ 1674.5
     ])
     def test_agrees_with_predict_on_both_sides_of_the_crossover(self, d, n, r_values):
         direct, moments = r_values
@@ -336,7 +337,7 @@ class TestMomentPath:
     def test_each_cell_takes_the_path_its_count_picks(self):
         params = cli.COMMANDS["concentration"]["params"]
         r_values, probes = params["r"][1], params["probes"][1]
-        assert [features._moments_pay(2, r, probes) for r in r_values] == [r >= 256 for r in r_values]
+        assert [features._moments_pay(2, r, probes) for r in r_values] == [r >= 128 for r in r_values]
         # the benchmark tracer's small run (probes 200, r <= 256) pins its
         # feature matrix bytes, so it stays direct
         assert not any(features._moments_pay(2, r, 200) for r in (64, 128, 256))

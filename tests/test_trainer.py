@@ -745,11 +745,11 @@ def scan_spy(monkeypatch):
     nets = []
     original = _sgd_numpy._clear_steps
 
-    def spy(net, X, *rest):
+    def spy(net, X, x_inf, Y, *rest):
         if calls and calls[-1][1] < calls[-1][0] and nets[-1] is net:
             calls[-1][2] = True
-        cleared = original(net, X, *rest)
-        calls.append([len(X), cleared, False])
+        cleared = original(net, X, x_inf, Y, *rest)
+        calls.append([len(Y), cleared, False])
         nets.append(net)
         return cleared
 
@@ -922,18 +922,19 @@ class TestKernelOracle:
         assert np.count_nonzero(slow[2][:-1]) > 50 and sum(c for _, c, _ in scan_spy) > 1500
         assert np.all(np.abs(fast[0][:, 2]) < 2.0**-126)
 
-    def test_float32_exp_within_scan_bound(self):
-        """The scan's bound assumes NumPy's float32 exp errs by at most 8u relatively
-        (u = 2^-24), plus 2 * 2^-149 where it returns a subnormal."""
+    def test_float32_exp2_within_scan_bound(self):
+        """The scan's bound assumes NumPy's float32 exp2 errs by at most 8u relatively
+        (u = 2^-24), plus 2 * 2^-149 where it returns a subnormal, on the arguments
+        it reads, z log2(e) for float32 exp's range of z."""
         gen = RandomSource(41).generator()
         u, tiny = 2.0**-24, 2.0**-149
-        z = np.concatenate([np.linspace(-87.0, 88.0, 1_000_001), gen.uniform(-87.0, 88.0, 10**6)])
+        z = np.concatenate([np.linspace(-126.0, 127.9, 1_000_001), gen.uniform(-126.0, 127.9, 10**6)])
         z = z.astype(np.float32)
-        exact = np.exp(z.astype(float))
-        assert np.all(np.abs(np.exp(z) - exact) <= 8 * u * exact)
-        z = np.linspace(-104.0, -87.0, 100_001).astype(np.float32)  # subnormal results and 0
-        exact = np.exp(z.astype(float))
-        assert np.all(np.abs(np.exp(z) - exact) <= 8 * u * exact + 2 * tiny)
+        exact = np.exp2(z.astype(float))
+        assert np.all(np.abs(np.exp2(z) - exact) <= 8 * u * exact)
+        z = np.linspace(-151.0, -126.0, 100_001).astype(np.float32)  # subnormal results and 0
+        exact = np.exp2(z.astype(float))
+        assert np.all(np.abs(np.exp2(z) - exact) <= 8 * u * exact + 2 * tiny)
 
     def test_tol_clears_a_learn_poly_stream(self, scan_spy):
         """Guard against a tol too loose to clear steps: on a stream shaped like

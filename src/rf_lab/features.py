@@ -339,7 +339,7 @@ def concentration_experiment(
 
     For each feature count r and trial, samples cube features, forms the
     u_i = g(w_i)/r approximant, and measures max_t |f_hat(x_t) - f(x_t)|
-    over a fixed probe set in the unit ball, where f is the quadrature value
+    over a fixed probe set in the unit ball, where f is the closed-form value
     of the feature expectation (exp, not its Taylor truncation).  A cell
     for which ``_moments_pay`` picks the moment path evaluates f_hat
     through the moments (see the module docstring): its sup error then
@@ -356,7 +356,7 @@ def concentration_experiment(
     """
     g = construct_g(P)
     probe_pts = uniform_ball(P.dimension, probes, rng.generator(0))
-    f_vals = integral_feature_expectation(g, np.exp, probe_pts, P.degree + 6)
+    f_vals = integral_feature_expectation(g, probe_pts)
     grid_c = max_abs_g(g, rng.derive(2))
     sup_err = np.empty((len(r_values), trials))
     max_u = np.empty_like(sup_err)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rf_lab
-from rf_lab import cli, hardness
+from rf_lab import cli, hardness, numerics, poly_repr
 from rf_lab.cli import BLAS_THREAD_VARS, CSV_CELLS, run, write_csv
 from rf_lab.legendre import build_monomial_table
 from rf_lab.numerics import RandomSource, gauss_legendre_rule, uniform_ball
@@ -32,6 +32,21 @@ from rf_lab.trainer import DriftReport, guarantee_params, margin_filtered_sample
 
 def read(path):
     return path.read_bytes()
+
+
+@pytest.fixture
+def rule_orders(monkeypatch):
+    """The order of every Gauss-Legendre rule built while the test runs, in every rf_lab namespace."""
+    orders = []
+
+    def recording(order):
+        orders.append(order)
+        return gauss_legendre_rule(order)
+
+    for module in (cli, hardness, numerics, poly_repr):
+        assert module.gauss_legendre_rule is gauss_legendre_rule
+        monkeypatch.setattr(module, "gauss_legendre_rule", recording)
+    return orders
 
 
 # (command line, the flag its error must name)
@@ -286,19 +301,33 @@ class TestExitCodes:
         assert run(["represent-poly", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("VALIDATION FAILURE: truncated-mode residual")
 
-    def test_check_orders_follow_the_degree(self, tmp_path, capsys, monkeypatch):
-        orders = []
-
-        def recording(function):
-            def record(*args):
-                orders.append((function.__name__, args[-1]))
-                return function(*args)
-            return record
-
-        for name in ("truncated_residual", "integral_feature_expectation"):
-            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    def test_check_orders_follow_the_degree(self, tmp_path, capsys, rule_orders):
+        # one cube rule, the truncated check's; f is in closed form
         assert run(["represent-poly", "--poly", '{"1,1,1": 1.0}', "--out", str(tmp_path)]) == 0
-        assert orders == [("truncated_residual", 7), ("integral_feature_expectation", 9)]
+        assert rule_orders == [7]
+
+    def test_concentration_builds_no_quadrature_rule(self, tmp_path, capsys, rule_orders):
+        argv = ["concentration", "--poly", '{"1,1,1": 1.0}', "--r", "64,128", "--trials", "2", "--probes", "50"]
+        assert run([*argv, "--out", str(tmp_path)]) == 0
+        assert rule_orders == []
+
+    @pytest.mark.parametrize("d", [6, 10, 20])
+    def test_concentration_runs_at_large_d(self, tmp_path, capsys, d):
+        # x_1 x_2 padded with zero exponents: f is in closed form, so no rule of (k + 6)^d nodes
+        poly = json.dumps({",".join(["1", "1"] + ["0"] * (d - 2)): 1.0})
+        argv = ["concentration", "--poly", poly, "--r", "64,256", "--trials", "2", "--probes", "100"]
+        assert run([*argv, "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_represent_poly_refuses_a_rule_past_its_node_budget(self, tmp_path, capsys):
+        poly = json.dumps({"1,1,0,0,0,0,0,0": 1.0})  # 6^8 nodes
+        assert run(["represent-poly", "--poly", poly, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --poly at d = 8, degree 2 needs a check rule of (degree + 4)^d = 6^8 nodes, "
+            "past the budget of 300,000 (about 3 s)\n"
+        )
+        assert not (tmp_path / "represent-poly").exists()
+        assert (2 + 4) ** 7 <= cli.CHECK_RULE_NODES < (2 + 4) ** 8
 
     def test_diverged_training_exits_two(self, tmp_path, capsys):
         assert run(["learn-poly", "--eta", "50", "--steps", "2000", "--out", str(tmp_path)]) == 2

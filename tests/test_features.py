@@ -137,10 +137,10 @@ class TestApproximant:
             assert np.all(np.abs(u) <= c / 64 + 0.0)
 
     def test_resampling_mean_matches_integral(self, g):
-        # oracle: quadrature value of the feature expectation at fixed probes
+        # oracle: closed-form value of the feature expectation at fixed probes
         rng = RandomSource(14)
         probes = uniform_ball(2, 5, rng.generator(999))
-        f_vals = integral_feature_expectation(g, np.exp, probes, 8)
+        f_vals = integral_feature_expectation(g, probes)
         preds = np.zeros((200, 5))
         for t in range(200):
             sample = draw(np.exp, uniform_cube, 2, 64, rng.derive(t))
@@ -341,6 +341,18 @@ class TestMomentPath:
         # the benchmark tracer's small run (probes 200, r <= 256) pins its
         # feature matrix bytes, so it stays direct
         assert not any(features._moments_pay(2, r, 200) for r in (64, 128, 256))
+
+    def test_large_d_declines_the_moment_path_before_building_it(self):
+        # at d = 20 the moments' GEMMs take C(37, 19) (K + 1) multiply-adds per weight and
+        # point, so every default r stays direct, and a cell there never builds the Taylor terms
+        params = cli.COMMANDS["concentration"]["params"]
+        assert not any(features._moments_pay(20, r, params["probes"][1]) for r in params["r"][1])
+        g = construct_g(SparsePolynomial(20, {(1, 1) + (0,) * 18: 1.0}))
+        probes = uniform_ball(20, 200, RandomSource(76).generator())
+        f_vals = integral_feature_expectation(g, probes)
+        before = features._taylor_terms.cache_info()
+        features._concentration_cell(g, probes, f_vals, RandomSource(77), (6, 4096, 0))
+        assert features._taylor_terms.cache_info() == before
 
     def test_the_picked_path_is_the_faster_at_d3_r4096(self):
         # one cell at the default probe count; the best of five interleaved
@@ -661,7 +673,7 @@ class TestConcentration:
         g = construct_g(P)
         rng = RandomSource(77)
         probes = uniform_ball(2, 500, rng.generator(0))
-        f_vals = integral_feature_expectation(g, np.exp, probes, P.degree + 6)
+        f_vals = integral_feature_expectation(g, probes)
         sup_c = max_abs_g(g, rng.derive(2))
         sup, max_u, weight_sup_C = result
         assert sup.shape == max_u.shape == (3, 5)

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from rf_lab.legendre import (
     iter_multi_indices,
     legendre_eval,
     multi_norm_sq,
+    tensor_grid,
 )
-from rf_lab.numerics import RandomSource, uniform_ball
+from rf_lab.numerics import RandomSource, gauss_legendre_rule, uniform_ball
 from rf_lab.poly_repr import (
     EXP_LIPSCHITZ,
     LegendreExpansion,
@@ -50,6 +52,35 @@ def forward_coefficients(g, table, k):
     return out
 
 
+def tensor_rule_f(g, sigma, x_points, order):
+    """c_d * int_cube sigma(<w, x>) g(w) dw by the order^d tensor Gauss-Legendre
+    rule on the cube: the closed form's oracle at sigma = exp, and with sigma
+    = exp_k the sum ``truncated_residual`` forms, in its order of operations."""
+    nodes, weights = tensor_grid(*gauss_legendre_rule(order), g.dimension)
+    scale = 1.0 / math.sqrt(g.dimension)
+    nodes *= scale
+    return sigma(x_points @ nodes.T) @ (weights * scale**g.dimension * eval_g(g, nodes) * g.normalizer)
+
+
+def longdouble_f(g, x_points, terms=30):
+    """f = sum_J c_J prod_i i_{j_i}(x_i / sqrt(d)) with each i_n's series summed
+    term by term in np.longdouble: the closed form's oracle to about 2^-63."""
+    L = np.longdouble
+    z = x_points.astype(L) / np.sqrt(L(g.dimension))
+    out = np.zeros(len(x_points), dtype=L)
+    for J, c in g.coefficients.items():
+        product = np.full(len(x_points), L(c))
+        for axis, n in enumerate(J):
+            term = z[:, axis] ** n / L(math.prod(range(1, 2 * n + 2, 2)))
+            i_n = term.copy()
+            for k in range(1, terms):
+                term = term * z[:, axis] ** 2 / L(2 * k * (2 * n + 2 * k + 1))
+                i_n += term
+            product *= i_n
+        out += product
+    return out
+
+
 @pytest.fixture(scope="module")
 def table():
     return build_monomial_table(12)
@@ -70,13 +101,13 @@ class TestActivations:
     def test_exp_taylor_coeffs(self):
         # exp_k(1) - exp_{k-1}(1) is the Taylor coefficient 1/k!
         one = np.array([1.0])
-        assert exp_truncated(0)(one) == 1.0
-        assert exp_truncated(3)(one) - exp_truncated(2)(one) == pytest.approx([1.0 / 6.0])
+        assert exp_truncated(0, one) == 1.0
+        assert exp_truncated(3, one) - exp_truncated(2, one) == pytest.approx([1.0 / 6.0])
 
     def test_exp_value(self):
         z = np.linspace(-1, 1, 9)
-        assert np.allclose(exp_truncated(2)(z), 1.0 + z + z * z / 2.0, rtol=0.0, atol=1e-15)
-        assert exp_truncated(20)(np.array([1.0])) == pytest.approx([math.e], abs=1e-15)
+        assert np.allclose(exp_truncated(2, z), 1.0 + z + z * z / 2.0, rtol=0.0, atol=1e-15)
+        assert exp_truncated(20, np.array([1.0])) == pytest.approx([math.e], abs=1e-15)
 
     def test_lipschitz_on_interval(self):
         z = np.linspace(-1, 1, 401)
@@ -212,7 +243,7 @@ class TestVerificationOracle:
         g = construct_g(P)
         xs = uniform_ball(3, 10, RandomSource(41).generator())
         res_t = np.max(np.abs(truncated_residual(P, g, xs, P.degree + 4)[0]))
-        res_f = np.max(np.abs(integral_feature_expectation(g, np.exp, xs, 10) - P.evaluate(xs)))
+        res_f = np.max(np.abs(integral_feature_expectation(g, xs) - P.evaluate(xs)))
         # the truncated system is exact; untruncated exp leaves the tail
         assert res_t < 1e-10
         assert res_f > 1e-6
@@ -232,14 +263,79 @@ class TestVerificationOracle:
 
     @pytest.mark.parametrize("poly", ['{"0": 1}', '{"2,1": -0.5, "0,1": 2}', '{"3,3,3": 1}'])
     def test_one_pass_residual_is_the_quadrature_residual(self, poly):
-        # one pass computes the residual beside its bound; it is the quadrature residual bit for bit
+        # one pass computes the residual beside its bound; it is the tensor rule's residual bit for bit
         P = SparsePolynomial.from_json(poly)
         g = construct_g(P)
         xs = uniform_ball(P.dimension, 30, RandomSource(53).generator())
         order = P.degree + 4
         res = truncated_residual(P, g, xs, order)[0]
-        expected = integral_feature_expectation(g, exp_truncated(P.degree), xs, order) - P.evaluate(xs)
+        expected = tensor_rule_f(g, partial(exp_truncated, P.degree), xs, order) - P.evaluate(xs)
         assert res.tobytes() == expected.tobytes()
+
+
+class TestClosedFormF:
+    def test_d1_against_hyperbolic_forms(self):
+        # at d = 1, f is i_n(x) itself: i_0(z) = sinh z / z and i_1(z) = (z cosh z - sinh z) / z^2.
+        # The i_1 form cancels to z^3 / 3 from terms near z, so it is good to about 4u / z^2
+        z = np.concatenate([np.linspace(-1.0, -0.25, 16), np.linspace(0.25, 1.0, 16)])
+        i0 = integral_feature_expectation(LegendreExpansion(1, {(0,): 1.0}), z[:, None])
+        i1 = integral_feature_expectation(LegendreExpansion(1, {(1,): 1.0}), z[:, None])
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(i0 - np.sinh(z) / z) <= 2 * eps * i0)
+        assert np.all(np.abs(i1 - (z * np.cosh(z) - np.sinh(z)) / z**2) <= 4 * eps * np.abs(i1) / z**2)
+        at_zero = np.zeros((1, 1))
+        assert integral_feature_expectation(LegendreExpansion(1, {(0,): 1.0, (1,): 1.0}), at_zero) == 1.0
+
+    def test_matches_the_tensor_rule(self):
+        # the library's former f: an order k + 6 tensor rule, at d <= 4 and degree <= 4
+        rng = RandomSource(59)
+        for trial in range(16):
+            gen = rng.generator(trial)
+            d, k = int(gen.integers(1, 5)), int(gen.integers(1, 5))
+            P = random_polynomial(gen, d, k)
+            g = construct_g(P)
+            xs = uniform_ball(d, 30, rng.generator(trial, 1))
+            oracle = tensor_rule_f(g, np.exp, xs, P.degree + 6)
+            f = integral_feature_expectation(g, xs)
+            assert np.max(np.abs(f - oracle)) <= 1e-13 * np.max(np.abs(oracle)), (trial, P)
+
+    @pytest.mark.parametrize("poly", [
+        '{"1,1": 1}', '{"2,0": 1, "0,1": 0.5, "0,0": 0.25}', '{"1,1,1": 1}', '{"3,3,3": 1}',
+        '{"2,1,0,1": -0.7, "0,0,3,0": 2}',
+    ])
+    def test_within_4_ulp_of_a_long_double_series(self, poly):
+        # 4 ulp of max |f|: 4 eps max |f|, eps = 2^-52 the ulp of 1
+        P = SparsePolynomial.from_json(poly)
+        g = construct_g(P)
+        xs = uniform_ball(P.dimension, 30, RandomSource(67).generator())
+        reference = longdouble_f(g, xs)
+        err = np.max(np.abs(integral_feature_expectation(g, xs) - reference))
+        assert err <= 4 * np.finfo(float).eps * np.max(np.abs(reference))
+
+    def test_empty_and_all_zero_g(self):
+        xs = uniform_ball(3, 5, RandomSource(71).generator())
+        for coefficients in ({}, {(0, 0, 0): 0.0, (1, 0, 2): 0.0}):
+            f = integral_feature_expectation(LegendreExpansion(3, coefficients), xs)
+            assert f.shape == (5,) and np.all(f == 0.0)
+
+    def test_degree_170_axis_underflows_to_zero(self):
+        # i_170(z) <= 1 / 341!! < 1e-359 for |z| <= 1: its series' coefficients round to 0, with
+        # no OverflowError, and a p_0 term beside it keeps its exact value
+        xs = uniform_ball(2, 10, RandomSource(73).generator())
+        g = LegendreExpansion(2, {(170, 0): 1.0, (0, 0): 0.5})
+        f = integral_feature_expectation(g, xs)
+        reference = longdouble_f(g, xs)
+        assert np.all(np.abs(reference - longdouble_f(LegendreExpansion(2, {(0, 0): 0.5}), xs)) < 1e-300)
+        assert np.all(np.abs(f - reference) <= 4 * np.finfo(float).eps * np.abs(reference))
+        alone = integral_feature_expectation(LegendreExpansion(1, {(170,): 1.0}), np.array([[1.0], [-1.0]]))
+        assert np.all(alone == 0.0)
+
+    def test_point_past_sqrt_d_refused(self):
+        # the series' term count holds for |x_i| / sqrt(d) <= 1
+        g = LegendreExpansion(2, {(1, 1): 1.0})
+        assert np.isfinite(integral_feature_expectation(g, np.array([[math.sqrt(2), -math.sqrt(2)]]))).all()
+        with pytest.raises(ValueError, match="past sqrt"):
+            integral_feature_expectation(g, np.array([[0.0, 1.5]]))
 
 
 class TestEvalG:
